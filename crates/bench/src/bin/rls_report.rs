@@ -71,7 +71,6 @@ struct CampaignStats {
     trials: u64,
     kept: u64,
     respawns: u64,
-    steals: u64,
     faults_dropped: u64,
     /// Cumulative detected count after each *kept* trial (the coverage
     /// curve of Procedure 2, excluding TS0).
@@ -99,13 +98,11 @@ fn stats_from(log: &CampaignLog) -> Result<CampaignStats, String> {
         }
     }
     let mut respawns = 0;
-    let mut steals = 0;
     let mut faults_dropped = 0;
     for w in log.of_type("workers") {
         if let Some(items) = w.get("workers").and_then(|v| v.as_array()) {
             for worker in items {
                 respawns += worker.u64_field("respawns").unwrap_or(0);
-                steals += worker.u64_field("steals").unwrap_or(0);
                 faults_dropped += worker.u64_field("faults_dropped").unwrap_or(0);
             }
         }
@@ -124,7 +121,6 @@ fn stats_from(log: &CampaignLog) -> Result<CampaignStats, String> {
         trials,
         kept,
         respawns,
-        steals,
         faults_dropped,
         curve,
     })
@@ -222,7 +218,6 @@ fn render(base: &CampaignStats, cand: &CampaignStats) -> String {
     row("iterations", base.iterations.to_string(), cand.iterations.to_string());
     row("total cycles", base.total_cycles.to_string(), cand.total_cycles.to_string());
     row("wall time", millis(base.wall_nanos), millis(cand.wall_nanos));
-    row("worker steals", base.steals.to_string(), cand.steals.to_string());
     row("worker respawns", base.respawns.to_string(), cand.respawns.to_string());
     row("faults dropped", base.faults_dropped.to_string(), cand.faults_dropped.to_string());
     let mut out = t.render();
@@ -838,26 +833,5 @@ mod tests {
         assert!(out.contains("+0.0ms"), "{out}"); // 2000ns delta renders as ms
         assert!(out.contains("span coverage of wall time: baseline 95.0%"), "{out}");
         assert!(out.contains("diverge at trial 2"), "{out}");
-    }
-
-    fn blank() -> CampaignStats {
-        CampaignStats {
-            circuit: "s27".into(),
-            threads: 1,
-            ts0_detected: 0,
-            detected: 0,
-            target_faults: 0,
-            pairs: 0,
-            total_cycles: 0,
-            complete: false,
-            iterations: 0,
-            wall_nanos: 0,
-            trials: 0,
-            kept: 0,
-            respawns: 0,
-            steals: 0,
-            faults_dropped: 0,
-            curve: Vec::new(),
-        }
     }
 }

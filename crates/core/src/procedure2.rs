@@ -13,15 +13,21 @@
 //! pair changes the fault list the next trial sees), but each trial's
 //! test-set simulation is embarrassingly parallel. The driver abstracts
 //! the per-set simulation behind [`TrialExecutor`]: `threads = 1` runs the
-//! sequential [`FaultSimulator`] oracle, `threads > 1` shards each set
-//! across an `rls-dispatch` worker pool with a deterministic reduction, so
-//! both paths produce bit-identical [`Procedure2Outcome`]s. With
+//! sequential [`FaultSimulator`] oracle, `threads > 1` registers one
+//! campaign on an `rls-dispatch` [`SharedPool`] — the same path the
+//! `rls-serve` campaign server takes — and shards each set across it with
+//! a deterministic reduction ([`PoolExecutor`]), so both paths produce
+//! bit-identical [`Procedure2Outcome`]s. With
 //! `campaign_dir` set, a JSONL campaign record (per-trial lines, per-worker
 //! counters) is persisted.
 
+use std::sync::Arc;
 use std::time::Instant;
 
-use rls_dispatch::{Campaign, CampaignSummary, SetRunner, SimContext, TrialRecord, WorkerPool};
+use rls_dispatch::{
+    Campaign, CampaignHandle, CampaignSummary, CompiledCircuit, PoolSnapshot, SharedPool,
+    SharedSetRunner, SharedSimContext, TrialRecord,
+};
 use rls_fsim::{FaultId, FaultSimulator, ScanTest};
 use rls_netlist::Circuit;
 
@@ -107,8 +113,9 @@ impl<'c> Procedure2<'c> {
     /// Runs the procedure to completion.
     ///
     /// `cfg.threads` selects the execution path: `1` is the sequential
-    /// oracle, `> 1` shards every test-set simulation across an
-    /// `rls-dispatch` worker pool. Both produce bit-identical outcomes.
+    /// oracle, `> 1` shards every test-set simulation across a private
+    /// `rls-dispatch` [`SharedPool`] of that many workers. Both produce
+    /// bit-identical outcomes.
     /// With `cfg.campaign_dir` set, a JSONL campaign record (including
     /// resume checkpoints) streams crash-safely into that directory
     /// (failures to persist are reported on stderr, never fatal).
@@ -242,35 +249,25 @@ impl<'c> Procedure2<'c> {
     fn run_parallel(
         &self,
         threads: usize,
-        campaign: Option<&mut Campaign>,
+        mut campaign: Option<&mut Campaign>,
         resume: Option<ResumeState>,
     ) -> Procedure2Outcome {
-        let ctx = SimContext::new(self.circuit, self.cfg.observe)
-            .with_lane_width(self.cfg.lane_width)
-            .with_pattern_lanes(self.cfg.pattern_lanes);
-        WorkerPool::new(threads).scope(|dispatcher| {
-            let mut runner = SetRunner::new(&ctx, dispatcher);
-            if let CoverageTarget::Faults(targets) = &self.cfg.target {
-                runner.set_targets(targets);
-            }
-            let mut campaign = campaign;
-            let mut exec = PoolExecutor {
-                runner,
-                fallback: None,
-            };
-            let outcome = self.drive(&mut exec, campaign.as_deref_mut(), resume);
-            if let Some(c) = campaign {
-                // Fold the degrade-path fallback simulator's lane
-                // accounting into the snapshot so `lanes_used`/`capacity`
-                // stay exact even after a poisoned set.
-                let mut snap = dispatcher.snapshot();
-                if let Some(stats) = exec.fallback_lane_stats() {
-                    snap = snap.with_fallback_lanes(stats);
-                }
-                c.record_workers(snap);
-            }
-            outcome
-        })
+        let compiled = match CompiledCircuit::compile(self.circuit.clone()) {
+            Ok(compiled) => Arc::new(compiled),
+            // lint: panic-ok(the sequential oracle's FaultSimulator::new panics on the same cyclic input; one contract for both paths)
+            Err(e) => panic!("circuit cannot be simulated: {e}"),
+        };
+        let pool = SharedPool::new(threads);
+        let mut exec = PoolExecutor::new(&compiled, &self.cfg, pool.register(threads));
+        let outcome = self.drive(&mut exec, campaign.as_deref_mut(), resume);
+        if let Some(c) = campaign {
+            c.record_workers(exec.snapshot());
+        }
+        // Retire the campaign (emitting its pool metrics) before the
+        // workers shut down.
+        drop(exec);
+        pool.shutdown();
+        outcome
     }
 
     /// The greedy selection loop, generic over how a set is simulated.
@@ -519,11 +516,6 @@ pub trait TrialExecutor {
     fn cancelled(&self) -> bool {
         false
     }
-    /// Lane accounting for work the executor replayed sequentially after
-    /// degrading, to be folded into the pool snapshot's totals.
-    fn fallback_lane_stats(&self) -> Option<rls_fsim::LaneStats> {
-        None
-    }
 }
 
 /// The sequential oracle: one [`FaultSimulator`], tests applied in order
@@ -550,8 +542,14 @@ impl TrialExecutor for SequentialExecutor<'_> {
     }
 }
 
-/// The pool-backed executor: each set fans out across worker threads with
-/// shared-bitset fault dropping and a deterministic reduction.
+/// The pool-backed executor: each set fans out across a campaign's share
+/// of a [`SharedPool`] with shared-bitset fault dropping and a
+/// deterministic reduction.
+///
+/// Built from the compiled circuit, the run configuration, and a
+/// registered [`CampaignHandle`], so `observe`, `lane_width`,
+/// `pattern_lanes`, and [`CoverageTarget::Faults`] are applied here for
+/// direct and served runs alike.
 ///
 /// If a set keeps failing through the pool's retry budget (a poisoned
 /// chunk), the executor *degrades*: the failed set — whose bookkeeping
@@ -559,12 +557,83 @@ impl TrialExecutor for SequentialExecutor<'_> {
 /// [`FaultSimulator`] seeded with the set-start live list. The sequential
 /// path is the oracle the pool is tested against, so the outcome is
 /// unchanged; only the wall clock suffers.
-struct PoolExecutor<'d, 'env> {
-    runner: SetRunner<'d, 'env>,
-    fallback: Option<FaultSimulator<'env>>,
+pub struct PoolExecutor<'c> {
+    runner: SharedSetRunner,
+    compiled: &'c CompiledCircuit,
+    fallback: Option<FaultSimulator<'c>>,
 }
 
-impl TrialExecutor for PoolExecutor<'_, '_> {
+impl std::fmt::Debug for PoolExecutor<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PoolExecutor")
+            .field("degraded", &self.fallback.is_some())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'c> PoolExecutor<'c> {
+    /// An executor for one campaign registered on a pool, targeting what
+    /// `cfg.target` names.
+    pub fn new(
+        compiled: &'c Arc<CompiledCircuit>,
+        cfg: &RlsConfig,
+        handle: CampaignHandle,
+    ) -> Self {
+        let ctx = SharedSimContext::new(Arc::clone(compiled), cfg.observe)
+            .with_lane_width(cfg.lane_width)
+            .with_pattern_lanes(cfg.pattern_lanes);
+        let mut runner = SharedSetRunner::new(Arc::new(ctx), handle);
+        if let CoverageTarget::Faults(targets) = &cfg.target {
+            runner.set_targets(targets);
+        }
+        PoolExecutor {
+            runner,
+            compiled,
+            fallback: None,
+        }
+    }
+
+    /// Bounds how long a wave barrier may wait for its jobs (`None`
+    /// waits forever). A timed-out wave fails its set, which degrades
+    /// that set to the sequential oracle.
+    pub fn set_wave_timeout(&mut self, timeout: Option<std::time::Duration>) {
+        self.runner.set_wave_timeout(timeout);
+    }
+
+    /// The campaign's worker counters, with the sequential fallback's lane
+    /// accounting folded in so `lanes_used`/`capacity` stay exact even
+    /// after a poisoned set — the payload of the `workers` record.
+    pub fn snapshot(&self) -> PoolSnapshot {
+        let snap = self.runner.handle().snapshot();
+        match &self.fallback {
+            Some(sim) => snap.with_fallback_lanes(sim.lane_stats()),
+            None => snap,
+        }
+    }
+
+    /// Routes this and every later set to the sequential oracle, seeded
+    /// with the runner's current live list. Detections are bit-identical
+    /// because the fallback replays whole sets against the same live list.
+    pub fn force_degrade(&mut self) {
+        self.fallback();
+    }
+
+    /// The sequential fallback, installed on first use.
+    fn fallback(&mut self) -> &mut FaultSimulator<'c> {
+        let (runner, circuit) = (&self.runner, self.compiled.circuit());
+        self.fallback.get_or_insert_with(|| {
+            let ctx = runner.context();
+            let mut sim = FaultSimulator::new(circuit);
+            sim.set_options(ctx.options());
+            sim.set_lane_width(ctx.lane_width());
+            sim.set_pattern_lanes(ctx.pattern_lanes());
+            sim.set_targets(runner.live());
+            sim
+        })
+    }
+}
+
+impl TrialExecutor for PoolExecutor<'_> {
     fn live_count(&self) -> usize {
         match &self.fallback {
             Some(sim) => sim.live_count(),
@@ -573,33 +642,24 @@ impl TrialExecutor for PoolExecutor<'_, '_> {
     }
 
     fn apply_set(&mut self, tests: &[ScanTest]) -> usize {
-        if let Some(sim) = self.fallback.as_mut() {
-            return sim.run_tests(tests);
-        }
-        match self.runner.try_run_set(tests) {
-            Ok(newly) => newly.len(),
-            Err(e) => {
-                eprintln!(
-                    "[procedure2] parallel set execution failed ({e}); \
-                     degrading campaign to the sequential simulator"
-                );
-                // The moment worth a post-mortem: mark it and dump the
-                // flight recorder's window before state is rebuilt.
-                rls_obs::mark!("dispatch.degrade");
-                if let Some(path) = rls_obs::recorder::dump("degrade") {
-                    eprintln!("[procedure2] flight-recorder dump: {}", path.display());
+        if self.fallback.is_none() {
+            match self.runner.try_run_set(tests) {
+                Ok(newly) => return newly.len(),
+                Err(e) => {
+                    eprintln!(
+                        "[procedure2] parallel set execution failed ({e}); \
+                         degrading campaign to the sequential simulator"
+                    );
+                    // The moment worth a post-mortem: mark it and dump the
+                    // flight recorder's window before state is rebuilt.
+                    rls_obs::mark!("dispatch.degrade");
+                    if let Some(path) = rls_obs::recorder::dump("degrade") {
+                        eprintln!("[procedure2] flight-recorder dump: {}", path.display());
+                    }
                 }
-                let ctx = self.runner.context();
-                let mut sim = FaultSimulator::new(ctx.circuit());
-                sim.set_options(ctx.options());
-                sim.set_lane_width(ctx.lane_width());
-                sim.set_pattern_lanes(ctx.pattern_lanes());
-                sim.set_targets(self.runner.live());
-                let newly = sim.run_tests(tests);
-                self.fallback = Some(sim);
-                newly
             }
         }
+        self.fallback().run_tests(tests)
     }
 
     fn undetected(&self) -> Vec<FaultId> {
@@ -618,10 +678,6 @@ impl TrialExecutor for PoolExecutor<'_, '_> {
 
     fn degraded(&self) -> bool {
         self.fallback.is_some()
-    }
-
-    fn fallback_lane_stats(&self) -> Option<rls_fsim::LaneStats> {
-        self.fallback.as_ref().map(|sim| sim.lane_stats())
     }
 }
 

@@ -402,7 +402,6 @@ impl Campaign {
                 .num("batches", w.batches)
                 .num("faults_dropped", w.faults_dropped)
                 .num("sim_nanos", w.sim_nanos)
-                .num("steals", w.steals)
                 .num("respawns", w.respawns)
                 .num("lanes_used", w.lanes_used)
                 .num("lanes_capacity", w.lanes_capacity)
@@ -587,7 +586,7 @@ impl CampaignLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::WorkerPool;
+    use crate::shared::SharedPool;
 
     fn sample() -> Campaign {
         let mut c = Campaign::new("s27", 4);
@@ -619,11 +618,11 @@ mod tests {
     #[test]
     fn jsonl_has_one_record_per_line() {
         let mut c = sample();
-        let snap = WorkerPool::new(2).scope(|d| {
-            d.submit(|w| w.add_dropped(1));
-            d.wait_idle();
-            d.snapshot()
-        });
+        let pool = SharedPool::new(2);
+        let handle = pool.register(2);
+        handle.submit_tagged(0, |w| w.add_dropped(1));
+        handle.wait_idle();
+        let snap = handle.snapshot();
         c.record_workers(snap);
         let text = c.to_jsonl();
         let lines: Vec<&str> = text.lines().collect();

@@ -1,72 +1,39 @@
-//! Parallel execution of one test set against the live fault list, with a
-//! deterministic reduction.
+//! The wave protocol shared by every parallel set execution: job tags,
+//! tile planning, chunk sizing, and the retry budget.
 //!
 //! # Execution model
 //!
 //! A *set* is the atomic scheduling unit of the paper's procedures: `TS0`
-//! or one derived `TS(I, D1)`. [`SetRunner::run_set`] fans a set out in
-//! two phases over the worker pool:
+//! or one derived `TS(I, D1)`. [`crate::SharedSetRunner::try_run_set`]
+//! fans a set out in two phases over the worker pool:
 //!
 //! 1. **Traces** — one job per test computes the fault-free
-//!    [`TestTrace`];
+//!    [`rls_fsim::TestTrace`] (tagged by `trace_tag`);
 //! 2. **Batches** — one job per `(tile, fault chunk)` of the live list
-//!    simulates the chunk against a *tile* of shape-compatible
-//!    consecutive tests (see [`plan_tiles`]; height one when
-//!    [`SimContext::pattern_lanes`] is `1`), publishing detections into
-//!    the shared [`AtomicBitset`]. The levelized SoA kernel
-//!    (`rls_fsim::soa`) packs `tests × faults` into one word pass.
-//!    Chunks are sized adaptively by [`chunk_size`] (live-list length
-//!    over `threads × 8`, floor 16) so big circuits do not drown the
-//!    queues in per-job overhead; a chunk wider than a tile row
-//!    ([`SimContext::lane_width`] lanes over the tile height) is
-//!    simulated as consecutive full-width sub-batches inside the job.
-//!
-//! Workers consult the bitset *before* simulating a chunk, so a fault
-//! detected by any worker is dropped by every other worker mid-set — the
-//! cross-thread analogue of the sequential simulator's fault dropping
-//! between tests.
-//!
-//! # Determinism
-//!
-//! The reduction at the set barrier is order-independent: detection of a
-//! fault by a test depends only on `(test, fault)` — lanes of a batch
-//! are independent at every width and tile height, and the bitset is
-//! monotone within a set — so the
-//! set of detected faults equals the union a sequential run produces, no
-//! matter how jobs interleave. The runner then merges in live-list order
-//! (ascending fault id for the default target), giving results that are
-//! bit-identical to the sequential oracle. Skipping an already-detected
-//! fault is sound for the same reason the sequential simulator's dropping
-//! is: detection is monotone over a set, and a set's bookkeeping only uses
-//! the union.
+//!    (tagged by `batch_tag`) simulates the chunk against a *tile* of
+//!    shape-compatible consecutive tests (see `plan_tiles`; height one
+//!    when pattern lanes are disabled), publishing detections into the
+//!    shared [`crate::AtomicBitset`]. Chunks are sized adaptively by
+//!    [`chunk_size`] so big circuits do not drown the queue in per-job
+//!    overhead; a chunk wider than a tile row is simulated as consecutive
+//!    full-width sub-batches inside the job.
 //!
 //! # Recovery
 //!
-//! Every job carries a tag encoding what it computes (trace `t`, or batch
-//! `(t, chunk)`), and both phases run as *waves*: submit, wait for the
-//! barrier, drain [`crate::JobFailure`]s, and resubmit exactly the failed
-//! tags. Retries are idempotent — traces land in `OnceLock`s and the
-//! detection bitset is monotone — so a wave may safely re-run work that
-//! partially completed. A tag still failing after [`RETRY_ROUNDS`] retry
-//! waves aborts the set with [`SetFailure`]; [`SetRunner::try_run_set`]
-//! then guarantees the live/detected bookkeeping is untouched, so the
-//! caller can replay the whole set on the sequential oracle (see
-//! `rls_core::procedure2`'s degrade path).
+//! Both phases run as *waves*: submit, wait for the barrier, drain
+//! [`crate::JobFailure`]s, and resubmit exactly the failed tags. Retries
+//! are idempotent — traces land in `OnceLock`s and the detection bitset is
+//! monotone — so a wave may safely re-run work that partially completed.
+//! A tag still failing after [`RETRY_ROUNDS`] retry waves aborts the set
+//! with [`SetFailure`], leaving the runner's live/detected bookkeeping
+//! untouched so the caller can replay the whole set on the sequential
+//! oracle (see `rls_core::procedure2`'s degrade path).
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
-use rls_fsim::parallel::activated_in_trace;
-use rls_fsim::{
-    simulate_tile_at, tile_compatible, CollapsedFaults, Fault, FaultId, FaultUniverse, GoodSim,
-    LaneWidth, ScanTest, SimOptions, TestTrace, PATTERN_LANES_DEFAULT,
-};
-use rls_netlist::{Circuit, LevelizedCircuit};
+use rls_fsim::{tile_compatible, ScanTest};
 
-use crate::bitset::AtomicBitset;
-use crate::pool::{Dispatcher, JobFailure};
+use crate::pool::JobFailure;
 
 /// Retry waves allowed per phase before a set is declared failed.
 pub const RETRY_ROUNDS: usize = 3;
@@ -110,10 +77,10 @@ pub(crate) fn plan_tiles(tests: &[ScanTest], pattern_lanes: usize) -> Vec<(usize
 /// Fixed 64-fault chunks made submit overhead scale with circuit size:
 /// a large live list became thousands of tiny jobs per test. Sizing by
 /// live-list length keeps roughly eight chunks per worker per test —
-/// enough slack for stealing to balance uneven work, few enough that
-/// queue traffic stays cheap — with a floor of 16 so small circuits
-/// still fan out. The kernel keeps its configured word width: jobs split
-/// oversized chunks into [`SimContext::lane_width`]-lane sub-batches.
+/// enough slack to balance uneven work across the campaign's budget, few
+/// enough that queue traffic stays cheap — with a floor of 16 so small
+/// circuits still fan out. The kernel keeps its configured word width:
+/// jobs split oversized chunks into lane-width sub-batches.
 pub fn chunk_size(live_faults: usize, threads: usize) -> usize {
     (live_faults / (threads.max(1) * 8)).max(16)
 }
@@ -151,597 +118,9 @@ impl fmt::Display for SetFailure {
 
 impl std::error::Error for SetFailure {}
 
-/// The read-only simulation context shared by every worker of a campaign.
-///
-/// Built once per campaign (fault enumeration, collapsing, levelization),
-/// then borrowed immutably by every job; the only mutable shared state is
-/// the atomic detection bitset.
-#[derive(Debug)]
-pub struct SimContext<'c> {
-    circuit: &'c Circuit,
-    good: GoodSim<'c>,
-    soa: LevelizedCircuit,
-    universe: FaultUniverse,
-    collapsed: CollapsedFaults,
-    options: SimOptions,
-    lane_width: LaneWidth,
-    pattern_lanes: usize,
-    detected_bits: AtomicBitset,
-}
-
-impl<'c> SimContext<'c> {
-    /// Builds the context for one circuit at the default kernel width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit has combinational cycles.
-    pub fn new(circuit: &'c Circuit, options: SimOptions) -> Self {
-        let universe = FaultUniverse::enumerate(circuit);
-        let collapsed = CollapsedFaults::build(circuit, &universe);
-        let detected_bits = AtomicBitset::new(universe.len());
-        let good = GoodSim::new(circuit);
-        let soa = LevelizedCircuit::build(circuit, good.levelization());
-        SimContext {
-            circuit,
-            good,
-            soa,
-            universe,
-            collapsed,
-            options,
-            lane_width: LaneWidth::DEFAULT,
-            pattern_lanes: PATTERN_LANES_DEFAULT,
-            detected_bits,
-        }
-    }
-
-    /// Sets the kernel word width the batch jobs simulate at. Detections
-    /// are bit-identical at every width; only throughput changes.
-    pub fn with_lane_width(mut self, width: LaneWidth) -> Self {
-        self.lane_width = width;
-        self
-    }
-
-    /// Sets the tile height: how many shape-compatible consecutive tests
-    /// one kernel pass simulates (`1` disables tiling). Detections are
-    /// bit-identical at every height; only throughput changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= lanes <= 64` (the narrowest kernel word must
-    /// still fit at least one fault per pattern).
-    pub fn with_pattern_lanes(mut self, lanes: usize) -> Self {
-        assert!(
-            (1..=64).contains(&lanes),
-            "pattern lanes must be within 1..=64, got {lanes}"
-        );
-        self.pattern_lanes = lanes;
-        self
-    }
-
-    /// The kernel word width batch jobs simulate at.
-    pub fn lane_width(&self) -> LaneWidth {
-        self.lane_width
-    }
-
-    /// The tile height batch jobs simulate at (tests per kernel pass).
-    pub fn pattern_lanes(&self) -> usize {
-        self.pattern_lanes
-    }
-
-    /// The levelized SoA lowering shared by every batch job.
-    pub fn levelized(&self) -> &LevelizedCircuit {
-        &self.soa
-    }
-
-    /// The circuit under test (with the campaign's lifetime, so a
-    /// fallback sequential simulator can borrow it independently).
-    pub fn circuit(&self) -> &'c Circuit {
-        self.circuit
-    }
-
-    /// The simulation options the context was built with.
-    pub fn options(&self) -> SimOptions {
-        self.options
-    }
-
-    /// The collapsed representative fault list (sorted by fault id).
-    pub fn representatives(&self) -> &[FaultId] {
-        self.collapsed.representatives()
-    }
-
-    /// The shared detection bitset.
-    pub fn detected_bits(&self) -> &AtomicBitset {
-        &self.detected_bits
-    }
-}
-
-/// Drives test sets through the pool against an evolving live fault list.
-///
-/// Mirrors the bookkeeping of `rls_fsim::FaultSimulator` (live list,
-/// detected list, dropping) but executes each set in parallel. Created
-/// inside a [`crate::WorkerPool::scope`].
-pub struct SetRunner<'d, 'env> {
-    ctx: &'env SimContext<'env>,
-    disp: &'d Dispatcher<'d, 'env>,
-    live: Vec<FaultId>,
-    detected: Vec<FaultId>,
-}
-
-impl<'d, 'env> SetRunner<'d, 'env> {
-    /// A runner targeting every collapsed fault.
-    pub fn new(ctx: &'env SimContext<'env>, disp: &'d Dispatcher<'d, 'env>) -> Self {
-        let live = ctx.collapsed.representatives().to_vec();
-        ctx.detected_bits.clear();
-        SetRunner {
-            ctx,
-            disp,
-            live,
-            detected: Vec::new(),
-        }
-    }
-
-    /// Restricts the live list to `targets` (e.g. the ATPG-detectable
-    /// set), mirroring `FaultSimulator::set_targets`.
-    pub fn set_targets(&mut self, targets: &[FaultId]) {
-        self.live = targets.to_vec();
-        self.detected.clear();
-        self.ctx.detected_bits.clear();
-    }
-
-    /// The shared simulation context the runner executes against (with
-    /// the campaign lifetime, so callers can build an independent
-    /// fallback simulator from it).
-    pub fn context(&self) -> &'env SimContext<'env> {
-        self.ctx
-    }
-
-    /// Currently undetected faults, in live-list order.
-    pub fn live(&self) -> &[FaultId] {
-        &self.live
-    }
-
-    /// Number of currently undetected faults.
-    pub fn live_count(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Number of faults detected so far.
-    pub fn detected_count(&self) -> usize {
-        self.detected.len()
-    }
-
-    /// Runs one test set against the live list and drops detections.
-    ///
-    /// Returns the newly detected faults merged in live-list order — the
-    /// deterministic reduction that makes a parallel campaign bit-identical
-    /// to the sequential oracle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the set could not be executed even after retries; use
-    /// [`SetRunner::try_run_set`] to recover (e.g. by degrading to the
-    /// sequential simulator).
-    pub fn run_set(&mut self, tests: &[ScanTest]) -> Vec<FaultId> {
-        self.try_run_set(tests)
-            .unwrap_or_else(|e| panic!("set execution failed: {e}")) // lint: panic-ok(documented contract: the fallible path is try_run_set, this is its asserting wrapper)
-    }
-
-    /// Submits one wave of trace jobs for the given tags.
-    fn submit_trace_wave(
-        &self,
-        tags: &[u64],
-        tests: &Arc<Vec<ScanTest>>,
-        traces: &Arc<Vec<OnceLock<TestTrace>>>,
-    ) {
-        let ctx = self.ctx;
-        for &tag in tags {
-            let t = (tag & !TRACE_TAG_BIT) as usize;
-            let tests = Arc::clone(tests);
-            let traces = Arc::clone(traces);
-            self.disp.submit_tagged(tag, move |counters| {
-                let start = Instant::now(); // lint: det-ok(wall time feeds observability counters only, never the reduced result)
-                // lint: panic-ok(t decodes from a tag minted over 0..tests.len())
-                let trace = ctx.good.simulate_test(&tests[t]);
-                counters.add_sim_time(start.elapsed());
-                // A retried job may find the trace already computed by a
-                // wave that panicked after publishing; either value is
-                // identical, so the loss is ignored.
-                let _ = traces[t].set(trace); // lint: panic-ok(t decodes from a tag minted over 0..traces.len())
-            });
-        }
-    }
-
-    /// Submits one wave of batch jobs for the given tags.
-    fn submit_batch_wave(
-        &self,
-        tags: &[u64],
-        tests: &Arc<Vec<ScanTest>>,
-        traces: &Arc<Vec<OnceLock<TestTrace>>>,
-        tiles: &Arc<Vec<(usize, usize)>>,
-        chunks: &Arc<Vec<Vec<FaultId>>>,
-        live_left: &Arc<AtomicUsize>,
-    ) {
-        let ctx = self.ctx;
-        for &tag in tags {
-            let ti = (tag >> 32) as usize;
-            let c = (tag & 0xffff_ffff) as usize;
-            let tests = Arc::clone(tests);
-            let traces = Arc::clone(traces);
-            let tiles = Arc::clone(tiles);
-            let chunks = Arc::clone(chunks);
-            let live_left = Arc::clone(live_left);
-            self.disp.submit_tagged(tag, move |counters| {
-                if live_left.load(Ordering::Relaxed) == 0 { // lint: ordering-ok(early-exit hint only; a stale read just simulates a batch whose hits are already in the bitset)
-                    return;
-                }
-                let (lo, hi) = tiles[ti]; // lint: panic-ok(ti decodes from a tag minted over 0..tiles.len())
-                let tile_tests: Vec<&ScanTest> = tests[lo..hi].iter().collect(); // lint: panic-ok(tiles partition 0..tests.len(), so lo..hi is in range)
-                let tile_traces: Vec<&TestTrace> = (lo..hi)
-                    // lint: panic-ok(the trace wave idles before any batch wave is submitted, so the OnceLocks are populated)
-                    .map(|t| traces[t].get().expect("trace barrier passed"))
-                    .collect();
-                let circuit = ctx.good.circuit();
-                // Shared-bitset fault dropping + activation prefilter: a
-                // fault activated by none of the tile's traces cannot be
-                // detected by any of its patterns.
-                // lint: panic-ok(c decodes from a tag minted over 0..chunks.len())
-                let candidates: Vec<(FaultId, Fault)> = chunks[c]
-                    .iter()
-                    .filter(|&&id| !ctx.detected_bits.get(id))
-                    .map(|&id| (id, ctx.universe.fault(id)))
-                    .filter(|&(_, f)| {
-                        tile_traces.iter().any(|tr| activated_in_trace(circuit, tr, f))
-                    })
-                    .collect();
-                if candidates.is_empty() {
-                    return;
-                }
-                // An adaptive chunk may exceed the kernel width; simulate
-                // it as consecutive full-width sub-batches (each holding
-                // `height` patterns x `cap` faults), timing each kernel
-                // invocation separately so `batches` keeps meaning "one
-                // kernel call at the configured width".
-                let width = ctx.lane_width;
-                let height = hi - lo;
-                let cap = width.lanes() / height;
-                let mut newly = 0u64;
-                for sub in candidates.chunks(cap) {
-                    let start = Instant::now(); // lint: det-ok(wall time feeds observability counters only, never the reduced result)
-                    let per_pattern = simulate_tile_at(
-                        width,
-                        &ctx.soa,
-                        &ctx.good,
-                        &tile_tests,
-                        &tile_traces,
-                        sub,
-                        ctx.options,
-                    );
-                    counters.add_batch(start.elapsed());
-                    counters.add_lanes((sub.len() * height) as u64, width.lanes() as u64);
-                    for id in per_pattern.into_iter().flatten() {
-                        if ctx.detected_bits.set(id) {
-                            newly += 1;
-                        }
-                    }
-                }
-                if newly > 0 {
-                    counters.add_dropped(newly);
-                    live_left.fetch_sub(newly as usize, Ordering::Relaxed); // lint: ordering-ok(monotone countdown used only for the early-exit hint; the bitset carries the authoritative drops)
-                }
-            });
-        }
-    }
-
-    /// Runs waves of `submit(tags)` until none fail, retrying only the
-    /// failed tags, up to [`RETRY_ROUNDS`] retry waves.
-    fn run_waves(
-        &self,
-        phase: &'static str,
-        mut tags: Vec<u64>,
-        submit: impl Fn(&[u64]),
-    ) -> Result<(), SetFailure> {
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            submit(&tags);
-            rls_obs::gauge!(
-                "dispatch.queue_depth",
-                self.disp.snapshot().pending as u64,
-                phase = phase
-            );
-            self.disp.wait_idle();
-            let failures = self.disp.take_failures();
-            if failures.is_empty() {
-                return Ok(());
-            }
-            if attempts > RETRY_ROUNDS {
-                return Err(SetFailure {
-                    phase,
-                    attempts,
-                    failures,
-                });
-            }
-            rls_obs::counter!("dispatch.retry_waves", 1, phase = phase);
-            tags = failures.iter().map(|f| f.tag).collect();
-        }
-    }
-
-    /// Fallible variant of [`SetRunner::run_set`]: executes the set with
-    /// bounded retries of panicked jobs, and on exhaustion returns
-    /// [`SetFailure`] *without* touching the live/detected bookkeeping —
-    /// the set can then be replayed in full on the sequential simulator.
-    pub fn try_run_set(&mut self, tests: &[ScanTest]) -> Result<Vec<FaultId>, SetFailure> {
-        if self.live.is_empty() || tests.is_empty() {
-            return Ok(Vec::new());
-        }
-        let _span = rls_obs::span!(
-            "dispatch.set",
-            tests = tests.len(),
-            live = self.live.len()
-        );
-        // Drop failures left over from before this set (a degraded caller
-        // may have abandoned a failing set without draining).
-        let _ = self.disp.take_failures();
-        let ctx = self.ctx;
-        let tests: Arc<Vec<ScanTest>> = Arc::new(tests.to_vec());
-        // Phase 1: fault-free traces, one job per test.
-        let traces: Arc<Vec<OnceLock<TestTrace>>> =
-            Arc::new((0..tests.len()).map(|_| OnceLock::new()).collect());
-        let trace_tags: Vec<u64> = (0..tests.len()).map(trace_tag).collect();
-        self.run_waves("trace", trace_tags, |tags| {
-            self.submit_trace_wave(tags, &tests, &traces)
-        })?;
-        // Phase 2: (tile, chunk) jobs over the set-start live list. Once
-        // every live fault is marked, remaining jobs see empty candidate
-        // lists and fall through (`live_left` makes that exit cheap).
-        let size = chunk_size(self.live.len(), self.disp.threads());
-        let chunks: Arc<Vec<Vec<FaultId>>> =
-            Arc::new(self.live.chunks(size).map(<[FaultId]>::to_vec).collect());
-        rls_obs::gauge!("dispatch.chunk_size", size as u64);
-        rls_obs::counter!("dispatch.chunks", chunks.len() as u64);
-        let tiles: Arc<Vec<(usize, usize)>> =
-            Arc::new(plan_tiles(&tests, self.ctx.pattern_lanes));
-        rls_obs::counter!("fsim.tiles", tiles.len() as u64);
-        rls_obs::gauge!("fsim.pattern_lanes", self.ctx.pattern_lanes as u64);
-        let live_left = Arc::new(AtomicUsize::new(self.live.len()));
-        let batch_tags: Vec<u64> = (0..tiles.len())
-            .flat_map(|t| (0..chunks.len()).map(move |c| batch_tag(t, c)))
-            .collect();
-        self.run_waves("batch", batch_tags, |tags| {
-            self.submit_batch_wave(tags, &tests, &traces, &tiles, &chunks, &live_left)
-        })?;
-        // Deterministic reduction: merge in live-list order. Reached only
-        // when both phases fully succeeded, so the bookkeeping below is
-        // exactly what the infallible path always did.
-        let newly: Vec<FaultId> = self
-            .live
-            .iter()
-            .copied()
-            .filter(|&id| ctx.detected_bits.get(id))
-            .collect();
-        if !newly.is_empty() {
-            self.live.retain(|&id| !ctx.detected_bits.get(id));
-            self.detected.extend(newly.iter().copied());
-        }
-        Ok(newly)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::WorkerPool;
-    use rls_fsim::FaultSimulator;
-
-    fn s27_sets() -> Vec<Vec<ScanTest>> {
-        let plain =
-            ScanTest::from_strings("001", &["0111", "1001", "0111", "1001", "0100"]).unwrap();
-        let shifted = plain
-            .clone()
-            .with_shifts(vec![rls_fsim::ShiftOp {
-                at: 3,
-                amount: 1,
-                fill: vec![false],
-            }])
-            .unwrap();
-        let short = ScanTest::from_strings("110", &["1011", "0001"]).unwrap();
-        vec![vec![plain.clone(), short], vec![shifted], vec![plain]]
-    }
-
-    /// The sequential oracle: FaultSimulator over the same sets.
-    fn sequential(c: &Circuit, sets: &[Vec<ScanTest>]) -> (Vec<usize>, Vec<FaultId>) {
-        let mut sim = FaultSimulator::new(c);
-        let mut counts = Vec::new();
-        for set in sets {
-            let mut n = 0;
-            for t in set {
-                if sim.live_count() == 0 {
-                    break;
-                }
-                n += sim.run_test(t).len();
-            }
-            counts.push(n);
-        }
-        (counts, sim.live().to_vec())
-    }
-
-    #[test]
-    fn parallel_sets_match_sequential_oracle_on_s27() {
-        let c = rls_benchmarks::s27();
-        let sets = s27_sets();
-        let (seq_counts, seq_live) = sequential(&c, &sets);
-        for threads in [1, 2, 4] {
-            let ctx = SimContext::new(&c, SimOptions::default());
-            let (par_counts, par_live) = WorkerPool::new(threads).scope(|d| {
-                let mut runner = SetRunner::new(&ctx, d);
-                let counts: Vec<usize> =
-                    sets.iter().map(|set| runner.run_set(set).len()).collect();
-                (counts, runner.live().to_vec())
-            });
-            assert_eq!(par_counts, seq_counts, "threads = {threads}");
-            assert_eq!(par_live, seq_live, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn newly_detected_is_in_live_list_order() {
-        let c = rls_benchmarks::s27();
-        let ctx = SimContext::new(&c, SimOptions::default());
-        let newly = WorkerPool::new(4).scope(|d| {
-            let mut runner = SetRunner::new(&ctx, d);
-            runner.run_set(&s27_sets()[0])
-        });
-        let mut sorted = newly.clone();
-        sorted.sort_unstable();
-        assert_eq!(newly, sorted, "default live list is ascending by id");
-        assert!(!newly.is_empty());
-    }
-
-    #[test]
-    fn set_targets_mirrors_fault_simulator() {
-        let c = rls_benchmarks::s27();
-        let ctx = SimContext::new(&c, SimOptions::default());
-        let targets: Vec<FaultId> = ctx.representatives()[..7].to_vec();
-        let set = &s27_sets()[0];
-        let mut sim = FaultSimulator::new(&c);
-        sim.set_targets(&targets);
-        let mut seq = 0;
-        for t in set {
-            seq += sim.run_test(t).len();
-        }
-        let (par, live) = WorkerPool::new(2).scope(|d| {
-            let mut runner = SetRunner::new(&ctx, d);
-            runner.set_targets(&targets);
-            (runner.run_set(set).len(), runner.live().to_vec())
-        });
-        assert_eq!(par, seq);
-        assert_eq!(live, sim.live());
-    }
-
-    /// Suppresses panic-hook spew for tests that panic on purpose.
-    fn quiet_panics() -> impl Drop {
-        struct Restore;
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                let _ = std::panic::take_hook();
-            }
-        }
-        std::panic::set_hook(Box::new(|_| {}));
-        Restore
-    }
-
-    #[test]
-    fn run_waves_retries_only_failed_tags() {
-        let _quiet = quiet_panics();
-        let c = rls_benchmarks::s27();
-        let ctx = SimContext::new(&c, SimOptions::default());
-        let flaky_runs = AtomicUsize::new(0);
-        let total_jobs = AtomicUsize::new(0);
-        WorkerPool::new(2).scope(|d| {
-            let runner = SetRunner::new(&ctx, d);
-            let r = runner.run_waves("trace", vec![1, 2, 3], |tags| {
-                for &tag in tags {
-                    let flaky_runs = &flaky_runs;
-                    let total_jobs = &total_jobs;
-                    d.submit_tagged(tag, move |_| {
-                        total_jobs.fetch_add(1, Ordering::Relaxed);
-                        if tag == 2 && flaky_runs.fetch_add(1, Ordering::Relaxed) == 0 {
-                            panic!("flaky once");
-                        }
-                    });
-                }
-            });
-            assert!(r.is_ok());
-        });
-        // Wave 1 runs tags {1,2,3}; tag 2 panics and is the only job of
-        // wave 2.
-        assert_eq!(total_jobs.load(Ordering::Relaxed), 4);
-        assert_eq!(flaky_runs.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn run_waves_gives_up_after_bounded_retries() {
-        let _quiet = quiet_panics();
-        let c = rls_benchmarks::s27();
-        let ctx = SimContext::new(&c, SimOptions::default());
-        WorkerPool::new(2).scope(|d| {
-            let runner = SetRunner::new(&ctx, d);
-            let err = runner
-                .run_waves("batch", vec![7], |tags| {
-                    for &tag in tags {
-                        d.submit_tagged(tag, |_| panic!("always down"));
-                    }
-                })
-                .unwrap_err();
-            assert_eq!(err.phase, "batch");
-            assert_eq!(err.attempts, RETRY_ROUNDS + 1);
-            assert_eq!(err.failures.len(), 1);
-            assert_eq!(err.failures[0].tag, 7);
-            let msg = err.to_string();
-            assert!(msg.contains("always down"), "{msg}");
-        });
-    }
-
-    #[test]
-    fn chunk_size_targets_eight_chunks_per_worker() {
-        // Floor dominates for small circuits.
-        assert_eq!(chunk_size(100, 4), 16);
-        assert_eq!(chunk_size(0, 1), 16);
-        // Large live lists: live / (threads * 8), so ~8 chunks per worker.
-        assert_eq!(chunk_size(64_000, 4), 2_000);
-        assert_eq!(chunk_size(64_000, 1), 8_000);
-        // Degenerate thread count is clamped.
-        assert_eq!(chunk_size(1_024, 0), 128);
-    }
-
-    #[test]
-    fn adaptive_chunks_preserve_the_oracle_and_lane_accounting() {
-        let c = rls_benchmarks::s27();
-        let sets = s27_sets();
-        let (seq_counts, seq_live) = sequential(&c, &sets);
-        let ctx = SimContext::new(&c, SimOptions::default());
-        let (par_counts, par_live, snap) = WorkerPool::new(2).scope(|d| {
-            let mut runner = SetRunner::new(&ctx, d);
-            let counts: Vec<usize> = sets.iter().map(|set| runner.run_set(set).len()).collect();
-            (counts, runner.live().to_vec(), d.snapshot())
-        });
-        assert_eq!(par_counts, seq_counts);
-        assert_eq!(par_live, seq_live);
-        // Every kernel invocation is at most one word wide and its
-        // occupancy was recorded at the context's width.
-        assert!(snap.total_lanes_capacity() >= snap.total_lanes_used());
-        assert_eq!(
-            snap.total_lanes_capacity(),
-            snap.total_batches() * ctx.lane_width().lanes() as u64
-        );
-        assert!(snap.total_lanes_used() > 0);
-    }
-
-    #[test]
-    fn every_lane_width_matches_the_sequential_oracle() {
-        // The parallel runner must be bit-identical to the sequential
-        // oracle at every kernel width, not just the default.
-        let c = rls_benchmarks::s27();
-        let sets = s27_sets();
-        let (seq_counts, seq_live) = sequential(&c, &sets);
-        for width in LaneWidth::ALL {
-            let ctx = SimContext::new(&c, SimOptions::default()).with_lane_width(width);
-            assert_eq!(ctx.lane_width(), width);
-            let (par_counts, par_live, snap) = WorkerPool::new(2).scope(|d| {
-                let mut runner = SetRunner::new(&ctx, d);
-                let counts: Vec<usize> =
-                    sets.iter().map(|set| runner.run_set(set).len()).collect();
-                (counts, runner.live().to_vec(), d.snapshot())
-            });
-            assert_eq!(par_counts, seq_counts, "width {width}");
-            assert_eq!(par_live, seq_live, "width {width}");
-            assert_eq!(
-                snap.total_lanes_capacity(),
-                snap.total_batches() * width.lanes() as u64,
-                "width {width}"
-            );
-        }
-    }
 
     /// A set of six tests sharing one shape (length + shift schedule) so
     /// tiling has real runs to pack, plus a schedule-breaking straggler.
@@ -787,53 +166,14 @@ mod tests {
     }
 
     #[test]
-    fn pattern_tiles_match_the_sequential_oracle() {
-        // Tiled execution (tests × faults in one kernel pass) must stay
-        // bit-identical to the sequential oracle at every tile height and
-        // word width, and keep the lane-accounting invariant.
-        let c = rls_benchmarks::s27();
-        let sets = vec![tileable_set(), s27_sets()[0].clone()];
-        let (seq_counts, seq_live) = sequential(&c, &sets);
-        for pl in [1, 2, 4, 8] {
-            for width in [LaneWidth::W64, LaneWidth::W256] {
-                let ctx = SimContext::new(&c, SimOptions::default())
-                    .with_lane_width(width)
-                    .with_pattern_lanes(pl);
-                assert_eq!(ctx.pattern_lanes(), pl);
-                let (par_counts, par_live, snap) = WorkerPool::new(2).scope(|d| {
-                    let mut runner = SetRunner::new(&ctx, d);
-                    let counts: Vec<usize> =
-                        sets.iter().map(|set| runner.run_set(set).len()).collect();
-                    (counts, runner.live().to_vec(), d.snapshot())
-                });
-                assert_eq!(par_counts, seq_counts, "pattern lanes {pl}, width {width}");
-                assert_eq!(par_live, seq_live, "pattern lanes {pl}, width {width}");
-                assert_eq!(
-                    snap.total_lanes_capacity(),
-                    snap.total_batches() * width.lanes() as u64,
-                    "pattern lanes {pl}, width {width}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "pattern lanes must be within 1..=64")]
-    fn oversized_pattern_lanes_are_rejected() {
-        let c = rls_benchmarks::s27();
-        let _ = SimContext::new(&c, SimOptions::default()).with_pattern_lanes(65);
-    }
-
-    #[test]
-    fn counters_see_batches_and_drops() {
-        let c = rls_benchmarks::s27();
-        let ctx = SimContext::new(&c, SimOptions::default());
-        let (newly, snap) = WorkerPool::new(2).scope(|d| {
-            let mut runner = SetRunner::new(&ctx, d);
-            let newly = runner.run_set(&s27_sets()[0]);
-            (newly.len(), d.snapshot())
-        });
-        assert_eq!(snap.total_dropped() as usize, newly);
-        assert!(snap.total_batches() > 0);
+    fn chunk_size_targets_eight_chunks_per_worker() {
+        // Floor dominates for small circuits.
+        assert_eq!(chunk_size(100, 4), 16);
+        assert_eq!(chunk_size(0, 1), 16);
+        // Large live lists: live / (threads * 8), so ~8 chunks per worker.
+        assert_eq!(chunk_size(64_000, 4), 2_000);
+        assert_eq!(chunk_size(64_000, 1), 8_000);
+        // Degenerate thread count is clamped.
+        assert_eq!(chunk_size(1_024, 0), 128);
     }
 }

@@ -2,32 +2,31 @@
 //!
 //! Procedure 2 fault-simulates one derived test set per `(I, D1)` trial;
 //! on large circuits that inner loop dominates the wall clock. This crate
-//! shards those simulations across a persistent pool of worker threads —
+//! shards those simulations across one persistent pool of worker threads —
 //! std-only (`std::thread`, mutex/condvar, atomics), no external
 //! dependencies — while keeping the result *bit-identical* to the
 //! sequential oracle.
 //!
 //! # Architecture
 //!
-//! - [`pool`]: the [`WorkerPool`] — scoped persistent workers with
-//!   per-worker queues, job stealing, and per-worker atomic counters
-//!   (jobs, batches, faults dropped, sim time, steals) exposed through a
-//!   non-blocking [`PoolSnapshot`];
+//! - [`shared`]: the [`SharedPool`] — owned supervised workers serving
+//!   any number of registered campaigns with fair round-robin budgets —
+//!   plus [`SharedSetRunner`], which fans one test set out as trace and
+//!   `(tile, fault chunk)` jobs and reduces detections in live-list order
+//!   at the set barrier. Direct runs register one campaign on a private
+//!   pool; the `rls-serve` campaign server shares one pool across
+//!   requests;
+//! - [`executor`]: the wave protocol underneath the runner — job tags,
+//!   tile planning, adaptive [`chunk_size`], the retry budget, and
+//!   [`SetFailure`];
+//! - [`pool`]: per-worker atomic counters ([`WorkerCounters`]), their
+//!   [`PoolSnapshot`], and classified [`JobFailure`]s;
 //! - [`bitset`]: the [`AtomicBitset`] shared fault-drop state — workers
 //!   publish detections with `fetch_or`, so a fault detected anywhere is
 //!   dropped everywhere mid-test-set;
-//! - [`executor`]: [`SimContext`] (read-only per-campaign simulation
-//!   state) and [`SetRunner`], which fans one test set out as
-//!   `(test, 64-fault chunk)` jobs and reduces detections in live-list
-//!   order at the set barrier;
 //! - [`campaign`]: [`Campaign`] JSONL records — header, per-trial lines,
 //!   checkpoints, per-worker counters, summary — appended crash-safely
 //!   under `results/` and read back by [`CampaignLog`];
-//! - [`shared`]: the persistent [`SharedPool`] — owned worker threads
-//!   that outlive any single campaign, multiplexing concurrent campaigns
-//!   with fair round-robin budgets for the `rls-serve` campaign server,
-//!   plus [`SharedSetRunner`], the batch-for-batch bit-identical
-//!   shared-pool analogue of [`SetRunner`];
 //! - [`jsonl`]: the dependency-free JSON rendering and parsing underneath;
 //! - [`error`]: structured [`DispatchError`] for persistence and parsing;
 //! - [`inject`]: deterministic fault injection behind the `fault-inject`
@@ -35,19 +34,19 @@
 //!
 //! # Resilience
 //!
-//! Workers are supervised: a panicking job is caught at the thread's top
-//! level, recorded as a classified [`JobFailure`] under the tag it was
-//! submitted with, and the worker loop is respawned. [`SetRunner`] retries
-//! failed chunks for a bounded number of waves; if a chunk keeps failing,
-//! the campaign degrades to the sequential executor — the bit-identical
-//! oracle — rather than aborting.
+//! Workers are supervised: a panicking job is caught, recorded as a
+//! classified [`JobFailure`] under the tag it was submitted with, and the
+//! worker carries on. [`SharedSetRunner`] retries failed jobs for a
+//! bounded number of waves; if a job keeps failing, the caller degrades
+//! the campaign to the sequential executor — the bit-identical oracle —
+//! rather than aborting.
 //!
 //! # Determinism guarantee
 //!
 //! Within a set, detection of a fault by a test is independent of batch
-//! composition and scheduling (64-lane batches are lane-independent), and
-//! the shared bitset is monotone, so the detected *set* at a barrier is
-//! the same union a sequential run computes. Reductions merge in live-list
+//! composition and scheduling (kernel lanes are independent), and the
+//! shared bitset is monotone, so the detected *set* at a barrier is the
+//! same union a sequential run computes. Reductions merge in live-list
 //! order; across sets the campaign is driven sequentially (the paper's
 //! greedy selection is order-sensitive by design). Hence `threads = N`
 //! yields byte-for-byte the same outcome as `threads = 1` — the
@@ -56,16 +55,17 @@
 //! # Example
 //!
 //! ```
-//! use rls_dispatch::{SetRunner, SimContext, WorkerPool};
+//! use std::sync::Arc;
+//!
+//! use rls_dispatch::{CompiledCircuit, SharedPool, SharedSetRunner, SharedSimContext};
 //! use rls_fsim::{ScanTest, SimOptions};
 //!
-//! let circuit = rls_benchmarks::s27();
-//! let ctx = SimContext::new(&circuit, SimOptions::default());
+//! let compiled = Arc::new(CompiledCircuit::compile(rls_benchmarks::s27()).unwrap());
+//! let ctx = Arc::new(SharedSimContext::new(compiled, SimOptions::default()));
+//! let pool = SharedPool::new(2);
+//! let mut runner = SharedSetRunner::new(ctx, pool.register(2));
 //! let test = ScanTest::from_strings("001", &["0111", "1001"]).unwrap();
-//! let newly = WorkerPool::new(2).scope(|dispatcher| {
-//!     let mut runner = SetRunner::new(&ctx, dispatcher);
-//!     runner.run_set(&[test])
-//! });
+//! let newly = runner.try_run_set(&[test]).unwrap();
 //! assert!(!newly.is_empty());
 //! ```
 
@@ -81,10 +81,8 @@ pub mod shared;
 pub use bitset::AtomicBitset;
 pub use campaign::{Campaign, CampaignLog, CampaignSummary, TrialRecord};
 pub use error::DispatchError;
-pub use executor::{chunk_size, SetFailure, SetRunner, SimContext};
-pub use pool::{
-    Dispatcher, FailureClass, JobFailure, PoolSnapshot, WorkerCounters, WorkerPool, WorkerSnapshot,
-};
+pub use executor::{chunk_size, SetFailure};
+pub use pool::{FailureClass, JobFailure, PoolSnapshot, WorkerCounters, WorkerSnapshot};
 pub use shared::{
     CampaignHandle, CompiledCircuit, SharedPool, SharedSetRunner, SharedSimContext,
 };

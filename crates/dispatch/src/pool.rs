@@ -1,48 +1,20 @@
-//! A persistent scoped worker pool with per-worker queues, job stealing,
-//! and supervised workers.
+//! Worker accounting and failure records shared by every pool user.
 //!
-//! [`WorkerPool::scope`] spawns the workers once and keeps them alive for
-//! the whole campaign (every `(I, D1)` trial reuses them); jobs are plain
-//! closures that may borrow anything outliving the scope, so the fault
-//! simulator's read-only context (circuit, good-machine simulator, fault
-//! universe, shared detection bitset) is shared by reference — no cloning,
-//! no `Arc<Circuit>` plumbing through the simulation crates.
+//! The pool itself lives in [`crate::shared`]; this module holds the
+//! value types its campaigns read back:
 //!
-//! Scheduling: [`Dispatcher::submit`] places jobs round-robin on the
-//! per-worker queues; an idle worker first drains its own queue, then
-//! steals from its siblings (oldest-first), so an uneven trial — one slow
-//! batch, many cheap ones — still keeps every thread busy. A claim
-//! counter in the station state makes the hand-off lossless: a worker
-//! never sleeps while an unclaimed job exists.
-//!
-//! Supervision: each worker thread runs its job loop under a top-level
-//! supervisor. A panicking job unwinds to the supervisor, which settles
-//! the job's accounting (so [`Dispatcher::wait_idle`] never hangs on a
-//! dead job), records a classified [`JobFailure`] against the job's tag,
-//! and respawns the worker loop — one poisoned job can neither hang nor
-//! abort a campaign. Callers drain failures with
-//! [`Dispatcher::take_failures`] at the barrier and decide whether to
-//! retry the failed tags (see `executor`) or degrade.
-//!
-//! Observability: every worker owns a cache-line-padded set of atomic
-//! counters (jobs, 64-lane batches, faults dropped, simulation time,
-//! steals, respawns); [`Dispatcher::snapshot`] reads them at any time
-//! without stopping the pool.
+//! - [`WorkerCounters`]: one cache-line-padded set of atomic counters per
+//!   worker and campaign (jobs, kernel batches, faults dropped,
+//!   simulation time, respawns, lane occupancy), bumped by the jobs
+//!   themselves and read without stopping the pool;
+//! - [`PoolSnapshot`] / [`WorkerSnapshot`]: point-in-time copies of those
+//!   counters, the payload of the campaign `workers` record;
+//! - [`JobFailure`] / [`FailureClass`]: a caught job panic, recorded under
+//!   the tag the job was submitted with so the caller can retry exactly
+//!   the failed work (see `executor`) or degrade.
 
-use std::collections::VecDeque;
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// A unit of work: runs on one worker, may update that worker's counters.
-pub type Job<'env> = Box<dyn FnOnce(&WorkerCounters) + Send + 'env>;
-
-/// Tag for jobs submitted without an explicit tag.
-pub const UNTAGGED: u64 = u64::MAX - 1;
-
-/// Sentinel for "no job in flight" in the per-worker tag slot.
-const NO_JOB: u64 = u64::MAX;
 
 /// A coarse classification of why a job failed, derived from the panic
 /// payload. Used for reporting and post-mortem triage; recovery treats
@@ -67,7 +39,7 @@ pub enum FailureClass {
 pub struct JobFailure {
     /// Worker index the job ran on.
     pub worker: usize,
-    /// The tag the job was submitted with ([`UNTAGGED`] if none).
+    /// The tag the job was submitted with.
     pub tag: u64,
     /// The panic message (or a placeholder for non-string payloads).
     pub message: String,
@@ -75,7 +47,7 @@ pub struct JobFailure {
     pub class: FailureClass,
 }
 
-/// Classifies a panic message (shared with the persistent `shared` pool).
+/// Classifies a panic message.
 pub(crate) fn classify(message: &str) -> FailureClass {
     if message.contains("injected") {
         FailureClass::Injected
@@ -90,8 +62,7 @@ pub(crate) fn classify(message: &str) -> FailureClass {
     }
 }
 
-/// Extracts a readable message from a panic payload (shared with the
-/// persistent `shared` pool).
+/// Extracts a readable message from a panic payload.
 pub(crate) fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -103,7 +74,8 @@ pub(crate) fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Per-worker activity counters, updated by the owning worker (and by the
-/// jobs it runs) and read concurrently by [`Dispatcher::snapshot`].
+/// jobs it runs) and read concurrently by
+/// [`crate::CampaignHandle::snapshot`].
 #[derive(Debug, Default)]
 #[repr(align(64))] // avoid false sharing between neighbouring workers
 pub struct WorkerCounters {
@@ -111,7 +83,6 @@ pub struct WorkerCounters {
     batches: AtomicU64,
     faults_dropped: AtomicU64,
     sim_nanos: AtomicU64,
-    steals: AtomicU64,
     respawns: AtomicU64,
     lanes_used: AtomicU64,
     lanes_capacity: AtomicU64,
@@ -149,13 +120,12 @@ impl WorkerCounters {
         self.faults_dropped.fetch_add(n, Ordering::Relaxed); // lint: ordering-ok(observability counter; the authoritative drop set lives in the bitset with Release publishes)
     }
 
-    /// Records one completed job (used by the shared pool, whose job loop
-    /// lives outside this module).
+    /// Records one completed job.
     pub(crate) fn add_job(&self) {
         self.jobs.fetch_add(1, Ordering::Relaxed); // lint: ordering-ok(observability counter; snapshots read after the pool idles, never mid-reduction)
     }
 
-    /// Records one supervised recovery after a job panic (shared pool).
+    /// Records one supervised recovery after a job panic.
     pub(crate) fn add_respawn(&self) {
         self.respawns.fetch_add(1, Ordering::Relaxed); // lint: ordering-ok(observability counter; snapshots read after the pool idles, never mid-reduction)
     }
@@ -167,7 +137,6 @@ impl WorkerCounters {
             batches: self.batches.load(Ordering::Relaxed), // lint: ordering-ok(snapshot taken at the idle barrier; writers quiesced under the pool mutex)
             faults_dropped: self.faults_dropped.load(Ordering::Relaxed), // lint: ordering-ok(snapshot taken at the idle barrier; writers quiesced under the pool mutex)
             sim_nanos: self.sim_nanos.load(Ordering::Relaxed), // lint: ordering-ok(snapshot taken at the idle barrier; writers quiesced under the pool mutex)
-            steals: self.steals.load(Ordering::Relaxed), // lint: ordering-ok(snapshot taken at the idle barrier; writers quiesced under the pool mutex)
             respawns: self.respawns.load(Ordering::Relaxed), // lint: ordering-ok(snapshot taken at the idle barrier; writers quiesced under the pool mutex)
             lanes_used: self.lanes_used.load(Ordering::Relaxed), // lint: ordering-ok(snapshot taken at the idle barrier; writers quiesced under the pool mutex)
             lanes_capacity: self.lanes_capacity.load(Ordering::Relaxed), // lint: ordering-ok(snapshot taken at the idle barrier; writers quiesced under the pool mutex)
@@ -188,8 +157,6 @@ pub struct WorkerSnapshot {
     pub faults_dropped: u64,
     /// Nanoseconds spent in simulation work.
     pub sim_nanos: u64,
-    /// Jobs stolen from other workers' queues.
-    pub steals: u64,
     /// Times this worker's loop was respawned after a job panic.
     pub respawns: u64,
     /// Occupied kernel lanes summed over this worker's batches.
@@ -257,511 +224,9 @@ impl PoolSnapshot {
     }
 }
 
-/// A queued job with the tag failures are reported under.
-struct Tagged<'env> {
-    tag: u64,
-    job: Job<'env>,
-}
-
-struct StationState {
-    /// Jobs submitted and not yet finished.
-    pending: usize,
-    /// Queued jobs not yet claimed by any worker.
-    unclaimed: usize,
-    /// False once the scope is shutting down.
-    open: bool,
-}
-
-/// Shared pool state: queues, counters, failure log, and the sleep/wake
-/// machinery.
-struct Station<'env> {
-    queues: Vec<Mutex<VecDeque<Tagged<'env>>>>,
-    counters: Vec<WorkerCounters>,
-    /// Tag of the job each worker is currently running (`NO_JOB` if idle);
-    /// read by the supervisor to attribute a panic.
-    inflight: Vec<AtomicU64>,
-    /// Jobs that panicked, drained by [`Dispatcher::take_failures`].
-    failures: Mutex<Vec<JobFailure>>,
-    state: Mutex<StationState>,
-    /// Workers wait here for work (or shutdown).
-    work_cv: Condvar,
-    /// The dispatcher waits here for `pending == 0`.
-    idle_cv: Condvar,
-    /// Round-robin submission cursor.
-    next: AtomicUsize,
-}
-
-impl<'env> Station<'env> {
-    fn new(threads: usize) -> Self {
-        Station {
-            queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            counters: (0..threads).map(|_| WorkerCounters::default()).collect(),
-            inflight: (0..threads).map(|_| AtomicU64::new(NO_JOB)).collect(),
-            failures: Mutex::new(Vec::new()),
-            state: Mutex::new(StationState {
-                pending: 0,
-                unclaimed: 0,
-                open: true,
-            }),
-            work_cv: Condvar::new(),
-            idle_cv: Condvar::new(),
-            next: AtomicUsize::new(0),
-        }
-    }
-
-    fn submit(&self, tag: u64, job: Job<'env>) {
-        let slot = self.next.fetch_add(1, Ordering::Relaxed) % self.queues.len(); // lint: ordering-ok(round-robin placement hint only; results are reduced in tag order, not queue order)
-        // lint: panic-ok(slot < queues.len() by the modulo above)
-        self.queues[slot]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_back(Tagged { tag, job });
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        st.pending += 1;
-        st.unclaimed += 1;
-        drop(st);
-        self.work_cv.notify_one();
-    }
-
-    /// Claims one job for worker `w`: own queue first, then steal.
-    ///
-    /// Only called after the claim counter guaranteed a job exists; the
-    /// scan loops until it wins one (a sibling may transiently hold a
-    /// queue lock).
-    fn grab(&self, w: usize) -> Tagged<'env> {
-        loop {
-            // lint: panic-ok(w < queues.len(): worker indices come from the spawn loop, length-checked in new())
-            if let Some(job) = self.queues[w]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .pop_front()
-            {
-                return job;
-            }
-            for k in 1..self.queues.len() {
-                let victim = (w + k) % self.queues.len();
-                // lint: panic-ok(victim < queues.len() by the modulo above)
-                if let Some(job) = self.queues[victim]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .pop_front()
-                {
-                    // lint: panic-ok(w < counters.len(): worker indices come from the spawn loop)
-                    self.counters[w].steals.fetch_add(1, Ordering::Relaxed); // lint: ordering-ok(observability counter; snapshots read after the pool idles)
-                    return job;
-                }
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Marks one claimed job as finished and wakes the barrier waiter.
-    fn settle(&self) {
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        st.pending -= 1;
-        if st.pending == 0 {
-            self.idle_cv.notify_all();
-        }
-    }
-
-    /// The job loop of one worker. Returns on clean shutdown; unwinds if a
-    /// job panics (the supervisor catches and respawns it).
-    fn worker_loop(&self, w: usize) {
-        loop {
-            {
-                let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-                while st.unclaimed == 0 && st.open {
-                    st = self
-                        .work_cv
-                        .wait(st)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                if st.unclaimed == 0 {
-                    return; // closed and drained
-                }
-                st.unclaimed -= 1;
-            }
-            let Tagged { tag, job } = self.grab(w);
-            // lint: panic-ok(w < inflight.len(): worker indices come from the spawn loop)
-            self.inflight[w].store(tag, Ordering::Relaxed); // lint: ordering-ok(single-writer slot; the supervisor reads it on the same thread after catch_unwind, sequenced-before)
-            crate::inject::on_job_start(tag);
-            // lint: panic-ok(w < counters.len(): worker indices come from the spawn loop)
-            job(&self.counters[w]);
-            // lint: panic-ok(w < inflight.len(): worker indices come from the spawn loop)
-            self.inflight[w].store(NO_JOB, Ordering::Relaxed); // lint: ordering-ok(single-writer slot; the supervisor reads it on the same thread after catch_unwind, sequenced-before)
-            // lint: panic-ok(w < counters.len(): worker indices come from the spawn loop)
-            self.counters[w].jobs.fetch_add(1, Ordering::Relaxed); // lint: ordering-ok(observability counter; snapshots read after the pool idles)
-            self.settle();
-        }
-    }
-
-    /// The supervisor: runs the worker loop, and on a job panic settles
-    /// the job's accounting, records the failure, and respawns the loop.
-    fn supervised_loop(&self, w: usize) {
-        loop {
-            match std::panic::catch_unwind(AssertUnwindSafe(|| self.worker_loop(w))) {
-                Ok(()) => return, // clean shutdown
-                Err(payload) => {
-                    // lint: panic-ok(w < inflight.len(): worker indices come from the spawn loop)
-                    let tag = self.inflight[w].swap(NO_JOB, Ordering::Relaxed); // lint: ordering-ok(same-thread read: the unwind happened on this worker, sequenced after its store)
-                    if tag == NO_JOB {
-                        // The panic did not come from a job — a pool
-                        // invariant is broken; do not mask it.
-                        std::panic::resume_unwind(payload);
-                    }
-                    let message = payload_message(payload.as_ref());
-                    let class = classify(&message);
-                    // A caught job panic is exactly what the flight
-                    // recorder exists for: mark it and dump the window
-                    // while the failing context is still in the rings.
-                    rls_obs::mark!("dispatch.panic", tag);
-                    let _ = rls_obs::recorder::dump("worker-panic");
-                    self.failures
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push(JobFailure {
-                            worker: w,
-                            tag,
-                            message,
-                            class,
-                        });
-                    // lint: panic-ok(w < counters.len(): worker indices come from the spawn loop)
-                    self.counters[w].respawns.fetch_add(1, Ordering::Relaxed); // lint: ordering-ok(observability counter; snapshots read after the pool idles)
-                    self.settle();
-                }
-            }
-        }
-    }
-
-    fn wait_idle(&self) {
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        while st.pending > 0 {
-            st = self
-                .idle_cv
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    fn close(&self) {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .open = false;
-        self.work_cv.notify_all();
-    }
-
-    fn snapshot(&self) -> PoolSnapshot {
-        PoolSnapshot {
-            threads: self.queues.len(),
-            pending: self
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .pending,
-            workers: self
-                .counters
-                .iter()
-                .enumerate()
-                .map(|(w, c)| c.snapshot(w))
-                .collect(),
-            fallback: None,
-        }
-    }
-}
-
-/// Handle for submitting jobs into a live pool scope.
-///
-/// Obtained inside [`WorkerPool::scope`]; jobs may borrow anything that
-/// outlives the scope (`'env`).
-pub struct Dispatcher<'s, 'env> {
-    station: &'s Station<'env>,
-}
-
-impl<'s, 'env> Dispatcher<'s, 'env> {
-    /// Enqueues a job on the pool (round-robin placement, stealable).
-    pub fn submit(&self, job: impl FnOnce(&WorkerCounters) + Send + 'env) {
-        self.station.submit(UNTAGGED, Box::new(job));
-    }
-
-    /// Enqueues a job under a caller-chosen tag. If the job panics, the
-    /// tag identifies it in [`Dispatcher::take_failures`], so the caller
-    /// can rebuild and retry exactly the failed work.
-    pub fn submit_tagged(&self, tag: u64, job: impl FnOnce(&WorkerCounters) + Send + 'env) {
-        self.station.submit(tag, Box::new(job));
-    }
-
-    /// Blocks until every submitted job has finished — the deterministic
-    /// reduction barrier between phases. Panicked jobs count as finished
-    /// (their failures are waiting in [`Dispatcher::take_failures`]).
-    pub fn wait_idle(&self) {
-        self.station.wait_idle();
-    }
-
-    /// Drains the failures recorded since the last call. Call at a
-    /// [`Dispatcher::wait_idle`] barrier; an empty result means every job
-    /// since the last drain completed.
-    pub fn take_failures(&self) -> Vec<JobFailure> {
-        std::mem::take(
-            &mut self
-                .station
-                .failures
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        )
-    }
-
-    /// A progress snapshot (non-blocking for workers).
-    pub fn snapshot(&self) -> PoolSnapshot {
-        self.station.snapshot()
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.station.queues.len()
-    }
-}
-
-/// A pool of `threads` persistent supervised workers.
-///
-/// The pool itself is just a configuration; [`WorkerPool::scope`] spawns
-/// the OS threads, runs the given closure with a [`Dispatcher`], waits for
-/// outstanding jobs, and joins the workers before returning.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkerPool {
-    threads: usize,
-}
-
-impl WorkerPool {
-    /// Creates a pool configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero (a zero-worker pool would deadlock on
-    /// the first submit; use the caller's sequential path instead).
-    pub fn new(threads: usize) -> Self {
-        assert!(threads > 0, "worker pool needs at least one thread");
-        WorkerPool { threads }
-    }
-
-    /// Number of worker threads the scope will spawn.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Runs `f` with worker threads live; returns its result after all
-    /// jobs finished and workers exited.
-    pub fn scope<'env, R>(&self, f: impl FnOnce(&Dispatcher<'_, 'env>) -> R) -> R {
-        let station = Station::new(self.threads);
-        let sw = rls_obs::Stopwatch::start();
-        std::thread::scope(|s| {
-            for w in 0..self.threads {
-                let st = &station;
-                s.spawn(move || st.supervised_loop(w));
-            }
-            let disp = Dispatcher { station: &station };
-            let out = f(&disp);
-            disp.wait_idle();
-            if rls_obs::enabled() {
-                // Per-worker busy/idle profile, emitted once at the idle
-                // barrier so the hot loop carries no obs calls. "Busy" is
-                // simulation wall time; everything else in the scope counts
-                // as idle (queue waits, steal probes, sleeps).
-                let wall = sw.elapsed_nanos();
-                let snap = station.snapshot();
-                for w in &snap.workers {
-                    rls_obs::gauge!("pool.worker.busy_nanos", w.sim_nanos, worker = w.worker);
-                    rls_obs::gauge!(
-                        "pool.worker.idle_nanos",
-                        wall.saturating_sub(w.sim_nanos),
-                        worker = w.worker
-                    );
-                    rls_obs::counter!("pool.worker.jobs", w.jobs, worker = w.worker);
-                    rls_obs::counter!("pool.worker.steals", w.steals, worker = w.worker);
-                }
-                rls_obs::counter!("dispatch.batches", snap.total_batches());
-                rls_obs::counter!("dispatch.steals", snap.workers.iter().map(|w| w.steals).sum::<u64>());
-                rls_obs::counter!("dispatch.respawns", snap.total_respawns());
-                rls_obs::counter!("dispatch.faults_dropped", snap.total_dropped());
-                rls_obs::counter!("fsim.lanes_used", snap.total_lanes_used());
-                rls_obs::counter!("fsim.lanes_capacity", snap.total_lanes_capacity());
-            }
-            station.close();
-            out
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn runs_every_job_exactly_once() {
-        let hits = AtomicUsize::new(0);
-        WorkerPool::new(4).scope(|d| {
-            for _ in 0..100 {
-                d.submit(|_| {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            d.wait_idle();
-            assert_eq!(hits.load(Ordering::Relaxed), 100);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn scope_result_is_returned() {
-        let r = WorkerPool::new(2).scope(|d| {
-            d.submit(|_| {});
-            41 + 1
-        });
-        assert_eq!(r, 42);
-    }
-
-    #[test]
-    fn jobs_may_borrow_scope_environment() {
-        let data = vec![1u64, 2, 3, 4];
-        let sum = AtomicU64::new(0);
-        WorkerPool::new(2).scope(|d| {
-            for i in 0..data.len() {
-                let data = &data;
-                let sum = &sum;
-                d.submit(move |_| {
-                    sum.fetch_add(data[i], Ordering::Relaxed);
-                });
-            }
-            d.wait_idle();
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 10);
-    }
-
-    #[test]
-    fn snapshot_accounts_for_all_jobs() {
-        let snap = WorkerPool::new(3).scope(|d| {
-            for _ in 0..30 {
-                d.submit(|c| c.add_dropped(2));
-            }
-            d.wait_idle();
-            d.snapshot()
-        });
-        assert_eq!(snap.threads, 3);
-        assert_eq!(snap.pending, 0);
-        assert_eq!(snap.workers.iter().map(|w| w.jobs).sum::<u64>(), 30);
-        assert_eq!(snap.total_dropped(), 60);
-        assert_eq!(snap.total_respawns(), 0);
-    }
-
-    #[test]
-    fn uneven_work_is_stolen() {
-        // One long job pins a worker; the remaining short jobs must still
-        // all run (some of them via steals, since round-robin placement
-        // puts a share of them behind the long job).
-        let done = AtomicUsize::new(0);
-        let snap = WorkerPool::new(2).scope(|d| {
-            d.submit(|_| std::thread::sleep(Duration::from_millis(50)));
-            for _ in 0..20 {
-                d.submit(|_| {
-                    done.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            d.wait_idle();
-            d.snapshot()
-        });
-        assert_eq!(done.load(Ordering::Relaxed), 20);
-        assert_eq!(snap.workers.iter().map(|w| w.jobs).sum::<u64>(), 21);
-    }
-
-    #[test]
-    fn sequential_submission_waves_reuse_workers() {
-        // The pool persists across waves (trials): counters accumulate.
-        let snap = WorkerPool::new(2).scope(|d| {
-            for _wave in 0..5 {
-                for _ in 0..8 {
-                    d.submit(|_| {});
-                }
-                d.wait_idle();
-            }
-            d.snapshot()
-        });
-        assert_eq!(snap.workers.iter().map(|w| w.jobs).sum::<u64>(), 40);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_threads_rejected() {
-        WorkerPool::new(0);
-    }
-
-    /// Suppresses the default panic-hook spew for tests that panic on
-    /// purpose; restores the previous hook on drop.
-    fn quiet_panics() -> impl Drop {
-        struct Restore;
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                let _ = std::panic::take_hook();
-            }
-        }
-        std::panic::set_hook(Box::new(|_| {}));
-        Restore
-    }
-
-    #[test]
-    fn panicking_job_is_recorded_and_pool_survives() {
-        let _quiet = quiet_panics();
-        let done = AtomicUsize::new(0);
-        let (failures, snap) = WorkerPool::new(2).scope(|d| {
-            d.submit_tagged(0xbeef, |_| panic!("boom in job"));
-            for _ in 0..10 {
-                d.submit(|_| {
-                    done.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            d.wait_idle();
-            (d.take_failures(), d.snapshot())
-        });
-        assert_eq!(done.load(Ordering::Relaxed), 10, "other jobs unaffected");
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].tag, 0xbeef);
-        assert!(failures[0].message.contains("boom"), "{}", failures[0].message);
-        assert_eq!(snap.total_respawns(), 1);
-        assert_eq!(snap.pending, 0, "panicked job was settled");
-    }
-
-    #[test]
-    fn respawned_worker_keeps_processing() {
-        let _quiet = quiet_panics();
-        // Single worker: the panic and all follow-up jobs hit the same
-        // thread, proving the loop is re-entered after the unwind.
-        let done = AtomicUsize::new(0);
-        let failures = WorkerPool::new(1).scope(|d| {
-            d.submit_tagged(1, |_| panic!("first"));
-            d.wait_idle();
-            for _ in 0..5 {
-                d.submit(|_| {
-                    done.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            d.wait_idle();
-            d.take_failures()
-        });
-        assert_eq!(done.load(Ordering::Relaxed), 5);
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].worker, 0);
-    }
-
-    #[test]
-    fn take_failures_drains() {
-        let _quiet = quiet_panics();
-        WorkerPool::new(2).scope(|d| {
-            d.submit_tagged(7, |_| panic!("x"));
-            d.wait_idle();
-            assert_eq!(d.take_failures().len(), 1);
-            assert!(d.take_failures().is_empty(), "drained");
-        });
-    }
 
     #[test]
     fn failure_classification() {

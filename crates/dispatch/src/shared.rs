@@ -1,43 +1,49 @@
-//! A persistent shared worker pool multiplexing many concurrent campaigns.
+//! The worker pool: persistent owned threads multiplexing campaigns.
 //!
-//! [`crate::WorkerPool`] is scoped: its workers borrow the campaign's
-//! stack frame (`'env` jobs) and die with `scope`. A long-running campaign
-//! server needs the opposite shape — one pool of owned OS threads that
-//! outlives every campaign, with campaigns registering and retiring
-//! dynamically. This module provides that shape while preserving the
-//! determinism contract of the scoped pool:
+//! Every parallel run goes through this one pool. A direct
+//! `Procedure2::run` with `threads > 1` starts a private pool and
+//! registers a single campaign on it; the `rls-serve` campaign server
+//! keeps one pool for the life of the process and registers a campaign
+//! per request. Both then drive a [`SharedSetRunner`], so "served ≡
+//! direct" holds by construction.
 //!
-//! - [`SharedPool`] owns `threads` worker threads for the life of the
-//!   process. Jobs are `'static` closures handed over through per-campaign
-//!   queues (no borrowed environment, hence no `unsafe`).
+//! - [`SharedPool`] owns `threads` worker threads. Jobs are `'static`
+//!   closures handed over through per-campaign FIFO queues (no borrowed
+//!   environment, hence no `unsafe`); campaign context travels in `Arc`s.
 //! - [`SharedPool::register`] adds a campaign *slot* with a thread
-//!   `budget` and returns a [`CampaignHandle`] — the shared-pool analogue
-//!   of [`crate::Dispatcher`]: `submit_tagged` / `wait_idle` /
-//!   `take_failures` / `snapshot`.
+//!   `budget` and returns a [`CampaignHandle`]: `submit_tagged` /
+//!   `wait_idle` / `take_failures` / `snapshot`.
 //! - Scheduling is fair round-robin across slots: workers scan slots from
 //!   a rotating cursor and claim at most `budget` concurrent jobs per
 //!   slot, so one huge campaign cannot starve a small one.
-//! - Failures are supervised exactly like the scoped pool: a panicking
-//!   job is caught, classified, and recorded under its tag in the owning
-//!   campaign's ledger; retries are the caller's policy
-//!   ([`SharedSetRunner`] reuses the wave/retry protocol of
-//!   [`crate::SetRunner`]).
+//! - Workers are supervised: a panicking job is caught, classified, and
+//!   recorded under its tag in the owning campaign's ledger (with a
+//!   `dispatch.panic` mark and a `worker-panic` flight-recorder dump);
+//!   the worker carries on. Retries are the caller's policy
+//!   ([`SharedSetRunner`] runs the wave protocol of [`crate::executor`]).
 //! - Shutdown is graceful: queued jobs drain before workers exit, and
 //!   jobs submitted *after* shutdown are recorded as failures (class
 //!   [`crate::FailureClass::Other`]) instead of vanishing, so a caller's
 //!   wave protocol observes the outage and can degrade to the sequential
 //!   oracle.
+//! - Observability is per campaign: when a [`CampaignHandle`] retires it
+//!   emits the pool's per-worker busy/idle gauges and job counts plus the
+//!   campaign's batch, drop, respawn, and lane-occupancy totals, once,
+//!   from its final snapshot — the hot loop carries no obs calls.
 //!
 //! # Determinism
 //!
-//! [`SharedSetRunner`] mirrors [`crate::SetRunner`] batch-for-batch: the
-//! same tags, the same adaptive [`chunk_size`] (sized by the campaign's
-//! *budget*, not the pool width), the same monotone detection bitset, and
-//! the same live-list-order reduction. A campaign run through the shared
-//! pool is therefore bit-identical to a direct scoped-pool run — and to
-//! the sequential oracle — regardless of how many other campaigns share
-//! the workers. The integration suite byte-compares served campaign
-//! records against direct runs to pin this.
+//! Within a set, detection of a fault by a test depends only on
+//! `(test, fault)`: lanes of a batch are independent at every width and
+//! tile height, and the shared detection bitset is monotone within a set.
+//! The detected *set* at a barrier is therefore the union a sequential run
+//! computes, however jobs interleave, and [`SharedSetRunner`] merges it in
+//! live-list order (ascending fault id for the default target). Chunks are
+//! sized by the campaign's *budget*, not the pool width, so a campaign's
+//! jobs are the same whether it shares the workers or not. The outcome is
+//! bit-identical to the sequential oracle regardless of how many other
+//! campaigns share the pool; the integration suites byte-compare served
+//! campaign records against direct runs to pin this.
 //!
 //! # Compiled circuits
 //!
@@ -66,11 +72,12 @@ use crate::executor::{
     batch_tag, chunk_size, plan_tiles, trace_tag, SetFailure, RETRY_ROUNDS, TRACE_TAG_BIT,
 };
 use crate::inject;
-use crate::pool::{classify, payload_message, JobFailure, PoolSnapshot, WorkerCounters};
+use crate::pool::{
+    classify, payload_message, FailureClass, JobFailure, PoolSnapshot, WorkerCounters,
+};
 
-/// A job runnable on the shared pool. Unlike the scoped pool's `'env`
-/// jobs, shared jobs own their state (`'static`) — campaign context
-/// travels in `Arc`s.
+/// A job runnable on the pool. Jobs own their state (`'static`) —
+/// campaign context travels in `Arc`s.
 pub type SharedJob = Box<dyn FnOnce(&WorkerCounters) + Send + 'static>;
 
 /// One registered campaign's scheduling state.
@@ -175,6 +182,11 @@ fn worker_loop(hub: Arc<Hub>, w: usize) {
             Err(payload) => {
                 let message = payload_message(payload.as_ref());
                 let class = classify(&message);
+                // A caught job panic is exactly what the flight recorder
+                // exists for: mark it and dump the window while the
+                // failing context is still in the rings.
+                rls_obs::mark!("dispatch.panic", tag);
+                let _ = rls_obs::recorder::dump("worker-panic");
                 ledger
                     .failures
                     .lock()
@@ -276,6 +288,7 @@ impl SharedPool {
             id,
             budget,
             ledger,
+            lifetime: rls_obs::Stopwatch::start(),
         }
     }
 
@@ -302,16 +315,17 @@ impl Drop for SharedPool {
     }
 }
 
-/// One campaign's handle onto the shared pool — the shared-pool analogue
-/// of [`crate::Dispatcher`].
+/// One campaign's handle onto the pool.
 ///
-/// Dropping the handle waits for the campaign's in-flight jobs and then
-/// retires its slot.
+/// Dropping the handle waits for the campaign's in-flight jobs, retires
+/// its slot, and emits the campaign's pool metrics.
 pub struct CampaignHandle {
     hub: Arc<Hub>,
     id: u64,
     budget: usize,
     ledger: Arc<Ledger>,
+    /// Times the campaign's life on the pool (the busy/idle base).
+    lifetime: rls_obs::Stopwatch,
 }
 
 impl std::fmt::Debug for CampaignHandle {
@@ -324,10 +338,11 @@ impl std::fmt::Debug for CampaignHandle {
 }
 
 impl CampaignHandle {
-    /// Enqueues a job under a caller-chosen tag (see
-    /// [`crate::Dispatcher::submit_tagged`]). On a closed pool the job is
-    /// not run; a failure is recorded under the tag so the caller's wave
-    /// protocol observes the outage.
+    /// Enqueues a job under a caller-chosen tag. If the job panics, the
+    /// tag identifies it in [`CampaignHandle::take_failures`], so the
+    /// caller can rebuild and retry exactly the failed work. On a closed
+    /// pool the job is not run; a failure is recorded under the tag so the
+    /// caller's wave protocol observes the outage.
     pub fn submit_tagged(&self, tag: u64, job: impl FnOnce(&WorkerCounters) + Send + 'static) {
         inject::on_sched_point("campaign.submit");
         let mut sched = self.hub.lock();
@@ -408,8 +423,9 @@ impl CampaignHandle {
         }
     }
 
-    /// Drains the failures recorded since the last call (see
-    /// [`crate::Dispatcher::take_failures`]).
+    /// Drains the failures recorded since the last call. Call at a
+    /// [`CampaignHandle::wait_idle`] barrier; an empty result means every
+    /// job since the last drain completed.
     pub fn take_failures(&self) -> Vec<JobFailure> {
         inject::on_sched_point("campaign.take_failures");
         std::mem::take(
@@ -446,6 +462,32 @@ impl CampaignHandle {
         }
     }
 
+    /// Emits the campaign's pool metrics once, from its final counters.
+    /// "Busy" is simulation wall time; the rest of the campaign's life on
+    /// the pool counts as idle (queue waits, other campaigns' jobs,
+    /// sleeps).
+    fn emit_metrics(&self) {
+        if !rls_obs::enabled() {
+            return;
+        }
+        let wall = self.lifetime.elapsed_nanos();
+        let snap = self.snapshot();
+        for w in &snap.workers {
+            rls_obs::gauge!("pool.worker.busy_nanos", w.sim_nanos, worker = w.worker);
+            rls_obs::gauge!(
+                "pool.worker.idle_nanos",
+                wall.saturating_sub(w.sim_nanos),
+                worker = w.worker
+            );
+            rls_obs::counter!("pool.worker.jobs", w.jobs, worker = w.worker);
+        }
+        rls_obs::counter!("dispatch.batches", snap.total_batches());
+        rls_obs::counter!("dispatch.respawns", snap.total_respawns());
+        rls_obs::counter!("dispatch.faults_dropped", snap.total_dropped());
+        rls_obs::counter!("fsim.lanes_used", snap.total_lanes_used());
+        rls_obs::counter!("fsim.lanes_capacity", snap.total_lanes_capacity());
+    }
+
     /// The campaign's concurrency budget (the `threads` analogue for
     /// chunk sizing).
     pub fn threads(&self) -> usize {
@@ -456,14 +498,11 @@ impl CampaignHandle {
 impl Drop for CampaignHandle {
     fn drop(&mut self) {
         let mut sched = self.hub.lock();
-        loop {
-            let Some(pos) = sched.slots.iter().position(|s| s.id == self.id) else {
-                return;
-            };
+        while let Some(pos) = sched.slots.iter().position(|s| s.id == self.id) {
             let slot = &sched.slots[pos]; // lint: panic-ok(pos was just produced by position() over the same vec under the same lock)
             if slot.pending == 0 {
                 sched.slots.remove(pos);
-                return;
+                break;
             }
             sched = self
                 .hub
@@ -471,6 +510,8 @@ impl Drop for CampaignHandle {
                 .wait(sched)
                 .unwrap_or_else(PoisonError::into_inner);
         }
+        drop(sched);
+        self.emit_metrics();
     }
 }
 
@@ -533,9 +574,9 @@ impl CompiledCircuit {
     }
 }
 
-/// Per-campaign simulation state over a shared [`CompiledCircuit`] — the
-/// `'static` analogue of [`crate::SimContext`]. Each concurrent campaign
-/// gets its own detection bitset; the compiled circuit is shared.
+/// Per-campaign simulation state over a shared [`CompiledCircuit`]. Each
+/// concurrent campaign gets its own detection bitset; the compiled circuit
+/// is shared.
 #[derive(Debug)]
 pub struct SharedSimContext {
     compiled: Arc<CompiledCircuit>,
@@ -604,8 +645,11 @@ impl SharedSimContext {
 }
 
 /// Drives test sets through a [`CampaignHandle`] against an evolving live
-/// fault list — the shared-pool analogue of [`crate::SetRunner`],
-/// batch-for-batch identical so outcomes stay bit-identical.
+/// fault list.
+///
+/// Mirrors the bookkeeping of `rls_fsim::FaultSimulator` (live list,
+/// detected list, dropping) but executes each set on the pool; see the
+/// module docs for why the outcome is bit-identical to it.
 pub struct SharedSetRunner {
     ctx: Arc<SharedSimContext>,
     handle: CampaignHandle,
@@ -638,8 +682,8 @@ impl SharedSetRunner {
         self.wave_timeout = timeout;
     }
 
-    /// Restricts the live list to `targets`, mirroring
-    /// [`crate::SetRunner::set_targets`].
+    /// Restricts the live list to `targets` (e.g. the ATPG-detectable
+    /// set), mirroring `FaultSimulator::set_targets`.
     pub fn set_targets(&mut self, targets: &[FaultId]) {
         self.live = targets.to_vec();
         self.detected.clear();
@@ -775,8 +819,7 @@ impl SharedSetRunner {
     }
 
     /// Runs waves of `submit(tags)` until none fail, retrying only the
-    /// failed tags, up to [`RETRY_ROUNDS`] retry waves — the same protocol
-    /// as the scoped runner.
+    /// failed tags, up to [`RETRY_ROUNDS`] retry waves.
     fn run_waves(
         &self,
         phase: &'static str,
@@ -804,7 +847,7 @@ impl SharedSetRunner {
                                 "wave barrier timed out after {}ms with jobs still running",
                                 timeout.as_millis()
                             ),
-                            class: crate::pool::FailureClass::Other,
+                            class: FailureClass::Other,
                         });
                         return Err(SetFailure {
                             phase,
@@ -830,9 +873,14 @@ impl SharedSetRunner {
         }
     }
 
-    /// Fallible set execution with bounded retries; on exhaustion the
-    /// live/detected bookkeeping is untouched so the caller can replay
-    /// the set sequentially (see [`crate::SetRunner::try_run_set`]).
+    /// Runs one test set against the live list and drops detections.
+    ///
+    /// Returns the newly detected faults merged in live-list order — the
+    /// deterministic reduction that makes a parallel campaign bit-identical
+    /// to the sequential oracle. Panicked jobs are retried for a bounded
+    /// number of waves; on exhaustion this returns [`SetFailure`]
+    /// *without* touching the live/detected bookkeeping, so the caller can
+    /// replay the whole set on the sequential simulator.
     pub fn try_run_set(&mut self, tests: &[ScanTest]) -> Result<Vec<FaultId>, SetFailure> {
         if self.live.is_empty() || tests.is_empty() {
             return Ok(Vec::new());
@@ -1031,6 +1079,110 @@ mod tests {
     }
 
     #[test]
+    fn newly_detected_is_in_live_list_order() {
+        let pool = SharedPool::new(4);
+        let mut runner = s27_runner(&pool);
+        let newly = runner.try_run_set(&s27_sets()[0]).unwrap();
+        let mut sorted = newly.clone();
+        sorted.sort_unstable();
+        assert_eq!(newly, sorted, "default live list is ascending by id");
+        assert!(!newly.is_empty());
+        pool.shutdown();
+    }
+
+    #[test]
+    #[should_panic(expected = "pattern lanes must be within 1..=64")]
+    fn oversized_pattern_lanes_are_rejected() {
+        let _ = SharedSimContext::new(compiled_s27(), SimOptions::default())
+            .with_pattern_lanes(65);
+    }
+
+    #[test]
+    fn set_targets_mirrors_fault_simulator() {
+        let c = rls_benchmarks::s27();
+        let compiled = compiled_s27();
+        let targets: Vec<FaultId> = compiled.representatives()[..7].to_vec();
+        let set = &s27_sets()[0];
+        let mut sim = FaultSimulator::new(&c);
+        sim.set_targets(&targets);
+        let seq: usize = set.iter().map(|t| sim.run_test(t).len()).sum();
+        let pool = SharedPool::new(2);
+        let ctx = Arc::new(SharedSimContext::new(compiled, SimOptions::default()));
+        let mut runner = SharedSetRunner::new(ctx, pool.register(2));
+        runner.set_targets(&targets);
+        let newly = runner.try_run_set(set).unwrap();
+        assert_eq!(newly.len(), seq);
+        assert_eq!(runner.live(), sim.live());
+        // The workers' drop counters account for exactly these faults.
+        assert_eq!(runner.handle().snapshot().total_dropped() as usize, seq);
+    }
+
+    /// Suppresses panic-hook spew for tests that panic on purpose;
+    /// restores the previous hook on drop.
+    fn quiet_panics() -> impl Drop {
+        struct Restore;
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                let _ = std::panic::take_hook();
+            }
+        }
+        std::panic::set_hook(Box::new(|_| {}));
+        Restore
+    }
+
+    fn s27_runner(pool: &SharedPool) -> SharedSetRunner {
+        let ctx = Arc::new(SharedSimContext::new(compiled_s27(), SimOptions::default()));
+        SharedSetRunner::new(ctx, pool.register(2))
+    }
+
+    #[test]
+    fn run_waves_retries_only_failed_tags() {
+        let _quiet = quiet_panics();
+        let pool = SharedPool::new(2);
+        let runner = s27_runner(&pool);
+        let flaky_runs = Arc::new(AtomicUsize::new(0));
+        let total_jobs = Arc::new(AtomicUsize::new(0));
+        let r = runner.run_waves("trace", vec![1, 2, 3], |tags| {
+            for &tag in tags {
+                let flaky_runs = Arc::clone(&flaky_runs);
+                let total_jobs = Arc::clone(&total_jobs);
+                runner.handle().submit_tagged(tag, move |_| {
+                    total_jobs.fetch_add(1, Ordering::Relaxed);
+                    if tag == 2 && flaky_runs.fetch_add(1, Ordering::Relaxed) == 0 {
+                        panic!("flaky once");
+                    }
+                });
+            }
+        });
+        assert!(r.is_ok());
+        // Wave 1 runs tags {1,2,3}; tag 2 panics and is the only job of
+        // wave 2.
+        assert_eq!(total_jobs.load(Ordering::Relaxed), 4);
+        assert_eq!(flaky_runs.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn run_waves_gives_up_after_bounded_retries() {
+        let _quiet = quiet_panics();
+        let pool = SharedPool::new(2);
+        let runner = s27_runner(&pool);
+        let err = runner
+            .run_waves("batch", vec![7], |tags| {
+                for &tag in tags {
+                    runner.handle().submit_tagged(tag, |_| panic!("always down"));
+                }
+            })
+            .unwrap_err();
+        assert_eq!(err.phase, "batch");
+        assert_eq!(err.attempts, RETRY_ROUNDS + 1);
+        assert_eq!(err.failures.len(), 1);
+        assert_eq!(err.failures[0].tag, 7);
+        let msg = err.to_string();
+        assert!(msg.contains("always down"), "{msg}");
+        assert_eq!(runner.handle().snapshot().total_respawns(), (RETRY_ROUNDS + 1) as u64);
+    }
+
+    #[test]
     fn concurrent_campaigns_are_isolated_and_exact() {
         // Two campaigns over the same compiled circuit, driven from two
         // client threads sharing one pool: each must match the oracle as
@@ -1070,14 +1222,7 @@ mod tests {
 
     #[test]
     fn failures_are_recorded_per_campaign_and_pool_survives() {
-        struct Restore;
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                let _ = std::panic::take_hook();
-            }
-        }
-        std::panic::set_hook(Box::new(|_| {}));
-        let _restore = Restore;
+        let _quiet = quiet_panics();
         let pool = SharedPool::new(2);
         let bad = pool.register(2);
         let good = pool.register(2);

@@ -40,9 +40,7 @@ pub const COUNTERS: &[&str] = &[
     "dispatch.respawns",      // supervised worker replacements
     "dispatch.faults_dropped", // faults dropped via the shared bitset
     "dispatch.batches",       // batch jobs completed by the pool
-    "dispatch.steals",        // jobs stolen from a sibling queue
     "pool.worker.jobs",       // jobs executed, per worker
-    "pool.worker.steals",     // steals performed, per worker
     "serve.requests_accepted", // campaign requests admitted by the server
     "serve.requests_rejected", // requests refused (admission, parse, compile)
     "serve.load_shed",         // requests shed at the in-flight limit
@@ -59,6 +57,7 @@ pub const COUNTERS: &[&str] = &[
     "sched.permutations",      // adversarial interleavings explored by the soak
     "obs.recorder.dumps",      // flight-recorder crash dumps written
     "obs.recorder.dropped",    // ring events overwritten before a dump read them
+    "obs.late_events",         // events discarded after a sealed stream's summary
     "serve.stats.requests",    // stats/watch introspection requests served
     "serve.stats.frames",      // progress frames streamed to watch clients
 ];

@@ -637,15 +637,23 @@ mod tests {
         armed(|| {
             let stop_flag = Arc::new(AtomicBool::new(false));
             let writer_stop = stop_flag.clone();
+            let started = Arc::new(AtomicBool::new(false));
+            let writer_started = started.clone();
             let writer = std::thread::spawn(move || {
                 let mut i = 0u64;
                 while !writer_stop.load(Ordering::Relaxed) {
                     record(RecKind::Counter, "procedure2.trials", i, i);
                     record(RecKind::Mark, "fsim.batch", i, i);
                     i += 1;
+                    writer_started.store(true, Ordering::Relaxed);
                 }
                 i
             });
+            // Snapshot only once writes are under way, so the loop below
+            // really overlaps them instead of racing the thread's start.
+            while !started.load(Ordering::Relaxed) {
+                std::thread::yield_now();
+            }
             for _ in 0..200 {
                 let snap = snapshot();
                 for e in &snap.events {

@@ -146,6 +146,14 @@ impl Sink for StderrSink {
 ///
 /// On the first append error the sink warns once on stderr and disables
 /// itself; the run continues without metrics rather than failing.
+///
+/// [`Sink::finish`] seals the stream: the `obs_summary` line is appended
+/// and the file handle dropped under one lock, so an event still in
+/// flight on another thread (it cloned the collector before `finish`
+/// took it) can never land after the summary. Such late events are
+/// discarded and counted in the `obs.late_events` counter, which reaches
+/// whichever collector (or armed recorder) is live when the late event
+/// arrives — never the sealed stream itself.
 pub struct JsonlSink {
     file: Mutex<Option<File>>,
     path: PathBuf,
@@ -220,13 +228,18 @@ impl JsonlSink {
         self.dead.load(Ordering::Relaxed)
     }
 
-    fn write_line(&self, line: &str) {
+    /// Appends one line, then closes the stream for good when `seal` is
+    /// set. Returns `false` when the stream was already closed (sealed or
+    /// disabled) and the line was not written.
+    fn write_line(&self, line: &str, seal: bool) -> bool {
         // lint: ordering-ok(monotone latch; a stale false only costs one extra mutex round)
         if self.dead.load(Ordering::Relaxed) {
-            return;
+            return false;
         }
         let mut guard = self.file.lock().unwrap_or_else(PoisonError::into_inner);
-        let Some(f) = guard.as_mut() else { return };
+        let Some(f) = guard.as_mut() else {
+            return false;
+        };
         let mut buf = Vec::with_capacity(line.len() + 1);
         buf.extend_from_slice(line.as_bytes());
         buf.push(b'\n');
@@ -242,18 +255,28 @@ impl JsonlSink {
                 self.path.display()
             );
         }
+        if seal {
+            *guard = None;
+        }
+        true
     }
 }
 
 impl Sink for JsonlSink {
     fn event(&self, event: &Event) {
-        self.write_line(&event.to_json());
+        if self.write_line(&event.to_json(), false) || self.disabled() {
+            return;
+        }
+        // Sealed by `finish`, which also uninstalled this sink: the
+        // counter reaches whatever collector (or recorder) is live now.
+        crate::counter!("obs.late_events", 1);
     }
 
     fn finish(&self, wall_nanos: u64) {
-        self.write_line(&format!(
-            "{{\"type\":\"obs_summary\",\"wall_nanos\":{wall_nanos}}}"
-        ));
+        self.write_line(
+            &format!("{{\"type\":\"obs_summary\",\"wall_nanos\":{wall_nanos}}}"),
+            true,
+        );
     }
 }
 
@@ -469,6 +492,46 @@ mod tests {
         assert!(lines[0].contains("\"type\":\"obs\""));
         assert!(lines[1].contains("\"name\":\"fsim.batches\""));
         assert_eq!(lines[2], "{\"type\":\"obs_summary\",\"wall_nanos\":123}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn finish_seals_the_stream_against_late_events() {
+        // An emitter that cloned the collector before `finish` took it
+        // delivers its event afterwards: the summary must stay last.
+        let dir = temp_dir("sealed");
+        let sink = JsonlSink::create(&dir, "0-r2").unwrap();
+        let event = Event::Metric(MetricRecord {
+            kind: MetricKind::Counter,
+            name: "fsim.batches",
+            value: 1,
+            fields: Vec::new(),
+        });
+        sink.event(&event);
+        sink.finish(9);
+        // The late tally goes to whichever collector is live by then.
+        let _guard = crate::OBS_TEST_LOCK
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let live = Arc::new(MemorySink::new());
+        assert!(crate::install(live.clone()), "collector left installed by another test");
+        sink.event(&event);
+        sink.event(&span("procedure2.run", 5));
+        crate::finish();
+        let text = std::fs::read_to_string(sink.path()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3, "late events were appended: {text}");
+        assert_eq!(lines[2], "{\"type\":\"obs_summary\",\"wall_nanos\":9}");
+        let late: u64 = live
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::Metric(m) if m.name == "obs.late_events" => Some(m.value),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(late, 2);
+        assert!(!sink.disabled(), "sealing is not an IO failure");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,14 +1,13 @@
 //! The served trial executor: Procedure 2 on the persistent shared pool.
 //!
-//! [`ServedExecutor`] is to the campaign server what the private
-//! pool-backed executor is to a direct `Procedure2::run`: it fans each
-//! test set out through a [`SharedSetRunner`] (bit-identical to both the
-//! scoped pool and the sequential oracle), degrades to a sequential
-//! [`FaultSimulator`] when a chunk exhausts the retry budget, and — the
-//! server-specific part — answers `cancelled()` from four sources so the
-//! greedy loop stops at the next trial boundary: the server draining,
-//! the client disconnecting, the watchdog declaring the campaign
-//! stalled, and a per-request deadline lapsing. Checkpoints written
+//! [`ServedExecutor`] wraps the same [`PoolExecutor`] a direct
+//! `Procedure2::run` drives — set fan-out, sequential degrade fallback,
+//! and all — and adds only what is server-specific: `cancelled()`
+//! answers from four sources so the greedy loop stops at the next trial
+//! boundary (the server draining, the client disconnecting, the watchdog
+//! declaring the campaign stalled, and a per-request deadline lapsing),
+//! every set beats the watchdog, and [`ServedExecutor::force_degrade`]
+//! pins a requeued campaign to the sequential path. Checkpoints written
 //! after `TS0` and after every kept pair make a cancelled campaign
 //! resumable, whichever source stopped it.
 
@@ -16,9 +15,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use rls_core::TrialExecutor;
-use rls_dispatch::{CompiledCircuit, SharedSetRunner};
-use rls_fsim::{FaultId, FaultSimulator, LaneStats, ScanTest};
+use rls_core::{PoolExecutor, TrialExecutor};
+use rls_dispatch::PoolSnapshot;
+use rls_fsim::{FaultId, ScanTest};
 
 use crate::watchdog::ProgressCell;
 
@@ -50,9 +49,7 @@ impl CancelCause {
 
 /// Drives one served campaign's trials on the shared pool.
 pub struct ServedExecutor<'c> {
-    runner: SharedSetRunner,
-    compiled: &'c CompiledCircuit,
-    fallback: Option<FaultSimulator<'c>>,
+    inner: PoolExecutor<'c>,
     drain: &'c AtomicBool,
     disconnect: Arc<AtomicBool>,
     progress: Option<Arc<ProgressCell>>,
@@ -62,25 +59,22 @@ pub struct ServedExecutor<'c> {
 impl std::fmt::Debug for ServedExecutor<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServedExecutor")
-            .field("degraded", &self.fallback.is_some())
+            .field("inner", &self.inner)
             .finish_non_exhaustive()
     }
 }
 
 impl<'c> ServedExecutor<'c> {
-    /// An executor over a registered campaign slot. `drain` is the
-    /// server's global drain flag; `disconnect` is set by the response
+    /// An executor over a registered campaign's pool executor. `drain` is
+    /// the server's global drain flag; `disconnect` is set by the response
     /// writer when the client goes away.
     pub fn new(
-        runner: SharedSetRunner,
-        compiled: &'c CompiledCircuit,
+        inner: PoolExecutor<'c>,
         drain: &'c AtomicBool,
         disconnect: Arc<AtomicBool>,
     ) -> Self {
         ServedExecutor {
-            runner,
-            compiled,
-            fallback: None,
+            inner,
             drain,
             disconnect,
             progress: None,
@@ -101,15 +95,10 @@ impl<'c> ServedExecutor<'c> {
         self
     }
 
-    /// The underlying set runner (for end-of-run pool snapshots).
-    pub fn runner(&self) -> &SharedSetRunner {
-        &self.runner
-    }
-
-    /// Mutable access to the set runner (the session bounds wave waits
-    /// to the watchdog deadline through this).
-    pub fn runner_mut(&mut self) -> &mut SharedSetRunner {
-        &mut self.runner
+    /// The campaign's worker counters for the `workers` record (see
+    /// [`PoolExecutor::snapshot`]).
+    pub fn snapshot(&self) -> PoolSnapshot {
+        self.inner.snapshot()
     }
 
     /// True when the run was asked to stop — distinguishes an
@@ -136,20 +125,9 @@ impl<'c> ServedExecutor<'c> {
 
     /// Installs the sequential fallback up front (watchdog retries
     /// exhausted): every subsequent set runs on this thread, which the
-    /// pool cannot stall. Detections are bit-identical because the
-    /// fallback replays whole sets against the same live list.
+    /// pool cannot stall.
     pub fn force_degrade(&mut self) {
-        if self.fallback.is_none() {
-            let (options, lane_width) = {
-                let ctx = self.runner.context();
-                (ctx.options(), ctx.lane_width())
-            };
-            let mut sim = FaultSimulator::new(self.compiled.circuit());
-            sim.set_options(options);
-            sim.set_lane_width(lane_width);
-            sim.set_targets(self.runner.live());
-            self.fallback = Some(sim);
-        }
+        self.inner.force_degrade();
     }
 
     fn past_deadline(&self) -> bool {
@@ -160,99 +138,66 @@ impl<'c> ServedExecutor<'c> {
 
 impl TrialExecutor for ServedExecutor<'_> {
     fn live_count(&self) -> usize {
-        match &self.fallback {
-            Some(sim) => sim.live_count(),
-            None => self.runner.live_count(),
-        }
+        self.inner.live_count()
     }
 
     fn apply_set(&mut self, tests: &[ScanTest]) -> usize {
         if let Some(cell) = &self.progress {
             cell.beat();
         }
-        if let Some(sim) = self.fallback.as_mut() {
-            return sim.run_tests(tests);
-        }
-        match self.runner.try_run_set(tests) {
-            Ok(newly) => newly.len(),
-            Err(e) => {
-                eprintln!(
-                    "[serve] shared-pool set execution failed ({e}); \
-                     degrading campaign to the sequential simulator"
-                );
-                let (options, lane_width) = {
-                    let ctx = self.runner.context();
-                    (ctx.options(), ctx.lane_width())
-                };
-                let mut sim = FaultSimulator::new(self.compiled.circuit());
-                sim.set_options(options);
-                sim.set_lane_width(lane_width);
-                sim.set_targets(self.runner.live());
-                let newly = sim.run_tests(tests);
-                self.fallback = Some(sim);
-                newly
-            }
-        }
+        self.inner.apply_set(tests)
     }
 
     fn undetected(&self) -> Vec<FaultId> {
-        match &self.fallback {
-            Some(sim) => sim.live().to_vec(),
-            None => self.runner.live().to_vec(),
-        }
+        self.inner.undetected()
     }
 
     fn restrict(&mut self, live: &[FaultId]) {
-        match self.fallback.as_mut() {
-            Some(sim) => sim.set_targets(live),
-            None => self.runner.set_targets(live),
-        }
+        self.inner.restrict(live);
     }
 
     fn degraded(&self) -> bool {
-        self.fallback.is_some()
+        self.inner.degraded()
     }
 
     fn cancelled(&self) -> bool {
-        self.drain.load(Ordering::Acquire)
-            || self.disconnect.load(Ordering::Acquire)
-            || self.progress.as_ref().is_some_and(|c| c.stalled())
-            || self.past_deadline()
-    }
-
-    fn fallback_lane_stats(&self) -> Option<LaneStats> {
-        self.fallback.as_ref().map(|sim| sim.lane_stats())
+        self.cancel_cause().is_some()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rls_dispatch::{SharedPool, SharedSimContext};
-    use rls_fsim::SimOptions;
+    use rls_core::RlsConfig;
+    use rls_dispatch::{CompiledCircuit, SharedPool};
+    use rls_fsim::FaultSimulator;
 
     fn fixture() -> (SharedPool, Arc<CompiledCircuit>) {
         let compiled = Arc::new(CompiledCircuit::compile(rls_benchmarks::s27()).unwrap());
         (SharedPool::new(2), compiled)
     }
 
+    fn served<'c>(
+        pool: &SharedPool,
+        compiled: &'c Arc<CompiledCircuit>,
+        drain: &'c AtomicBool,
+        disconnect: Arc<AtomicBool>,
+    ) -> ServedExecutor<'c> {
+        let inner = PoolExecutor::new(compiled, &RlsConfig::new(4, 8, 8), pool.register(2));
+        ServedExecutor::new(inner, drain, disconnect)
+    }
+
+    fn s27_set() -> Vec<ScanTest> {
+        vec![ScanTest::from_strings("001", &["0111", "1001", "0100"]).unwrap()]
+    }
+
     #[test]
     fn executor_matches_the_sequential_oracle() {
         let (pool, compiled) = fixture();
         let drain = AtomicBool::new(false);
-        let ctx = Arc::new(SharedSimContext::new(
-            Arc::clone(&compiled),
-            SimOptions::default(),
-        ));
-        let runner = SharedSetRunner::new(ctx, pool.register(2));
-        let mut exec = ServedExecutor::new(
-            runner,
-            &compiled,
-            &drain,
-            Arc::new(AtomicBool::new(false)),
-        );
+        let mut exec = served(&pool, &compiled, &drain, Arc::new(AtomicBool::new(false)));
         let mut oracle = FaultSimulator::new(compiled.circuit());
-        let set = vec![ScanTest::from_strings("001", &["0111", "1001", "0100"]).unwrap()];
+        let set = s27_set();
         let newly = exec.apply_set(&set);
         assert_eq!(newly, oracle.run_tests(&set));
         assert_eq!(exec.undetected(), oracle.live());
@@ -264,12 +209,7 @@ mod tests {
         let (pool, compiled) = fixture();
         let drain = AtomicBool::new(false);
         let disconnect = Arc::new(AtomicBool::new(false));
-        let ctx = Arc::new(SharedSimContext::new(
-            Arc::clone(&compiled),
-            SimOptions::default(),
-        ));
-        let runner = SharedSetRunner::new(ctx, pool.register(1));
-        let exec = ServedExecutor::new(runner, &compiled, &drain, Arc::clone(&disconnect));
+        let exec = served(&pool, &compiled, &drain, Arc::clone(&disconnect));
         assert!(!exec.cancelled());
         disconnect.store(true, Ordering::Release);
         assert!(exec.cancelled());
@@ -286,12 +226,7 @@ mod tests {
         let drain = AtomicBool::new(false);
         let dog = crate::watchdog::Watchdog::start(std::time::Duration::from_secs(3600));
         let guard = dog.register().unwrap();
-        let ctx = Arc::new(SharedSimContext::new(
-            Arc::clone(&compiled),
-            SimOptions::default(),
-        ));
-        let runner = SharedSetRunner::new(ctx, pool.register(1));
-        let exec = ServedExecutor::new(runner, &compiled, &drain, Arc::new(AtomicBool::new(false)))
+        let exec = served(&pool, &compiled, &drain, Arc::new(AtomicBool::new(false)))
             .with_progress(Arc::clone(guard.cell()))
             .with_deadline(Some(Instant::now() + std::time::Duration::from_secs(3600)));
         assert!(!exec.cancelled());
@@ -310,21 +245,11 @@ mod tests {
     fn force_degrade_routes_every_set_to_the_oracle() {
         let (pool, compiled) = fixture();
         let drain = AtomicBool::new(false);
-        let ctx = Arc::new(SharedSimContext::new(
-            Arc::clone(&compiled),
-            SimOptions::default(),
-        ));
-        let runner = SharedSetRunner::new(ctx, pool.register(2));
-        let mut exec = ServedExecutor::new(
-            runner,
-            &compiled,
-            &drain,
-            Arc::new(AtomicBool::new(false)),
-        );
+        let mut exec = served(&pool, &compiled, &drain, Arc::new(AtomicBool::new(false)));
         exec.force_degrade();
         assert!(exec.degraded(), "degraded before any set ran");
         let mut oracle = FaultSimulator::new(compiled.circuit());
-        let set = vec![ScanTest::from_strings("001", &["0111", "1001", "0100"]).unwrap()];
+        let set = s27_set();
         assert_eq!(exec.apply_set(&set), oracle.run_tests(&set));
         assert_eq!(exec.undetected(), oracle.live());
     }
@@ -334,28 +259,18 @@ mod tests {
         // Submitting against a shut-down pool records failures; the wave
         // protocol exhausts retries and the executor must fall back to
         // the sequential simulator — same detections, and the fallback's
-        // lane accounting is exposed for the workers record.
+        // lane accounting is folded into the workers snapshot.
         let (pool, compiled) = fixture();
         let drain = AtomicBool::new(false);
-        let ctx = Arc::new(SharedSimContext::new(
-            Arc::clone(&compiled),
-            SimOptions::default(),
-        ));
-        let runner = SharedSetRunner::new(ctx, pool.register(2));
+        let mut exec = served(&pool, &compiled, &drain, Arc::new(AtomicBool::new(false)));
         pool.shutdown();
-        let mut exec = ServedExecutor::new(
-            runner,
-            &compiled,
-            &drain,
-            Arc::new(AtomicBool::new(false)),
-        );
         let mut oracle = FaultSimulator::new(compiled.circuit());
-        let set = vec![ScanTest::from_strings("001", &["0111", "1001", "0100"]).unwrap()];
+        let set = s27_set();
         let newly = exec.apply_set(&set);
         assert!(exec.degraded());
         assert_eq!(newly, oracle.run_tests(&set));
         assert_eq!(exec.undetected(), oracle.live());
-        let stats = exec.fallback_lane_stats().expect("fallback ran batches");
+        let stats = exec.snapshot().fallback.expect("fallback ran batches");
         assert!(stats.batches > 0 && stats.lanes_used > 0);
     }
 }

@@ -18,9 +18,10 @@
 //!   collapsed fault lists keyed by config fingerprint, compiled once and
 //!   shared across concurrent campaigns;
 //! - [`exec`]: the [`exec::ServedExecutor`] — the `TrialExecutor` that
-//!   drives Procedure 2 on the shared pool, degrades to the sequential
-//!   oracle on poisoned chunks, and stops at trial boundaries when the
-//!   server drains or the client disconnects;
+//!   wraps the same `rls_core::PoolExecutor` a direct run drives (shared
+//!   pool, sequential degrade on poisoned chunks) and stops at trial
+//!   boundaries when the server drains, the client disconnects, the
+//!   watchdog flags a stall, or a deadline lapses;
 //! - [`server`]: the accept loop, per-connection sessions, admission
 //!   control, and graceful drain;
 //! - [`stats`]: live introspection — the per-campaign
@@ -37,12 +38,12 @@
 //! # Determinism
 //!
 //! A served campaign is **bit-identical** to a direct run of the same
-//! configuration: the executor mirrors the scoped pool batch-for-batch
-//! (see `rls_dispatch::shared`), the campaign records stream through the
-//! very same `Campaign` writer, and the integration suite byte-compares
-//! served record lines (volatile wall-clock fields normalized away)
-//! against a direct run's campaign file — including under concurrent
-//! clients sharing the executor.
+//! configuration: it runs the very same `rls_core::PoolExecutor` on the
+//! same pool type a direct run starts (see `rls_dispatch::shared`), the
+//! campaign records stream through the very same `Campaign` writer, and
+//! the integration suite byte-compares served record lines (volatile
+//! wall-clock fields normalized away) against a direct run's campaign
+//! file — including under concurrent clients sharing the executor.
 //!
 //! See DESIGN.md §11 for the protocol grammar, executor lifecycle, cache
 //! keying, and drain semantics, and §12 for the self-healing service:

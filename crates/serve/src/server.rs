@@ -65,12 +65,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rls_core::{
-    fingerprint, load_checkpoint, Procedure2, Procedure2Outcome, ResumeState, RlsConfig,
+    fingerprint, load_checkpoint, PoolExecutor, Procedure2, Procedure2Outcome, ResumeState,
+    RlsConfig,
 };
 use rls_dispatch::inject::{self, StreamFault};
-use rls_dispatch::{
-    Campaign, CampaignSummary, CompiledCircuit, SharedPool, SharedSetRunner, SharedSimContext,
-};
+use rls_dispatch::{Campaign, CampaignSummary, CompiledCircuit, SharedPool};
 use rls_lfsr::SeedSequence;
 
 use crate::cache::CircuitCache;
@@ -818,11 +817,7 @@ fn execute_campaign(
         } else {
             shared.watchdog.register()
         };
-        let ctx = Arc::new(
-            SharedSimContext::new(Arc::clone(compiled), cfg.observe)
-                .with_lane_width(cfg.lane_width),
-        );
-        let mut runner = SharedSetRunner::new(ctx, shared.pool.register(cfg.threads));
+        let mut pooled = PoolExecutor::new(compiled, cfg, shared.pool.register(cfg.threads));
         if guard.is_some() {
             // Bound wave barriers too: a worker wedged *inside* a wave
             // would otherwise block `apply_set` forever, beyond the
@@ -830,11 +825,10 @@ fn execute_campaign(
             // timed-out wave fails the set, which degrades that set to
             // the sequential oracle — same detections either way.
             let wave = shared.watchdog.deadline().max(Duration::from_millis(50)) * 2;
-            runner.set_wave_timeout(Some(wave));
+            pooled.set_wave_timeout(Some(wave));
         }
-        let mut exec =
-            ServedExecutor::new(runner, compiled, &shared.drain, Arc::clone(disconnect))
-                .with_deadline(deadline);
+        let mut exec = ServedExecutor::new(pooled, &shared.drain, Arc::clone(disconnect))
+            .with_deadline(deadline);
         if let Some(guard) = &guard {
             exec = exec.with_progress(Arc::clone(guard.cell()));
         }
@@ -875,13 +869,7 @@ fn execute_campaign(
                 continue;
             }
         }
-        let snapshot = (cfg.threads > 1).then(|| {
-            let mut snap = exec.runner().handle().snapshot();
-            if let Some(stats) = exec.fallback_lane_stats() {
-                snap = snap.with_fallback_lanes(stats);
-            }
-            snap
-        });
+        let snapshot = (cfg.threads > 1).then(|| exec.snapshot());
         break (outcome, cancel, snapshot);
     };
     // End-of-run bookkeeping, mirroring a direct run: a workers record
@@ -1036,9 +1024,6 @@ fn recover_one(shared: &Shared, entry: &JournalEntry) {
     rls_obs::histogram!("serve.campaign_nanos", watch.elapsed_nanos());
     conclude(shared, &entry.run_id, &outcome, cancel);
 }
-
-// `fallback_lane_stats` comes from the TrialExecutor trait.
-use rls_core::TrialExecutor as _;
 
 #[cfg(test)]
 mod tests {

@@ -40,27 +40,24 @@ fn synthetic_circuit_parallel_is_bit_identical_to_sequential() {
 #[test]
 fn campaign_jsonl_records_worker_counters() {
     let c = random_limited_scan::benchmarks::s27();
-    let cfg = RlsConfig::new(4, 8, 8)
-        .with_threads(4)
-        .with_campaign_dir("results");
-    let before = campaign_files();
+    let dir = std::env::temp_dir().join(format!("rls-det-campaign-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = RlsConfig::new(4, 8, 8).with_threads(4).with_campaign_dir(&dir);
     let outcome = Procedure2::new(&c, cfg).run();
     assert!(outcome.final_coverage().detected > 0);
-    let new: Vec<_> = campaign_files()
-        .into_iter()
-        .filter(|p| !before.contains(p))
-        .collect();
-    assert_eq!(new.len(), 1, "exactly one campaign record per run");
-    let text = std::fs::read_to_string(&new[0]).unwrap();
+    let files = campaign_files(&dir);
+    assert_eq!(files.len(), 1, "exactly one campaign record per run");
+    let text = std::fs::read_to_string(&files[0]).unwrap();
     assert!(text.contains("\"type\":\"campaign\""));
     assert!(text.contains("\"type\":\"workers\""));
     assert!(text.contains("\"type\":\"summary\""));
     assert!(text.contains("\"threads\":4"));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Campaign records for the s27/4-thread runs of this test binary.
-fn campaign_files() -> Vec<std::path::PathBuf> {
-    std::fs::read_dir("results")
+/// Campaign records for s27/4-thread runs under `dir`.
+fn campaign_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    std::fs::read_dir(dir)
         .map(|dir| {
             dir.filter_map(|e| e.ok().map(|e| e.path()))
                 .filter(|p| {

@@ -12,15 +12,36 @@
 use std::sync::{Arc, Mutex};
 
 use random_limited_scan::core::{generate_ts0, RlsConfig};
-use random_limited_scan::dispatch::{chunk_size, SetRunner, SimContext, WorkerPool};
+use random_limited_scan::dispatch::{
+    chunk_size, CompiledCircuit, SharedPool, SharedSetRunner, SharedSimContext,
+};
 use random_limited_scan::obs;
 use random_limited_scan::obs::record::Event;
-use rls_fsim::{LaneWidth, SimOptions, LANES};
+use rls_fsim::{LaneWidth, ScanTest, SimOptions, LANES};
+use rls_netlist::Circuit;
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
+/// A runner for `c` registered with budget `threads` on `pool`.
+fn runner(pool: &SharedPool, c: &Circuit, width: LaneWidth, threads: usize) -> SharedSetRunner {
+    let compiled = Arc::new(CompiledCircuit::compile(c.clone()).expect("acyclic"));
+    let ctx = SharedSimContext::new(compiled, SimOptions::default()).with_lane_width(width);
+    SharedSetRunner::new(Arc::new(ctx), pool.register(threads))
+}
+
+/// Runs one set on a fresh `threads`-wide pool; the campaign retires
+/// (emitting its pool metrics) before this returns.
+fn run_one_set(c: &Circuit, tests: &[ScanTest], threads: usize) {
+    let pool = SharedPool::new(threads);
+    let mut runner = runner(&pool, c, LaneWidth::DEFAULT, threads);
+    runner.try_run_set(tests).expect("no job fails");
+}
+
 #[test]
 fn adaptive_chunks_cut_submit_overhead_on_large_circuits() {
+    // Serialized with the collector tests: a retiring campaign emits pool
+    // metrics into whatever collector is installed.
+    let _guard = OBS_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     // s953 is large enough that the adaptive chunk (live / (threads * 8))
     // exceeds the 64-lane kernel width, so fewer jobs cross the queues
     // than fixed 64-fault chunks would need.
@@ -30,15 +51,14 @@ fn adaptive_chunks_cut_submit_overhead_on_large_circuits() {
     let threads = 2;
     // Pin the kernel to 64 lanes: this test is specifically about adaptive
     // chunks versus fixed 64-fault chunks, independent of the default width.
-    let ctx = SimContext::new(&c, SimOptions::default()).with_lane_width(LaneWidth::W64);
-    let live = ctx.representatives().len();
+    let pool = SharedPool::new(threads);
+    let mut runner = runner(&pool, &c, LaneWidth::W64, threads);
+    let live = runner.live_count();
     let size = chunk_size(live, threads);
     assert!(size > LANES, "s953 must exercise the oversized-chunk path");
-    let snap = WorkerPool::new(threads).scope(|d| {
-        let mut runner = SetRunner::new(&ctx, d);
-        runner.run_set(&tests);
-        d.snapshot()
-    });
+    runner.try_run_set(&tests).expect("no job fails");
+    let snap = runner.handle().snapshot();
+    let ctx = runner.context();
     let jobs: u64 = snap.workers.iter().map(|w| w.jobs).sum();
     let batch_jobs = jobs - tests.len() as u64; // phase 1 is one trace job per test
     // TS0 tests all share one shape (same length, no shifts), so tiling
@@ -72,14 +92,10 @@ fn parallel_campaign_emits_only_registered_metric_names() {
         "no other collector may be installed"
     );
     let c = random_limited_scan::benchmarks::s27();
-    let ctx = SimContext::new(&c, SimOptions::default());
     let cfg = RlsConfig::new(4, 8, 8);
     let tests = generate_ts0(&c, &cfg);
     let threads = 4;
-    WorkerPool::new(threads).scope(|d| {
-        let mut runner = SetRunner::new(&ctx, d);
-        runner.run_set(&tests);
-    });
+    run_one_set(&c, &tests, threads);
     obs::finish().expect("the collector installed above");
     let events = sink.take();
     assert!(!events.is_empty(), "an enabled run emits events");
@@ -99,10 +115,10 @@ fn parallel_campaign_emits_only_registered_metric_names() {
     // The executor reported its chunk sizing and queue depth…
     assert_eq!(
         gauge("dispatch.chunk_size"),
-        Some(chunk_size(ctx.representatives().len(), threads) as u64)
+        Some(chunk_size(rls_fsim::FaultSimulator::new(&c).live_count(), threads) as u64)
     );
     assert!(gauge("dispatch.queue_depth").is_some());
-    // …and the pool its per-worker busy/idle profile.
+    // …and the retired campaign its per-worker busy/idle profile.
     let busy = events
         .iter()
         .filter(|e| e.name() == "pool.worker.busy_nanos")
@@ -120,13 +136,9 @@ fn flight_recorder_dump_survives_a_parallel_campaign() {
     obs::recorder::set_dump_dir(&dir);
     assert!(obs::recorder::start(256), "the recorder must arm");
     let c = random_limited_scan::benchmarks::s27();
-    let ctx = SimContext::new(&c, SimOptions::default());
     let cfg = RlsConfig::new(4, 8, 8);
     let tests = generate_ts0(&c, &cfg);
-    WorkerPool::new(2).scope(|d| {
-        let mut runner = SetRunner::new(&ctx, d);
-        runner.run_set(&tests);
-    });
+    run_one_set(&c, &tests, 2);
     // The sequential engine's kernel-batch marks ride along in the same
     // window (the pool path batches below the mark's granularity).
     let mut sim = rls_fsim::FaultSimulator::new(&c);
@@ -166,12 +178,8 @@ fn disabled_obs_emits_nothing() {
     // anything (there is no collector to receive events anyway, but the
     // enabled() gate is the contract being pinned here).
     let c = random_limited_scan::benchmarks::s27();
-    let ctx = SimContext::new(&c, SimOptions::default());
     let cfg = RlsConfig::new(4, 8, 8);
     let tests = generate_ts0(&c, &cfg);
-    WorkerPool::new(2).scope(|d| {
-        let mut runner = SetRunner::new(&ctx, d);
-        runner.run_set(&tests);
-    });
+    run_one_set(&c, &tests, 2);
     assert!(obs::finish().is_none(), "nothing was installed");
 }

@@ -1,17 +1,16 @@
-//! The default-CI property suite: ports of the feature-gated `proptest`
-//! properties (`tests/properties.rs`) onto the std-only `quickprop`
-//! harness, so randomized invariant checking runs offline on every
-//! `cargo test` instead of only when `proptest` can be vendored.
+//! The property suite, on the std-only `quickprop` harness, so randomized
+//! invariant checking runs offline on every `cargo test`.
 //!
 //! Each property draws random synthetic circuits and tests from seeded
 //! generators and shrinks failures greedily to a minimal counterexample;
-//! the covered invariants are the cross-crate ones the wide-word kernel
-//! leans on: serial/batched agreement at every lane width, lane
-//! independence, the `N_cyc0` closed formula, `.bench` round-tripping,
-//! limited-scan composition, and the SoA tile kernel — levelization
-//! round-trip against the gate-walking reference, pattern-lane
-//! independence, and ragged tile boundaries (`faults % W`,
-//! `patterns % P`).
+//! the covered invariants are the cross-crate ones the kernels and
+//! procedures lean on: serial/batched agreement at every lane width, lane
+//! independence, sound fault dropping, the `N_cyc0` closed formula,
+//! `.bench` round-tripping, limited-scan algebra (composition, full
+//! length ≡ full scan), Procedure 1 determinism, LFSR jump-ahead, and the
+//! SoA tile kernel — levelization round-trip against the gate-walking
+//! reference, pattern-lane independence, and ragged tile boundaries
+//! (`faults % W`, `patterns % P`).
 
 #[path = "support/quickprop.rs"]
 mod quickprop;
@@ -19,12 +18,13 @@ mod quickprop;
 use quickprop::{check, no_shrink, shrink_usize_min, Gen};
 use random_limited_scan::benchmarks::SynthConfig;
 use random_limited_scan::core::cycles::measured_cycles;
-use random_limited_scan::core::{generate_ts0, ncyc0, RlsConfig};
+use random_limited_scan::core::{derive_test_set, generate_ts0, ncyc0, RlsConfig};
 use random_limited_scan::fsim::good::traces_differ;
 use random_limited_scan::fsim::{
     simulate_batch, simulate_chunk_at, simulate_chunk_soa, simulate_tile_at, Fault, FaultId,
-    FaultUniverse, GoodSim, LaneWidth, ScanTest, ShiftOp, SimOptions,
+    FaultSimulator, FaultUniverse, GoodSim, LaneWidth, ScanTest, ShiftOp, SimOptions,
 };
+use random_limited_scan::lfsr::{BitMatrix, FibonacciLfsr, SeedSequence};
 use random_limited_scan::netlist::{parse_bench, write_bench, Circuit, LevelizedCircuit};
 use random_limited_scan::scan::ops;
 
@@ -505,6 +505,162 @@ fn prop_limited_scans_compose() {
             }
             if out != out_one {
                 return Err(format!("scan-out diverges: {out:?} vs {out_one:?}"));
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn prop_full_length_limited_scan_is_full_scan() {
+    // A limited scan of the full chain length replaces the state exactly
+    // like a complete scan operation.
+    check(
+        "full_length_limited_scan",
+        0x5eed_0009,
+        64,
+        |g| {
+            let n = g.usize_in(1, 24);
+            (g.bools(n), g.bools(n))
+        },
+        no_shrink,
+        |(state, fill)| {
+            let n = state.len();
+            let mut limited = state.clone();
+            let out_limited = ops::limited_scan_bools(&mut limited, n, fill);
+            let mut full = state.clone();
+            let new: Vec<bool> = fill.iter().rev().copied().collect();
+            let out_full = ops::full_scan_bools(&mut full, &new);
+            if limited != full {
+                return Err(format!("states diverge: {limited:?} vs {full:?}"));
+            }
+            if out_limited != out_full {
+                return Err(format!("scan-out diverges: {out_limited:?} vs {out_full:?}"));
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn prop_procedure1_invariants() {
+    // Procedure 1 never touches test content, only schedules; every shift
+    // fits the chain at an interior unit; and the whole derivation is
+    // deterministic in (seeds, I, D1).
+    let c = random_limited_scan::benchmarks::s27();
+    check(
+        "procedure1_invariants",
+        0x5eed_000a,
+        32,
+        |g| (g.usize_in(1, 50) as u64, g.usize_in(1, 12) as u32, g.word()),
+        no_shrink,
+        |&(i, d1, seed)| {
+            let cfg = RlsConfig::new(4, 8, 8).with_seeds(SeedSequence::new(seed));
+            let ts0 = generate_ts0(&c, &cfg);
+            let d2 = cfg.d2(c.num_dffs());
+            let a = derive_test_set(&ts0, &cfg, i, d1, d2);
+            if a != derive_test_set(&ts0, &cfg, i, d1, d2) {
+                return Err("derivation is not deterministic".into());
+            }
+            for (t, (derived, base)) in a.iter().zip(&ts0).enumerate() {
+                if derived.scan_in != base.scan_in || derived.vectors != base.vectors {
+                    return Err(format!("test {t}: content changed"));
+                }
+                if let Some(s) = derived
+                    .shifts
+                    .iter()
+                    .find(|s| s.amount > c.num_dffs() || s.at < 1 || s.at >= derived.len())
+                {
+                    return Err(format!("test {t}: shift {s:?} out of range"));
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn prop_lfsr_jump_ahead() {
+    // LFSR jump-ahead by matrix power equals stepping, from any state.
+    check(
+        "lfsr_jump_ahead",
+        0x5eed_000b,
+        64,
+        |g| {
+            let degree = g.usize_in(2, 24) as u32;
+            let seed = (g.usize_in(1, 1000) as u64 & ((1 << degree) - 1)).max(1);
+            (degree, seed, g.usize_in(0, 500) as u32)
+        },
+        |&(degree, seed, steps)| {
+            shrink_usize_min(steps as usize, 0)
+                .into_iter()
+                .map(|s| (degree, seed, s as u32))
+                .collect()
+        },
+        |&(degree, seed, steps)| {
+            let mut lfsr = FibonacciLfsr::max_length(degree, seed).map_err(|e| e.to_string())?;
+            let jumped = BitMatrix::fibonacci_step(&lfsr)
+                .pow(u128::from(steps))
+                .apply(lfsr.state());
+            for _ in 0..steps {
+                lfsr.step();
+            }
+            if jumped != lfsr.state() {
+                return Err(format!("jumped {jumped:#x} != stepped {:#x}", lfsr.state()));
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn prop_dropping_is_sound() {
+    // Fault dropping is sound: a test set detects the same fault set
+    // whether simulated with dropping (engine) or fault-by-fault.
+    check(
+        "dropping_is_sound",
+        0x5eed_000c,
+        16,
+        |g| {
+            let mut cfg = small_synth(g);
+            cfg.dffs = cfg.dffs.max(1);
+            (cfg, g.word())
+        },
+        |(cfg, seed)| {
+            shrink_synth(cfg)
+                .into_iter()
+                .filter(|c| c.dffs > 0)
+                .map(|c| (c, *seed))
+                .collect()
+        },
+        |(cfg, seed)| {
+            let c = cfg.build();
+            let mut g = Gen::new(*seed);
+            let tests: Vec<ScanTest> = (0..4).map(|_| random_test(&c, &mut g, 3)).collect();
+            let mut engine = FaultSimulator::new(&c);
+            engine.run_tests(&tests);
+            let mut dropped = engine.detected().to_vec();
+            dropped.sort_unstable();
+            // Reference: each representative simulated against every
+            // test individually (no dropping).
+            let sim = GoodSim::new(&c);
+            let goods: Vec<_> = tests.iter().map(|t| sim.simulate_test(t)).collect();
+            let universe = FaultUniverse::enumerate(&c);
+            let mut reference: Vec<FaultId> = engine
+                .collapsed()
+                .representatives()
+                .iter()
+                .copied()
+                .filter(|&id| {
+                    let fault = universe.fault(id);
+                    tests.iter().zip(&goods).any(|(t, good)| {
+                        !simulate_batch(&sim, t, good, &[(id, fault)]).is_empty()
+                    })
+                })
+                .collect();
+            reference.sort_unstable();
+            if dropped != reference {
+                return Err(format!("dropping {dropped:?} != fault-by-fault {reference:?}"));
             }
             Ok(())
         },

@@ -4,8 +4,7 @@
 //! finished or resumably checkpointed.
 //!
 //! Every test runs its own server on its own socket in a private temp
-//! directory — nothing here touches `results/` (the determinism suite
-//! counts files there).
+//! directory — nothing here touches `results/`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -287,18 +286,10 @@ fn drained_campaign_checkpoints_and_a_served_resume_completes_it() {
 
     let compiled = Arc::new(rls_dispatch::CompiledCircuit::compile(circuit.clone()).unwrap());
     let pool = rls_dispatch::SharedPool::new(2);
-    let ctx = Arc::new(rls_dispatch::SharedSimContext::new(
-        Arc::clone(&compiled),
-        cfg.observe,
-    ));
-    let runner = rls_dispatch::SharedSetRunner::new(ctx, pool.register(1));
+    let pooled = random_limited_scan::core::PoolExecutor::new(&compiled, &cfg, pool.register(1));
     let drain = AtomicBool::new(true); // drained before the first trial
-    let mut exec = rls_serve::ServedExecutor::new(
-        runner,
-        &compiled,
-        &drain,
-        Arc::new(AtomicBool::new(false)),
-    );
+    let mut exec =
+        rls_serve::ServedExecutor::new(pooled, &drain, Arc::new(AtomicBool::new(false)));
     let print = random_limited_scan::core::fingerprint(circuit.name(), &cfg);
     let mut campaign =
         rls_dispatch::Campaign::create(&dir.join("served"), circuit.name(), 1, print).unwrap();
@@ -411,18 +402,10 @@ fn interrupted_campaign(dir: &Path) -> (RlsConfig, PathBuf, u64) {
     let cfg = RlsConfig::new(2, 3, 2); // TS0 alone does not reach coverage
     let compiled = Arc::new(rls_dispatch::CompiledCircuit::compile(circuit.clone()).unwrap());
     let pool = rls_dispatch::SharedPool::new(2);
-    let ctx = Arc::new(rls_dispatch::SharedSimContext::new(
-        Arc::clone(&compiled),
-        cfg.observe,
-    ));
-    let runner = rls_dispatch::SharedSetRunner::new(ctx, pool.register(1));
+    let pooled = random_limited_scan::core::PoolExecutor::new(&compiled, &cfg, pool.register(1));
     let drain = AtomicBool::new(true); // cancelled before the first trial
-    let mut exec = rls_serve::ServedExecutor::new(
-        runner,
-        &compiled,
-        &drain,
-        Arc::new(AtomicBool::new(false)),
-    );
+    let mut exec =
+        rls_serve::ServedExecutor::new(pooled, &drain, Arc::new(AtomicBool::new(false)));
     let print = random_limited_scan::core::fingerprint(circuit.name(), &cfg);
     let mut campaign =
         rls_dispatch::Campaign::create(&dir.join("served"), circuit.name(), 1, print).unwrap();

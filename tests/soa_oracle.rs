@@ -17,7 +17,9 @@
 //! harness that cannot catch a wrong opcode proves nothing.
 
 use random_limited_scan::core::{generate_ts0, RlsConfig};
-use random_limited_scan::dispatch::{SetRunner, SimContext, WorkerPool};
+use random_limited_scan::dispatch::{
+    CompiledCircuit, SharedPool, SharedSetRunner, SharedSimContext,
+};
 use rls_fsim::{
     simulate_batch, simulate_tile_at, tile_compatible, Fault, FaultId, FaultSimulator,
     FaultUniverse, GoodSim, LaneWidth, ScanTest, ShiftOp, SimKernel, SimOptions, TestTrace,
@@ -228,9 +230,9 @@ fn engine_matrix_matches_the_legacy_kernel_under_dropping() {
 
 #[test]
 fn dispatch_thread_matrix_matches_the_engine() {
-    // The pooled runner tiles tests across worker threads; its surviving
-    // live list must equal the sequential engine's at every (width,
-    // height, threads) point.
+    // The pooled runner tiles tests across the shared pool's workers; its
+    // surviving live list must equal the sequential engine's at every
+    // (width, height, threads) point.
     let c = random_limited_scan::benchmarks::s27();
     let tests = mixed_s27_tests(&c);
     let mut engine = FaultSimulator::new(&c);
@@ -238,17 +240,18 @@ fn dispatch_thread_matrix_matches_the_engine() {
     engine.run_tests(&tests);
     let live = engine.live().to_vec();
     let detected = engine.detected_count();
+    let compiled = CompiledCircuit::compile(c.clone()).expect("s27 is acyclic");
+    let compiled = std::sync::Arc::new(compiled);
     for width in [LaneWidth::W64, LaneWidth::W512] {
         for height in [1, 4] {
             for threads in [1, 4] {
-                let ctx = SimContext::new(&c, SimOptions::default())
+                let ctx = SharedSimContext::new(compiled.clone(), SimOptions::default())
                     .with_lane_width(width)
                     .with_pattern_lanes(height);
-                let (count, pooled_live) = WorkerPool::new(threads).scope(|d| {
-                    let mut runner = SetRunner::new(&ctx, d);
-                    let count = runner.run_set(&tests).len();
-                    (count, runner.live().to_vec())
-                });
+                let pool = SharedPool::new(threads);
+                let mut runner = SharedSetRunner::new(ctx.into(), pool.register(threads));
+                let count = runner.try_run_set(&tests).expect("no job fails").len();
+                let pooled_live = runner.live().to_vec();
                 assert_eq!(
                     (count, &pooled_live),
                     (detected, &live),

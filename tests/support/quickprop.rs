@@ -1,8 +1,7 @@
 //! quickprop: a miniature, std-only property-testing harness.
 //!
-//! A stand-in for the feature-gated `proptest` suite
-//! (`tests/properties.rs`, `--features proptest-suite`) that runs in the
-//! default offline CI with no external dependencies: deterministic seeded
+//! The property-test harness of `tests/properties_std.rs`. It runs in
+//! the default offline CI with no external dependencies: deterministic seeded
 //! generation on the workspace's own [`XorShift64`] plus greedy
 //! shrinking.
 //!
