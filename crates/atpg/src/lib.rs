@@ -9,10 +9,18 @@
 //! computes that reference set:
 //!
 //! - [`podem::Podem`] — the classic PODEM algorithm over a two-plane
-//!   (good/faulty) three-valued simulation, with a backtrack limit;
+//!   (good/faulty) three-valued simulation, with a backtrack limit.
+//!   Implication is event-driven: a decision re-evaluates only the gates
+//!   whose inputs changed, level by level, and logs the old values on an
+//!   undo trail that a backtrack rewinds. The D-frontier is searched only
+//!   in the fault's cone. The search makes the same decisions as a
+//!   full-recompute engine, which the workspace's `tests/podem_oracle.rs`
+//!   keeps as its differential reference;
 //! - [`DetectableSet`] — per-fault classification
 //!   (detectable / redundant / aborted) for a whole collapsed fault list,
-//!   with a [`ScanTest`] witness for every detectable fault.
+//!   with a [`ScanTest`] witness for every detectable fault. Each call is
+//!   traced as an `atpg.classify` span with summed `atpg.*` effort and
+//!   verdict counters (see `rls_obs::names`).
 //!
 //! # Example
 //!

@@ -10,7 +10,7 @@ use rls_netlist::Circuit;
 
 use rls_fsim::{CollapsedFaults, FaultId, FaultUniverse, ScanTest};
 
-use crate::podem::{Podem, PodemOutcome};
+use crate::podem::{Effort, Podem, PodemOutcome};
 
 /// Classification of a circuit's collapsed fault list.
 #[derive(Debug, Clone)]
@@ -38,13 +38,24 @@ impl DetectableSet {
     }
 
     /// Classifies a specific fault list.
+    ///
+    /// Traced as one `atpg.classify` span; the search effort and the
+    /// verdict counts are summed over the list and emitted once, as the
+    /// `atpg.decisions`, `atpg.backtracks`, `atpg.detected`,
+    /// `atpg.redundant` and `atpg.aborted` counters.
     pub fn compute_for(
         circuit: &Circuit,
         universe: &FaultUniverse,
         faults: &[FaultId],
         backtrack_limit: usize,
     ) -> Self {
+        let _span = rls_obs::span!(
+            "atpg.classify",
+            faults = faults.len(),
+            backtrack_limit = backtrack_limit
+        );
         let podem = Podem::new(circuit, backtrack_limit);
+        let mut effort = Effort::default();
         let mut set = DetectableSet {
             detectable: Vec::new(),
             redundant: Vec::new(),
@@ -52,7 +63,7 @@ impl DetectableSet {
             witnesses: Vec::new(),
         };
         for &id in faults {
-            match podem.generate(universe.fault(id)) {
+            match podem.generate_counted(universe.fault(id), &mut effort) {
                 PodemOutcome::Detected(test) => {
                     set.detectable.push(id);
                     set.witnesses.push((id, test));
@@ -61,6 +72,11 @@ impl DetectableSet {
                 PodemOutcome::Aborted => set.aborted.push(id),
             }
         }
+        rls_obs::counter!("atpg.decisions", effort.decisions);
+        rls_obs::counter!("atpg.backtracks", effort.backtracks);
+        rls_obs::counter!("atpg.detected", set.detectable.len() as u64);
+        rls_obs::counter!("atpg.redundant", set.redundant.len() as u64);
+        rls_obs::counter!("atpg.aborted", set.aborted.len() as u64);
         set
     }
 

@@ -152,11 +152,20 @@ pub fn circuit(name: &str) -> Circuit {
 }
 
 /// Computes the detectable-fault target for a circuit, logging the
-/// classification.
+/// classification and the backtrack limit it used.
 ///
-/// Very large circuits get a reduced PODEM backtrack limit: hard-to-prove
-/// faults land in `aborted` (excluded from the target and reported) instead
-/// of stalling the run for hours.
+/// The PODEM backtrack limit per fault depends on the gate count:
+///
+/// | gates        | limit                                   |
+/// |--------------|-----------------------------------------|
+/// | ≤ 600        | [`DEFAULT_BACKTRACK_LIMIT`] (10,000)    |
+/// | 601 – 5,000  | 1,000                                   |
+/// | > 5,000      | 200                                     |
+///
+/// Larger circuits get less effort per fault: hard-to-prove faults land
+/// in `aborted` (excluded from the target and reported) instead of
+/// stalling the run for hours. The limit decides which faults are in the
+/// target, so it is reported in [`TargetInfo::backtrack_limit`].
 pub fn target_for(c: &Circuit, name: &str) -> TargetInfo {
     let limit = if c.num_gates() > 5000 {
         200
@@ -167,8 +176,8 @@ pub fn target_for(c: &Circuit, name: &str) -> TargetInfo {
     };
     let info = detectable_target(c, limit);
     eprintln!(
-        "[{name}] faults: {} detectable, {} redundant, {} aborted",
-        info.detectable, info.redundant, info.aborted
+        "[{name}] faults: {} detectable, {} redundant, {} aborted (backtrack limit {})",
+        info.detectable, info.redundant, info.aborted, info.backtrack_limit
     );
     info
 }

@@ -216,6 +216,8 @@ pub struct TargetInfo {
     pub redundant: usize,
     /// Aborted classifications (excluded from the target, reported).
     pub aborted: usize,
+    /// The PODEM backtrack limit per fault that produced this split.
+    pub backtrack_limit: usize,
 }
 
 /// Computes the ATPG-detectable coverage target for a circuit.
@@ -229,6 +231,7 @@ pub fn detectable_target(circuit: &Circuit, backtrack_limit: usize) -> TargetInf
         detectable: set.detectable().len(),
         redundant: set.redundant().len(),
         aborted: set.aborted().len(),
+        backtrack_limit,
         target: CoverageTarget::Faults(set.detectable().to_vec()),
     }
 }

@@ -54,7 +54,7 @@ const DET_CRATES: &[&str] = &[
 const PERSIST_CRATES: &[&str] = &["dispatch", "obs", "serve"];
 
 /// Crates that emit `rls-obs` metrics: the metric-name audit applies.
-const OBS_CRATES: &[&str] = &["core", "fsim", "dispatch", "obs", "root", "serve"];
+const OBS_CRATES: &[&str] = &["atpg", "core", "fsim", "dispatch", "obs", "root", "serve"];
 
 /// The lock-dense crates: concurrency flow rules (`lock-order`,
 /// `blocking-under-lock`) apply. Everything else either has no shared
@@ -276,7 +276,7 @@ mod tests {
         let lint = rules_for_crate("lint");
         assert!(!lint.det && lint.panic && lint.atomics && !lint.persist && !lint.obs && !lint.conc);
         let atpg = rules_for_crate("atpg");
-        assert!(!atpg.det && atpg.panic && !atpg.obs);
+        assert!(!atpg.det && atpg.panic && atpg.obs);
         let serve = rules_for_crate("serve");
         assert!(serve.det && serve.panic && serve.atomics && serve.persist && serve.obs && serve.conc);
     }

@@ -19,6 +19,7 @@ pub const SPANS: &[&str] = &[
     "dispatch.set",     // parallel executor: one fanned-out test set
     "bench.table",      // one table binary run
     "bench.circuit",    // one circuit within a table run
+    "atpg.classify",    // PODEM classification of one fault list
 ];
 
 /// Counter names (sinks accumulate by summing).
@@ -60,6 +61,11 @@ pub const COUNTERS: &[&str] = &[
     "obs.late_events",         // events discarded after a sealed stream's summary
     "serve.stats.requests",    // stats/watch introspection requests served
     "serve.stats.frames",      // progress frames streamed to watch clients
+    "atpg.decisions",          // PODEM decisions made over one fault list
+    "atpg.backtracks",         // PODEM decisions flipped over one fault list
+    "atpg.detected",           // faults PODEM proved detectable
+    "atpg.redundant",          // faults PODEM proved redundant
+    "atpg.aborted",            // faults PODEM gave up on at the backtrack limit
 ];
 
 /// Gauge names (sinks keep the last observation).

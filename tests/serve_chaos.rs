@@ -331,13 +331,16 @@ fn watchdog_requeues_a_stalled_campaign_and_the_outcome_is_exact() {
     let _g = lock();
     // Two-phase schedule. A mild 2ms-per-job delay from the start keeps
     // the campaign alive long enough to interfere with (a direct s208
-    // run finishes in milliseconds) while every wave — TS0's ~68 jobs
+    // run finishes in milliseconds) while every wave — TS0's ~36 jobs
     // included — stays far inside the wave timeout. Once the TS0
-    // checkpoint lands, the delay is raised to 10ms per job: a trial
-    // set's ~28 jobs over two workers now take ~140ms between beats,
-    // past the 100ms deadline but still under the 200ms wave timeout —
-    // so the *stall* path (requeue from checkpoint, then force-degrade)
-    // is what runs, not the coarse inline wave-failure fallback.
+    // checkpoint lands, the schedule counts jobs instead: every 40th job
+    // sleeps 160ms. A trial set here is 12–18 jobs, so a set holds at
+    // most one sleeping job, and that one job alone keeps the set from
+    // beating for 160ms whatever the set's job count — past the 100ms
+    // deadline plus its 25ms scan period, still under the 200ms wave
+    // timeout. So the *stall* path (requeue from checkpoint, then
+    // force-degrade) is what runs, not the coarse inline wave-failure
+    // fallback, and it runs within the first few trial sets.
     inject::arm_from_spec("job_delay=1:2").unwrap();
     let dir = scratch("watchdog");
     let (socket, server) = start_server(&dir, |c| {
@@ -361,7 +364,7 @@ fn watchdog_requeues_a_stalled_campaign_and_the_outcome_is_exact() {
         assert!(Instant::now() < deadline, "no TS0 checkpoint appeared");
         std::thread::sleep(Duration::from_millis(2));
     }
-    inject::arm_from_spec("job_delay=1:10").unwrap();
+    inject::arm_from_spec("job_delay=40:160").unwrap();
     let lines: Vec<String> = reader
         .lines()
         .map_while(Result::ok)
