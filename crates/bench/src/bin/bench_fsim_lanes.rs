@@ -13,10 +13,14 @@
 //!   lanes) — the reference the SoA rewrite is judged against;
 //! - the **soa** levelized kernel at each width × each tile height
 //!   (1/2/4/8 pattern lanes), where a height-`P` tile simulates `P`
-//!   shape-compatible tests against `lanes / P` faults in one pass.
+//!   shape-compatible tests against `lanes / P - 1` faults in one pass
+//!   (one lane per pattern is its fault-free reference machine).
 //!
 //! Timing comes from the `fsim.test_nanos` histogram captured through an
-//! in-memory obs sink. Each configuration runs several repeats and keeps
+//! in-memory obs sink. It covers each test's whole engine job: for the
+//! legacy kernel that includes the good trace and the activation
+//! prefilter, because the SoA kernel simulates the fault-free machine in
+//! its reference lanes inside the same window. Each configuration runs several repeats and keeps
 //! the fastest total (the usual noise-rejection for wall-clock numbers);
 //! every configuration must detect the identical fault set or the run
 //! aborts — a benchmark of a wrong kernel is worthless.

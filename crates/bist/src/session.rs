@@ -72,7 +72,7 @@ pub fn run_session(
                 feed(scanned, &mut misr);
             }
             feed(trace.final_state(), &mut misr);
-            sim.run_test_with_trace(test, &trace);
+            sim.run_test(test);
         }
     }
     SessionReport {

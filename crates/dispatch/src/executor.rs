@@ -5,25 +5,23 @@
 //!
 //! A *set* is the atomic scheduling unit of the paper's procedures: `TS0`
 //! or one derived `TS(I, D1)`. [`crate::SharedSetRunner::try_run_set`]
-//! fans a set out in two phases over the worker pool:
-//!
-//! 1. **Traces** — one job per test computes the fault-free
-//!    [`rls_fsim::TestTrace`] (tagged by `trace_tag`);
-//! 2. **Batches** — one job per `(tile, fault chunk)` of the live list
-//!    (tagged by `batch_tag`) simulates the chunk against a *tile* of
-//!    shape-compatible consecutive tests (see `plan_tiles`; height one
-//!    when pattern lanes are disabled), publishing detections into the
-//!    shared [`crate::AtomicBitset`]. Chunks are sized adaptively by
-//!    [`chunk_size`] so big circuits do not drown the queue in per-job
-//!    overhead; a chunk wider than a tile row is simulated as consecutive
-//!    full-width sub-batches inside the job.
+//! fans a set out as one wave of jobs over the worker pool: one job per
+//! `(tile, fault chunk)` of the live list (tagged by `batch_tag`)
+//! simulates the chunk against a *tile* of shape-compatible consecutive
+//! tests (see `plan_tiles`; height one when pattern lanes are disabled),
+//! publishing detections into the shared [`crate::AtomicBitset`]. The
+//! SoA kernel carries each test's fault-free machine in a reference lane,
+//! so no job waits on a precomputed good trace. Chunks are sized
+//! adaptively by [`chunk_size`] so big circuits do not drown the queue in
+//! per-job overhead; a chunk wider than a tile row is simulated as
+//! consecutive full-width sub-batches inside the job.
 //!
 //! # Recovery
 //!
-//! Both phases run as *waves*: submit, wait for the barrier, drain
+//! The jobs run as *waves*: submit, wait for the barrier, drain
 //! [`crate::JobFailure`]s, and resubmit exactly the failed tags. Retries
-//! are idempotent — traces land in `OnceLock`s and the detection bitset is
-//! monotone — so a wave may safely re-run work that partially completed.
+//! are idempotent — the detection bitset is monotone — so a wave may
+//! safely re-run work that partially completed.
 //! A tag still failing after [`RETRY_ROUNDS`] retry waves aborts the set
 //! with [`SetFailure`], leaving the runner's live/detected bookkeeping
 //! untouched so the caller can replay the whole set on the sequential
@@ -31,22 +29,14 @@
 
 use std::fmt;
 
-use rls_fsim::{tile_compatible, ScanTest};
+use rls_fsim::{max_tile_height, tile_compatible, LaneWidth, ScanTest};
 
 use crate::pool::JobFailure;
 
-/// Retry waves allowed per phase before a set is declared failed.
+/// Retry waves allowed per set before it is declared failed.
 pub const RETRY_ROUNDS: usize = 3;
 
-/// Tag bit distinguishing phase-1 trace jobs from phase-2 batch jobs.
-pub(crate) const TRACE_TAG_BIT: u64 = 1 << 62;
-
-/// Tag of the phase-1 job computing test `t`'s fault-free trace.
-pub(crate) fn trace_tag(t: usize) -> u64 {
-    TRACE_TAG_BIT | t as u64
-}
-
-/// Tag of the phase-2 job simulating live-list chunk `chunk` of tile `t`
+/// Tag of the job simulating live-list chunk `chunk` of tile `t`
 /// (a tile is a run of shape-compatible consecutive tests; height one
 /// when pattern lanes are disabled).
 pub(crate) fn batch_tag(t: usize, chunk: usize) -> u64 {
@@ -54,11 +44,16 @@ pub(crate) fn batch_tag(t: usize, chunk: usize) -> u64 {
 }
 
 /// Greedy tiling of a test set for the 2-D kernel: consecutive runs of
-/// [`tile_compatible`] tests, each run at most `pattern_lanes` tall.
-/// Height-one tiles degrade to the classic one-test batch, so the same
-/// wave protocol covers both shapes.
-pub(crate) fn plan_tiles(tests: &[ScanTest], pattern_lanes: usize) -> Vec<(usize, usize)> {
-    let cap = pattern_lanes.max(1);
+/// [`tile_compatible`] tests, each run at most `pattern_lanes` tall and
+/// never taller than [`max_tile_height`] of `width` (every pattern needs a
+/// reference lane plus a fault lane). Height-one tiles degrade to the
+/// classic one-test batch, so the same wave protocol covers both shapes.
+pub(crate) fn plan_tiles(
+    tests: &[ScanTest],
+    pattern_lanes: usize,
+    width: LaneWidth,
+) -> Vec<(usize, usize)> {
+    let cap = pattern_lanes.clamp(1, max_tile_height(width));
     let mut tiles = Vec::new();
     let mut i = 0;
     while i < tests.len() {
@@ -92,7 +87,8 @@ pub fn chunk_size(live_faults: usize, threads: usize) -> usize {
 /// returned, so the caller can replay the set elsewhere (sequentially).
 #[derive(Debug)]
 pub struct SetFailure {
-    /// Which phase gave up ("trace" or "batch").
+    /// Which phase gave up (always "batch": a set is one wave of
+    /// `(tile, chunk)` jobs).
     pub phase: &'static str,
     /// Waves attempted (initial submission plus retries).
     pub attempts: usize,
@@ -155,14 +151,28 @@ mod tests {
     #[test]
     fn plan_tiles_groups_compatible_runs_up_to_the_cap() {
         let tests = tileable_set();
-        assert_eq!(plan_tiles(&tests, 4), vec![(0, 4), (4, 6), (6, 7)]);
-        assert_eq!(plan_tiles(&tests, 8), vec![(0, 6), (6, 7)]);
+        let w = LaneWidth::W512;
+        assert_eq!(plan_tiles(&tests, 4, w), vec![(0, 4), (4, 6), (6, 7)]);
+        assert_eq!(plan_tiles(&tests, 8, w), vec![(0, 6), (6, 7)]);
         assert_eq!(
-            plan_tiles(&tests, 1),
+            plan_tiles(&tests, 1, w),
             (0..7).map(|t| (t, t + 1)).collect::<Vec<_>>(),
             "height one degrades to one tile per test"
         );
-        assert_eq!(plan_tiles(&[], 4), Vec::<(usize, usize)>::new());
+        assert_eq!(plan_tiles(&[], 4, w), Vec::<(usize, usize)>::new());
+    }
+
+    #[test]
+    fn plan_tiles_caps_height_at_half_the_word() {
+        // 40 compatible tests at 64 pattern lanes on a 64-lane word: each
+        // pattern needs a reference and a fault lane, so tiles stop at 32.
+        let shape = &tileable_set()[0];
+        let tests = vec![shape.clone(); 40];
+        assert_eq!(
+            plan_tiles(&tests, 64, LaneWidth::W64),
+            vec![(0, 32), (32, 40)]
+        );
+        assert_eq!(plan_tiles(&tests, 64, LaneWidth::W128), vec![(0, 40)]);
     }
 
     #[test]

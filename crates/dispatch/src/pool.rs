@@ -106,14 +106,6 @@ impl WorkerCounters {
         self.lanes_capacity.fetch_add(capacity, Ordering::Relaxed); // lint: ordering-ok(observability counter; snapshots read after the pool idles, never mid-reduction)
     }
 
-    /// Records wall time spent simulating without a batch (e.g. good-trace
-    /// computation).
-    #[inline]
-    pub fn add_sim_time(&self, elapsed: Duration) {
-        self.sim_nanos
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed); // lint: ordering-ok(observability counter; snapshots read after the pool idles, never mid-reduction)
-    }
-
     /// Records `n` faults this worker newly dropped (first detection).
     #[inline]
     pub fn add_dropped(&self, n: u64) {

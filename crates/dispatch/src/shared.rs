@@ -48,7 +48,7 @@
 //! # Compiled circuits
 //!
 //! [`CompiledCircuit`] packages everything per-circuit and immutable —
-//! parsed netlist, levelization, fault universe, collapsed fault list —
+//! parsed netlist, SoA lowering, fault universe, collapsed fault list —
 //! behind an `Arc`, so a server can compile once and share across
 //! concurrent campaigns; [`SharedSimContext`] adds the per-campaign
 //! mutable state (options, lane width, tile height, detection bitset).
@@ -56,21 +56,18 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use rls_fsim::parallel::activated_in_trace;
 use rls_fsim::{
-    simulate_tile_at, CollapsedFaults, Fault, FaultId, FaultUniverse, GoodSim, LaneWidth,
-    ScanTest, SimOptions, TestTrace, PATTERN_LANES_DEFAULT,
+    simulate_tile_at, tile_fault_capacity, CollapsedFaults, Fault, FaultId, FaultUniverse,
+    LaneWidth, ScanTest, SimOptions, PATTERN_LANES_DEFAULT,
 };
-use rls_netlist::{Circuit, Levelization, LevelizedCircuit, NetlistError};
+use rls_netlist::{Circuit, LevelizedCircuit, NetlistError};
 
 use crate::bitset::AtomicBitset;
-use crate::executor::{
-    batch_tag, chunk_size, plan_tiles, trace_tag, SetFailure, RETRY_ROUNDS, TRACE_TAG_BIT,
-};
+use crate::executor::{batch_tag, chunk_size, plan_tiles, SetFailure, RETRY_ROUNDS};
 use crate::inject;
 use crate::pool::{
     classify, payload_message, FailureClass, JobFailure, PoolSnapshot, WorkerCounters,
@@ -517,14 +514,14 @@ impl Drop for CampaignHandle {
 
 /// Everything immutable a campaign needs about one circuit, compiled once
 /// and shared across campaigns behind an `Arc`: the parsed circuit, its
-/// levelization, the fault universe, and the collapsed fault list.
+/// levelized SoA lowering, the fault universe, and the collapsed fault
+/// list.
 ///
 /// Compilation is fallible (uploaded netlists may have combinational
 /// cycles); a server rejects such requests instead of panicking.
 #[derive(Debug)]
 pub struct CompiledCircuit {
     circuit: Circuit,
-    lev: Arc<Levelization>,
     soa: LevelizedCircuit,
     universe: FaultUniverse,
     collapsed: CollapsedFaults,
@@ -534,13 +531,12 @@ impl CompiledCircuit {
     /// Levelizes, lowers to the SoA kernel layout, enumerates, and
     /// collapses `circuit`.
     pub fn compile(circuit: Circuit) -> Result<Self, NetlistError> {
-        let lev = Arc::new(circuit.levelize()?);
+        let lev = circuit.levelize()?;
         let soa = LevelizedCircuit::build(&circuit, &lev);
         let universe = FaultUniverse::enumerate(&circuit);
         let collapsed = CollapsedFaults::build(&circuit, &universe);
         Ok(CompiledCircuit {
             circuit,
-            lev,
             soa,
             universe,
             collapsed,
@@ -550,12 +546,6 @@ impl CompiledCircuit {
     /// The compiled circuit.
     pub fn circuit(&self) -> &Circuit {
         &self.circuit
-    }
-
-    /// A fault-free simulator reusing the precomputed levelization (cheap
-    /// to construct per job).
-    pub fn good(&self) -> GoodSim<'_> {
-        GoodSim::with_levelization(&self.circuit, Arc::clone(&self.lev))
     }
 
     /// The collapsed representative fault list (sorted by fault id).
@@ -715,38 +705,11 @@ impl SharedSetRunner {
         self.detected.len()
     }
 
-    /// Submits one wave of trace jobs for the given tags.
-    fn submit_trace_wave(
-        &self,
-        tags: &[u64],
-        tests: &Arc<Vec<ScanTest>>,
-        traces: &Arc<Vec<OnceLock<TestTrace>>>,
-    ) {
-        for &tag in tags {
-            let t = (tag & !TRACE_TAG_BIT) as usize;
-            let ctx = Arc::clone(&self.ctx);
-            let tests = Arc::clone(tests);
-            let traces = Arc::clone(traces);
-            self.handle.submit_tagged(tag, move |counters| {
-                let start = Instant::now(); // lint: det-ok(wall time feeds observability counters only, never the reduced result)
-                let good = ctx.compiled.good();
-                // lint: panic-ok(t decodes from a tag minted over 0..tests.len())
-                let trace = good.simulate_test(&tests[t]);
-                counters.add_sim_time(start.elapsed());
-                // A retried job may find the trace already computed by a
-                // wave that panicked after publishing; either value is
-                // identical, so the loss is ignored.
-                let _ = traces[t].set(trace); // lint: panic-ok(t decodes from a tag minted over 0..traces.len())
-            });
-        }
-    }
-
     /// Submits one wave of batch jobs for the given tags.
     fn submit_batch_wave(
         &self,
         tags: &[u64],
         tests: &Arc<Vec<ScanTest>>,
-        traces: &Arc<Vec<OnceLock<TestTrace>>>,
         tiles: &Arc<Vec<(usize, usize)>>,
         chunks: &Arc<Vec<Vec<FaultId>>>,
         live_left: &Arc<AtomicUsize>,
@@ -756,7 +719,6 @@ impl SharedSetRunner {
             let c = (tag & 0xffff_ffff) as usize;
             let ctx = Arc::clone(&self.ctx);
             let tests = Arc::clone(tests);
-            let traces = Arc::clone(traces);
             let tiles = Arc::clone(tiles);
             let chunks = Arc::clone(chunks);
             let live_left = Arc::clone(live_left);
@@ -766,39 +728,28 @@ impl SharedSetRunner {
                 }
                 let (lo, hi) = tiles[ti]; // lint: panic-ok(ti decodes from a tag minted over 0..tiles.len())
                 let tile_tests: Vec<&ScanTest> = tests[lo..hi].iter().collect(); // lint: panic-ok(tiles partition 0..tests.len(), so lo..hi is in range)
-                let tile_traces: Vec<&TestTrace> = (lo..hi)
-                    // lint: panic-ok(the trace wave idles before any batch wave is submitted, so the OnceLocks are populated)
-                    .map(|t| traces[t].get().expect("trace barrier passed"))
-                    .collect();
-                let good = ctx.compiled.good();
-                let circuit = ctx.compiled.circuit();
-                // Shared-bitset fault dropping + activation prefilter: a
-                // fault activated by none of the tile's traces cannot be
-                // detected by any of its patterns.
+                // Shared-bitset fault dropping: faults another job already
+                // detected in this set are not simulated again.
                 // lint: panic-ok(c decodes from a tag minted over 0..chunks.len())
                 let candidates: Vec<(FaultId, Fault)> = chunks[c]
                     .iter()
                     .filter(|&&id| !ctx.detected_bits.get(id))
                     .map(|&id| (id, ctx.compiled.universe.fault(id)))
-                    .filter(|&(_, f)| {
-                        tile_traces.iter().any(|tr| activated_in_trace(circuit, tr, f))
-                    })
                     .collect();
                 if candidates.is_empty() {
                     return;
                 }
                 let width = ctx.lane_width;
                 let height = hi - lo;
-                let cap = width.lanes() / height;
+                let cap = tile_fault_capacity(width, height);
                 let mut newly = 0u64;
                 for sub in candidates.chunks(cap) {
                     let start = Instant::now(); // lint: det-ok(wall time feeds observability counters only, never the reduced result)
                     let per_pattern = simulate_tile_at(
                         width,
+                        ctx.compiled.circuit(),
                         ctx.compiled.levelized(),
-                        &good,
                         &tile_tests,
-                        &tile_traces,
                         sub,
                         ctx.options,
                     );
@@ -820,12 +771,8 @@ impl SharedSetRunner {
 
     /// Runs waves of `submit(tags)` until none fail, retrying only the
     /// failed tags, up to [`RETRY_ROUNDS`] retry waves.
-    fn run_waves(
-        &self,
-        phase: &'static str,
-        mut tags: Vec<u64>,
-        submit: impl Fn(&[u64]),
-    ) -> Result<(), SetFailure> {
+    fn run_waves(&self, mut tags: Vec<u64>, submit: impl Fn(&[u64])) -> Result<(), SetFailure> {
+        const PHASE: &str = "batch";
         let mut attempts = 0;
         loop {
             attempts += 1;
@@ -833,7 +780,7 @@ impl SharedSetRunner {
             rls_obs::gauge!(
                 "dispatch.queue_depth",
                 self.handle.snapshot().pending as u64,
-                phase = phase
+                phase = PHASE
             );
             match self.wave_timeout {
                 None => self.handle.wait_idle(),
@@ -850,7 +797,7 @@ impl SharedSetRunner {
                             class: FailureClass::Other,
                         });
                         return Err(SetFailure {
-                            phase,
+                            phase: PHASE,
                             attempts,
                             failures,
                         });
@@ -863,12 +810,12 @@ impl SharedSetRunner {
             }
             if attempts > RETRY_ROUNDS {
                 return Err(SetFailure {
-                    phase,
+                    phase: PHASE,
                     attempts,
                     failures,
                 });
             }
-            rls_obs::counter!("dispatch.retry_waves", 1, phase = phase);
+            rls_obs::counter!("dispatch.retry_waves", 1, phase = PHASE);
             tags = failures.iter().map(|f| f.tag).collect();
         }
     }
@@ -894,14 +841,7 @@ impl SharedSetRunner {
         // may have abandoned a failing set without draining).
         let _ = self.handle.take_failures();
         let tests: Arc<Vec<ScanTest>> = Arc::new(tests.to_vec());
-        // Phase 1: fault-free traces, one job per test.
-        let traces: Arc<Vec<OnceLock<TestTrace>>> =
-            Arc::new((0..tests.len()).map(|_| OnceLock::new()).collect());
-        let trace_tags: Vec<u64> = (0..tests.len()).map(trace_tag).collect();
-        self.run_waves("trace", trace_tags, |tags| {
-            self.submit_trace_wave(tags, &tests, &traces)
-        })?;
-        // Phase 2: (tile, chunk) jobs over the set-start live list,
+        // One wave of (tile, chunk) jobs over the set-start live list,
         // chunk-sized by the campaign's budget exactly as a direct run
         // with `threads = budget` would size them.
         let size = chunk_size(self.live.len(), self.handle.threads());
@@ -909,16 +849,19 @@ impl SharedSetRunner {
             Arc::new(self.live.chunks(size).map(<[FaultId]>::to_vec).collect());
         rls_obs::gauge!("dispatch.chunk_size", size as u64);
         rls_obs::counter!("dispatch.chunks", chunks.len() as u64);
-        let tiles: Arc<Vec<(usize, usize)>> =
-            Arc::new(plan_tiles(&tests, self.ctx.pattern_lanes));
+        let tiles: Arc<Vec<(usize, usize)>> = Arc::new(plan_tiles(
+            &tests,
+            self.ctx.pattern_lanes,
+            self.ctx.lane_width,
+        ));
         rls_obs::counter!("fsim.tiles", tiles.len() as u64);
         rls_obs::gauge!("fsim.pattern_lanes", self.ctx.pattern_lanes as u64);
         let live_left = Arc::new(AtomicUsize::new(self.live.len()));
         let batch_tags: Vec<u64> = (0..tiles.len())
             .flat_map(|t| (0..chunks.len()).map(move |c| batch_tag(t, c)))
             .collect();
-        self.run_waves("batch", batch_tags, |tags| {
-            self.submit_batch_wave(tags, &tests, &traces, &tiles, &chunks, &live_left)
+        self.run_waves(batch_tags, |tags| {
+            self.submit_batch_wave(tags, &tests, &tiles, &chunks, &live_left)
         })?;
         // Deterministic reduction: merge in live-list order.
         let newly: Vec<FaultId> = self
@@ -1142,7 +1085,7 @@ mod tests {
         let runner = s27_runner(&pool);
         let flaky_runs = Arc::new(AtomicUsize::new(0));
         let total_jobs = Arc::new(AtomicUsize::new(0));
-        let r = runner.run_waves("trace", vec![1, 2, 3], |tags| {
+        let r = runner.run_waves(vec![1, 2, 3], |tags| {
             for &tag in tags {
                 let flaky_runs = Arc::clone(&flaky_runs);
                 let total_jobs = Arc::clone(&total_jobs);
@@ -1167,7 +1110,7 @@ mod tests {
         let pool = SharedPool::new(2);
         let runner = s27_runner(&pool);
         let err = runner
-            .run_waves("batch", vec![7], |tags| {
+            .run_waves(vec![7], |tags| {
                 for &tag in tags {
                     runner.handle().submit_tagged(tag, |_| panic!("always down"));
                 }

@@ -1,15 +1,16 @@
-//! The fault-simulation driver: collapsed fault list, fault dropping,
-//! activation prefiltering.
+//! The fault-simulation driver: collapsed fault list, fault dropping, and
+//! the grouping of consecutive tests into SoA tiles.
 
 use rls_netlist::{Circuit, LevelizedCircuit};
 
 use crate::collapse::CollapsedFaults;
 use crate::coverage::Coverage;
 use crate::fault::{Fault, FaultId, FaultUniverse};
-use crate::good::{GoodSim, TestTrace};
+use crate::good::GoodSim;
 use crate::parallel::{activated_in_trace, simulate_chunk_at, LaneWidth, SimOptions};
 use crate::soa::{
-    simulate_chunk_soa, simulate_tile_at, tile_compatible, SimKernel, PATTERN_LANES_DEFAULT,
+    max_tile_height, simulate_tile_at, tile_compatible, tile_fault_capacity, SimKernel,
+    PATTERN_LANES_DEFAULT,
 };
 use crate::test::ScanTest;
 
@@ -24,7 +25,8 @@ use crate::test::ScanTest;
 pub struct LaneStats {
     /// Kernel invocations at the configured width.
     pub batches: u64,
-    /// Occupied lanes summed over those batches.
+    /// Fault lanes summed over those batches (the SoA kernel's
+    /// per-pattern reference lanes are not counted).
     pub lanes_used: u64,
     /// Available lanes summed over those batches
     /// (`batches * lane_width.lanes()`).
@@ -140,7 +142,9 @@ impl<'c> FaultSimulator<'c> {
 
     /// Sets the tile height: how many shape-compatible consecutive tests
     /// [`FaultSimulator::run_tests`] packs into one SoA pass. `1` disables
-    /// tiling; the legacy kernel ignores this knob.
+    /// tiling; the legacy kernel ignores this knob. A height above
+    /// [`max_tile_height`] of the lane width is capped to it when tests
+    /// are grouped, so every pattern keeps a reference and a fault lane.
     ///
     /// # Panics
     ///
@@ -238,23 +242,29 @@ impl<'c> FaultSimulator<'c> {
     /// Simulates one test against all live faults, drops and returns the
     /// newly detected ones.
     pub fn run_test(&mut self, test: &ScanTest) -> Vec<FaultId> {
-        let _span = rls_obs::span!("fsim.test", live = self.live.len());
-        let trace = self.good.simulate_test(test);
-        self.run_test_with_trace(test, &trace)
+        match self.kernel {
+            SimKernel::Legacy => self.run_test_legacy(test),
+            SimKernel::Soa => self.run_tile(&[test]),
+        }
     }
 
-    /// Like [`FaultSimulator::run_test`] with a precomputed good trace
-    /// (which must belong to `test`).
-    pub fn run_test_with_trace(&mut self, test: &ScanTest, trace: &TestTrace) -> Vec<FaultId> {
+    /// The legacy reference path: the good trace, an activation prefilter
+    /// (only faults whose site toggles are simulated), then one
+    /// gate-walking batch per lane-width chunk. The `fsim.test_nanos`
+    /// window covers the trace and the prefilter too: the SoA path does
+    /// the same fault-free work inside its kernel, so both kernels are
+    /// timed over the whole per-test job.
+    fn run_test_legacy(&mut self, test: &ScanTest) -> Vec<FaultId> {
+        let _span = rls_obs::span!("fsim.test", live = self.live.len());
+        let sw = rls_obs::Stopwatch::start();
+        let trace = self.good.simulate_test(test);
         let circuit = self.good.circuit();
-        // Activation prefilter: only simulate faults whose site toggles.
         let candidates: Vec<(FaultId, Fault)> = self
             .live
             .iter()
             .map(|&id| (id, self.universe.fault(id)))
-            .filter(|&(_, f)| activated_in_trace(circuit, trace, f))
+            .filter(|&(_, f)| activated_in_trace(circuit, &trace, f))
             .collect();
-        let sw = rls_obs::Stopwatch::start();
         let lanes = self.lane_width.lanes();
         let mut newly: Vec<FaultId> = Vec::new();
         for chunk in candidates.chunks(lanes) {
@@ -262,48 +272,49 @@ impl<'c> FaultSimulator<'c> {
             // batch lets the flight recorder attribute time to bands of
             // the candidate list, not just whole tests.
             rls_obs::mark!("fsim.batch", chunk.len());
-            newly.extend(match self.kernel {
-                SimKernel::Legacy => simulate_chunk_at(
-                    self.lane_width,
-                    &self.good,
-                    test,
-                    trace,
-                    chunk,
-                    self.options,
-                ),
-                SimKernel::Soa => simulate_chunk_soa(
-                    self.lane_width,
-                    &self.soa,
-                    &self.good,
-                    test,
-                    trace,
-                    chunk,
-                    self.options,
-                ),
-            });
+            newly.extend(simulate_chunk_at(
+                self.lane_width,
+                &self.good,
+                test,
+                &trace,
+                chunk,
+                self.options,
+            ));
         }
-        // Lane utilization of the sequential path: each chunk is one
-        // kernel call at the configured width whose occupied lanes are its
-        // candidates. Accounted unconditionally (see [`LaneStats`]); the
-        // obs counters below mirror it only when the layer is enabled.
-        let batches = candidates.len().div_ceil(lanes) as u64;
+        self.account(&sw, candidates.len(), lanes, 1);
+        self.drop_detected(&newly);
+        newly
+    }
+
+    /// Records the kernel calls of one test or tile: `faults` candidates
+    /// simulated `per_batch` at a time against `height` patterns.
+    /// Accounted unconditionally (see [`LaneStats`]); the obs counters
+    /// mirror it only when the layer is enabled.
+    fn account(&mut self, sw: &rls_obs::Stopwatch, faults: usize, per_batch: usize, height: usize) {
+        let lanes = self.lane_width.lanes() as u64;
+        let batches = faults.div_ceil(per_batch) as u64;
+        let fault_lanes = (faults * height) as u64;
         self.lane_stats.batches += batches;
-        self.lane_stats.lanes_used += candidates.len() as u64;
-        self.lane_stats.lanes_capacity += batches * lanes as u64;
+        self.lane_stats.lanes_used += fault_lanes;
+        self.lane_stats.lanes_capacity += batches * lanes;
         if sw.running() {
             rls_obs::histogram!("fsim.test_nanos", sw.elapsed_nanos());
-            rls_obs::counter!("fsim.faults_simulated", candidates.len() as u64);
+            rls_obs::counter!("fsim.faults_simulated", fault_lanes);
             rls_obs::counter!("fsim.batches", batches);
-            rls_obs::counter!("fsim.lanes_used", candidates.len() as u64);
-            rls_obs::counter!("fsim.lanes_capacity", batches * lanes as u64);
-            rls_obs::gauge!("fsim.lane_width", lanes as u64);
+            rls_obs::counter!("fsim.lanes_used", fault_lanes);
+            rls_obs::counter!("fsim.lanes_capacity", batches * lanes);
+            rls_obs::gauge!("fsim.lane_width", lanes);
         }
+    }
+
+    /// Drops `newly` (already in detection order and duplicate-free) from
+    /// the live list and appends it to the detected list.
+    fn drop_detected(&mut self, newly: &[FaultId]) {
         if !newly.is_empty() {
             let drop: std::collections::HashSet<FaultId> = newly.iter().copied().collect();
             self.live.retain(|id| !drop.contains(id));
-            self.detected.extend(newly.iter().copied());
+            self.detected.extend_from_slice(newly);
         }
-        newly
     }
 
     /// Applies externally computed detections: drops the given faults from
@@ -327,77 +338,70 @@ impl<'c> FaultSimulator<'c> {
     /// Simulates a sequence of tests, dropping as it goes; returns the
     /// number of newly detected faults.
     ///
-    /// Under the SoA kernel with `pattern_lanes > 1`, consecutive
-    /// shape-compatible tests are packed into `faults × patterns` tiles so
-    /// one kernel pass covers several tests. The detections (set *and*
-    /// order) are identical to the sequential per-test run: per-(test,
-    /// fault) detection does not depend on the other faults in the word,
-    /// and the tile merge walks patterns in test order, dropping
-    /// already-detected ids exactly as sequential dropping would.
+    /// Under the SoA kernel, consecutive shape-compatible tests are packed
+    /// into tiles of up to `pattern_lanes` tests (capped at
+    /// [`max_tile_height`]) so one kernel pass covers several tests. The
+    /// detections (set *and* order) are identical to the sequential
+    /// per-test run: per-(test, fault) detection does not depend on the
+    /// other faults in the word, and the tile merge walks patterns in test
+    /// order, dropping already-detected ids exactly as sequential dropping
+    /// would.
     pub fn run_tests<'a, I>(&mut self, tests: I) -> usize
     where
         I: IntoIterator<Item = &'a ScanTest>,
     {
         let mut count = 0;
-        if self.kernel == SimKernel::Soa && self.pattern_lanes > 1 {
-            let all: Vec<&ScanTest> = tests.into_iter().collect();
-            let mut i = 0;
-            while i < all.len() {
-                if self.live.is_empty() {
-                    break;
-                }
-                let mut j = i + 1;
-                while j < all.len()
-                    && j - i < self.pattern_lanes
-                    && tile_compatible(all[i], all[j]) // lint: panic-ok(i < j < all.len() by the loop conditions)
-                {
-                    j += 1;
-                }
-                count += self.run_tile(&all[i..j]); // lint: panic-ok(i < j <= all.len(): j starts at i + 1 and only advances while in range)
-                i = j;
-            }
-        } else {
+        if self.kernel == SimKernel::Legacy {
             for t in tests {
                 if self.live.is_empty() {
                     break;
                 }
-                count += self.run_test(t).len();
+                count += self.run_test_legacy(t).len();
             }
+            return count;
+        }
+        let all: Vec<&ScanTest> = tests.into_iter().collect();
+        let height = self.pattern_lanes.min(max_tile_height(self.lane_width));
+        let mut i = 0;
+        while i < all.len() && !self.live.is_empty() {
+            let mut j = i + 1;
+            while j < all.len()
+                && j - i < height
+                && tile_compatible(all[i], all[j]) // lint: panic-ok(i < j < all.len() by the loop conditions)
+            {
+                j += 1;
+            }
+            count += self.run_tile(&all[i..j]).len(); // lint: panic-ok(i < j <= all.len(): j starts at i + 1 and only advances while in range)
+            i = j;
         }
         count
     }
 
-    /// Simulates a tile of shape-compatible tests in one SoA pass and
-    /// merges the per-pattern detections in test order.
-    fn run_tile(&mut self, tests: &[&ScanTest]) -> usize {
+    /// Simulates a tile of shape-compatible tests in SoA passes over the
+    /// whole live list and merges the per-pattern detections in test
+    /// order. Each pattern's fault-free machine runs in its reference
+    /// lane, so no good trace is computed and no candidate is
+    /// prefiltered: a fault that is never activated is simply not
+    /// detected.
+    fn run_tile(&mut self, tests: &[&ScanTest]) -> Vec<FaultId> {
         let t = tests.len();
-        if t == 1 {
-            return self.run_test(tests[0]).len(); // lint: panic-ok(t == tests.len() == 1 on this branch)
-        }
         let _span = rls_obs::span!("fsim.test", live = self.live.len());
-        let traces: Vec<TestTrace> = tests.iter().map(|x| self.good.simulate_test(x)).collect();
-        let circuit = self.good.circuit();
-        // Union activation prefilter: a fault inactive in every trace of
-        // the tile cannot be detected by any of its tests.
+        let sw = rls_obs::Stopwatch::start();
         let candidates: Vec<(FaultId, Fault)> = self
             .live
             .iter()
             .map(|&id| (id, self.universe.fault(id)))
-            .filter(|&(_, f)| traces.iter().any(|tr| activated_in_trace(circuit, tr, f)))
             .collect();
-        let sw = rls_obs::Stopwatch::start();
-        let lanes = self.lane_width.lanes();
-        let cap = lanes / t;
-        let trace_refs: Vec<&TestTrace> = traces.iter().collect();
+        let cap = tile_fault_capacity(self.lane_width, t);
+        let circuit = self.good.circuit();
         let mut per_pattern: Vec<Vec<FaultId>> = vec![Vec::new(); t];
         for chunk in candidates.chunks(cap) {
             rls_obs::mark!("fsim.batch", chunk.len());
             let dets = simulate_tile_at(
                 self.lane_width,
+                circuit,
                 &self.soa,
-                &self.good,
                 tests,
-                &trace_refs,
                 chunk,
                 self.options,
             );
@@ -405,20 +409,11 @@ impl<'c> FaultSimulator<'c> {
                 per_pattern[p].extend(d); // lint: panic-ok(the kernel returns one list per tile pattern)
             }
         }
-        // Each kernel call occupies `chunk × t` lanes of a `lanes`-wide
-        // word, so the capacity invariant (`capacity == batches * lanes`)
-        // is preserved under tiling.
-        let batches = candidates.len().div_ceil(cap) as u64;
-        self.lane_stats.batches += batches;
-        self.lane_stats.lanes_used += (candidates.len() * t) as u64;
-        self.lane_stats.lanes_capacity += batches * lanes as u64;
+        // Each kernel call occupies `t × (chunk + 1)` lanes of a
+        // `lanes`-wide word, so the capacity invariant
+        // (`capacity == batches * lanes`) is preserved under tiling.
+        self.account(&sw, candidates.len(), cap, t);
         if sw.running() {
-            rls_obs::histogram!("fsim.test_nanos", sw.elapsed_nanos());
-            rls_obs::counter!("fsim.faults_simulated", (candidates.len() * t) as u64);
-            rls_obs::counter!("fsim.batches", batches);
-            rls_obs::counter!("fsim.lanes_used", (candidates.len() * t) as u64);
-            rls_obs::counter!("fsim.lanes_capacity", batches * lanes as u64);
-            rls_obs::gauge!("fsim.lane_width", lanes as u64);
             rls_obs::counter!("fsim.tiles", 1);
             rls_obs::gauge!("fsim.pattern_lanes", t as u64);
         }
@@ -426,19 +421,13 @@ impl<'c> FaultSimulator<'c> {
         // candidate order, dropping ids already claimed by an earlier
         // pattern — exactly what sequential per-test dropping produces.
         let mut seen: std::collections::HashSet<FaultId> = std::collections::HashSet::new();
-        let mut merged: Vec<FaultId> = Vec::new();
-        for dets in per_pattern {
-            for id in dets {
-                if seen.insert(id) {
-                    merged.push(id);
-                }
-            }
-        }
-        if !merged.is_empty() {
-            self.live.retain(|id| !seen.contains(id));
-            self.detected.extend(merged.iter().copied());
-        }
-        merged.len()
+        let merged: Vec<FaultId> = per_pattern
+            .into_iter()
+            .flatten()
+            .filter(|&id| seen.insert(id))
+            .collect();
+        self.drop_detected(&merged);
+        merged
     }
 }
 
@@ -669,6 +658,47 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn pattern_lanes_above_half_the_word_are_capped() {
+        // 64 pattern lanes at W64 would leave no fault lane beside the
+        // per-pattern reference lanes; grouping caps tiles at 32 tall and
+        // the detection order still matches the legacy kernel.
+        let c = rls_benchmarks::s27();
+        let mut x = 0x2545_f491u32;
+        let mut bit = move || {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x & 1 == 1
+        };
+        let tests: Vec<ScanTest> = (0..40)
+            .map(|_| {
+                let scan_in = (0..3).map(|_| bit()).collect();
+                let vectors = (0..5).map(|_| (0..4).map(|_| bit()).collect()).collect();
+                let fill = vec![bit()];
+                ScanTest::new(scan_in, vectors)
+                    .with_shifts(vec![crate::test::ShiftOp {
+                        at: 2,
+                        amount: 1,
+                        fill,
+                    }])
+                    .unwrap()
+            })
+            .collect();
+        let mut reference = FaultSimulator::new(&c);
+        reference.set_kernel(crate::soa::SimKernel::Legacy);
+        reference.run_tests(&tests);
+        assert!(reference.detected_count() > 0);
+        let mut sim = FaultSimulator::new(&c);
+        sim.set_lane_width(LaneWidth::W64);
+        sim.set_pattern_lanes(64);
+        sim.run_tests(&tests);
+        assert_eq!(sim.detected(), reference.detected());
+        let stats = sim.lane_stats();
+        assert_eq!(stats.lanes_capacity, stats.batches * 64);
+        assert!(stats.lanes_used <= stats.lanes_capacity);
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! Produces the complete per-time-unit trace of a [`ScanTest`]: every net
 //! value, the state sequence, the primary outputs, the bits observed during
-//! limited scans and the final scan-out. The parallel fault simulator uses
-//! this trace both as the comparison reference and for activation
-//! prefiltering; the `table1` harness prints it directly.
-
-use std::sync::Arc;
+//! limited scans and the final scan-out. The legacy wide-word kernel
+//! ([`crate::parallel`]) uses this trace both as the comparison reference
+//! and for activation prefiltering (the SoA kernel carries the fault-free
+//! machine in its own reference lanes instead); the `table1` harness
+//! prints it directly.
 
 use rls_netlist::{Circuit, Levelization, NodeKind};
 use rls_scan::ops;
@@ -14,15 +14,10 @@ use rls_scan::ops;
 use crate::test::ScanTest;
 
 /// Fault-free simulator for a circuit.
-///
-/// The levelization is held behind an `Arc` so contexts that share one
-/// compiled circuit across `'static` jobs (the campaign server) can build
-/// per-job simulators without re-levelizing; [`GoodSim::new`] still
-/// levelizes once and single-campaign callers see no difference.
 #[derive(Debug)]
 pub struct GoodSim<'c> {
     circuit: &'c Circuit,
-    lev: Arc<Levelization>,
+    lev: Levelization,
 }
 
 /// The full fault-free trace of one test.
@@ -60,22 +55,7 @@ impl<'c> GoodSim<'c> {
         let lev = circuit
             .levelize()
             .expect("fault simulation requires an acyclic circuit"); // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-        GoodSim {
-            circuit,
-            lev: Arc::new(lev),
-        }
-    }
-
-    /// Builds a simulator from a levelization computed elsewhere (must
-    /// belong to `circuit`). This is the cheap per-job constructor for
-    /// executors that share one compiled circuit across owned threads.
-    pub fn with_levelization(circuit: &'c Circuit, lev: Arc<Levelization>) -> Self {
         GoodSim { circuit, lev }
-    }
-
-    /// The shared levelization handle (for [`GoodSim::with_levelization`]).
-    pub fn levelization_arc(&self) -> Arc<Levelization> {
-        Arc::clone(&self.lev)
     }
 
     /// The circuit under simulation.

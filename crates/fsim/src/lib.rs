@@ -23,10 +23,11 @@
 //!   lane, 64–512 lanes per batch via [`LaneWidth`], fault-free reference
 //!   from [`good`]) — kept as the differential reference kernel;
 //! - [`soa`]: the levelized SoA tile kernel — flat-array evaluation over
-//!   [`rls_netlist::LevelizedCircuit`] with a second (pattern) lane axis,
-//!   proven bit-identical to [`parallel`] by the oracle suite;
-//! - [`engine`]: the [`FaultSimulator`] driver with fault dropping and
-//!   activation prefiltering;
+//!   [`rls_netlist::LevelizedCircuit`] with a second (pattern) lane axis
+//!   and the fault-free machine in one reference lane per pattern, proven
+//!   bit-identical to [`parallel`] by the oracle suite;
+//! - [`engine`]: the [`FaultSimulator`] driver with fault dropping (and,
+//!   on the legacy kernel, activation prefiltering);
 //! - [`coverage`]: fault-coverage bookkeeping.
 //!
 //! # Modeling notes (see DESIGN.md)
@@ -78,8 +79,9 @@ pub use partial_sim::{
     run_tests_partial, simulate_batch_partial, simulate_good_partial, PartialTrace,
 };
 pub use soa::{
-    parse_pattern_lanes, simulate_chunk_soa, simulate_tile_at, simulate_tile_lanes,
-    tile_compatible, SimKernel, SoaBatch, PATTERN_LANES_ALL, PATTERN_LANES_DEFAULT,
+    max_tile_height, parse_pattern_lanes, simulate_tile_at, simulate_tile_lanes,
+    tile_compatible, tile_fault_capacity, SimKernel, SoaBatch, PATTERN_LANES_ALL,
+    PATTERN_LANES_DEFAULT,
 };
 pub use test::{ScanTest, ShiftOp, TestError};
 pub use transition::{

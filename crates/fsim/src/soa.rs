@@ -6,20 +6,34 @@
 //! values, an opcode table and a CSR fanin table — so the hot loop is
 //! branch-light and pointer-chase-free.
 //!
-//! # Two lane axes
+//! # Two lane axes and a reference lane
 //!
 //! A lane word still carries [`LaneWord::LANES`] machines, but the lanes
-//! are split across *two* axes: a tile of `T` tests (patterns) times `C`
-//! faults, with `T * C <= W::LANES`. Lane `p * C + j` simulates fault `j`
-//! of the batch under test `p` of the tile. Pattern `p` owns the
-//! contiguous lane range `[p*C, (p+1)*C)`, so per-pattern masks and the
-//! occupied mask are cheap `low_mask` arithmetic. With `T = 1` the kernel
-//! degenerates to the legacy single-test layout.
+//! are split across *two* axes: a tile of `T` tests (patterns), each
+//! owning `C + 1` lanes for a batch of `C` faults, with
+//! `T * (C + 1) <= W::LANES`. Pattern `p` owns the contiguous lane range
+//! `[p*(C+1), (p+1)*(C+1))`:
+//!
+//! ```text
+//!   pattern 0                       pattern 1
+//!   | ref | f0 | f1 | … | fC-1 |    | ref | f0 | f1 | … | fC-1 |   …
+//!     0     1    2        C          C+1   C+2
+//! ```
+//!
+//! Lane `p*(C+1)` carries no forces: it *is* the fault-free machine under
+//! test `p`, so the kernel needs no precomputed good trace. Fault `j`
+//! sits in lane `p*(C+1) + 1 + j`. At every observation point (primary
+//! outputs, limited-scan scan-out bits, the final scan-out) each word is
+//! compared with its pattern's reference bit broadcast across the
+//! pattern's range (`mix` over `pmask`); the detection and early-exit
+//! mask covers the fault lanes only. With `T = 1` the kernel degenerates
+//! to the single-test layout: one reference lane plus `W::LANES - 1`
+//! faults.
 //!
 //! Tests sharing one tile must be *shape-compatible* ([`tile_compatible`]):
 //! same length and the same `(at, amount)` shift schedule. Scan-in states,
 //! vectors and shift fills may all differ per pattern — they are mixed
-//! into lane words per pattern range.
+//! into lane words per pattern range, reference lane included.
 //!
 //! # Fault injection as sorted patch lists
 //!
@@ -36,8 +50,9 @@
 //!
 //! The legacy kernel stays in-tree as the reference implementation; the
 //! differential oracle (`tests/soa_oracle.rs` plus the in-crate tests
-//! below) proves this kernel bit-identical across every lane width,
-//! pattern-lane count and thread count. The `kernel-mutate` feature
+//! below) proves this kernel bit-identical to it, and to the serial
+//! good-versus-faulty trace comparison, across every lane width,
+//! pattern-lane count, observation mix and thread count. The `kernel-mutate` feature
 //! compiles in seeded single-site corruptions ([`mutate`]) used by the
 //! mutation self-tests to prove the oracle actually turns red.
 
@@ -47,7 +62,6 @@ use rls_scan::ops;
 use rls_scan::{W128, W256, W512};
 
 use crate::fault::{Fault, FaultId, FaultSite};
-use crate::good::{GoodSim, TestTrace};
 use crate::parallel::{Force, LaneWidth, SimOptions};
 use crate::test::ScanTest;
 
@@ -131,7 +145,8 @@ struct PinPatch<W> {
     pins: Vec<(u32, Force<W>)>,
 }
 
-/// A prepared `patterns × faults` tile of at most `W::LANES` lanes.
+/// A prepared `patterns × (1 + faults)` tile of at most `W::LANES` lanes:
+/// per pattern one force-free reference lane, then one lane per fault.
 ///
 /// All patch lists are sorted by their application key so the kernel can
 /// walk them with a cursor as it sweeps the level runs.
@@ -153,12 +168,13 @@ pub struct SoaBatch<W = u64> {
     ff_capture: Vec<(usize, Force<W>)>,
 }
 
-/// Sorts raw `(key, fault-lane, stuck)` entries and folds equal keys into
-/// one [`Force`] covering the fault's lane in every pattern.
+/// Sorts raw `(key, fault index, stuck)` entries and folds equal keys into
+/// one [`Force`] covering the fault's lane in every pattern (lane
+/// `p * stride + 1 + j`; the reference lane `p * stride` stays force-free).
 fn fold_forces<K: Ord + Copy, W: LaneWord>(
     mut raw: Vec<(K, usize, bool)>,
     patterns: usize,
-    chunk: usize,
+    stride: usize,
 ) -> Vec<(K, Force<W>)> {
     raw.sort_by_key(|&(k, _, _)| k);
     let mut out: Vec<(K, Force<W>)> = Vec::new();
@@ -168,18 +184,18 @@ fn fold_forces<K: Ord + Copy, W: LaneWord>(
         }
         let f = &mut out.last_mut().expect("pushed on the previous line").1; // lint: panic-ok(out is nonempty here by construction)
         for p in 0..patterns {
-            f.add(p * chunk + j, stuck);
+            f.add(p * stride + 1 + j, stuck);
         }
     }
     out
 }
 
 impl<W: LaneWord> SoaBatch<W> {
-    /// Prepares a tile of `faults` × `patterns`.
+    /// Prepares a tile of `patterns` × (reference lane + `faults`).
     ///
     /// # Panics
     ///
-    /// Panics if `patterns * faults.len()` exceeds `W::LANES`.
+    /// Panics if `patterns * (faults.len() + 1)` exceeds `W::LANES`.
     pub fn new(
         circuit: &Circuit,
         lc: &LevelizedCircuit,
@@ -188,13 +204,13 @@ impl<W: LaneWord> SoaBatch<W> {
     ) -> Self {
         assert!(patterns > 0, "a tile must hold at least one pattern");
         assert!(
-            patterns * faults.len() <= W::LANES,
-            "tile of {} patterns x {} faults exceeds {} lanes",
+            patterns * (faults.len() + 1) <= W::LANES,
+            "tile of {} patterns x (1 + {} faults) exceeds {} lanes",
             patterns,
             faults.len(),
             W::LANES
         );
-        let chunk = faults.len();
+        let stride = faults.len() + 1;
         let num_sources = lc.num_sources();
         let mut src: Vec<(u32, usize, bool)> = Vec::new();
         let mut gstem: Vec<(u32, usize, bool)> = Vec::new();
@@ -224,7 +240,7 @@ impl<W: LaneWord> SoaBatch<W> {
                 }
             }
         }
-        let pin_forces = fold_forces::<(u32, u32), W>(pins, patterns, chunk);
+        let pin_forces = fold_forces::<(u32, u32), W>(pins, patterns, stride);
         let mut pin_gates: Vec<PinPatch<W>> = Vec::new();
         for ((gate, pin), f) in pin_forces {
             match pin_gates.last_mut() {
@@ -238,17 +254,23 @@ impl<W: LaneWord> SoaBatch<W> {
         SoaBatch {
             ids: faults.iter().map(|&(id, _)| id).collect(),
             patterns,
-            source_stem: fold_forces(src, patterns, chunk),
-            gate_stem: fold_forces(gstem, patterns, chunk),
+            source_stem: fold_forces(src, patterns, stride),
+            gate_stem: fold_forces(gstem, patterns, stride),
             pin_gates,
-            ff_pos: fold_forces(ffp, patterns, chunk),
-            ff_capture: fold_forces(ffc, patterns, chunk),
+            ff_pos: fold_forces(ffp, patterns, stride),
+            ff_capture: fold_forces(ffc, patterns, stride),
         }
     }
 
-    /// Number of occupied lanes (`patterns × faults`).
+    /// Number of occupied lanes (`patterns × (1 + faults)`), reference
+    /// lanes included.
     pub fn lanes(&self) -> usize {
-        self.patterns * self.ids.len()
+        self.patterns * self.stride()
+    }
+
+    /// Lanes per pattern: the reference lane plus one lane per fault.
+    fn stride(&self) -> usize {
+        self.ids.len() + 1
     }
 
     /// The tile's fault ids, in candidate order.
@@ -394,14 +416,14 @@ fn eval_tile<W: LaneWord>(
 
 /// Collects per-pattern detections in candidate (batch) order.
 fn collect_detections<W: LaneWord>(batch: &SoaBatch<W>, detected: W) -> Vec<Vec<FaultId>> {
-    let chunk = batch.ids.len();
+    let stride = batch.stride();
     (0..batch.patterns)
         .map(|p| {
             batch
                 .ids
                 .iter()
                 .enumerate()
-                .filter(|&(j, _)| detected.lane(p * chunk + j))
+                .filter(|&(j, _)| detected.lane(p * stride + 1 + j))
                 .map(|(_, &id)| id)
                 .collect()
         })
@@ -412,47 +434,66 @@ fn collect_detections<W: LaneWord>(batch: &SoaBatch<W>, detected: W) -> Vec<Vec<
 /// against one fault batch and returns, per test, the detected faults in
 /// candidate order.
 ///
-/// `traces[p]` must be the good trace of exactly `tests[p]` on this
-/// circuit, and `lc` the lowering of the same circuit as `sim`.
+/// The fault-free machine of every test runs in its pattern's reference
+/// lane, so no good trace is needed; `lc` must be the lowering of
+/// `circuit`.
 ///
 /// # Panics
 ///
-/// Panics if the tile is empty, the tests are not shape-compatible, the
-/// traces don't pair up with the tests, or `tests.len() * faults.len()`
+/// Panics if the tile is empty, the tests are not shape-compatible or do
+/// not match the circuit's widths, or `tests.len() * (faults.len() + 1)`
 /// exceeds `W::LANES`.
 pub fn simulate_tile_lanes<W: LaneWord>(
+    circuit: &Circuit,
     lc: &LevelizedCircuit,
-    sim: &GoodSim<'_>,
     tests: &[&ScanTest],
-    traces: &[&TestTrace],
     faults: &[(FaultId, Fault)],
     opts: SimOptions,
 ) -> Vec<Vec<FaultId>> {
     let t = tests.len();
     assert!(t > 0, "a tile must hold at least one test");
-    assert_eq!(t, traces.len(), "one good trace per tile test");
     assert!(
         tests.iter().all(|x| tile_compatible(tests[0], x)), // lint: panic-ok(t > 0 asserted just above)
         "tile tests must share length and shift schedule"
     );
-    let circuit = sim.circuit();
-    let chunk = faults.len();
-    let batch: SoaBatch<W> = SoaBatch::new(circuit, lc, faults, t);
-    let full = mutated_full_mask::<W>(t * chunk);
-    let pmask: Vec<W> = (0..t)
-        .map(|p| W::low_mask((p + 1) * chunk) ^ W::low_mask(p * chunk))
-        .collect();
-    let mut detected = W::ZERO;
     let nff = circuit.num_dffs();
+    let npi = circuit.num_inputs();
+    assert!(
+        tests.iter().all(|x| x.scan_in.len() == nff),
+        "scan-in width mismatch"
+    );
+    assert!(
+        tests
+            .iter()
+            .all(|x| x.vectors.iter().all(|v| v.len() == npi)),
+        "vector width mismatch"
+    );
+    if faults.is_empty() {
+        return vec![Vec::new(); t];
+    }
+    let batch: SoaBatch<W> = SoaBatch::new(circuit, lc, faults, t);
+    let stride = batch.stride();
+    // Pattern ranges (reference lane included) carry the stimulus and the
+    // broadcast reference bit; `full` is the fault lanes only.
+    let pmask: Vec<W> = (0..t)
+        .map(|p| W::low_mask((p + 1) * stride) ^ W::low_mask(p * stride))
+        .collect();
+    let ref_lane: Vec<usize> = (0..t).map(|p| mutated_reference_lane(p * stride)).collect();
+    let fault_lanes = (0..t).fold(W::ZERO, |acc, p| {
+        acc | (W::low_mask((p + 1) * stride) ^ W::low_mask(p * stride + 1))
+    });
+    let full = mutated_full_mask(fault_lanes, t * stride);
+    // Lanes disagreeing with their pattern's fault-free machine.
+    let diff = |w: W| w ^ mix(&pmask, |p| w.lane(ref_lane[p])); // lint: panic-ok(mix calls back with p < pmask.len() == ref_lane.len())
+    let mut detected = W::ZERO;
     let mut state: Vec<W> = (0..nff)
-        .map(|i| mix(&pmask, |p| tests[p].scan_in[i])) // lint: panic-ok(scan-in widths match the chain, as in the legacy kernel)
+        .map(|i| mix(&pmask, |p| tests[p].scan_in[i])) // lint: panic-ok(scan-in widths asserted against the chain above)
         .collect();
     batch.force_state(&mut state);
     let mut values: Vec<W> = vec![W::ZERO; lc.num_slots()];
-    let mut pi_words: Vec<W> = vec![W::ZERO; circuit.num_inputs()];
+    let mut pi_words: Vec<W> = vec![W::ZERO; npi];
     let mut fill_words: Vec<W> = Vec::new();
     let mut fanin_buf: Vec<W> = Vec::with_capacity(8);
-    let mut scan_out_idx = 0usize;
     for u in 0..tests[0].len() { // lint: panic-ok(t > 0 asserted at entry)
         if let Some(op) = tests[0].shift_at(u) { // lint: panic-ok(t > 0 asserted at entry)
             fill_words.clear();
@@ -466,25 +507,22 @@ pub fn simulate_tile_lanes<W: LaneWord>(
             }
             let outs = ops::limited_scan_fill_lanes(&mut state, op.amount, &fill_words);
             if opts.observe_limited_scan_out {
-                for (cyc, &w) in outs.iter().enumerate() {
-                    let gw = mix(&pmask, |p| traces[p].scan_outs[scan_out_idx].1[cyc]); // lint: panic-ok(trace has one scan_out row per shift, one bit per cycle)
-                    detected |= w ^ gw;
+                for &w in &outs {
+                    detected |= diff(w);
                 }
             }
-            scan_out_idx += 1;
             batch.force_state(&mut state);
             if detected & full == full {
                 return collect_detections(&batch, full);
             }
         }
         for (k, w) in pi_words.iter_mut().enumerate() {
-            *w = mix(&pmask, |p| tests[p].vectors[u][k]); // lint: panic-ok(vector widths match num_inputs, as asserted by the legacy kernel)
+            *w = mix(&pmask, |p| tests[p].vectors[u][k]); // lint: panic-ok(vector widths asserted against num_inputs above)
         }
         eval_tile(lc, &batch, &pi_words, &state, &mut values, &mut fanin_buf);
         if opts.observe_outputs {
-            for (k, &oslot) in lc.output_slots().iter().enumerate() {
-                let gw = mix(&pmask, |p| traces[p].outputs[u][k]); // lint: panic-ok(trace holds one PO row per vector of this very test)
-                detected |= values[oslot as usize] ^ gw; // lint: panic-ok(output slots index the dense value array)
+            for &oslot in lc.output_slots() {
+                detected |= diff(values[oslot as usize]); // lint: panic-ok(output slots index the dense value array)
             }
         }
         if detected & full == full {
@@ -501,9 +539,8 @@ pub fn simulate_tile_lanes<W: LaneWord>(
     }
     // Final complete scan-out observes the whole state.
     if opts.observe_final_scan_out {
-        for (i, &sw) in state.iter().enumerate() {
-            let gw = mix(&pmask, |p| traces[p].final_state()[i]); // lint: panic-ok(the trace final state is dense over dffs)
-            detected |= sw ^ gw;
+        for &sw in &state {
+            detected |= diff(sw);
         }
     }
     detected &= full;
@@ -513,50 +550,46 @@ pub fn simulate_tile_lanes<W: LaneWord>(
 /// Dispatches one tile to the kernel monomorphisation for `width`.
 ///
 /// The tile-aware analogue of [`crate::parallel::simulate_chunk_at`]: the
-/// chunkers size fault chunks by `width.lanes() / tests.len()` and this
-/// guard catches any disagreement.
+/// chunkers size fault chunks by `width.lanes() / tests.len() - 1` (one
+/// reference lane per pattern) and this guard catches any disagreement.
 ///
 /// # Panics
 ///
-/// Panics if `tests.len() * faults.len()` exceeds `width.lanes()`.
+/// Panics if `tests.len() * (faults.len() + 1)` exceeds `width.lanes()`.
 pub fn simulate_tile_at(
     width: LaneWidth,
+    circuit: &Circuit,
     lc: &LevelizedCircuit,
-    sim: &GoodSim<'_>,
     tests: &[&ScanTest],
-    traces: &[&TestTrace],
     faults: &[(FaultId, Fault)],
     opts: SimOptions,
 ) -> Vec<Vec<FaultId>> {
     assert!(
-        tests.len() * faults.len() <= width.lanes(),
-        "tile of {} patterns x {} faults exceeds the {}-lane kernel width",
+        tests.len() * (faults.len() + 1) <= width.lanes(),
+        "tile of {} patterns x (1 + {} faults) exceeds the {}-lane kernel width",
         tests.len(),
         faults.len(),
         width.lanes()
     );
     match width {
-        LaneWidth::W64 => simulate_tile_lanes::<u64>(lc, sim, tests, traces, faults, opts),
-        LaneWidth::W128 => simulate_tile_lanes::<W128>(lc, sim, tests, traces, faults, opts),
-        LaneWidth::W256 => simulate_tile_lanes::<W256>(lc, sim, tests, traces, faults, opts),
-        LaneWidth::W512 => simulate_tile_lanes::<W512>(lc, sim, tests, traces, faults, opts),
+        LaneWidth::W64 => simulate_tile_lanes::<u64>(circuit, lc, tests, faults, opts),
+        LaneWidth::W128 => simulate_tile_lanes::<W128>(circuit, lc, tests, faults, opts),
+        LaneWidth::W256 => simulate_tile_lanes::<W256>(circuit, lc, tests, faults, opts),
+        LaneWidth::W512 => simulate_tile_lanes::<W512>(circuit, lc, tests, faults, opts),
     }
 }
 
-/// Single-test convenience: a 1-pattern tile, drop-in compatible with
-/// [`crate::parallel::simulate_chunk_at`].
-pub fn simulate_chunk_soa(
-    width: LaneWidth,
-    lc: &LevelizedCircuit,
-    sim: &GoodSim<'_>,
-    test: &ScanTest,
-    trace: &TestTrace,
-    faults: &[(FaultId, Fault)],
-    opts: SimOptions,
-) -> Vec<FaultId> {
-    simulate_tile_at(width, lc, sim, &[test], &[trace], faults, opts)
-        .pop()
-        .unwrap_or_default()
+/// Fault lanes per pattern of a `height`-tall tile at `width`: each
+/// pattern spends one lane on its reference machine. `height` must be in
+/// `1..=max_tile_height(width)`.
+pub fn tile_fault_capacity(width: LaneWidth, height: usize) -> usize {
+    width.lanes() / height - 1
+}
+
+/// The tallest tile `width` can hold: every pattern needs its reference
+/// lane plus at least one fault lane.
+pub fn max_tile_height(width: LaneWidth) -> usize {
+    width.lanes() / 2
 }
 
 /// Seeded single-site kernel corruptions for mutation self-tests.
@@ -585,6 +618,10 @@ pub mod mutate {
         /// The occupied-lane mask is one lane short, silently dropping
         /// the last fault × pattern lane from detection.
         DetectMaskShort,
+        /// Every pattern broadcasts its reference bit from the wrong lane
+        /// (its first fault lane instead of the force-free machine), so
+        /// faults are compared against a faulty machine.
+        ReferenceLaneSkew,
     }
 
     thread_local! {
@@ -671,23 +708,41 @@ fn mutated_patch_barrier(run_end: u32) -> u32 {
 
 #[cfg(feature = "kernel-mutate")]
 #[inline]
-fn mutated_full_mask<W: LaneWord>(occupied: usize) -> W {
+fn mutated_full_mask<W: LaneWord>(fault_lanes: W, occupied: usize) -> W {
     match mutate::armed() {
-        Some(mutate::KernelMutation::DetectMaskShort) => W::low_mask(occupied.saturating_sub(1)),
-        _ => W::low_mask(occupied),
+        Some(mutate::KernelMutation::DetectMaskShort) => {
+            fault_lanes & W::low_mask(occupied.saturating_sub(1))
+        }
+        _ => fault_lanes,
     }
 }
 
 #[cfg(not(feature = "kernel-mutate"))]
 #[inline(always)]
-fn mutated_full_mask<W: LaneWord>(occupied: usize) -> W {
-    W::low_mask(occupied)
+fn mutated_full_mask<W: LaneWord>(fault_lanes: W, _occupied: usize) -> W {
+    fault_lanes
+}
+
+#[cfg(feature = "kernel-mutate")]
+#[inline]
+fn mutated_reference_lane(lane: usize) -> usize {
+    match mutate::armed() {
+        Some(mutate::KernelMutation::ReferenceLaneSkew) => lane + 1,
+        _ => lane,
+    }
+}
+
+#[cfg(not(feature = "kernel-mutate"))]
+#[inline(always)]
+fn mutated_reference_lane(lane: usize) -> usize {
+    lane
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::FaultUniverse;
+    use crate::good::GoodSim;
     use crate::parallel::simulate_chunk_at;
     use crate::test::ShiftOp;
     use rls_netlist::Levelization;
@@ -728,32 +783,53 @@ mod tests {
             .collect()
     }
 
+    /// One-test SoA detections over `pairs`, chunked to the 1-tall tile
+    /// capacity at `width`.
+    fn soa_single(
+        width: LaneWidth,
+        c: &Circuit,
+        lc: &LevelizedCircuit,
+        test: &ScanTest,
+        pairs: &[(FaultId, Fault)],
+        opts: SimOptions,
+    ) -> Vec<FaultId> {
+        pairs
+            .chunks(tile_fault_capacity(width, 1))
+            .flat_map(|chunk| simulate_tile_at(width, c, lc, &[test], chunk, opts).remove(0))
+            .collect()
+    }
+
+    /// The legacy kernel's detections over `pairs`, chunked as
+    /// [`soa_single`] chunks them.
+    fn legacy_single(
+        width: LaneWidth,
+        sim: &GoodSim<'_>,
+        test: &ScanTest,
+        pairs: &[(FaultId, Fault)],
+        opts: SimOptions,
+    ) -> Vec<FaultId> {
+        let trace = sim.simulate_test(test);
+        pairs
+            .chunks(tile_fault_capacity(width, 1))
+            .flat_map(|chunk| simulate_chunk_at(width, sim, test, &trace, chunk, opts))
+            .collect()
+    }
+
     #[test]
     fn soa_matches_legacy_on_s27_exhaustive_at_every_width() {
         // The in-crate differential oracle: for every width the SoA
-        // detections equal the legacy kernel's, in order, chunk by chunk.
+        // detections equal the legacy kernel's, in order.
         let c = rls_benchmarks::s27();
         let sim = GoodSim::new(&c);
         let (lc, _) = lower(&c);
         let u = FaultUniverse::enumerate(&c);
         let pairs = all_pairs(&u);
+        let opts = SimOptions::default();
         for test in s27_tests() {
-            let trace = sim.simulate_test(&test);
             for width in LaneWidth::ALL {
-                for chunk in pairs.chunks(width.lanes()) {
-                    let legacy =
-                        simulate_chunk_at(width, &sim, &test, &trace, chunk, SimOptions::default());
-                    let soa = simulate_chunk_soa(
-                        width,
-                        &lc,
-                        &sim,
-                        &test,
-                        &trace,
-                        chunk,
-                        SimOptions::default(),
-                    );
-                    assert_eq!(legacy, soa, "width {width}");
-                }
+                let legacy = legacy_single(width, &sim, &test, &pairs, opts);
+                let soa = soa_single(width, &c, &lc, &test, &pairs, opts);
+                assert_eq!(legacy, soa, "width {width}");
             }
         }
     }
@@ -766,18 +842,15 @@ mod tests {
         let u = FaultUniverse::enumerate(&c);
         let pairs = all_pairs(&u);
         let test = &s27_tests()[0];
-        let trace = sim.simulate_test(test);
         for mask in 0..8u32 {
             let opts = SimOptions {
                 observe_outputs: mask & 1 != 0,
                 observe_limited_scan_out: mask & 2 != 0,
                 observe_final_scan_out: mask & 4 != 0,
             };
-            for chunk in pairs.chunks(64) {
-                let legacy = simulate_chunk_at(LaneWidth::W64, &sim, test, &trace, chunk, opts);
-                let soa = simulate_chunk_soa(LaneWidth::W64, &lc, &sim, test, &trace, chunk, opts);
-                assert_eq!(legacy, soa, "opts {opts:?}");
-            }
+            let legacy = legacy_single(LaneWidth::W64, &sim, test, &pairs, opts);
+            let soa = soa_single(LaneWidth::W64, &c, &lc, test, &pairs, opts);
+            assert_eq!(legacy, soa, "opts {opts:?}");
         }
     }
 
@@ -786,57 +859,58 @@ mod tests {
         // A T-pattern tile must report exactly what T single-test calls
         // report, per pattern and in order — pattern lanes don't interact.
         let c = rls_benchmarks::s27();
-        let sim = GoodSim::new(&c);
         let (lc, _) = lower(&c);
         let u = FaultUniverse::enumerate(&c);
         let pairs = all_pairs(&u);
         let tests = s27_tests();
-        let traces: Vec<TestTrace> = tests.iter().map(|t| sim.simulate_test(t)).collect();
+        let opts = SimOptions::default();
         for t in [1usize, 2, 4] {
             let tile_tests: Vec<&ScanTest> = tests[..t].iter().collect();
-            let tile_traces: Vec<&TestTrace> = traces[..t].iter().collect();
-            let cap = LaneWidth::W256.lanes() / t;
+            let cap = tile_fault_capacity(LaneWidth::W256, t);
             for chunk in pairs.chunks(cap) {
-                let tiled = simulate_tile_at(
-                    LaneWidth::W256,
-                    &lc,
-                    &sim,
-                    &tile_tests,
-                    &tile_traces,
-                    chunk,
-                    SimOptions::default(),
-                );
+                let tiled = simulate_tile_at(LaneWidth::W256, &c, &lc, &tile_tests, chunk, opts);
                 for p in 0..t {
-                    let single = simulate_chunk_soa(
-                        LaneWidth::W256,
-                        &lc,
-                        &sim,
-                        tile_tests[p],
-                        tile_traces[p],
-                        chunk,
-                        SimOptions::default(),
-                    );
-                    assert_eq!(tiled[p], single, "tile height {t}, pattern {p}");
+                    let single =
+                        simulate_tile_at(LaneWidth::W256, &c, &lc, &[tile_tests[p]], chunk, opts);
+                    assert_eq!(tiled[p], single[0], "tile height {t}, pattern {p}");
                 }
             }
         }
     }
 
     #[test]
+    fn tallest_tile_holds_one_fault_per_pattern() {
+        // At the height cap every pattern owns exactly a reference lane
+        // and one fault lane, and the word is full.
+        let c = rls_benchmarks::s27();
+        let (lc, _) = lower(&c);
+        let u = FaultUniverse::enumerate(&c);
+        let pairs = all_pairs(&u);
+        let base = &s27_tests()[0];
+        let height = max_tile_height(LaneWidth::W64);
+        assert_eq!(height, 32);
+        assert_eq!(tile_fault_capacity(LaneWidth::W64, height), 1);
+        assert_eq!(tile_fault_capacity(LaneWidth::W512, 4), 127);
+        let tile_tests: Vec<&ScanTest> = vec![base; height];
+        let opts = SimOptions::default();
+        for chunk in pairs.chunks(1) {
+            let tiled = simulate_tile_at(LaneWidth::W64, &c, &lc, &tile_tests, chunk, opts);
+            let single = simulate_tile_at(LaneWidth::W64, &c, &lc, &[base], chunk, opts);
+            assert!(tiled.iter().all(|d| *d == single[0]));
+        }
+    }
+
+    #[test]
     fn empty_fault_chunk_detects_nothing() {
         let c = rls_benchmarks::s27();
-        let sim = GoodSim::new(&c);
         let (lc, _) = lower(&c);
         let tests = s27_tests();
-        let traces: Vec<TestTrace> = tests.iter().map(|t| sim.simulate_test(t)).collect();
         let tile_tests: Vec<&ScanTest> = tests.iter().collect();
-        let tile_traces: Vec<&TestTrace> = traces.iter().collect();
         let per = simulate_tile_at(
             LaneWidth::W64,
+            &c,
             &lc,
-            &sim,
             &tile_tests,
-            &tile_traces,
             &[],
             SimOptions::default(),
         );
@@ -848,22 +922,18 @@ mod tests {
     #[should_panic(expected = "exceeds the 64-lane kernel width")]
     fn oversized_tile_is_guarded() {
         let c = rls_benchmarks::s27();
-        let sim = GoodSim::new(&c);
         let (lc, _) = lower(&c);
         let u = FaultUniverse::enumerate(&c);
         let pairs = all_pairs(&u);
         let tests = s27_tests();
-        let traces: Vec<TestTrace> = tests.iter().map(|t| sim.simulate_test(t)).collect();
         let tile_tests: Vec<&ScanTest> = tests.iter().collect();
-        let tile_traces: Vec<&TestTrace> = traces.iter().collect();
-        // 4 patterns × 17 faults = 68 lanes > 64.
+        // 4 patterns × (1 reference + 16 faults) = 68 lanes > 64.
         simulate_tile_at(
             LaneWidth::W64,
+            &c,
             &lc,
-            &sim,
             &tile_tests,
-            &tile_traces,
-            &pairs[..17],
+            &pairs[..16],
             SimOptions::default(),
         );
     }
@@ -872,18 +942,14 @@ mod tests {
     #[should_panic(expected = "share length and shift schedule")]
     fn incompatible_tile_is_rejected() {
         let c = rls_benchmarks::s27();
-        let sim = GoodSim::new(&c);
         let (lc, _) = lower(&c);
         let a = ScanTest::from_strings("001", &["0111", "1001"]).unwrap();
         let b = ScanTest::from_strings("001", &["0111", "1001", "0100"]).unwrap();
-        let ta = sim.simulate_test(&a);
-        let tb = sim.simulate_test(&b);
         simulate_tile_at(
             LaneWidth::W64,
+            &c,
             &lc,
-            &sim,
             &[&a, &b],
-            &[&ta, &tb],
             &[],
             SimOptions::default(),
         );

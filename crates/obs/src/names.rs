@@ -33,9 +33,9 @@ pub const COUNTERS: &[&str] = &[
     "campaign.sink_errors",   // campaign persistence disabled by IO error
     "fsim.faults_simulated",  // candidate faults pushed through the kernel
     "fsim.batches",           // wide-word kernel invocations
-    "fsim.lanes_used",        // occupied lanes across those batches
+    "fsim.lanes_used",        // fault lanes across those batches (reference lanes excluded)
     "fsim.lanes_capacity",    // available lanes across those batches
-    "fsim.tiles",             // multi-test SoA tile passes
+    "fsim.tiles",             // SoA tile passes (a single test is a 1-tall tile)
     "dispatch.chunks",        // fault chunks fanned out for one set
     "dispatch.retry_waves",   // re-submission waves after job failures
     "dispatch.respawns",      // supervised worker replacements

@@ -59,23 +59,23 @@ fn adaptive_chunks_cut_submit_overhead_on_large_circuits() {
     runner.try_run_set(&tests).expect("no job fails");
     let snap = runner.handle().snapshot();
     let ctx = runner.context();
+    // A set is one wave of (tile, chunk) jobs.
     let jobs: u64 = snap.workers.iter().map(|w| w.jobs).sum();
-    let batch_jobs = jobs - tests.len() as u64; // phase 1 is one trace job per test
     // TS0 tests all share one shape (same length, no shifts), so tiling
     // packs them `pattern_lanes` tall and batch jobs are (tile, chunk).
     let tiles = tests.len().div_ceil(ctx.pattern_lanes());
     let adaptive = (tiles * live.div_ceil(size)) as u64;
     let fixed = (tiles * live.div_ceil(LANES)) as u64;
-    assert_eq!(batch_jobs, adaptive, "one job per (tile, adaptive chunk)");
+    assert_eq!(jobs, adaptive, "one job per (tile, adaptive chunk)");
     assert!(
-        batch_jobs < fixed,
+        jobs < fixed,
         "adaptive chunks must submit fewer jobs than fixed 64-wide ones \
-         ({batch_jobs} vs {fixed})"
+         ({jobs} vs {fixed})"
     );
     // The kernel still ran at the configured width: oversized chunks were
     // split into width-lane sub-batches, each accounted at full lane
-    // capacity. (Jobs whose candidates were all dropped or inactive run
-    // zero batches, so no job/batch inequality holds in either direction.)
+    // capacity. (Jobs whose candidates were all dropped run zero
+    // batches, so no job/batch inequality holds in either direction.)
     assert!(snap.total_batches() > 0);
     assert_eq!(
         snap.total_lanes_capacity(),

@@ -21,7 +21,7 @@ use random_limited_scan::core::cycles::measured_cycles;
 use random_limited_scan::core::{derive_test_set, generate_ts0, ncyc0, RlsConfig};
 use random_limited_scan::fsim::good::traces_differ;
 use random_limited_scan::fsim::{
-    simulate_batch, simulate_chunk_at, simulate_chunk_soa, simulate_tile_at, Fault, FaultId,
+    simulate_batch, simulate_chunk_at, simulate_tile_at, tile_fault_capacity, Fault, FaultId,
     FaultSimulator, FaultUniverse, GoodSim, LaneWidth, ScanTest, ShiftOp, SimOptions,
 };
 use random_limited_scan::lfsr::{BitMatrix, FibonacciLfsr, SeedSequence};
@@ -330,18 +330,18 @@ fn prop_soa_kernel_matches_gate_walk_on_random_netlists() {
             let good = sim.simulate_test(&test);
             let pairs = all_faults(&c);
             for width in LaneWidth::ALL {
-                for chunk in pairs.chunks(width.lanes()) {
+                for chunk in pairs.chunks(tile_fault_capacity(width, 1)) {
                     let legacy =
                         simulate_chunk_at(width, &sim, &test, &good, chunk, SimOptions::default());
-                    let soa = simulate_chunk_soa(
+                    let soa = simulate_tile_at(
                         width,
+                        &c,
                         &lc,
-                        &sim,
-                        &test,
-                        &good,
+                        &[&test],
                         chunk,
                         SimOptions::default(),
-                    );
+                    )
+                    .remove(0);
                     if soa != legacy {
                         return Err(format!(
                             "width {width}: soa {soa:?} != gate-walk {legacy:?}"
@@ -372,31 +372,28 @@ fn prop_pattern_lanes_are_independent() {
             let sim = GoodSim::new(&c);
             let lc = LevelizedCircuit::build(&c, sim.levelization());
             let tests = compatible_random_tests(&c, &mut Gen::new(*seed), 4, *p);
-            let traces: Vec<_> = tests.iter().map(|t| sim.simulate_test(t)).collect();
             let tile_tests: Vec<&ScanTest> = tests.iter().collect();
-            let tile_traces: Vec<_> = traces.iter().collect();
             let pairs = all_faults(&c);
             for width in [LaneWidth::W64, LaneWidth::W512] {
-                for chunk in pairs.chunks(width.lanes() / p) {
+                for chunk in pairs.chunks(tile_fault_capacity(width, *p)) {
                     let tiled = simulate_tile_at(
                         width,
+                        &c,
                         &lc,
-                        &sim,
                         &tile_tests,
-                        &tile_traces,
                         chunk,
                         SimOptions::default(),
                     );
-                    for (i, (test, trace)) in tests.iter().zip(&traces).enumerate() {
-                        let alone = simulate_chunk_soa(
+                    for (i, test) in tests.iter().enumerate() {
+                        let alone = simulate_tile_at(
                             width,
+                            &c,
                             &lc,
-                            &sim,
-                            test,
-                            trace,
+                            &[test],
                             chunk,
                             SimOptions::default(),
-                        );
+                        )
+                        .remove(0);
                         if tiled[i] != alone {
                             return Err(format!(
                                 "width {width}, test {i}/{p}: tiled {:?} != alone {alone:?}",
@@ -446,19 +443,17 @@ fn prop_ragged_tile_boundaries_agree() {
             for width in [LaneWidth::W64, LaneWidth::W512] {
                 // A chunk size that leaves a ragged tail with high
                 // probability, capped so the tall run still fits.
-                let cap = width.lanes() / p;
+                let cap = tile_fault_capacity(width, *p);
                 let chunk_len = g.usize_in(1, cap + 1);
                 let mut per_test: Vec<Vec<FaultId>> = vec![Vec::new(); tests.len()];
                 for (lo, hi) in [(0, *p), (*p, *p + 1)] {
                     let tile_tests: Vec<&ScanTest> = tests[lo..hi].iter().collect();
-                    let tile_traces: Vec<_> = traces[lo..hi].iter().collect();
                     for chunk in pairs.chunks(chunk_len) {
                         let tiled = simulate_tile_at(
                             width,
+                            &c,
                             &lc,
-                            &sim,
                             &tile_tests,
-                            &tile_traces,
                             chunk,
                             SimOptions::default(),
                         );

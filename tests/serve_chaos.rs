@@ -331,10 +331,11 @@ fn watchdog_requeues_a_stalled_campaign_and_the_outcome_is_exact() {
     let _g = lock();
     // Two-phase schedule. A mild 2ms-per-job delay from the start keeps
     // the campaign alive long enough to interfere with (a direct s208
-    // run finishes in milliseconds) while every wave — TS0's ~36 jobs
+    // run finishes in milliseconds) while every wave — TS0's 32 jobs
     // included — stays far inside the wave timeout. Once the TS0
     // checkpoint lands, the schedule counts jobs instead: every 40th job
-    // sleeps 160ms. A trial set here is 12–18 jobs, so a set holds at
+    // sleeps 160ms. A trial set here is one wave of 8–14 (tile, chunk)
+    // jobs (2 tiles x 4–7 chunks), so a set holds at
     // most one sleeping job, and that one job alone keeps the set from
     // beating for 160ms whatever the set's job count — past the 100ms
     // deadline plus its 25ms scan period, still under the 200ms wave

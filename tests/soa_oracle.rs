@@ -1,15 +1,20 @@
 //! The SoA kernel's verification wall: a differential oracle that
 //! compares the levelized SoA tile kernel byte-for-byte against the
-//! legacy gate-walking kernel across the full (lane width × tile height
-//! × thread count) matrix, plus seeded mutation self-tests proving the
-//! oracle turns red when the kernel is deliberately broken.
+//! legacy gate-walking kernel and against the serial good-versus-faulty
+//! trace comparison, across the full (lane width × tile height ×
+//! observation mix × thread count) matrix, plus seeded mutation
+//! self-tests proving the oracle turns red when the kernel is
+//! deliberately broken.
 //!
 //! s27 is checked exhaustively — every fault of the universe against
 //! every test, order-exact — on a mixed test set (flat TS0 tests plus
 //! shift-schedule groups, so tiling has both packable runs and
-//! stragglers). s953 is sampled (every third fault, order-exact). The
-//! engine- and dispatch-level tests add fault dropping and the thread
-//! axis on top of the raw kernel comparison.
+//! stragglers). The serial trace comparison shares no code with either
+//! kernel's reference-lane or good-trace handling, so it checks the SoA
+//! kernel's in-word fault-free machine independently. s953 is sampled
+//! (every third fault, order-exact). The engine- and dispatch-level tests
+//! add fault dropping and the thread axis on top of the raw kernel
+//! comparison.
 //!
 //! The mutation self-tests compile only under `--features kernel-mutate`:
 //! each armed corruption must flip the differential red on the very
@@ -20,10 +25,11 @@ use random_limited_scan::core::{generate_ts0, RlsConfig};
 use random_limited_scan::dispatch::{
     CompiledCircuit, SharedPool, SharedSetRunner, SharedSimContext,
 };
+use rls_fsim::good::traces_differ;
 use rls_fsim::{
-    simulate_batch, simulate_tile_at, tile_compatible, Fault, FaultId, FaultSimulator,
-    FaultUniverse, GoodSim, LaneWidth, ScanTest, ShiftOp, SimKernel, SimOptions, TestTrace,
-    PATTERN_LANES_ALL,
+    simulate_batch, simulate_tile_at, tile_compatible, tile_fault_capacity, Fault, FaultId,
+    FaultSimulator, FaultUniverse, GoodSim, LaneWidth, ScanTest, ShiftOp, SimKernel, SimOptions,
+    TestTrace, PATTERN_LANES_ALL,
 };
 use rls_netlist::{Circuit, LevelizedCircuit};
 
@@ -90,31 +96,22 @@ fn tile_runs(tests: &[ScanTest], height: usize) -> Vec<(usize, usize)> {
 }
 
 /// Per-test detections from the SoA tile kernel at one (width, height)
-/// configuration, chunking faults so every tile fits the word.
+/// configuration, chunking faults so every tile (one reference lane plus
+/// the fault lanes per pattern) fits the word.
 fn soa_per_test(
-    lc: &LevelizedCircuit,
-    good: &GoodSim<'_>,
+    c: &Circuit,
     tests: &[ScanTest],
-    traces: &[TestTrace],
     pairs: &[(FaultId, Fault)],
     width: LaneWidth,
     height: usize,
+    opts: SimOptions,
 ) -> Vec<Vec<FaultId>> {
+    let lc = LevelizedCircuit::build(c, &c.levelize().expect("benchmarks are acyclic"));
     let mut per_test: Vec<Vec<FaultId>> = vec![Vec::new(); tests.len()];
     for (lo, hi) in tile_runs(tests, height) {
         let tile_tests: Vec<&ScanTest> = tests[lo..hi].iter().collect();
-        let tile_traces: Vec<&TestTrace> = traces[lo..hi].iter().collect();
-        let h = hi - lo;
-        for chunk in pairs.chunks(width.lanes() / h) {
-            let per_pattern = simulate_tile_at(
-                width,
-                lc,
-                good,
-                &tile_tests,
-                &tile_traces,
-                chunk,
-                SimOptions::default(),
-            );
+        for chunk in pairs.chunks(tile_fault_capacity(width, hi - lo)) {
+            let per_pattern = simulate_tile_at(width, c, &lc, &tile_tests, chunk, opts);
             for (p, det) in per_pattern.into_iter().enumerate() {
                 per_test[lo + p].extend(det);
             }
@@ -128,13 +125,95 @@ fn soa_per_test(
 fn serial_reference(
     good: &GoodSim<'_>,
     test: &ScanTest,
-    trace: &TestTrace,
     pairs: &[(FaultId, Fault)],
 ) -> Vec<FaultId> {
+    let trace = good.simulate_test(test);
     pairs
         .iter()
-        .flat_map(|&(id, f)| simulate_batch(good, test, trace, &[(id, f)]))
+        .flat_map(|&(id, f)| simulate_batch(good, test, &trace, &[(id, f)]))
         .collect()
+}
+
+/// Whether a faulty trace differs from the good one at an observation
+/// point `opts` enables; with every point on this is [`traces_differ`].
+fn observed_differ(good: &TestTrace, faulty: &TestTrace, opts: SimOptions) -> bool {
+    (opts.observe_outputs && good.outputs != faulty.outputs)
+        || (opts.observe_limited_scan_out && good.scan_outs != faulty.scan_outs)
+        || (opts.observe_final_scan_out && good.final_state() != faulty.final_state())
+}
+
+/// Every observation mix, all-on (the paper's model) first.
+fn observation_mixes() -> Vec<SimOptions> {
+    (0..8u32)
+        .rev()
+        .map(|mask| SimOptions {
+            observe_outputs: mask & 1 != 0,
+            observe_limited_scan_out: mask & 2 != 0,
+            observe_final_scan_out: mask & 4 != 0,
+        })
+        .collect()
+}
+
+/// The serial trace-comparison reference: for each test, the faults
+/// (in candidate order) whose one-fault faulty trace differs from the
+/// good trace at a point `opts` observes.
+fn trace_reference(
+    c: &Circuit,
+    tests: &[ScanTest],
+    pairs: &[(FaultId, Fault)],
+    opts: SimOptions,
+) -> Vec<Vec<FaultId>> {
+    let good = GoodSim::new(c);
+    tests
+        .iter()
+        .map(|t| {
+            let trace = good.simulate_test(t);
+            pairs
+                .iter()
+                .filter(|&&(_, f)| {
+                    let faulty = good.simulate_faulty(t, f);
+                    let differ = observed_differ(&trace, &faulty, opts);
+                    if opts == SimOptions::default() {
+                        assert_eq!(differ, traces_differ(&trace, &faulty));
+                    }
+                    differ
+                })
+                .map(|&(id, _)| id)
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn s27_reference_lanes_match_serial_trace_comparison() {
+    // The reference lane's oracle: per-(test, fault) detection equals the
+    // serial good-versus-faulty trace comparison for every universe
+    // fault x every test, at every lane width x tile height x
+    // observation mix.
+    let c = random_limited_scan::benchmarks::s27();
+    let tests = mixed_s27_tests(&c);
+    let pairs = universe_pairs(&c);
+    for opts in observation_mixes() {
+        let reference = trace_reference(&c, &tests, &pairs, opts);
+        let observes = opts.observe_outputs
+            || opts.observe_limited_scan_out
+            || opts.observe_final_scan_out;
+        assert_eq!(
+            reference.iter().any(|r| !r.is_empty()),
+            observes,
+            "{opts:?}: detections exist exactly when something is observed"
+        );
+        for width in LaneWidth::ALL {
+            for &height in &PATTERN_LANES_ALL {
+                let soa = soa_per_test(&c, &tests, &pairs, width, height, opts);
+                assert_eq!(
+                    soa, reference,
+                    "width {width} x height {height} x {opts:?}: SoA diverged from \
+                     the serial trace comparison"
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -145,12 +224,9 @@ fn s27_exhaustive_differential_matrix() {
     let tests = mixed_s27_tests(&c);
     let pairs = universe_pairs(&c);
     let good = GoodSim::new(&c);
-    let lc = LevelizedCircuit::build(&c, good.levelization());
-    let traces: Vec<TestTrace> = tests.iter().map(|t| good.simulate_test(t)).collect();
     let reference: Vec<Vec<FaultId>> = tests
         .iter()
-        .zip(&traces)
-        .map(|(t, tr)| serial_reference(&good, t, tr, &pairs))
+        .map(|t| serial_reference(&good, t, &pairs))
         .collect();
     assert!(
         reference.iter().any(|r| !r.is_empty()),
@@ -158,7 +234,7 @@ fn s27_exhaustive_differential_matrix() {
     );
     for width in LaneWidth::ALL {
         for &height in &PATTERN_LANES_ALL {
-            let soa = soa_per_test(&lc, &good, &tests, &traces, &pairs, width, height);
+            let soa = soa_per_test(&c, &tests, &pairs, width, height, SimOptions::default());
             assert_eq!(
                 soa, reference,
                 "width {width} x height {height}: SoA diverged from the serial legacy kernel"
@@ -181,17 +257,14 @@ fn s953_sampled_differential_is_order_exact() {
         "the sample must span several tiles even at the widest kernel"
     );
     let good = GoodSim::new(&c);
-    let lc = LevelizedCircuit::build(&c, good.levelization());
-    let traces: Vec<TestTrace> = tests.iter().map(|t| good.simulate_test(t)).collect();
     let reference: Vec<Vec<FaultId>> = tests
         .iter()
-        .zip(&traces)
-        .map(|(t, tr)| serial_reference(&good, t, tr, &pairs))
+        .map(|t| serial_reference(&good, t, &pairs))
         .collect();
     assert!(reference.iter().any(|r| !r.is_empty()));
     for width in LaneWidth::ALL {
         for &height in &PATTERN_LANES_ALL {
-            let soa = soa_per_test(&lc, &good, &tests, &traces, &pairs, width, height);
+            let soa = soa_per_test(&c, &tests, &pairs, width, height, SimOptions::default());
             assert_eq!(
                 soa, reference,
                 "s953 width {width} x height {height}: SoA diverged"
@@ -287,32 +360,16 @@ mod mutation {
         }
 
         /// Runs the s27 differential at 64 lanes x height 2 and reports
-        /// whether the SoA kernel still matches the serial legacy
-        /// reference. The reference is computed while *disarmed* so only
+        /// whether the SoA kernel still matches the serial trace
+        /// comparison. The reference is computed while *disarmed* so only
         /// the kernel under test is mutated.
         fn is_green(&self) -> bool {
-            let good = GoodSim::new(&self.c);
-            let lc = LevelizedCircuit::build(&self.c, good.levelization());
-            let traces: Vec<TestTrace> =
-                self.tests.iter().map(|t| good.simulate_test(t)).collect();
             let armed = rls_fsim::soa::mutate::armed();
             arm(None);
-            let reference: Vec<Vec<FaultId>> = self
-                .tests
-                .iter()
-                .zip(&traces)
-                .map(|(t, tr)| serial_reference(&good, t, tr, &self.pairs))
-                .collect();
+            let opts = SimOptions::default();
+            let reference = trace_reference(&self.c, &self.tests, &self.pairs, opts);
             arm(armed);
-            let soa = soa_per_test(
-                &lc,
-                &good,
-                &self.tests,
-                &traces,
-                &self.pairs,
-                LaneWidth::W64,
-                2,
-            );
+            let soa = soa_per_test(&self.c, &self.tests, &self.pairs, LaneWidth::W64, 2, opts);
             soa == reference
         }
     }
@@ -362,24 +419,35 @@ mod mutation {
     }
 
     #[test]
+    fn reference_lane_skew_turns_the_oracle_red() {
+        // Broadcasting the reference bit from a fault lane compares every
+        // fault against a faulty machine instead of the fault-free one.
+        let diff = Diff::s27();
+        arm(Some(KernelMutation::ReferenceLaneSkew));
+        let green = diff.is_green();
+        arm(None);
+        assert!(!green, "a skewed reference lane must not survive the differential");
+        assert!(diff.is_green(), "disarming must restore green");
+    }
+
+    #[test]
     fn detect_mask_short_drops_the_last_lane() {
         // The short mask silently drops the *last* (pattern, fault) lane,
         // so the differential only reddens when that lane would have
-        // detected. Arrange exactly that: a single-test tile whose final
-        // candidate is a known-detected fault.
+        // detected. Arrange exactly that: a single-test tile, full to the
+        // last lane, whose final candidate is a known-detected fault.
         let diff = Diff::s27();
         let good = GoodSim::new(&diff.c);
         let lc = LevelizedCircuit::build(&diff.c, good.levelization());
         let test = &diff.tests[0];
-        let trace = good.simulate_test(test);
         arm(None);
-        let detected = serial_reference(&good, test, &trace, &diff.pairs);
+        let detected = serial_reference(&good, test, &diff.pairs);
         let last = *detected.last().expect("s27 TS0 detects faults");
         let mut chunk: Vec<(FaultId, Fault)> = diff
             .pairs
             .iter()
             .filter(|&&(id, _)| id != last)
-            .take(LaneWidth::W64.lanes() - 1)
+            .take(tile_fault_capacity(LaneWidth::W64, 1) - 1)
             .copied()
             .collect();
         chunk.push(
@@ -393,10 +461,9 @@ mod mutation {
             arm(armed);
             let out = simulate_tile_at(
                 LaneWidth::W64,
+                &diff.c,
                 &lc,
-                &good,
                 &[test],
-                &[&trace],
                 &chunk,
                 SimOptions::default(),
             );
