@@ -69,19 +69,20 @@ done
 rm -rf "$WIDTH_DIR"
 
 echo "== fsim: soa oracle =="
-# The SoA kernel's verification wall: the differential matrix (every
-# s27 fault x every test, order-exact, at every lane width x tile
-# height x thread count; s953 sampled) plus the seeded mutation
-# self-tests — each deliberate kernel corruption must turn the
-# differential red, so the oracle is known to have teeth.
+# The SoA kernel's verification wall: the differential matrix against
+# the serial one-fault-at-a-time reference (every s27 fault x every
+# test, order-exact, at every lane width x tile height x thread count,
+# under full, partial and multichain scan; s953 and s298 sampled) plus
+# the seeded mutation self-tests — each deliberate kernel corruption
+# must turn the differential red, so the oracle is known to have teeth.
 cargo test -q --offline --test soa_oracle
 cargo test -q --offline --features kernel-mutate --test soa_oracle
 
 echo "== fsim: lane-width bench gate =="
-# The compiled default configuration must hold up on the committed s953
-# measurement: not slower than the legacy 64-lane baseline, and the SoA
-# kernel at the default (width x patterns) tile shape at least 2x the
-# legacy kernel at the same width. Regenerate after kernel changes with
+# The compiled default configuration (LaneWidth::DEFAULT x
+# PATTERN_LANES_DEFAULT) must hold up against the committed s953
+# measurement's own history: its row must be present and within 1.25x of
+# the fastest row. Regenerate after kernel changes with
 # `cargo run --release -p rls-bench --bin bench_fsim_lanes`.
 cargo run -q --release --offline -p rls-bench --bin rls-report -- --lanes BENCH_fsim_lanes.json --gate
 

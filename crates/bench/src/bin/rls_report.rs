@@ -21,12 +21,11 @@
 //! divergence point from the `procedure2.coverage` gauges.
 //!
 //! With `--lanes` and one `fsim_lanes` record (written by
-//! `bench_fsim_lanes`), prints the (kernel × lane width × pattern lanes)
-//! `fsim.test_nanos` matrix and gates the compiled default
-//! configuration: it must be no slower than the legacy 64-lane baseline
-//! (within a 25% noise allowance). Adding `--gate` also enforces the SoA
-//! rewrite's speedup floor: the soa kernel at the default tile shape
-//! must be at least 2x the legacy kernel at the same width.
+//! `bench_fsim_lanes`), prints the (lane width × pattern lanes)
+//! `fsim.test_nanos` matrix. Adding `--gate` checks the compiled default
+//! configuration against the record's own history: the record must hold
+//! the row for `LaneWidth::DEFAULT` × `PATTERN_LANES_DEFAULT`, and that
+//! row must be within 1.25× (a noise allowance) of the fastest row.
 //!
 //! The profiling modes consume one obs metrics stream (see
 //! `rls_bench::profile`): `--flamegraph` prints collapsed stacks
@@ -43,9 +42,9 @@
 //! * `0` — candidate coverage is at least the baseline's (or the default
 //!   lane width holds up)
 //! * `1` — coverage regression (fewer faults detected, or a complete
-//!   campaign turned incomplete), a default lane width slower than
-//!   the 64-lane baseline, or a phase share outside its committed
-//!   tolerance
+//!   campaign turned incomplete), a compiled default lane configuration
+//!   missing from its record or slower than 1.25× its fastest row, or a
+//!   phase share outside its committed tolerance
 //! * `2` — a file could not be read, is not a campaign/obs record, or the
 //!   two files are of different kinds
 
@@ -289,27 +288,22 @@ fn render_obs(base: &ObsStats, cand: &ObsStats) -> String {
     out
 }
 
-/// One measured (kernel, width, tile height) configuration from a
-/// `fsim_lanes` bench record.
+/// One measured (width, tile height) configuration from a `fsim_lanes`
+/// bench record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct LaneRow {
-    kernel: String,
     lanes: u64,
-    words: u64,
     pattern_lanes: u64,
     test_nanos: u64,
     batches: u64,
 }
 
-/// The `bench_fsim_lanes` record: per-configuration kernel timings plus
-/// the compiled defaults they justify.
+/// The `bench_fsim_lanes` record: per-configuration kernel timings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct LaneStats {
     circuit: String,
     tests: u64,
     detected: u64,
-    default_lanes: u64,
-    default_pattern_lanes: u64,
     rows: Vec<LaneRow>,
 }
 
@@ -321,11 +315,7 @@ fn lane_stats_from(log: &CampaignLog) -> Result<LaneStats, String> {
     let rows: Vec<LaneRow> = log
         .of_type("lane_width")
         .map(|r| LaneRow {
-            // Records predating the SoA kernel carry neither field: they
-            // measured the legacy kernel, one test per pass.
-            kernel: r.str_field("kernel").unwrap_or("legacy").to_string(),
             lanes: r.u64_field("lanes").unwrap_or(0),
-            words: r.u64_field("words").unwrap_or(0),
             pattern_lanes: r.u64_field("pattern_lanes").unwrap_or(1),
             test_nanos: r.u64_field("test_nanos").unwrap_or(0),
             batches: r.u64_field("batches").unwrap_or(0),
@@ -338,75 +328,53 @@ fn lane_stats_from(log: &CampaignLog) -> Result<LaneStats, String> {
         circuit: header.str_field("circuit").unwrap_or("?").to_string(),
         tests: header.u64_field("tests").unwrap_or(0),
         detected: header.u64_field("detected").unwrap_or(0),
-        default_lanes: header.u64_field("default_lanes").unwrap_or(0),
-        default_pattern_lanes: header.u64_field("default_pattern_lanes").unwrap_or(1),
         rows,
     })
 }
 
-/// The legacy 64-lane baseline row, if measured.
-fn lane_baseline(stats: &LaneStats) -> Option<&LaneRow> {
-    stats
-        .rows
-        .iter()
-        .find(|r| r.kernel == "legacy" && r.lanes == 64)
+/// The compiled default configuration: (lanes, pattern lanes).
+fn compiled_default() -> (u64, u64) {
+    (
+        rls_fsim::LaneWidth::DEFAULT.lanes() as u64,
+        rls_fsim::PATTERN_LANES_DEFAULT as u64,
+    )
 }
 
-/// The row matching the compiled defaults (SoA kernel at the default
-/// width and tile height), if measured.
+/// The row matching the compiled defaults, if measured.
 fn default_row(stats: &LaneStats) -> Option<&LaneRow> {
-    stats.rows.iter().find(|r| {
-        r.kernel == "soa"
-            && r.lanes == stats.default_lanes
-            && r.pattern_lanes == stats.default_pattern_lanes
-    })
-}
-
-/// The legacy row at the same width as the compiled default, if measured
-/// — the reference for the SoA speedup gate.
-fn legacy_at_default_width(stats: &LaneStats) -> Option<&LaneRow> {
+    let (lanes, patterns) = compiled_default();
     stats
         .rows
         .iter()
-        .find(|r| r.kernel == "legacy" && r.lanes == stats.default_lanes)
+        .find(|r| r.lanes == lanes && r.pattern_lanes == patterns)
+}
+
+/// The fastest measured row.
+fn fastest_row(stats: &LaneStats) -> Option<&LaneRow> {
+    stats.rows.iter().min_by_key(|r| r.test_nanos)
 }
 
 fn render_lanes(stats: &LaneStats) -> String {
+    let (lanes, patterns) = compiled_default();
     let mut out = format!(
-        "fault-simulation kernels on {} ({} TS0 tests, {} faults detected by every \
-         configuration; compiled default: soa, {} lanes x{} patterns)\n\n",
-        stats.circuit,
-        stats.tests,
-        stats.detected,
-        stats.default_lanes,
-        stats.default_pattern_lanes
+        "fault-simulation kernel on {} ({} TS0 tests, {} faults detected by every \
+         configuration; compiled default: {lanes} lanes x{patterns} patterns)\n\n",
+        stats.circuit, stats.tests, stats.detected,
     );
-    let base = lane_baseline(stats).map(|r| r.test_nanos);
-    let mut t = TextTable::new(vec![
-        "kernel", "lanes", "patterns", "test time", "batches", "vs legacy/64", "vs legacy",
-    ]);
+    let fastest = fastest_row(stats).map(|r| r.test_nanos);
+    let mut t = TextTable::new(vec!["lanes", "patterns", "test time", "batches", "vs fastest"]);
     for r in &stats.rows {
-        let vs = match base {
-            Some(b) if r.test_nanos > 0 => format!("{:.2}x", b as f64 / r.test_nanos as f64),
+        let vs = match fastest {
+            Some(f) if f > 0 => format!("{:.2}x", r.test_nanos as f64 / f as f64),
             _ => "?".into(),
         };
-        let vs_legacy = stats
-            .rows
-            .iter()
-            .find(|l| l.kernel == "legacy" && l.lanes == r.lanes)
-            .filter(|_| r.test_nanos > 0)
-            .map_or("?".into(), |l| {
-                format!("{:.2}x", l.test_nanos as f64 / r.test_nanos as f64)
-            });
         let mark = if default_row(stats) == Some(r) { " *" } else { "" };
         t.row(vec![
-            format!("{}{mark}", r.kernel),
-            r.lanes.to_string(),
+            format!("{}{mark}", r.lanes),
             r.pattern_lanes.to_string(),
             millis(r.test_nanos),
             r.batches.to_string(),
             vs,
-            vs_legacy,
         ]);
     }
     out.push_str(&t.render());
@@ -414,29 +382,18 @@ fn render_lanes(stats: &LaneStats) -> String {
     out
 }
 
-/// `true` when the compiled default configuration is slower than the
-/// legacy 64-lane baseline beyond measurement noise (25%).
-fn default_width_regressed(stats: &LaneStats) -> bool {
-    let Some(base) = lane_baseline(stats) else {
-        return false;
-    };
-    let Some(default) = default_row(stats) else {
-        return true; // a default that was never measured is a regression
-    };
-    default.test_nanos as f64 > base.test_nanos as f64 * 1.25
-}
+/// Gate allowance: the compiled default may be at most this many times
+/// the fastest row's time (measurement noise between neighbouring
+/// configurations).
+const DEFAULT_SLOWDOWN_LIMIT: f64 = 1.25;
 
-/// The SoA-vs-legacy speedup at the compiled default shape, or `None`
-/// when either row is missing from the record.
-fn soa_speedup_at_default(stats: &LaneStats) -> Option<f64> {
-    let soa = default_row(stats)?;
-    let legacy = legacy_at_default_width(stats)?;
-    Some(legacy.test_nanos as f64 / soa.test_nanos.max(1) as f64)
+/// The compiled default's time over the fastest row's, or `None` when
+/// the record lacks the default row.
+fn default_vs_fastest(stats: &LaneStats) -> Option<f64> {
+    let default = default_row(stats)?;
+    let fastest = fastest_row(stats)?;
+    Some(default.test_nanos as f64 / fastest.test_nanos.max(1) as f64)
 }
-
-/// Gate threshold: the SoA kernel at the default tile shape must be at
-/// least this many times the legacy kernel at the same width.
-const SOA_SPEEDUP_FLOOR: f64 = 2.0;
 
 /// One parsed input file: a campaign record or an obs metrics stream.
 #[derive(Debug)]
@@ -621,34 +578,28 @@ fn main() -> ExitCode {
             }
         };
         print!("{}", render_lanes(&stats));
-        if default_width_regressed(&stats) {
-            eprintln!(
-                "rls-report: LANE WIDTH REGRESSION: the compiled default \
-                 (soa, {} lanes x{} patterns) is slower than the legacy 64-lane baseline",
-                stats.default_lanes, stats.default_pattern_lanes
-            );
-            return ExitCode::from(1);
-        }
         if gate {
-            match soa_speedup_at_default(&stats) {
-                Some(s) if s >= SOA_SPEEDUP_FLOOR => {
+            let (lanes, patterns) = compiled_default();
+            match default_vs_fastest(&stats) {
+                Some(r) if r <= DEFAULT_SLOWDOWN_LIMIT => {
                     println!(
-                        "soa kernel gate: {s:.2}x legacy at {} lanes x{} patterns \
-                         (floor {SOA_SPEEDUP_FLOOR:.1}x) — ok",
-                        stats.default_lanes, stats.default_pattern_lanes
+                        "lane gate: the default ({lanes} lanes x{patterns} patterns) is \
+                         {r:.2}x the fastest row (limit {DEFAULT_SLOWDOWN_LIMIT:.2}x) — ok"
                     );
                 }
-                Some(s) => {
+                Some(r) => {
                     eprintln!(
-                        "rls-report: SOA KERNEL REGRESSION: {s:.2}x legacy at the \
-                         default shape, below the {SOA_SPEEDUP_FLOOR:.1}x floor"
+                        "rls-report: LANE DEFAULT REGRESSION: the default ({lanes} lanes \
+                         x{patterns} patterns) is {r:.2}x the fastest row, above the \
+                         {DEFAULT_SLOWDOWN_LIMIT:.2}x limit"
                     );
                     return ExitCode::from(1);
                 }
                 None => {
                     eprintln!(
-                        "rls-report: SOA KERNEL GATE: the record is missing the \
-                         default soa or legacy row; regenerate BENCH_fsim_lanes.json"
+                        "rls-report: LANE GATE: the record has no row for the compiled \
+                         default ({lanes} lanes x{patterns} patterns); regenerate \
+                         BENCH_fsim_lanes.json"
                     );
                     return ExitCode::from(1);
                 }
@@ -783,6 +734,33 @@ mod tests {
         let path = write_log("nosummary", &[r#"{"type":"campaign","circuit":"s27","threads":1}"#]);
         let err = load(&path).unwrap_err();
         assert!(err.contains("summary"), "{err}");
+    }
+
+    /// A `fsim_lanes` record with one row per `(lanes, patterns, nanos)`.
+    fn lane_record(tag: &str, rows: &[(usize, usize, u64)]) -> LaneStats {
+        let mut lines = vec![r#"{"type":"fsim_lanes","circuit":"s953","tests":1}"#.to_string()];
+        for &(lanes, patterns, nanos) in rows {
+            lines.push(format!(
+                r#"{{"type":"lane_width","lanes":{lanes},"pattern_lanes":{patterns},"test_nanos":{nanos}}}"#
+            ));
+        }
+        let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+        let log = CampaignLog::read(&write_log(tag, &refs)).unwrap();
+        lane_stats_from(&log).unwrap()
+    }
+
+    #[test]
+    fn lane_gate_holds_the_default_within_its_fastest_row() {
+        let (lanes, patterns) = compiled_default();
+        let (lanes, patterns) = (lanes as usize, patterns as usize);
+        let fastest = lane_record("lanes-ok", &[(64, 1, 900), (lanes, patterns, 100)]);
+        assert_eq!(default_vs_fastest(&fastest), Some(1.0));
+        let near = lane_record("lanes-near", &[(64, 1, 100), (lanes, patterns, 120)]);
+        assert!(default_vs_fastest(&near).unwrap() <= DEFAULT_SLOWDOWN_LIMIT);
+        let slow = lane_record("lanes-slow", &[(64, 1, 100), (lanes, patterns, 130)]);
+        assert!(default_vs_fastest(&slow).unwrap() > DEFAULT_SLOWDOWN_LIMIT);
+        let missing = lane_record("lanes-missing", &[(64, 1, 100)]);
+        assert_eq!(default_vs_fastest(&missing), None);
     }
 
     fn obs_sample(tag: &str, trial_nanos: u64, coverage: &[u64]) -> PathBuf {

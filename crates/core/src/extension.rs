@@ -12,10 +12,7 @@
 //! needs full scan — these experiments report achieved coverage over all
 //! collapsed faults rather than claiming completeness.
 
-use rls_fsim::{
-    run_tests_multichain, run_tests_partial, simulate_good_partial, CollapsedFaults, FaultId,
-    FaultUniverse, GoodSim, McScanTest, McShiftOp, ScanTest,
-};
+use rls_fsim::{ChainMap, FaultSimulator, McScanTest, McShiftOp, ScanTest};
 use rls_lfsr::{RandomSource, XorShift64};
 use rls_netlist::Circuit;
 use rls_scan::{MultiChain, PartialScan};
@@ -74,40 +71,32 @@ pub fn generate_ts0_partial(circuit: &Circuit, ps: &PartialScan, cfg: &RlsConfig
 /// Panics if `ps` does not match the circuit.
 pub fn run_partial(circuit: &Circuit, ps: &PartialScan, cfg: &RlsConfig) -> PartialOutcome {
     assert_eq!(ps.n_sv(), circuit.num_dffs(), "architecture mismatch");
-    let sim = GoodSim::new(circuit);
-    let universe = FaultUniverse::enumerate(circuit);
-    let collapsed = CollapsedFaults::build(circuit, &universe);
-    let mut live: Vec<FaultId> = collapsed.representatives().to_vec();
-    let total_faults = live.len();
+    let mut sim = FaultSimulator::new(circuit);
+    sim.set_chains(ChainMap::from(ps));
+    let total_faults = sim.total_faults();
     let ts0 = generate_ts0_partial(circuit, ps, cfg);
     // The D2 analogue: bounded by the chain, not N_SV.
     let d2 = cfg.d2_override.unwrap_or(ps.chain_len() as u32 + 1);
     let base_cycles = ncyc0(ps.chain_len(), cfg.la, cfg.lb, cfg.n);
 
-    let initial = run_tests_partial(&sim, ps, &ts0, &live, &universe);
-    let initial_detected = initial.len();
-    let drop: std::collections::HashSet<FaultId> = initial.into_iter().collect();
-    live.retain(|id| !drop.contains(id));
+    let initial_detected = sim.run_tests(&ts0);
 
     let mut pairs = Vec::new();
     let mut total_cycles = base_cycles;
-    let mut detected_total = initial_detected;
     let mut same = 0u32;
     let mut iteration = 0u64;
-    while !live.is_empty() && same < cfg.n_same_fc && iteration < u64::from(cfg.max_iterations) {
+    while sim.live_count() > 0 && same < cfg.n_same_fc && iteration < u64::from(cfg.max_iterations)
+    {
         iteration += 1;
         let mut improved = false;
         for d1 in cfg.d1_order.values(cfg.d1_max) {
-            if live.is_empty() {
+            if sim.live_count() == 0 {
                 break;
             }
             let derived = procedure1::derive_test_set(&ts0, cfg, iteration, d1, d2);
-            let newly = run_tests_partial(&sim, ps, &derived, &live, &universe);
-            if !newly.is_empty() {
+            let newly = sim.run_tests(&derived);
+            if newly > 0 {
                 improved = true;
-                detected_total += newly.len();
-                let drop: std::collections::HashSet<FaultId> = newly.into_iter().collect();
-                live.retain(|id| !drop.contains(id));
                 let shifts: u64 = derived.iter().map(ScanTest::shift_cycles).sum();
                 total_cycles += base_cycles + shifts;
                 pairs.push((iteration, d1));
@@ -122,7 +111,7 @@ pub fn run_partial(circuit: &Circuit, ps: &PartialScan, cfg: &RlsConfig) -> Part
     PartialOutcome {
         chain_len: ps.chain_len(),
         initial_detected,
-        total_detected: detected_total,
+        total_detected: sim.detected_count(),
         total_faults,
         pairs,
         total_cycles,
@@ -207,11 +196,9 @@ pub fn derive_mc_test_set(
 /// Panics if `mc` does not match the circuit.
 pub fn run_multichain(circuit: &Circuit, mc: &MultiChain, cfg: &RlsConfig) -> MultiChainOutcome {
     assert_eq!(mc.n_sv(), circuit.num_dffs(), "architecture mismatch");
-    let sim = GoodSim::new(circuit);
-    let universe = FaultUniverse::enumerate(circuit);
-    let collapsed = CollapsedFaults::build(circuit, &universe);
-    let mut live: Vec<FaultId> = collapsed.representatives().to_vec();
-    let total_faults = live.len();
+    let mut sim = FaultSimulator::new(circuit);
+    sim.set_chains(ChainMap::from(mc));
+    let total_faults = sim.total_faults();
     let ts0 = generate_ts0(circuit, cfg);
     let mc_ts0: Vec<McScanTest> = ts0
         .iter()
@@ -222,30 +209,24 @@ pub fn run_multichain(circuit: &Circuit, mc: &MultiChain, cfg: &RlsConfig) -> Mu
     let base_cycles =
         (2 * cfg.n as u64 + 1) * boundary + cfg.n as u64 * (cfg.la as u64 + cfg.lb as u64);
 
-    let initial = run_tests_multichain(&sim, mc, &mc_ts0, &live, &universe);
-    let initial_detected = initial.len();
-    let drop: std::collections::HashSet<FaultId> = initial.into_iter().collect();
-    live.retain(|id| !drop.contains(id));
+    let initial_detected = sim.run_tests(&mc_ts0);
 
     let mut pairs = Vec::new();
     let mut total_cycles = base_cycles;
-    let mut detected_total = initial_detected;
     let mut same = 0u32;
     let mut iteration = 0u64;
-    while !live.is_empty() && same < cfg.n_same_fc && iteration < u64::from(cfg.max_iterations) {
+    while sim.live_count() > 0 && same < cfg.n_same_fc && iteration < u64::from(cfg.max_iterations)
+    {
         iteration += 1;
         let mut improved = false;
         for d1 in cfg.d1_order.values(cfg.d1_max) {
-            if live.is_empty() {
+            if sim.live_count() == 0 {
                 break;
             }
             let derived = derive_mc_test_set(&ts0, cfg, mc, iteration, d1, d2);
-            let newly = run_tests_multichain(&sim, mc, &derived, &live, &universe);
-            if !newly.is_empty() {
+            let newly = sim.run_tests(&derived);
+            if newly > 0 {
                 improved = true;
-                detected_total += newly.len();
-                let drop: std::collections::HashSet<FaultId> = newly.into_iter().collect();
-                live.retain(|id| !drop.contains(id));
                 let shifts: u64 = derived.iter().map(McScanTest::shift_cycles).sum();
                 total_cycles += base_cycles + shifts;
                 pairs.push((iteration, d1));
@@ -261,18 +242,11 @@ pub fn run_multichain(circuit: &Circuit, mc: &MultiChain, cfg: &RlsConfig) -> Mu
         chains: mc.chains(),
         scan_op_cycles: boundary,
         initial_detected,
-        total_detected: detected_total,
+        total_detected: sim.detected_count(),
         total_faults,
         pairs,
         total_cycles,
     }
-}
-
-/// Verifies a partial-scan test drives the expected trace shape (helper
-/// used by the binary for sanity reporting).
-pub fn good_trace_len(circuit: &Circuit, ps: &PartialScan, test: &ScanTest) -> usize {
-    let sim = GoodSim::new(circuit);
-    simulate_good_partial(&sim, ps, test).outputs.len()
 }
 
 #[cfg(test)]
@@ -368,6 +342,6 @@ mod tests {
         for t in &ts0 {
             assert_eq!(t.scan_in.len(), 2);
         }
-        assert_eq!(good_trace_len(&c, &ps, &ts0[0]), 4);
+        assert_eq!(ts0[0].len(), 4);
     }
 }

@@ -61,8 +61,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use rls_fsim::{
-    simulate_tile_at, tile_fault_capacity, CollapsedFaults, Fault, FaultId, FaultUniverse,
-    LaneWidth, ScanTest, SimOptions, PATTERN_LANES_DEFAULT,
+    simulate_tile_at, tile_fault_capacity, ChainMap, CollapsedFaults, Fault, FaultId,
+    FaultUniverse, LaneWidth, ScanTest, SimOptions, PATTERN_LANES_DEFAULT,
 };
 use rls_netlist::{Circuit, LevelizedCircuit, NetlistError};
 
@@ -523,6 +523,8 @@ impl Drop for CampaignHandle {
 pub struct CompiledCircuit {
     circuit: Circuit,
     soa: LevelizedCircuit,
+    /// Full scan: campaigns apply tests through one complete chain.
+    chains: ChainMap,
     universe: FaultUniverse,
     collapsed: CollapsedFaults,
 }
@@ -535,9 +537,11 @@ impl CompiledCircuit {
         let soa = LevelizedCircuit::build(&circuit, &lev);
         let universe = FaultUniverse::enumerate(&circuit);
         let collapsed = CollapsedFaults::build(&circuit, &universe);
+        let chains = ChainMap::full(circuit.num_dffs());
         Ok(CompiledCircuit {
             circuit,
             soa,
+            chains,
             universe,
             collapsed,
         })
@@ -749,6 +753,7 @@ impl SharedSetRunner {
                         width,
                         ctx.compiled.circuit(),
                         ctx.compiled.levelized(),
+                        &ctx.compiled.chains,
                         &tile_tests,
                         sub,
                         ctx.options,

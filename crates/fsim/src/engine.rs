@@ -2,14 +2,14 @@
 //! the grouping of consecutive tests into SoA tiles.
 
 use rls_netlist::{Circuit, LevelizedCircuit};
+use rls_scan::ChainMap;
 
 use crate::collapse::CollapsedFaults;
 use crate::coverage::Coverage;
 use crate::fault::{Fault, FaultId, FaultUniverse};
 use crate::good::GoodSim;
-use crate::parallel::{activated_in_trace, simulate_chunk_at, LaneWidth, SimOptions};
 use crate::soa::{
-    max_tile_height, simulate_tile_at, tile_compatible, tile_fault_capacity, SimKernel,
+    max_tile_height, simulate_tile_at, tile_compatible, tile_fault_capacity, LaneWidth, SimOptions,
     PATTERN_LANES_DEFAULT,
 };
 use crate::test::ScanTest;
@@ -44,7 +44,8 @@ impl LaneStats {
 ///
 /// Maintains the collapsed target fault list with fault dropping: once a
 /// fault is detected it is never simulated again. [`FaultSimulator::reset`]
-/// restores the full list.
+/// restores the full list. Tests are applied through full scan unless
+/// [`FaultSimulator::set_chains`] installs another [`ChainMap`].
 ///
 /// # Example
 ///
@@ -61,6 +62,7 @@ impl LaneStats {
 /// ```
 #[derive(Debug)]
 pub struct FaultSimulator<'c> {
+    /// The circuit, its levelization and the scan chains.
     good: GoodSim<'c>,
     /// The levelized SoA lowering, built once per simulator.
     soa: LevelizedCircuit,
@@ -71,9 +73,8 @@ pub struct FaultSimulator<'c> {
     detected: Vec<FaultId>,
     options: SimOptions,
     lane_width: LaneWidth,
-    kernel: SimKernel,
-    /// Tile height for [`FaultSimulator::run_tests`] under the SoA kernel:
-    /// up to this many shape-compatible consecutive tests share one pass.
+    /// Tile height for [`FaultSimulator::run_tests`]: up to this many
+    /// shape-compatible consecutive tests share one pass.
     pattern_lanes: usize,
     lane_stats: LaneStats,
 }
@@ -99,7 +100,6 @@ impl<'c> FaultSimulator<'c> {
             detected: Vec::new(),
             options: SimOptions::default(),
             lane_width: LaneWidth::DEFAULT,
-            kernel: SimKernel::DEFAULT,
             pattern_lanes: PATTERN_LANES_DEFAULT,
             lane_stats: LaneStats::default(),
         }
@@ -128,23 +128,24 @@ impl<'c> FaultSimulator<'c> {
         self.lane_width
     }
 
-    /// Selects the simulation kernel. The default is [`SimKernel::DEFAULT`]
-    /// (the levelized SoA tiles); detections are bit-identical either way —
-    /// the legacy kernel stays in-tree as the differential reference.
-    pub fn set_kernel(&mut self, kernel: SimKernel) {
-        self.kernel = kernel;
-    }
-
-    /// The current simulation kernel.
-    pub fn kernel(&self) -> SimKernel {
-        self.kernel
+    /// Sets the scan chains tests are applied through (full scan by
+    /// default): a [`ChainMap`] from a [`rls_scan::PartialScan`] or a
+    /// [`rls_scan::MultiChain`] runs the same kernel on that scan style.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chains` covers a different number of flip-flops than
+    /// the circuit has.
+    pub fn set_chains(&mut self, chains: ChainMap) {
+        self.good.set_chains(chains);
     }
 
     /// Sets the tile height: how many shape-compatible consecutive tests
-    /// [`FaultSimulator::run_tests`] packs into one SoA pass. `1` disables
-    /// tiling; the legacy kernel ignores this knob. A height above
-    /// [`max_tile_height`] of the lane width is capped to it when tests
-    /// are grouped, so every pattern keeps a reference and a fault lane.
+    /// [`FaultSimulator::run_tests`] packs into one kernel pass. `1`
+    /// disables tiling. A height above [`max_tile_height`] of the lane
+    /// width is capped to it when tests are grouped, so every pattern
+    /// keeps a reference and a fault lane. Detections are identical at
+    /// every height.
     ///
     /// # Panics
     ///
@@ -242,48 +243,7 @@ impl<'c> FaultSimulator<'c> {
     /// Simulates one test against all live faults, drops and returns the
     /// newly detected ones.
     pub fn run_test(&mut self, test: &ScanTest) -> Vec<FaultId> {
-        match self.kernel {
-            SimKernel::Legacy => self.run_test_legacy(test),
-            SimKernel::Soa => self.run_tile(&[test]),
-        }
-    }
-
-    /// The legacy reference path: the good trace, an activation prefilter
-    /// (only faults whose site toggles are simulated), then one
-    /// gate-walking batch per lane-width chunk. The `fsim.test_nanos`
-    /// window covers the trace and the prefilter too: the SoA path does
-    /// the same fault-free work inside its kernel, so both kernels are
-    /// timed over the whole per-test job.
-    fn run_test_legacy(&mut self, test: &ScanTest) -> Vec<FaultId> {
-        let _span = rls_obs::span!("fsim.test", live = self.live.len());
-        let sw = rls_obs::Stopwatch::start();
-        let trace = self.good.simulate_test(test);
-        let circuit = self.good.circuit();
-        let candidates: Vec<(FaultId, Fault)> = self
-            .live
-            .iter()
-            .map(|&id| (id, self.universe.fault(id)))
-            .filter(|&(_, f)| activated_in_trace(circuit, &trace, f))
-            .collect();
-        let lanes = self.lane_width.lanes();
-        let mut newly: Vec<FaultId> = Vec::new();
-        for chunk in candidates.chunks(lanes) {
-            // Timeline resolution inside `fsim.test`: one mark per kernel
-            // batch lets the flight recorder attribute time to bands of
-            // the candidate list, not just whole tests.
-            rls_obs::mark!("fsim.batch", chunk.len());
-            newly.extend(simulate_chunk_at(
-                self.lane_width,
-                &self.good,
-                test,
-                &trace,
-                chunk,
-                self.options,
-            ));
-        }
-        self.account(&sw, candidates.len(), lanes, 1);
-        self.drop_detected(&newly);
-        newly
+        self.run_tile(&[test])
     }
 
     /// Records the kernel calls of one test or tile: `faults` candidates
@@ -338,28 +298,18 @@ impl<'c> FaultSimulator<'c> {
     /// Simulates a sequence of tests, dropping as it goes; returns the
     /// number of newly detected faults.
     ///
-    /// Under the SoA kernel, consecutive shape-compatible tests are packed
-    /// into tiles of up to `pattern_lanes` tests (capped at
-    /// [`max_tile_height`]) so one kernel pass covers several tests. The
-    /// detections (set *and* order) are identical to the sequential
-    /// per-test run: per-(test, fault) detection does not depend on the
-    /// other faults in the word, and the tile merge walks patterns in test
-    /// order, dropping already-detected ids exactly as sequential dropping
-    /// would.
+    /// Consecutive shape-compatible tests are packed into tiles of up to
+    /// `pattern_lanes` tests (capped at [`max_tile_height`]) so one kernel
+    /// pass covers several tests. The detections (set *and* order) are
+    /// identical to the sequential per-test run: per-(test, fault)
+    /// detection does not depend on the other faults in the word, and the
+    /// tile merge walks patterns in test order, dropping already-detected
+    /// ids exactly as sequential dropping would.
     pub fn run_tests<'a, I>(&mut self, tests: I) -> usize
     where
         I: IntoIterator<Item = &'a ScanTest>,
     {
         let mut count = 0;
-        if self.kernel == SimKernel::Legacy {
-            for t in tests {
-                if self.live.is_empty() {
-                    break;
-                }
-                count += self.run_test_legacy(t).len();
-            }
-            return count;
-        }
         let all: Vec<&ScanTest> = tests.into_iter().collect();
         let height = self.pattern_lanes.min(max_tile_height(self.lane_width));
         let mut i = 0;
@@ -401,6 +351,7 @@ impl<'c> FaultSimulator<'c> {
                 self.lane_width,
                 circuit,
                 &self.soa,
+                self.good.chains(),
                 tests,
                 chunk,
                 self.options,
@@ -429,6 +380,34 @@ impl<'c> FaultSimulator<'c> {
         self.drop_detected(&merged);
         merged
     }
+}
+
+/// Simulates `tests` on the scan chains of `chains` against `targets`
+/// with fault dropping and returns the detected faults in detection
+/// order — the driver behind [`crate::run_tests_partial`] and
+/// [`crate::run_tests_multichain`].
+///
+/// # Panics
+///
+/// Panics if `universe` is not the fault universe of `sim`'s circuit, or
+/// on the width mismatches [`FaultSimulator::run_tests`] rejects.
+pub(crate) fn run_tests_on_chains(
+    sim: &GoodSim<'_>,
+    chains: ChainMap,
+    tests: &[ScanTest],
+    targets: &[FaultId],
+    universe: &FaultUniverse,
+) -> Vec<FaultId> {
+    let mut engine = FaultSimulator::new(sim.circuit());
+    assert_eq!(
+        engine.universe().faults(),
+        universe.faults(),
+        "fault ids must index the circuit's own universe"
+    );
+    engine.set_chains(chains);
+    engine.set_targets(targets);
+    engine.run_tests(tests);
+    engine.detected
 }
 
 #[cfg(test)]
@@ -535,25 +514,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn every_lane_width_detects_identically() {
-        // The engine's detection *order* (not just the set) must be
-        // invariant under the kernel width — the dispatch reduction and
-        // checkpointing both depend on it.
-        let c = rls_benchmarks::s27();
-        let mut base = FaultSimulator::new(&c);
-        assert_eq!(base.lane_width(), LaneWidth::DEFAULT);
-        base.run_test(&s27_test());
-        let expect = base.detected().to_vec();
-        assert!(!expect.is_empty());
-        for width in LaneWidth::ALL {
-            let mut sim = FaultSimulator::new(&c);
-            sim.set_lane_width(width);
-            sim.run_test(&s27_test());
-            assert_eq!(sim.detected(), &expect[..], "width {width}");
-        }
-    }
-
     fn s27_tile_tests() -> Vec<ScanTest> {
         // Six tests: the first four shape-compatible (tileable), then two
         // with a different shift schedule (forcing a tile break).
@@ -589,37 +549,56 @@ mod tests {
         out
     }
 
+    /// The serial drop-as-you-go reference: tests in order, live faults
+    /// in candidate order, one scalar faulty trace per (test, fault)
+    /// compared by `traces_differ`, each detection dropped before the
+    /// next test.
+    fn serial_dropping(c: &Circuit, tests: &[ScanTest]) -> Vec<FaultId> {
+        let engine = FaultSimulator::new(c);
+        let good = GoodSim::new(c);
+        let mut live = engine.live().to_vec();
+        let mut detected = Vec::new();
+        for t in tests {
+            let trace = good.simulate_test(t);
+            let newly: Vec<FaultId> = live
+                .iter()
+                .copied()
+                .filter(|&id| {
+                    let faulty = good.simulate_faulty(t, engine.universe().fault(id));
+                    crate::good::traces_differ(&trace, &faulty)
+                })
+                .collect();
+            live.retain(|id| !newly.contains(id));
+            detected.extend(newly);
+        }
+        detected
+    }
+
     #[test]
-    fn soa_kernel_matches_legacy_detection_order() {
-        // Kernel invariance at the engine level: the SoA kernel (default)
-        // and the legacy reference produce the same detection sequence at
-        // every width.
+    fn run_test_matches_the_serial_reference_at_every_width() {
+        // The engine's detection *order* (not just the set) is the serial
+        // one at every kernel width — the dispatch reduction and
+        // checkpointing both depend on it.
         let c = rls_benchmarks::s27();
-        let mut reference = FaultSimulator::new(&c);
-        assert_eq!(reference.kernel(), crate::soa::SimKernel::Soa);
-        reference.set_kernel(crate::soa::SimKernel::Legacy);
-        reference.run_test(&s27_test());
-        let expect = reference.detected().to_vec();
+        assert_eq!(FaultSimulator::new(&c).lane_width(), LaneWidth::DEFAULT);
+        let expect = serial_dropping(&c, &[s27_test()]);
         assert!(!expect.is_empty());
         for width in LaneWidth::ALL {
             let mut sim = FaultSimulator::new(&c);
             sim.set_lane_width(width);
             sim.run_test(&s27_test());
-            assert_eq!(sim.detected(), &expect[..], "soa width {width}");
+            assert_eq!(sim.detected(), &expect[..], "width {width}");
         }
     }
 
     #[test]
-    fn tiled_run_tests_matches_sequential_legacy() {
+    fn tiled_run_tests_matches_the_serial_reference() {
         // The crown invariant of the tile scheduler: for every width and
         // tile height, run_tests over a mixed (tileable + non-tileable)
-        // sequence yields the legacy sequential detection order exactly.
+        // sequence yields the serial dropping order exactly.
         let c = rls_benchmarks::s27();
         let tests = s27_tile_tests();
-        let mut reference = FaultSimulator::new(&c);
-        reference.set_kernel(crate::soa::SimKernel::Legacy);
-        reference.run_tests(&tests);
-        let expect = reference.detected().to_vec();
+        let expect = serial_dropping(&c, &tests);
         assert!(!expect.is_empty());
         for width in LaneWidth::ALL {
             for p in crate::soa::PATTERN_LANES_ALL {
@@ -664,7 +643,7 @@ mod tests {
     fn pattern_lanes_above_half_the_word_are_capped() {
         // 64 pattern lanes at W64 would leave no fault lane beside the
         // per-pattern reference lanes; grouping caps tiles at 32 tall and
-        // the detection order still matches the legacy kernel.
+        // the detection order still matches the serial reference.
         let c = rls_benchmarks::s27();
         let mut x = 0x2545_f491u32;
         let mut bit = move || {
@@ -687,15 +666,13 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let mut reference = FaultSimulator::new(&c);
-        reference.set_kernel(crate::soa::SimKernel::Legacy);
-        reference.run_tests(&tests);
-        assert!(reference.detected_count() > 0);
+        let expect = serial_dropping(&c, &tests);
+        assert!(!expect.is_empty());
         let mut sim = FaultSimulator::new(&c);
         sim.set_lane_width(LaneWidth::W64);
         sim.set_pattern_lanes(64);
         sim.run_tests(&tests);
-        assert_eq!(sim.detected(), reference.detected());
+        assert_eq!(sim.detected(), &expect[..]);
         let stats = sim.lane_stats();
         assert_eq!(stats.lanes_capacity, stats.batches * 64);
         assert!(stats.lanes_used <= stats.lanes_capacity);

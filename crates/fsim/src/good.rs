@@ -1,26 +1,33 @@
-//! Fault-free (good machine) simulation.
+//! Fault-free and single-fault scalar simulation.
 //!
-//! Produces the complete per-time-unit trace of a [`ScanTest`]: every net
-//! value, the state sequence, the primary outputs, the bits observed during
-//! limited scans and the final scan-out. The legacy wide-word kernel
-//! ([`crate::parallel`]) uses this trace both as the comparison reference
-//! and for activation prefiltering (the SoA kernel carries the fault-free
-//! machine in its own reference lanes instead); the `table1` harness
-//! prints it directly.
+//! Produces the complete per-time-unit trace of a [`ScanTest`]: the state
+//! sequence, the primary outputs, the bits observed during limited scans
+//! and the bits the final scan-out reads. The fault-free trace is the
+//! no-fault case of the one-fault simulation, so the scalar simulator has
+//! one code path. Compared by [`traces_differ`], one faulty trace per
+//! fault is the serial reference of the bit-parallel kernel
+//! ([`crate::soa`]); the `table1` harness prints the traces directly.
+//!
+//! Scan operations follow the simulator's [`ChainMap`] (full scan by
+//! default): the scan-in loads the map's load positions, limited scans
+//! move every chain, and the final scan-out reads the map's observe
+//! positions.
 
 use rls_netlist::{Circuit, Levelization, NodeKind};
-use rls_scan::ops;
+use rls_scan::ChainMap;
 
+use crate::fault::{Fault, FaultSite};
 use crate::test::ScanTest;
 
-/// Fault-free simulator for a circuit.
+/// Scalar simulator for a circuit and its scan chains.
 #[derive(Debug)]
 pub struct GoodSim<'c> {
     circuit: &'c Circuit,
     lev: Levelization,
+    chains: ChainMap,
 }
 
-/// The full fault-free trace of one test.
+/// The full trace of one test.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TestTrace {
     /// `states[u]` is the circuit state when the vector of time unit `u` is
@@ -30,12 +37,13 @@ pub struct TestTrace {
     /// `pre_shift_states[u]` is the state at time unit `u` before any
     /// limited scan (equal to `states[u]` when no shift is scheduled).
     pub pre_shift_states: Vec<Vec<bool>>,
-    /// All net values at each time unit (indexed by net id).
-    pub net_values: Vec<Vec<bool>>,
     /// Primary output vectors at each time unit.
     pub outputs: Vec<Vec<bool>>,
     /// For each limited scan op, `(time_unit, observed_bits)` tail-first.
     pub scan_outs: Vec<(usize, Vec<bool>)>,
+    /// The bits the concluding scan-out reads from the final state (the
+    /// whole state under full scan).
+    pub final_scan_out: Vec<bool>,
 }
 
 impl TestTrace {
@@ -46,7 +54,7 @@ impl TestTrace {
 }
 
 impl<'c> GoodSim<'c> {
-    /// Builds a simulator (levelizes the circuit once).
+    /// Builds a full-scan simulator (levelizes the circuit once).
     ///
     /// # Panics
     ///
@@ -55,7 +63,37 @@ impl<'c> GoodSim<'c> {
         let lev = circuit
             .levelize()
             .expect("fault simulation requires an acyclic circuit"); // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-        GoodSim { circuit, lev }
+        let chains = ChainMap::full(circuit.num_dffs());
+        GoodSim {
+            circuit,
+            lev,
+            chains,
+        }
+    }
+
+    /// The same simulator on the scan chains of `chains`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chains` covers a different number of flip-flops than
+    /// the circuit has.
+    pub fn with_chains(mut self, chains: ChainMap) -> Self {
+        self.set_chains(chains);
+        self
+    }
+
+    /// Replaces the scan chains (see [`GoodSim::with_chains`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`GoodSim::with_chains`].
+    pub(crate) fn set_chains(&mut self, chains: ChainMap) {
+        assert_eq!(
+            chains.n_sv(),
+            self.circuit.num_dffs(),
+            "chain map/circuit mismatch"
+        );
+        self.chains = chains;
     }
 
     /// The circuit under simulation.
@@ -68,13 +106,33 @@ impl<'c> GoodSim<'c> {
         &self.lev
     }
 
+    /// The scan chains tests are applied through.
+    pub fn chains(&self) -> &ChainMap {
+        &self.chains
+    }
+
     /// Evaluates the combinational core for the given primary inputs and
-    /// state, writing every net's value into `values` (resized as needed).
+    /// state and returns every net's value.
     ///
     /// # Panics
     ///
     /// Panics if `pis` or `state` have the wrong length.
-    pub fn eval_into(&self, pis: &[bool], state: &[bool], values: &mut Vec<bool>) {
+    pub fn eval(&self, pis: &[bool], state: &[bool]) -> Vec<bool> {
+        let mut values = Vec::new();
+        self.eval_with(pis, state, None, &mut values);
+        values
+    }
+
+    /// The one combinational sweep, writing every net's value into
+    /// `values` (resized as needed): sources, then gates in level order,
+    /// with `fault` (if any) forced where it sits.
+    fn eval_with(
+        &self,
+        pis: &[bool],
+        state: &[bool],
+        fault: Option<Fault>,
+        values: &mut Vec<bool>,
+    ) {
         assert_eq!(pis.len(), self.circuit.num_inputs(), "PI width mismatch");
         assert_eq!(state.len(), self.circuit.num_dffs(), "state width mismatch");
         values.clear();
@@ -90,6 +148,16 @@ impl<'c> GoodSim<'c> {
                 values[i] = v; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
             }
         }
+        // Stem faults on sources apply before any gate reads them.
+        if let Some(Fault {
+            site: FaultSite::Stem(net),
+            stuck,
+        }) = fault
+        {
+            if !self.circuit.node(net).is_gate() {
+                values[net.index()] = stuck; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
+            }
+        }
         let mut fanin_buf: Vec<bool> = Vec::with_capacity(8);
         for &gate in self.lev.order() {
             let node = self.circuit.node(gate);
@@ -97,16 +165,31 @@ impl<'c> GoodSim<'c> {
                 unreachable!("levelization order contains only gates"); // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
             };
             fanin_buf.clear();
-            fanin_buf.extend(fanin.iter().map(|f| values[f.index()])); // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-            values[gate.index()] = kind.eval_bool(&fanin_buf); // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
+            for (pin, &f) in fanin.iter().enumerate() {
+                let mut v = values[f.index()]; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
+                if let Some(Fault {
+                    site:
+                        FaultSite::Branch {
+                            node: fn_node,
+                            pin: fp,
+                        },
+                    stuck,
+                }) = fault
+                {
+                    if fn_node == gate && fp as usize == pin {
+                        v = stuck;
+                    }
+                }
+                fanin_buf.push(v);
+            }
+            let mut v = kind.eval_bool(&fanin_buf);
+            if let Some(Fault { site, stuck }) = fault {
+                if site == FaultSite::Stem(gate) {
+                    v = stuck;
+                }
+            }
+            values[gate.index()] = v; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
         }
-    }
-
-    /// Evaluates the combinational core and returns all net values.
-    pub fn eval(&self, pis: &[bool], state: &[bool]) -> Vec<bool> {
-        let mut values = Vec::new();
-        self.eval_into(pis, state, &mut values);
-        values
     }
 
     /// Extracts the next state (flip-flop data inputs) from a value vector.
@@ -132,106 +215,14 @@ impl<'c> GoodSim<'c> {
             .collect()
     }
 
-    /// Simulates a complete test and returns the full trace.
+    /// Simulates a complete test fault-free and returns the full trace.
     ///
     /// # Panics
     ///
     /// Panics if the test's scan-in or vector widths do not match the
-    /// circuit.
+    /// circuit and its scan chains.
     pub fn simulate_test(&self, test: &ScanTest) -> TestTrace {
-        assert_eq!(
-            test.scan_in.len(),
-            self.circuit.num_dffs(),
-            "scan-in width mismatch"
-        );
-        let mut state = test.scan_in.clone();
-        let mut trace = TestTrace {
-            states: Vec::with_capacity(test.len() + 1),
-            pre_shift_states: Vec::with_capacity(test.len()),
-            net_values: Vec::with_capacity(test.len()),
-            outputs: Vec::with_capacity(test.len()),
-            scan_outs: Vec::new(),
-        };
-        for (u, vector) in test.vectors.iter().enumerate() {
-            trace.pre_shift_states.push(state.clone());
-            if let Some(op) = test.shift_at(u) {
-                let observed = ops::limited_scan_bools(&mut state, op.amount, &op.fill);
-                trace.scan_outs.push((u, observed));
-            }
-            trace.states.push(state.clone());
-            let values = self.eval(vector, &state);
-            trace.outputs.push(self.outputs(&values));
-            state = self.next_state(&values);
-            trace.net_values.push(values);
-        }
-        trace.states.push(state);
-        trace
-    }
-}
-
-impl<'c> GoodSim<'c> {
-    /// Evaluates the combinational core *with a fault injected*, writing
-    /// every net's faulty value into `values`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on width mismatches.
-    pub fn eval_faulty_into(
-        &self,
-        pis: &[bool],
-        state: &[bool],
-        fault: crate::fault::Fault,
-        values: &mut Vec<bool>,
-    ) {
-        use crate::fault::FaultSite;
-
-        assert_eq!(pis.len(), self.circuit.num_inputs(), "PI width mismatch");
-        assert_eq!(state.len(), self.circuit.num_dffs(), "state width mismatch");
-        values.clear();
-        values.resize(self.circuit.len(), false);
-        for (k, &pi) in self.circuit.inputs().iter().enumerate() {
-            values[pi.index()] = pis[k]; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-        }
-        for (k, &ff) in self.circuit.dffs().iter().enumerate() {
-            values[ff.index()] = state[k]; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-        }
-        for (i, node) in self.circuit.nodes().iter().enumerate() {
-            if let NodeKind::Const(v) = node.kind {
-                values[i] = v; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-            }
-        }
-        // Stem faults on sources apply before any gate reads them.
-        if let FaultSite::Stem(net) = fault.site {
-            if !self.circuit.node(net).is_gate() {
-                values[net.index()] = fault.stuck; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-            }
-        }
-        let mut fanin_buf: Vec<bool> = Vec::with_capacity(8);
-        for &gate in self.lev.order() {
-            let node = self.circuit.node(gate);
-            let NodeKind::Gate { kind, fanin } = &node.kind else {
-                unreachable!("levelization order contains only gates"); // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-            };
-            fanin_buf.clear();
-            for (pin, &f) in fanin.iter().enumerate() {
-                let mut v = values[f.index()]; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-                if let FaultSite::Branch {
-                    node: fn_node,
-                    pin: fp,
-                } = fault.site
-                {
-                    if fn_node == gate && fp as usize == pin {
-                        v = fault.stuck;
-                    }
-                }
-                fanin_buf.push(v);
-            }
-            let mut v = kind.eval_bool(&fanin_buf);
-            if fault.site == FaultSite::Stem(gate) {
-                v = fault.stuck;
-            }
-            values[gate.index()] = v; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-        }
+        self.simulate_with(test, None)
     }
 
     /// Simulates a complete test *in the presence of a fault*, returning
@@ -240,27 +231,32 @@ impl<'c> GoodSim<'c> {
     /// paper's Table 1.
     ///
     /// A fault on a flip-flop output is re-applied after every state
-    /// mutation, matching the parallel simulator's stuck-register model.
+    /// mutation (the scan-in, every limited scan and every capture): a
+    /// stuck register output that also feeds the scan path with its stuck
+    /// value.
     ///
     /// # Panics
     ///
     /// Panics on width mismatches.
-    pub fn simulate_faulty(&self, test: &ScanTest, fault: crate::fault::Fault) -> TestTrace {
-        use crate::fault::FaultSite;
-        assert_eq!(
-            test.scan_in.len(),
-            self.circuit.num_dffs(),
-            "scan-in width mismatch"
-        );
-        let ff_stuck: Option<(usize, bool)> = match fault.site {
-            FaultSite::Stem(net) => self.circuit.dff_position(net).map(|pos| (pos, fault.stuck)),
-            FaultSite::Branch { .. } => None,
+    pub fn simulate_faulty(&self, test: &ScanTest, fault: Fault) -> TestTrace {
+        self.simulate_with(test, Some(fault))
+    }
+
+    /// The one test simulation: `fault` (if any) forced throughout.
+    fn simulate_with(&self, test: &ScanTest, fault: Option<Fault>) -> TestTrace {
+        let position = |net| self.circuit.dff_position(net);
+        let ff_stuck: Option<(usize, bool)> = match fault {
+            Some(Fault {
+                site: FaultSite::Stem(net),
+                stuck,
+            }) => position(net).map(|pos| (pos, stuck)),
+            _ => None,
         };
-        let ff_pin: Option<(usize, bool)> = match fault.site {
-            FaultSite::Branch { node, pin: 0 } if self.circuit.node(node).is_dff() => self
-                .circuit
-                .dff_position(node)
-                .map(|pos| (pos, fault.stuck)),
+        let ff_pin: Option<(usize, bool)> = match fault {
+            Some(Fault {
+                site: FaultSite::Branch { node, pin: 0 },
+                stuck,
+            }) if self.circuit.node(node).is_dff() => position(node).map(|pos| (pos, stuck)),
             _ => None,
         };
         let force_state = |state: &mut [bool]| {
@@ -268,33 +264,35 @@ impl<'c> GoodSim<'c> {
                 state[pos] = v; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
             }
         };
-        let mut state = test.scan_in.clone();
+        let mut state = self.chains.load_bools(&test.scan_in);
         force_state(&mut state);
         let mut trace = TestTrace {
             states: Vec::with_capacity(test.len() + 1),
             pre_shift_states: Vec::with_capacity(test.len()),
-            net_values: Vec::with_capacity(test.len()),
             outputs: Vec::with_capacity(test.len()),
             scan_outs: Vec::new(),
+            final_scan_out: Vec::new(),
         };
+        let mut values = Vec::new();
         for (u, vector) in test.vectors.iter().enumerate() {
             trace.pre_shift_states.push(state.clone());
             if let Some(op) = test.shift_at(u) {
-                let observed = ops::limited_scan_bools(&mut state, op.amount, &op.fill);
+                let observed = self
+                    .chains
+                    .limited_scan_bools(&mut state, op.amount, &op.fill);
                 trace.scan_outs.push((u, observed));
                 force_state(&mut state);
             }
             trace.states.push(state.clone());
-            let mut values = Vec::new();
-            self.eval_faulty_into(vector, &state, fault, &mut values);
+            self.eval_with(vector, &state, fault, &mut values);
             trace.outputs.push(self.outputs(&values));
             state = self.next_state(&values);
             if let Some((pos, v)) = ff_pin {
                 state[pos] = v; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
             }
             force_state(&mut state);
-            trace.net_values.push(values);
         }
+        trace.final_scan_out = self.chains.observe_bools(&state);
         trace.states.push(state);
         trace
     }
@@ -306,7 +304,7 @@ impl<'c> GoodSim<'c> {
 pub fn traces_differ(good: &TestTrace, faulty: &TestTrace) -> bool {
     good.outputs != faulty.outputs
         || good.scan_outs != faulty.scan_outs
-        || good.final_state() != faulty.final_state()
+        || good.final_scan_out != faulty.final_scan_out
 }
 
 /// Convenience: evaluate a purely combinational circuit (no flip-flops) on
@@ -451,30 +449,31 @@ mod tests {
     }
 
     #[test]
-    fn serial_faulty_traces_agree_with_parallel_detection() {
-        // For every uncollapsed fault of s27 under a limited-scan test, the
-        // serial faulty-trace comparison and the 64-way parallel simulator
-        // must make the same detection decision.
-        use crate::fault::{FaultId, FaultUniverse};
-        use crate::parallel::simulate_batch;
+    fn partial_chain_loads_and_observes_only_the_chain() {
+        // Scan only positions 3 and 1 of a 4-stage shift register: the
+        // scan-in fills the chain, the other stages start at reset, and
+        // the final scan-out reads the chain in chain order.
+        let c = rls_benchmarks::parametric::shift_register(4);
+        let ps = rls_scan::PartialScan::new(4, vec![3, 1]);
+        let sim = GoodSim::new(&c).with_chains(ChainMap::from(&ps));
+        let test = ScanTest::new(vec![true, true], vec![vec![false]]);
+        let trace = sim.simulate_test(&test);
+        assert_eq!(trace.states[0], vec![false, true, false, true]);
+        assert_eq!(trace.final_state(), &[false, false, true, false]);
+        assert_eq!(trace.final_scan_out, vec![false, false]);
+    }
+
+    #[test]
+    fn fault_free_run_is_the_no_fault_case_of_the_faulty_run() {
+        // A fault whose site never leaves its stuck value (G0 is 0 in both
+        // vectors) reproduces the fault-free trace exactly.
         let c = rls_benchmarks::s27();
         let sim = GoodSim::new(&c);
-        let test = ScanTest::from_strings("001", &["0111", "1001", "0111", "1001", "0100"])
-            .unwrap()
-            .with_shifts(vec![crate::test::ShiftOp {
-                at: 2,
-                amount: 2,
-                fill: vec![true, false],
-            }])
-            .unwrap();
+        let test = ScanTest::from_strings("001", &["0111", "0111"]).unwrap();
         let good = sim.simulate_test(&test);
-        let u = FaultUniverse::enumerate(&c);
-        for (i, &fault) in u.faults().iter().enumerate() {
-            let id = FaultId(i as u32);
-            let serial = traces_differ(&good, &sim.simulate_faulty(&test, fault));
-            let parallel = !simulate_batch(&sim, &test, &good, &[(id, fault)]).is_empty();
-            assert_eq!(serial, parallel, "{}", fault.describe(&c));
-        }
+        assert_eq!(good.final_scan_out, good.final_state());
+        let never_activated = crate::fault::Fault::stem_sa0(c.find("G0").unwrap());
+        assert_eq!(good, sim.simulate_faulty(&test, never_activated));
     }
 
     #[test]

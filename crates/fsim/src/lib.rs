@@ -1,4 +1,4 @@
-//! Stuck-at fault simulation for full-scan tests with limited scan
+//! Stuck-at fault simulation for scan tests with limited scan
 //! operations.
 //!
 //! This crate is the evaluation engine of the reproduction: it applies a
@@ -17,17 +17,21 @@
 //!   net plus branch faults on fanout input pins;
 //! - [`collapse`]: classic structural equivalence collapsing (union-find
 //!   over gate-local equivalence rules);
-//! - [`good`]: fault-free simulation, including the full per-time-unit
-//!   trace that reproduces the paper's Table 1/Table 2 worked example;
-//! - [`parallel`]: wide-word bit-parallel fault simulation (one fault per
-//!   lane, 64–512 lanes per batch via [`LaneWidth`], fault-free reference
-//!   from [`good`]) — kept as the differential reference kernel;
-//! - [`soa`]: the levelized SoA tile kernel — flat-array evaluation over
-//!   [`rls_netlist::LevelizedCircuit`] with a second (pattern) lane axis
-//!   and the fault-free machine in one reference lane per pattern, proven
-//!   bit-identical to [`parallel`] by the oracle suite;
-//! - [`engine`]: the [`FaultSimulator`] driver with fault dropping (and,
-//!   on the legacy kernel, activation prefiltering);
+//! - [`good`]: scalar one-fault-at-a-time simulation — the fault-free
+//!   trace that reproduces the paper's Table 1/Table 2 worked example,
+//!   and the faulty traces that, compared by [`good::traces_differ`], are
+//!   the serial reference oracle of the kernel;
+//! - [`soa`]: the one stuck-at kernel — levelized SoA tiles over
+//!   [`rls_netlist::LevelizedCircuit`], 64–512 lanes per word
+//!   ([`LaneWidth`]) split into (fault × pattern) axes, the fault-free
+//!   machine in one reference lane per pattern, and scan style (full,
+//!   partial, multichain) read from a [`ChainMap`];
+//! - [`engine`]: the [`FaultSimulator`] driver with fault dropping and
+//!   test tiling;
+//! - [`partial_sim`] / [`multichain_sim`]: drivers for the partial-scan
+//!   and multiple-chain extensions over the same engine;
+//! - [`transition`]: the transition (delay) fault model's own 64-lane
+//!   simulator;
 //! - [`coverage`]: fault-coverage bookkeeping.
 //!
 //! # Modeling notes (see DESIGN.md)
@@ -56,7 +60,6 @@ pub mod engine;
 pub mod fault;
 pub mod good;
 pub mod multichain_sim;
-pub mod parallel;
 pub mod partial_sim;
 pub mod soa;
 pub mod test;
@@ -67,20 +70,12 @@ pub use coverage::Coverage;
 pub use engine::{FaultSimulator, LaneStats};
 pub use fault::{Fault, FaultId, FaultSite, FaultUniverse};
 pub use good::{GoodSim, TestTrace};
-pub use multichain_sim::{
-    run_tests_multichain, simulate_batch_multichain, simulate_good_multichain, McScanTest,
-    McShiftOp, McTrace,
-};
-pub use parallel::{
-    activated_in_trace, simulate_batch, simulate_batch_lanes, simulate_batch_with,
-    simulate_chunk_at, LaneWidth, SimOptions, LANES,
-};
-pub use partial_sim::{
-    run_tests_partial, simulate_batch_partial, simulate_good_partial, PartialTrace,
-};
+pub use multichain_sim::{run_tests_multichain, McScanTest, McShiftOp};
+pub use partial_sim::run_tests_partial;
+pub use rls_scan::ChainMap;
 pub use soa::{
     max_tile_height, parse_pattern_lanes, simulate_tile_at, simulate_tile_lanes,
-    tile_compatible, tile_fault_capacity, SimKernel, SoaBatch, PATTERN_LANES_ALL,
+    tile_compatible, tile_fault_capacity, LaneWidth, SimOptions, SoaBatch, PATTERN_LANES_ALL,
     PATTERN_LANES_DEFAULT,
 };
 pub use test::{ScanTest, ShiftOp, TestError};

@@ -8,235 +8,59 @@
 //! into each head — `k · chains` bits of extra observation and
 //! controllability for `k` clock cycles.
 //!
-//! Because a multichain shift consumes `chains` fill bits per cycle, the
-//! test representation differs from the single-chain [`ScanTest`]:
-//! [`McScanTest`] carries its own shift schedule.
+//! A multichain test is a [`ScanTest`] whose `scan_in` covers the whole
+//! state (the parallel load costs only `max_chain_len` cycles) and whose
+//! shifts carry `amount × chains` fill bits, cycle-major
+//! (`fill[cycle * chains + chain]`). [`ScanTest::with_shifts`] checks the
+//! single-chain fill length, so multichain schedules are built directly.
+//! The architecture is a [`ChainMap`], so these tests run through the
+//! same kernel and engine as full scan.
 
-use rls_netlist::NodeKind;
-use rls_scan::MultiChain;
+use rls_scan::{ChainMap, MultiChain};
 
-use crate::fault::{Fault, FaultId};
+use crate::engine::run_tests_on_chains;
+use crate::fault::{FaultId, FaultUniverse};
 use crate::good::GoodSim;
-use crate::parallel::{eval_words, FaultBatch, LANES};
+use crate::test::{ScanTest, ShiftOp};
 
-/// A limited scan on all chains simultaneously.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct McShiftOp {
-    /// Time unit before whose vector the shift happens (`0 < at < L`).
-    pub at: usize,
-    /// Shift cycles (each cycle moves every chain by one position).
-    pub amount: usize,
-    /// Fill bits, cycle-major: `fill[cycle * chains + chain]`.
-    pub fill: Vec<bool>,
-}
+/// A limited scan on all chains simultaneously: `fill` holds
+/// `amount × chains` bits, cycle-major.
+pub type McShiftOp = ShiftOp;
 
-/// A test for a multichain architecture.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct McScanTest {
-    /// The full scan-in state (all flip-flops; the parallel load costs
-    /// only `max_chain_len` cycles).
-    pub scan_in: Vec<bool>,
-    /// At-speed primary input vectors.
-    pub vectors: Vec<Vec<bool>>,
-    /// Limited scans, ascending by `at`.
-    pub shifts: Vec<McShiftOp>,
-}
-
-impl McScanTest {
-    /// A test without limited scans.
-    pub fn new(scan_in: Vec<bool>, vectors: Vec<Vec<bool>>) -> Self {
-        McScanTest {
-            scan_in,
-            vectors,
-            shifts: Vec::new(),
-        }
-    }
-
-    /// The test length `L`.
-    pub fn len(&self) -> usize {
-        self.vectors.len()
-    }
-
-    /// Whether the test applies no vectors.
-    pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
-    }
-
-    /// The shift scheduled at time unit `u`, if any.
-    pub fn shift_at(&self, u: usize) -> Option<&McShiftOp> {
-        self.shifts.iter().find(|s| s.at == u)
-    }
-
-    /// Total limited-scan shift cycles.
-    pub fn shift_cycles(&self) -> u64 {
-        self.shifts.iter().map(|s| s.amount as u64).sum()
-    }
-}
-
-/// The fault-free trace of a multichain test.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct McTrace {
-    /// States when each vector applies; last entry is the final state.
-    pub states: Vec<Vec<bool>>,
-    /// Primary outputs per vector.
-    pub outputs: Vec<Vec<bool>>,
-    /// Observed bits per limited scan (chain-major within a cycle).
-    pub scan_outs: Vec<(usize, Vec<bool>)>,
-}
-
-impl McTrace {
-    /// The final state (all of it is observed — the concluding scan-out
-    /// reads every chain).
-    pub fn final_state(&self) -> &[bool] {
-        self.states.last().expect("trace always has a final state") // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-    }
-}
-
-/// Simulates a multichain test fault-free.
-///
-/// # Panics
-///
-/// Panics on width mismatches or invalid shifts.
-pub fn simulate_good_multichain(sim: &GoodSim<'_>, mc: &MultiChain, test: &McScanTest) -> McTrace {
-    let circuit = sim.circuit();
-    assert_eq!(mc.n_sv(), circuit.num_dffs(), "architecture mismatch");
-    assert_eq!(test.scan_in.len(), mc.n_sv(), "scan-in width mismatch");
-    let mut state = test.scan_in.clone();
-    let mut trace = McTrace {
-        states: Vec::with_capacity(test.len() + 1),
-        outputs: Vec::with_capacity(test.len()),
-        scan_outs: Vec::new(),
-    };
-    for (u, vector) in test.vectors.iter().enumerate() {
-        if let Some(op) = test.shift_at(u) {
-            let rows: Vec<Vec<bool>> = op.fill.chunks(mc.chains()).map(|c| c.to_vec()).collect();
-            let observed = mc.limited_scan_bools(&mut state, op.amount, &rows);
-            trace.scan_outs.push((u, observed));
-        }
-        trace.states.push(state.clone());
-        let values = sim.eval(vector, &state);
-        trace.outputs.push(sim.outputs(&values));
-        state = sim.next_state(&values);
-    }
-    trace.states.push(state);
-    trace
-}
-
-/// Runs one multichain test against a fault batch.
-///
-/// # Panics
-///
-/// As [`simulate_good_multichain`], plus at most [`LANES`] faults.
-pub fn simulate_batch_multichain(
-    sim: &GoodSim<'_>,
-    mc: &MultiChain,
-    test: &McScanTest,
-    trace: &McTrace,
-    faults: &[(FaultId, Fault)],
-) -> Vec<FaultId> {
-    let circuit = sim.circuit();
-    let batch = FaultBatch::new(circuit, faults);
-    let full = if batch.lanes() == LANES {
-        !0u64
-    } else {
-        (1u64 << batch.lanes()) - 1
-    };
-    let mut detected = 0u64;
-    let mut state: Vec<u64> = test
-        .scan_in
-        .iter()
-        .map(|&b| if b { !0u64 } else { 0 })
-        .collect();
-    batch.force_state(&mut state);
-    let mut values = vec![0u64; circuit.len()];
-    let mut scan_out_idx = 0;
-    for (u, vector) in test.vectors.iter().enumerate() {
-        if let Some(op) = test.shift_at(u) {
-            let outs = mc.limited_scan_words(&mut state, op.amount, &op.fill);
-            let (_, good_outs) = &trace.scan_outs[scan_out_idx]; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-            scan_out_idx += 1;
-            for (w, &g) in outs.iter().zip(good_outs.iter()) {
-                detected |= w ^ if g { !0u64 } else { 0 };
-            }
-            batch.force_state(&mut state);
-            if detected & full == full {
-                return batch.ids.clone();
-            }
-        }
-        eval_words(sim, &batch, vector, &state, &mut values);
-        for (k, &po) in circuit.outputs().iter().enumerate() {
-            let good_w = if trace.outputs[u][k] { !0u64 } else { 0 }; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-            detected |= values[po.index()] ^ good_w; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-        }
-        if detected & full == full {
-            return batch.ids.clone();
-        }
-        for (p, &ff) in circuit.dffs().iter().enumerate() {
-            let NodeKind::Dff { d: Some(d) } = circuit.node(ff).kind else {
-                panic!("unconnected flip-flop in simulation"); // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-            };
-            state[p] = batch.capture_force(ff, values[d.index()]); // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-        }
-        batch.force_state(&mut state);
-    }
-    for (p, &g) in trace.final_state().iter().enumerate() {
-        detected |= state[p] ^ if g { !0u64 } else { 0 }; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-    }
-    detected &= full;
-    batch
-        .ids
-        .iter()
-        .enumerate()
-        .filter(|&(lane, _)| detected >> lane & 1 == 1)
-        .map(|(_, &id)| id)
-        .collect()
-}
+/// A test for a multichain architecture (see the module docs for the
+/// fill layout).
+pub type McScanTest = ScanTest;
 
 /// Simulates multichain tests with fault dropping; returns the detected
-/// faults.
+/// faults in detection order.
+///
+/// # Panics
+///
+/// Panics if `mc` does not match the circuit, on width mismatches or
+/// invalid shifts, or if `universe` is not the circuit's fault universe.
 pub fn run_tests_multichain(
     sim: &GoodSim<'_>,
     mc: &MultiChain,
     tests: &[McScanTest],
     targets: &[FaultId],
-    universe: &crate::fault::FaultUniverse,
+    universe: &FaultUniverse,
 ) -> Vec<FaultId> {
-    let mut live: Vec<FaultId> = targets.to_vec();
-    let mut detected = Vec::new();
-    for test in tests {
-        if live.is_empty() {
-            break;
-        }
-        let trace = simulate_good_multichain(sim, mc, test);
-        let pairs: Vec<(FaultId, Fault)> =
-            live.iter().map(|&id| (id, universe.fault(id))).collect();
-        let mut newly: Vec<FaultId> = Vec::new();
-        for chunk in pairs.chunks(LANES) {
-            newly.extend(simulate_batch_multichain(sim, mc, test, &trace, chunk));
-        }
-        if !newly.is_empty() {
-            let drop: std::collections::HashSet<FaultId> = newly.iter().copied().collect();
-            live.retain(|id| !drop.contains(id));
-            detected.extend(newly);
-        }
-    }
-    detected
+    run_tests_on_chains(sim, ChainMap::from(mc), tests, targets, universe)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultUniverse;
-    use crate::test::{ScanTest, ShiftOp};
 
     #[test]
     fn single_chain_matches_standard_engine() {
         // A one-chain multichain configuration is exactly the standard
-        // full-scan architecture: both engines must agree on every fault.
+        // full-scan architecture: both drivers detect the same faults in
+        // the same order.
         let c = rls_benchmarks::s27();
         let sim = GoodSim::new(&c);
-        let mc = MultiChain::new(3, 1);
-        let std_test = ScanTest::from_strings("011", &["0111", "1001", "0100"])
+        let universe = FaultUniverse::enumerate(&c);
+        let test = ScanTest::from_strings("011", &["0111", "1001", "0100"])
             .unwrap()
             .with_shifts(vec![ShiftOp {
                 at: 1,
@@ -244,35 +68,19 @@ mod tests {
                 fill: vec![true, false],
             }])
             .unwrap();
-        let mc_test = McScanTest {
-            scan_in: std_test.scan_in.clone(),
-            vectors: std_test.vectors.clone(),
-            shifts: vec![McShiftOp {
-                at: 1,
-                amount: 2,
-                fill: vec![true, false],
-            }],
-        };
-        let good_std = sim.simulate_test(&std_test);
-        let good_mc = simulate_good_multichain(&sim, &mc, &mc_test);
-        assert_eq!(good_std.outputs, good_mc.outputs);
-        assert_eq!(good_std.final_state(), good_mc.final_state());
-        let u = FaultUniverse::enumerate(&c);
-        for (i, &f) in u.faults().iter().enumerate() {
-            let id = FaultId(i as u32);
-            let a =
-                !crate::parallel::simulate_batch(&sim, &std_test, &good_std, &[(id, f)]).is_empty();
-            let b =
-                !simulate_batch_multichain(&sim, &mc, &mc_test, &good_mc, &[(id, f)]).is_empty();
-            assert_eq!(a, b, "{}", f.describe(&c));
-        }
+        let mut engine = crate::FaultSimulator::new(&c);
+        engine.run_test(&test);
+        let targets = engine.collapsed().representatives().to_vec();
+        let mc = MultiChain::new(3, 1);
+        let det = run_tests_multichain(&sim, &mc, &[test], &targets, &universe);
+        assert_eq!(det, engine.detected());
     }
 
     #[test]
     fn multichain_shift_observes_more_bits_per_cycle() {
         let c = rls_benchmarks::by_name("b03").unwrap(); // 30 flip-flops
-        let sim = GoodSim::new(&c);
         let mc = MultiChain::with_max_length(30, 10); // 3 chains
+        let sim = GoodSim::new(&c).with_chains(ChainMap::from(&mc));
         let test = McScanTest {
             scan_in: vec![false; 30],
             vectors: vec![vec![false; 4]; 3],
@@ -282,7 +90,7 @@ mod tests {
                 fill: vec![false; 6],
             }],
         };
-        let trace = simulate_good_multichain(&sim, &mc, &test);
+        let trace = sim.simulate_test(&test);
         // 2 cycles × 3 chains = 6 observed bits for 2 clock cycles.
         assert_eq!(trace.scan_outs[0].1.len(), 6);
     }

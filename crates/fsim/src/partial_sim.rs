@@ -14,247 +14,90 @@
 //!
 //! Detection points are the partial-scan analogues of the full-scan ones:
 //! primary outputs per vector, limited-scan scan-outs, and the final
-//! scan-out of the chain.
+//! scan-out of the chain. The architecture is a [`ChainMap`], so these
+//! tests run through the same kernel and engine as full scan.
 
-use rls_netlist::NodeKind;
-use rls_scan::PartialScan;
+use rls_scan::{ChainMap, PartialScan};
 
-use crate::fault::{Fault, FaultId};
+use crate::engine::run_tests_on_chains;
+use crate::fault::{FaultId, FaultUniverse};
 use crate::good::GoodSim;
-use crate::parallel::{eval_words, FaultBatch, LANES};
 use crate::test::ScanTest;
 
-/// The fault-free trace of a partial-scan test.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartialTrace {
-    /// Full-width states when each vector is applied; the last entry is
-    /// the final state.
-    pub states: Vec<Vec<bool>>,
-    /// Primary outputs per vector.
-    pub outputs: Vec<Vec<bool>>,
-    /// Observed bits of each limited scan `(time_unit, bits)`.
-    pub scan_outs: Vec<(usize, Vec<bool>)>,
-    /// The chain bits observed by the final scan-out.
-    pub final_chain: Vec<bool>,
-}
-
-/// Simulates a test on a partial-scan architecture, fault-free.
+/// Simulates a list of partial-scan tests with fault dropping and returns
+/// the detected fault ids, in detection order.
 ///
 /// # Panics
 ///
-/// Panics if the test's `scan_in` width differs from the chain length, a
-/// shift exceeds the chain, or `ps` does not match the circuit.
-pub fn simulate_good_partial(sim: &GoodSim<'_>, ps: &PartialScan, test: &ScanTest) -> PartialTrace {
-    let circuit = sim.circuit();
-    assert_eq!(
-        ps.n_sv(),
-        circuit.num_dffs(),
-        "architecture/circuit mismatch"
-    );
-    assert_eq!(
-        test.scan_in.len(),
-        ps.chain_len(),
-        "scan-in must cover exactly the chain"
-    );
-    let mut state = vec![false; ps.n_sv()];
-    for (&pos, &bit) in ps.scanned().iter().zip(test.scan_in.iter()) {
-        state[pos] = bit; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-    }
-    let mut trace = PartialTrace {
-        states: Vec::with_capacity(test.len() + 1),
-        outputs: Vec::with_capacity(test.len()),
-        scan_outs: Vec::new(),
-        final_chain: Vec::new(),
-    };
-    for (u, vector) in test.vectors.iter().enumerate() {
-        if let Some(op) = test.shift_at(u) {
-            let observed = ps.limited_scan_bools(&mut state, op.amount, &op.fill);
-            trace.scan_outs.push((u, observed));
-        }
-        trace.states.push(state.clone());
-        let values = sim.eval(vector, &state);
-        trace.outputs.push(sim.outputs(&values));
-        state = sim.next_state(&values);
-    }
-    trace.final_chain = ps.scanned().iter().map(|&p| state[p]).collect(); // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-    trace.states.push(state);
-    trace
-}
-
-/// Runs one partial-scan test against a batch of faults, returning the
-/// detected ones.
-///
-/// # Panics
-///
-/// As [`simulate_good_partial`], plus at most [`LANES`] faults.
-pub fn simulate_batch_partial(
-    sim: &GoodSim<'_>,
-    ps: &PartialScan,
-    test: &ScanTest,
-    trace: &PartialTrace,
-    faults: &[(FaultId, Fault)],
-) -> Vec<FaultId> {
-    let circuit = sim.circuit();
-    let batch = FaultBatch::new(circuit, faults);
-    let full = if batch.lanes() == LANES {
-        !0u64
-    } else {
-        (1u64 << batch.lanes()) - 1
-    };
-    let mut detected = 0u64;
-    // Initial state: reset zeros, chain bits from scan-in (broadcast).
-    let mut state = vec![0u64; ps.n_sv()];
-    for (&pos, &bit) in ps.scanned().iter().zip(test.scan_in.iter()) {
-        state[pos] = if bit { !0u64 } else { 0 }; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-    }
-    batch.force_state(&mut state);
-    let mut values = vec![0u64; circuit.len()];
-    let mut scan_out_idx = 0;
-    for (u, vector) in test.vectors.iter().enumerate() {
-        if let Some(op) = test.shift_at(u) {
-            let outs = word_chain_shift(ps, &mut state, op.amount, &op.fill);
-            let (_, good_outs) = &trace.scan_outs[scan_out_idx]; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-            scan_out_idx += 1;
-            for (w, &g) in outs.iter().zip(good_outs.iter()) {
-                detected |= w ^ if g { !0u64 } else { 0 };
-            }
-            batch.force_state(&mut state);
-            if detected & full == full {
-                return batch.ids.clone();
-            }
-        }
-        eval_words(sim, &batch, vector, &state, &mut values);
-        for (k, &po) in circuit.outputs().iter().enumerate() {
-            let good_w = if trace.outputs[u][k] { !0u64 } else { 0 }; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-            detected |= values[po.index()] ^ good_w; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-        }
-        if detected & full == full {
-            return batch.ids.clone();
-        }
-        for (p, &ff) in circuit.dffs().iter().enumerate() {
-            let NodeKind::Dff { d: Some(d) } = circuit.node(ff).kind else {
-                panic!("unconnected flip-flop in simulation"); // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-            };
-            state[p] = batch.capture_force(ff, values[d.index()]); // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-        }
-        batch.force_state(&mut state);
-    }
-    // Final scan-out observes the chain only.
-    for (&pos, &g) in ps.scanned().iter().zip(trace.final_chain.iter()) {
-        detected |= state[pos] ^ if g { !0u64 } else { 0 }; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-    }
-    detected &= full;
-    batch
-        .ids
-        .iter()
-        .enumerate()
-        .filter(|&(lane, _)| detected >> lane & 1 == 1)
-        .map(|(_, &id)| id)
-        .collect()
-}
-
-/// Word-parallel limited scan on the embedded chain: chain bits shift
-/// toward the tail; fill bits are broadcast.
-fn word_chain_shift(ps: &PartialScan, state: &mut [u64], k: usize, fill: &[bool]) -> Vec<u64> {
-    assert!(k <= ps.chain_len(), "shift exceeds chain length");
-    assert_eq!(fill.len(), k, "one fill bit per shift");
-    let chain = ps.scanned();
-    let mut out = Vec::with_capacity(k);
-    for &f in fill {
-        out.push(state[*chain.last().expect("nonempty chain")]); // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-        for w in (1..chain.len()).rev() {
-            state[chain[w]] = state[chain[w - 1]]; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-        }
-        state[chain[0]] = if f { !0u64 } else { 0 }; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
-    }
-    out
-}
-
-/// A convenience driver: simulates a list of partial-scan tests with fault
-/// dropping and returns the detected fault ids.
+/// Panics if `ps` does not match the circuit, a test's `scan_in` width
+/// differs from the chain length, a shift exceeds the chain, or
+/// `universe` is not the circuit's fault universe.
 pub fn run_tests_partial(
     sim: &GoodSim<'_>,
     ps: &PartialScan,
     tests: &[ScanTest],
     targets: &[FaultId],
-    universe: &crate::fault::FaultUniverse,
+    universe: &FaultUniverse,
 ) -> Vec<FaultId> {
-    let mut live: Vec<FaultId> = targets.to_vec();
-    let mut detected = Vec::new();
-    for test in tests {
-        if live.is_empty() {
-            break;
-        }
-        let trace = simulate_good_partial(sim, ps, test);
-        let pairs: Vec<(FaultId, Fault)> =
-            live.iter().map(|&id| (id, universe.fault(id))).collect();
-        let mut newly: Vec<FaultId> = Vec::new();
-        for chunk in pairs.chunks(LANES) {
-            newly.extend(simulate_batch_partial(sim, ps, test, &trace, chunk));
-        }
-        if !newly.is_empty() {
-            let drop: std::collections::HashSet<FaultId> = newly.iter().copied().collect();
-            live.retain(|id| !drop.contains(id));
-            detected.extend(newly);
-        }
-    }
-    detected
+    run_tests_on_chains(sim, ChainMap::from(ps), tests, targets, universe)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultUniverse;
+    use crate::good::traces_differ;
     use crate::test::ShiftOp;
 
     #[test]
     fn full_configuration_matches_full_scan_engine() {
-        // With every flip-flop scanned, the partial engine must agree with
-        // the standard one on every fault.
+        // With every flip-flop scanned, the partial driver must detect
+        // exactly what the full-scan engine detects, in order.
         let c = rls_benchmarks::s27();
         let sim = GoodSim::new(&c);
-        let ps = PartialScan::full(3);
-        let test = ScanTest::from_strings("001", &["0111", "1001", "0111"]).unwrap();
-        let good_full = sim.simulate_test(&test);
-        let good_part = simulate_good_partial(&sim, &ps, &test);
-        assert_eq!(good_full.outputs, good_part.outputs);
-        assert_eq!(good_full.final_state(), good_part.final_chain.as_slice());
-        let u = FaultUniverse::enumerate(&c);
-        for (i, &f) in u.faults().iter().enumerate() {
-            let id = FaultId(i as u32);
-            let full =
-                !crate::parallel::simulate_batch(&sim, &test, &good_full, &[(id, f)]).is_empty();
-            let part = !simulate_batch_partial(&sim, &ps, &test, &good_part, &[(id, f)]).is_empty();
-            assert_eq!(full, part, "{}", f.describe(&c));
-        }
+        let universe = FaultUniverse::enumerate(&c);
+        let test = ScanTest::from_strings("001", &["0111", "1001", "0111"])
+            .unwrap()
+            .with_shifts(vec![ShiftOp {
+                at: 1,
+                amount: 2,
+                fill: vec![true, false],
+            }])
+            .unwrap();
+        let mut engine = crate::FaultSimulator::new(&c);
+        engine.run_test(&test);
+        let targets = engine.collapsed().representatives().to_vec();
+        let part = run_tests_partial(&sim, &PartialScan::full(3), &[test], &targets, &universe);
+        assert_eq!(part, engine.detected());
     }
 
     #[test]
-    fn unscanned_ffs_start_at_reset() {
+    fn driver_matches_the_serial_reference_on_a_partial_chain() {
+        // Chain (q3, q1) of a 4-stage shift register: the driver's
+        // detections are the faults whose serial chain-aware trace
+        // differs, in candidate order.
         let c = rls_benchmarks::parametric::shift_register(4);
-        let sim = GoodSim::new(&c);
-        // Scan only position 3 (the output stage).
-        let ps = PartialScan::new(4, vec![3]);
-        let test = ScanTest::new(vec![true], vec![vec![false]]);
-        let trace = simulate_good_partial(&sim, &ps, &test);
-        assert_eq!(trace.states[0], vec![false, false, false, true]);
-    }
-
-    #[test]
-    fn limited_scan_moves_only_chain_bits() {
-        let c = rls_benchmarks::parametric::shift_register(4);
-        let sim = GoodSim::new(&c);
-        let ps = PartialScan::new(4, vec![1, 3]);
-        let test = ScanTest::new(vec![true, false], vec![vec![false], vec![false]])
+        let ps = PartialScan::new(4, vec![3, 1]);
+        let sim = GoodSim::new(&c).with_chains(ChainMap::from(&ps));
+        let universe = FaultUniverse::enumerate(&c);
+        let test = ScanTest::new(vec![true, false], vec![vec![true], vec![false], vec![true]])
             .with_shifts(vec![ShiftOp {
                 at: 1,
                 amount: 1,
-                fill: vec![false],
+                fill: vec![true],
             }])
             .unwrap();
-        let trace = simulate_good_partial(&sim, &ps, &test);
-        // Chain before the shift holds (q1, q3); the shift scans out q3.
-        assert_eq!(trace.scan_outs.len(), 1);
+        let targets: Vec<FaultId> = (0..universe.len() as u32).map(FaultId).collect();
+        let good = sim.simulate_test(&test);
+        let expect: Vec<FaultId> = targets
+            .iter()
+            .copied()
+            .filter(|&id| traces_differ(&good, &sim.simulate_faulty(&test, universe.fault(id))))
+            .collect();
+        assert!(!expect.is_empty());
+        assert_eq!(
+            run_tests_partial(&sim, &ps, &[test], &targets, &universe),
+            expect
+        );
     }
 
     #[test]

@@ -1,18 +1,17 @@
-//! Levelized SoA fault-simulation kernel with (fault × pattern) tiles.
+//! Levelized SoA fault-simulation kernel with (fault × pattern) tiles —
+//! the crate's one stuck-at kernel.
 //!
-//! This is the flat-array rewrite of [`crate::parallel`]: instead of
-//! walking [`rls_netlist::Node`] objects per gate, it sweeps the dense
-//! slot arrays of a [`LevelizedCircuit`] — one contiguous `Vec<W>` of
-//! values, an opcode table and a CSR fanin table — so the hot loop is
-//! branch-light and pointer-chase-free.
+//! The kernel sweeps the dense slot arrays of a [`LevelizedCircuit`] —
+//! one contiguous `Vec<W>` of values, an opcode table and a CSR fanin
+//! table — instead of walking [`rls_netlist::Node`] objects per gate, so
+//! the hot loop is branch-light and pointer-chase-free.
 //!
 //! # Two lane axes and a reference lane
 //!
-//! A lane word still carries [`LaneWord::LANES`] machines, but the lanes
-//! are split across *two* axes: a tile of `T` tests (patterns), each
-//! owning `C + 1` lanes for a batch of `C` faults, with
-//! `T * (C + 1) <= W::LANES`. Pattern `p` owns the contiguous lane range
-//! `[p*(C+1), (p+1)*(C+1))`:
+//! A lane word carries [`LaneWord::LANES`] machines, split across *two*
+//! axes: a tile of `T` tests (patterns), each owning `C + 1` lanes for a
+//! batch of `C` faults, with `T * (C + 1) <= W::LANES`. Pattern `p` owns
+//! the contiguous lane range `[p*(C+1), (p+1)*(C+1))`:
 //!
 //! ```text
 //!   pattern 0                       pattern 1
@@ -35,74 +34,168 @@
 //! vectors and shift fills may all differ per pattern — they are mixed
 //! into lane words per pattern range, reference lane included.
 //!
+//! # Scan style as data
+//!
+//! Full, partial and multichain scan differ only in a [`ChainMap`]: the
+//! initial scan-in loads the map's load positions (every other flip-flop
+//! starts at reset 0), a limited scan of `k` cycles moves every chain `k`
+//! positions with `k × chains` fill bits, and the final scan-out reads the
+//! map's observe positions.
+//!
 //! # Fault injection as sorted patch lists
 //!
-//! The legacy kernel keeps dense per-net force tables and a pin-force hash
-//! map. Here forces become sorted patch lists applied at level-run
-//! boundaries: every consumer of a gate sits at a strictly higher level,
-//! so patching a run's outputs after bulk-evaluating the run is
-//! indistinguishable from patching each gate as it is computed. Within a
-//! run, pin re-evaluations are applied before stem patches, matching the
-//! legacy per-gate order (fanin forces feed the gate function, stem forces
-//! override its output).
+//! Forces are sorted patch lists applied at level-run boundaries: every
+//! consumer of a gate sits at a strictly higher level, so patching a
+//! run's outputs after bulk-evaluating the run is indistinguishable from
+//! patching each gate as it is computed. Within a run, pin re-evaluations
+//! are applied before stem patches (fanin forces feed the gate function,
+//! stem forces override its output).
 //!
 //! # Verification
 //!
-//! The legacy kernel stays in-tree as the reference implementation; the
-//! differential oracle (`tests/soa_oracle.rs` plus the in-crate tests
-//! below) proves this kernel bit-identical to it, and to the serial
-//! good-versus-faulty trace comparison, across every lane width,
-//! pattern-lane count, observation mix and thread count. The `kernel-mutate` feature
-//! compiles in seeded single-site corruptions ([`mutate`]) used by the
-//! mutation self-tests to prove the oracle actually turns red.
+//! The reference is the scalar one-fault-at-a-time simulator
+//! ([`crate::GoodSim::simulate_faulty`] compared by
+//! [`crate::good::traces_differ`]), which reads the same [`ChainMap`] but
+//! shares no word code with this kernel. The differential oracle
+//! (`tests/soa_oracle.rs` plus the in-crate tests below) proves the
+//! kernel order-exact against it across every lane width, pattern-lane
+//! count, observation mix, scan style and thread count. The
+//! `kernel-mutate` feature compiles in seeded single-site corruptions
+//! ([`mutate`]) used by the mutation self-tests to prove the oracle
+//! actually turns red.
 
 use rls_netlist::{Circuit, GateKind, LevelizedCircuit};
 use rls_scan::lanes::LaneWord;
-use rls_scan::ops;
-use rls_scan::{W128, W256, W512};
+use rls_scan::{ChainMap, W128, W256, W512};
 
 use crate::fault::{Fault, FaultId, FaultSite};
-use crate::parallel::{Force, LaneWidth, SimOptions};
 use crate::test::ScanTest;
 
-/// Which fault-simulation kernel the engine drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SimKernel {
-    /// The original gate-walking kernel ([`crate::parallel`]), kept as the
-    /// differential reference.
-    Legacy,
-    /// The levelized SoA tile kernel (this module).
-    Soa,
+/// A supported kernel word width.
+///
+/// The variants name the four monomorphisations of the tile kernel:
+/// 64 lanes (`u64`) and 128/256/512 lanes (chunked
+/// [`rls_scan::WideWord`]s of 2/4/8 `u64`s).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum LaneWidth {
+    /// 64 lanes (`u64`).
+    W64,
+    /// 128 lanes (`[u64; 2]`).
+    W128,
+    /// 256 lanes (`[u64; 4]`).
+    W256,
+    /// 512 lanes (`[u64; 8]`).
+    W512,
 }
 
-impl SimKernel {
-    /// The default kernel: the SoA tiles, proven bit-identical to the
-    /// legacy kernel by the oracle suite and ≥2× faster on s953 (see
-    /// `BENCH_fsim_lanes.json`).
-    pub const DEFAULT: SimKernel = SimKernel::Soa;
+impl LaneWidth {
+    /// All widths, narrowest first.
+    pub const ALL: [LaneWidth; 4] = [
+        LaneWidth::W64,
+        LaneWidth::W128,
+        LaneWidth::W256,
+        LaneWidth::W512,
+    ];
 
-    /// Parses a kernel name (`legacy`/`gate` or `soa`/`levelized`).
-    pub fn parse(s: &str) -> Option<SimKernel> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "legacy" | "gate" | "gatewalk" => Some(SimKernel::Legacy),
-            "soa" | "levelized" => Some(SimKernel::Soa),
+    /// The default width, chosen from measured `fsim.test_nanos` on the
+    /// s953 TS0 campaign (see `BENCH_fsim_lanes.json`, regenerated by
+    /// `bench_fsim_lanes`): 512 lanes with the default tile height
+    /// ([`PATTERN_LANES_DEFAULT`]) is the fastest measured configuration.
+    /// Wider words amortise per-tile setup, and the extra test patterns
+    /// of a tile fill the lanes a thin fault tail would otherwise waste.
+    pub const DEFAULT: LaneWidth = LaneWidth::W512;
+
+    /// Lanes per word at this width.
+    pub const fn lanes(self) -> usize {
+        64 * self.words()
+    }
+
+    /// Underlying `u64`s per lane word.
+    pub const fn words(self) -> usize {
+        match self {
+            LaneWidth::W64 => 1,
+            LaneWidth::W128 => 2,
+            LaneWidth::W256 => 4,
+            LaneWidth::W512 => 8,
+        }
+    }
+
+    /// Parses a width given either as lanes (`64`/`128`/`256`/`512`) or as
+    /// `u64` words (`1`/`2`/`4`/`8`).
+    pub fn parse(s: &str) -> Option<LaneWidth> {
+        match s.trim() {
+            "1" | "64" => Some(LaneWidth::W64),
+            "2" | "128" => Some(LaneWidth::W128),
+            "4" | "256" => Some(LaneWidth::W256),
+            "8" | "512" => Some(LaneWidth::W512),
             _ => None,
         }
     }
 }
 
-impl Default for SimKernel {
+impl Default for LaneWidth {
     fn default() -> Self {
-        SimKernel::DEFAULT
+        LaneWidth::DEFAULT
     }
 }
 
-impl std::fmt::Display for SimKernel {
+impl std::fmt::Display for LaneWidth {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SimKernel::Legacy => write!(f, "legacy"),
-            SimKernel::Soa => write!(f, "soa"),
+        write!(f, "{}", self.lanes())
+    }
+}
+
+/// Which observation points count toward detection.
+///
+/// The default observes everything (the paper's model). Switching
+/// individual points off isolates the detection mechanisms of the paper's
+/// Section 2 — e.g. how much the mid-test scan-out of limited scans
+/// contributes versus the state change they cause.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SimOptions {
+    /// Observe primary outputs at every applied vector.
+    pub observe_outputs: bool,
+    /// Observe the bits scanned out during limited scan operations.
+    pub observe_limited_scan_out: bool,
+    /// Observe the final complete scan-out.
+    pub observe_final_scan_out: bool,
+}
+
+impl Default for SimOptions {
+    fn default() -> Self {
+        SimOptions {
+            observe_outputs: true,
+            observe_limited_scan_out: true,
+            observe_final_scan_out: true,
         }
+    }
+}
+
+/// A force applied to a word: `w = (w & and) | or`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Force<W> {
+    and: W,
+    or: W,
+}
+
+impl<W: LaneWord> Force<W> {
+    const NONE: Force<W> = Force {
+        and: W::ONES,
+        or: W::ZERO,
+    };
+
+    #[inline]
+    fn add(&mut self, lane: usize, stuck: bool) {
+        if stuck {
+            self.or.set_lane(lane, true);
+        } else {
+            self.and.set_lane(lane, false);
+        }
+    }
+
+    #[inline]
+    fn apply(self, w: W) -> W {
+        (w & self.and) | self.or
     }
 }
 
@@ -384,8 +477,8 @@ fn eval_tile<W: LaneWord>(
             values[base + g] = w; // lint: panic-ok(gate g writes slot num_sources + g, in range)
         }
         // Patch this run's outputs before any higher level reads them:
-        // pin re-evaluations first, then stem overrides, matching the
-        // legacy per-gate order.
+        // pin re-evaluations first, then stem overrides, as if each gate
+        // were patched when computed.
         let barrier = mutated_patch_barrier(ge);
         while pin_i < batch.pin_gates.len() && batch.pin_gates[pin_i].gate < barrier { // lint: panic-ok(pin_i bounded by the loop condition)
             let pp = &batch.pin_gates[pin_i]; // lint: panic-ok(pin_i bounded by the loop condition)
@@ -430,22 +523,73 @@ fn collect_detections<W: LaneWord>(batch: &SoaBatch<W>, detected: W) -> Vec<Vec<
         .collect()
 }
 
+/// One limited scan of `k` cycles on every chain of `map` at once, with
+/// per-pattern fill words `fill[cycle * chains + chain]`.
+///
+/// The scan-out words land in `out` in the order
+/// [`ChainMap::limited_scan_bools`] returns its bits: cycle-major, chains
+/// in map order, empty chains skipped. They are read from the pre-shift
+/// state — cycle `i` of a length-`m` chain sees old position `m - 1 - i`,
+/// or, once `i >= m`, the fill word that entered `m` cycles earlier — and
+/// then each chain moves `k` positions in one pass.
+fn shift_chains<W: LaneWord>(
+    map: &ChainMap,
+    state: &mut [W],
+    k: usize,
+    fill: &[W],
+    out: &mut Vec<W>,
+) {
+    let chains = map.chains();
+    let n = chains.len();
+    assert!(
+        k <= map.max_chain_len(),
+        "cannot shift by more than the chain length"
+    );
+    out.clear();
+    for i in 0..k {
+        for (c, chain) in chains.iter().enumerate() {
+            let m = chain.len();
+            if m == 0 {
+                continue;
+            }
+            out.push(if i < m {
+                state[chain[mutated_scan_out(m - 1 - i)]] // lint: panic-ok(i < m indexes the chain, chain positions index the state)
+            } else {
+                fill[(i - m) * n + c] // lint: panic-ok(i - m < k and c < n index the k x n fill)
+            });
+        }
+    }
+    for (c, chain) in chains.iter().enumerate() {
+        let m = chain.len();
+        for j in (k..m).rev() {
+            state[chain[j]] = state[chain[j - k]]; // lint: panic-ok(k <= j < m indexes the chain)
+        }
+        for j in 0..k.min(m) {
+            state[chain[j]] = fill[(k - 1 - j) * n + c]; // lint: panic-ok(j < k and c < n index the k x n fill)
+        }
+    }
+}
+
 /// Width-generic tile simulation: runs a shape-compatible tile of tests
-/// against one fault batch and returns, per test, the detected faults in
-/// candidate order.
+/// against one fault batch on the scan chains of `chains` and returns,
+/// per test, the detected faults in candidate order.
 ///
 /// The fault-free machine of every test runs in its pattern's reference
 /// lane, so no good trace is needed; `lc` must be the lowering of
-/// `circuit`.
+/// `circuit`. Each test's `scan_in` has one bit per loaded position of
+/// `chains` and each shift carries `amount × chains` fill bits,
+/// cycle-major.
 ///
 /// # Panics
 ///
 /// Panics if the tile is empty, the tests are not shape-compatible or do
-/// not match the circuit's widths, or `tests.len() * (faults.len() + 1)`
-/// exceeds `W::LANES`.
+/// not match the circuit's or the chain map's widths, a shift exceeds the
+/// longest chain, or `tests.len() * (faults.len() + 1)` exceeds
+/// `W::LANES`.
 pub fn simulate_tile_lanes<W: LaneWord>(
     circuit: &Circuit,
     lc: &LevelizedCircuit,
+    chains: &ChainMap,
     tests: &[&ScanTest],
     faults: &[(FaultId, Fault)],
     opts: SimOptions,
@@ -458,8 +602,9 @@ pub fn simulate_tile_lanes<W: LaneWord>(
     );
     let nff = circuit.num_dffs();
     let npi = circuit.num_inputs();
+    assert_eq!(chains.n_sv(), nff, "chain map/circuit mismatch");
     assert!(
-        tests.iter().all(|x| x.scan_in.len() == nff),
+        tests.iter().all(|x| x.scan_in.len() == chains.load().len()),
         "scan-in width mismatch"
     );
     assert!(
@@ -486,28 +631,31 @@ pub fn simulate_tile_lanes<W: LaneWord>(
     // Lanes disagreeing with their pattern's fault-free machine.
     let diff = |w: W| w ^ mix(&pmask, |p| w.lane(ref_lane[p])); // lint: panic-ok(mix calls back with p < pmask.len() == ref_lane.len())
     let mut detected = W::ZERO;
-    let mut state: Vec<W> = (0..nff)
-        .map(|i| mix(&pmask, |p| tests[p].scan_in[i])) // lint: panic-ok(scan-in widths asserted against the chain above)
-        .collect();
+    // Initial scan-in: loaded positions from the tests, the rest at reset.
+    let mut state: Vec<W> = vec![W::ZERO; nff];
+    for (i, &pos) in chains.load().iter().enumerate() {
+        state[pos] = mix(&pmask, |p| tests[p].scan_in[i]); // lint: panic-ok(scan-in widths asserted against the chain map above)
+    }
     batch.force_state(&mut state);
     let mut values: Vec<W> = vec![W::ZERO; lc.num_slots()];
     let mut pi_words: Vec<W> = vec![W::ZERO; npi];
     let mut fill_words: Vec<W> = Vec::new();
+    let mut scan_out: Vec<W> = Vec::new();
     let mut fanin_buf: Vec<W> = Vec::with_capacity(8);
     for u in 0..tests[0].len() { // lint: panic-ok(t > 0 asserted at entry)
         if let Some(op) = tests[0].shift_at(u) { // lint: panic-ok(t > 0 asserted at entry)
             fill_words.clear();
-            for cyc in 0..op.amount {
+            for i in 0..op.amount * chains.chains().len() {
                 fill_words.push(mix(&pmask, |p| {
                     tests[p] // lint: panic-ok(mix calls back with p < pmask.len() == tests.len())
                         .shift_at(u)
                         .expect("tile shapes agree") // lint: panic-ok(tile_compatible guarantees a matching shift per pattern)
-                        .fill[cyc] // lint: panic-ok(ScanTest validates fill length == amount)
+                        .fill[i] // lint: panic-ok(a shift carries one fill bit per chain per cycle)
                 }));
             }
-            let outs = ops::limited_scan_fill_lanes(&mut state, op.amount, &fill_words);
+            shift_chains(chains, &mut state, op.amount, &fill_words, &mut scan_out);
             if opts.observe_limited_scan_out {
-                for &w in &outs {
+                for &w in &scan_out {
                     detected |= diff(w);
                 }
             }
@@ -537,10 +685,10 @@ pub fn simulate_tile_lanes<W: LaneWord>(
         }
         batch.force_state(&mut state);
     }
-    // Final complete scan-out observes the whole state.
+    // The concluding scan-out reads the chain map's observed positions.
     if opts.observe_final_scan_out {
-        for &sw in &state {
-            detected |= diff(sw);
+        for &pos in chains.observe() {
+            detected |= diff(state[pos]); // lint: panic-ok(chain map positions index the dense state vector)
         }
     }
     detected &= full;
@@ -549,17 +697,18 @@ pub fn simulate_tile_lanes<W: LaneWord>(
 
 /// Dispatches one tile to the kernel monomorphisation for `width`.
 ///
-/// The tile-aware analogue of [`crate::parallel::simulate_chunk_at`]: the
-/// chunkers size fault chunks by `width.lanes() / tests.len() - 1` (one
+/// The chunkers size fault chunks by [`tile_fault_capacity`] (one
 /// reference lane per pattern) and this guard catches any disagreement.
 ///
 /// # Panics
 ///
-/// Panics if `tests.len() * (faults.len() + 1)` exceeds `width.lanes()`.
+/// Panics if `tests.len() * (faults.len() + 1)` exceeds `width.lanes()`,
+/// and as [`simulate_tile_lanes`].
 pub fn simulate_tile_at(
     width: LaneWidth,
     circuit: &Circuit,
     lc: &LevelizedCircuit,
+    chains: &ChainMap,
     tests: &[&ScanTest],
     faults: &[(FaultId, Fault)],
     opts: SimOptions,
@@ -572,10 +721,10 @@ pub fn simulate_tile_at(
         width.lanes()
     );
     match width {
-        LaneWidth::W64 => simulate_tile_lanes::<u64>(circuit, lc, tests, faults, opts),
-        LaneWidth::W128 => simulate_tile_lanes::<W128>(circuit, lc, tests, faults, opts),
-        LaneWidth::W256 => simulate_tile_lanes::<W256>(circuit, lc, tests, faults, opts),
-        LaneWidth::W512 => simulate_tile_lanes::<W512>(circuit, lc, tests, faults, opts),
+        LaneWidth::W64 => simulate_tile_lanes::<u64>(circuit, lc, chains, tests, faults, opts),
+        LaneWidth::W128 => simulate_tile_lanes::<W128>(circuit, lc, chains, tests, faults, opts),
+        LaneWidth::W256 => simulate_tile_lanes::<W256>(circuit, lc, chains, tests, faults, opts),
+        LaneWidth::W512 => simulate_tile_lanes::<W512>(circuit, lc, chains, tests, faults, opts),
     }
 }
 
@@ -622,6 +771,9 @@ pub mod mutate {
         /// (its first fault lane instead of the force-free machine), so
         /// faults are compared against a faulty machine.
         ReferenceLaneSkew,
+        /// A limited scan reads each chain's scan-out one position short
+        /// of the tail (the neighbour towards the head).
+        ScanOutSkew,
     }
 
     thread_local! {
@@ -725,6 +877,21 @@ fn mutated_full_mask<W: LaneWord>(fault_lanes: W, _occupied: usize) -> W {
 
 #[cfg(feature = "kernel-mutate")]
 #[inline]
+fn mutated_scan_out(chain_index: usize) -> usize {
+    match mutate::armed() {
+        Some(mutate::KernelMutation::ScanOutSkew) => chain_index.saturating_sub(1),
+        _ => chain_index,
+    }
+}
+
+#[cfg(not(feature = "kernel-mutate"))]
+#[inline(always)]
+fn mutated_scan_out(chain_index: usize) -> usize {
+    chain_index
+}
+
+#[cfg(feature = "kernel-mutate")]
+#[inline]
 fn mutated_reference_lane(lane: usize) -> usize {
     match mutate::armed() {
         Some(mutate::KernelMutation::ReferenceLaneSkew) => lane + 1,
@@ -743,9 +910,9 @@ mod tests {
     use super::*;
     use crate::fault::FaultUniverse;
     use crate::good::GoodSim;
-    use crate::parallel::simulate_chunk_at;
     use crate::test::ShiftOp;
     use rls_netlist::Levelization;
+    use rls_scan::{MultiChain, PartialScan};
 
     fn lower(c: &Circuit) -> (LevelizedCircuit, Levelization) {
         let lev = c.levelize().unwrap();
@@ -789,68 +956,160 @@ mod tests {
         width: LaneWidth,
         c: &Circuit,
         lc: &LevelizedCircuit,
+        chains: &ChainMap,
         test: &ScanTest,
         pairs: &[(FaultId, Fault)],
         opts: SimOptions,
     ) -> Vec<FaultId> {
         pairs
             .chunks(tile_fault_capacity(width, 1))
-            .flat_map(|chunk| simulate_tile_at(width, c, lc, &[test], chunk, opts).remove(0))
+            .flat_map(|chunk| {
+                simulate_tile_at(width, c, lc, chains, &[test], chunk, opts).remove(0)
+            })
             .collect()
     }
 
-    /// The legacy kernel's detections over `pairs`, chunked as
-    /// [`soa_single`] chunks them.
-    fn legacy_single(
-        width: LaneWidth,
+    /// The serial reference: the faults whose one-fault trace differs from
+    /// the good trace at a point `opts` observes, in candidate order.
+    fn serial(
         sim: &GoodSim<'_>,
         test: &ScanTest,
         pairs: &[(FaultId, Fault)],
         opts: SimOptions,
     ) -> Vec<FaultId> {
-        let trace = sim.simulate_test(test);
+        let good = sim.simulate_test(test);
         pairs
-            .chunks(tile_fault_capacity(width, 1))
-            .flat_map(|chunk| simulate_chunk_at(width, sim, test, &trace, chunk, opts))
+            .iter()
+            .filter(|&&(_, f)| {
+                let faulty = sim.simulate_faulty(test, f);
+                (opts.observe_outputs && good.outputs != faulty.outputs)
+                    || (opts.observe_limited_scan_out && good.scan_outs != faulty.scan_outs)
+                    || (opts.observe_final_scan_out && good.final_scan_out != faulty.final_scan_out)
+            })
+            .map(|&(id, _)| id)
             .collect()
     }
 
+    /// Whether a one-fault, one-test, full-scan tile detects `fault`.
+    fn detects(c: &Circuit, test: &ScanTest, fault: Fault) -> bool {
+        let (lc, _) = lower(c);
+        let full = ChainMap::full(c.num_dffs());
+        let pairs = [(FaultId(0), fault)];
+        let opts = SimOptions::default();
+        !simulate_tile_at(LaneWidth::W64, c, &lc, &full, &[test], &pairs, opts)[0].is_empty()
+    }
+
     #[test]
-    fn soa_matches_legacy_on_s27_exhaustive_at_every_width() {
-        // The in-crate differential oracle: for every width the SoA
-        // detections equal the legacy kernel's, in order.
+    fn each_observation_point_detects_on_a_small_circuit() {
+        use rls_netlist::GateKind;
+        // y = AND(a, b): y/0 shows at the output under a = b = 1, y/1
+        // under a = 0.
+        let mut c = Circuit::new("and2");
+        let a = c.add_input("a");
+        let b = c.add_input("b");
+        let y = c.add_gate("y", GateKind::And, vec![a, b]);
+        c.add_output(y);
+        let ones = ScanTest::new(vec![], vec![vec![true, true]]);
+        assert!(detects(&c, &ones, Fault::stem_sa0(y)));
+        assert!(!detects(&c, &ones, Fault::stem_sa1(y)));
+        let zero_one = ScanTest::new(vec![], vec![vec![false, true]]);
+        assert!(detects(&c, &zero_one, Fault::stem_sa1(y)));
+        // d = XOR(a, q) feeds only the flip-flop q: a fault on it is
+        // captured and seen by the final scan-out, or by a one-bit limited
+        // scan before the second vector.
+        let mut c = Circuit::new("t");
+        let a = c.add_input("a");
+        let q = c.add_dff_placeholder("q");
+        let d = c.add_gate("d", GateKind::Xor, vec![a, q]);
+        c.connect_dff(q, d).unwrap();
+        let po = c.add_gate("po", GateKind::Buf, vec![a]);
+        c.add_output(po);
+        let captured = ScanTest::new(vec![false], vec![vec![true]]);
+        assert!(detects(&c, &captured, Fault::stem_sa0(d)));
+        let shifted = ScanTest::new(vec![false], vec![vec![true], vec![true]])
+            .with_shifts(vec![ShiftOp {
+                at: 1,
+                amount: 1,
+                fill: vec![false],
+            }])
+            .unwrap();
+        let no_final = SimOptions {
+            observe_final_scan_out: false,
+            ..SimOptions::default()
+        };
+        let (lc, _) = lower(&c);
+        let pairs = [(FaultId(7), Fault::stem_sa0(d))];
+        let (w, full) = (LaneWidth::W64, ChainMap::full(1));
+        let out = simulate_tile_at(w, &c, &lc, &full, &[&shifted], &pairs, no_final);
+        assert_eq!(out, vec![vec![FaultId(7)]]);
+        // A stuck register output corrupts what the final scan-out reads.
+        let c = rls_benchmarks::parametric::shift_register(2);
+        let test = ScanTest::new(vec![false, false], vec![vec![false]]);
+        assert!(detects(&c, &test, Fault::stem_sa1(c.find("q1").unwrap())));
+    }
+
+    #[test]
+    fn soa_matches_serial_on_s27_at_every_width_and_observation_mix() {
+        // Every s27 fault under every test: the SoA detections equal the
+        // serial trace comparison's, in order.
         let c = rls_benchmarks::s27();
         let sim = GoodSim::new(&c);
         let (lc, _) = lower(&c);
-        let u = FaultUniverse::enumerate(&c);
-        let pairs = all_pairs(&u);
-        let opts = SimOptions::default();
+        let full = ChainMap::full(3);
+        let pairs = all_pairs(&FaultUniverse::enumerate(&c));
         for test in s27_tests() {
-            for width in LaneWidth::ALL {
-                let legacy = legacy_single(width, &sim, &test, &pairs, opts);
-                let soa = soa_single(width, &c, &lc, &test, &pairs, opts);
-                assert_eq!(legacy, soa, "width {width}");
+            for mask in 0..8u32 {
+                let opts = SimOptions {
+                    observe_outputs: mask & 1 != 0,
+                    observe_limited_scan_out: mask & 2 != 0,
+                    observe_final_scan_out: mask & 4 != 0,
+                };
+                let expect = serial(&sim, &test, &pairs, opts);
+                assert_eq!(expect.is_empty(), mask == 0, "opts {opts:?}");
+                for width in LaneWidth::ALL {
+                    let soa = soa_single(width, &c, &lc, &full, &test, &pairs, opts);
+                    assert_eq!(expect, soa, "width {width}, opts {opts:?}");
+                }
             }
         }
     }
 
     #[test]
-    fn soa_matches_legacy_under_every_observation_mix() {
-        let c = rls_benchmarks::s27();
-        let sim = GoodSim::new(&c);
-        let (lc, _) = lower(&c);
-        let u = FaultUniverse::enumerate(&c);
-        let pairs = all_pairs(&u);
-        let test = &s27_tests()[0];
-        for mask in 0..8u32 {
-            let opts = SimOptions {
-                observe_outputs: mask & 1 != 0,
-                observe_limited_scan_out: mask & 2 != 0,
-                observe_final_scan_out: mask & 4 != 0,
-            };
-            let legacy = legacy_single(LaneWidth::W64, &sim, test, &pairs, opts);
-            let soa = soa_single(LaneWidth::W64, &c, &lc, test, &pairs, opts);
-            assert_eq!(legacy, soa, "opts {opts:?}");
+    fn word_shift_matches_the_chain_map_lane_by_lane() {
+        // The kernel's word shift against the serial chain-map shift, on
+        // random states and fills, for full, partial and multichain maps.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut word = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let maps = [
+            ChainMap::full(7),
+            ChainMap::from(&PartialScan::new(7, vec![5, 1, 3])),
+            ChainMap::from(&MultiChain::new(7, 3)),
+            ChainMap::from(&MultiChain::new(2, 3)),
+        ];
+        for map in &maps {
+            let n = map.chains().len();
+            for k in 0..=map.max_chain_len() {
+                let mut state: Vec<u64> = (0..map.n_sv()).map(|_| word()).collect();
+                let fill: Vec<u64> = (0..k * n).map(|_| word()).collect();
+                let before = state.clone();
+                let mut out = Vec::new();
+                shift_chains(map, &mut state, k, &fill, &mut out);
+                for lane in [0, 17, 63] {
+                    let bit = |w: &u64| w >> lane & 1 == 1;
+                    let mut expect: Vec<bool> = before.iter().map(bit).collect();
+                    let fill_bits: Vec<bool> = fill.iter().map(bit).collect();
+                    let expect_out = map.limited_scan_bools(&mut expect, k, &fill_bits);
+                    let got: Vec<bool> = state.iter().map(bit).collect();
+                    let got_out: Vec<bool> = out.iter().map(bit).collect();
+                    assert_eq!(got, expect, "{map:?} k {k}");
+                    assert_eq!(got_out, expect_out, "{map:?} k {k}");
+                }
+            }
         }
     }
 
@@ -864,14 +1123,15 @@ mod tests {
         let pairs = all_pairs(&u);
         let tests = s27_tests();
         let opts = SimOptions::default();
+        let full = ChainMap::full(3);
         for t in [1usize, 2, 4] {
             let tile_tests: Vec<&ScanTest> = tests[..t].iter().collect();
             let cap = tile_fault_capacity(LaneWidth::W256, t);
             for chunk in pairs.chunks(cap) {
-                let tiled = simulate_tile_at(LaneWidth::W256, &c, &lc, &tile_tests, chunk, opts);
+                let w = LaneWidth::W256;
+                let tiled = simulate_tile_at(w, &c, &lc, &full, &tile_tests, chunk, opts);
                 for p in 0..t {
-                    let single =
-                        simulate_tile_at(LaneWidth::W256, &c, &lc, &[tile_tests[p]], chunk, opts);
+                    let single = simulate_tile_at(w, &c, &lc, &full, &[tile_tests[p]], chunk, opts);
                     assert_eq!(tiled[p], single[0], "tile height {t}, pattern {p}");
                 }
             }
@@ -893,9 +1153,10 @@ mod tests {
         assert_eq!(tile_fault_capacity(LaneWidth::W512, 4), 127);
         let tile_tests: Vec<&ScanTest> = vec![base; height];
         let opts = SimOptions::default();
+        let full = ChainMap::full(3);
         for chunk in pairs.chunks(1) {
-            let tiled = simulate_tile_at(LaneWidth::W64, &c, &lc, &tile_tests, chunk, opts);
-            let single = simulate_tile_at(LaneWidth::W64, &c, &lc, &[base], chunk, opts);
+            let tiled = simulate_tile_at(LaneWidth::W64, &c, &lc, &full, &tile_tests, chunk, opts);
+            let single = simulate_tile_at(LaneWidth::W64, &c, &lc, &full, &[base], chunk, opts);
             assert!(tiled.iter().all(|d| *d == single[0]));
         }
     }
@@ -910,6 +1171,7 @@ mod tests {
             LaneWidth::W64,
             &c,
             &lc,
+            &ChainMap::full(3),
             &tile_tests,
             &[],
             SimOptions::default(),
@@ -932,6 +1194,7 @@ mod tests {
             LaneWidth::W64,
             &c,
             &lc,
+            &ChainMap::full(3),
             &tile_tests,
             &pairs[..16],
             SimOptions::default(),
@@ -949,6 +1212,7 @@ mod tests {
             LaneWidth::W64,
             &c,
             &lc,
+            &ChainMap::full(3),
             &[&a, &b],
             &[],
             SimOptions::default(),
@@ -980,12 +1244,27 @@ mod tests {
     }
 
     #[test]
-    fn kernel_and_pattern_lane_parsing() {
-        assert_eq!(SimKernel::parse("soa"), Some(SimKernel::Soa));
-        assert_eq!(SimKernel::parse(" LEGACY "), Some(SimKernel::Legacy));
-        assert_eq!(SimKernel::parse("levelized"), Some(SimKernel::Soa));
-        assert_eq!(SimKernel::parse("fast"), None);
-        assert_eq!(SimKernel::DEFAULT.to_string(), "soa");
+    fn lane_width_parse_accepts_lanes_and_words() {
+        for (s, w) in [
+            ("64", LaneWidth::W64),
+            ("1", LaneWidth::W64),
+            ("128", LaneWidth::W128),
+            ("2", LaneWidth::W128),
+            ("256", LaneWidth::W256),
+            ("4", LaneWidth::W256),
+            ("512", LaneWidth::W512),
+            ("8", LaneWidth::W512),
+            (" 256 ", LaneWidth::W256),
+        ] {
+            assert_eq!(LaneWidth::parse(s), Some(w), "{s:?}");
+        }
+        for s in ["", "0", "65", "1024", "wide"] {
+            assert_eq!(LaneWidth::parse(s), None, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn pattern_lane_parsing() {
         for p in PATTERN_LANES_ALL {
             assert_eq!(parse_pattern_lanes(&p.to_string()), Some(p));
         }

@@ -31,8 +31,10 @@ use rls_netlist::{Circuit, NetId, NodeKind};
 use rls_scan::ops;
 
 use crate::good::{GoodSim, TestTrace};
-use crate::parallel::LANES;
 use crate::test::ScanTest;
+
+/// Faults per batch: one per lane of a `u64`.
+const LANES: usize = 64;
 
 /// A transition-delay fault on a net.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

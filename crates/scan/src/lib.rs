@@ -12,10 +12,11 @@
 //!    end are observed (extra fault-detection opportunity) and the `k`
 //!    vacated leftmost positions take fresh random values.
 //!
-//! This crate implements those operations on plain `bool` state vectors and
-//! on 64-wide bit-parallel `u64` words (the fault simulator's
-//! representation), plus cycle accounting, multiple scan chain and partial
-//! scan extensions.
+//! This crate implements those operations on plain `bool` state vectors,
+//! plus cycle accounting, the multiple scan chain and partial scan
+//! extensions, and the [`ChainMap`] that describes all three scan styles
+//! as data for the fault simulator. [`LaneWord`] is the fault simulator's
+//! bit-parallel word.
 //!
 //! # Example
 //!
@@ -30,6 +31,7 @@
 //! ```
 
 pub mod chain;
+pub mod chain_map;
 pub mod cost;
 pub mod lanes;
 pub mod multichain;
@@ -37,6 +39,7 @@ pub mod ops;
 pub mod partial;
 
 pub use chain::ChainConfig;
+pub use chain_map::ChainMap;
 pub use cost::{CycleCounter, OpCost};
 pub use lanes::{LaneWord, WideWord, W128, W256, W512};
 pub use multichain::MultiChain;

@@ -117,56 +117,6 @@ impl MultiChain {
         }
         observed
     }
-
-    /// Word-parallel version of [`MultiChain::limited_scan_bools`]: each
-    /// `u64` carries one flip-flop's value across 64 machines; fill bits
-    /// are broadcast.
-    ///
-    /// `fill` is flattened cycle-major: `fill[cycle * chains + chain]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches.
-    pub fn limited_scan_words(&self, state: &mut [u64], k: usize, fill: &[bool]) -> Vec<u64> {
-        assert_eq!(state.len(), self.n_sv, "state length mismatch");
-        assert!(k <= self.max_chain_len(), "shift exceeds chain length");
-        assert_eq!(fill.len(), k * self.chains, "fill must cover every chain");
-        let mut observed = Vec::new();
-        for cycle in 0..k {
-            for chain in 0..self.chains {
-                // Positions of this chain, tail to head.
-                let mut positions: Vec<usize> = (chain..self.n_sv).step_by(self.chains).collect();
-                if positions.is_empty() {
-                    continue;
-                }
-                observed.push(state[*positions.last().expect("nonempty")]);
-                for w in (1..positions.len()).rev() {
-                    state[positions[w]] = state[positions[w - 1]];
-                }
-                let f = fill[cycle * self.chains + chain];
-                state[positions[0]] = if f { !0u64 } else { 0 };
-                positions.clear();
-            }
-        }
-        observed
-    }
-
-    /// A complete scan-in through all chains simultaneously: costs
-    /// [`MultiChain::full_scan_cycles`] clock cycles and replaces the
-    /// whole state (word-parallel, broadcast scan-in bits).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new.len() != n_sv` or `state.len() != n_sv`.
-    pub fn full_scan_words(&self, state: &mut [u64], new: &[bool]) -> Vec<u64> {
-        assert_eq!(new.len(), self.n_sv, "scan-in must cover the state");
-        assert_eq!(state.len(), self.n_sv, "state length mismatch");
-        let observed = state.to_vec();
-        for (slot, &b) in state.iter_mut().zip(new.iter()) {
-            *slot = if b { !0u64 } else { 0 };
-        }
-        observed
-    }
 }
 
 #[cfg(test)]

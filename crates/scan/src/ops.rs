@@ -8,12 +8,9 @@
 //! The paper writes states as bit strings and "always shifts to the right":
 //! position 0 is the leftmost character.
 //!
-//! The word-parallel operations come in two flavours: the original
-//! 64-lane `_words` functions on bare `u64`s, and `_lanes` generics over
-//! any [`LaneWord`] (128/256/512-lane [`crate::lanes::WideWord`]s). The
-//! `_words` functions are thin wrappers over the generics at `W = u64`.
-
-use crate::lanes::LaneWord;
+//! The 64-lane `_words` variants serve the transition-fault simulator;
+//! the stuck-at kernel shifts its own lane words along a
+//! [`crate::ChainMap`].
 
 /// Shifts `state` right by `k` positions (a limited scan of `k` cycles).
 ///
@@ -65,16 +62,6 @@ pub fn limited_scan_bools(state: &mut [bool], k: usize, fill: &[bool]) -> Vec<bo
 ///
 /// Panics if `k > state.len()` or `fill.len() != k`.
 pub fn limited_scan_words(state: &mut [u64], k: usize, fill: &[bool]) -> Vec<u64> {
-    limited_scan_lanes(state, k, fill)
-}
-
-/// Width-generic version of [`limited_scan_words`]: each lane word holds
-/// the state bit of one flip-flop across [`LaneWord::LANES`] machines.
-///
-/// # Panics
-///
-/// Panics if `k > state.len()` or `fill.len() != k`.
-pub fn limited_scan_lanes<W: LaneWord>(state: &mut [W], k: usize, fill: &[bool]) -> Vec<W> {
     assert!(
         k <= state.len(),
         "cannot shift by more than the chain length"
@@ -83,41 +70,11 @@ pub fn limited_scan_lanes<W: LaneWord>(state: &mut [W], k: usize, fill: &[bool])
     let n = state.len();
     let mut out = Vec::with_capacity(k);
     for &f in fill.iter() {
-        out.push(state[n - 1]);
-        for i in (1..n).rev() {
-            state[i] = state[i - 1];
-        }
-        state[0] = W::splat(f); // lint: panic-ok(state is non-empty: k <= state.len() and one shift implies len >= 1)
-    }
-    out
-}
-
-/// [`limited_scan_lanes`] with per-lane fill words instead of broadcast
-/// fill bits: `fill[i]` enters the head on the `i`-th shift cycle as-is.
-///
-/// This is the tile kernel's shift primitive — when one word carries
-/// several *patterns* (tests) besides several faults, the scanned-in fill
-/// bits differ per pattern and the caller mixes them into full words with
-/// its pattern masks. `limited_scan_lanes` is exactly this function with
-/// `fill[i] = W::splat(f_i)`.
-///
-/// # Panics
-///
-/// Panics if `k > state.len()` or `fill.len() != k`.
-pub fn limited_scan_fill_lanes<W: LaneWord>(state: &mut [W], k: usize, fill: &[W]) -> Vec<W> {
-    assert!(
-        k <= state.len(),
-        "cannot shift by more than the chain length"
-    );
-    assert_eq!(fill.len(), k, "need exactly one fill word per shift");
-    let n = state.len();
-    let mut out = Vec::with_capacity(k);
-    for &f in fill.iter() {
-        out.push(state[n - 1]); // lint: panic-ok(one fill word implies k >= 1, so n >= k >= 1)
+        out.push(state[n - 1]); // lint: panic-ok(one fill bit implies k >= 1, so n >= k >= 1)
         for i in (1..n).rev() {
             state[i] = state[i - 1]; // lint: panic-ok(1 <= i < n indexes within the chain)
         }
-        state[0] = f; // lint: panic-ok(state is non-empty: k <= state.len() and one shift implies len >= 1)
+        state[0] = if f { !0 } else { 0 }; // lint: panic-ok(state is non-empty: k <= state.len() and one shift implies len >= 1)
     }
     out
 }
@@ -141,55 +98,10 @@ pub fn full_scan_bools(state: &mut [bool], new: &[bool]) -> Vec<bool> {
     out
 }
 
-/// Word-parallel version of [`full_scan_bools`] with broadcast scan-in bits.
-///
-/// # Panics
-///
-/// Panics if `new.len() != state.len()`.
-pub fn full_scan_words(state: &mut [u64], new: &[bool]) -> Vec<u64> {
-    full_scan_lanes(state, new)
-}
-
-/// Width-generic version of [`full_scan_words`].
-///
-/// # Panics
-///
-/// Panics if `new.len() != state.len()`.
-pub fn full_scan_lanes<W: LaneWord>(state: &mut [W], new: &[bool]) -> Vec<W> {
-    assert_eq!(new.len(), state.len(), "scan-in must cover the whole chain");
-    let fill: Vec<bool> = new.iter().rev().copied().collect();
-    limited_scan_lanes(state, state.len(), &fill)
-}
-
 /// Broadcasts a boolean state vector into word lanes (all 64 machines get
 /// the same state).
 pub fn broadcast(state: &[bool]) -> Vec<u64> {
-    broadcast_lanes(state)
-}
-
-/// Width-generic version of [`broadcast`]: all [`LaneWord::LANES`]
-/// machines get the same state.
-pub fn broadcast_lanes<W: LaneWord>(state: &[bool]) -> Vec<W> {
-    state.iter().map(|&b| W::splat(b)).collect()
-}
-
-/// Extracts lane `lane` of a word state vector as booleans.
-///
-/// # Panics
-///
-/// Panics if `lane >= 64`.
-pub fn extract_lane(state: &[u64], lane: u32) -> Vec<bool> {
-    extract_lane_of(state, lane as usize)
-}
-
-/// Width-generic version of [`extract_lane`].
-///
-/// # Panics
-///
-/// Panics if `lane >= W::LANES`.
-pub fn extract_lane_of<W: LaneWord>(state: &[W], lane: usize) -> Vec<bool> {
-    assert!(lane < W::LANES, "lane {lane} out of range");
-    state.iter().map(|w| w.lane(lane)).collect()
+    state.iter().map(|&b| if b { !0 } else { 0 }).collect()
 }
 
 #[cfg(test)]
@@ -288,27 +200,16 @@ mod tests {
         for (lane, bits) in lanes.iter().enumerate() {
             let mut expect = bits.clone();
             let expect_out = limited_scan_bools(&mut expect, 2, &fill);
-            assert_eq!(extract_lane(&words, lane as u32), expect, "lane {lane}");
+            let got: Vec<bool> = words.iter().map(|&w| w >> lane & 1 == 1).collect();
+            assert_eq!(got, expect, "lane {lane}");
             let got_out: Vec<bool> = out_words.iter().map(|&w| w >> lane & 1 == 1).collect();
             assert_eq!(got_out, expect_out, "lane {lane}");
         }
     }
 
     #[test]
-    fn full_scan_words_broadcasts() {
-        let mut words = vec![0x0F0Fu64, 0xFFFF, 0x0000];
-        let new = vec![true, false, true];
-        full_scan_words(&mut words, &new);
-        assert_eq!(words, vec![!0u64, 0, !0u64]);
-    }
-
-    #[test]
-    fn broadcast_and_extract_round_trip() {
-        let bits = vec![true, false, false, true, true];
-        let words = broadcast(&bits);
-        for lane in [0u32, 17, 63] {
-            assert_eq!(extract_lane(&words, lane), bits);
-        }
+    fn broadcast_fills_every_lane() {
+        assert_eq!(broadcast(&[true, false, true]), vec![!0u64, 0, !0u64]);
     }
 
     #[test]
@@ -316,62 +217,5 @@ mod tests {
         let mut state: Vec<bool> = vec![];
         let out = full_scan_bools(&mut state, &[]);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn fill_words_generalize_broadcast_fill_bits() {
-        // With splat fill words the two variants must agree exactly.
-        let seed = [0xDEAD_BEEF_u64, 0x0123_4567, !0, 0, 0xA5A5];
-        let mut a: Vec<u64> = seed.to_vec();
-        let mut b: Vec<u64> = seed.to_vec();
-        let fill_bits = [true, false];
-        let fill_words: Vec<u64> = fill_bits.iter().map(|&f| u64::splat(f)).collect();
-        let out_a = limited_scan_lanes(&mut a, 2, &fill_bits);
-        let out_b = limited_scan_fill_lanes(&mut b, 2, &fill_words);
-        assert_eq!(a, b);
-        assert_eq!(out_a, out_b);
-        // And a genuinely per-lane fill lands verbatim at the head.
-        let mut c = vec![0u64; 3];
-        let out = limited_scan_fill_lanes(&mut c, 1, &[0b101]);
-        assert_eq!(c[0], 0b101);
-        assert_eq!(out, vec![0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "one fill word per shift")]
-    fn fill_words_length_mismatch_panics() {
-        let mut state = vec![0u64; 3];
-        limited_scan_fill_lanes(&mut state, 2, &[0u64]);
-    }
-
-    #[test]
-    fn wide_lanes_match_u64_scan_per_sub_word() {
-        use crate::lanes::{LaneWord, W256};
-        // A 256-lane scan must behave as four independent 64-lane scans:
-        // seed each element with a distinct pattern and compare.
-        let seeds = [0x0123_4567_89AB_CDEFu64, !0, 0, 0xA5A5_A5A5_5A5A_5A5A];
-        let mut wide: Vec<W256> = (0..5)
-            .map(|i| {
-                let mut w = W256::ZERO;
-                for (e, &s) in seeds.iter().enumerate() {
-                    w.0[e] = s.rotate_left(i as u32);
-                }
-                w
-            })
-            .collect();
-        let mut narrow: Vec<Vec<u64>> = (0..4)
-            .map(|e| wide.iter().map(|w| w.0[e]).collect())
-            .collect();
-        let fill = [true, false, true];
-        let wide_out = limited_scan_lanes(&mut wide, 3, &fill);
-        for (e, lanes) in narrow.iter_mut().enumerate() {
-            let out = limited_scan_words(lanes, 3, &fill);
-            for (i, w) in wide.iter().enumerate() {
-                assert_eq!(w.0[e], lanes[i], "state element {e} pos {i}");
-            }
-            for (i, w) in wide_out.iter().enumerate() {
-                assert_eq!(w.0[e], out[i], "out element {e} shift {i}");
-            }
-        }
     }
 }

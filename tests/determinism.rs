@@ -9,7 +9,7 @@
 //! the wide-word kernel (64/128/256/512 lanes) is bit-identical to the
 //! classic 64-lane one at every width, under any thread count.
 
-use random_limited_scan::core::{generate_ts0, ExecProfile, Procedure2, Procedure2Outcome, RlsConfig};
+use random_limited_scan::core::{ExecProfile, Procedure2, Procedure2Outcome, RlsConfig};
 use rls_fsim::LaneWidth;
 
 fn run_with_threads(circuit: &rls_netlist::Circuit, cfg: RlsConfig, threads: usize) -> Procedure2Outcome {
@@ -137,55 +137,6 @@ fn rls_lane_width_env_knob_selects_an_equivalent_kernel() {
         Some(v) => std::env::set_var("RLS_LANE_WIDTH", v),
         None => std::env::remove_var("RLS_LANE_WIDTH"),
     }
-}
-
-#[test]
-fn sampled_s953_faults_agree_at_every_width() {
-    // Kernel-level oracle on a real-profile circuit: a systematic sample
-    // of the s953 fault universe, simulated against TS0 tests, detects
-    // the identical faults in the identical order at every width.
-    use rls_fsim::{simulate_batch, simulate_chunk_at, Fault, FaultId, FaultUniverse, GoodSim, SimOptions};
-    let c = random_limited_scan::benchmarks::by_name("s953").expect("s953 exists");
-    let cfg = RlsConfig::new(8, 16, 8);
-    let tests = generate_ts0(&c, &cfg);
-    let sim = GoodSim::new(&c);
-    let u = FaultUniverse::enumerate(&c);
-    let sampled: Vec<(FaultId, Fault)> = u
-        .faults()
-        .iter()
-        .enumerate()
-        .step_by(3)
-        .map(|(i, &f)| (FaultId(i as u32), f))
-        .collect();
-    assert!(
-        sampled.len() > LaneWidth::W512.lanes(),
-        "the sample must span several batches even at the widest kernel"
-    );
-    let mut any_detected = false;
-    for test in tests.iter().take(2) {
-        let trace = sim.simulate_test(test);
-        // One-at-a-time serial reference: detections in candidate order.
-        let serial: Vec<FaultId> = sampled
-            .iter()
-            .flat_map(|&(id, f)| simulate_batch(&sim, test, &trace, &[(id, f)]))
-            .collect();
-        any_detected |= !serial.is_empty();
-        for width in LaneWidth::ALL {
-            let mut batched: Vec<FaultId> = Vec::new();
-            for chunk in sampled.chunks(width.lanes()) {
-                batched.extend(simulate_chunk_at(
-                    width,
-                    &sim,
-                    test,
-                    &trace,
-                    chunk,
-                    SimOptions::default(),
-                ));
-            }
-            assert_eq!(batched, serial, "width {width}: detections and order");
-        }
-    }
-    assert!(any_detected, "the sample must exercise real detections");
 }
 
 #[test]

@@ -17,7 +17,7 @@ use random_limited_scan::dispatch::{
 };
 use random_limited_scan::obs;
 use random_limited_scan::obs::record::Event;
-use rls_fsim::{LaneWidth, ScanTest, SimOptions, LANES};
+use rls_fsim::{LaneWidth, ScanTest, SimOptions};
 use rls_netlist::Circuit;
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
@@ -55,7 +55,8 @@ fn adaptive_chunks_cut_submit_overhead_on_large_circuits() {
     let mut runner = runner(&pool, &c, LaneWidth::W64, threads);
     let live = runner.live_count();
     let size = chunk_size(live, threads);
-    assert!(size > LANES, "s953 must exercise the oversized-chunk path");
+    let lanes = LaneWidth::W64.lanes();
+    assert!(size > lanes, "s953 must exercise the oversized-chunk path");
     runner.try_run_set(&tests).expect("no job fails");
     let snap = runner.handle().snapshot();
     let ctx = runner.context();
@@ -65,7 +66,7 @@ fn adaptive_chunks_cut_submit_overhead_on_large_circuits() {
     // packs them `pattern_lanes` tall and batch jobs are (tile, chunk).
     let tiles = tests.len().div_ceil(ctx.pattern_lanes());
     let adaptive = (tiles * live.div_ceil(size)) as u64;
-    let fixed = (tiles * live.div_ceil(LANES)) as u64;
+    let fixed = (tiles * live.div_ceil(lanes)) as u64;
     assert_eq!(jobs, adaptive, "one job per (tile, adaptive chunk)");
     assert!(
         jobs < fixed,

@@ -8,9 +8,9 @@
 //! independence, sound fault dropping, the `N_cyc0` closed formula,
 //! `.bench` round-tripping, limited-scan algebra (composition, full
 //! length ≡ full scan), Procedure 1 determinism, LFSR jump-ahead, and the
-//! SoA tile kernel — levelization round-trip against the gate-walking
-//! reference, pattern-lane independence, and ragged tile boundaries
-//! (`faults % W`, `patterns % P`).
+//! SoA tile kernel — the levelized lowering against the serial gate-walk
+//! reference on random scan chains, pattern-lane independence, and ragged
+//! tile boundaries (`faults % W`, `patterns % P`).
 
 #[path = "support/quickprop.rs"]
 mod quickprop;
@@ -21,12 +21,12 @@ use random_limited_scan::core::cycles::measured_cycles;
 use random_limited_scan::core::{derive_test_set, generate_ts0, ncyc0, RlsConfig};
 use random_limited_scan::fsim::good::traces_differ;
 use random_limited_scan::fsim::{
-    simulate_batch, simulate_chunk_at, simulate_tile_at, tile_fault_capacity, Fault, FaultId,
-    FaultSimulator, FaultUniverse, GoodSim, LaneWidth, ScanTest, ShiftOp, SimOptions,
+    simulate_tile_at, tile_fault_capacity, ChainMap, Fault, FaultId, FaultSimulator, FaultUniverse,
+    GoodSim, LaneWidth, ScanTest, ShiftOp, SimOptions,
 };
 use random_limited_scan::lfsr::{BitMatrix, FibonacciLfsr, SeedSequence};
 use random_limited_scan::netlist::{parse_bench, write_bench, Circuit, LevelizedCircuit};
-use random_limited_scan::scan::ops;
+use random_limited_scan::scan::{ops, MultiChain, PartialScan};
 
 /// A small, valid synthetic sequential circuit description.
 fn small_synth(g: &mut Gen) -> SynthConfig {
@@ -138,18 +138,9 @@ fn prop_batched_detection_matches_faulty_traces_at_every_width() {
                 .filter(|&&(_, f)| traces_differ(&good, &sim.simulate_faulty(&test, f)))
                 .map(|&(id, _)| id)
                 .collect();
+            let lc = LevelizedCircuit::build(&c, sim.levelization());
             for width in LaneWidth::ALL {
-                let mut batched: Vec<FaultId> = Vec::new();
-                for chunk in pairs.chunks(width.lanes()) {
-                    batched.extend(simulate_chunk_at(
-                        width,
-                        &sim,
-                        &test,
-                        &good,
-                        chunk,
-                        SimOptions::default(),
-                    ));
-                }
+                let batched = soa_detections(width, &c, &lc, &test, &pairs);
                 if batched != expected {
                     return Err(format!(
                         "width {width}: batched {batched:?} != per-trace {expected:?}"
@@ -175,36 +166,27 @@ fn prop_lanes_are_independent_at_every_width() {
         |(cfg, seed)| {
             let c = cfg.build();
             let sim = GoodSim::new(&c);
+            let lc = LevelizedCircuit::build(&c, sim.levelization());
             let test = random_test(&c, &mut Gen::new(*seed), 4);
-            let good = sim.simulate_test(&test);
-            let universe = FaultUniverse::enumerate(&c);
-            let singles: Vec<FaultId> = universe
-                .faults()
+            let full = ChainMap::full(c.num_dffs());
+            let packed = all_faults(&c);
+            let singles: Vec<FaultId> = packed
                 .iter()
-                .enumerate()
-                .filter(|&(i, &f)| {
-                    !simulate_batch(&sim, &test, &good, &[(FaultId(i as u32), f)]).is_empty()
+                .flat_map(|&pair| {
+                    simulate_tile_at(
+                        LaneWidth::W64,
+                        &c,
+                        &lc,
+                        &full,
+                        &[&test],
+                        &[pair],
+                        SimOptions::default(),
+                    )
+                    .remove(0)
                 })
-                .map(|(i, _)| FaultId(i as u32))
                 .collect();
             for width in LaneWidth::ALL {
-                let packed: Vec<(FaultId, _)> = universe
-                    .faults()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &f)| (FaultId(i as u32), f))
-                    .collect();
-                let mut batched: Vec<FaultId> = Vec::new();
-                for chunk in packed.chunks(width.lanes()) {
-                    batched.extend(simulate_chunk_at(
-                        width,
-                        &sim,
-                        &test,
-                        &good,
-                        chunk,
-                        SimOptions::default(),
-                    ));
-                }
+                let batched = soa_detections(width, &c, &lc, &test, &packed);
                 if batched != singles {
                     return Err(format!(
                         "width {width}: batch verdicts {batched:?} != singleton verdicts {singles:?}"
@@ -284,6 +266,76 @@ fn all_faults(c: &Circuit) -> Vec<(FaultId, Fault)> {
         .collect()
 }
 
+/// Full-scan single-test SoA detections over `pairs`, chunked to the
+/// 1-tall tile capacity at `width`.
+fn soa_detections(
+    width: LaneWidth,
+    c: &Circuit,
+    lc: &LevelizedCircuit,
+    test: &ScanTest,
+    pairs: &[(FaultId, Fault)],
+) -> Vec<FaultId> {
+    let full = ChainMap::full(c.num_dffs());
+    pairs
+        .chunks(tile_fault_capacity(width, 1))
+        .flat_map(|chunk| {
+            simulate_tile_at(width, c, lc, &full, &[test], chunk, SimOptions::default()).remove(0)
+        })
+        .collect()
+}
+
+/// The serial gate-walk reference: the faults (in candidate order) whose
+/// one-fault trace differs from the good trace.
+fn serial_detections(
+    sim: &GoodSim<'_>,
+    test: &ScanTest,
+    pairs: &[(FaultId, Fault)],
+) -> Vec<FaultId> {
+    let good = sim.simulate_test(test);
+    pairs
+        .iter()
+        .filter(|&&(_, f)| traces_differ(&good, &sim.simulate_faulty(test, f)))
+        .map(|&(id, _)| id)
+        .collect()
+}
+
+/// A random scan-chain map for `n_sv` flip-flops — full scan, a partial
+/// chain over a random subset in random order, or 1–4 round-robin
+/// chains — and a random test shaped for it: one scan-in bit per loaded
+/// position, shifts up to the longest chain with one fill bit per chain
+/// per cycle.
+fn random_chain_test(c: &Circuit, g: &mut Gen, len: usize) -> (ChainMap, ScanTest) {
+    let n_sv = c.num_dffs();
+    let chains = match g.usize_in(0, 3) {
+        0 => ChainMap::full(n_sv),
+        1 => {
+            let mut order: Vec<usize> = (0..n_sv).filter(|_| g.usize_in(0, 2) == 0).collect();
+            if order.len() > 1 {
+                let k = g.usize_in(0, order.len());
+                order.rotate_left(k);
+            }
+            ChainMap::from(&PartialScan::new(n_sv, order))
+        }
+        _ => ChainMap::from(&MultiChain::new(n_sv, g.usize_in(1, 5))),
+    };
+    let n = chains.chains().len();
+    let mut shifts = Vec::new();
+    if chains.max_chain_len() > 0 && len > 2 {
+        for u in 1..len {
+            if g.usize_in(0, 3) == 0 {
+                let amount = g.usize_in(1, chains.max_chain_len() + 1);
+                shifts.push(ShiftOp { at: u, amount, fill: g.bools(amount * n) });
+            }
+        }
+    }
+    let test = ScanTest {
+        scan_in: g.bools(chains.load().len()),
+        vectors: (0..len).map(|_| g.bools(c.num_inputs())).collect(),
+        shifts,
+    };
+    (chains, test)
+}
+
 /// `count` shape-compatible random tests: one shared (length, shift
 /// schedule) drawn first, then independent scan-ins, vectors, and fills
 /// per test — exactly the freedom `tile_compatible` allows.
@@ -313,9 +365,11 @@ fn compatible_random_tests(c: &Circuit, g: &mut Gen, len: usize, count: usize) -
 
 #[test]
 fn prop_soa_kernel_matches_gate_walk_on_random_netlists() {
-    // The levelized lowering round-trips: on any random netlist the SoA
-    // kernel detects exactly what the legacy gate-walking kernel does,
-    // order-exact, at every lane width.
+    // The levelized lowering and the chain-map shifts round-trip: on any
+    // random netlist under random scan chains (full, partial or
+    // multichain) the SoA kernel detects exactly what the serial
+    // gate-walking simulator on the same chains does, order-exact, at
+    // every lane width.
     check(
         "soa_matches_gate_walk",
         0x5eed_0006,
@@ -324,29 +378,23 @@ fn prop_soa_kernel_matches_gate_walk_on_random_netlists() {
         |(cfg, seed)| shrink_synth(cfg).into_iter().map(|c| (c, *seed)).collect(),
         |(cfg, seed)| {
             let c = cfg.build();
-            let sim = GoodSim::new(&c);
+            let (chains, test) = random_chain_test(&c, &mut Gen::new(*seed), 4);
+            let sim = GoodSim::new(&c).with_chains(chains.clone());
             let lc = LevelizedCircuit::build(&c, sim.levelization());
-            let test = random_test(&c, &mut Gen::new(*seed), 4);
-            let good = sim.simulate_test(&test);
             let pairs = all_faults(&c);
+            let walk = serial_detections(&sim, &test, &pairs);
+            let opts = SimOptions::default();
             for width in LaneWidth::ALL {
-                for chunk in pairs.chunks(tile_fault_capacity(width, 1)) {
-                    let legacy =
-                        simulate_chunk_at(width, &sim, &test, &good, chunk, SimOptions::default());
-                    let soa = simulate_tile_at(
-                        width,
-                        &c,
-                        &lc,
-                        &[&test],
-                        chunk,
-                        SimOptions::default(),
-                    )
-                    .remove(0);
-                    if soa != legacy {
-                        return Err(format!(
-                            "width {width}: soa {soa:?} != gate-walk {legacy:?}"
-                        ));
-                    }
+                let soa: Vec<FaultId> = pairs
+                    .chunks(tile_fault_capacity(width, 1))
+                    .flat_map(|chunk| {
+                        simulate_tile_at(width, &c, &lc, &chains, &[&test], chunk, opts).remove(0)
+                    })
+                    .collect();
+                if soa != walk {
+                    return Err(format!(
+                        "width {width} on {chains:?}: soa {soa:?} != gate-walk {walk:?}"
+                    ));
                 }
             }
             Ok(())
@@ -374,12 +422,14 @@ fn prop_pattern_lanes_are_independent() {
             let tests = compatible_random_tests(&c, &mut Gen::new(*seed), 4, *p);
             let tile_tests: Vec<&ScanTest> = tests.iter().collect();
             let pairs = all_faults(&c);
+            let full = ChainMap::full(c.num_dffs());
             for width in [LaneWidth::W64, LaneWidth::W512] {
                 for chunk in pairs.chunks(tile_fault_capacity(width, *p)) {
                     let tiled = simulate_tile_at(
                         width,
                         &c,
                         &lc,
+                        &full,
                         &tile_tests,
                         chunk,
                         SimOptions::default(),
@@ -389,6 +439,7 @@ fn prop_pattern_lanes_are_independent() {
                             width,
                             &c,
                             &lc,
+                            &full,
                             &[test],
                             chunk,
                             SimOptions::default(),
@@ -428,18 +479,10 @@ fn prop_ragged_tile_boundaries_agree() {
             let mut g = Gen::new(*seed);
             // p + 1 compatible tests under a height-p cap: runs of p and 1.
             let tests = compatible_random_tests(&c, &mut g, 4, *p + 1);
-            let traces: Vec<_> = tests.iter().map(|t| sim.simulate_test(t)).collect();
             let pairs = all_faults(&c);
-            let reference: Vec<Vec<FaultId>> = tests
-                .iter()
-                .zip(&traces)
-                .map(|(t, tr)| {
-                    pairs
-                        .iter()
-                        .flat_map(|&(id, f)| simulate_batch(&sim, t, tr, &[(id, f)]))
-                        .collect()
-                })
-                .collect();
+            let full = ChainMap::full(c.num_dffs());
+            let reference: Vec<Vec<FaultId>> =
+                tests.iter().map(|t| serial_detections(&sim, t, &pairs)).collect();
             for width in [LaneWidth::W64, LaneWidth::W512] {
                 // A chunk size that leaves a ragged tail with high
                 // probability, capped so the tall run still fits.
@@ -453,6 +496,7 @@ fn prop_ragged_tile_boundaries_agree() {
                             width,
                             &c,
                             &lc,
+                            &full,
                             &tile_tests,
                             chunk,
                             SimOptions::default(),
@@ -640,7 +684,7 @@ fn prop_dropping_is_sound() {
             // test individually (no dropping).
             let sim = GoodSim::new(&c);
             let goods: Vec<_> = tests.iter().map(|t| sim.simulate_test(t)).collect();
-            let universe = FaultUniverse::enumerate(&c);
+            let universe = engine.universe();
             let mut reference: Vec<FaultId> = engine
                 .collapsed()
                 .representatives()
@@ -648,9 +692,10 @@ fn prop_dropping_is_sound() {
                 .copied()
                 .filter(|&id| {
                     let fault = universe.fault(id);
-                    tests.iter().zip(&goods).any(|(t, good)| {
-                        !simulate_batch(&sim, t, good, &[(id, fault)]).is_empty()
-                    })
+                    tests
+                        .iter()
+                        .zip(&goods)
+                        .any(|(t, good)| traces_differ(good, &sim.simulate_faulty(t, fault)))
                 })
                 .collect();
             reference.sort_unstable();
