@@ -10,7 +10,7 @@ echo "== tier-1: build =="
 cargo build --release --offline --workspace
 
 echo "== lint: clippy -D warnings =="
-cargo clippy --offline --workspace -- -D warnings
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== lint: rls-lint baseline gate =="
 # Project-specific invariants clippy cannot see: determinism, panic-safety,
@@ -53,37 +53,39 @@ for seed in 11 1997 861551; do
     RLS_SCHED_SEED=$seed cargo test -q --offline --features fault-inject --test sched
 done
 
-echo "== fsim: width matrix =="
-# The RLS_LANE_WIDTH knob drives the wide-word kernel end to end: a full
-# table run must be byte-identical at every width (1/2/4/8 u64 words =
-# 64/128/256/512 lanes), threaded and sequential alike.
-WIDTH_DIR=$(mktemp -d)
-for w in 1 2 4 8; do
-    RLS_LANE_WIDTH=$w RLS_THREADS=2 \
-        cargo run -q --release --offline -p rls-bench --bin table6 -- s27 \
-        > "$WIDTH_DIR/w$w.out" 2> /dev/null
+echo "== fsim: thread matrix =="
+# A full table run must be byte-identical at every thread count: the
+# sequential engine and the pooled runner share one kernel shape
+# (KernelWord x TILE_HEIGHT) and merge detections in the same order.
+# s208's fault list spans several kernel chunks. The kernel-shape axis
+# (every lane word x tile height 1/2/4/8) lives in the soa oracle below.
+THREAD_DIR=$(mktemp -d)
+for t in 1 2 4; do
+    RLS_THREADS=$t \
+        cargo run -q --release --offline -p rls-bench --bin table6 -- s27 s208 \
+        > "$THREAD_DIR/t$t.out" 2> /dev/null
 done
-for w in 2 4 8; do
-    cmp "$WIDTH_DIR/w1.out" "$WIDTH_DIR/w$w.out"
+for t in 2 4; do
+    cmp "$THREAD_DIR/t1.out" "$THREAD_DIR/t$t.out"
 done
-rm -rf "$WIDTH_DIR"
+rm -rf "$THREAD_DIR"
 
 echo "== fsim: soa oracle =="
 # The SoA kernel's verification wall: the differential matrix against
 # the serial one-fault-at-a-time reference (every s27 fault x every
-# test, order-exact, at every lane width x tile height x thread count,
-# under full, partial and multichain scan; s953 and s298 sampled) plus
+# test, order-exact, at every lane word x tile height, under full,
+# partial and multichain scan; s953 and s298 sampled; the engine and the
+# pooled runner under dropping on s27 and s208 at 1/2/4 threads) plus
 # the seeded mutation self-tests — each deliberate kernel corruption
 # must turn the differential red, so the oracle is known to have teeth.
 cargo test -q --offline --test soa_oracle
 cargo test -q --offline --features kernel-mutate --test soa_oracle
 
-echo "== fsim: lane-width bench gate =="
-# The compiled default configuration (LaneWidth::DEFAULT x
-# PATTERN_LANES_DEFAULT) must hold up against the committed s953
-# measurement's own history: its row must be present and within 1.25x of
-# the fastest row. Regenerate after kernel changes with
-# `cargo run --release -p rls-bench --bin bench_fsim_lanes`.
+echo "== fsim: kernel-shape bench gate =="
+# The compiled kernel shape (KernelWord::LANES x TILE_HEIGHT) must hold
+# up against the committed s953 measurement's own history: its row must
+# be present and within 1.25x of the fastest row. Regenerate after kernel
+# changes with `cargo run --release -p rls-bench --bin bench_fsim_lanes`.
 cargo run -q --release --offline -p rls-bench --bin rls-report -- --lanes BENCH_fsim_lanes.json --gate
 
 echo "== obs: smoke =="

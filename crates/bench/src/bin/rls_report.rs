@@ -21,10 +21,10 @@
 //! divergence point from the `procedure2.coverage` gauges.
 //!
 //! With `--lanes` and one `fsim_lanes` record (written by
-//! `bench_fsim_lanes`), prints the (lane width × pattern lanes)
+//! `bench_fsim_lanes`), prints the (lane word × tile height)
 //! `fsim.test_nanos` matrix. Adding `--gate` checks the compiled default
 //! configuration against the record's own history: the record must hold
-//! the row for `LaneWidth::DEFAULT` × `PATTERN_LANES_DEFAULT`, and that
+//! the row for `KernelWord::LANES` × `TILE_HEIGHT`, and that
 //! row must be within 1.25× (a noise allowance) of the fastest row.
 //!
 //! The profiling modes consume one obs metrics stream (see
@@ -35,14 +35,14 @@
 //! flight-recorder crash dump); `--phase-profile` emits a committable
 //! per-phase self-time profile; and `--gate` compares a run's phase
 //! shares against the committed `BENCH_phase_profile.json` the same way
-//! `--lanes` gates the compiled lane width.
+//! `--lanes` gates the compiled kernel shape.
 //!
 //! Exit codes make every mode usable as a CI gate:
 //!
-//! * `0` — candidate coverage is at least the baseline's (or the default
-//!   lane width holds up)
+//! * `0` — candidate coverage is at least the baseline's (or the compiled
+//!   kernel shape holds up)
 //! * `1` — coverage regression (fewer faults detected, or a complete
-//!   campaign turned incomplete), a compiled default lane configuration
+//!   campaign turned incomplete), the compiled kernel shape
 //!   missing from its record or slower than 1.25× its fastest row, or a
 //!   phase share outside its committed tolerance
 //! * `2` — a file could not be read, is not a campaign/obs record, or the
@@ -332,11 +332,12 @@ fn lane_stats_from(log: &CampaignLog) -> Result<LaneStats, String> {
     })
 }
 
-/// The compiled default configuration: (lanes, pattern lanes).
+/// The compiled kernel shape: (lanes, tile height).
 fn compiled_default() -> (u64, u64) {
+    use rls_fsim::LaneWord;
     (
-        rls_fsim::LaneWidth::DEFAULT.lanes() as u64,
-        rls_fsim::PATTERN_LANES_DEFAULT as u64,
+        rls_fsim::KernelWord::LANES as u64,
+        rls_fsim::TILE_HEIGHT as u64,
     )
 }
 

@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 use std::path::PathBuf;
 
-use rls_fsim::{FaultId, LaneWidth, SimOptions};
+use rls_fsim::{FaultId, SimOptions};
 use rls_lfsr::SeedSequence;
 
 /// A configuration that cannot be used, with an actionable message.
@@ -144,16 +144,6 @@ pub struct RlsConfig {
     /// When set, a JSONL campaign record (per-trial lines plus per-worker
     /// counters) is written into this directory, e.g. `results/`.
     pub campaign_dir: Option<PathBuf>,
-    /// Kernel word width: faults per bit-parallel batch (64–512 lanes).
-    /// Every width is bit-identical to the sequential oracle; the default
-    /// is chosen from measured throughput (see `BENCH_fsim_lanes.json`).
-    pub lane_width: LaneWidth,
-    /// Tile height for the SoA kernel: how many shape-compatible
-    /// consecutive tests share one `faults × patterns` kernel pass. `1`
-    /// disables tiling; every setting is bit-identical (the tile merge is
-    /// order-preserving). The default is chosen from measured throughput
-    /// (see `BENCH_fsim_lanes.json`).
-    pub pattern_lanes: usize,
 }
 
 impl RlsConfig {
@@ -206,8 +196,6 @@ impl RlsConfig {
             observe: SimOptions::default(),
             threads: 1,
             campaign_dir: None,
-            lane_width: LaneWidth::DEFAULT,
-            pattern_lanes: rls_fsim::PATTERN_LANES_DEFAULT,
         })
     }
 
@@ -248,19 +236,6 @@ impl RlsConfig {
         self.campaign_dir = Some(dir.into());
         self
     }
-
-    /// Builder-style: set the fault-simulation kernel word width.
-    pub fn with_lane_width(mut self, width: LaneWidth) -> Self {
-        self.lane_width = width;
-        self
-    }
-
-    /// Builder-style: set the SoA tile height (`1` disables tiling).
-    /// Zero is coerced to one.
-    pub fn with_pattern_lanes(mut self, pattern_lanes: usize) -> Self {
-        self.pattern_lanes = pattern_lanes.max(1);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -294,18 +269,6 @@ mod tests {
     #[should_panic(expected = "L_A <= L_B")]
     fn la_above_lb_rejected() {
         RlsConfig::new(32, 16, 64);
-    }
-
-    #[test]
-    fn pattern_lanes_default_and_builder() {
-        let cfg = RlsConfig::new(8, 16, 64);
-        assert_eq!(cfg.pattern_lanes, rls_fsim::PATTERN_LANES_DEFAULT);
-        assert_eq!(cfg.clone().with_pattern_lanes(8).pattern_lanes, 8);
-        assert_eq!(
-            cfg.with_pattern_lanes(0).pattern_lanes,
-            1,
-            "zero coerces to one"
-        );
     }
 
     #[test]

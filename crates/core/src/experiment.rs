@@ -34,17 +34,6 @@ pub struct ExecProfile {
     /// profile renderer, a crash-safe metrics JSONL stream next to the
     /// campaign records, or both (the default).
     pub obs_sink: rls_obs::SinkMode,
-    /// Fault-simulation kernel word width (`RLS_LANE_WIDTH`): faults per
-    /// bit-parallel batch. Accepts lanes (`64`/`128`/`256`/`512`) or
-    /// `u64` words (`1`/`2`/`4`/`8`). `None` keeps the measured default
-    /// ([`rls_fsim::LaneWidth::DEFAULT`]); every width is bit-identical.
-    pub lane_width: Option<rls_fsim::LaneWidth>,
-    /// SoA tile height (`RLS_PATTERN_LANES`): how many shape-compatible
-    /// consecutive tests share one `faults × patterns` kernel pass.
-    /// Accepts `1`/`2`/`4`/`8`; `None` keeps the measured default
-    /// ([`rls_fsim::PATTERN_LANES_DEFAULT`]); every setting is
-    /// bit-identical.
-    pub pattern_lanes: Option<usize>,
     /// Flight-recorder ring capacity in events per thread (`RLS_RECORD`):
     /// `0` disables (the default), `1` arms with the default capacity,
     /// larger values size the per-thread rings. Recording is independent
@@ -57,10 +46,9 @@ impl ExecProfile {
     /// Reads the settings from the environment: `RLS_THREADS` (a thread
     /// count; `0` coerces to `1`), `RLS_CAMPAIGN_DIR` (a directory path),
     /// `RLS_RESUME` (a campaign JSONL file with a checkpoint), `RLS_OBS`
-    /// (`1`/`true`/`on` enables tracing and metrics), and `RLS_OBS_SINK`
-    /// (`stderr`, `jsonl`, or `both`), `RLS_LANE_WIDTH` (a kernel
-    /// width in lanes `64`–`512` or words `1`–`8`), and
-    /// `RLS_PATTERN_LANES` (an SoA tile height `1`/`2`/`4`/`8`). Unset
+    /// (`1`/`true`/`on` enables tracing and metrics), `RLS_OBS_SINK`
+    /// (`stderr`, `jsonl`, or `both`), and `RLS_RECORD` (a flight-recorder
+    /// ring capacity). Unset
     /// variables fall back to the sequential default; set-but-unusable
     /// values are an error with an actionable message, not a silent
     /// fallback.
@@ -138,41 +126,12 @@ impl ExecProfile {
                 })?,
             },
         };
-        let lane_width = match env_value("RLS_LANE_WIDTH")? {
-            None => None,
-            Some(v) => match rls_fsim::LaneWidth::parse(&v) {
-                Some(width) => Some(width),
-                None => {
-                    return Err(ConfigError::InvalidEnv {
-                        var: "RLS_LANE_WIDTH",
-                        value: v,
-                        expected: "a kernel width in lanes (`64`, `128`, `256`, `512`) \
-                                   or u64 words (`1`, `2`, `4`, `8`)",
-                    })
-                }
-            },
-        };
-        let pattern_lanes = match env_value("RLS_PATTERN_LANES")? {
-            None => None,
-            Some(v) => match rls_fsim::parse_pattern_lanes(&v) {
-                Some(p) => Some(p),
-                None => {
-                    return Err(ConfigError::InvalidEnv {
-                        var: "RLS_PATTERN_LANES",
-                        value: v,
-                        expected: "an SoA tile height (`1`, `2`, `4`, `8`)",
-                    })
-                }
-            },
-        };
         Ok(ExecProfile {
             threads,
             campaign_dir,
             resume,
             obs,
             obs_sink,
-            lane_width,
-            pattern_lanes,
             record,
         })
     }
@@ -181,12 +140,6 @@ impl ExecProfile {
     pub fn configure(&self, mut cfg: RlsConfig) -> RlsConfig {
         cfg.threads = self.threads.max(1);
         cfg.campaign_dir = self.campaign_dir.clone();
-        if let Some(width) = self.lane_width {
-            cfg.lane_width = width;
-        }
-        if let Some(p) = self.pattern_lanes {
-            cfg.pattern_lanes = p;
-        }
         cfg
     }
 }

@@ -238,8 +238,6 @@ impl<'c> Procedure2<'c> {
     ) -> Procedure2Outcome {
         let mut sim = FaultSimulator::new(self.circuit);
         sim.set_options(self.cfg.observe);
-        sim.set_lane_width(self.cfg.lane_width);
-        sim.set_pattern_lanes(self.cfg.pattern_lanes);
         if let CoverageTarget::Faults(targets) = &self.cfg.target {
             sim.set_targets(targets);
         }
@@ -547,9 +545,9 @@ impl TrialExecutor for SequentialExecutor<'_> {
 /// deterministic reduction.
 ///
 /// Built from the compiled circuit, the run configuration, and a
-/// registered [`CampaignHandle`], so `observe`, `lane_width`,
-/// `pattern_lanes`, and [`CoverageTarget::Faults`] are applied here for
-/// direct and served runs alike.
+/// registered [`CampaignHandle`], so `observe` and
+/// [`CoverageTarget::Faults`] are applied here for direct and served runs
+/// alike.
 ///
 /// If a set keeps failing through the pool's retry budget (a poisoned
 /// chunk), the executor *degrades*: the failed set — whose bookkeeping
@@ -579,9 +577,7 @@ impl<'c> PoolExecutor<'c> {
         cfg: &RlsConfig,
         handle: CampaignHandle,
     ) -> Self {
-        let ctx = SharedSimContext::new(Arc::clone(compiled), cfg.observe)
-            .with_lane_width(cfg.lane_width)
-            .with_pattern_lanes(cfg.pattern_lanes);
+        let ctx = SharedSimContext::new(Arc::clone(compiled), cfg.observe);
         let mut runner = SharedSetRunner::new(Arc::new(ctx), handle);
         if let CoverageTarget::Faults(targets) = &cfg.target {
             runner.set_targets(targets);
@@ -625,8 +621,6 @@ impl<'c> PoolExecutor<'c> {
             let ctx = runner.context();
             let mut sim = FaultSimulator::new(circuit);
             sim.set_options(ctx.options());
-            sim.set_lane_width(ctx.lane_width());
-            sim.set_pattern_lanes(ctx.pattern_lanes());
             sim.set_targets(runner.live());
             sim
         })

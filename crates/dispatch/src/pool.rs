@@ -89,7 +89,7 @@ pub struct WorkerCounters {
 }
 
 impl WorkerCounters {
-    /// Records one simulated 64-lane batch and its wall time.
+    /// Records one simulated kernel batch and its wall time.
     #[inline]
     pub fn add_batch(&self, elapsed: Duration) {
         self.batches.fetch_add(1, Ordering::Relaxed); // lint: ordering-ok(observability counter; snapshots read after the pool idles, never mid-reduction)
@@ -143,7 +143,7 @@ pub struct WorkerSnapshot {
     pub worker: usize,
     /// Jobs executed (completed without panicking).
     pub jobs: u64,
-    /// 64-lane fault batches simulated.
+    /// Kernel fault batches simulated.
     pub batches: u64,
     /// Faults this worker was first to detect (and hence drop).
     pub faults_dropped: u64,
@@ -154,8 +154,8 @@ pub struct WorkerSnapshot {
     /// Occupied kernel lanes summed over this worker's batches.
     pub lanes_used: u64,
     /// Available kernel lanes summed over this worker's batches
-    /// (`batches * lane_width.lanes()` when every invocation ran at full
-    /// width).
+    /// (`batches * KernelWord::LANES`: every invocation runs one
+    /// [`rls_fsim::KernelWord`]).
     pub lanes_capacity: u64,
 }
 
@@ -184,7 +184,7 @@ impl PoolSnapshot {
         self
     }
 
-    /// Total 64-lane batches simulated across workers, including any
+    /// Total kernel batches simulated across workers, including any
     /// degrade-path fallback batches.
     pub fn total_batches(&self) -> u64 {
         self.workers.iter().map(|w| w.batches).sum::<u64>()

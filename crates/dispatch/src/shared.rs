@@ -34,7 +34,7 @@
 //! # Determinism
 //!
 //! Within a set, detection of a fault by a test depends only on
-//! `(test, fault)`: lanes of a batch are independent at every width and
+//! `(test, fault)`: lanes of a batch are independent at every word and
 //! tile height, and the shared detection bitset is monotone within a set.
 //! The detected *set* at a barrier is therefore the union a sequential run
 //! computes, however jobs interleave, and [`SharedSetRunner`] merges it in
@@ -51,7 +51,7 @@
 //! parsed netlist, SoA lowering, fault universe, collapsed fault list —
 //! behind an `Arc`, so a server can compile once and share across
 //! concurrent campaigns; [`SharedSimContext`] adds the per-campaign
-//! mutable state (options, lane width, tile height, detection bitset).
+//! mutable state (options and the detection bitset).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -61,13 +61,13 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use rls_fsim::{
-    simulate_tile_at, tile_fault_capacity, ChainMap, CollapsedFaults, Fault, FaultId,
-    FaultUniverse, LaneWidth, ScanTest, SimOptions, PATTERN_LANES_DEFAULT,
+    plan_tiles, simulate_tile_lanes, tile_fault_capacity, ChainMap, CollapsedFaults, Fault,
+    FaultId, FaultUniverse, KernelWord, LaneWord, ScanTest, SimOptions, TILE_HEIGHT,
 };
 use rls_netlist::{Circuit, LevelizedCircuit, NetlistError};
 
 use crate::bitset::AtomicBitset;
-use crate::executor::{batch_tag, chunk_size, plan_tiles, SetFailure, RETRY_ROUNDS};
+use crate::executor::{batch_tag, chunk_size, SetFailure, RETRY_ROUNDS};
 use crate::inject;
 use crate::pool::{
     classify, payload_message, FailureClass, JobFailure, PoolSnapshot, WorkerCounters,
@@ -575,56 +575,19 @@ impl CompiledCircuit {
 pub struct SharedSimContext {
     compiled: Arc<CompiledCircuit>,
     options: SimOptions,
-    lane_width: LaneWidth,
-    pattern_lanes: usize,
     detected_bits: AtomicBitset,
 }
 
 impl SharedSimContext {
-    /// Builds campaign state over a compiled circuit at the default
-    /// kernel width.
+    /// Builds campaign state over a compiled circuit.
     pub fn new(compiled: Arc<CompiledCircuit>, options: SimOptions) -> Self {
         let detected_bits = AtomicBitset::new(compiled.universe.len());
         detected_bits.clear();
         SharedSimContext {
             compiled,
             options,
-            lane_width: LaneWidth::DEFAULT,
-            pattern_lanes: PATTERN_LANES_DEFAULT,
             detected_bits,
         }
-    }
-
-    /// Sets the kernel word width batch jobs simulate at.
-    pub fn with_lane_width(mut self, width: LaneWidth) -> Self {
-        self.lane_width = width;
-        self
-    }
-
-    /// Sets the tile height (tests per SoA kernel pass; `1` disables
-    /// tiling). Bit-identical at every height; only throughput changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= lanes <= 64` (the narrowest kernel word must
-    /// still fit at least one fault per pattern).
-    pub fn with_pattern_lanes(mut self, lanes: usize) -> Self {
-        assert!(
-            (1..=64).contains(&lanes),
-            "pattern lanes must be within 1..=64, got {lanes}"
-        );
-        self.pattern_lanes = lanes;
-        self
-    }
-
-    /// The kernel word width batch jobs simulate at.
-    pub fn lane_width(&self) -> LaneWidth {
-        self.lane_width
-    }
-
-    /// The tile height batch jobs simulate at (tests per kernel pass).
-    pub fn pattern_lanes(&self) -> usize {
-        self.pattern_lanes
     }
 
     /// The simulation options the context was built with.
@@ -743,14 +706,12 @@ impl SharedSetRunner {
                 if candidates.is_empty() {
                     return;
                 }
-                let width = ctx.lane_width;
                 let height = hi - lo;
-                let cap = tile_fault_capacity(width, height);
+                let cap = tile_fault_capacity::<KernelWord>(height);
                 let mut newly = 0u64;
                 for sub in candidates.chunks(cap) {
                     let start = Instant::now(); // lint: det-ok(wall time feeds observability counters only, never the reduced result)
-                    let per_pattern = simulate_tile_at(
-                        width,
+                    let per_pattern = simulate_tile_lanes::<KernelWord>(
                         ctx.compiled.circuit(),
                         ctx.compiled.levelized(),
                         &ctx.compiled.chains,
@@ -759,7 +720,7 @@ impl SharedSetRunner {
                         ctx.options,
                     );
                     counters.add_batch(start.elapsed());
-                    counters.add_lanes((sub.len() * height) as u64, width.lanes() as u64);
+                    counters.add_lanes((sub.len() * height) as u64, KernelWord::LANES as u64);
                     for id in per_pattern.into_iter().flatten() {
                         if ctx.detected_bits.set(id) {
                             newly += 1;
@@ -854,13 +815,8 @@ impl SharedSetRunner {
             Arc::new(self.live.chunks(size).map(<[FaultId]>::to_vec).collect());
         rls_obs::gauge!("dispatch.chunk_size", size as u64);
         rls_obs::counter!("dispatch.chunks", chunks.len() as u64);
-        let tiles: Arc<Vec<(usize, usize)>> = Arc::new(plan_tiles(
-            &tests,
-            self.ctx.pattern_lanes,
-            self.ctx.lane_width,
-        ));
+        let tiles: Arc<Vec<(usize, usize)>> = Arc::new(plan_tiles(&tests, TILE_HEIGHT));
         rls_obs::counter!("fsim.tiles", tiles.len() as u64);
-        rls_obs::gauge!("fsim.pattern_lanes", self.ctx.pattern_lanes as u64);
         let live_left = Arc::new(AtomicUsize::new(self.live.len()));
         let batch_tags: Vec<u64> = (0..tiles.len())
             .flat_map(|t| (0..chunks.len()).map(move |c| batch_tag(t, c)))
@@ -948,37 +904,9 @@ mod tests {
     }
 
     #[test]
-    fn every_lane_width_matches_the_oracle_on_the_shared_pool() {
-        let c = rls_benchmarks::s27();
-        let sets = s27_sets();
-        let (seq_counts, seq_live) = sequential(&c, &sets);
-        let compiled = compiled_s27();
-        let pool = SharedPool::new(2);
-        for width in LaneWidth::ALL {
-            let ctx = Arc::new(
-                SharedSimContext::new(Arc::clone(&compiled), SimOptions::default())
-                    .with_lane_width(width),
-            );
-            let mut runner = SharedSetRunner::new(ctx, pool.register(2));
-            let counts: Vec<usize> = sets
-                .iter()
-                .map(|set| runner.try_run_set(set).unwrap().len())
-                .collect();
-            assert_eq!(counts, seq_counts, "width {width}");
-            assert_eq!(runner.live(), &seq_live[..], "width {width}");
-            let snap = runner.handle().snapshot();
-            assert_eq!(
-                snap.total_lanes_capacity(),
-                snap.total_batches() * width.lanes() as u64,
-                "width {width}"
-            );
-        }
-    }
-
-    #[test]
     fn pattern_tiles_match_the_oracle_on_the_shared_pool() {
         // The tiled SoA path must stay bit-identical on the shared pool
-        // too, at every tile height.
+        // too, with every kernel call accounted at the full word.
         let c = rls_benchmarks::s27();
         let shifts = vec![rls_fsim::ShiftOp {
             at: 2,
@@ -1003,26 +931,19 @@ mod tests {
         let (seq_counts, seq_live) = sequential(&c, &sets);
         let compiled = compiled_s27();
         let pool = SharedPool::new(2);
-        for pl in [1, 2, 4] {
-            let ctx = Arc::new(
-                SharedSimContext::new(Arc::clone(&compiled), SimOptions::default())
-                    .with_pattern_lanes(pl),
-            );
-            assert_eq!(ctx.pattern_lanes(), pl);
-            let mut runner = SharedSetRunner::new(ctx, pool.register(2));
-            let counts: Vec<usize> = sets
-                .iter()
-                .map(|set| runner.try_run_set(set).unwrap().len())
-                .collect();
-            assert_eq!(counts, seq_counts, "pattern lanes {pl}");
-            assert_eq!(runner.live(), &seq_live[..], "pattern lanes {pl}");
-            let snap = runner.handle().snapshot();
-            assert_eq!(
-                snap.total_lanes_capacity(),
-                snap.total_batches() * LaneWidth::DEFAULT.lanes() as u64,
-                "pattern lanes {pl}"
-            );
-        }
+        let ctx = Arc::new(SharedSimContext::new(compiled, SimOptions::default()));
+        let mut runner = SharedSetRunner::new(ctx, pool.register(2));
+        let counts: Vec<usize> = sets
+            .iter()
+            .map(|set| runner.try_run_set(set).unwrap().len())
+            .collect();
+        assert_eq!(counts, seq_counts);
+        assert_eq!(runner.live(), &seq_live[..]);
+        let snap = runner.handle().snapshot();
+        assert_eq!(
+            snap.total_lanes_capacity(),
+            snap.total_batches() * KernelWord::LANES as u64
+        );
         pool.shutdown();
     }
 
@@ -1036,13 +957,6 @@ mod tests {
         assert_eq!(newly, sorted, "default live list is ascending by id");
         assert!(!newly.is_empty());
         pool.shutdown();
-    }
-
-    #[test]
-    #[should_panic(expected = "pattern lanes must be within 1..=64")]
-    fn oversized_pattern_lanes_are_rejected() {
-        let _ = SharedSimContext::new(compiled_s27(), SimOptions::default())
-            .with_pattern_lanes(65);
     }
 
     #[test]

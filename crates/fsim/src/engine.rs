@@ -2,15 +2,14 @@
 //! the grouping of consecutive tests into SoA tiles.
 
 use rls_netlist::{Circuit, LevelizedCircuit};
-use rls_scan::ChainMap;
+use rls_scan::{ChainMap, LaneWord};
 
 use crate::collapse::CollapsedFaults;
 use crate::coverage::Coverage;
 use crate::fault::{Fault, FaultId, FaultUniverse};
 use crate::good::GoodSim;
 use crate::soa::{
-    max_tile_height, simulate_tile_at, tile_compatible, tile_fault_capacity, LaneWidth, SimOptions,
-    PATTERN_LANES_DEFAULT,
+    plan_tiles, simulate_tile_lanes, tile_fault_capacity, KernelWord, SimOptions, TILE_HEIGHT,
 };
 use crate::test::ScanTest;
 
@@ -23,13 +22,13 @@ use crate::test::ScanTest;
 /// exact lane utilization for work the worker counters never saw.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneStats {
-    /// Kernel invocations at the configured width.
+    /// Kernel invocations.
     pub batches: u64,
     /// Fault lanes summed over those batches (the SoA kernel's
     /// per-pattern reference lanes are not counted).
     pub lanes_used: u64,
     /// Available lanes summed over those batches
-    /// (`batches * lane_width.lanes()`).
+    /// (`batches * KernelWord::LANES`).
     pub lanes_capacity: u64,
 }
 
@@ -72,10 +71,6 @@ pub struct FaultSimulator<'c> {
     live: Vec<FaultId>,
     detected: Vec<FaultId>,
     options: SimOptions,
-    lane_width: LaneWidth,
-    /// Tile height for [`FaultSimulator::run_tests`]: up to this many
-    /// shape-compatible consecutive tests share one pass.
-    pattern_lanes: usize,
     lane_stats: LaneStats,
 }
 
@@ -99,8 +94,6 @@ impl<'c> FaultSimulator<'c> {
             live,
             detected: Vec::new(),
             options: SimOptions::default(),
-            lane_width: LaneWidth::DEFAULT,
-            pattern_lanes: PATTERN_LANES_DEFAULT,
             lane_stats: LaneStats::default(),
         }
     }
@@ -116,18 +109,6 @@ impl<'c> FaultSimulator<'c> {
         self.options
     }
 
-    /// Sets the kernel word width (faults per bit-parallel batch). The
-    /// default is [`LaneWidth::DEFAULT`]; detections are bit-identical at
-    /// every width.
-    pub fn set_lane_width(&mut self, width: LaneWidth) {
-        self.lane_width = width;
-    }
-
-    /// The current kernel word width.
-    pub fn lane_width(&self) -> LaneWidth {
-        self.lane_width
-    }
-
     /// Sets the scan chains tests are applied through (full scan by
     /// default): a [`ChainMap`] from a [`rls_scan::PartialScan`] or a
     /// [`rls_scan::MultiChain`] runs the same kernel on that scan style.
@@ -138,30 +119,6 @@ impl<'c> FaultSimulator<'c> {
     /// the circuit has.
     pub fn set_chains(&mut self, chains: ChainMap) {
         self.good.set_chains(chains);
-    }
-
-    /// Sets the tile height: how many shape-compatible consecutive tests
-    /// [`FaultSimulator::run_tests`] packs into one kernel pass. `1`
-    /// disables tiling. A height above [`max_tile_height`] of the lane
-    /// width is capped to it when tests are grouped, so every pattern
-    /// keeps a reference and a fault lane. Detections are identical at
-    /// every height.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= pattern_lanes <= 64` (the tile must fit the
-    /// narrowest kernel word).
-    pub fn set_pattern_lanes(&mut self, pattern_lanes: usize) {
-        assert!(
-            (1..=64).contains(&pattern_lanes),
-            "pattern lanes must be within 1..=64, got {pattern_lanes}"
-        );
-        self.pattern_lanes = pattern_lanes;
-    }
-
-    /// The current tile height.
-    pub fn pattern_lanes(&self) -> usize {
-        self.pattern_lanes
     }
 
     /// The levelized SoA lowering of the circuit under test.
@@ -251,7 +208,7 @@ impl<'c> FaultSimulator<'c> {
     /// Accounted unconditionally (see [`LaneStats`]); the obs counters
     /// mirror it only when the layer is enabled.
     fn account(&mut self, sw: &rls_obs::Stopwatch, faults: usize, per_batch: usize, height: usize) {
-        let lanes = self.lane_width.lanes() as u64;
+        let lanes = KernelWord::LANES as u64;
         let batches = faults.div_ceil(per_batch) as u64;
         let fault_lanes = (faults * height) as u64;
         self.lane_stats.batches += batches;
@@ -263,7 +220,6 @@ impl<'c> FaultSimulator<'c> {
             rls_obs::counter!("fsim.batches", batches);
             rls_obs::counter!("fsim.lanes_used", fault_lanes);
             rls_obs::counter!("fsim.lanes_capacity", batches * lanes);
-            rls_obs::gauge!("fsim.lane_width", lanes);
         }
     }
 
@@ -299,30 +255,20 @@ impl<'c> FaultSimulator<'c> {
     /// number of newly detected faults.
     ///
     /// Consecutive shape-compatible tests are packed into tiles of up to
-    /// `pattern_lanes` tests (capped at [`max_tile_height`]) so one kernel
-    /// pass covers several tests. The detections (set *and* order) are
+    /// [`TILE_HEIGHT`] tests ([`plan_tiles`]) so one kernel pass covers
+    /// several tests. The detections (set *and* order) are
     /// identical to the sequential per-test run: per-(test, fault)
     /// detection does not depend on the other faults in the word, and the
     /// tile merge walks patterns in test order, dropping already-detected
     /// ids exactly as sequential dropping would.
-    pub fn run_tests<'a, I>(&mut self, tests: I) -> usize
-    where
-        I: IntoIterator<Item = &'a ScanTest>,
-    {
+    pub fn run_tests(&mut self, tests: &[ScanTest]) -> usize {
+        let all: Vec<&ScanTest> = tests.iter().collect();
         let mut count = 0;
-        let all: Vec<&ScanTest> = tests.into_iter().collect();
-        let height = self.pattern_lanes.min(max_tile_height(self.lane_width));
-        let mut i = 0;
-        while i < all.len() && !self.live.is_empty() {
-            let mut j = i + 1;
-            while j < all.len()
-                && j - i < height
-                && tile_compatible(all[i], all[j]) // lint: panic-ok(i < j < all.len() by the loop conditions)
-            {
-                j += 1;
+        for (lo, hi) in plan_tiles(tests, TILE_HEIGHT) {
+            if self.live.is_empty() {
+                break;
             }
-            count += self.run_tile(&all[i..j]).len(); // lint: panic-ok(i < j <= all.len(): j starts at i + 1 and only advances while in range)
-            i = j;
+            count += self.run_tile(&all[lo..hi]).len(); // lint: panic-ok(plan_tiles partitions 0..tests.len())
         }
         count
     }
@@ -342,13 +288,12 @@ impl<'c> FaultSimulator<'c> {
             .iter()
             .map(|&id| (id, self.universe.fault(id)))
             .collect();
-        let cap = tile_fault_capacity(self.lane_width, t);
+        let cap = tile_fault_capacity::<KernelWord>(t);
         let circuit = self.good.circuit();
         let mut per_pattern: Vec<Vec<FaultId>> = vec![Vec::new(); t];
         for chunk in candidates.chunks(cap) {
             rls_obs::mark!("fsim.batch", chunk.len());
-            let dets = simulate_tile_at(
-                self.lane_width,
+            let dets = simulate_tile_lanes::<KernelWord>(
                 circuit,
                 &self.soa,
                 self.good.chains(),
@@ -366,7 +311,6 @@ impl<'c> FaultSimulator<'c> {
         self.account(&sw, candidates.len(), cap, t);
         if sw.running() {
             rls_obs::counter!("fsim.tiles", 1);
-            rls_obs::gauge!("fsim.pattern_lanes", t as u64);
         }
         // Order-preserving merge: walk patterns in test order, each in
         // candidate order, dropping ids already claimed by an earlier
@@ -575,115 +519,36 @@ mod tests {
     }
 
     #[test]
-    fn run_test_matches_the_serial_reference_at_every_width() {
+    fn run_test_matches_the_serial_reference() {
         // The engine's detection *order* (not just the set) is the serial
-        // one at every kernel width — the dispatch reduction and
-        // checkpointing both depend on it.
+        // one — the dispatch reduction and checkpointing both depend on it.
         let c = rls_benchmarks::s27();
-        assert_eq!(FaultSimulator::new(&c).lane_width(), LaneWidth::DEFAULT);
         let expect = serial_dropping(&c, &[s27_test()]);
         assert!(!expect.is_empty());
-        for width in LaneWidth::ALL {
-            let mut sim = FaultSimulator::new(&c);
-            sim.set_lane_width(width);
-            sim.run_test(&s27_test());
-            assert_eq!(sim.detected(), &expect[..], "width {width}");
-        }
+        let mut sim = FaultSimulator::new(&c);
+        sim.run_test(&s27_test());
+        assert_eq!(sim.detected(), &expect[..]);
     }
 
     #[test]
     fn tiled_run_tests_matches_the_serial_reference() {
-        // The crown invariant of the tile scheduler: for every width and
-        // tile height, run_tests over a mixed (tileable + non-tileable)
-        // sequence yields the serial dropping order exactly.
+        // The crown invariant of the tile scheduler: run_tests over a
+        // mixed (tileable + non-tileable) sequence yields the serial
+        // dropping order exactly, and every kernel call is accounted at
+        // the full word.
         let c = rls_benchmarks::s27();
         let tests = s27_tile_tests();
-        let expect = serial_dropping(&c, &tests);
-        assert!(!expect.is_empty());
-        for width in LaneWidth::ALL {
-            for p in crate::soa::PATTERN_LANES_ALL {
-                let mut sim = FaultSimulator::new(&c);
-                sim.set_lane_width(width);
-                sim.set_pattern_lanes(p);
-                sim.run_tests(&tests);
-                assert_eq!(
-                    sim.detected(),
-                    &expect[..],
-                    "width {width}, pattern lanes {p}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn lane_capacity_invariant_holds_under_tiles() {
-        let c = rls_benchmarks::s27();
-        let tests = s27_tile_tests();
-        for width in LaneWidth::ALL {
-            for p in crate::soa::PATTERN_LANES_ALL {
-                let mut sim = FaultSimulator::new(&c);
-                sim.set_lane_width(width);
-                sim.set_pattern_lanes(p);
-                sim.run_tests(&tests);
-                let stats = sim.lane_stats();
-                assert_eq!(
-                    stats.lanes_capacity,
-                    stats.batches * width.lanes() as u64,
-                    "width {width}, pattern lanes {p}"
-                );
-                assert!(
-                    stats.lanes_used <= stats.lanes_capacity,
-                    "width {width}, pattern lanes {p}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pattern_lanes_above_half_the_word_are_capped() {
-        // 64 pattern lanes at W64 would leave no fault lane beside the
-        // per-pattern reference lanes; grouping caps tiles at 32 tall and
-        // the detection order still matches the serial reference.
-        let c = rls_benchmarks::s27();
-        let mut x = 0x2545_f491u32;
-        let mut bit = move || {
-            x ^= x << 13;
-            x ^= x >> 17;
-            x ^= x << 5;
-            x & 1 == 1
-        };
-        let tests: Vec<ScanTest> = (0..40)
-            .map(|_| {
-                let scan_in = (0..3).map(|_| bit()).collect();
-                let vectors = (0..5).map(|_| (0..4).map(|_| bit()).collect()).collect();
-                let fill = vec![bit()];
-                ScanTest::new(scan_in, vectors)
-                    .with_shifts(vec![crate::test::ShiftOp {
-                        at: 2,
-                        amount: 1,
-                        fill,
-                    }])
-                    .unwrap()
-            })
-            .collect();
         let expect = serial_dropping(&c, &tests);
         assert!(!expect.is_empty());
         let mut sim = FaultSimulator::new(&c);
-        sim.set_lane_width(LaneWidth::W64);
-        sim.set_pattern_lanes(64);
         sim.run_tests(&tests);
         assert_eq!(sim.detected(), &expect[..]);
         let stats = sim.lane_stats();
-        assert_eq!(stats.lanes_capacity, stats.batches * 64);
+        assert_eq!(
+            stats.lanes_capacity,
+            stats.batches * KernelWord::LANES as u64
+        );
         assert!(stats.lanes_used <= stats.lanes_capacity);
-    }
-
-    #[test]
-    #[should_panic(expected = "pattern lanes must be within 1..=64")]
-    fn pattern_lane_bounds_are_guarded() {
-        let c = rls_benchmarks::s27();
-        let mut sim = FaultSimulator::new(&c);
-        sim.set_pattern_lanes(65);
     }
 
     #[test]
@@ -691,22 +556,18 @@ mod tests {
         // The engine's lane accounting is unconditional — the dispatch
         // degrade path reads it with the obs layer off.
         let c = rls_benchmarks::s27();
-        for width in LaneWidth::ALL {
-            let mut sim = FaultSimulator::new(&c);
-            sim.set_lane_width(width);
-            assert!(sim.lane_stats().is_empty());
-            sim.run_test(&s27_test());
-            sim.run_test(&s27_test());
-            let stats = sim.lane_stats();
-            assert!(stats.batches > 0, "width {width}");
-            assert!(stats.lanes_used > 0, "width {width}");
-            assert_eq!(
-                stats.lanes_capacity,
-                stats.batches * width.lanes() as u64,
-                "width {width}: every kernel call runs at the configured width"
-            );
-            assert!(stats.lanes_used <= stats.lanes_capacity, "width {width}");
-        }
+        let mut sim = FaultSimulator::new(&c);
+        assert!(sim.lane_stats().is_empty());
+        sim.run_test(&s27_test());
+        sim.run_test(&s27_test());
+        let stats = sim.lane_stats();
+        assert!(stats.batches > 0);
+        assert!(stats.lanes_used > 0);
+        assert_eq!(
+            stats.lanes_capacity,
+            stats.batches * KernelWord::LANES as u64
+        );
+        assert!(stats.lanes_used <= stats.lanes_capacity);
     }
 
     #[test]

@@ -22,12 +22,13 @@
 //!   and the faulty traces that, compared by [`good::traces_differ`], are
 //!   the serial reference oracle of the kernel;
 //! - [`soa`]: the one stuck-at kernel — levelized SoA tiles over
-//!   [`rls_netlist::LevelizedCircuit`], 64–512 lanes per word
-//!   ([`LaneWidth`]) split into (fault × pattern) axes, the fault-free
-//!   machine in one reference lane per pattern, and scan style (full,
-//!   partial, multichain) read from a [`ChainMap`];
+//!   [`rls_netlist::LevelizedCircuit`], generic over the lane word but
+//!   run in production at one shape, [`KernelWord`] (512 lanes) ×
+//!   [`TILE_HEIGHT`] (4 tests), split into (fault × pattern) axes, the
+//!   fault-free machine in one reference lane per pattern, and scan style
+//!   (full, partial, multichain) read from a [`ChainMap`];
 //! - [`engine`]: the [`FaultSimulator`] driver with fault dropping and
-//!   test tiling;
+//!   test tiling ([`plan_tiles`]);
 //! - [`partial_sim`] / [`multichain_sim`]: drivers for the partial-scan
 //!   and multiple-chain extensions over the same engine;
 //! - [`transition`]: the transition (delay) fault model's own 64-lane
@@ -72,11 +73,10 @@ pub use fault::{Fault, FaultId, FaultSite, FaultUniverse};
 pub use good::{GoodSim, TestTrace};
 pub use multichain_sim::{run_tests_multichain, McScanTest, McShiftOp};
 pub use partial_sim::run_tests_partial;
-pub use rls_scan::ChainMap;
+pub use rls_scan::{ChainMap, LaneWord};
 pub use soa::{
-    max_tile_height, parse_pattern_lanes, simulate_tile_at, simulate_tile_lanes,
-    tile_compatible, tile_fault_capacity, LaneWidth, SimOptions, SoaBatch, PATTERN_LANES_ALL,
-    PATTERN_LANES_DEFAULT,
+    max_tile_height, plan_tiles, simulate_tile_lanes, tile_compatible, tile_fault_capacity,
+    KernelWord, SimOptions, SoaBatch, TILE_HEIGHT,
 };
 pub use test::{ScanTest, ShiftOp, TestError};
 pub use transition::{

@@ -331,8 +331,7 @@ mod tests {
                     .iter()
                     .enumerate()
                     .filter(|(_, t)| t.is_ident(name))
-                    .map(|(i, _)| scope.is_test(i))
-                    .fold(false, |a, b| a || b)
+                    .any(|(i, _)| scope.is_test(i))
             })
             .collect()
     }

@@ -71,8 +71,6 @@ pub const COUNTERS: &[&str] = &[
 /// Gauge names (sinks keep the last observation).
 pub const GAUGES: &[&str] = &[
     "procedure2.coverage",   // detected-fault count after a kept pair
-    "fsim.lane_width",       // kernel lanes per batch (64/128/256/512)
-    "fsim.pattern_lanes",    // tile height (tests per SoA pass, 1/2/4/8)
     "dispatch.chunk_size",   // adaptive chunk size chosen for a set
     "dispatch.queue_depth",  // jobs pending right after a submission wave
     "pool.worker.busy_nanos", // per-worker time inside simulate calls

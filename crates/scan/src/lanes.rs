@@ -132,6 +132,39 @@ pub type W256 = WideWord<4>;
 /// 512 lanes (eight chunked `u64`s).
 pub type W512 = WideWord<8>;
 
+/// Expands `$body` once per lane word, narrowest first (`u64`, [`W128`],
+/// [`W256`], [`W512`]), with `$W` naming that word — for the tests and
+/// benches that sweep a width-generic kernel across every width.
+///
+/// ```
+/// use rls_scan::lanes::LaneWord;
+///
+/// let mut lanes = Vec::new();
+/// rls_scan::for_each_lane_word!(W => { lanes.push(W::LANES) });
+/// assert_eq!(lanes, [64, 128, 256, 512]);
+/// ```
+#[macro_export]
+macro_rules! for_each_lane_word {
+    ($W:ident => $body:block) => {{
+        {
+            type $W = u64;
+            $body
+        }
+        {
+            type $W = $crate::W128;
+            $body
+        }
+        {
+            type $W = $crate::W256;
+            $body
+        }
+        {
+            type $W = $crate::W512;
+            $body
+        }
+    }};
+}
+
 impl<const N: usize> BitAnd for WideWord<N> {
     type Output = Self;
     #[inline]

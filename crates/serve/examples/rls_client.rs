@@ -59,7 +59,6 @@ struct Opts {
     n: Option<u64>,
     threads: u64,
     seed: Option<u64>,
-    lane_width: Option<String>,
     max_iterations: Option<u64>,
     resume: Option<PathBuf>,
     deadline_ms: Option<u64>,
@@ -73,7 +72,7 @@ struct Opts {
 fn usage() -> ! {
     eprintln!(
         "usage: rls_client run --socket PATH (--circuit NAME | --netlist-file F --name LABEL)\n\
-         \x20                  --la A --lb B --n N [--threads T] [--seed S] [--lane-width W]\n\
+         \x20                  --la A --lb B --n N [--threads T] [--seed S]\n\
          \x20                  [--max-iterations M] [--resume FILE] [--deadline-ms MS]\n\
          \x20                  [--timeout SECS] [--retries N] [--normalize]\n\
          \x20      rls_client attach --socket PATH --run-id ID [--timeout SECS] [--retries N]\n\
@@ -82,7 +81,7 @@ fn usage() -> ! {
          \x20      rls_client watch --socket PATH --run-id ID [--timeout SECS] [--retries N]\n\
          \x20      rls_client shutdown --socket PATH [--timeout SECS]\n\
          \x20      rls_client direct --campaign-dir DIR (--circuit NAME | --netlist-file F --name LABEL)\n\
-         \x20                  --la A --lb B --n N [--threads T] [--seed S] [--lane-width W]\n\
+         \x20                  --la A --lb B --n N [--threads T] [--seed S]\n\
          \x20                  [--max-iterations M]"
     );
     std::process::exit(2);
@@ -111,7 +110,6 @@ fn parse_opts(args: &mut std::env::Args) -> Opts {
             "--n" => o.n = value("--n").parse().ok(),
             "--threads" => o.threads = value("--threads").parse().unwrap_or_else(|_| usage()),
             "--seed" => o.seed = value("--seed").parse().ok(),
-            "--lane-width" => o.lane_width = Some(value("--lane-width")),
             "--max-iterations" => o.max_iterations = value("--max-iterations").parse().ok(),
             "--resume" => o.resume = Some(PathBuf::from(value("--resume"))),
             "--deadline-ms" => o.deadline_ms = value("--deadline-ms").parse().ok(),
@@ -150,9 +148,6 @@ fn request_json(o: &Opts) -> Result<String, String> {
     obj = obj.num("la", la).num("lb", lb).num("n", n).num("threads", o.threads);
     if let Some(seed) = o.seed {
         obj = obj.num("seed", seed);
-    }
-    if let Some(w) = &o.lane_width {
-        obj = obj.str("lane_width", w);
     }
     if let Some(m) = o.max_iterations {
         obj = obj.num("max_iterations", m);
@@ -423,10 +418,6 @@ fn cmd_direct(o: &Opts) -> Result<bool, String> {
         .map_err(|e| e.to_string())?;
     if let Some(seed) = o.seed {
         cfg = cfg.with_seeds(SeedSequence::new(seed));
-    }
-    if let Some(w) = &o.lane_width {
-        let width = rls_fsim::LaneWidth::parse(w).ok_or_else(|| format!("bad lane width `{w}`"))?;
-        cfg = cfg.with_lane_width(width);
     }
     if let Some(m) = o.max_iterations {
         cfg.max_iterations = u32::try_from(m).map_err(|_| "max-iterations out of range")?;

@@ -29,7 +29,6 @@ use std::path::PathBuf;
 
 use rls_dispatch::jsonl::{escape, parse, JsonValue};
 use rls_dispatch::jsonl::JsonObject;
-use rls_fsim::LaneWidth;
 
 /// Upper bound on one request line (netlist uploads included).
 pub const MAX_REQUEST_BYTES: usize = 4 * 1024 * 1024;
@@ -73,8 +72,6 @@ pub struct RunRequest {
     /// Base seed for the campaign's seed family (default family if
     /// absent).
     pub seed: Option<u64>,
-    /// Kernel lane width (server default if absent).
-    pub lane_width: Option<LaneWidth>,
     /// Requested parallelism (clamped to the pool width; 1 = budget of
     /// one worker, still bit-identical).
     pub threads: usize,
@@ -151,12 +148,6 @@ fn parse_run(v: &JsonValue) -> Result<RunRequest, String> {
     let la = usize_field("la")?;
     let lb = usize_field("lb")?;
     let n = usize_field("n")?;
-    let lane_width = match v.str_field("lane_width") {
-        Some(s) => Some(
-            LaneWidth::parse(s).ok_or_else(|| format!("unknown `lane_width` value `{s}`"))?,
-        ),
-        None => None,
-    };
     let max_iterations = match v.get("max_iterations") {
         Some(x) => Some(
             x.as_u64()
@@ -171,7 +162,6 @@ fn parse_run(v: &JsonValue) -> Result<RunRequest, String> {
         lb,
         n,
         seed: v.u64_field("seed"),
-        lane_width,
         threads: usize::try_from(v.u64_field("threads").unwrap_or(1)).unwrap_or(1),
         max_iterations,
         resume: v.str_field("resume").map(PathBuf::from),
@@ -432,8 +422,10 @@ mod tests {
         assert_eq!(req.circuit, CircuitRef::Named("s27".to_string()));
         assert_eq!((req.la, req.lb, req.n), (4, 8, 8));
         assert_eq!(req.threads, 1);
-        assert!(req.seed.is_none() && req.lane_width.is_none() && req.resume.is_none());
+        assert!(req.seed.is_none() && req.resume.is_none());
 
+        // `lane_width` is a removed field: like any unknown field it is
+        // ignored (the kernel has one width, so results cannot change).
         let r = parse_request(
             r#"{"type":"run","circuit":"s27","la":4,"lb":8,"n":8,"threads":3,"seed":7,"lane_width":"512","max_iterations":4,"resume":"/tmp/c.jsonl"}"#,
         )
@@ -443,7 +435,6 @@ mod tests {
         };
         assert_eq!(req.threads, 3);
         assert_eq!(req.seed, Some(7));
-        assert_eq!(req.lane_width, Some(LaneWidth::W512));
         assert_eq!(req.max_iterations, Some(4));
         assert_eq!(req.resume.as_deref(), Some(std::path::Path::new("/tmp/c.jsonl")));
     }
@@ -475,7 +466,6 @@ mod tests {
             r#"{"type":"frobnicate"}"#,
             r#"{"type":"run","circuit":"s27"}"#,
             r#"{"type":"run","la":4,"lb":8,"n":8}"#,
-            r#"{"type":"run","circuit":"s27","la":4,"lb":8,"n":8,"lane_width":"13"}"#,
             r#"{"type":"run","circuit":"s27","la":4,"lb":8,"n":8,"max_iterations":"x"}"#,
         ] {
             assert!(parse_request(bad).is_err(), "{bad}");

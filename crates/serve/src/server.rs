@@ -593,9 +593,6 @@ fn build_config(req: &RunRequest, pool_threads: usize) -> Result<RlsConfig, Stri
     if let Some(seed) = req.seed {
         cfg = cfg.with_seeds(SeedSequence::new(seed));
     }
-    if let Some(width) = req.lane_width {
-        cfg = cfg.with_lane_width(width);
-    }
     if let Some(max_iterations) = req.max_iterations {
         cfg.max_iterations = max_iterations;
     }
@@ -1076,7 +1073,6 @@ mod tests {
             lb: 8,
             n: 8,
             seed: Some(99),
-            lane_width: Some(rls_fsim::LaneWidth::W512),
             threads: 64,
             max_iterations: Some(7),
             resume: None,
@@ -1084,7 +1080,6 @@ mod tests {
         };
         let cfg = build_config(&req, 4).unwrap();
         assert_eq!(cfg.seeds.base(), 99);
-        assert_eq!(cfg.lane_width, rls_fsim::LaneWidth::W512);
         assert_eq!(cfg.threads, 4, "clamped to the pool width");
         assert_eq!(cfg.max_iterations, 7);
         let bad = RunRequest {

@@ -5,12 +5,11 @@
 //! live-list (fault-id) order at a set barrier.
 //!
 //! These tests are the contract behind the `RLS_THREADS` knob: any table
-//! row may be produced with any thread count — and behind `RLS_LANE_WIDTH`:
-//! the wide-word kernel (64/128/256/512 lanes) is bit-identical to the
-//! classic 64-lane one at every width, under any thread count.
+//! row may be produced with any thread count. (The kernel's word × tile
+//! height axis is covered below the campaign level, by
+//! `tests/soa_oracle.rs`.)
 
-use random_limited_scan::core::{ExecProfile, Procedure2, Procedure2Outcome, RlsConfig};
-use rls_fsim::LaneWidth;
+use random_limited_scan::core::{Procedure2, Procedure2Outcome, RlsConfig};
 
 fn run_with_threads(circuit: &rls_netlist::Circuit, cfg: RlsConfig, threads: usize) -> Procedure2Outcome {
     Procedure2::new(circuit, cfg.with_threads(threads)).run()
@@ -71,75 +70,6 @@ fn campaign_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
 }
 
 #[test]
-fn every_lane_width_matches_the_64_lane_oracle() {
-    // The wide-word kernel oracle at the campaign level: the full
-    // Procedure 2 outcome (test set, shifts, coverage trajectory) is
-    // invariant over kernel width and thread count. The baseline is the
-    // classic configuration — 64 lanes, sequential.
-    for (name, c, cfg) in [
-        ("s27", random_limited_scan::benchmarks::s27(), RlsConfig::new(4, 8, 8)),
-        (
-            "s208",
-            random_limited_scan::benchmarks::by_name("s208").expect("s208 exists"),
-            {
-                let mut cfg = RlsConfig::new(8, 16, 16);
-                cfg.max_iterations = 4; // bound the greedy loop; equality is the point
-                cfg
-            },
-        ),
-    ] {
-        let baseline = Procedure2::new(&c, cfg.clone().with_lane_width(LaneWidth::W64).with_threads(1)).run();
-        for width in LaneWidth::ALL {
-            for threads in [1, 4] {
-                let outcome = Procedure2::new(
-                    &c,
-                    cfg.clone().with_lane_width(width).with_threads(threads),
-                )
-                .run();
-                assert_eq!(
-                    outcome, baseline,
-                    "{name}: width {width} x {threads} thread(s) must match the 64-lane sequential oracle"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn rls_lane_width_env_knob_selects_an_equivalent_kernel() {
-    // The `RLS_LANE_WIDTH` environment knob routes through
-    // `ExecProfile::from_env` into the campaign configuration; every
-    // accepted spelling (lanes or u64 words) yields a bit-identical run.
-    let c = random_limited_scan::benchmarks::s27();
-    let cfg = RlsConfig::new(4, 8, 8);
-    let baseline = Procedure2::new(&c, cfg.clone().with_threads(1)).run();
-    let saved = std::env::var("RLS_LANE_WIDTH").ok();
-    for (value, want) in [
-        ("64", LaneWidth::W64),
-        ("2", LaneWidth::W128),
-        ("256", LaneWidth::W256),
-        ("8", LaneWidth::W512),
-    ] {
-        std::env::set_var("RLS_LANE_WIDTH", value);
-        let profile = ExecProfile::from_env().expect("a valid width spelling");
-        assert_eq!(profile.lane_width, Some(want), "spelling `{value}`");
-        let configured = profile.configure(cfg.clone());
-        assert_eq!(configured.lane_width, want);
-        let outcome = Procedure2::new(&c, configured.with_threads(1)).run();
-        assert_eq!(outcome, baseline, "RLS_LANE_WIDTH={value}");
-    }
-    std::env::set_var("RLS_LANE_WIDTH", "three");
-    assert!(
-        ExecProfile::from_env().is_err(),
-        "an unusable width must be an error, not a silent fallback"
-    );
-    match saved {
-        Some(v) => std::env::set_var("RLS_LANE_WIDTH", v),
-        None => std::env::remove_var("RLS_LANE_WIDTH"),
-    }
-}
-
-#[test]
 fn obs_enabled_parallel_is_bit_identical_to_sequential() {
     use random_limited_scan::obs;
     let dir = std::env::temp_dir().join(format!("rls-obs-det-{}", std::process::id()));
@@ -153,11 +83,6 @@ fn obs_enabled_parallel_is_bit_identical_to_sequential() {
     let sequential = run_with_threads(&c, cfg.clone(), 1);
     let parallel = run_with_threads(&c, cfg.clone(), 4);
     assert_eq!(sequential, parallel, "tracing must not perturb the outcome");
-    // Every kernel width stays bit-identical with the collector live.
-    for width in LaneWidth::ALL {
-        let wide = Procedure2::new(&c, cfg.clone().with_lane_width(width).with_threads(4)).run();
-        assert_eq!(wide, sequential, "width {width} under tracing");
-    }
     obs::finish().expect("a collector was installed");
     // The metrics stream parses, covers both runs, and ends in a summary.
     let log = obs::MetricsLog::read(&path).unwrap();

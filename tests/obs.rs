@@ -17,15 +17,15 @@ use random_limited_scan::dispatch::{
 };
 use random_limited_scan::obs;
 use random_limited_scan::obs::record::Event;
-use rls_fsim::{LaneWidth, ScanTest, SimOptions};
+use rls_fsim::{tile_fault_capacity, KernelWord, LaneWord, ScanTest, SimOptions, TILE_HEIGHT};
 use rls_netlist::Circuit;
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 /// A runner for `c` registered with budget `threads` on `pool`.
-fn runner(pool: &SharedPool, c: &Circuit, width: LaneWidth, threads: usize) -> SharedSetRunner {
+fn runner(pool: &SharedPool, c: &Circuit, threads: usize) -> SharedSetRunner {
     let compiled = Arc::new(CompiledCircuit::compile(c.clone()).expect("acyclic"));
-    let ctx = SharedSimContext::new(compiled, SimOptions::default()).with_lane_width(width);
+    let ctx = SharedSimContext::new(compiled, SimOptions::default());
     SharedSetRunner::new(Arc::new(ctx), pool.register(threads))
 }
 
@@ -33,7 +33,7 @@ fn runner(pool: &SharedPool, c: &Circuit, width: LaneWidth, threads: usize) -> S
 /// (emitting its pool metrics) before this returns.
 fn run_one_set(c: &Circuit, tests: &[ScanTest], threads: usize) {
     let pool = SharedPool::new(threads);
-    let mut runner = runner(&pool, c, LaneWidth::DEFAULT, threads);
+    let mut runner = runner(&pool, c, threads);
     runner.try_run_set(tests).expect("no job fails");
 }
 
@@ -43,44 +43,44 @@ fn adaptive_chunks_cut_submit_overhead_on_large_circuits() {
     // metrics into whatever collector is installed.
     let _guard = OBS_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     // s953 is large enough that the adaptive chunk (live / (threads * 8))
-    // exceeds the 64-lane kernel width, so fewer jobs cross the queues
+    // exceeds a tile's fault capacity, so fewer jobs cross the queues
     // than fixed 64-fault chunks would need.
     let c = random_limited_scan::benchmarks::by_name("s953").expect("s953 exists");
     let cfg = RlsConfig::new(8, 16, 8);
     let tests = generate_ts0(&c, &cfg);
-    let threads = 2;
-    // Pin the kernel to 64 lanes: this test is specifically about adaptive
-    // chunks versus fixed 64-fault chunks, independent of the default width.
+    // One worker keeps the adaptive chunk (live / 8) above the 127-fault
+    // tile capacity of the compiled kernel shape.
+    let threads = 1;
     let pool = SharedPool::new(threads);
-    let mut runner = runner(&pool, &c, LaneWidth::W64, threads);
+    let mut runner = runner(&pool, &c, threads);
     let live = runner.live_count();
     let size = chunk_size(live, threads);
-    let lanes = LaneWidth::W64.lanes();
-    assert!(size > lanes, "s953 must exercise the oversized-chunk path");
+    assert!(
+        size > tile_fault_capacity::<KernelWord>(TILE_HEIGHT),
+        "s953 must exercise the oversized-chunk path"
+    );
     runner.try_run_set(&tests).expect("no job fails");
     let snap = runner.handle().snapshot();
-    let ctx = runner.context();
     // A set is one wave of (tile, chunk) jobs.
     let jobs: u64 = snap.workers.iter().map(|w| w.jobs).sum();
     // TS0 tests all share one shape (same length, no shifts), so tiling
-    // packs them `pattern_lanes` tall and batch jobs are (tile, chunk).
-    let tiles = tests.len().div_ceil(ctx.pattern_lanes());
+    // packs them `TILE_HEIGHT` tall and batch jobs are (tile, chunk).
+    let tiles = tests.len().div_ceil(TILE_HEIGHT);
     let adaptive = (tiles * live.div_ceil(size)) as u64;
-    let fixed = (tiles * live.div_ceil(lanes)) as u64;
+    let fixed = (tiles * live.div_ceil(64)) as u64;
     assert_eq!(jobs, adaptive, "one job per (tile, adaptive chunk)");
     assert!(
         jobs < fixed,
         "adaptive chunks must submit fewer jobs than fixed 64-wide ones \
          ({jobs} vs {fixed})"
     );
-    // The kernel still ran at the configured width: oversized chunks were
-    // split into width-lane sub-batches, each accounted at full lane
-    // capacity. (Jobs whose candidates were all dropped run zero
+    // Oversized chunks were split into tile-capacity sub-batches, each
+    // accounted at the full kernel word. (Jobs whose candidates were all dropped run zero
     // batches, so no job/batch inequality holds in either direction.)
     assert!(snap.total_batches() > 0);
     assert_eq!(
         snap.total_lanes_capacity(),
-        snap.total_batches() * ctx.lane_width().lanes() as u64
+        snap.total_batches() * KernelWord::LANES as u64
     );
 }
 

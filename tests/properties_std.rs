@@ -4,7 +4,7 @@
 //! Each property draws random synthetic circuits and tests from seeded
 //! generators and shrinks failures greedily to a minimal counterexample;
 //! the covered invariants are the cross-crate ones the kernels and
-//! procedures lean on: serial/batched agreement at every lane width, lane
+//! procedures lean on: serial/batched agreement at every lane word, lane
 //! independence, sound fault dropping, the `N_cyc0` closed formula,
 //! `.bench` round-tripping, limited-scan algebra (composition, full
 //! length ≡ full scan), Procedure 1 determinism, LFSR jump-ahead, and the
@@ -21,12 +21,12 @@ use random_limited_scan::core::cycles::measured_cycles;
 use random_limited_scan::core::{derive_test_set, generate_ts0, ncyc0, RlsConfig};
 use random_limited_scan::fsim::good::traces_differ;
 use random_limited_scan::fsim::{
-    simulate_tile_at, tile_fault_capacity, ChainMap, Fault, FaultId, FaultSimulator, FaultUniverse,
-    GoodSim, LaneWidth, ScanTest, ShiftOp, SimOptions,
+    plan_tiles, simulate_tile_lanes, tile_fault_capacity, ChainMap, Fault, FaultId, FaultSimulator,
+    FaultUniverse, GoodSim, LaneWord, ScanTest, ShiftOp, SimOptions,
 };
 use random_limited_scan::lfsr::{BitMatrix, FibonacciLfsr, SeedSequence};
 use random_limited_scan::netlist::{parse_bench, write_bench, Circuit, LevelizedCircuit};
-use random_limited_scan::scan::{ops, MultiChain, PartialScan};
+use random_limited_scan::scan::{for_each_lane_word, ops, MultiChain, PartialScan};
 
 /// A small, valid synthetic sequential circuit description.
 fn small_synth(g: &mut Gen) -> SynthConfig {
@@ -113,7 +113,7 @@ fn prop_bench_round_trip() {
 #[test]
 fn prop_batched_detection_matches_faulty_traces_at_every_width() {
     // Trace/batch agreement, widened: the bit-parallel kernel (at every
-    // lane width) detects exactly the faults whose full faulty trace
+    // lane word) detects exactly the faults whose full faulty trace
     // differs from the good trace, in fault-enumeration order.
     check(
         "batched_matches_traces",
@@ -139,14 +139,15 @@ fn prop_batched_detection_matches_faulty_traces_at_every_width() {
                 .map(|&(id, _)| id)
                 .collect();
             let lc = LevelizedCircuit::build(&c, sim.levelization());
-            for width in LaneWidth::ALL {
-                let batched = soa_detections(width, &c, &lc, &test, &pairs);
+            for_each_lane_word!(W => {
+                let batched = soa_detections::<W>(&c, &lc, &test, &pairs);
                 if batched != expected {
                     return Err(format!(
-                        "width {width}: batched {batched:?} != per-trace {expected:?}"
+                        "{} lanes: batched {batched:?} != per-trace {expected:?}",
+                        W::LANES
                     ));
                 }
-            }
+            });
             Ok(())
         },
     );
@@ -173,26 +174,19 @@ fn prop_lanes_are_independent_at_every_width() {
             let singles: Vec<FaultId> = packed
                 .iter()
                 .flat_map(|&pair| {
-                    simulate_tile_at(
-                        LaneWidth::W64,
-                        &c,
-                        &lc,
-                        &full,
-                        &[&test],
-                        &[pair],
-                        SimOptions::default(),
-                    )
-                    .remove(0)
+                    let opts = SimOptions::default();
+                    simulate_tile_lanes::<u64>(&c, &lc, &full, &[&test], &[pair], opts).remove(0)
                 })
                 .collect();
-            for width in LaneWidth::ALL {
-                let batched = soa_detections(width, &c, &lc, &test, &packed);
+            for_each_lane_word!(W => {
+                let batched = soa_detections::<W>(&c, &lc, &test, &packed);
                 if batched != singles {
                     return Err(format!(
-                        "width {width}: batch verdicts {batched:?} != singleton verdicts {singles:?}"
+                        "{} lanes: batch verdicts {batched:?} != singleton verdicts {singles:?}",
+                        W::LANES
                     ));
                 }
-            }
+            });
             Ok(())
         },
     );
@@ -267,9 +261,8 @@ fn all_faults(c: &Circuit) -> Vec<(FaultId, Fault)> {
 }
 
 /// Full-scan single-test SoA detections over `pairs`, chunked to the
-/// 1-tall tile capacity at `width`.
-fn soa_detections(
-    width: LaneWidth,
+/// 1-tall tile capacity of `W`.
+fn soa_detections<W: LaneWord>(
     c: &Circuit,
     lc: &LevelizedCircuit,
     test: &ScanTest,
@@ -277,9 +270,10 @@ fn soa_detections(
 ) -> Vec<FaultId> {
     let full = ChainMap::full(c.num_dffs());
     pairs
-        .chunks(tile_fault_capacity(width, 1))
+        .chunks(tile_fault_capacity::<W>(1))
         .flat_map(|chunk| {
-            simulate_tile_at(width, c, lc, &full, &[test], chunk, SimOptions::default()).remove(0)
+            let opts = SimOptions::default();
+            simulate_tile_lanes::<W>(c, lc, &full, &[test], chunk, opts).remove(0)
         })
         .collect()
 }
@@ -369,7 +363,7 @@ fn prop_soa_kernel_matches_gate_walk_on_random_netlists() {
     // random netlist under random scan chains (full, partial or
     // multichain) the SoA kernel detects exactly what the serial
     // gate-walking simulator on the same chains does, order-exact, at
-    // every lane width.
+    // every lane word.
     check(
         "soa_matches_gate_walk",
         0x5eed_0006,
@@ -384,76 +378,69 @@ fn prop_soa_kernel_matches_gate_walk_on_random_netlists() {
             let pairs = all_faults(&c);
             let walk = serial_detections(&sim, &test, &pairs);
             let opts = SimOptions::default();
-            for width in LaneWidth::ALL {
+            for_each_lane_word!(W => {
                 let soa: Vec<FaultId> = pairs
-                    .chunks(tile_fault_capacity(width, 1))
+                    .chunks(tile_fault_capacity::<W>(1))
                     .flat_map(|chunk| {
-                        simulate_tile_at(width, &c, &lc, &chains, &[&test], chunk, opts).remove(0)
+                        simulate_tile_lanes::<W>(&c, &lc, &chains, &[&test], chunk, opts).remove(0)
                     })
                     .collect();
                 if soa != walk {
                     return Err(format!(
-                        "width {width} on {chains:?}: soa {soa:?} != gate-walk {walk:?}"
+                        "{} lanes on {chains:?}: soa {soa:?} != gate-walk {walk:?}",
+                        W::LANES
                     ));
                 }
-            }
+            });
             Ok(())
         },
     );
 }
 
+/// The tile heights the tiling properties sweep at every lane word.
+const HEIGHTS: [usize; 4] = [1, 2, 4, 8];
+
 #[test]
 fn prop_pattern_lanes_are_independent() {
     // Packing shape-compatible tests into one tile never changes any
     // per-test verdict: a height-P tile detects, for each test, exactly
-    // what a height-1 tile over the same faults detects.
+    // what a height-1 tile over the same faults detects, at every lane
+    // word and height.
     check(
         "pattern_lane_independence",
         0x5eed_0007,
         16,
-        |g| (small_synth(g), g.word(), g.usize_in(2, 5)),
-        |(cfg, seed, p)| {
-            shrink_synth(cfg).into_iter().map(|c| (c, *seed, *p)).collect()
-        },
-        |(cfg, seed, p)| {
+        |g| (small_synth(g), g.word()),
+        |(cfg, seed)| shrink_synth(cfg).into_iter().map(|c| (c, *seed)).collect(),
+        |(cfg, seed)| {
             let c = cfg.build();
             let sim = GoodSim::new(&c);
             let lc = LevelizedCircuit::build(&c, sim.levelization());
-            let tests = compatible_random_tests(&c, &mut Gen::new(*seed), 4, *p);
-            let tile_tests: Vec<&ScanTest> = tests.iter().collect();
+            let tests = compatible_random_tests(&c, &mut Gen::new(*seed), 4, 8);
             let pairs = all_faults(&c);
             let full = ChainMap::full(c.num_dffs());
-            for width in [LaneWidth::W64, LaneWidth::W512] {
-                for chunk in pairs.chunks(tile_fault_capacity(width, *p)) {
-                    let tiled = simulate_tile_at(
-                        width,
-                        &c,
-                        &lc,
-                        &full,
-                        &tile_tests,
-                        chunk,
-                        SimOptions::default(),
-                    );
-                    for (i, test) in tests.iter().enumerate() {
-                        let alone = simulate_tile_at(
-                            width,
-                            &c,
-                            &lc,
-                            &full,
-                            &[test],
-                            chunk,
-                            SimOptions::default(),
-                        )
-                        .remove(0);
-                        if tiled[i] != alone {
-                            return Err(format!(
-                                "width {width}, test {i}/{p}: tiled {:?} != alone {alone:?}",
-                                tiled[i]
-                            ));
+            let opts = SimOptions::default();
+            for_each_lane_word!(W => {
+                for p in HEIGHTS {
+                    let tile_tests: Vec<&ScanTest> = tests[..p].iter().collect();
+                    for chunk in pairs.chunks(tile_fault_capacity::<W>(p)) {
+                        let tiled =
+                            simulate_tile_lanes::<W>(&c, &lc, &full, &tile_tests, chunk, opts);
+                        for (i, test) in tile_tests.iter().enumerate() {
+                            let alone =
+                                simulate_tile_lanes::<W>(&c, &lc, &full, &[test], chunk, opts);
+                            if tiled[i] != alone[0] {
+                                return Err(format!(
+                                    "{} lanes, test {i}/{p}: tiled {:?} != alone {:?}",
+                                    W::LANES,
+                                    tiled[i],
+                                    alone[0]
+                                ));
+                            }
                         }
                     }
                 }
-            }
+            });
             Ok(())
         },
     );
@@ -463,55 +450,51 @@ fn prop_pattern_lanes_are_independent() {
 fn prop_ragged_tile_boundaries_agree() {
     // Tile-boundary edge cases: fault chunks that don't divide the word
     // (`faults % W != 0`) under tile heights that don't divide the test
-    // count (`patterns % P != 0`) still agree with the serial reference.
+    // count (`patterns % P != 0`) still agree with the serial reference,
+    // at every lane word and height.
     check(
         "ragged_tile_boundaries",
         0x5eed_0008,
         16,
-        |g| (small_synth(g), g.word(), g.usize_in(2, 5)),
-        |(cfg, seed, p)| {
-            shrink_synth(cfg).into_iter().map(|c| (c, *seed, *p)).collect()
-        },
-        |(cfg, seed, p)| {
+        |g| (small_synth(g), g.word()),
+        |(cfg, seed)| shrink_synth(cfg).into_iter().map(|c| (c, *seed)).collect(),
+        |(cfg, seed)| {
             let c = cfg.build();
             let sim = GoodSim::new(&c);
             let lc = LevelizedCircuit::build(&c, sim.levelization());
             let mut g = Gen::new(*seed);
-            // p + 1 compatible tests under a height-p cap: runs of p and 1.
-            let tests = compatible_random_tests(&c, &mut g, 4, *p + 1);
             let pairs = all_faults(&c);
             let full = ChainMap::full(c.num_dffs());
+            let opts = SimOptions::default();
+            // p + 1 compatible tests under a height-p cap: runs of p and 1.
+            let tests = compatible_random_tests(&c, &mut g, 4, 9);
             let reference: Vec<Vec<FaultId>> =
                 tests.iter().map(|t| serial_detections(&sim, t, &pairs)).collect();
-            for width in [LaneWidth::W64, LaneWidth::W512] {
-                // A chunk size that leaves a ragged tail with high
-                // probability, capped so the tall run still fits.
-                let cap = tile_fault_capacity(width, *p);
-                let chunk_len = g.usize_in(1, cap + 1);
-                let mut per_test: Vec<Vec<FaultId>> = vec![Vec::new(); tests.len()];
-                for (lo, hi) in [(0, *p), (*p, *p + 1)] {
-                    let tile_tests: Vec<&ScanTest> = tests[lo..hi].iter().collect();
-                    for chunk in pairs.chunks(chunk_len) {
-                        let tiled = simulate_tile_at(
-                            width,
-                            &c,
-                            &lc,
-                            &full,
-                            &tile_tests,
-                            chunk,
-                            SimOptions::default(),
-                        );
-                        for (i, det) in tiled.into_iter().enumerate() {
-                            per_test[lo + i].extend(det);
+            for_each_lane_word!(W => {
+                for p in HEIGHTS {
+                    let tests = &tests[..=p];
+                    // A chunk size that leaves a ragged tail with high
+                    // probability, capped so the tall run still fits.
+                    let chunk_len = g.usize_in(1, tile_fault_capacity::<W>(p) + 1);
+                    let mut per_test: Vec<Vec<FaultId>> = vec![Vec::new(); tests.len()];
+                    for (lo, hi) in plan_tiles(tests, p) {
+                        let tile_tests: Vec<&ScanTest> = tests[lo..hi].iter().collect();
+                        for chunk in pairs.chunks(chunk_len) {
+                            let tiled =
+                                simulate_tile_lanes::<W>(&c, &lc, &full, &tile_tests, chunk, opts);
+                            for (i, det) in tiled.into_iter().enumerate() {
+                                per_test[lo + i].extend(det);
+                            }
                         }
                     }
+                    if per_test[..] != reference[..=p] {
+                        return Err(format!(
+                            "{} lanes x{p}, chunk {chunk_len}: ragged tiles diverge from serial",
+                            W::LANES
+                        ));
+                    }
                 }
-                if per_test != reference {
-                    return Err(format!(
-                        "width {width}, chunk {chunk_len}: ragged tiles diverge from serial"
-                    ));
-                }
-            }
+            });
             Ok(())
         },
     );

@@ -22,7 +22,6 @@ use std::sync::{Mutex, PoisonError};
 
 use random_limited_scan::core::{load_checkpoint, Procedure2, Procedure2Outcome, RlsConfig};
 use random_limited_scan::dispatch::inject::{self, InjectionPlan};
-use rls_fsim::LaneWidth;
 use rls_netlist::Circuit;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -132,51 +131,6 @@ fn poisoned_chunk_degrades_to_sequential_with_identical_outcome() {
 }
 
 #[test]
-fn injected_worker_panics_leave_every_lane_width_bit_identical() {
-    // The wide-word kernel under fire: supervised worker panics must be
-    // invisible at every kernel width, not just the classic 64 lanes.
-    let (c, cfg) = s27_cfg();
-    for width in LaneWidth::ALL {
-        let cfg = cfg.clone().with_lane_width(width);
-        let expected = {
-            let _quiet = Armed::quiescent();
-            oracle(&c, &cfg)
-        };
-        let armed = Armed::new(InjectionPlan {
-            panic_every: Some(5),
-            ..InjectionPlan::default()
-        });
-        let outcome = Procedure2::new(&c, cfg.with_threads(4)).run();
-        let fired = inject::fired();
-        drop(armed);
-        assert!(fired > 0, "width {width}: the plan must actually fire");
-        assert_eq!(outcome, expected, "width {width}: recovery must be invisible");
-    }
-}
-
-#[test]
-fn poisoned_chunk_degrades_identically_at_the_widest_kernel() {
-    // The degrade-to-sequential path re-runs the set on the supervisor
-    // thread; it must inherit the campaign's lane width (512 here) and
-    // still match the injection-free oracle at that width.
-    let (c, cfg) = s27_cfg();
-    let cfg = cfg.with_lane_width(LaneWidth::W512);
-    let expected = {
-        let _quiet = Armed::quiescent();
-        oracle(&c, &cfg)
-    };
-    let armed = Armed::new(InjectionPlan {
-        poison_tag: Some(0),
-        ..InjectionPlan::default()
-    });
-    let outcome = Procedure2::new(&c, cfg.with_threads(4)).run();
-    let fired = inject::fired();
-    drop(armed);
-    assert!(fired > 0, "the poisoned tag must be hit");
-    assert_eq!(outcome, expected, "degraded 512-lane execution must match the oracle");
-}
-
-#[test]
 fn resume_from_every_checkpoint_boundary_converges() {
     for (name, threads, (c, cfg)) in [("s27", 1, s27_cfg()), ("s208", 4, s208_cfg())] {
         let _quiet = Armed::quiescent();
@@ -249,12 +203,11 @@ fn campaign_io_errors_degrade_persistence_but_never_the_run() {
 fn degraded_campaign_records_exact_fallback_lane_accounting() {
     // The workers record of a degraded campaign carries a `fallback`
     // object with the *sequential* simulator's lane accounting. Pin its
-    // exactness: capacity is batches x width, and with s27's ~32 target
-    // faults a 512-lane batch is mostly idle, so `lanes_used` must sit
-    // strictly below capacity — a regression to "used == capacity"
+    // exactness: capacity is batches x the kernel word, and with s27's
+    // ~32 target faults a 512-lane batch is mostly idle, so `lanes_used`
+    // must sit strictly below capacity — a regression to "used == capacity"
     // (counting allocated instead of occupied lanes) trips this.
     let (c, cfg) = s27_cfg();
-    let cfg = cfg.with_lane_width(LaneWidth::W512);
     let dir = scratch_dir("fallback-lanes");
     let armed = Armed::new(InjectionPlan {
         poison_tag: Some(0),
@@ -281,7 +234,8 @@ fn degraded_campaign_records_exact_fallback_lane_accounting() {
     let used = fallback.u64_field("lanes_used").unwrap();
     let capacity = fallback.u64_field("lanes_capacity").unwrap();
     assert!(batches > 0, "{workers}");
-    assert_eq!(capacity, batches * 512, "capacity is exactly batches x width");
+    let lanes = <rls_fsim::KernelWord as rls_fsim::LaneWord>::LANES as u64;
+    assert_eq!(capacity, batches * lanes, "capacity is exactly batches x the kernel word");
     assert!(used > 0, "{workers}");
     assert!(
         used < capacity,

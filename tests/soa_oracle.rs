@@ -1,8 +1,8 @@
 //! The SoA kernel's verification wall: a differential oracle that
 //! compares the levelized SoA tile kernel order-exactly against the
 //! serial one-fault-at-a-time trace comparison (`GoodSim::simulate_faulty`
-//! compared by `traces_differ`), across the full (lane width × tile
-//! height × observation mix × scan style × thread count) matrix, plus
+//! compared by `traces_differ`), across the full (lane word × tile
+//! height × observation mix × scan style) matrix, plus
 //! seeded mutation self-tests proving the oracle turns red when the
 //! kernel is deliberately broken.
 //!
@@ -14,9 +14,17 @@
 //! shares no word code with it, so it checks the kernel's in-word
 //! fault-free machine and its chain shifts independently. s953 is sampled
 //! (every third fault, order-exact), and so is s298 under 25%/50% partial
-//! scan and ≤4/≤10-long multiple chains. The engine- and dispatch-level
-//! tests add fault dropping and the thread axis against a serial
-//! drop-as-you-go reference.
+//! scan and ≤4/≤10-long multiple chains.
+//!
+//! The kernel-level matrix calls the width-generic
+//! `simulate_tile_lanes::<W>` directly at every lane word (`u64` through
+//! `W512`) × tile height 1/2/4/8: it is where the kernel-shape axis lives,
+//! since production runs one compiled shape (`KernelWord` ×
+//! `TILE_HEIGHT`). The engine- and dispatch-level tests add fault
+//! dropping and the thread axis at that shape against a serial
+//! drop-as-you-go reference, on s27 and on s208, whose ~400-fault list
+//! spans several 127-fault chunks so the cross-chunk merge and drop order
+//! are exercised.
 //!
 //! The mutation self-tests compile only under `--features kernel-mutate`:
 //! each armed corruption must flip the differential red on the very
@@ -30,12 +38,15 @@ use random_limited_scan::dispatch::{
 };
 use rls_fsim::good::traces_differ;
 use rls_fsim::{
-    simulate_tile_at, tile_compatible, tile_fault_capacity, ChainMap, Fault, FaultId,
-    FaultSimulator, FaultUniverse, GoodSim, LaneWidth, ScanTest, ShiftOp, SimOptions, TestTrace,
-    PATTERN_LANES_ALL,
+    plan_tiles, simulate_tile_lanes, tile_fault_capacity, ChainMap, Fault, FaultId, FaultSimulator,
+    FaultUniverse, GoodSim, KernelWord, LaneWord, ScanTest, ShiftOp, SimOptions, TestTrace,
+    TILE_HEIGHT,
 };
 use rls_netlist::{Circuit, LevelizedCircuit};
-use rls_scan::{MultiChain, PartialScan};
+use rls_scan::{for_each_lane_word, MultiChain, PartialScan};
+
+/// The tile heights the kernel matrix sweeps at every lane word.
+const HEIGHTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Every stuck-at fault of the circuit, in enumeration order.
 fn universe_pairs(c: &Circuit) -> Vec<(FaultId, Fault)> {
@@ -119,42 +130,23 @@ fn s27_scan_styles() -> Vec<ChainMap> {
     ]
 }
 
-/// Greedy shape-compatible grouping, mirroring the dispatch tiler: runs
-/// of consecutive compatible tests, capped at `height`.
-fn tile_runs(tests: &[ScanTest], height: usize) -> Vec<(usize, usize)> {
-    let cap = height.max(1);
-    let mut runs = Vec::new();
-    let mut i = 0;
-    while i < tests.len() {
-        let mut j = i + 1;
-        while j < tests.len() && j - i < cap && tile_compatible(&tests[i], &tests[j]) {
-            j += 1;
-        }
-        runs.push((i, j));
-        i = j;
-    }
-    runs
-}
-
-/// Per-test detections from the SoA tile kernel at one (width, height)
-/// configuration on the scan chains of `chains`, chunking faults so every
-/// tile (one reference lane plus the fault lanes per pattern) fits the
-/// word.
-fn soa_per_test(
+/// Per-test detections from the SoA tile kernel at word `W` and tile
+/// `height` on the scan chains of `chains`, chunking faults so every tile
+/// (one reference lane plus the fault lanes per pattern) fits the word.
+fn soa_per_test<W: LaneWord>(
     c: &Circuit,
     chains: &ChainMap,
     tests: &[ScanTest],
     pairs: &[(FaultId, Fault)],
-    width: LaneWidth,
     height: usize,
     opts: SimOptions,
 ) -> Vec<Vec<FaultId>> {
     let lc = LevelizedCircuit::build(c, &c.levelize().expect("benchmarks are acyclic"));
     let mut per_test: Vec<Vec<FaultId>> = vec![Vec::new(); tests.len()];
-    for (lo, hi) in tile_runs(tests, height) {
+    for (lo, hi) in plan_tiles(tests, height) {
         let tile_tests: Vec<&ScanTest> = tests[lo..hi].iter().collect();
-        for chunk in pairs.chunks(tile_fault_capacity(width, hi - lo)) {
-            let per_pattern = simulate_tile_at(width, c, &lc, chains, &tile_tests, chunk, opts);
+        for chunk in pairs.chunks(tile_fault_capacity::<W>(hi - lo)) {
+            let per_pattern = simulate_tile_lanes::<W>(c, &lc, chains, &tile_tests, chunk, opts);
             for (p, det) in per_pattern.into_iter().enumerate() {
                 per_test[lo + p].extend(det);
             }
@@ -214,7 +206,7 @@ fn trace_reference(
         .collect()
 }
 
-/// Asserts the kernel equals the serial reference for every width ×
+/// Asserts the kernel equals the serial reference at every lane word ×
 /// tile height, and that the reference detects something.
 fn assert_matrix_matches(
     label: &str,
@@ -229,15 +221,17 @@ fn assert_matrix_matches(
         reference.iter().any(|r| !r.is_empty()),
         "{label}: the matrix must exercise real detections"
     );
-    for width in LaneWidth::ALL {
-        for &height in &PATTERN_LANES_ALL {
-            let soa = soa_per_test(c, chains, tests, pairs, width, height, opts);
+    for_each_lane_word!(W => {
+        for height in HEIGHTS {
+            let soa = soa_per_test::<W>(c, chains, tests, pairs, height, opts);
             assert_eq!(
-                soa, reference,
-                "{label} width {width} x height {height}: SoA diverged from the serial reference"
+                soa,
+                reference,
+                "{label} {} lanes x height {height}: SoA diverged from the serial reference",
+                W::LANES
             );
         }
-    }
+    });
 }
 
 /// The serial drop-as-you-go reference: tests in order, live faults in
@@ -272,7 +266,7 @@ fn serial_dropping(
 fn s27_reference_lanes_match_serial_trace_comparison() {
     // The reference lane's oracle: per-(test, fault) detection equals the
     // serial good-versus-faulty trace comparison for every universe
-    // fault x every test, at every lane width x tile height x
+    // fault x every test, at every lane word x tile height x
     // observation mix.
     let c = random_limited_scan::benchmarks::s27();
     let tests = mixed_s27_tests(&c);
@@ -288,22 +282,24 @@ fn s27_reference_lanes_match_serial_trace_comparison() {
             observes,
             "{opts:?}: detections exist exactly when something is observed"
         );
-        for width in LaneWidth::ALL {
-            for &height in &PATTERN_LANES_ALL {
-                let soa = soa_per_test(&c, &full, &tests, &pairs, width, height, opts);
+        for_each_lane_word!(W => {
+            for height in HEIGHTS {
+                let soa = soa_per_test::<W>(&c, &full, &tests, &pairs, height, opts);
                 assert_eq!(
-                    soa, reference,
-                    "width {width} x height {height} x {opts:?}: SoA diverged from \
-                     the serial trace comparison"
+                    soa,
+                    reference,
+                    "{} lanes x height {height} x {opts:?}: SoA diverged from \
+                     the serial trace comparison",
+                    W::LANES
                 );
             }
-        }
+        });
     }
 }
 
 #[test]
 fn s27_exhaustive_differential_matrix() {
-    // Every fault x every test, order-exact, at every lane width and
+    // Every fault x every test, order-exact, at every lane word and
     // every tile height, under each scan style — the full kernel-level
     // differential, chain shifts included.
     let c = random_limited_scan::benchmarks::s27();
@@ -324,7 +320,7 @@ fn s953_sampled_differential_is_order_exact() {
     let tests: Vec<ScanTest> = generate_ts0(&c, &cfg).into_iter().take(3).collect();
     let pairs: Vec<(FaultId, Fault)> = universe_pairs(&c).into_iter().step_by(3).collect();
     assert!(
-        pairs.len() > LaneWidth::W512.lanes() / 2,
+        pairs.len() > KernelWord::LANES / 2,
         "the sample must span several tiles even at the widest kernel"
     );
     assert_matrix_matches("s953", &c, &ChainMap::full(c.num_dffs()), &tests, &pairs);
@@ -362,32 +358,47 @@ fn s298_sampled_partial_and_multichain_differential_is_order_exact() {
     }
 }
 
+/// The engine and dispatch matrices' circuits and tests: s27's mixed set
+/// under each scan style, and s208's TS0 under full scan. s208's ~400
+/// target faults span several chunks of the compiled tile capacity, so
+/// the cross-chunk merge and drop order are exercised.
+fn dropping_cases() -> Vec<(String, Circuit, ChainMap, Vec<ScanTest>)> {
+    let s27 = random_limited_scan::benchmarks::s27();
+    let mut cases: Vec<_> = s27_scan_styles()
+        .into_iter()
+        .map(|chains| {
+            let tests = tests_for(&chains, &mixed_s27_tests(&s27));
+            (format!("s27 {chains:?}"), s27.clone(), chains, tests)
+        })
+        .collect();
+    let s208 = random_limited_scan::benchmarks::by_name("s208").expect("s208 exists");
+    let tests = generate_ts0(&s208, &RlsConfig::new(4, 8, 8));
+    let full = ChainMap::full(s208.num_dffs());
+    let chunk = tile_fault_capacity::<KernelWord>(TILE_HEIGHT);
+    assert!(
+        FaultSimulator::new(&s208).live_count() > 3 * chunk,
+        "s208 must span at least three {chunk}-fault chunks"
+    );
+    cases.push(("s208".to_string(), s208, full, tests));
+    cases
+}
+
 #[test]
 fn engine_matrix_matches_the_serial_reference_under_dropping() {
-    // The engine layers fault dropping and collapsing on the kernel; the
-    // detection *sequence* (not just the set) must be the serial
-    // drop-as-you-go one across the whole configuration matrix, on every
-    // scan style.
-    let c = random_limited_scan::benchmarks::s27();
-    for chains in s27_scan_styles() {
-        let tests = tests_for(&chains, &mixed_s27_tests(&c));
+    // The engine layers fault dropping, collapsing and tiling on the
+    // kernel; the detection *sequence* (not just the set) must be the
+    // serial drop-as-you-go one on every case.
+    for (label, c, chains, tests) in dropping_cases() {
         let (expect, _) = serial_dropping(&c, &chains, &tests);
         assert!(!expect.is_empty());
-        for width in LaneWidth::ALL {
-            for &height in &PATTERN_LANES_ALL {
-                let mut sim = FaultSimulator::new(&c);
-                sim.set_chains(chains.clone());
-                sim.set_lane_width(width);
-                sim.set_pattern_lanes(height);
-                sim.run_tests(&tests);
-                assert_eq!(
-                    sim.detected(),
-                    &expect[..],
-                    "{chains:?} width {width} x height {height}: detection sequence diverged \
-                     from the serial reference"
-                );
-            }
-        }
+        let mut sim = FaultSimulator::new(&c);
+        sim.set_chains(chains);
+        sim.run_tests(&tests);
+        assert_eq!(
+            sim.detected(),
+            &expect[..],
+            "{label}: detection sequence diverged from the serial reference"
+        );
     }
 }
 
@@ -396,29 +407,24 @@ fn dispatch_thread_matrix_matches_the_engine() {
     // The pooled runner tiles tests across the shared pool's workers; its
     // surviving live list must equal the serial drop-as-you-go
     // reference's (which the engine matrix above pins the sequential
-    // engine to) at every (width, height, threads) point.
-    let c = random_limited_scan::benchmarks::s27();
-    let tests = mixed_s27_tests(&c);
-    let (detected, live) = serial_dropping(&c, &ChainMap::full(3), &tests);
-    let detected = detected.len();
-    let compiled = CompiledCircuit::compile(c.clone()).expect("s27 is acyclic");
-    let compiled = std::sync::Arc::new(compiled);
-    for width in [LaneWidth::W64, LaneWidth::W512] {
-        for height in [1, 4] {
-            for threads in [1, 4] {
-                let ctx = SharedSimContext::new(compiled.clone(), SimOptions::default())
-                    .with_lane_width(width)
-                    .with_pattern_lanes(height);
-                let pool = SharedPool::new(threads);
-                let mut runner = SharedSetRunner::new(ctx.into(), pool.register(threads));
-                let count = runner.try_run_set(&tests).expect("no job fails").len();
-                let pooled_live = runner.live().to_vec();
-                assert_eq!(
-                    (count, &pooled_live),
-                    (detected, &live),
-                    "width {width} x height {height} x {threads} thread(s)"
-                );
-            }
+    // engine to) at every thread count.
+    for (label, c, chains, tests) in dropping_cases() {
+        if chains != ChainMap::full(c.num_dffs()) {
+            continue;
+        }
+        let (detected, live) = serial_dropping(&c, &chains, &tests);
+        let compiled = CompiledCircuit::compile(c).expect("benchmarks are acyclic");
+        let compiled = std::sync::Arc::new(compiled);
+        for threads in [1, 2, 4] {
+            let ctx = SharedSimContext::new(compiled.clone(), SimOptions::default());
+            let pool = SharedPool::new(threads);
+            let mut runner = SharedSetRunner::new(ctx.into(), pool.register(threads));
+            let count = runner.try_run_set(&tests).expect("no job fails").len();
+            assert_eq!(
+                (count, runner.live()),
+                (detected.len(), &live[..]),
+                "{label} x {threads} thread(s)"
+            );
         }
     }
 }
@@ -454,26 +460,24 @@ mod mutation {
             Diff::s27_on(ChainMap::full(3))
         }
 
-        /// Runs the differential at 64 lanes x height 2 and reports
-        /// whether the SoA kernel still matches the serial trace
-        /// comparison. The reference is computed while *disarmed* so only
-        /// the kernel under test is mutated.
+        /// Runs the differential at every lane word x tile height and
+        /// reports whether the SoA kernel still matches the serial trace
+        /// comparison at all of them. The reference is computed while
+        /// *disarmed* so only the kernel under test is mutated.
         fn is_green(&self) -> bool {
             let armed = rls_fsim::soa::mutate::armed();
             arm(None);
             let opts = SimOptions::default();
             let reference = trace_reference(&self.c, &self.chains, &self.tests, &self.pairs, opts);
             arm(armed);
-            let soa = soa_per_test(
-                &self.c,
-                &self.chains,
-                &self.tests,
-                &self.pairs,
-                LaneWidth::W64,
-                2,
-                opts,
-            );
-            soa == reference
+            let (c, chains, tests, pairs) = (&self.c, &self.chains, &self.tests, &self.pairs);
+            let mut green = true;
+            for_each_lane_word!(W => {
+                for height in HEIGHTS {
+                    green &= soa_per_test::<W>(c, chains, tests, pairs, height, opts) == reference;
+                }
+            });
+            green
         }
     }
 
@@ -573,7 +577,7 @@ mod mutation {
             .pairs
             .iter()
             .filter(|&&(id, _)| id != last)
-            .take(tile_fault_capacity(LaneWidth::W64, 1) - 1)
+            .take(tile_fault_capacity::<u64>(1) - 1)
             .copied()
             .collect();
         chunk.push(
@@ -585,8 +589,7 @@ mod mutation {
         );
         let run = |armed| {
             arm(armed);
-            let out = simulate_tile_at(
-                LaneWidth::W64,
+            let out = simulate_tile_lanes::<u64>(
                 &diff.c,
                 &lc,
                 &diff.chains,
