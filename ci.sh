@@ -55,18 +55,24 @@ done
 
 echo "== fsim: thread matrix =="
 # A full table run must be byte-identical at every thread count: the
-# sequential engine and the pooled runner share one kernel shape
-# (KernelWord x TILE_HEIGHT) and merge detections in the same order.
-# s208's fault list spans several kernel chunks. The kernel-shape axis
+# sequential engine and the pooled runner's test-block jobs run one
+# kernel word (KernelWord), pick every tile's height from the live count
+# with one fill rule, and merge detections in the same order. s208's
+# fault list spans several kernel chunks; the ablations binary adds the
+# FreeRunning schedules, whose tiles are 1 tall. The kernel-shape axis
 # (every lane word x tile height 1/2/4/8) lives in the soa oracle below.
 THREAD_DIR=$(mktemp -d)
 for t in 1 2 4; do
     RLS_THREADS=$t \
         cargo run -q --release --offline -p rls-bench --bin table6 -- s27 s208 \
         > "$THREAD_DIR/t$t.out" 2> /dev/null
+    RLS_THREADS=$t \
+        cargo run -q --release --offline -p rls-bench --bin ablations \
+        > "$THREAD_DIR/ablations-t$t.out" 2> /dev/null
 done
 for t in 2 4; do
     cmp "$THREAD_DIR/t1.out" "$THREAD_DIR/t$t.out"
+    cmp "$THREAD_DIR/ablations-t1.out" "$THREAD_DIR/ablations-t$t.out"
 done
 rm -rf "$THREAD_DIR"
 
@@ -75,17 +81,20 @@ echo "== fsim: soa oracle =="
 # the serial one-fault-at-a-time reference (every s27 fault x every
 # test, order-exact, at every lane word x tile height, under full,
 # partial and multichain scan; s953 and s298 sampled; the engine and the
-# pooled runner under dropping on s27 and s208 at 1/2/4 threads) plus
+# pooled runner under the fill rule and dropping on s27, and on s208 and
+# s298 through TS0 and derived sets, at budgets 1/2/4) plus
 # the seeded mutation self-tests — each deliberate kernel corruption
 # must turn the differential red, so the oracle is known to have teeth.
 cargo test -q --offline --test soa_oracle
 cargo test -q --offline --features kernel-mutate --test soa_oracle
 
-echo "== fsim: kernel-shape bench gate =="
-# The compiled kernel shape (KernelWord::LANES x TILE_HEIGHT) must hold
-# up against the committed s953 measurement's own history: its row must
-# be present and within 1.25x of the fastest row. Regenerate after kernel
-# changes with `cargo run --release -p rls-bench --bin bench_fsim_lanes`.
+echo "== fsim: fill-rule bench gate =="
+# The production fill rule (KernelWord, tile heights from the live
+# count) must hold up against the committed s953 measurement's own
+# history: on each workload (TS0 against the full list, a derived set
+# against the post-TS0 tail) its row must be present and within 1.25x
+# of the fastest fixed-height row. Regenerate after kernel changes with
+# `cargo run --release -p rls-bench --bin bench_fsim_lanes`.
 cargo run -q --release --offline -p rls-bench --bin rls-report -- --lanes BENCH_fsim_lanes.json --gate
 
 echo "== obs: smoke =="

@@ -21,11 +21,11 @@
 //! divergence point from the `procedure2.coverage` gauges.
 //!
 //! With `--lanes` and one `fsim_lanes` record (written by
-//! `bench_fsim_lanes`), prints the (lane word × tile height)
-//! `fsim.test_nanos` matrix. Adding `--gate` checks the compiled default
-//! configuration against the record's own history: the record must hold
-//! the row for `KernelWord::LANES` × `TILE_HEIGHT`, and that
-//! row must be within 1.25× (a noise allowance) of the fastest row.
+//! `bench_fsim_lanes`), prints each workload's (lane word × tile height)
+//! `fsim.test_nanos` rows beside its fill-rule row. Adding `--gate`
+//! checks the production fill rule against the record's own history:
+//! every workload must hold a fill row, and that row must be within
+//! 1.25× (a noise allowance) of the workload's fastest row.
 //!
 //! The profiling modes consume one obs metrics stream (see
 //! `rls_bench::profile`): `--flamegraph` prints collapsed stacks
@@ -35,15 +35,15 @@
 //! flight-recorder crash dump); `--phase-profile` emits a committable
 //! per-phase self-time profile; and `--gate` compares a run's phase
 //! shares against the committed `BENCH_phase_profile.json` the same way
-//! `--lanes` gates the compiled kernel shape.
+//! `--lanes` gates the production fill rule.
 //!
 //! Exit codes make every mode usable as a CI gate:
 //!
-//! * `0` — candidate coverage is at least the baseline's (or the compiled
-//!   kernel shape holds up)
+//! * `0` — candidate coverage is at least the baseline's (or the fill
+//!   rule holds up)
 //! * `1` — coverage regression (fewer faults detected, or a complete
-//!   campaign turned incomplete), the compiled kernel shape
-//!   missing from its record or slower than 1.25× its fastest row, or a
+//!   campaign turned incomplete), a workload's fill row missing from its
+//!   record or slower than 1.25× its fastest row, or a
 //!   phase share outside its committed tolerance
 //! * `2` — a file could not be read, is not a campaign/obs record, or the
 //!   two files are of different kinds
@@ -288,10 +288,15 @@ fn render_obs(base: &ObsStats, cand: &ObsStats) -> String {
     out
 }
 
-/// One measured (width, tile height) configuration from a `fsim_lanes`
-/// bench record.
+/// One measured (workload, width, tiling) configuration from a
+/// `fsim_lanes` bench record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct LaneRow {
+    /// Which test set against which live list (`ts0`, `campaign`).
+    workload: String,
+    /// Whether the row runs the production fill rule (heights from the
+    /// live count) rather than one fixed height.
+    fill: bool,
     lanes: u64,
     pattern_lanes: u64,
     test_nanos: u64,
@@ -315,6 +320,8 @@ fn lane_stats_from(log: &CampaignLog) -> Result<LaneStats, String> {
     let rows: Vec<LaneRow> = log
         .of_type("lane_width")
         .map(|r| LaneRow {
+            workload: r.str_field("workload").unwrap_or("ts0").to_string(),
+            fill: r.str_field("tiling") == Some("fill"),
             lanes: r.u64_field("lanes").unwrap_or(0),
             pattern_lanes: r.u64_field("pattern_lanes").unwrap_or(1),
             test_nanos: r.u64_field("test_nanos").unwrap_or(0),
@@ -332,68 +339,93 @@ fn lane_stats_from(log: &CampaignLog) -> Result<LaneStats, String> {
     })
 }
 
-/// The compiled kernel shape: (lanes, tile height).
-fn compiled_default() -> (u64, u64) {
-    use rls_fsim::LaneWord;
-    (
-        rls_fsim::KernelWord::LANES as u64,
-        rls_fsim::TILE_HEIGHT as u64,
-    )
-}
-
-/// The row matching the compiled defaults, if measured.
-fn default_row(stats: &LaneStats) -> Option<&LaneRow> {
-    let (lanes, patterns) = compiled_default();
-    stats
-        .rows
-        .iter()
-        .find(|r| r.lanes == lanes && r.pattern_lanes == patterns)
-}
-
-/// The fastest measured row.
-fn fastest_row(stats: &LaneStats) -> Option<&LaneRow> {
-    stats.rows.iter().min_by_key(|r| r.test_nanos)
-}
-
-fn render_lanes(stats: &LaneStats) -> String {
-    let (lanes, patterns) = compiled_default();
-    let mut out = format!(
-        "fault-simulation kernel on {} ({} TS0 tests, {} faults detected by every \
-         configuration; compiled default: {lanes} lanes x{patterns} patterns)\n\n",
-        stats.circuit, stats.tests, stats.detected,
-    );
-    let fastest = fastest_row(stats).map(|r| r.test_nanos);
-    let mut t = TextTable::new(vec!["lanes", "patterns", "test time", "batches", "vs fastest"]);
+/// The record's workloads, in first-appearance order.
+fn lane_workloads(stats: &LaneStats) -> Vec<&str> {
+    let mut out: Vec<&str> = Vec::new();
     for r in &stats.rows {
-        let vs = match fastest {
-            Some(f) if f > 0 => format!("{:.2}x", r.test_nanos as f64 / f as f64),
-            _ => "?".into(),
-        };
-        let mark = if default_row(stats) == Some(r) { " *" } else { "" };
-        t.row(vec![
-            format!("{}{mark}", r.lanes),
-            r.pattern_lanes.to_string(),
-            millis(r.test_nanos),
-            r.batches.to_string(),
-            vs,
-        ]);
+        if !out.contains(&r.workload.as_str()) {
+            out.push(&r.workload);
+        }
     }
-    out.push_str(&t.render());
-    out.push_str("(* = compiled default configuration)\n");
     out
 }
 
-/// Gate allowance: the compiled default may be at most this many times
-/// the fastest row's time (measurement noise between neighbouring
+/// The fill-rule row of `workload`, if measured.
+fn fill_row<'a>(stats: &'a LaneStats, workload: &str) -> Option<&'a LaneRow> {
+    stats.rows.iter().find(|r| r.workload == workload && r.fill)
+}
+
+/// The fastest measured row of `workload`.
+fn fastest_row<'a>(stats: &'a LaneStats, workload: &str) -> Option<&'a LaneRow> {
+    stats
+        .rows
+        .iter()
+        .filter(|r| r.workload == workload)
+        .min_by_key(|r| r.test_nanos)
+}
+
+fn render_lanes(stats: &LaneStats) -> String {
+    let mut out = format!(
+        "fault-simulation kernel on {} ({} TS0 tests, {} faults detected by every \
+         ts0 configuration; production: {} lanes, tile heights by the fill rule)\n\n",
+        stats.circuit,
+        stats.tests,
+        stats.detected,
+        <rls_fsim::KernelWord as rls_fsim::LaneWord>::LANES,
+    );
+    let mut t = TextTable::new(vec![
+        "workload",
+        "lanes",
+        "patterns",
+        "test time",
+        "batches",
+        "vs fastest",
+    ]);
+    for workload in lane_workloads(stats) {
+        let fastest = fastest_row(stats, workload).map(|r| r.test_nanos);
+        for r in stats.rows.iter().filter(|r| r.workload == workload) {
+            let vs = match fastest {
+                Some(f) if f > 0 => format!("{:.2}x", r.test_nanos as f64 / f as f64),
+                _ => "?".into(),
+            };
+            let patterns = if r.fill {
+                "fill *".to_string()
+            } else {
+                r.pattern_lanes.to_string()
+            };
+            t.row(vec![
+                workload.to_string(),
+                r.lanes.to_string(),
+                patterns,
+                millis(r.test_nanos),
+                r.batches.to_string(),
+                vs,
+            ]);
+        }
+    }
+    out.push_str(&t.render());
+    out.push_str("(* = the production fill rule)\n");
+    out
+}
+
+/// Gate allowance: the fill row may be at most this many times its
+/// workload's fastest row's time (measurement noise between neighbouring
 /// configurations).
 const DEFAULT_SLOWDOWN_LIMIT: f64 = 1.25;
 
-/// The compiled default's time over the fastest row's, or `None` when
-/// the record lacks the default row.
-fn default_vs_fastest(stats: &LaneStats) -> Option<f64> {
-    let default = default_row(stats)?;
-    let fastest = fastest_row(stats)?;
-    Some(default.test_nanos as f64 / fastest.test_nanos.max(1) as f64)
+/// Per workload, the fill row's time over the workload's fastest row's,
+/// or `None` when the workload lacks a fill row.
+fn fill_vs_fastest(stats: &LaneStats) -> Vec<(&str, Option<f64>)> {
+    lane_workloads(stats)
+        .into_iter()
+        .map(|workload| {
+            let ratio = fill_row(stats, workload).and_then(|fill| {
+                let fastest = fastest_row(stats, workload)?;
+                Some(fill.test_nanos as f64 / fastest.test_nanos.max(1) as f64)
+            });
+            (workload, ratio)
+        })
+        .collect()
 }
 
 /// One parsed input file: a campaign record or an obs metrics stream.
@@ -580,30 +612,33 @@ fn main() -> ExitCode {
         };
         print!("{}", render_lanes(&stats));
         if gate {
-            let (lanes, patterns) = compiled_default();
-            match default_vs_fastest(&stats) {
-                Some(r) if r <= DEFAULT_SLOWDOWN_LIMIT => {
-                    println!(
-                        "lane gate: the default ({lanes} lanes x{patterns} patterns) is \
-                         {r:.2}x the fastest row (limit {DEFAULT_SLOWDOWN_LIMIT:.2}x) — ok"
-                    );
+            let mut failed = false;
+            for (workload, ratio) in fill_vs_fastest(&stats) {
+                match ratio {
+                    Some(r) if r <= DEFAULT_SLOWDOWN_LIMIT => {
+                        println!(
+                            "lane gate: the {workload} fill row is {r:.2}x the fastest row \
+                             (limit {DEFAULT_SLOWDOWN_LIMIT:.2}x) — ok"
+                        );
+                    }
+                    Some(r) => {
+                        eprintln!(
+                            "rls-report: LANE FILL REGRESSION: the {workload} fill row is \
+                             {r:.2}x the fastest row, above the {DEFAULT_SLOWDOWN_LIMIT:.2}x limit"
+                        );
+                        failed = true;
+                    }
+                    None => {
+                        eprintln!(
+                            "rls-report: LANE GATE: the record has no {workload} fill row; \
+                             regenerate BENCH_fsim_lanes.json"
+                        );
+                        failed = true;
+                    }
                 }
-                Some(r) => {
-                    eprintln!(
-                        "rls-report: LANE DEFAULT REGRESSION: the default ({lanes} lanes \
-                         x{patterns} patterns) is {r:.2}x the fastest row, above the \
-                         {DEFAULT_SLOWDOWN_LIMIT:.2}x limit"
-                    );
-                    return ExitCode::from(1);
-                }
-                None => {
-                    eprintln!(
-                        "rls-report: LANE GATE: the record has no row for the compiled \
-                         default ({lanes} lanes x{patterns} patterns); regenerate \
-                         BENCH_fsim_lanes.json"
-                    );
-                    return ExitCode::from(1);
-                }
+            }
+            if failed {
+                return ExitCode::from(1);
             }
         }
         return ExitCode::SUCCESS;
@@ -737,12 +772,12 @@ mod tests {
         assert!(err.contains("summary"), "{err}");
     }
 
-    /// A `fsim_lanes` record with one row per `(lanes, patterns, nanos)`.
-    fn lane_record(tag: &str, rows: &[(usize, usize, u64)]) -> LaneStats {
+    /// A `fsim_lanes` record with one row per `(workload, tiling, nanos)`.
+    fn lane_record(tag: &str, rows: &[(&str, &str, u64)]) -> LaneStats {
         let mut lines = vec![r#"{"type":"fsim_lanes","circuit":"s953","tests":1}"#.to_string()];
-        for &(lanes, patterns, nanos) in rows {
+        for &(workload, tiling, nanos) in rows {
             lines.push(format!(
-                r#"{{"type":"lane_width","lanes":{lanes},"pattern_lanes":{patterns},"test_nanos":{nanos}}}"#
+                r#"{{"type":"lane_width","workload":"{workload}","tiling":"{tiling}","lanes":512,"pattern_lanes":4,"test_nanos":{nanos}}}"#
             ));
         }
         let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
@@ -751,17 +786,32 @@ mod tests {
     }
 
     #[test]
-    fn lane_gate_holds_the_default_within_its_fastest_row() {
-        let (lanes, patterns) = compiled_default();
-        let (lanes, patterns) = (lanes as usize, patterns as usize);
-        let fastest = lane_record("lanes-ok", &[(64, 1, 900), (lanes, patterns, 100)]);
-        assert_eq!(default_vs_fastest(&fastest), Some(1.0));
-        let near = lane_record("lanes-near", &[(64, 1, 100), (lanes, patterns, 120)]);
-        assert!(default_vs_fastest(&near).unwrap() <= DEFAULT_SLOWDOWN_LIMIT);
-        let slow = lane_record("lanes-slow", &[(64, 1, 100), (lanes, patterns, 130)]);
-        assert!(default_vs_fastest(&slow).unwrap() > DEFAULT_SLOWDOWN_LIMIT);
-        let missing = lane_record("lanes-missing", &[(64, 1, 100)]);
-        assert_eq!(default_vs_fastest(&missing), None);
+    fn lane_gate_holds_each_fill_row_within_its_workloads_fastest_row() {
+        let fastest = lane_record("lanes-ok", &[("ts0", "fixed", 900), ("ts0", "fill", 100)]);
+        assert_eq!(fill_vs_fastest(&fastest), vec![("ts0", Some(1.0))]);
+        let near = lane_record("lanes-near", &[("ts0", "fixed", 100), ("ts0", "fill", 120)]);
+        assert!(fill_vs_fastest(&near)[0].1.unwrap() <= DEFAULT_SLOWDOWN_LIMIT);
+        let slow = lane_record("lanes-slow", &[("ts0", "fixed", 100), ("ts0", "fill", 130)]);
+        assert!(fill_vs_fastest(&slow)[0].1.unwrap() > DEFAULT_SLOWDOWN_LIMIT);
+        let missing = lane_record("lanes-missing", &[("ts0", "fixed", 100)]);
+        assert_eq!(fill_vs_fastest(&missing), vec![("ts0", None)]);
+        // Each workload is gated against its own rows only: a slow
+        // campaign row does not excuse a slow ts0 fill row, nor the other
+        // way round.
+        let two = lane_record(
+            "lanes-two",
+            &[
+                ("ts0", "fixed", 100),
+                ("ts0", "fill", 110),
+                ("campaign", "fixed", 50),
+                ("campaign", "fill", 40),
+            ],
+        );
+        let ratios = fill_vs_fastest(&two);
+        assert_eq!(ratios.len(), 2);
+        assert_eq!(ratios[0].0, "ts0");
+        assert!((ratios[0].1.unwrap() - 1.1).abs() < 1e-9);
+        assert_eq!(ratios[1], ("campaign", Some(1.0)));
     }
 
     fn obs_sample(tag: &str, trial_nanos: u64, coverage: &[u64]) -> PathBuf {

@@ -12,6 +12,8 @@
 //! its scanned-in fill bits are drawn from the same stream, keeping the
 //! whole derivation replayable from the pair `(I, D1)` alone.
 
+use std::collections::BTreeMap;
+
 use rls_fsim::{ScanTest, ShiftOp};
 use rls_lfsr::{RandomSource, XorShift64};
 
@@ -21,6 +23,12 @@ use crate::config::{FillMode, RlsConfig, SeedMode};
 ///
 /// `d2` is the shift-count modulus (the paper's `D2 = N_SV + 1`; see
 /// [`RlsConfig::d2`]).
+///
+/// Under [`SeedMode::PerTest`] every test restarts the stream at
+/// `seed(I)`, and a schedule reads nothing of its test but the length, so
+/// each distinct length is derived once and its schedule reused by every
+/// test of that length. [`SeedMode::FreeRunning`] draws test after test
+/// from one stream.
 ///
 /// # Panics
 ///
@@ -36,18 +44,24 @@ pub fn derive_test_set(
     assert!(d2 > 0, "D2 must be positive");
     let seed = cfg.seeds.seed(iteration);
     let mut free_running = XorShift64::new(seed);
+    let mut per_length: BTreeMap<usize, Vec<ShiftOp>> = BTreeMap::new();
+    let schedule = |len: usize, rng: &mut XorShift64| {
+        let shifts = derive_schedule(len, rng, d1, d2);
+        match cfg.fill_mode {
+            FillMode::Random => shifts,
+            FillMode::Zero => zero_fills(shifts),
+        }
+    };
     ts0.iter()
         .map(|test| {
-            let mut per_test = XorShift64::new(seed);
-            let rng: &mut XorShift64 = match cfg.seed_mode {
-                SeedMode::PerTest => &mut per_test,
-                SeedMode::FreeRunning => &mut free_running,
+            let shifts = match cfg.seed_mode {
+                SeedMode::PerTest => per_length
+                    .entry(test.len())
+                    .or_insert_with(|| schedule(test.len(), &mut XorShift64::new(seed)))
+                    .clone(),
+                SeedMode::FreeRunning => schedule(test.len(), &mut free_running),
             };
-            let derived = derive_one(test, rng, d1, d2);
-            match cfg.fill_mode {
-                FillMode::Random => derived,
-                FillMode::Zero => zero_fills(derived),
-            }
+            with_schedule(test, shifts)
         })
         .collect()
 }
@@ -55,17 +69,23 @@ pub fn derive_test_set(
 /// Replaces every fill bit with zero (the [`FillMode::Zero`] ablation).
 /// The schedule stream still *draws* the fill bits so that insertion
 /// positions and shift amounts are identical to the random-fill run.
-fn zero_fills(mut test: ScanTest) -> ScanTest {
-    for op in &mut test.shifts {
+fn zero_fills(mut shifts: Vec<ShiftOp>) -> Vec<ShiftOp> {
+    for op in &mut shifts {
         op.fill.iter_mut().for_each(|b| *b = false);
     }
-    test
+    shifts
 }
 
 /// Derives the limited-scan schedule of a single test from a source.
 pub fn derive_one<R: RandomSource>(test: &ScanTest, rng: &mut R, d1: u32, d2: u32) -> ScanTest {
+    with_schedule(test, derive_schedule(test.len(), rng, d1, d2))
+}
+
+/// The limited-scan schedule of a test of length `len`: one draw per
+/// interior time unit, plus the amount and fill draws of each insertion.
+fn derive_schedule<R: RandomSource>(len: usize, rng: &mut R, d1: u32, d2: u32) -> Vec<ShiftOp> {
     let mut shifts = Vec::new();
-    for u in 1..test.len() {
+    for u in 1..len {
         let r1 = rng.next_u32();
         if !r1.is_multiple_of(d1) {
             continue;
@@ -83,9 +103,14 @@ pub fn derive_one<R: RandomSource>(test: &ScanTest, rng: &mut R, d1: u32, d2: u3
             fill,
         });
     }
+    shifts
+}
+
+/// `test` with `shifts` (derived for its length) as its schedule.
+fn with_schedule(test: &ScanTest, shifts: Vec<ShiftOp>) -> ScanTest {
     test.clone()
         .with_shifts(shifts)
-        .expect("derived schedule is valid by construction") // lint: panic-ok(shift count is copied from the source schedule, which with_shifts already validated)
+        .expect("derived schedule is valid by construction") // lint: panic-ok(derive_schedule emits ordered interior units with nonzero amounts and matching fills)
 }
 
 #[cfg(test)]
@@ -197,6 +222,60 @@ mod tests {
                 (got - expected).abs() < expected * 0.5,
                 "d1={d1}: got {got}, expected≈{expected}"
             );
+        }
+    }
+
+    /// The per-test derivation: every test draws its own schedule, from a
+    /// fresh `seed(I)` stream or from the one free-running stream, and the
+    /// zero-fill ablation clears the fills afterwards.
+    fn derive_per_test(
+        ts0: &[ScanTest],
+        cfg: &RlsConfig,
+        i: u64,
+        d1: u32,
+        d2: u32,
+    ) -> Vec<ScanTest> {
+        let seed = cfg.seeds.seed(i);
+        let mut free_running = XorShift64::new(seed);
+        ts0.iter()
+            .map(|test| {
+                let mut per_test = XorShift64::new(seed);
+                let rng: &mut XorShift64 = match cfg.seed_mode {
+                    SeedMode::PerTest => &mut per_test,
+                    SeedMode::FreeRunning => &mut free_running,
+                };
+                let mut derived = derive_one(test, rng, d1, d2);
+                if cfg.fill_mode == FillMode::Zero {
+                    derived.shifts = zero_fills(derived.shifts);
+                }
+                derived
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_schedule_per_length_equals_the_per_test_derivation() {
+        for c in [
+            rls_benchmarks::s27(),
+            rls_benchmarks::by_name("s298").unwrap(),
+        ] {
+            let d2 = RlsConfig::new(4, 8, 8).d2(c.num_dffs());
+            for seed_mode in [SeedMode::PerTest, SeedMode::FreeRunning] {
+                for fill_mode in [FillMode::Random, FillMode::Zero] {
+                    let mut cfg = RlsConfig::new(4, 8, 8);
+                    cfg.seed_mode = seed_mode;
+                    cfg.fill_mode = fill_mode;
+                    let ts0 = generate_ts0(&c, &cfg);
+                    for (i, d1) in [(1, 1), (1, 2), (3, 5), (7, 10)] {
+                        assert_eq!(
+                            derive_test_set(&ts0, &cfg, i, d1, d2),
+                            derive_per_test(&ts0, &cfg, i, d1, d2),
+                            "{} {seed_mode:?} {fill_mode:?} I={i} D1={d1}",
+                            c.name()
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -550,7 +550,7 @@ impl TrialExecutor for SequentialExecutor<'_> {
 /// alike.
 ///
 /// If a set keeps failing through the pool's retry budget (a poisoned
-/// chunk), the executor *degrades*: the failed set — whose bookkeeping
+/// job), the executor *degrades*: the failed set — whose bookkeeping
 /// the runner left untouched — and every later set run on a sequential
 /// [`FaultSimulator`] seeded with the set-start live list. The sequential
 /// path is the oracle the pool is tested against, so the outcome is

@@ -1,20 +1,20 @@
-//! The wave protocol shared by every parallel set execution: job tags,
-//! chunk sizing, and the retry budget.
+//! The wave protocol shared by every parallel set execution: test
+//! blocks, job tags, and the retry budget.
 //!
 //! # Execution model
 //!
 //! A *set* is the atomic scheduling unit of the paper's procedures: `TS0`
 //! or one derived `TS(I, D1)`. [`crate::SharedSetRunner::try_run_set`]
 //! fans a set out as one wave of jobs over the worker pool: one job per
-//! `(tile, fault chunk)` of the live list (tagged by `batch_tag`)
-//! simulates the chunk against a *tile* of shape-compatible consecutive
-//! tests (grouped by [`rls_fsim::plan_tiles`] at [`rls_fsim::TILE_HEIGHT`]),
-//! publishing detections into the shared [`crate::AtomicBitset`]. The
-//! SoA kernel carries each test's fault-free machine in a reference lane,
-//! so no job waits on a precomputed good trace. Chunks are sized
-//! adaptively by [`chunk_size`] so big circuits do not drown the queue in
-//! per-job overhead; a chunk wider than a tile row is simulated as
-//! consecutive full-width sub-batches inside the job.
+//! contiguous block of tests ([`test_blocks`]), tagged by its block
+//! index. A job walks its block tile by tile with the same fill rule as
+//! the sequential engine: before each tile it re-reads the shared
+//! [`crate::AtomicBitset`] against the set-start live list, picks the
+//! tile's height from that live count ([`rls_fsim::fill_height`] over the
+//! [`rls_fsim::compatible_run`] inside the block), and publishes the
+//! tile's detections into the bitset. The SoA kernel carries each test's
+//! fault-free machine in a reference lane, so no job waits on a
+//! precomputed good trace.
 //!
 //! # Recovery
 //!
@@ -34,23 +34,24 @@ use crate::pool::JobFailure;
 /// Retry waves allowed per set before it is declared failed.
 pub const RETRY_ROUNDS: usize = 3;
 
-/// Tag of the job simulating live-list chunk `chunk` of tile `t`
-/// (a tile is a run of shape-compatible consecutive tests).
-pub(crate) fn batch_tag(t: usize, chunk: usize) -> u64 {
-    ((t as u64) << 32) | chunk as u64
-}
+/// Test blocks per unit of campaign budget. A few blocks per budgeted
+/// thread balance uneven blocks (early blocks of a set find more live
+/// faults than late ones) while keeping queue traffic to a handful of
+/// jobs per set.
+pub const BLOCKS_PER_BUDGET: usize = 4;
 
-/// Adaptive batch-chunk size for one set: `max(16, live_faults / (threads × 8))`.
+/// Splits a set of `tests` tests into at most
+/// `BLOCKS_PER_BUDGET × budget` contiguous, near-equal `(start, end)`
+/// blocks in test order — one pool job each, tagged by its index.
 ///
-/// Fixed 64-fault chunks made submit overhead scale with circuit size:
-/// a large live list became thousands of tiny jobs per test. Sizing by
-/// live-list length keeps roughly eight chunks per worker per test —
-/// enough slack to balance uneven work across the campaign's budget, few
-/// enough that queue traffic stays cheap — with a floor of 16 so small
-/// circuits still fan out. The kernel keeps its one word width: jobs
-/// split oversized chunks into tile-capacity sub-batches.
-pub fn chunk_size(live_faults: usize, threads: usize) -> usize {
-    (live_faults / (threads.max(1) * 8)).max(16)
+/// Sized by the campaign's budget, not the pool width, so a campaign's
+/// jobs are the same whether it shares the workers or not. An empty set
+/// has no blocks.
+pub fn test_blocks(tests: usize, budget: usize) -> Vec<(usize, usize)> {
+    let blocks = tests.min(BLOCKS_PER_BUDGET * budget.max(1));
+    (0..blocks)
+        .map(|b| (b * tests / blocks, (b + 1) * tests / blocks))
+        .collect()
 }
 
 /// A test set that could not be executed on the pool: some tagged job
@@ -61,7 +62,7 @@ pub fn chunk_size(live_faults: usize, threads: usize) -> usize {
 #[derive(Debug)]
 pub struct SetFailure {
     /// Which phase gave up (always "batch": a set is one wave of
-    /// `(tile, chunk)` jobs).
+    /// test-block jobs).
     pub phase: &'static str,
     /// Waves attempted (initial submission plus retries).
     pub attempts: usize,
@@ -92,14 +93,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn chunk_size_targets_eight_chunks_per_worker() {
-        // Floor dominates for small circuits.
-        assert_eq!(chunk_size(100, 4), 16);
-        assert_eq!(chunk_size(0, 1), 16);
-        // Large live lists: live / (threads * 8), so ~8 chunks per worker.
-        assert_eq!(chunk_size(64_000, 4), 2_000);
-        assert_eq!(chunk_size(64_000, 1), 8_000);
-        // Degenerate thread count is clamped.
-        assert_eq!(chunk_size(1_024, 0), 128);
+    fn test_blocks_partition_the_set_by_budget() {
+        assert_eq!(test_blocks(10, 1), vec![(0, 2), (2, 5), (5, 7), (7, 10)]);
+        // Never more blocks than tests, never an empty block.
+        assert_eq!(test_blocks(3, 4), vec![(0, 1), (1, 2), (2, 3)]);
+        assert!(test_blocks(0, 2).is_empty());
+        // A degenerate budget is clamped to one thread.
+        assert_eq!(test_blocks(128, 0).len(), BLOCKS_PER_BUDGET);
+        for (tests, budget) in [(64, 2), (256, 2), (255, 3), (7, 8)] {
+            let blocks = test_blocks(tests, budget);
+            assert_eq!(blocks.len(), tests.min(BLOCKS_PER_BUDGET * budget));
+            assert_eq!(blocks.first().map(|b| b.0), Some(0));
+            assert_eq!(blocks.last().map(|b| b.1), Some(tests));
+            assert!(blocks.windows(2).all(|w| w[0].1 == w[1].0));
+            assert!(blocks.iter().all(|&(lo, hi)| lo < hi));
+        }
     }
 }

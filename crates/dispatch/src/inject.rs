@@ -55,7 +55,7 @@ pub enum JournalCrash {
 pub struct InjectionPlan {
     /// Panic at every `n`-th job start (1-based count over all jobs).
     pub panic_every: Option<u64>,
-    /// Always panic jobs carrying this tag — a "poisoned chunk" that
+    /// Always panic jobs carrying this tag — a "poisoned job" that
     /// exhausts the retry budget and forces the degrade path.
     pub poison_tag: Option<u64>,
     /// Sleep `millis` at every `n`-th job start: `(n, millis)`.

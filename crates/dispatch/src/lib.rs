@@ -11,14 +11,14 @@
 //!
 //! - [`shared`]: the [`SharedPool`] — owned supervised workers serving
 //!   any number of registered campaigns with fair round-robin budgets —
-//!   plus [`SharedSetRunner`], which fans one test set out as trace and
-//!   `(tile, fault chunk)` jobs and reduces detections in live-list order
-//!   at the set barrier. Direct runs register one campaign on a private
+//!   plus [`SharedSetRunner`], which fans one test set out as contiguous
+//!   test-block jobs and reduces detections in live-list order at the set
+//!   barrier. Direct runs register one campaign on a private
 //!   pool; the `rls-serve` campaign server shares one pool across
 //!   requests;
-//! - [`executor`]: the wave protocol underneath the runner — job tags,
-//!   tile planning, adaptive [`chunk_size`], the retry budget, and
-//!   [`SetFailure`];
+//! - [`executor`]: the wave protocol underneath the runner — the
+//!   budget-sized [`test_blocks`] whose indices tag the jobs, the retry
+//!   budget, and [`SetFailure`];
 //! - [`pool`]: per-worker atomic counters ([`WorkerCounters`]), their
 //!   [`PoolSnapshot`], and classified [`JobFailure`]s;
 //! - [`bitset`]: the [`AtomicBitset`] shared fault-drop state — workers
@@ -81,7 +81,7 @@ pub mod shared;
 pub use bitset::AtomicBitset;
 pub use campaign::{Campaign, CampaignLog, CampaignSummary, TrialRecord};
 pub use error::DispatchError;
-pub use executor::{chunk_size, SetFailure};
+pub use executor::{test_blocks, SetFailure};
 pub use pool::{FailureClass, JobFailure, PoolSnapshot, WorkerCounters, WorkerSnapshot};
 pub use shared::{
     CampaignHandle, CompiledCircuit, SharedPool, SharedSetRunner, SharedSimContext,

@@ -37,10 +37,11 @@
 //! `(test, fault)`: lanes of a batch are independent at every word and
 //! tile height, and the shared detection bitset is monotone within a set.
 //! The detected *set* at a barrier is therefore the union a sequential run
-//! computes, however jobs interleave, and [`SharedSetRunner`] merges it in
-//! live-list order (ascending fault id for the default target). Chunks are
-//! sized by the campaign's *budget*, not the pool width, so a campaign's
-//! jobs are the same whether it shares the workers or not. The outcome is
+//! computes, however jobs interleave and however tall each job's tiles
+//! are, and [`SharedSetRunner`] merges it in live-list order (ascending
+//! fault id for the default target). Test blocks are sized by the
+//! campaign's *budget*, not the pool width, so a campaign's jobs are the
+//! same whether it shares the workers or not. The outcome is
 //! bit-identical to the sequential oracle regardless of how many other
 //! campaigns share the pool; the integration suites byte-compare served
 //! campaign records against direct runs to pin this.
@@ -61,13 +62,13 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use rls_fsim::{
-    plan_tiles, simulate_tile_lanes, tile_fault_capacity, ChainMap, CollapsedFaults, Fault,
-    FaultId, FaultUniverse, KernelWord, LaneWord, ScanTest, SimOptions, TILE_HEIGHT,
+    compatible_run, fill_height, simulate_tile_lanes, tile_fault_capacity, ChainMap,
+    CollapsedFaults, Fault, FaultId, FaultUniverse, KernelWord, LaneWord, ScanTest, SimOptions,
 };
 use rls_netlist::{Circuit, LevelizedCircuit, NetlistError};
 
 use crate::bitset::AtomicBitset;
-use crate::executor::{batch_tag, chunk_size, SetFailure, RETRY_ROUNDS};
+use crate::executor::{test_blocks, SetFailure, RETRY_ROUNDS};
 use crate::inject;
 use crate::pool::{
     classify, payload_message, FailureClass, JobFailure, PoolSnapshot, WorkerCounters,
@@ -486,7 +487,7 @@ impl CampaignHandle {
     }
 
     /// The campaign's concurrency budget (the `threads` analogue for
-    /// chunk sizing).
+    /// test-block sizing).
     pub fn threads(&self) -> usize {
         self.budget
     }
@@ -672,64 +673,71 @@ impl SharedSetRunner {
         self.detected.len()
     }
 
-    /// Submits one wave of batch jobs for the given tags.
-    fn submit_batch_wave(
+    /// Submits one wave of test-block jobs for the given tags (block
+    /// indices). A job walks its block tile by tile; before each tile it
+    /// re-reads the shared bitset against the set-start live list and
+    /// picks the tile's height from that live count, exactly as
+    /// `FaultSimulator::run_tests` does.
+    fn submit_block_wave(
         &self,
         tags: &[u64],
         tests: &Arc<Vec<ScanTest>>,
-        tiles: &Arc<Vec<(usize, usize)>>,
-        chunks: &Arc<Vec<Vec<FaultId>>>,
+        blocks: &[(usize, usize)],
+        set_live: &Arc<Vec<FaultId>>,
         live_left: &Arc<AtomicUsize>,
     ) {
         for &tag in tags {
-            let ti = (tag >> 32) as usize;
-            let c = (tag & 0xffff_ffff) as usize;
+            let (lo, hi) = blocks[tag as usize]; // lint: panic-ok(tags are minted over 0..blocks.len())
             let ctx = Arc::clone(&self.ctx);
             let tests = Arc::clone(tests);
-            let tiles = Arc::clone(tiles);
-            let chunks = Arc::clone(chunks);
+            let set_live = Arc::clone(set_live);
             let live_left = Arc::clone(live_left);
             self.handle.submit_tagged(tag, move |counters| {
-                if live_left.load(Ordering::Relaxed) == 0 { // lint: ordering-ok(early-exit hint only; a stale read just simulates a batch whose hits are already in the bitset)
-                    return;
-                }
-                let (lo, hi) = tiles[ti]; // lint: panic-ok(ti decodes from a tag minted over 0..tiles.len())
-                let tile_tests: Vec<&ScanTest> = tests[lo..hi].iter().collect(); // lint: panic-ok(tiles partition 0..tests.len(), so lo..hi is in range)
-                // Shared-bitset fault dropping: faults another job already
-                // detected in this set are not simulated again.
-                // lint: panic-ok(c decodes from a tag minted over 0..chunks.len())
-                let candidates: Vec<(FaultId, Fault)> = chunks[c]
-                    .iter()
-                    .filter(|&&id| !ctx.detected_bits.get(id))
-                    .map(|&id| (id, ctx.compiled.universe.fault(id)))
-                    .collect();
-                if candidates.is_empty() {
-                    return;
-                }
-                let height = hi - lo;
-                let cap = tile_fault_capacity::<KernelWord>(height);
-                let mut newly = 0u64;
-                for sub in candidates.chunks(cap) {
-                    let start = Instant::now(); // lint: det-ok(wall time feeds observability counters only, never the reduced result)
-                    let per_pattern = simulate_tile_lanes::<KernelWord>(
-                        ctx.compiled.circuit(),
-                        ctx.compiled.levelized(),
-                        &ctx.compiled.chains,
-                        &tile_tests,
-                        sub,
-                        ctx.options,
-                    );
-                    counters.add_batch(start.elapsed());
-                    counters.add_lanes((sub.len() * height) as u64, KernelWord::LANES as u64);
-                    for id in per_pattern.into_iter().flatten() {
-                        if ctx.detected_bits.set(id) {
-                            newly += 1;
+                let block = &tests[..hi]; // lint: panic-ok(blocks partition 0..tests.len(), so hi <= tests.len())
+                let mut next = lo;
+                while next < hi {
+                    if live_left.load(Ordering::Relaxed) == 0 { // lint: ordering-ok(early-exit hint only; a stale read just simulates a tile whose hits are already in the bitset)
+                        return;
+                    }
+                    // Shared-bitset fault dropping: faults any job already
+                    // detected in this set are not simulated again.
+                    let candidates: Vec<(FaultId, Fault)> = set_live
+                        .iter()
+                        .filter(|&&id| !ctx.detected_bits.get(id))
+                        .map(|&id| (id, ctx.compiled.universe.fault(id)))
+                        .collect();
+                    if candidates.is_empty() {
+                        return;
+                    }
+                    let height = fill_height(candidates.len(), compatible_run(block, next));
+                    let tile: Vec<&ScanTest> = block[next..next + height].iter().collect(); // lint: panic-ok(fill_height never exceeds the compatible run, which ends inside the block)
+                    rls_obs::counter!("fsim.tiles", 1);
+                    rls_obs::histogram!("fsim.tile_height", height as u64);
+                    let cap = tile_fault_capacity::<KernelWord>(height);
+                    let mut newly = 0u64;
+                    for sub in candidates.chunks(cap) {
+                        let start = Instant::now(); // lint: det-ok(wall time feeds observability counters only, never the reduced result)
+                        let per_pattern = simulate_tile_lanes::<KernelWord>(
+                            ctx.compiled.circuit(),
+                            ctx.compiled.levelized(),
+                            &ctx.compiled.chains,
+                            &tile,
+                            sub,
+                            ctx.options,
+                        );
+                        counters.add_batch(start.elapsed());
+                        counters.add_lanes((sub.len() * height) as u64, KernelWord::LANES as u64);
+                        for id in per_pattern.into_iter().flatten() {
+                            if ctx.detected_bits.set(id) {
+                                newly += 1;
+                            }
                         }
                     }
-                }
-                if newly > 0 {
-                    counters.add_dropped(newly);
-                    live_left.fetch_sub(newly as usize, Ordering::Relaxed); // lint: ordering-ok(monotone countdown used only for the early-exit hint; the bitset carries the authoritative drops)
+                    if newly > 0 {
+                        counters.add_dropped(newly);
+                        live_left.fetch_sub(newly as usize, Ordering::Relaxed); // lint: ordering-ok(monotone countdown used only for the early-exit hint; the bitset carries the authoritative drops)
+                    }
+                    next += height;
                 }
             });
         }
@@ -807,22 +815,15 @@ impl SharedSetRunner {
         // may have abandoned a failing set without draining).
         let _ = self.handle.take_failures();
         let tests: Arc<Vec<ScanTest>> = Arc::new(tests.to_vec());
-        // One wave of (tile, chunk) jobs over the set-start live list,
-        // chunk-sized by the campaign's budget exactly as a direct run
-        // with `threads = budget` would size them.
-        let size = chunk_size(self.live.len(), self.handle.threads());
-        let chunks: Arc<Vec<Vec<FaultId>>> =
-            Arc::new(self.live.chunks(size).map(<[FaultId]>::to_vec).collect());
-        rls_obs::gauge!("dispatch.chunk_size", size as u64);
-        rls_obs::counter!("dispatch.chunks", chunks.len() as u64);
-        let tiles: Arc<Vec<(usize, usize)>> = Arc::new(plan_tiles(&tests, TILE_HEIGHT));
-        rls_obs::counter!("fsim.tiles", tiles.len() as u64);
+        // One wave of contiguous test-block jobs, sized by the campaign's
+        // budget exactly as a direct run with `threads = budget` would
+        // size them, each simulating against the set-start live list.
+        let blocks = test_blocks(tests.len(), self.handle.threads());
+        let set_live: Arc<Vec<FaultId>> = Arc::new(self.live.clone());
         let live_left = Arc::new(AtomicUsize::new(self.live.len()));
-        let batch_tags: Vec<u64> = (0..tiles.len())
-            .flat_map(|t| (0..chunks.len()).map(move |c| batch_tag(t, c)))
-            .collect();
-        self.run_waves(batch_tags, |tags| {
-            self.submit_batch_wave(tags, &tests, &tiles, &chunks, &live_left)
+        let block_tags: Vec<u64> = (0..blocks.len() as u64).collect();
+        self.run_waves(block_tags, |tags| {
+            self.submit_block_wave(tags, &tests, &blocks, &set_live, &live_left)
         })?;
         // Deterministic reduction: merge in live-list order.
         let newly: Vec<FaultId> = self

@@ -1,5 +1,6 @@
 //! The fault-simulation driver: collapsed fault list, fault dropping, and
-//! the grouping of consecutive tests into SoA tiles.
+//! the grouping of consecutive tests into SoA tiles, each as tall as the
+//! live fault count makes worthwhile.
 
 use rls_netlist::{Circuit, LevelizedCircuit};
 use rls_scan::{ChainMap, LaneWord};
@@ -9,7 +10,7 @@ use crate::coverage::Coverage;
 use crate::fault::{Fault, FaultId, FaultUniverse};
 use crate::good::GoodSim;
 use crate::soa::{
-    plan_tiles, simulate_tile_lanes, tile_fault_capacity, KernelWord, SimOptions, TILE_HEIGHT,
+    compatible_run, fill_height, simulate_tile_lanes, tile_fault_capacity, KernelWord, SimOptions,
 };
 use crate::test::ScanTest;
 
@@ -254,21 +255,23 @@ impl<'c> FaultSimulator<'c> {
     /// Simulates a sequence of tests, dropping as it goes; returns the
     /// number of newly detected faults.
     ///
-    /// Consecutive shape-compatible tests are packed into tiles of up to
-    /// [`TILE_HEIGHT`] tests ([`plan_tiles`]) so one kernel pass covers
-    /// several tests. The detections (set *and* order) are
-    /// identical to the sequential per-test run: per-(test, fault)
-    /// detection does not depend on the other faults in the word, and the
-    /// tile merge walks patterns in test order, dropping already-detected
-    /// ids exactly as sequential dropping would.
+    /// Consecutive shape-compatible tests are packed into tiles so one
+    /// kernel pass covers several tests. Each tile is re-planned from the
+    /// current live count: [`fill_height`] over the [`compatible_run`] at
+    /// the next test, so a thin fault tail packs many tests per word. The
+    /// detections (set *and* order) are identical to the sequential
+    /// per-test run: per-(test, fault) detection does not depend on the
+    /// other faults in the word, and the tile merge walks patterns in test
+    /// order, dropping already-detected ids exactly as sequential dropping
+    /// would.
     pub fn run_tests(&mut self, tests: &[ScanTest]) -> usize {
         let all: Vec<&ScanTest> = tests.iter().collect();
         let mut count = 0;
-        for (lo, hi) in plan_tiles(tests, TILE_HEIGHT) {
-            if self.live.is_empty() {
-                break;
-            }
-            count += self.run_tile(&all[lo..hi]).len(); // lint: panic-ok(plan_tiles partitions 0..tests.len())
+        let mut next = 0;
+        while next < tests.len() && !self.live.is_empty() {
+            let height = fill_height(self.live.len(), compatible_run(tests, next));
+            count += self.run_tile(&all[next..next + height]).len(); // lint: panic-ok(fill_height never exceeds the compatible run, which ends inside tests)
+            next += height;
         }
         count
     }
@@ -311,6 +314,7 @@ impl<'c> FaultSimulator<'c> {
         self.account(&sw, candidates.len(), cap, t);
         if sw.running() {
             rls_obs::counter!("fsim.tiles", 1);
+            rls_obs::histogram!("fsim.tile_height", t as u64);
         }
         // Order-preserving merge: walk patterns in test order, each in
         // candidate order, dropping ids already claimed by an earlier
@@ -549,6 +553,21 @@ mod tests {
             stats.batches * KernelWord::LANES as u64
         );
         assert!(stats.lanes_used <= stats.lanes_capacity);
+    }
+
+    #[test]
+    fn thin_live_lists_pack_the_whole_run_into_one_tile() {
+        // 32 live faults fit one 8-tall tile of the kernel word (63 fault
+        // lanes per pattern), so eight compatible tests take one pass.
+        let c = rls_benchmarks::s27();
+        let tests = vec![s27_tile_tests()[0].clone(); 8];
+        let expect = serial_dropping(&c, &tests);
+        let mut sim = FaultSimulator::new(&c);
+        assert_eq!(crate::soa::fill_height(sim.live_count(), tests.len()), 8);
+        sim.run_tests(&tests);
+        assert_eq!(sim.detected(), &expect[..]);
+        assert_eq!(sim.lane_stats().batches, 1);
+        assert_eq!(sim.lane_stats().lanes_used, 8 * 32);
     }
 
     #[test]

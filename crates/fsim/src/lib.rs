@@ -23,12 +23,14 @@
 //!   the serial reference oracle of the kernel;
 //! - [`soa`]: the one stuck-at kernel — levelized SoA tiles over
 //!   [`rls_netlist::LevelizedCircuit`], generic over the lane word but
-//!   run in production at one shape, [`KernelWord`] (512 lanes) ×
-//!   [`TILE_HEIGHT`] (4 tests), split into (fault × pattern) axes, the
-//!   fault-free machine in one reference lane per pattern, and scan style
-//!   (full, partial, multichain) read from a [`ChainMap`];
+//!   run in production on one word, [`KernelWord`] (512 lanes), split
+//!   into (fault × pattern) axes, the fault-free machine in one reference
+//!   lane per pattern, and scan style (full, partial, multichain) read
+//!   from a [`ChainMap`]; each tile's height comes from the live fault
+//!   count through one fill rule ([`fill_height`] over a
+//!   [`compatible_run`]);
 //! - [`engine`]: the [`FaultSimulator`] driver with fault dropping and
-//!   test tiling ([`plan_tiles`]);
+//!   a tile re-planned from the live count before every kernel pass;
 //! - [`partial_sim`] / [`multichain_sim`]: drivers for the partial-scan
 //!   and multiple-chain extensions over the same engine;
 //! - [`transition`]: the transition (delay) fault model's own 64-lane
@@ -75,8 +77,8 @@ pub use multichain_sim::{run_tests_multichain, McScanTest, McShiftOp};
 pub use partial_sim::run_tests_partial;
 pub use rls_scan::{ChainMap, LaneWord};
 pub use soa::{
-    max_tile_height, plan_tiles, simulate_tile_lanes, tile_compatible, tile_fault_capacity,
-    KernelWord, SimOptions, SoaBatch, TILE_HEIGHT,
+    compatible_run, fill_height, max_tile_height, simulate_tile_lanes,
+    tile_compatible, tile_fault_capacity, KernelWord, SimOptions, SoaBatch,
 };
 pub use test::{ScanTest, ShiftOp, TestError};
 pub use transition::{

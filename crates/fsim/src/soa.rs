@@ -24,8 +24,10 @@
 //! sits in lane `p*(C+1) + 1 + j`. At every observation point (primary
 //! outputs, limited-scan scan-out bits, the final scan-out) each word is
 //! compared with its pattern's reference bit broadcast across the
-//! pattern's range (`mix` over `pmask`); the detection and early-exit
-//! mask covers the fault lanes only. With `T = 1` the kernel degenerates
+//! pattern's range; the detection and early-exit mask covers the fault
+//! lanes only. The broadcast is one word operation at any height: the
+//! reference lanes sit `C + 1` apart, so [`LaneWord::spread`] of the word
+//! masked to them fills every range at once. With `T = 1` the kernel degenerates
 //! to the single-test layout: one reference lane plus `W::LANES - 1`
 //! faults.
 //!
@@ -34,16 +36,21 @@
 //! vectors and shift fills may all differ per pattern — they are mixed
 //! into lane words per pattern range, reference lane included.
 //!
-//! # One production shape
+//! # One production word, heights from the live count
 //!
 //! [`simulate_tile_lanes`] is generic over the [`LaneWord`], and every
-//! word × tile height is bit-identical, but production runs one shape:
-//! [`KernelWord`] (512 lanes) × [`TILE_HEIGHT`] (4 tests), so a tile holds
-//! `tile_fault_capacity::<KernelWord>(TILE_HEIGHT)` = 127 faults per
-//! pattern. Both the sequential engine and the dispatch pool group tests
-//! with [`plan_tiles`]. Tests and `bench_fsim_lanes` instantiate the
-//! kernel at every word and at heights 1/2/4/8, which keeps edge cases
-//! cheap to cover and the constants backed by a measurement.
+//! word × tile height is bit-identical, but production runs one word,
+//! [`KernelWord`] (512 lanes), and picks each tile's height with one fill
+//! rule: [`fill_height`] takes the live fault count and the length of the
+//! [`compatible_run`] starting at the next test, and returns the height
+//! that needs the fewest kernel passes — or 1 once a
+//! single test's faults fill whole words. A long live list gives short
+//! tiles with many fault lanes each; a thin tail of tens of faults gives
+//! tall tiles that pack many tests into one word. Both the sequential
+//! engine and the dispatch pool re-plan before every tile.
+//! Tests and `bench_fsim_lanes` instantiate the kernel at every word and
+//! at fixed heights 1/2/4/8, which keeps edge cases cheap to cover and
+//! the fill rule backed by a measurement.
 //!
 //! # Scan style as data
 //!
@@ -87,21 +94,11 @@ use crate::test::ScanTest;
 /// Chosen from the measured s953 TS0 campaign (see
 /// `BENCH_fsim_lanes.json`, regenerated by `bench_fsim_lanes`, which
 /// sweeps [`simulate_tile_lanes`] over every [`LaneWord`] × tile height):
-/// with [`TILE_HEIGHT`] it is the fastest measured shape. Wider words
-/// amortise per-tile setup, and the extra test patterns of a tile fill
-/// the lanes a thin fault tail would otherwise waste. Detections are
-/// bit-identical at every word and height; only throughput differs.
+/// wider words amortise per-tile setup, and [`fill_height`] fills the
+/// lanes a thin fault tail would otherwise waste with extra test
+/// patterns. Detections are bit-identical at every word and height; only
+/// throughput differs.
 pub type KernelWord = W512;
-
-/// The production tile height: up to this many shape-compatible
-/// consecutive tests share one kernel pass (see [`plan_tiles`]). Packing
-/// 4 tests per word keeps the fault axis wide enough for early exits
-/// while filling lanes a thin fault tail would waste.
-pub const TILE_HEIGHT: usize = 4;
-
-// Every pattern of a production tile keeps its reference lane plus at
-// least one fault lane.
-const _: () = assert!(TILE_HEIGHT <= max_tile_height::<KernelWord>());
 
 /// Which observation points count toward detection.
 ///
@@ -169,22 +166,49 @@ pub fn tile_compatible(a: &ScanTest, b: &ScanTest) -> bool {
             .all(|(x, y)| x.at == y.at && x.amount == y.amount)
 }
 
-/// Greedy tiling of a test set: consecutive runs of [`tile_compatible`]
-/// tests, each at most `height` tall, as `(start, end)` index ranges in
-/// test order. Production passes [`TILE_HEIGHT`]; height one (or zero)
-/// gives one tile per test.
-pub fn plan_tiles(tests: &[ScanTest], height: usize) -> Vec<(usize, usize)> {
-    let mut tiles = Vec::new();
-    let mut i = 0;
-    while i < tests.len() {
-        let mut j = i + 1;
-        while j < tests.len() && j - i < height && tile_compatible(&tests[i], &tests[j]) { // lint: panic-ok(i < j < tests.len() by the loop conditions)
-            j += 1;
-        }
-        tiles.push((i, j));
-        i = j;
+/// The length of the run of consecutive tests from `start` that are
+/// [`tile_compatible`] with `tests[start]`: the tallest tile that may
+/// start there. Zero when `start` is past the end.
+pub fn compatible_run(tests: &[ScanTest], start: usize) -> usize {
+    let Some(first) = tests.get(start) else {
+        return 0;
+    };
+    tests
+        .iter()
+        .skip(start)
+        .take_while(|t| tile_compatible(first, t))
+        .count()
+}
+
+/// Kernel passes that simulate `run` tests against `live` faults in
+/// `height`-tall tiles of [`KernelWord`]s: `ceil(run / height)` tiles,
+/// each split into `ceil(live / capacity)` fault chunks. `height` must be
+/// in `1..=max_tile_height::<KernelWord>()`.
+const fn kernel_passes(live: usize, run: usize, height: usize) -> usize {
+    run.div_ceil(height) * live.div_ceil(tile_fault_capacity::<KernelWord>(height))
+}
+
+/// The fill rule: the tile height for `live` faults over a compatible run
+/// of `run` tests.
+///
+/// While one test leaves fault lanes of the word empty (`live` at most
+/// [`tile_fault_capacity`] of a 1-tall tile), the height `h` in
+/// `1..=min(run, max_tile_height)` that minimises the kernel passes,
+/// `ceil(run / h) · ceil(live / tile_fault_capacity(h))`; ties
+/// go to the shorter tile, so drop-as-you-go drops detected faults
+/// sooner. A live list that fills whole 1-tall words runs 1 tall: there
+/// packing only trims the last chunk's rounding, while every extra test
+/// in the tile is simulated against faults its predecessors would have
+/// dropped. The result is always at least 1.
+pub fn fill_height(live: usize, run: usize) -> usize {
+    if live > tile_fault_capacity::<KernelWord>(1) {
+        return 1;
     }
-    tiles
+    let tallest = run.clamp(1, max_tile_height::<KernelWord>());
+    // `min_by_key` keeps the first minimum: the shortest tied height.
+    (1..=tallest)
+        .min_by_key(|&h| kernel_passes(live, run, h))
+        .unwrap_or(1)
 }
 
 /// Pin patches of one gate: `(pin, force)` pairs in ascending pin order.
@@ -335,17 +359,28 @@ impl<W: LaneWord> SoaBatch<W> {
     }
 }
 
-/// Mixes per-pattern bits into one lane word: pattern `p`'s contiguous
-/// lane range is filled with `bit(p)`.
-#[inline]
-fn mix<W: LaneWord, F: FnMut(usize) -> bool>(pmask: &[W], mut bit: F) -> W {
-    let mut w = W::ZERO;
-    for (p, &m) in pmask.iter().enumerate() {
-        if bit(p) {
-            w |= m;
+/// Mixes per-pattern bit rows into lane words: `words[i]` carries bit `i`
+/// of row `p` across pattern `p`'s range of `stride` lanes. Each row sets
+/// one lane per word at the start of its range, then one
+/// [`LaneWord::spread`] per word fills every range at once, so a word
+/// costs the same at every tile height. Rows may be shorter than `words`
+/// (their missing bits are zero).
+fn mix_rows<'a, W: LaneWord>(
+    words: &mut [W],
+    stride: usize,
+    rows: impl Iterator<Item = &'a [bool]>,
+) {
+    words.fill(W::ZERO);
+    for (p, row) in rows.enumerate() {
+        for (w, &bit) in words.iter_mut().zip(row) {
+            if bit {
+                w.set_lane(p * stride, true);
+            }
         }
     }
-    w
+    for w in words.iter_mut() {
+        *w = w.spread(stride);
+    }
 }
 
 /// Evaluates one gate from its fanin slots — the branch-light heart of the
@@ -581,23 +616,28 @@ pub fn simulate_tile_lanes<W: LaneWord>(
     }
     let batch: SoaBatch<W> = SoaBatch::new(circuit, lc, faults, t);
     let stride = batch.stride();
-    // Pattern ranges (reference lane included) carry the stimulus and the
-    // broadcast reference bit; `full` is the fault lanes only.
-    let pmask: Vec<W> = (0..t)
-        .map(|p| W::low_mask((p + 1) * stride) ^ W::low_mask(p * stride))
-        .collect();
-    let ref_lane: Vec<usize> = (0..t).map(|p| mutated_reference_lane(p * stride)).collect();
+    // Pattern `p` owns lanes `[p*stride, (p+1)*stride)`, its reference
+    // lane first; `full` is the fault lanes only. Per-pattern stimulus is
+    // mixed into words by `mix_rows`.
+    let ref_lanes = mutated_reference_lanes((0..t).fold(W::ZERO, |mut acc, p| {
+        acc.set_lane(p * stride, true);
+        acc
+    }));
     let fault_lanes = (0..t).fold(W::ZERO, |acc, p| {
         acc | (W::low_mask((p + 1) * stride) ^ W::low_mask(p * stride + 1))
     });
     let full = mutated_full_mask(fault_lanes, t * stride);
-    // Lanes disagreeing with their pattern's fault-free machine.
-    let diff = |w: W| w ^ mix(&pmask, |p| w.lane(ref_lane[p])); // lint: panic-ok(mix calls back with p < pmask.len() == ref_lane.len())
+    // Lanes disagreeing with their pattern's fault-free machine: the
+    // reference lanes' bits, spread across their ranges, are exactly the
+    // broadcast each lane is compared with.
+    let diff = |w: W| w ^ (w & ref_lanes).spread(stride);
     let mut detected = W::ZERO;
     // Initial scan-in: loaded positions from the tests, the rest at reset.
     let mut state: Vec<W> = vec![W::ZERO; nff];
-    for (i, &pos) in chains.load().iter().enumerate() {
-        state[pos] = mix(&pmask, |p| tests[p].scan_in[i]); // lint: panic-ok(scan-in widths asserted against the chain map above)
+    let mut loaded: Vec<W> = vec![W::ZERO; chains.load().len()];
+    mix_rows(&mut loaded, stride, tests.iter().map(|x| x.scan_in.as_slice()));
+    for (&pos, &w) in chains.load().iter().zip(&loaded) {
+        state[pos] = w; // lint: panic-ok(chain map positions index the dense state vector)
     }
     batch.force_state(&mut state);
     let mut values: Vec<W> = vec![W::ZERO; lc.num_slots()];
@@ -607,15 +647,12 @@ pub fn simulate_tile_lanes<W: LaneWord>(
     let mut fanin_buf: Vec<W> = Vec::with_capacity(8);
     for u in 0..tests[0].len() { // lint: panic-ok(t > 0 asserted at entry)
         if let Some(op) = tests[0].shift_at(u) { // lint: panic-ok(t > 0 asserted at entry)
-            fill_words.clear();
-            for i in 0..op.amount * chains.chains().len() {
-                fill_words.push(mix(&pmask, |p| {
-                    tests[p] // lint: panic-ok(mix calls back with p < pmask.len() == tests.len())
-                        .shift_at(u)
-                        .expect("tile shapes agree") // lint: panic-ok(tile_compatible guarantees a matching shift per pattern)
-                        .fill[i] // lint: panic-ok(a shift carries one fill bit per chain per cycle)
-                }));
-            }
+            fill_words.resize(op.amount * chains.chains().len(), W::ZERO);
+            let fills = tests.iter().map(|x| {
+                let shift = x.shift_at(u).expect("tile shapes agree"); // lint: panic-ok(tile_compatible guarantees a matching shift per pattern)
+                shift.fill.as_slice()
+            });
+            mix_rows(&mut fill_words, stride, fills);
             shift_chains(chains, &mut state, op.amount, &fill_words, &mut scan_out);
             if opts.observe_limited_scan_out {
                 for &w in &scan_out {
@@ -627,9 +664,7 @@ pub fn simulate_tile_lanes<W: LaneWord>(
                 return collect_detections(&batch, full);
             }
         }
-        for (k, w) in pi_words.iter_mut().enumerate() {
-            *w = mix(&pmask, |p| tests[p].vectors[u][k]); // lint: panic-ok(vector widths asserted against num_inputs above)
-        }
+        mix_rows(&mut pi_words, stride, tests.iter().map(|x| x.vectors[u].as_slice())); // lint: panic-ok(tile tests share the length, so u indexes every test's vectors)
         eval_tile(lc, &batch, &pi_words, &state, &mut values, &mut fanin_buf);
         if opts.observe_outputs {
             for &oslot in lc.output_slots() {
@@ -822,17 +857,17 @@ fn mutated_scan_out(chain_index: usize) -> usize {
 
 #[cfg(feature = "kernel-mutate")]
 #[inline]
-fn mutated_reference_lane(lane: usize) -> usize {
+fn mutated_reference_lanes<W: LaneWord>(lanes: W) -> W {
     match mutate::armed() {
-        Some(mutate::KernelMutation::ReferenceLaneSkew) => lane + 1,
-        _ => lane,
+        Some(mutate::KernelMutation::ReferenceLaneSkew) => lanes.shift_up(1),
+        _ => lanes,
     }
 }
 
 #[cfg(not(feature = "kernel-mutate"))]
 #[inline(always)]
-fn mutated_reference_lane(lane: usize) -> usize {
-    lane
+fn mutated_reference_lanes<W: LaneWord>(lanes: W) -> W {
+    lanes
 }
 
 #[cfg(test)]
@@ -1078,7 +1113,7 @@ mod tests {
         let height = max_tile_height::<u64>();
         assert_eq!(height, 32);
         assert_eq!(tile_fault_capacity::<u64>(height), 1);
-        assert_eq!(tile_fault_capacity::<KernelWord>(TILE_HEIGHT), 127);
+        assert_eq!(tile_fault_capacity::<KernelWord>(4), 127);
         let tile_tests: Vec<&ScanTest> = vec![base; height];
         let opts = SimOptions::default();
         let full = ChainMap::full(3);
@@ -1197,15 +1232,45 @@ mod tests {
     }
 
     #[test]
-    fn plan_tiles_groups_compatible_runs_up_to_the_cap() {
+    fn compatible_runs_stop_at_the_first_shape_change() {
         let tests = tileable_set();
-        assert_eq!(plan_tiles(&tests, 4), vec![(0, 4), (4, 6), (6, 7)]);
-        assert_eq!(plan_tiles(&tests, 8), vec![(0, 6), (6, 7)]);
-        assert_eq!(
-            plan_tiles(&tests, 1),
-            (0..7).map(|t| (t, t + 1)).collect::<Vec<_>>(),
-            "height one gives one tile per test"
-        );
-        assert_eq!(plan_tiles(&[], 4), Vec::<(usize, usize)>::new());
+        let runs: Vec<usize> = (0..=tests.len()).map(|i| compatible_run(&tests, i)).collect();
+        assert_eq!(runs, vec![6, 5, 4, 3, 2, 1, 1, 0]);
+        assert_eq!(compatible_run(&[], 0), 0);
+    }
+
+    #[test]
+    fn fill_height_is_the_shortest_pass_minimum() {
+        // Brute force over live counts and run lengths around every
+        // capacity step of the kernel word.
+        let cap = max_tile_height::<KernelWord>();
+        let one_word = tile_fault_capacity::<KernelWord>(1);
+        let lives: Vec<usize> = (0..=40)
+            .chain([63, 64, 126, 127, 128, 255, 256, 510, 511, 512, 1500, 5000])
+            .collect();
+        for &live in &lives {
+            for run in (1..=40).chain([64, 100, 128, 255, 256, 257, 600]) {
+                let h = fill_height(live, run);
+                assert!(h >= 1 && h <= run.min(cap), "live {live} run {run}: height {h}");
+                if live > one_word {
+                    assert_eq!(h, 1, "live {live} fills whole words: 1 tall");
+                    continue;
+                }
+                let best = (1..=run.min(cap))
+                    .map(|k| kernel_passes(live, run, k))
+                    .min()
+                    .unwrap();
+                assert_eq!(kernel_passes(live, run, h), best, "live {live} run {run}");
+                assert!(
+                    (1..h).all(|k| kernel_passes(live, run, k) > best),
+                    "live {live} run {run}: a shorter tile ties height {h}"
+                );
+            }
+        }
+        // A run of zero still yields a usable height.
+        assert_eq!(fill_height(10, 0), 1);
+        // A thin tail fills the word with patterns; a long list does not.
+        assert_eq!(fill_height(30, 128), 16);
+        assert_eq!(fill_height(1704, 16), 1);
     }
 }

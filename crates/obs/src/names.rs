@@ -36,7 +36,6 @@ pub const COUNTERS: &[&str] = &[
     "fsim.lanes_used",        // fault lanes across those batches (reference lanes excluded)
     "fsim.lanes_capacity",    // available lanes across those batches
     "fsim.tiles",             // SoA tile passes (a single test is a 1-tall tile)
-    "dispatch.chunks",        // fault chunks fanned out for one set
     "dispatch.retry_waves",   // re-submission waves after job failures
     "dispatch.respawns",      // supervised worker replacements
     "dispatch.faults_dropped", // faults dropped via the shared bitset
@@ -71,7 +70,6 @@ pub const COUNTERS: &[&str] = &[
 /// Gauge names (sinks keep the last observation).
 pub const GAUGES: &[&str] = &[
     "procedure2.coverage",   // detected-fault count after a kept pair
-    "dispatch.chunk_size",   // adaptive chunk size chosen for a set
     "dispatch.queue_depth",  // jobs pending right after a submission wave
     "pool.worker.busy_nanos", // per-worker time inside simulate calls
     "pool.worker.idle_nanos", // per-worker pool lifetime minus busy time
@@ -84,6 +82,7 @@ pub const GAUGES: &[&str] = &[
 pub const HISTOGRAMS: &[&str] = &[
     "procedure2.trial_cycles", // N_SH(I, D1) cost of one trial
     "fsim.test_nanos",         // sequential engine time per test
+    "fsim.tile_height",        // tests packed into one tile by the fill rule
     "serve.campaign_nanos",    // wall time of one served campaign
 ];
 

@@ -567,7 +567,7 @@ mod tests {
         let tee = TeeSink::new(vec![a.clone() as Arc<dyn Sink>, b.clone()]);
         tee.event(&Event::Metric(MetricRecord {
             kind: MetricKind::Counter,
-            name: "dispatch.chunks",
+            name: "dispatch.batches",
             value: 7,
             fields: Vec::new(),
         }));

@@ -82,6 +82,24 @@ pub trait LaneWord:
     ///
     /// Panics if `n > Self::LANES`.
     fn low_mask(n: usize) -> Self;
+
+    /// Lane `i` moves to lane `i + n`: the low `n` lanes clear and lanes
+    /// moved past the top are lost (`n >= LANES` clears the word).
+    fn shift_up(self, n: usize) -> Self;
+
+    /// The word minus `rhs`, both read as `LANES`-bit unsigned integers
+    /// (lane `i` is bit `i`), modulo `2^LANES`.
+    fn wrapping_sub(self, rhs: Self) -> Self;
+
+    /// Fills `stride` lanes upward from every set lane: set lane `i`
+    /// covers `[i, i + stride)`, cut at the top of the word. Set lanes
+    /// must be at least `stride` apart; then the ranges are disjoint and
+    /// `(self << stride) - self` is exactly their union, whatever the
+    /// number of set lanes.
+    #[inline]
+    fn spread(self, stride: usize) -> Self {
+        self.shift_up(stride).wrapping_sub(self)
+    }
 }
 
 impl LaneWord for u64 {
@@ -113,6 +131,20 @@ impl LaneWord for u64 {
         } else {
             (1u64 << n) - 1
         }
+    }
+
+    #[inline]
+    fn shift_up(self, n: usize) -> Self {
+        if n >= 64 {
+            0
+        } else {
+            self << n
+        }
+    }
+
+    #[inline]
+    fn wrapping_sub(self, rhs: Self) -> Self {
+        u64::wrapping_sub(self, rhs)
     }
 }
 
@@ -276,6 +308,34 @@ impl<const N: usize> LaneWord for WideWord<N> {
         }
         WideWord(out)
     }
+
+    #[inline]
+    fn shift_up(self, n: usize) -> Self {
+        let (limbs, bits) = (n / 64, n % 64);
+        let mut out = [0u64; N];
+        for (i, w) in out.iter_mut().enumerate().skip(limbs) {
+            // In range: limbs <= i < N, so i - limbs and i - limbs - 1
+            // (when positive) index the source.
+            let src = i - limbs;
+            *w = self.0[src] << bits;
+            if bits > 0 && src > 0 {
+                *w |= self.0[src - 1] >> (64 - bits);
+            }
+        }
+        WideWord(out)
+    }
+
+    #[inline]
+    fn wrapping_sub(mut self, rhs: Self) -> Self {
+        let mut borrow = false;
+        for (a, b) in self.0.iter_mut().zip(rhs.0) {
+            let (d, b1) = a.overflowing_sub(b);
+            let (d, b2) = d.overflowing_sub(u64::from(borrow));
+            *a = d;
+            borrow = b1 || b2;
+        }
+        self
+    }
 }
 
 #[cfg(test)]
@@ -343,6 +403,47 @@ mod tests {
         let mut c = a;
         c ^= b;
         assert_eq!(c, a ^ b);
+    }
+
+    /// `spread` against the lane-by-lane definition: every set lane `i`
+    /// fills `[i, i + stride)`, cut at the top.
+    fn check_spread<W: LaneWord>() {
+        for stride in [1, 2, 3, 7, 31, 63, 64, 65, 100, W::LANES / 2, W::LANES] {
+            if stride > W::LANES {
+                continue;
+            }
+            for offset in [0, 1, stride / 2] {
+                // Every other pattern start set, plus the last one, which
+                // may run past the top of the word.
+                let starts: Vec<usize> = (0..)
+                    .map(|p| offset + p * stride)
+                    .take_while(|&i| i < W::LANES)
+                    .collect();
+                let mut w = W::ZERO;
+                for (k, &i) in starts.iter().enumerate() {
+                    if k % 2 == 0 || k + 1 == starts.len() {
+                        w.set_lane(i, true);
+                    }
+                }
+                let spread = w.spread(stride);
+                for lane in 0..W::LANES {
+                    let covered = starts
+                        .iter()
+                        .any(|&i| w.lane(i) && (i..i + stride).contains(&lane));
+                    assert_eq!(spread.lane(lane), covered, "{} lanes stride {stride} lane {lane}", W::LANES);
+                }
+            }
+        }
+        assert_eq!(W::ONES.shift_up(W::LANES), W::ZERO);
+        assert_eq!(W::ZERO.wrapping_sub(W::low_mask(1)), W::ONES);
+    }
+
+    #[test]
+    fn spread_fills_each_range_at_every_width() {
+        check_spread::<u64>();
+        check_spread::<W128>();
+        check_spread::<W256>();
+        check_spread::<W512>();
     }
 
     #[test]

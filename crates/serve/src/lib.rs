@@ -19,7 +19,7 @@
 //!   shared across concurrent campaigns;
 //! - [`exec`]: the [`exec::ServedExecutor`] — the `TrialExecutor` that
 //!   wraps the same `rls_core::PoolExecutor` a direct run drives (shared
-//!   pool, sequential degrade on poisoned chunks) and stops at trial
+//!   pool, sequential degrade on poisoned jobs) and stops at trial
 //!   boundaries when the server drains, the client disconnects, the
 //!   watchdog flags a stall, or a deadline lapses;
 //! - [`server`]: the accept loop, per-connection sessions, admission

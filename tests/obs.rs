@@ -1,8 +1,8 @@
 //! Observability integration: the `rls-obs` layer wired through the
 //! dispatch pool and Procedure 2.
 //!
-//! Covers the adaptive-chunk satellite (submit overhead drops on large
-//! circuits, visible in the pool's job counters) and the metric contract:
+//! Covers the job shape (a set is one job per budget-sized test block,
+//! visible in the pool's job counters) and the metric contract:
 //! every name emitted during a real parallel campaign is a registered
 //! lowercase dot-separated literal from `rls_obs::names`.
 //!
@@ -13,11 +13,11 @@ use std::sync::{Arc, Mutex};
 
 use random_limited_scan::core::{generate_ts0, RlsConfig};
 use random_limited_scan::dispatch::{
-    chunk_size, CompiledCircuit, SharedPool, SharedSetRunner, SharedSimContext,
+    test_blocks, CompiledCircuit, SharedPool, SharedSetRunner, SharedSimContext,
 };
 use random_limited_scan::obs;
 use random_limited_scan::obs::record::Event;
-use rls_fsim::{tile_fault_capacity, KernelWord, LaneWord, ScanTest, SimOptions, TILE_HEIGHT};
+use rls_fsim::{KernelWord, LaneWord, ScanTest, SimOptions};
 use rls_netlist::Circuit;
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
@@ -38,50 +38,39 @@ fn run_one_set(c: &Circuit, tests: &[ScanTest], threads: usize) {
 }
 
 #[test]
-fn adaptive_chunks_cut_submit_overhead_on_large_circuits() {
+fn test_block_jobs_cut_submit_overhead_on_large_circuits() {
     // Serialized with the collector tests: a retiring campaign emits pool
     // metrics into whatever collector is installed.
     let _guard = OBS_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    // s953 is large enough that the adaptive chunk (live / (threads * 8))
-    // exceeds a tile's fault capacity, so fewer jobs cross the queues
-    // than fixed 64-fault chunks would need.
+    // A set is one wave of contiguous test-block jobs sized by the
+    // campaign's budget alone: on s953, whose live list spans many
+    // kernel chunks, the job count is the block count, not tiles x fault
+    // chunks.
     let c = random_limited_scan::benchmarks::by_name("s953").expect("s953 exists");
     let cfg = RlsConfig::new(8, 16, 8);
     let tests = generate_ts0(&c, &cfg);
-    // One worker keeps the adaptive chunk (live / 8) above the 127-fault
-    // tile capacity of the compiled kernel shape.
-    let threads = 1;
-    let pool = SharedPool::new(threads);
-    let mut runner = runner(&pool, &c, threads);
-    let live = runner.live_count();
-    let size = chunk_size(live, threads);
-    assert!(
-        size > tile_fault_capacity::<KernelWord>(TILE_HEIGHT),
-        "s953 must exercise the oversized-chunk path"
-    );
-    runner.try_run_set(&tests).expect("no job fails");
-    let snap = runner.handle().snapshot();
-    // A set is one wave of (tile, chunk) jobs.
-    let jobs: u64 = snap.workers.iter().map(|w| w.jobs).sum();
-    // TS0 tests all share one shape (same length, no shifts), so tiling
-    // packs them `TILE_HEIGHT` tall and batch jobs are (tile, chunk).
-    let tiles = tests.len().div_ceil(TILE_HEIGHT);
-    let adaptive = (tiles * live.div_ceil(size)) as u64;
-    let fixed = (tiles * live.div_ceil(64)) as u64;
-    assert_eq!(jobs, adaptive, "one job per (tile, adaptive chunk)");
-    assert!(
-        jobs < fixed,
-        "adaptive chunks must submit fewer jobs than fixed 64-wide ones \
-         ({jobs} vs {fixed})"
-    );
-    // Oversized chunks were split into tile-capacity sub-batches, each
-    // accounted at the full kernel word. (Jobs whose candidates were all dropped run zero
-    // batches, so no job/batch inequality holds in either direction.)
-    assert!(snap.total_batches() > 0);
-    assert_eq!(
-        snap.total_lanes_capacity(),
-        snap.total_batches() * KernelWord::LANES as u64
-    );
+    for threads in [1, 2] {
+        let pool = SharedPool::new(threads);
+        let mut runner = runner(&pool, &c, threads);
+        let live = runner.live_count();
+        runner.try_run_set(&tests).expect("no job fails");
+        let snap = runner.handle().snapshot();
+        let jobs: u64 = snap.workers.iter().map(|w| w.jobs).sum();
+        let blocks = test_blocks(tests.len(), threads).len() as u64;
+        assert_eq!(jobs, blocks, "one job per test block at budget {threads}");
+        // Fixed 64-fault chunks of 1-tall tiles would need one job per
+        // (test, chunk).
+        let fixed = (tests.len() * live.div_ceil(64)) as u64;
+        assert!(jobs < fixed, "{jobs} block jobs vs {fixed} fixed chunks");
+        // Each job split the live list into tile-capacity sub-batches,
+        // each accounted at the full kernel word.
+        assert!(snap.total_batches() > jobs, "blocks run several kernel passes");
+        assert_eq!(
+            snap.total_lanes_capacity(),
+            snap.total_batches() * KernelWord::LANES as u64
+        );
+        assert!(snap.total_lanes_used() <= snap.total_lanes_capacity());
+    }
 }
 
 #[test]
@@ -113,12 +102,10 @@ fn parallel_campaign_emits_only_registered_metric_names() {
             _ => None,
         })
     };
-    // The executor reported its chunk sizing and queue depth…
-    assert_eq!(
-        gauge("dispatch.chunk_size"),
-        Some(chunk_size(rls_fsim::FaultSimulator::new(&c).live_count(), threads) as u64)
-    );
+    // The executor reported its queue depth and the jobs their tile
+    // heights…
     assert!(gauge("dispatch.queue_depth").is_some());
+    assert!(events.iter().any(|e| e.name() == "fsim.tile_height"));
     // …and the retired campaign its per-worker busy/idle profile.
     let busy = events
         .iter()

@@ -21,7 +21,7 @@ use random_limited_scan::core::cycles::measured_cycles;
 use random_limited_scan::core::{derive_test_set, generate_ts0, ncyc0, RlsConfig};
 use random_limited_scan::fsim::good::traces_differ;
 use random_limited_scan::fsim::{
-    plan_tiles, simulate_tile_lanes, tile_fault_capacity, ChainMap, Fault, FaultId, FaultSimulator,
+    compatible_run, simulate_tile_lanes, tile_fault_capacity, ChainMap, Fault, FaultId, FaultSimulator,
     FaultUniverse, GoodSim, LaneWord, ScanTest, ShiftOp, SimOptions,
 };
 use random_limited_scan::lfsr::{BitMatrix, FibonacciLfsr, SeedSequence};
@@ -477,7 +477,8 @@ fn prop_ragged_tile_boundaries_agree() {
                     // probability, capped so the tall run still fits.
                     let chunk_len = g.usize_in(1, tile_fault_capacity::<W>(p) + 1);
                     let mut per_test: Vec<Vec<FaultId>> = vec![Vec::new(); tests.len()];
-                    for (lo, hi) in plan_tiles(tests, p) {
+                    assert_eq!(compatible_run(tests, 0), p + 1, "one compatible run");
+                    for (lo, hi) in [(0, p), (p, p + 1)] {
                         let tile_tests: Vec<&ScanTest> = tests[lo..hi].iter().collect();
                         for chunk in pairs.chunks(chunk_len) {
                             let tiled =

@@ -117,7 +117,7 @@ fn poisoned_chunk_degrades_to_sequential_with_identical_outcome() {
         let _quiet = Armed::quiescent();
         oracle(&c, &cfg)
     };
-    // Tag 0 is batch (test 0, chunk 0) of every simulated set: it fails
+    // Tag 0 is the first test block of every simulated set: it fails
     // all retries, exhausting the budget and forcing the degrade path.
     let armed = Armed::new(InjectionPlan {
         poison_tag: Some(0),
@@ -203,10 +203,12 @@ fn campaign_io_errors_degrade_persistence_but_never_the_run() {
 fn degraded_campaign_records_exact_fallback_lane_accounting() {
     // The workers record of a degraded campaign carries a `fallback`
     // object with the *sequential* simulator's lane accounting. Pin its
-    // exactness: capacity is batches x the kernel word, and with s27's
-    // ~32 target faults a 512-lane batch is mostly idle, so `lanes_used`
-    // must sit strictly below capacity — a regression to "used == capacity"
-    // (counting allocated instead of occupied lanes) trips this.
+    // exactness: capacity is batches x the kernel word, and every pattern
+    // of a batch spends one lane on its fault-free reference machine
+    // (however tall the fill rule packs s27's ~32 target faults), so
+    // `lanes_used` must sit strictly below capacity — a regression to
+    // "used == capacity" (counting allocated instead of occupied lanes)
+    // trips this.
     let (c, cfg) = s27_cfg();
     let dir = scratch_dir("fallback-lanes");
     let armed = Armed::new(InjectionPlan {
@@ -239,7 +241,7 @@ fn degraded_campaign_records_exact_fallback_lane_accounting() {
     assert!(used > 0, "{workers}");
     assert!(
         used < capacity,
-        "s27 cannot fill 512-lane batches; used == capacity means the \
-         accounting regressed to allocated lanes: {workers}"
+        "reference lanes keep every batch below 512 fault lanes; used == \
+         capacity means the accounting regressed to allocated lanes: {workers}"
     );
 }

@@ -331,15 +331,14 @@ fn watchdog_requeues_a_stalled_campaign_and_the_outcome_is_exact() {
     let _g = lock();
     // Two-phase schedule. A mild 2ms-per-job delay from the start keeps
     // the campaign alive long enough to interfere with (a direct s208
-    // run finishes in milliseconds) while every wave — TS0's 32 jobs
-    // included — stays far inside the wave timeout. Once the TS0
-    // checkpoint lands, the schedule counts jobs instead: every 40th job
-    // sleeps 160ms. A trial set here is one wave of 8–14 (tile, chunk)
-    // jobs (2 tiles x 4–7 chunks), so a set holds at
-    // most one sleeping job, and that one job alone keeps the set from
-    // beating for 160ms whatever the set's job count — past the 100ms
-    // deadline plus its 25ms scan period, still under the 200ms wave
-    // timeout. So the *stall* path (requeue from checkpoint, then
+    // run finishes in milliseconds) while every wave — TS0's included —
+    // stays far inside the wave timeout. Once the TS0 checkpoint lands,
+    // the schedule counts jobs instead: every 40th job sleeps 160ms. A
+    // set here is one wave of at most 8 test-block jobs (4 blocks per
+    // unit of the 2-thread budget), so a set holds at most one sleeping
+    // job, and that one job alone keeps the set from beating for 160ms
+    // whatever the set's job count — past the 100ms deadline plus its
+    // 25ms scan period, still under the 200ms wave timeout. So the *stall* path (requeue from checkpoint, then
     // force-degrade) is what runs, not the coarse inline wave-failure
     // fallback, and it runs within the first few trial sets.
     inject::arm_from_spec("job_delay=1:2").unwrap();

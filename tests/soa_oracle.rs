@@ -18,13 +18,17 @@
 //!
 //! The kernel-level matrix calls the width-generic
 //! `simulate_tile_lanes::<W>` directly at every lane word (`u64` through
-//! `W512`) × tile height 1/2/4/8: it is where the kernel-shape axis lives,
-//! since production runs one compiled shape (`KernelWord` ×
-//! `TILE_HEIGHT`). The engine- and dispatch-level tests add fault
-//! dropping and the thread axis at that shape against a serial
-//! drop-as-you-go reference, on s27 and on s208, whose ~400-fault list
-//! spans several 127-fault chunks so the cross-chunk merge and drop order
-//! are exercised.
+//! `W512`) × fixed tile height 1/2/4/8: it is where the kernel-shape axis
+//! lives, since production runs one word (`KernelWord`) and picks each
+//! tile's height from the live count (`fill_height`). The engine- and
+//! dispatch-level tests add fault dropping, that fill rule and the
+//! thread axis against a serial drop-as-you-go reference: on s27, and on
+//! s208 and s298 through `TS0` and then derived `TS(I, D1)` sets against
+//! the post-`TS0` live list. The full lists take short tiles split into
+//! several fault chunks (the cross-chunk merge and drop order); the
+//! post-`TS0` tails of tens of faults take tiles as tall as a whole
+//! compatible run; a `FreeRunning` set, whose schedules differ test to
+//! test, takes 1-tall tiles.
 //!
 //! The mutation self-tests compile only under `--features kernel-mutate`:
 //! each armed corruption must flip the differential red on the very
@@ -32,15 +36,15 @@
 //! harness that cannot catch a wrong opcode proves nothing.
 
 use random_limited_scan::core::extension::{derive_mc_test_set, generate_ts0_partial};
-use random_limited_scan::core::{derive_test_set, generate_ts0, RlsConfig};
+use random_limited_scan::core::{derive_test_set, generate_ts0, RlsConfig, SeedMode};
 use random_limited_scan::dispatch::{
     CompiledCircuit, SharedPool, SharedSetRunner, SharedSimContext,
 };
 use rls_fsim::good::traces_differ;
 use rls_fsim::{
-    plan_tiles, simulate_tile_lanes, tile_fault_capacity, ChainMap, Fault, FaultId, FaultSimulator,
-    FaultUniverse, GoodSim, KernelWord, LaneWord, ScanTest, ShiftOp, SimOptions, TestTrace,
-    TILE_HEIGHT,
+    compatible_run, fill_height, max_tile_height, simulate_tile_lanes, tile_fault_capacity,
+    ChainMap, Fault, FaultId, FaultSimulator, FaultUniverse, GoodSim, KernelWord, LaneWord,
+    ScanTest, ShiftOp, SimOptions, TestTrace,
 };
 use rls_netlist::{Circuit, LevelizedCircuit};
 use rls_scan::{for_each_lane_word, MultiChain, PartialScan};
@@ -143,7 +147,9 @@ fn soa_per_test<W: LaneWord>(
 ) -> Vec<Vec<FaultId>> {
     let lc = LevelizedCircuit::build(c, &c.levelize().expect("benchmarks are acyclic"));
     let mut per_test: Vec<Vec<FaultId>> = vec![Vec::new(); tests.len()];
-    for (lo, hi) in plan_tiles(tests, height) {
+    let mut lo = 0;
+    while lo < tests.len() {
+        let hi = lo + compatible_run(tests, lo).min(height);
         let tile_tests: Vec<&ScanTest> = tests[lo..hi].iter().collect();
         for chunk in pairs.chunks(tile_fault_capacity::<W>(hi - lo)) {
             let per_pattern = simulate_tile_lanes::<W>(c, &lc, chains, &tile_tests, chunk, opts);
@@ -151,6 +157,7 @@ fn soa_per_test<W: LaneWord>(
                 per_test[lo + p].extend(det);
             }
         }
+        lo = hi;
     }
     per_test
 }
@@ -234,32 +241,37 @@ fn assert_matrix_matches(
     });
 }
 
-/// The serial drop-as-you-go reference: tests in order, live faults in
-/// candidate order, each detection dropped before the next test. Returns
-/// the detection sequence and the surviving live list.
+/// The serial drop-as-you-go reference over a sequence of sets: tests in
+/// order, live faults in candidate order, each detection dropped before
+/// the next test. Returns, per set, the detection sequence and the live
+/// list left after it.
 fn serial_dropping(
     c: &Circuit,
     chains: &ChainMap,
-    tests: &[ScanTest],
-) -> (Vec<FaultId>, Vec<FaultId>) {
+    sets: &[Vec<ScanTest>],
+) -> Vec<(Vec<FaultId>, Vec<FaultId>)> {
     let engine = FaultSimulator::new(c);
     let good = GoodSim::new(c).with_chains(chains.clone());
     let mut live = engine.live().to_vec();
-    let mut detected = Vec::new();
-    for t in tests {
-        let trace = good.simulate_test(t);
-        let newly: Vec<FaultId> = live
-            .iter()
-            .copied()
-            .filter(|&id| {
-                let faulty = good.simulate_faulty(t, engine.universe().fault(id));
-                traces_differ(&trace, &faulty)
-            })
-            .collect();
-        live.retain(|id| !newly.contains(id));
-        detected.extend(newly);
+    let mut per_set = Vec::new();
+    for set in sets {
+        let mut detected = Vec::new();
+        for t in set {
+            let trace = good.simulate_test(t);
+            let newly: Vec<FaultId> = live
+                .iter()
+                .copied()
+                .filter(|&id| {
+                    let faulty = good.simulate_faulty(t, engine.universe().fault(id));
+                    traces_differ(&trace, &faulty)
+                })
+                .collect();
+            live.retain(|id| !newly.contains(id));
+            detected.extend(newly);
+        }
+        per_set.push((detected, live.clone()));
     }
-    (detected, live)
+    per_set
 }
 
 #[test]
@@ -358,73 +370,136 @@ fn s298_sampled_partial_and_multichain_differential_is_order_exact() {
     }
 }
 
-/// The engine and dispatch matrices' circuits and tests: s27's mixed set
-/// under each scan style, and s208's TS0 under full scan. s208's ~400
-/// target faults span several chunks of the compiled tile capacity, so
-/// the cross-chunk merge and drop order are exercised.
-fn dropping_cases() -> Vec<(String, Circuit, ChainMap, Vec<ScanTest>)> {
+/// `TS0` of `c` followed by derived sets as Procedure 2 simulates them:
+/// three paper-literal (`PerTest`) `TS(I, D1)` sets, whose same-length
+/// tests share one schedule, and one `FreeRunning` set, whose schedules
+/// differ test to test.
+fn campaign_sets(c: &Circuit) -> Vec<Vec<ScanTest>> {
+    let mut cfg = RlsConfig::new(4, 8, 16);
+    let d2 = cfg.d2(c.num_dffs());
+    let ts0 = generate_ts0(c, &cfg);
+    let mut sets = vec![ts0.clone()];
+    for (i, d1) in [(1, 1), (1, 3), (2, 2)] {
+        sets.push(derive_test_set(&ts0, &cfg, i, d1, d2));
+    }
+    cfg.seed_mode = SeedMode::FreeRunning;
+    sets.push(derive_test_set(&ts0, &cfg, 3, 1, d2));
+    sets
+}
+
+/// The engine and dispatch matrices' circuits and set sequences: s27's
+/// mixed set under each scan style, and `TS0` plus derived sets on s208
+/// and s298 under full scan.
+fn dropping_cases() -> Vec<(String, Circuit, ChainMap, Vec<Vec<ScanTest>>)> {
     let s27 = random_limited_scan::benchmarks::s27();
     let mut cases: Vec<_> = s27_scan_styles()
         .into_iter()
         .map(|chains| {
             let tests = tests_for(&chains, &mixed_s27_tests(&s27));
-            (format!("s27 {chains:?}"), s27.clone(), chains, tests)
+            (format!("s27 {chains:?}"), s27.clone(), chains, vec![tests])
         })
         .collect();
-    let s208 = random_limited_scan::benchmarks::by_name("s208").expect("s208 exists");
-    let tests = generate_ts0(&s208, &RlsConfig::new(4, 8, 8));
-    let full = ChainMap::full(s208.num_dffs());
-    let chunk = tile_fault_capacity::<KernelWord>(TILE_HEIGHT);
-    assert!(
-        FaultSimulator::new(&s208).live_count() > 3 * chunk,
-        "s208 must span at least three {chunk}-fault chunks"
-    );
-    cases.push(("s208".to_string(), s208, full, tests));
+    for name in ["s208", "s298"] {
+        let c = random_limited_scan::benchmarks::by_name(name).expect("registered circuit");
+        let full = ChainMap::full(c.num_dffs());
+        let sets = campaign_sets(&c);
+        cases.push((name.to_string(), c, full, sets));
+    }
     cases
+}
+
+/// The tile heights the fill rule picks for `set` when each tile starts
+/// from `live` faults — the heights of the set's first tiles, before any
+/// fault drops.
+fn planned_heights(live: usize, set: &[ScanTest]) -> Vec<usize> {
+    let mut heights = Vec::new();
+    let mut next = 0;
+    while next < set.len() {
+        let h = fill_height(live, compatible_run(set, next));
+        heights.push(h);
+        next += h;
+    }
+    heights
+}
+
+#[test]
+fn campaign_sets_drive_the_fill_rule_across_heights() {
+    // The engine matrix below must see tiles split into several fault
+    // chunks (the full lists), tall tiles that fit a thin tail into one
+    // chunk (the post-TS0 tails) and the FreeRunning set's 1-tall runs.
+    let campaigns = dropping_cases().into_iter().filter(|case| case.3.len() > 1);
+    for (label, c, chains, sets) in campaigns {
+        let serial = serial_dropping(&c, &chains, &sets);
+        let full = FaultSimulator::new(&c).live_count();
+        let first = planned_heights(full, &sets[0])[0];
+        assert!(
+            full > tile_fault_capacity::<KernelWord>(first),
+            "{label}: TS0's first {first}-tall tile splits {full} faults into several chunks"
+        );
+        let tail = serial[0].1.len();
+        assert!(tail > 0, "{label}: TS0 leaves faults for the derived sets");
+        let run = compatible_run(&sets[1], 0);
+        assert!(run > 1, "{label}: PerTest tests of one length share a schedule");
+        let tall = planned_heights(tail, &sets[1])[0];
+        assert!(
+            tall >= 8 && tall <= run.min(max_tile_height::<KernelWord>()),
+            "{label}: a {tail}-fault tail packs a tall tile of its {run}-test run, got {tall}"
+        );
+        let free = sets.last().unwrap();
+        let runs: Vec<usize> = (0..free.len()).map(|i| compatible_run(free, i)).collect();
+        assert!(runs.iter().all(|&r| r == 1), "{label}: FreeRunning runs {runs:?}");
+    }
 }
 
 #[test]
 fn engine_matrix_matches_the_serial_reference_under_dropping() {
-    // The engine layers fault dropping, collapsing and tiling on the
-    // kernel; the detection *sequence* (not just the set) must be the
-    // serial drop-as-you-go one on every case.
-    for (label, c, chains, tests) in dropping_cases() {
-        let (expect, _) = serial_dropping(&c, &chains, &tests);
-        assert!(!expect.is_empty());
+    // The engine layers fault dropping, collapsing and the fill rule on
+    // the kernel; the detection *sequence* (not just the set) of every
+    // set must be the serial drop-as-you-go one on every case.
+    for (label, c, chains, sets) in dropping_cases() {
+        let serial = serial_dropping(&c, &chains, &sets);
+        assert!(!serial[0].0.is_empty());
         let mut sim = FaultSimulator::new(&c);
         sim.set_chains(chains);
-        sim.run_tests(&tests);
-        assert_eq!(
-            sim.detected(),
-            &expect[..],
-            "{label}: detection sequence diverged from the serial reference"
-        );
+        for (k, (set, (expect, live))) in sets.iter().zip(&serial).enumerate() {
+            let before = sim.detected_count();
+            sim.run_tests(set);
+            assert_eq!(
+                &sim.detected()[before..],
+                &expect[..],
+                "{label} set {k}: detection sequence diverged from the serial reference"
+            );
+            assert_eq!(sim.live(), &live[..], "{label} set {k}");
+        }
     }
 }
 
 #[test]
 fn dispatch_thread_matrix_matches_the_engine() {
-    // The pooled runner tiles tests across the shared pool's workers; its
+    // The pooled runner splits each set into budget-sized test blocks
+    // across the shared pool's workers; after every set its count and
     // surviving live list must equal the serial drop-as-you-go
     // reference's (which the engine matrix above pins the sequential
-    // engine to) at every thread count.
-    for (label, c, chains, tests) in dropping_cases() {
+    // engine to) at every budget.
+    for (label, c, chains, sets) in dropping_cases() {
         if chains != ChainMap::full(c.num_dffs()) {
             continue;
         }
-        let (detected, live) = serial_dropping(&c, &chains, &tests);
+        let serial = serial_dropping(&c, &chains, &sets);
         let compiled = CompiledCircuit::compile(c).expect("benchmarks are acyclic");
         let compiled = std::sync::Arc::new(compiled);
-        for threads in [1, 2, 4] {
+        for budget in [1, 2, 4] {
             let ctx = SharedSimContext::new(compiled.clone(), SimOptions::default());
-            let pool = SharedPool::new(threads);
-            let mut runner = SharedSetRunner::new(ctx.into(), pool.register(threads));
-            let count = runner.try_run_set(&tests).expect("no job fails").len();
-            assert_eq!(
-                (count, runner.live()),
-                (detected.len(), &live[..]),
-                "{label} x {threads} thread(s)"
-            );
+            let pool = SharedPool::new(budget);
+            let mut runner = SharedSetRunner::new(ctx.into(), pool.register(budget));
+            for (k, (set, (detected, live))) in sets.iter().zip(&serial).enumerate() {
+                let count = runner.try_run_set(set).expect("no job fails").len();
+                assert_eq!(
+                    (count, runner.live()),
+                    (detected.len(), &live[..]),
+                    "{label} set {k} x budget {budget}"
+                );
+            }
         }
     }
 }
