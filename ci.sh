@@ -55,9 +55,9 @@ done
 
 echo "== fsim: thread matrix =="
 # A full table run must be byte-identical at every thread count: the
-# sequential engine and the pooled runner's test-block jobs run one
-# kernel word (KernelWord), pick every tile's height from the live count
-# with one fill rule, and merge detections in the same order. s208's
+# sequential engine and the pooled runner's test-block jobs run the same
+# tile walk (one kernel word, every tile's height from the live count
+# by one fill rule) and merge detections in the same order. s208's
 # fault list spans several kernel chunks; the ablations binary adds the
 # FreeRunning schedules, whose tiles are 1 tall. The kernel-shape axis
 # (every lane word x tile height 1/2/4/8) lives in the soa oracle below.
@@ -73,6 +73,18 @@ done
 for t in 2 4; do
     cmp "$THREAD_DIR/t1.out" "$THREAD_DIR/t$t.out"
     cmp "$THREAD_DIR/ablations-t1.out" "$THREAD_DIR/ablations-t$t.out"
+done
+# Every thread count runs the one executor, so the normalized campaign
+# records (trials, checkpoints, summary) must match byte for byte once
+# line 1, the header that records `threads`, is dropped.
+cargo build -q --release --offline -p rls-serve --example rls_client
+for t in 1 2 4; do
+    ./target/release/examples/rls_client direct --campaign-dir "$THREAD_DIR/direct-t$t" \
+        --circuit s208 --la 2 --lb 3 --n 2 --max-iterations 2 --threads "$t" \
+        2> /dev/null | tail -n +2 > "$THREAD_DIR/direct-t$t.out"
+done
+for t in 2 4; do
+    cmp "$THREAD_DIR/direct-t1.out" "$THREAD_DIR/direct-t$t.out"
 done
 rm -rf "$THREAD_DIR"
 

@@ -45,6 +45,7 @@
 //! workload's fastest row.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Instant;
 
 use rls_core::{derive_test_set, generate_ts0, RlsConfig};
@@ -96,7 +97,7 @@ struct Sample {
 /// chains.
 struct Setup<'c> {
     circuit: &'c Circuit,
-    lc: LevelizedCircuit,
+    lc: &'c LevelizedCircuit,
     chains: ChainMap,
 }
 
@@ -120,7 +121,7 @@ fn one_pass<W: LaneWord>(
         for chunk in live.chunks(tile_fault_capacity::<W>(tile.len())) {
             batches += 1;
             let opts = SimOptions::default();
-            let dets = simulate_tile_lanes::<W>(s.circuit, &s.lc, &s.chains, &tile, chunk, opts);
+            let dets = simulate_tile_lanes::<W>(s.circuit, s.lc, &s.chains, &tile, chunk, opts);
             for (p, d) in dets.into_iter().enumerate() {
                 per_pattern[p].extend(d);
             }
@@ -195,16 +196,17 @@ fn main() {
     let ts0 = generate_ts0(&c, &cfg);
     let derived = derive_test_set(&ts0, &cfg, 1, 1, cfg.d2(c.num_dffs()));
     let mut engine = FaultSimulator::new(&c);
-    let pairs = |engine: &FaultSimulator<'_>| -> Vec<(FaultId, Fault)> {
+    let pairs = |engine: &FaultSimulator| -> Vec<(FaultId, Fault)> {
         engine
             .live()
             .iter()
             .map(|&id| (id, engine.universe().fault(id)))
             .collect()
     };
+    let compiled = Arc::clone(engine.compiled());
     let setup = Setup {
-        circuit: &c,
-        lc: LevelizedCircuit::build(&c, engine.good().levelization()),
+        circuit: compiled.circuit(),
+        lc: compiled.levelized(),
         chains: ChainMap::full(c.num_dffs()),
     };
     let full = pairs(&engine);

@@ -12,23 +12,26 @@
 //! The greedy selection across trials is inherently sequential (each kept
 //! pair changes the fault list the next trial sees), but each trial's
 //! test-set simulation is embarrassingly parallel. The driver abstracts
-//! the per-set simulation behind [`TrialExecutor`]: `threads = 1` runs the
-//! sequential [`FaultSimulator`] oracle, `threads > 1` registers one
-//! campaign on an `rls-dispatch` [`SharedPool`] — the same path the
-//! `rls-serve` campaign server takes — and shards each set across it with
-//! a deterministic reduction ([`PoolExecutor`]), so both paths produce
-//! bit-identical [`Procedure2Outcome`]s. With
-//! `campaign_dir` set, a JSONL campaign record (per-trial lines, per-worker
-//! counters) is persisted.
+//! the per-set simulation behind [`TrialExecutor`], and one executor,
+//! [`CampaignExecutor`], implements it: a [`FaultSimulator`] owns the
+//! campaign's fault list, and an optional `rls-dispatch`
+//! [`SharedSetRunner`] computes a set's detections on a pool. With
+//! `threads = 1` there is no runner and every set runs through the
+//! simulator's own tile walk; `threads > 1` registers one campaign on a
+//! private [`SharedPool`] — the same path the `rls-serve` campaign server
+//! takes — and the simulator applies what the runner's deterministic
+//! reduction returns, so both produce bit-identical
+//! [`Procedure2Outcome`]s. With `campaign_dir` set, a JSONL campaign
+//! record (per-trial lines, per-worker counters) is persisted.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use rls_dispatch::{
-    Campaign, CampaignHandle, CampaignSummary, CompiledCircuit, PoolSnapshot, SharedPool,
-    SharedSetRunner, SharedSimContext, TrialRecord,
+    Campaign, CampaignHandle, CampaignSummary, PoolSnapshot, SharedPool, SharedSetRunner,
+    TrialRecord,
 };
-use rls_fsim::{FaultId, FaultSimulator, ScanTest};
+use rls_fsim::{CompiledCircuit, FaultId, FaultSimulator, ScanTest};
 use rls_netlist::Circuit;
 
 use crate::config::{CoverageTarget, RlsConfig};
@@ -112,10 +115,10 @@ impl<'c> Procedure2<'c> {
 
     /// Runs the procedure to completion.
     ///
-    /// `cfg.threads` selects the execution path: `1` is the sequential
-    /// oracle, `> 1` shards every test-set simulation across a private
-    /// `rls-dispatch` [`SharedPool`] of that many workers. Both produce
-    /// bit-identical outcomes.
+    /// `cfg.threads` selects the execution path: `1` runs every set on
+    /// the executor's own simulator, `> 1` shards every test-set
+    /// simulation across a private `rls-dispatch` [`SharedPool`] of that
+    /// many workers. Both produce bit-identical outcomes.
     /// With `cfg.campaign_dir` set, a JSONL campaign record (including
     /// resume checkpoints) streams crash-safely into that directory
     /// (failures to persist are reported on stderr, never fatal).
@@ -185,11 +188,28 @@ impl<'c> Procedure2<'c> {
             resumed = resume.is_some()
         );
         let mut campaign = self.make_campaign(threads, resume.as_ref());
-        let outcome = if threads == 1 {
-            self.run_sequential(campaign.as_mut(), resume)
-        } else {
-            self.run_parallel(threads, campaign.as_mut(), resume)
+        let compiled = match CompiledCircuit::compile(self.circuit.clone()) {
+            Ok(compiled) => Arc::new(compiled),
+            // lint: panic-ok(FaultSimulator::new panics on the same cyclic input; one contract for every thread count)
+            Err(e) => panic!("circuit cannot be simulated: {e}"),
         };
+        // One thread runs without a pool: a one-worker pool would cut
+        // every set into test blocks, and shorter runs fill fewer lanes.
+        let pool = (threads > 1).then(|| SharedPool::new(threads));
+        let handle = pool.as_ref().map(|pool| pool.register(threads));
+        let mut exec = CampaignExecutor::new(&compiled, &self.cfg, handle);
+        let outcome = self.drive(&mut exec, campaign.as_mut(), resume);
+        if let Some(campaign) = campaign.as_mut() {
+            if let Some(snapshot) = exec.snapshot() {
+                campaign.record_workers(snapshot);
+            }
+        }
+        // Retire the campaign (emitting its pool metrics) before the
+        // workers shut down.
+        drop(exec);
+        if let Some(pool) = pool {
+            pool.shutdown();
+        }
         if let Some(campaign) = campaign.as_mut() {
             campaign.record_summary(CampaignSummary {
                 detected: outcome.total_detected,
@@ -229,43 +249,6 @@ impl<'c> Procedure2<'c> {
                 Campaign::new(name, threads)
             }
         })
-    }
-
-    fn run_sequential(
-        &self,
-        campaign: Option<&mut Campaign>,
-        resume: Option<ResumeState>,
-    ) -> Procedure2Outcome {
-        let mut sim = FaultSimulator::new(self.circuit);
-        sim.set_options(self.cfg.observe);
-        if let CoverageTarget::Faults(targets) = &self.cfg.target {
-            sim.set_targets(targets);
-        }
-        self.drive(&mut SequentialExecutor { sim }, campaign, resume)
-    }
-
-    fn run_parallel(
-        &self,
-        threads: usize,
-        mut campaign: Option<&mut Campaign>,
-        resume: Option<ResumeState>,
-    ) -> Procedure2Outcome {
-        let compiled = match CompiledCircuit::compile(self.circuit.clone()) {
-            Ok(compiled) => Arc::new(compiled),
-            // lint: panic-ok(the sequential oracle's FaultSimulator::new panics on the same cyclic input; one contract for both paths)
-            Err(e) => panic!("circuit cannot be simulated: {e}"),
-        };
-        let pool = SharedPool::new(threads);
-        let mut exec = PoolExecutor::new(&compiled, &self.cfg, pool.register(threads));
-        let outcome = self.drive(&mut exec, campaign.as_deref_mut(), resume);
-        if let Some(c) = campaign {
-            c.record_workers(exec.snapshot());
-        }
-        // Retire the campaign (emitting its pool metrics) before the
-        // workers shut down.
-        drop(exec);
-        pool.shutdown();
-        outcome
     }
 
     /// The greedy selection loop, generic over how a set is simulated.
@@ -516,18 +499,124 @@ pub trait TrialExecutor {
     }
 }
 
-/// The sequential oracle: one [`FaultSimulator`], tests applied in order
-/// with fault dropping in between.
-struct SequentialExecutor<'c> {
-    sim: FaultSimulator<'c>,
+/// The one trial executor: a [`FaultSimulator`] owns the campaign's
+/// fault list, and an optional [`SharedSetRunner`] computes each set's
+/// detections on a pool.
+///
+/// Built from the compiled circuit, the run configuration, and, for a
+/// pooled run, a registered [`CampaignHandle`], so `observe` and
+/// [`CoverageTarget::Faults`] are applied here for direct and served
+/// runs alike. Without a runner a set runs through
+/// [`FaultSimulator::run_tests`]; with one, the runner simulates the set
+/// against the simulator's live list and the simulator applies the
+/// detections it returns.
+///
+/// If a set keeps failing through the pool's retry budget (a poisoned
+/// job, a timed-out wave), the executor *degrades*: it drops the runner
+/// and runs the failed set — which the runner left unapplied — and every
+/// later set on the simulator. The sequential path is the oracle the pool
+/// is tested against, so the outcome is unchanged; only the wall clock
+/// suffers.
+pub struct CampaignExecutor {
+    sim: FaultSimulator,
+    runner: Option<SharedSetRunner>,
+    /// A degraded campaign's pool handle, kept for its worker counters.
+    /// Holding it instead of dropping it means a job a timed-out wave
+    /// left running finishes on its own instead of blocking the campaign.
+    retired: Option<CampaignHandle>,
 }
 
-impl TrialExecutor for SequentialExecutor<'_> {
+impl std::fmt::Debug for CampaignExecutor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CampaignExecutor")
+            .field("pooled", &self.runner.is_some())
+            .field("degraded", &self.retired.is_some())
+            .finish_non_exhaustive()
+    }
+}
+
+impl CampaignExecutor {
+    /// An executor targeting what `cfg.target` names: pooled on `handle`'s
+    /// campaign if there is one, sequential otherwise.
+    pub fn new(
+        compiled: &Arc<CompiledCircuit>,
+        cfg: &RlsConfig,
+        handle: Option<CampaignHandle>,
+    ) -> Self {
+        let mut sim = FaultSimulator::on(Arc::clone(compiled));
+        sim.set_options(cfg.observe);
+        if let CoverageTarget::Faults(targets) = &cfg.target {
+            sim.set_targets(targets);
+        }
+        let runner =
+            handle.map(|handle| SharedSetRunner::new(Arc::clone(compiled), cfg.observe, handle));
+        CampaignExecutor {
+            sim,
+            runner,
+            retired: None,
+        }
+    }
+
+    /// Bounds how long a wave barrier may wait for its jobs (`None`
+    /// waits forever). A timed-out wave fails its set, which degrades
+    /// that set to the sequential oracle.
+    pub fn set_wave_timeout(&mut self, timeout: Option<std::time::Duration>) {
+        if let Some(runner) = self.runner.as_mut() {
+            runner.set_wave_timeout(timeout);
+        }
+    }
+
+    /// The campaign's worker counters — the payload of the `workers`
+    /// record — or `None` for a run without a pool. After a degrade, the
+    /// lanes of the sets the simulator ran are folded in, so
+    /// `lanes_used`/`capacity` stay exact.
+    pub fn snapshot(&self) -> Option<PoolSnapshot> {
+        match (&self.runner, &self.retired) {
+            (Some(runner), _) => Some(runner.handle().snapshot()),
+            (None, Some(handle)) => {
+                Some(handle.snapshot().with_fallback_lanes(self.sim.lane_stats()))
+            }
+            (None, None) => None,
+        }
+    }
+
+    /// Drops the runner: this and every later set runs on the simulator.
+    /// Detections are bit-identical because the simulator owns the same
+    /// live list the runner would have simulated against.
+    pub fn force_degrade(&mut self) {
+        if let Some(runner) = self.runner.take() {
+            self.retired = Some(runner.into_handle());
+        }
+    }
+}
+
+impl TrialExecutor for CampaignExecutor {
     fn live_count(&self) -> usize {
         self.sim.live_count()
     }
 
     fn apply_set(&mut self, tests: &[ScanTest]) -> usize {
+        if let Some(runner) = &self.runner {
+            match runner.try_run_set(self.sim.live(), tests) {
+                Ok(newly) => {
+                    self.sim.apply_detections(&newly);
+                    return newly.len();
+                }
+                Err(e) => {
+                    eprintln!(
+                        "[procedure2] parallel set execution failed ({e}); \
+                         degrading campaign to the sequential simulator"
+                    );
+                    // The moment worth a post-mortem: mark it and dump the
+                    // flight recorder's window.
+                    rls_obs::mark!("dispatch.degrade");
+                    if let Some(path) = rls_obs::recorder::dump("degrade") {
+                        eprintln!("[procedure2] flight-recorder dump: {}", path.display());
+                    }
+                    self.force_degrade();
+                }
+            }
+        }
         self.sim.run_tests(tests)
     }
 
@@ -538,140 +627,9 @@ impl TrialExecutor for SequentialExecutor<'_> {
     fn restrict(&mut self, live: &[FaultId]) {
         self.sim.set_targets(live);
     }
-}
-
-/// The pool-backed executor: each set fans out across a campaign's share
-/// of a [`SharedPool`] with shared-bitset fault dropping and a
-/// deterministic reduction.
-///
-/// Built from the compiled circuit, the run configuration, and a
-/// registered [`CampaignHandle`], so `observe` and
-/// [`CoverageTarget::Faults`] are applied here for direct and served runs
-/// alike.
-///
-/// If a set keeps failing through the pool's retry budget (a poisoned
-/// job), the executor *degrades*: the failed set — whose bookkeeping
-/// the runner left untouched — and every later set run on a sequential
-/// [`FaultSimulator`] seeded with the set-start live list. The sequential
-/// path is the oracle the pool is tested against, so the outcome is
-/// unchanged; only the wall clock suffers.
-pub struct PoolExecutor<'c> {
-    runner: SharedSetRunner,
-    compiled: &'c CompiledCircuit,
-    fallback: Option<FaultSimulator<'c>>,
-}
-
-impl std::fmt::Debug for PoolExecutor<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoolExecutor")
-            .field("degraded", &self.fallback.is_some())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'c> PoolExecutor<'c> {
-    /// An executor for one campaign registered on a pool, targeting what
-    /// `cfg.target` names.
-    pub fn new(
-        compiled: &'c Arc<CompiledCircuit>,
-        cfg: &RlsConfig,
-        handle: CampaignHandle,
-    ) -> Self {
-        let ctx = SharedSimContext::new(Arc::clone(compiled), cfg.observe);
-        let mut runner = SharedSetRunner::new(Arc::new(ctx), handle);
-        if let CoverageTarget::Faults(targets) = &cfg.target {
-            runner.set_targets(targets);
-        }
-        PoolExecutor {
-            runner,
-            compiled,
-            fallback: None,
-        }
-    }
-
-    /// Bounds how long a wave barrier may wait for its jobs (`None`
-    /// waits forever). A timed-out wave fails its set, which degrades
-    /// that set to the sequential oracle.
-    pub fn set_wave_timeout(&mut self, timeout: Option<std::time::Duration>) {
-        self.runner.set_wave_timeout(timeout);
-    }
-
-    /// The campaign's worker counters, with the sequential fallback's lane
-    /// accounting folded in so `lanes_used`/`capacity` stay exact even
-    /// after a poisoned set — the payload of the `workers` record.
-    pub fn snapshot(&self) -> PoolSnapshot {
-        let snap = self.runner.handle().snapshot();
-        match &self.fallback {
-            Some(sim) => snap.with_fallback_lanes(sim.lane_stats()),
-            None => snap,
-        }
-    }
-
-    /// Routes this and every later set to the sequential oracle, seeded
-    /// with the runner's current live list. Detections are bit-identical
-    /// because the fallback replays whole sets against the same live list.
-    pub fn force_degrade(&mut self) {
-        self.fallback();
-    }
-
-    /// The sequential fallback, installed on first use.
-    fn fallback(&mut self) -> &mut FaultSimulator<'c> {
-        let (runner, circuit) = (&self.runner, self.compiled.circuit());
-        self.fallback.get_or_insert_with(|| {
-            let ctx = runner.context();
-            let mut sim = FaultSimulator::new(circuit);
-            sim.set_options(ctx.options());
-            sim.set_targets(runner.live());
-            sim
-        })
-    }
-}
-
-impl TrialExecutor for PoolExecutor<'_> {
-    fn live_count(&self) -> usize {
-        match &self.fallback {
-            Some(sim) => sim.live_count(),
-            None => self.runner.live_count(),
-        }
-    }
-
-    fn apply_set(&mut self, tests: &[ScanTest]) -> usize {
-        if self.fallback.is_none() {
-            match self.runner.try_run_set(tests) {
-                Ok(newly) => return newly.len(),
-                Err(e) => {
-                    eprintln!(
-                        "[procedure2] parallel set execution failed ({e}); \
-                         degrading campaign to the sequential simulator"
-                    );
-                    // The moment worth a post-mortem: mark it and dump the
-                    // flight recorder's window before state is rebuilt.
-                    rls_obs::mark!("dispatch.degrade");
-                    if let Some(path) = rls_obs::recorder::dump("degrade") {
-                        eprintln!("[procedure2] flight-recorder dump: {}", path.display());
-                    }
-                }
-            }
-        }
-        self.fallback().run_tests(tests)
-    }
-
-    fn undetected(&self) -> Vec<FaultId> {
-        match &self.fallback {
-            Some(sim) => sim.live().to_vec(),
-            None => self.runner.live().to_vec(),
-        }
-    }
-
-    fn restrict(&mut self, live: &[FaultId]) {
-        match self.fallback.as_mut() {
-            Some(sim) => sim.set_targets(live),
-            None => self.runner.set_targets(live),
-        }
-    }
 
     fn degraded(&self) -> bool {
-        self.fallback.is_some()
+        self.retired.is_some()
     }
 }
 
@@ -848,6 +806,99 @@ mod tests {
             matches!(e, crate::resume::ResumeError::CircuitMismatch { .. }),
             "{e}"
         );
+    }
+
+    /// Runs every set through `inner`, dropping its runner before set
+    /// `k`, and records the lanes each set cost the executor's own
+    /// simulator.
+    struct DegradeAt {
+        inner: CampaignExecutor,
+        k: usize,
+        sets: usize,
+        lanes: Vec<rls_fsim::LaneStats>,
+    }
+
+    impl TrialExecutor for DegradeAt {
+        fn live_count(&self) -> usize {
+            self.inner.live_count()
+        }
+
+        fn apply_set(&mut self, tests: &[ScanTest]) -> usize {
+            if self.sets == self.k {
+                self.inner.force_degrade();
+            }
+            self.sets += 1;
+            let before = self.inner.sim.lane_stats();
+            let newly = self.inner.apply_set(tests);
+            let after = self.inner.sim.lane_stats();
+            self.lanes.push(rls_fsim::LaneStats {
+                batches: after.batches - before.batches,
+                lanes_used: after.lanes_used - before.lanes_used,
+                lanes_capacity: after.lanes_capacity - before.lanes_capacity,
+            });
+            newly
+        }
+
+        fn undetected(&self) -> Vec<FaultId> {
+            self.inner.undetected()
+        }
+
+        fn restrict(&mut self, live: &[FaultId]) {
+            self.inner.restrict(live);
+        }
+
+        fn degraded(&self) -> bool {
+            self.inner.degraded()
+        }
+    }
+
+    #[test]
+    fn degrading_at_any_set_boundary_keeps_the_outcome() {
+        // A pooled campaign handed to its simulator after any number of
+        // sets, from none to all of them, finishes exactly as the
+        // sequential run does, and its workers record accounts for the
+        // lanes of the sets the simulator ran.
+        for name in ["s27", "s208"] {
+            let c = rls_benchmarks::by_name(name).unwrap();
+            let mut cfg = RlsConfig::new(2, 3, 2);
+            cfg.max_iterations = 2;
+            let compiled = Arc::new(CompiledCircuit::compile(c.clone()).unwrap());
+            let procedure = Procedure2::new(&c, cfg.clone());
+            let mut oracle = DegradeAt {
+                inner: CampaignExecutor::new(&compiled, &cfg, None),
+                k: usize::MAX,
+                sets: 0,
+                lanes: Vec::new(),
+            };
+            let expect = procedure.run_on(&mut oracle, None, None);
+            assert_eq!(
+                expect,
+                procedure.run(),
+                "{name}: the wrapper is transparent"
+            );
+            for threads in [2, 4] {
+                let pool = SharedPool::new(threads);
+                for k in 0..=oracle.sets {
+                    let mut exec = DegradeAt {
+                        inner: CampaignExecutor::new(&compiled, &cfg, Some(pool.register(threads))),
+                        k,
+                        sets: 0,
+                        lanes: Vec::new(),
+                    };
+                    let got = procedure.run_on(&mut exec, None, None);
+                    let at = format!("{name} x {threads} threads, degraded after {k} sets");
+                    assert_eq!(got, expect, "{at}");
+                    assert_eq!(exec.degraded(), k < oracle.sets, "{at}");
+                    let mut after = rls_fsim::LaneStats::default();
+                    for &lanes in &oracle.lanes[k..] {
+                        after += lanes;
+                    }
+                    let snap = exec.inner.snapshot().expect("a pooled run has a snapshot");
+                    assert_eq!(snap.fallback.unwrap_or_default(), after, "{at}");
+                }
+                pool.shutdown();
+            }
+        }
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! A fixed-capacity atomic bitset keyed by [`FaultId`].
 //!
-//! This is the shared fault-drop state of a campaign: every worker thread
-//! publishes detections into the same bitset with `fetch_or`, so a fault
-//! detected by one worker stops being simulated by every other worker as
-//! soon as they next look — fault dropping propagates across threads in
-//! the middle of a test set, not just at set barriers.
+//! This is the shared fault-drop state of one test set: every job of the
+//! set publishes detections into the same bitset with `fetch_or`, so a
+//! fault detected by one worker stops being simulated by every other
+//! worker as soon as they next look — fault dropping propagates across
+//! threads in the middle of a test set, not just at set barriers.
 //!
-//! Publication is monotone (bits are only ever set, never cleared, between
-//! [`AtomicBitset::clear`] calls), which is what makes the parallel run
-//! reducible to a deterministic result: the *set* of bits at a barrier does
-//! not depend on the interleaving, only on the jobs that ran.
+//! Each set starts from a fresh bitset and bits are only ever set, never
+//! cleared, which is what makes the parallel run reducible to a
+//! deterministic result: the *set* of bits at a barrier does not depend
+//! on the interleaving, only on the jobs that ran.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -66,16 +66,8 @@ impl AtomicBitset {
     pub fn count(&self) -> usize {
         self.words
             .iter()
-            .map(|w| w.load(Ordering::Acquire).count_ones() as usize)
+            .map(|w| w.load(Ordering::Acquire).count_ones() as usize) // lint: ordering-ok(each word is one of `words`, published by set's AcqRel fetch_or)
             .sum()
-    }
-
-    /// Clears every bit (single-threaded phases only; not atomic as a
-    /// whole).
-    pub fn clear(&self) {
-        for w in &self.words {
-            w.store(0, Ordering::Release);
-        }
     }
 }
 
@@ -91,15 +83,6 @@ mod tests {
         assert!(b.get(FaultId(129)));
         assert!(!b.get(FaultId(0)));
         assert_eq!(b.count(), 1);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let b = AtomicBitset::new(64);
-        b.set(FaultId(3));
-        b.clear();
-        assert_eq!(b.count(), 0);
-        assert!(b.set(FaultId(3)));
     }
 
     #[test]

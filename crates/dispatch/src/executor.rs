@@ -7,14 +7,13 @@
 //! or one derived `TS(I, D1)`. [`crate::SharedSetRunner::try_run_set`]
 //! fans a set out as one wave of jobs over the worker pool: one job per
 //! contiguous block of tests ([`test_blocks`]), tagged by its block
-//! index. A job walks its block tile by tile with the same fill rule as
-//! the sequential engine: before each tile it re-reads the shared
-//! [`crate::AtomicBitset`] against the set-start live list, picks the
-//! tile's height from that live count ([`rls_fsim::fill_height`] over the
-//! [`rls_fsim::compatible_run`] inside the block), and publishes the
-//! tile's detections into the bitset. The SoA kernel carries each test's
-//! fault-free machine in a reference lane, so no job waits on a
-//! precomputed good trace.
+//! index. A job runs the sequential engine's own tile walk,
+//! [`rls_fsim::simulate_block`], over its block against the set-start
+//! live list: before each tile it skips the faults any job already
+//! published in the set's [`crate::AtomicBitset`], picks the tile's
+//! height from the count left, and publishes the tile's detections into
+//! the bitset. The SoA kernel carries each test's fault-free machine in a
+//! reference lane, so no job waits on a precomputed good trace.
 //!
 //! # Recovery
 //!
@@ -23,9 +22,9 @@
 //! are idempotent — the detection bitset is monotone — so a wave may
 //! safely re-run work that partially completed.
 //! A tag still failing after [`RETRY_ROUNDS`] retry waves aborts the set
-//! with [`SetFailure`], leaving the runner's live/detected bookkeeping
-//! untouched so the caller can replay the whole set on the sequential
-//! oracle (see `rls_core::procedure2`'s degrade path).
+//! with [`SetFailure`]. The runner owns no fault list, so nothing has
+//! been applied and the caller can replay the whole set on its
+//! sequential simulator (see `rls_core::procedure2`'s degrade path).
 
 use std::fmt;
 
@@ -57,8 +56,9 @@ pub fn test_blocks(tests: usize, budget: usize) -> Vec<(usize, usize)> {
 /// A test set that could not be executed on the pool: some tagged job
 /// kept panicking through every retry wave.
 ///
-/// The runner's live/detected bookkeeping is untouched when this is
-/// returned, so the caller can replay the set elsewhere (sequentially).
+/// Nothing of the set has been applied to the caller's fault list when
+/// this is returned, so the caller can replay the set elsewhere
+/// (sequentially).
 #[derive(Debug)]
 pub struct SetFailure {
     /// Which phase gave up (always "batch": a set is one wave of

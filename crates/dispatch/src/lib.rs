@@ -11,19 +11,22 @@
 //!
 //! - [`shared`]: the [`SharedPool`] — owned supervised workers serving
 //!   any number of registered campaigns with fair round-robin budgets —
-//!   plus [`SharedSetRunner`], which fans one test set out as contiguous
-//!   test-block jobs and reduces detections in live-list order at the set
-//!   barrier. Direct runs register one campaign on a private
-//!   pool; the `rls-serve` campaign server shares one pool across
-//!   requests;
+//!   plus [`SharedSetRunner`], which computes one test set's detections
+//!   against a live list its caller owns: it fans the set out as
+//!   contiguous test-block jobs, each running `rls_fsim`'s one tile walk,
+//!   and reduces detections in live-list order at the set barrier. The
+//!   runner keeps no fault list; `rls_core`'s executor keeps it in a
+//!   `FaultSimulator` and applies what the runner returns. Direct runs
+//!   register one campaign on a private pool; the `rls-serve` campaign
+//!   server shares one pool across requests;
 //! - [`executor`]: the wave protocol underneath the runner — the
 //!   budget-sized [`test_blocks`] whose indices tag the jobs, the retry
 //!   budget, and [`SetFailure`];
 //! - [`pool`]: per-worker atomic counters ([`WorkerCounters`]), their
 //!   [`PoolSnapshot`], and classified [`JobFailure`]s;
-//! - [`bitset`]: the [`AtomicBitset`] shared fault-drop state — workers
-//!   publish detections with `fetch_or`, so a fault detected anywhere is
-//!   dropped everywhere mid-test-set;
+//! - [`bitset`]: the [`AtomicBitset`] fault-drop state of one set —
+//!   workers publish detections with `fetch_or`, so a fault detected
+//!   anywhere is dropped everywhere mid-test-set;
 //! - [`campaign`]: [`Campaign`] JSONL records — header, per-trial lines,
 //!   checkpoints, per-worker counters, summary — appended crash-safely
 //!   under `results/` and read back by [`CampaignLog`];
@@ -37,15 +40,15 @@
 //! Workers are supervised: a panicking job is caught, recorded as a
 //! classified [`JobFailure`] under the tag it was submitted with, and the
 //! worker carries on. [`SharedSetRunner`] retries failed jobs for a
-//! bounded number of waves; if a job keeps failing, the caller degrades
-//! the campaign to the sequential executor — the bit-identical oracle —
-//! rather than aborting.
+//! bounded number of waves; if a job keeps failing, the caller drops the
+//! runner and runs the set, and every later one, on its own sequential
+//! `FaultSimulator` — the bit-identical oracle — rather than aborting.
 //!
 //! # Determinism guarantee
 //!
 //! Within a set, detection of a fault by a test is independent of batch
 //! composition and scheduling (kernel lanes are independent), and the
-//! shared bitset is monotone, so the detected *set* at a barrier is the
+//! set's bitset is monotone, so the detected *set* at a barrier is the
 //! same union a sequential run computes. Reductions merge in live-list
 //! order; across sets the campaign is driven sequentially (the paper's
 //! greedy selection is order-sensitive by design). Hence `threads = N`
@@ -57,16 +60,18 @@
 //! ```
 //! use std::sync::Arc;
 //!
-//! use rls_dispatch::{CompiledCircuit, SharedPool, SharedSetRunner, SharedSimContext};
-//! use rls_fsim::{ScanTest, SimOptions};
+//! use rls_dispatch::{SharedPool, SharedSetRunner};
+//! use rls_fsim::{CompiledCircuit, FaultSimulator, ScanTest, SimOptions};
 //!
 //! let compiled = Arc::new(CompiledCircuit::compile(rls_benchmarks::s27()).unwrap());
-//! let ctx = Arc::new(SharedSimContext::new(compiled, SimOptions::default()));
+//! let mut sim = FaultSimulator::on(Arc::clone(&compiled));
 //! let pool = SharedPool::new(2);
-//! let mut runner = SharedSetRunner::new(ctx, pool.register(2));
+//! let runner = SharedSetRunner::new(compiled, SimOptions::default(), pool.register(2));
 //! let test = ScanTest::from_strings("001", &["0111", "1001"]).unwrap();
-//! let newly = runner.try_run_set(&[test]).unwrap();
+//! let newly = runner.try_run_set(sim.live(), &[test]).unwrap();
 //! assert!(!newly.is_empty());
+//! sim.apply_detections(&newly);
+//! assert_eq!(sim.detected(), &newly[..]);
 //! ```
 
 pub mod bitset;
@@ -83,6 +88,4 @@ pub use campaign::{Campaign, CampaignLog, CampaignSummary, TrialRecord};
 pub use error::DispatchError;
 pub use executor::{test_blocks, SetFailure};
 pub use pool::{FailureClass, JobFailure, PoolSnapshot, WorkerCounters, WorkerSnapshot};
-pub use shared::{
-    CampaignHandle, CompiledCircuit, SharedPool, SharedSetRunner, SharedSimContext,
-};
+pub use shared::{CampaignHandle, SharedPool, SharedSetRunner};

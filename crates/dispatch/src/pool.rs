@@ -89,21 +89,18 @@ pub struct WorkerCounters {
 }
 
 impl WorkerCounters {
-    /// Records one simulated kernel batch and its wall time.
+    /// Records one job's kernel work: its batches and lane occupancy
+    /// (the feed for the obs `fsim.lanes_*` counters) and the wall time
+    /// it simulated for.
     #[inline]
-    pub fn add_batch(&self, elapsed: Duration) {
-        self.batches.fetch_add(1, Ordering::Relaxed); // lint: ordering-ok(observability counter; snapshots read after the pool idles, never mid-reduction)
+    pub(crate) fn add_kernel(&self, stats: rls_fsim::LaneStats, elapsed: Duration) {
+        self.batches.fetch_add(stats.batches, Ordering::Relaxed); // lint: ordering-ok(observability counter; snapshots read after the pool idles, never mid-reduction)
+        self.lanes_used
+            .fetch_add(stats.lanes_used, Ordering::Relaxed); // lint: ordering-ok(observability counter; snapshots read after the pool idles, never mid-reduction)
+        self.lanes_capacity
+            .fetch_add(stats.lanes_capacity, Ordering::Relaxed); // lint: ordering-ok(observability counter; snapshots read after the pool idles, never mid-reduction)
         self.sim_nanos
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed); // lint: ordering-ok(observability counter; snapshots read after the pool idles, never mid-reduction)
-    }
-
-    /// Records lane occupancy of one kernel invocation: `used` occupied
-    /// lanes out of `capacity` available — the utilization feed for the
-    /// obs `fsim.lanes_*` counters.
-    #[inline]
-    pub fn add_lanes(&self, used: u64, capacity: u64) {
-        self.lanes_used.fetch_add(used, Ordering::Relaxed); // lint: ordering-ok(observability counter; snapshots read after the pool idles, never mid-reduction)
-        self.lanes_capacity.fetch_add(capacity, Ordering::Relaxed); // lint: ordering-ok(observability counter; snapshots read after the pool idles, never mid-reduction)
     }
 
     /// Records `n` faults this worker newly dropped (first detection).
@@ -168,15 +165,16 @@ pub struct PoolSnapshot {
     pub pending: usize,
     /// Per-worker counters.
     pub workers: Vec<WorkerSnapshot>,
-    /// Lane accounting for work replayed sequentially on the caller thread
-    /// after a poisoned set degraded to the fallback simulator. `None` when
-    /// the campaign never degraded.
+    /// Lane accounting of the sets the campaign's own simulator ran on the
+    /// caller thread after the campaign degraded (a set that kept failing
+    /// on the pool, or a forced degrade). `None` when the campaign never
+    /// degraded.
     pub fallback: Option<rls_fsim::LaneStats>,
 }
 
 impl PoolSnapshot {
-    /// Attaches degrade-path lane accounting gathered by the sequential
-    /// fallback simulator so totals stay exact after a poisoned set.
+    /// Attaches the lane accounting of the sets run on the caller thread
+    /// after a degrade, so totals stay exact after a poisoned set.
     pub fn with_fallback_lanes(mut self, stats: rls_fsim::LaneStats) -> Self {
         if !stats.is_empty() {
             self.fallback = Some(stats);

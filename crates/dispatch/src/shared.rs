@@ -33,39 +33,31 @@
 //!
 //! # Determinism
 //!
-//! Within a set, detection of a fault by a test depends only on
-//! `(test, fault)`: lanes of a batch are independent at every word and
-//! tile height, and the shared detection bitset is monotone within a set.
-//! The detected *set* at a barrier is therefore the union a sequential run
+//! [`SharedSetRunner`] keeps no fault list: it computes one set's
+//! detections against the live list its caller passes in, and the caller
+//! (a `rls_fsim::FaultSimulator`) applies them. Every pool job runs the
+//! same tile walk as the sequential engine, [`rls_fsim::simulate_block`],
+//! over its block of tests. Within a set, detection of a fault by a test
+//! depends only on `(test, fault)`: lanes of a batch are independent at
+//! every tile height, and the set's detection bitset is monotone. The
+//! detected *set* at a barrier is therefore the union a sequential run
 //! computes, however jobs interleave and however tall each job's tiles
-//! are, and [`SharedSetRunner`] merges it in live-list order (ascending
-//! fault id for the default target). Test blocks are sized by the
-//! campaign's *budget*, not the pool width, so a campaign's jobs are the
-//! same whether it shares the workers or not. The outcome is
-//! bit-identical to the sequential oracle regardless of how many other
-//! campaigns share the pool; the integration suites byte-compare served
-//! campaign records against direct runs to pin this.
-//!
-//! # Compiled circuits
-//!
-//! [`CompiledCircuit`] packages everything per-circuit and immutable —
-//! parsed netlist, SoA lowering, fault universe, collapsed fault list —
-//! behind an `Arc`, so a server can compile once and share across
-//! concurrent campaigns; [`SharedSimContext`] adds the per-campaign
-//! mutable state (options and the detection bitset).
+//! are, and the runner returns it in live-list order (ascending fault id
+//! for the default target). Test blocks are sized by the campaign's
+//! *budget*, not the pool width, so a campaign's jobs are the same
+//! whether it shares the workers or not. The outcome is bit-identical to
+//! the sequential oracle regardless of how many other campaigns share
+//! the pool; the integration suites byte-compare served campaign records
+//! against direct runs to pin this.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use rls_fsim::{
-    compatible_run, fill_height, simulate_tile_lanes, tile_fault_capacity, ChainMap,
-    CollapsedFaults, Fault, FaultId, FaultUniverse, KernelWord, LaneWord, ScanTest, SimOptions,
-};
-use rls_netlist::{Circuit, LevelizedCircuit, NetlistError};
+use rls_fsim::{simulate_block, ChainMap, CompiledCircuit, FaultId, ScanTest, SimOptions};
 
 use crate::bitset::AtomicBitset;
 use crate::executor::{test_blocks, SetFailure, RETRY_ROUNDS};
@@ -513,120 +505,50 @@ impl Drop for CampaignHandle {
     }
 }
 
-/// Everything immutable a campaign needs about one circuit, compiled once
-/// and shared across campaigns behind an `Arc`: the parsed circuit, its
-/// levelized SoA lowering, the fault universe, and the collapsed fault
-/// list.
+/// Computes one test set's detections on a [`CampaignHandle`] against a
+/// live fault list the caller owns.
 ///
-/// Compilation is fallible (uploaded netlists may have combinational
-/// cycles); a server rejects such requests instead of panicking.
-#[derive(Debug)]
-pub struct CompiledCircuit {
-    circuit: Circuit,
-    soa: LevelizedCircuit,
-    /// Full scan: campaigns apply tests through one complete chain.
-    chains: ChainMap,
-    universe: FaultUniverse,
-    collapsed: CollapsedFaults,
-}
-
-impl CompiledCircuit {
-    /// Levelizes, lowers to the SoA kernel layout, enumerates, and
-    /// collapses `circuit`.
-    pub fn compile(circuit: Circuit) -> Result<Self, NetlistError> {
-        let lev = circuit.levelize()?;
-        let soa = LevelizedCircuit::build(&circuit, &lev);
-        let universe = FaultUniverse::enumerate(&circuit);
-        let collapsed = CollapsedFaults::build(&circuit, &universe);
-        let chains = ChainMap::full(circuit.num_dffs());
-        Ok(CompiledCircuit {
-            circuit,
-            soa,
-            chains,
-            universe,
-            collapsed,
-        })
-    }
-
-    /// The compiled circuit.
-    pub fn circuit(&self) -> &Circuit {
-        &self.circuit
-    }
-
-    /// The collapsed representative fault list (sorted by fault id).
-    pub fn representatives(&self) -> &[FaultId] {
-        self.collapsed.representatives()
-    }
-
-    /// The full single-stuck-at fault universe.
-    pub fn universe(&self) -> &FaultUniverse {
-        &self.universe
-    }
-
-    /// The levelized SoA lowering shared by every batch job.
-    pub fn levelized(&self) -> &LevelizedCircuit {
-        &self.soa
-    }
-}
-
-/// Per-campaign simulation state over a shared [`CompiledCircuit`]. Each
-/// concurrent campaign gets its own detection bitset; the compiled circuit
-/// is shared.
-#[derive(Debug)]
-pub struct SharedSimContext {
-    compiled: Arc<CompiledCircuit>,
-    options: SimOptions,
-    detected_bits: AtomicBitset,
-}
-
-impl SharedSimContext {
-    /// Builds campaign state over a compiled circuit.
-    pub fn new(compiled: Arc<CompiledCircuit>, options: SimOptions) -> Self {
-        let detected_bits = AtomicBitset::new(compiled.universe.len());
-        detected_bits.clear();
-        SharedSimContext {
-            compiled,
-            options,
-            detected_bits,
-        }
-    }
-
-    /// The simulation options the context was built with.
-    pub fn options(&self) -> SimOptions {
-        self.options
-    }
-
-    /// The shared compiled circuit.
-    pub fn compiled(&self) -> &Arc<CompiledCircuit> {
-        &self.compiled
-    }
-}
-
-/// Drives test sets through a [`CampaignHandle`] against an evolving live
-/// fault list.
-///
-/// Mirrors the bookkeeping of `rls_fsim::FaultSimulator` (live list,
-/// detected list, dropping) but executes each set on the pool; see the
-/// module docs for why the outcome is bit-identical to it.
+/// The runner keeps no fault list and no detection state between sets:
+/// [`SharedSetRunner::try_run_set`] builds the set's tests, its
+/// set-start live list and its detection bitset afresh, and the caller
+/// applies the detections it returns. See the module docs for why they
+/// are bit-identical to `rls_fsim::FaultSimulator::run_tests`.
 pub struct SharedSetRunner {
-    ctx: Arc<SharedSimContext>,
+    compiled: Arc<CompiledCircuit>,
+    /// Full scan: campaigns apply tests through one complete chain.
+    chains: Arc<ChainMap>,
+    options: SimOptions,
     handle: CampaignHandle,
-    live: Vec<FaultId>,
-    detected: Vec<FaultId>,
     /// Upper bound on one wave's reduction barrier; `None` waits forever.
     wave_timeout: Option<std::time::Duration>,
 }
 
+/// What one set's jobs share, built per set.
+struct SetWork {
+    compiled: Arc<CompiledCircuit>,
+    chains: Arc<ChainMap>,
+    options: SimOptions,
+    tests: Vec<ScanTest>,
+    /// The caller's live list at the start of the set.
+    live: Vec<FaultId>,
+    /// The faults any job of this set has detected.
+    detected: AtomicBitset,
+}
+
 impl SharedSetRunner {
-    /// A runner targeting every collapsed fault.
-    pub fn new(ctx: Arc<SharedSimContext>, handle: CampaignHandle) -> Self {
-        let live = ctx.compiled.representatives().to_vec();
-        ctx.detected_bits.clear();
+    /// A runner simulating on `compiled` with `options`, submitting its
+    /// jobs through `handle`.
+    pub fn new(
+        compiled: Arc<CompiledCircuit>,
+        options: SimOptions,
+        handle: CampaignHandle,
+    ) -> Self {
+        let chains = Arc::new(ChainMap::full(compiled.circuit().num_dffs()));
         SharedSetRunner {
-            ctx,
+            compiled,
+            chains,
+            options,
             handle,
-            live,
-            detected: Vec::new(),
             wave_timeout: None,
         }
     }
@@ -640,105 +562,43 @@ impl SharedSetRunner {
         self.wave_timeout = timeout;
     }
 
-    /// Restricts the live list to `targets` (e.g. the ATPG-detectable
-    /// set), mirroring `FaultSimulator::set_targets`.
-    pub fn set_targets(&mut self, targets: &[FaultId]) {
-        self.live = targets.to_vec();
-        self.detected.clear();
-        self.ctx.detected_bits.clear();
-    }
-
-    /// The campaign's simulation context.
-    pub fn context(&self) -> &Arc<SharedSimContext> {
-        &self.ctx
-    }
-
     /// The campaign's pool handle.
     pub fn handle(&self) -> &CampaignHandle {
         &self.handle
     }
 
-    /// Currently undetected faults, in live-list order.
-    pub fn live(&self) -> &[FaultId] {
-        &self.live
-    }
-
-    /// Number of currently undetected faults.
-    pub fn live_count(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Number of faults detected so far.
-    pub fn detected_count(&self) -> usize {
-        self.detected.len()
+    /// Gives the pool handle back, e.g. to keep a degraded campaign's
+    /// worker counters without running more sets on the pool.
+    pub fn into_handle(self) -> CampaignHandle {
+        self.handle
     }
 
     /// Submits one wave of test-block jobs for the given tags (block
-    /// indices). A job walks its block tile by tile; before each tile it
-    /// re-reads the shared bitset against the set-start live list and
-    /// picks the tile's height from that live count, exactly as
-    /// `FaultSimulator::run_tests` does.
-    fn submit_block_wave(
-        &self,
-        tags: &[u64],
-        tests: &Arc<Vec<ScanTest>>,
-        blocks: &[(usize, usize)],
-        set_live: &Arc<Vec<FaultId>>,
-        live_left: &Arc<AtomicUsize>,
-    ) {
+    /// indices). Each job walks its block with
+    /// [`rls_fsim::simulate_block`], treating every fault another job of
+    /// the set already published in the bitset as dropped.
+    fn submit_block_wave(&self, tags: &[u64], set: &Arc<SetWork>, blocks: &[(usize, usize)]) {
         for &tag in tags {
             let (lo, hi) = blocks[tag as usize]; // lint: panic-ok(tags are minted over 0..blocks.len())
-            let ctx = Arc::clone(&self.ctx);
-            let tests = Arc::clone(tests);
-            let set_live = Arc::clone(set_live);
-            let live_left = Arc::clone(live_left);
+            let set = Arc::clone(set);
             self.handle.submit_tagged(tag, move |counters| {
-                let block = &tests[..hi]; // lint: panic-ok(blocks partition 0..tests.len(), so hi <= tests.len())
-                let mut next = lo;
-                while next < hi {
-                    if live_left.load(Ordering::Relaxed) == 0 { // lint: ordering-ok(early-exit hint only; a stale read just simulates a tile whose hits are already in the bitset)
-                        return;
-                    }
-                    // Shared-bitset fault dropping: faults any job already
-                    // detected in this set are not simulated again.
-                    let candidates: Vec<(FaultId, Fault)> = set_live
-                        .iter()
-                        .filter(|&&id| !ctx.detected_bits.get(id))
-                        .map(|&id| (id, ctx.compiled.universe.fault(id)))
-                        .collect();
-                    if candidates.is_empty() {
-                        return;
-                    }
-                    let height = fill_height(candidates.len(), compatible_run(block, next));
-                    let tile: Vec<&ScanTest> = block[next..next + height].iter().collect(); // lint: panic-ok(fill_height never exceeds the compatible run, which ends inside the block)
-                    rls_obs::counter!("fsim.tiles", 1);
-                    rls_obs::histogram!("fsim.tile_height", height as u64);
-                    let cap = tile_fault_capacity::<KernelWord>(height);
-                    let mut newly = 0u64;
-                    for sub in candidates.chunks(cap) {
-                        let start = Instant::now(); // lint: det-ok(wall time feeds observability counters only, never the reduced result)
-                        let per_pattern = simulate_tile_lanes::<KernelWord>(
-                            ctx.compiled.circuit(),
-                            ctx.compiled.levelized(),
-                            &ctx.compiled.chains,
-                            &tile,
-                            sub,
-                            ctx.options,
-                        );
-                        counters.add_batch(start.elapsed());
-                        counters.add_lanes((sub.len() * height) as u64, KernelWord::LANES as u64);
-                        for id in per_pattern.into_iter().flatten() {
-                            if ctx.detected_bits.set(id) {
-                                newly += 1;
-                            }
+                let start = Instant::now(); // lint: det-ok(wall time feeds observability counters only, never the reduced result)
+                let mut dropped = 0;
+                let stats = simulate_block(
+                    &set.compiled,
+                    &set.chains,
+                    set.options,
+                    &set.tests[lo..hi], // lint: panic-ok(blocks partition 0..tests.len())
+                    &set.live,
+                    |id| !set.detected.get(id),
+                    |id| {
+                        if set.detected.set(id) {
+                            dropped += 1;
                         }
-                    }
-                    if newly > 0 {
-                        counters.add_dropped(newly);
-                        live_left.fetch_sub(newly as usize, Ordering::Relaxed); // lint: ordering-ok(monotone countdown used only for the early-exit hint; the bitset carries the authoritative drops)
-                    }
-                    next += height;
-                }
+                    },
+                );
+                counters.add_kernel(stats, start.elapsed());
+                counters.add_dropped(dropped);
             });
         }
     }
@@ -794,56 +654,53 @@ impl SharedSetRunner {
         }
     }
 
-    /// Runs one test set against the live list and drops detections.
-    ///
-    /// Returns the newly detected faults merged in live-list order — the
-    /// deterministic reduction that makes a parallel campaign bit-identical
-    /// to the sequential oracle. Panicked jobs are retried for a bounded
-    /// number of waves; on exhaustion this returns [`SetFailure`]
-    /// *without* touching the live/detected bookkeeping, so the caller can
-    /// replay the whole set on the sequential simulator.
-    pub fn try_run_set(&mut self, tests: &[ScanTest]) -> Result<Vec<FaultId>, SetFailure> {
-        if self.live.is_empty() || tests.is_empty() {
+    /// Runs one test set against `live` and returns the faults it
+    /// detects, in `live` order — the deterministic reduction that makes
+    /// a parallel campaign bit-identical to the sequential oracle.
+    /// Panicked jobs are retried for a bounded number of waves; on
+    /// exhaustion this returns [`SetFailure`], and the caller can replay
+    /// the whole set on its sequential simulator.
+    pub fn try_run_set(
+        &self,
+        live: &[FaultId],
+        tests: &[ScanTest],
+    ) -> Result<Vec<FaultId>, SetFailure> {
+        if live.is_empty() || tests.is_empty() {
             return Ok(Vec::new());
         }
-        let _span = rls_obs::span!(
-            "dispatch.set",
-            tests = tests.len(),
-            live = self.live.len()
-        );
+        let _span = rls_obs::span!("dispatch.set", tests = tests.len(), live = live.len());
         // Drop failures left over from before this set (a degraded caller
         // may have abandoned a failing set without draining).
         let _ = self.handle.take_failures();
-        let tests: Arc<Vec<ScanTest>> = Arc::new(tests.to_vec());
         // One wave of contiguous test-block jobs, sized by the campaign's
         // budget exactly as a direct run with `threads = budget` would
         // size them, each simulating against the set-start live list.
         let blocks = test_blocks(tests.len(), self.handle.threads());
-        let set_live: Arc<Vec<FaultId>> = Arc::new(self.live.clone());
-        let live_left = Arc::new(AtomicUsize::new(self.live.len()));
+        let set = Arc::new(SetWork {
+            compiled: Arc::clone(&self.compiled),
+            chains: Arc::clone(&self.chains),
+            options: self.options,
+            tests: tests.to_vec(),
+            live: live.to_vec(),
+            detected: AtomicBitset::new(self.compiled.universe().len()),
+        });
         let block_tags: Vec<u64> = (0..blocks.len() as u64).collect();
         self.run_waves(block_tags, |tags| {
-            self.submit_block_wave(tags, &tests, &blocks, &set_live, &live_left)
+            self.submit_block_wave(tags, &set, &blocks)
         })?;
-        // Deterministic reduction: merge in live-list order.
-        let newly: Vec<FaultId> = self
-            .live
+        Ok(live
             .iter()
             .copied()
-            .filter(|&id| self.ctx.detected_bits.get(id))
-            .collect();
-        if !newly.is_empty() {
-            self.live.retain(|&id| !self.ctx.detected_bits.get(id));
-            self.detected.extend(newly.iter().copied());
-        }
-        Ok(newly)
+            .filter(|&id| set.detected.get(id))
+            .collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rls_fsim::FaultSimulator;
+    use rls_fsim::{FaultSimulator, KernelWord, LaneWord};
+    use std::sync::atomic::AtomicUsize;
 
     fn s27_sets() -> Vec<Vec<ScanTest>> {
         let plain =
@@ -861,8 +718,8 @@ mod tests {
     }
 
     /// The sequential oracle: FaultSimulator over the same sets.
-    fn sequential(c: &Circuit, sets: &[Vec<ScanTest>]) -> (Vec<usize>, Vec<FaultId>) {
-        let mut sim = FaultSimulator::new(c);
+    fn sequential(sets: &[Vec<ScanTest>]) -> (Vec<usize>, Vec<FaultId>) {
+        let mut sim = FaultSimulator::on(compiled_s27());
         let mut counts = Vec::new();
         for set in sets {
             let mut n = 0;
@@ -881,25 +738,39 @@ mod tests {
         Arc::new(CompiledCircuit::compile(rls_benchmarks::s27()).unwrap())
     }
 
+    /// Runs `sets` through `runner` against `sim`'s live list, applying
+    /// each set's detections, the way a campaign does; returns the
+    /// per-set counts.
+    fn run_sets(
+        runner: &SharedSetRunner,
+        sim: &mut FaultSimulator,
+        sets: &[Vec<ScanTest>],
+    ) -> Vec<usize> {
+        sets.iter()
+            .map(|set| {
+                let newly = runner.try_run_set(sim.live(), set).unwrap();
+                sim.apply_detections(&newly);
+                newly.len()
+            })
+            .collect()
+    }
+
     #[test]
     fn shared_runner_matches_sequential_oracle() {
-        let c = rls_benchmarks::s27();
         let sets = s27_sets();
-        let (seq_counts, seq_live) = sequential(&c, &sets);
+        let (seq_counts, seq_live) = sequential(&sets);
         let compiled = compiled_s27();
         let pool = SharedPool::new(4);
         for budget in [1, 2, 4] {
-            let ctx = Arc::new(SharedSimContext::new(
+            let runner = SharedSetRunner::new(
                 Arc::clone(&compiled),
                 SimOptions::default(),
-            ));
-            let mut runner = SharedSetRunner::new(ctx, pool.register(budget));
-            let counts: Vec<usize> = sets
-                .iter()
-                .map(|set| runner.try_run_set(set).unwrap().len())
-                .collect();
+                pool.register(budget),
+            );
+            let mut sim = FaultSimulator::on(Arc::clone(&compiled));
+            let counts = run_sets(&runner, &mut sim, &sets);
             assert_eq!(counts, seq_counts, "budget = {budget}");
-            assert_eq!(runner.live(), &seq_live[..], "budget = {budget}");
+            assert_eq!(sim.live(), &seq_live[..], "budget = {budget}");
         }
         pool.shutdown();
     }
@@ -908,7 +779,6 @@ mod tests {
     fn pattern_tiles_match_the_oracle_on_the_shared_pool() {
         // The tiled SoA path must stay bit-identical on the shared pool
         // too, with every kernel call accounted at the full word.
-        let c = rls_benchmarks::s27();
         let shifts = vec![rls_fsim::ShiftOp {
             at: 2,
             amount: 1,
@@ -929,17 +799,14 @@ mod tests {
         })
         .collect();
         let sets = vec![tileable, s27_sets()[0].clone()];
-        let (seq_counts, seq_live) = sequential(&c, &sets);
+        let (seq_counts, seq_live) = sequential(&sets);
         let compiled = compiled_s27();
         let pool = SharedPool::new(2);
-        let ctx = Arc::new(SharedSimContext::new(compiled, SimOptions::default()));
-        let mut runner = SharedSetRunner::new(ctx, pool.register(2));
-        let counts: Vec<usize> = sets
-            .iter()
-            .map(|set| runner.try_run_set(set).unwrap().len())
-            .collect();
+        let mut sim = FaultSimulator::on(Arc::clone(&compiled));
+        let runner = SharedSetRunner::new(compiled, SimOptions::default(), pool.register(2));
+        let counts = run_sets(&runner, &mut sim, &sets);
         assert_eq!(counts, seq_counts);
-        assert_eq!(runner.live(), &seq_live[..]);
+        assert_eq!(sim.live(), &seq_live[..]);
         let snap = runner.handle().snapshot();
         assert_eq!(
             snap.total_lanes_capacity(),
@@ -951,8 +818,9 @@ mod tests {
     #[test]
     fn newly_detected_is_in_live_list_order() {
         let pool = SharedPool::new(4);
-        let mut runner = s27_runner(&pool);
-        let newly = runner.try_run_set(&s27_sets()[0]).unwrap();
+        let runner = s27_runner(&pool);
+        let live = compiled_s27().collapsed().representatives().to_vec();
+        let newly = runner.try_run_set(&live, &s27_sets()[0]).unwrap();
         let mut sorted = newly.clone();
         sorted.sort_unstable();
         assert_eq!(newly, sorted, "default live list is ascending by id");
@@ -961,23 +829,57 @@ mod tests {
     }
 
     #[test]
-    fn set_targets_mirrors_fault_simulator() {
-        let c = rls_benchmarks::s27();
+    fn restricted_live_lists_match_the_fault_simulator() {
         let compiled = compiled_s27();
-        let targets: Vec<FaultId> = compiled.representatives()[..7].to_vec();
+        let targets: Vec<FaultId> = compiled.collapsed().representatives()[..7].to_vec();
         let set = &s27_sets()[0];
-        let mut sim = FaultSimulator::new(&c);
+        let mut sim = FaultSimulator::on(Arc::clone(&compiled));
         sim.set_targets(&targets);
         let seq: usize = set.iter().map(|t| sim.run_test(t).len()).sum();
         let pool = SharedPool::new(2);
-        let ctx = Arc::new(SharedSimContext::new(compiled, SimOptions::default()));
-        let mut runner = SharedSetRunner::new(ctx, pool.register(2));
-        runner.set_targets(&targets);
-        let newly = runner.try_run_set(set).unwrap();
+        let runner = SharedSetRunner::new(compiled, SimOptions::default(), pool.register(2));
+        let newly = runner.try_run_set(&targets, set).unwrap();
         assert_eq!(newly.len(), seq);
-        assert_eq!(runner.live(), sim.live());
+        let left: Vec<FaultId> = targets
+            .iter()
+            .copied()
+            .filter(|id| !newly.contains(id))
+            .collect();
+        assert_eq!(left, sim.live());
         // The workers' drop counters account for exactly these faults.
         assert_eq!(runner.handle().snapshot().total_dropped() as usize, seq);
+    }
+
+    #[test]
+    fn a_readmitted_fault_is_simulated_again() {
+        // Detection state is per set: a fault an earlier set detected and
+        // a later live list re-admits (as a checkpoint restrict can) is
+        // simulated and reported again, as the FaultSimulator does.
+        let compiled = compiled_s27();
+        let all = compiled.collapsed().representatives().to_vec();
+        let set = &s27_sets()[0];
+        let pool = SharedPool::new(2);
+        let runner = SharedSetRunner::new(
+            Arc::clone(&compiled),
+            SimOptions::default(),
+            pool.register(2),
+        );
+        let first = runner.try_run_set(&all, set).unwrap();
+        let again = *first.first().expect("the set detects something");
+        let undetected = all.iter().copied().filter(|id| !first.contains(id));
+        let readmitted: Vec<FaultId> = std::iter::once(again).chain(undetected).collect();
+        let mut sim = FaultSimulator::on(compiled);
+        sim.set_targets(&readmitted);
+        sim.run_tests(set);
+        let newly = runner.try_run_set(&readmitted, set).unwrap();
+        assert!(newly.contains(&again), "the re-admitted fault is reported");
+        let mut expect = sim.detected().to_vec();
+        expect.sort_unstable();
+        assert_eq!(
+            newly, expect,
+            "the same faults as the engine, in live order"
+        );
+        pool.shutdown();
     }
 
     /// Suppresses panic-hook spew for tests that panic on purpose;
@@ -994,8 +896,7 @@ mod tests {
     }
 
     fn s27_runner(pool: &SharedPool) -> SharedSetRunner {
-        let ctx = Arc::new(SharedSimContext::new(compiled_s27(), SimOptions::default()));
-        SharedSetRunner::new(ctx, pool.register(2))
+        SharedSetRunner::new(compiled_s27(), SimOptions::default(), pool.register(2))
     }
 
     #[test]
@@ -1050,27 +951,23 @@ mod tests {
         // Two campaigns over the same compiled circuit, driven from two
         // client threads sharing one pool: each must match the oracle as
         // if it ran alone.
-        let c = rls_benchmarks::s27();
         let sets = s27_sets();
-        let (seq_counts, seq_live) = sequential(&c, &sets);
+        let (seq_counts, seq_live) = sequential(&sets);
         let compiled = compiled_s27();
         let pool = SharedPool::new(4);
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..2)
                 .map(|_| {
-                    let ctx = Arc::new(SharedSimContext::new(
+                    let runner = SharedSetRunner::new(
                         Arc::clone(&compiled),
                         SimOptions::default(),
-                    ));
-                    let handle = pool.register(2);
+                        pool.register(2),
+                    );
+                    let mut sim = FaultSimulator::on(Arc::clone(&compiled));
                     let sets = &sets;
                     s.spawn(move || {
-                        let mut runner = SharedSetRunner::new(ctx, handle);
-                        let counts: Vec<usize> = sets
-                            .iter()
-                            .map(|set| runner.try_run_set(set).unwrap().len())
-                            .collect();
-                        (counts, runner.live().to_vec())
+                        let counts = run_sets(&runner, &mut sim, sets);
+                        (counts, sim.live().to_vec())
                     })
                 })
                 .collect();
@@ -1176,17 +1073,5 @@ mod tests {
             "once the job finishes the same wait succeeds"
         );
         assert!(h.wait_idle_for(std::time::Duration::ZERO), "idle slot: zero bound is fine");
-    }
-
-    #[test]
-    fn cyclic_uploads_cannot_reach_a_compiled_circuit() {
-        // The parser already rejects combinational cycles, so a malicious
-        // upload never reaches compile(); compile() itself stays fallible
-        // as defense in depth.
-        let src = "INPUT(a)\nOUTPUT(y)\ny = AND(a, z)\nz = OR(y, a)\n";
-        let err = rls_netlist::parse_bench("cyclic", src).unwrap_err();
-        assert!(err.to_string().contains("z"), "{err}");
-        let ok = rls_netlist::parse_bench("tiny", "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n").unwrap();
-        assert!(CompiledCircuit::compile(ok).is_ok());
     }
 }

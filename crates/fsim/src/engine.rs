@@ -1,8 +1,11 @@
-//! The fault-simulation driver: collapsed fault list, fault dropping, and
-//! the grouping of consecutive tests into SoA tiles, each as tall as the
-//! live fault count makes worthwhile.
+//! The fault-simulation driver: the compiled circuit, the collapsed fault
+//! list with fault dropping, and the one tile walk, which groups
+//! consecutive tests into SoA tiles, each as tall as the live fault count
+//! makes worthwhile.
 
-use rls_netlist::{Circuit, LevelizedCircuit};
+use std::sync::Arc;
+
+use rls_netlist::{Circuit, LevelizedCircuit, NetlistError};
 use rls_scan::{ChainMap, LaneWord};
 
 use crate::collapse::CollapsedFaults;
@@ -14,13 +17,14 @@ use crate::soa::{
 };
 use crate::test::ScanTest;
 
-/// Cumulative kernel-lane accounting of one simulator.
+/// Kernel-lane accounting of one [`simulate_block`] walk, or summed over
+/// a simulator's lifetime.
 ///
 /// Unlike the `fsim.lanes_*` obs counters (emitted only when the obs
-/// layer is enabled), these totals are maintained unconditionally, so an
-/// out-of-band consumer — e.g. the dispatch degrade path, which replays
-/// sets on a sequential simulator after the pool gives up — can report
-/// exact lane utilization for work the worker counters never saw.
+/// layer is enabled), these totals are kept unconditionally: the pool's
+/// worker counters add up the walks of their jobs, and a campaign that
+/// degraded reports its simulator's totals, the sets run after the
+/// degrade, beside them in the `workers` record.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneStats {
     /// Kernel invocations.
@@ -40,7 +44,147 @@ impl LaneStats {
     }
 }
 
-/// A fault simulator bound to one circuit.
+impl std::ops::AddAssign for LaneStats {
+    fn add_assign(&mut self, other: LaneStats) {
+        self.batches += other.batches;
+        self.lanes_used += other.lanes_used;
+        self.lanes_capacity += other.lanes_capacity;
+    }
+}
+
+/// Everything immutable fault simulation needs about one circuit,
+/// compiled once: the parsed circuit, its levelized SoA lowering, the
+/// fault universe, and the collapsed fault list.
+///
+/// A [`FaultSimulator`] runs on one behind an `Arc`, and so does every
+/// pool job of a campaign, so a server can compile a circuit once and
+/// share it across concurrent campaigns. Compilation is fallible
+/// (uploaded netlists may have combinational cycles); a server rejects
+/// such requests instead of panicking.
+#[derive(Debug)]
+pub struct CompiledCircuit {
+    circuit: Circuit,
+    soa: LevelizedCircuit,
+    universe: FaultUniverse,
+    collapsed: CollapsedFaults,
+}
+
+impl CompiledCircuit {
+    /// Levelizes, lowers to the SoA kernel layout, enumerates, and
+    /// collapses `circuit`.
+    pub fn compile(circuit: Circuit) -> Result<Self, NetlistError> {
+        let lev = circuit.levelize()?;
+        let soa = LevelizedCircuit::build(&circuit, &lev);
+        let universe = FaultUniverse::enumerate(&circuit);
+        let collapsed = CollapsedFaults::build(&circuit, &universe);
+        Ok(CompiledCircuit {
+            circuit,
+            soa,
+            universe,
+            collapsed,
+        })
+    }
+
+    /// The compiled circuit.
+    pub fn circuit(&self) -> &Circuit {
+        &self.circuit
+    }
+
+    /// The levelized SoA lowering every kernel pass runs on.
+    pub fn levelized(&self) -> &LevelizedCircuit {
+        &self.soa
+    }
+
+    /// The full single-stuck-at fault universe.
+    pub fn universe(&self) -> &FaultUniverse {
+        &self.universe
+    }
+
+    /// The collapsed fault classes.
+    pub fn collapsed(&self) -> &CollapsedFaults {
+        &self.collapsed
+    }
+}
+
+/// Simulates a block of tests tile by tile against `live` with fault
+/// dropping — the one tile walk, behind [`FaultSimulator::run_tests`] and
+/// every pool job.
+///
+/// Before each tile the walk keeps the faults of `live` that it has not
+/// reported yet and that `still_live` accepts (a pool job's view of what
+/// the set's other jobs dropped), and picks the tile's height from that
+/// count: [`fill_height`] over the [`compatible_run`] at the next test.
+/// Each detected fault is passed to `detect` once, walking the tile's
+/// patterns in test order and each in `live` order: the order sequential
+/// per-test dropping produces, since whether a test detects a fault does
+/// not depend on the other faults in the word. The walk ends with the
+/// block or when no fault is left.
+///
+/// Emits the `fsim.tiles` / `fsim.tile_height` metrics and returns the
+/// block's kernel accounting.
+pub fn simulate_block(
+    compiled: &CompiledCircuit,
+    chains: &ChainMap,
+    options: SimOptions,
+    tests: &[ScanTest],
+    live: &[FaultId],
+    still_live: impl Fn(FaultId) -> bool,
+    mut detect: impl FnMut(FaultId),
+) -> LaneStats {
+    let universe = compiled.universe();
+    let mut reported = vec![false; universe.len()];
+    let mut stats = LaneStats::default();
+    let mut next = 0;
+    while next < tests.len() {
+        let candidates: Vec<(FaultId, Fault)> = live
+            .iter()
+            .filter(|&&id| !reported[id.index()] && still_live(id)) // lint: panic-ok(fault ids index their own universe, which sized the vector)
+            .map(|&id| (id, universe.fault(id)))
+            .collect();
+        if candidates.is_empty() {
+            break;
+        }
+        let height = fill_height(candidates.len(), compatible_run(tests, next));
+        let tile: Vec<&ScanTest> = tests[next..next + height].iter().collect(); // lint: panic-ok(fill_height never exceeds the compatible run, which ends inside tests)
+        let cap = tile_fault_capacity::<KernelWord>(height);
+        let mut per_pattern: Vec<Vec<FaultId>> = vec![Vec::new(); height];
+        for chunk in candidates.chunks(cap) {
+            rls_obs::mark!("fsim.batch", chunk.len());
+            let dets = simulate_tile_lanes::<KernelWord>(
+                compiled.circuit(),
+                compiled.levelized(),
+                chains,
+                &tile,
+                chunk,
+                options,
+            );
+            for (merged, d) in per_pattern.iter_mut().zip(dets) {
+                merged.extend(d);
+            }
+        }
+        // Each kernel call occupies `height × (chunk + 1)` lanes of one
+        // word, so `capacity == batches * lanes` holds under tiling.
+        let batches = candidates.len().div_ceil(cap) as u64;
+        stats += LaneStats {
+            batches,
+            lanes_used: (candidates.len() * height) as u64,
+            lanes_capacity: batches * KernelWord::LANES as u64,
+        };
+        rls_obs::counter!("fsim.tiles", 1);
+        rls_obs::histogram!("fsim.tile_height", height as u64);
+        for id in per_pattern.into_iter().flatten() {
+            // lint: panic-ok(the kernel reports candidate ids, which index the universe)
+            if !std::mem::replace(&mut reported[id.index()], true) {
+                detect(id);
+            }
+        }
+        next += height;
+    }
+    stats
+}
+
+/// A fault simulator bound to one compiled circuit: the owner of a
+/// campaign's fault list.
 ///
 /// Maintains the collapsed target fault list with fault dropping: once a
 /// fault is detected it is never simulated again. [`FaultSimulator::reset`]
@@ -61,13 +205,10 @@ impl LaneStats {
 /// assert!(sim.live_count() + sim.detected_count() == total);
 /// ```
 #[derive(Debug)]
-pub struct FaultSimulator<'c> {
-    /// The circuit, its levelization and the scan chains.
-    good: GoodSim<'c>,
-    /// The levelized SoA lowering, built once per simulator.
-    soa: LevelizedCircuit,
-    universe: FaultUniverse,
-    collapsed: CollapsedFaults,
+pub struct FaultSimulator {
+    compiled: Arc<CompiledCircuit>,
+    /// The scan chains tests are applied through.
+    chains: ChainMap,
     /// Live (undetected) representative faults.
     live: Vec<FaultId>,
     detected: Vec<FaultId>,
@@ -75,24 +216,29 @@ pub struct FaultSimulator<'c> {
     lane_stats: LaneStats,
 }
 
-impl<'c> FaultSimulator<'c> {
-    /// Builds the simulator: enumerates and collapses the fault list.
+impl FaultSimulator {
+    /// Builds the simulator: compiles the circuit, enumerating and
+    /// collapsing its fault list.
     ///
     /// # Panics
     ///
-    /// Panics if the circuit has combinational cycles.
-    pub fn new(circuit: &'c Circuit) -> Self {
-        let universe = FaultUniverse::enumerate(circuit);
-        let collapsed = CollapsedFaults::build(circuit, &universe);
-        let live = collapsed.representatives().to_vec();
-        let good = GoodSim::new(circuit);
-        let soa = LevelizedCircuit::build(circuit, good.levelization());
+    /// Panics if the circuit has combinational cycles
+    /// ([`CompiledCircuit::compile`] is the fallible form).
+    pub fn new(circuit: &Circuit) -> Self {
+        match CompiledCircuit::compile(circuit.clone()) {
+            Ok(compiled) => FaultSimulator::on(Arc::new(compiled)),
+            // lint: panic-ok(documented contract: simulation needs an acyclic circuit; fallible callers compile first)
+            Err(e) => panic!("fault simulation requires an acyclic circuit: {e}"),
+        }
+    }
+
+    /// A simulator on an already compiled circuit, targeting every
+    /// collapsed fault through full scan.
+    pub fn on(compiled: Arc<CompiledCircuit>) -> Self {
         FaultSimulator {
-            good,
-            soa,
-            universe,
-            collapsed,
-            live,
+            chains: ChainMap::full(compiled.circuit().num_dffs()),
+            live: compiled.collapsed().representatives().to_vec(),
+            compiled,
             detected: Vec::new(),
             options: SimOptions::default(),
             lane_stats: LaneStats::default(),
@@ -105,11 +251,6 @@ impl<'c> FaultSimulator<'c> {
         self.options = options;
     }
 
-    /// The current observation policy.
-    pub fn options(&self) -> SimOptions {
-        self.options
-    }
-
     /// Sets the scan chains tests are applied through (full scan by
     /// default): a [`ChainMap`] from a [`rls_scan::PartialScan`] or a
     /// [`rls_scan::MultiChain`] runs the same kernel on that scan style.
@@ -119,45 +260,46 @@ impl<'c> FaultSimulator<'c> {
     /// Panics if `chains` covers a different number of flip-flops than
     /// the circuit has.
     pub fn set_chains(&mut self, chains: ChainMap) {
-        self.good.set_chains(chains);
+        assert_eq!(
+            chains.n_sv(),
+            self.circuit().num_dffs(),
+            "chain map/circuit mismatch"
+        );
+        self.chains = chains;
     }
 
-    /// The levelized SoA lowering of the circuit under test.
-    pub fn levelized(&self) -> &LevelizedCircuit {
-        &self.soa
+    /// The compiled circuit the simulator runs on.
+    pub fn compiled(&self) -> &Arc<CompiledCircuit> {
+        &self.compiled
     }
 
     /// Cumulative kernel-lane accounting over this simulator's lifetime
     /// (maintained unconditionally, unlike the obs counters). Survives
     /// [`FaultSimulator::reset`]/[`FaultSimulator::set_targets`]: it
-    /// describes engine work done, not the current fault list.
+    /// describes engine work done, not the current fault list. Detections
+    /// handed in through [`FaultSimulator::apply_detections`] add nothing.
     pub fn lane_stats(&self) -> LaneStats {
         self.lane_stats
     }
 
     /// The circuit under test.
     pub fn circuit(&self) -> &Circuit {
-        self.good.circuit()
-    }
-
-    /// The good-machine simulator.
-    pub fn good(&self) -> &GoodSim<'c> {
-        &self.good
+        self.compiled.circuit()
     }
 
     /// The uncollapsed fault universe.
     pub fn universe(&self) -> &FaultUniverse {
-        &self.universe
+        self.compiled.universe()
     }
 
     /// The collapsed fault classes.
     pub fn collapsed(&self) -> &CollapsedFaults {
-        &self.collapsed
+        self.compiled.collapsed()
     }
 
     /// Number of collapsed target faults.
     pub fn total_faults(&self) -> usize {
-        self.collapsed.len()
+        self.collapsed().len()
     }
 
     /// Currently undetected faults.
@@ -187,7 +329,7 @@ impl<'c> FaultSimulator<'c> {
 
     /// Restores the full fault list (e.g. between experiments).
     pub fn reset(&mut self) {
-        self.live = self.collapsed.representatives().to_vec();
+        self.live = self.collapsed().representatives().to_vec();
         self.detected.clear();
     }
 
@@ -201,27 +343,38 @@ impl<'c> FaultSimulator<'c> {
     /// Simulates one test against all live faults, drops and returns the
     /// newly detected ones.
     pub fn run_test(&mut self, test: &ScanTest) -> Vec<FaultId> {
-        self.run_tile(&[test])
+        self.simulate(std::slice::from_ref(test))
     }
 
-    /// Records the kernel calls of one test or tile: `faults` candidates
-    /// simulated `per_batch` at a time against `height` patterns.
-    /// Accounted unconditionally (see [`LaneStats`]); the obs counters
-    /// mirror it only when the layer is enabled.
-    fn account(&mut self, sw: &rls_obs::Stopwatch, faults: usize, per_batch: usize, height: usize) {
-        let lanes = KernelWord::LANES as u64;
-        let batches = faults.div_ceil(per_batch) as u64;
-        let fault_lanes = (faults * height) as u64;
-        self.lane_stats.batches += batches;
-        self.lane_stats.lanes_used += fault_lanes;
-        self.lane_stats.lanes_capacity += batches * lanes;
-        if sw.running() {
-            rls_obs::histogram!("fsim.test_nanos", sw.elapsed_nanos());
-            rls_obs::counter!("fsim.faults_simulated", fault_lanes);
-            rls_obs::counter!("fsim.batches", batches);
-            rls_obs::counter!("fsim.lanes_used", fault_lanes);
-            rls_obs::counter!("fsim.lanes_capacity", batches * lanes);
+    /// Simulates a sequence of tests, dropping as it goes; returns the
+    /// number of newly detected faults.
+    ///
+    /// Consecutive shape-compatible tests are packed into tiles so one
+    /// kernel pass covers several tests, each tile re-planned from the
+    /// current live count ([`simulate_block`]). The detections (set *and*
+    /// order) are identical to the sequential per-test run.
+    pub fn run_tests(&mut self, tests: &[ScanTest]) -> usize {
+        self.simulate(tests).len()
+    }
+
+    /// Applies externally computed detections: drops the given faults from
+    /// the live list and appends them (in the given order, each once) to
+    /// the detected list. Ids not currently live are ignored.
+    ///
+    /// This is the hand-off point for a pooled set: the `rls-dispatch`
+    /// runner computes the set's detections across threads against this
+    /// simulator's live list and reduces them deterministically.
+    pub fn apply_detections(&mut self, newly: &[FaultId]) {
+        if newly.is_empty() {
+            return;
         }
+        let mut unclaimed: std::collections::HashSet<FaultId> = self.live.iter().copied().collect();
+        let accepted: Vec<FaultId> = newly
+            .iter()
+            .copied()
+            .filter(|id| unclaimed.remove(id))
+            .collect();
+        self.drop_detected(&accepted);
     }
 
     /// Drops `newly` (already in detection order and duplicate-free) from
@@ -234,99 +387,34 @@ impl<'c> FaultSimulator<'c> {
         }
     }
 
-    /// Applies externally computed detections: drops the given faults from
-    /// the live list and appends them (in the given order) to the detected
-    /// list. Ids not currently live are ignored.
-    ///
-    /// This is the hand-off point for out-of-band executors — e.g. the
-    /// `rls-dispatch` worker pool, which simulates batches across threads
-    /// and reduces detections deterministically before applying them here.
-    pub fn apply_detections(&mut self, newly: &[FaultId]) {
-        if newly.is_empty() {
-            return;
+    /// Runs `tests` through the tile walk against the live list, accounts
+    /// the kernel work, and drops what the tests detect.
+    fn simulate(&mut self, tests: &[ScanTest]) -> Vec<FaultId> {
+        let mut newly = Vec::new();
+        if self.live.is_empty() || tests.is_empty() {
+            return newly;
         }
-        let live: std::collections::HashSet<FaultId> = self.live.iter().copied().collect();
-        let accepted: Vec<FaultId> = newly.iter().copied().filter(|id| live.contains(id)).collect();
-        let drop: std::collections::HashSet<FaultId> = accepted.iter().copied().collect();
-        self.live.retain(|id| !drop.contains(id));
-        self.detected.extend(accepted);
-    }
-
-    /// Simulates a sequence of tests, dropping as it goes; returns the
-    /// number of newly detected faults.
-    ///
-    /// Consecutive shape-compatible tests are packed into tiles so one
-    /// kernel pass covers several tests. Each tile is re-planned from the
-    /// current live count: [`fill_height`] over the [`compatible_run`] at
-    /// the next test, so a thin fault tail packs many tests per word. The
-    /// detections (set *and* order) are identical to the sequential
-    /// per-test run: per-(test, fault) detection does not depend on the
-    /// other faults in the word, and the tile merge walks patterns in test
-    /// order, dropping already-detected ids exactly as sequential dropping
-    /// would.
-    pub fn run_tests(&mut self, tests: &[ScanTest]) -> usize {
-        let all: Vec<&ScanTest> = tests.iter().collect();
-        let mut count = 0;
-        let mut next = 0;
-        while next < tests.len() && !self.live.is_empty() {
-            let height = fill_height(self.live.len(), compatible_run(tests, next));
-            count += self.run_tile(&all[next..next + height]).len(); // lint: panic-ok(fill_height never exceeds the compatible run, which ends inside tests)
-            next += height;
-        }
-        count
-    }
-
-    /// Simulates a tile of shape-compatible tests in SoA passes over the
-    /// whole live list and merges the per-pattern detections in test
-    /// order. Each pattern's fault-free machine runs in its reference
-    /// lane, so no good trace is computed and no candidate is
-    /// prefiltered: a fault that is never activated is simply not
-    /// detected.
-    fn run_tile(&mut self, tests: &[&ScanTest]) -> Vec<FaultId> {
-        let t = tests.len();
         let _span = rls_obs::span!("fsim.test", live = self.live.len());
         let sw = rls_obs::Stopwatch::start();
-        let candidates: Vec<(FaultId, Fault)> = self
-            .live
-            .iter()
-            .map(|&id| (id, self.universe.fault(id)))
-            .collect();
-        let cap = tile_fault_capacity::<KernelWord>(t);
-        let circuit = self.good.circuit();
-        let mut per_pattern: Vec<Vec<FaultId>> = vec![Vec::new(); t];
-        for chunk in candidates.chunks(cap) {
-            rls_obs::mark!("fsim.batch", chunk.len());
-            let dets = simulate_tile_lanes::<KernelWord>(
-                circuit,
-                &self.soa,
-                self.good.chains(),
-                tests,
-                chunk,
-                self.options,
-            );
-            for (p, d) in dets.into_iter().enumerate() {
-                per_pattern[p].extend(d); // lint: panic-ok(the kernel returns one list per tile pattern)
-            }
-        }
-        // Each kernel call occupies `t × (chunk + 1)` lanes of a
-        // `lanes`-wide word, so the capacity invariant
-        // (`capacity == batches * lanes`) is preserved under tiling.
-        self.account(&sw, candidates.len(), cap, t);
+        let stats = simulate_block(
+            &self.compiled,
+            &self.chains,
+            self.options,
+            tests,
+            &self.live,
+            |_| true,
+            |id| newly.push(id),
+        );
+        self.lane_stats += stats;
         if sw.running() {
-            rls_obs::counter!("fsim.tiles", 1);
-            rls_obs::histogram!("fsim.tile_height", t as u64);
+            rls_obs::histogram!("fsim.test_nanos", sw.elapsed_nanos());
+            rls_obs::counter!("fsim.faults_simulated", stats.lanes_used);
+            rls_obs::counter!("fsim.batches", stats.batches);
+            rls_obs::counter!("fsim.lanes_used", stats.lanes_used);
+            rls_obs::counter!("fsim.lanes_capacity", stats.lanes_capacity);
         }
-        // Order-preserving merge: walk patterns in test order, each in
-        // candidate order, dropping ids already claimed by an earlier
-        // pattern — exactly what sequential per-test dropping produces.
-        let mut seen: std::collections::HashSet<FaultId> = std::collections::HashSet::new();
-        let merged: Vec<FaultId> = per_pattern
-            .into_iter()
-            .flatten()
-            .filter(|&id| seen.insert(id))
-            .collect();
-        self.drop_detected(&merged);
-        merged
+        self.drop_detected(&newly);
+        newly
     }
 }
 
@@ -338,7 +426,7 @@ impl<'c> FaultSimulator<'c> {
 /// # Panics
 ///
 /// Panics if `universe` is not the fault universe of `sim`'s circuit, or
-/// on the width mismatches [`FaultSimulator::run_tests`] rejects.
+/// if `chains` does not fit the circuit.
 pub(crate) fn run_tests_on_chains(
     sim: &GoodSim<'_>,
     chains: ChainMap,
@@ -427,6 +515,18 @@ mod tests {
         sim.apply_detections(&picked);
         assert_eq!(sim.detected_count(), 3);
         assert_eq!(sim.live_count(), sim.total_faults() - 3);
+    }
+
+    #[test]
+    fn apply_detections_counts_a_repeated_id_once() {
+        // A pooled set hands its detections over here; an id listed twice
+        // is still one detection.
+        let c = rls_benchmarks::s27();
+        let mut sim = FaultSimulator::new(&c);
+        let id = sim.live()[0];
+        sim.apply_detections(&[id, id]);
+        assert_eq!(sim.detected(), &[id]);
+        assert_eq!(sim.live_count() + sim.detected_count(), sim.total_faults());
     }
 
     #[test]
@@ -587,6 +687,18 @@ mod tests {
             stats.batches * KernelWord::LANES as u64
         );
         assert!(stats.lanes_used <= stats.lanes_capacity);
+    }
+
+    #[test]
+    fn cyclic_uploads_cannot_reach_a_compiled_circuit() {
+        // The parser already rejects combinational cycles, so a malicious
+        // upload never reaches compile(); compile() itself stays fallible
+        // as defense in depth.
+        let src = "INPUT(a)\nOUTPUT(y)\ny = AND(a, z)\nz = OR(y, a)\n";
+        let err = rls_netlist::parse_bench("cyclic", src).unwrap_err();
+        assert!(err.to_string().contains("z"), "{err}");
+        let ok = rls_netlist::parse_bench("tiny", "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n").unwrap();
+        assert!(CompiledCircuit::compile(ok).is_ok());
     }
 
     #[test]

@@ -78,22 +78,13 @@ impl<'c> GoodSim<'c> {
     /// Panics if `chains` covers a different number of flip-flops than
     /// the circuit has.
     pub fn with_chains(mut self, chains: ChainMap) -> Self {
-        self.set_chains(chains);
-        self
-    }
-
-    /// Replaces the scan chains (see [`GoodSim::with_chains`]).
-    ///
-    /// # Panics
-    ///
-    /// As [`GoodSim::with_chains`].
-    pub(crate) fn set_chains(&mut self, chains: ChainMap) {
         assert_eq!(
             chains.n_sv(),
             self.circuit.num_dffs(),
             "chain map/circuit mismatch"
         );
         self.chains = chains;
+        self
     }
 
     /// The circuit under simulation.

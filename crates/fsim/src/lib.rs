@@ -29,8 +29,14 @@
 //!   from a [`ChainMap`]; each tile's height comes from the live fault
 //!   count through one fill rule ([`fill_height`] over a
 //!   [`compatible_run`]);
-//! - [`engine`]: the [`FaultSimulator`] driver with fault dropping and
-//!   a tile re-planned from the live count before every kernel pass;
+//! - [`engine`]: the [`CompiledCircuit`] (circuit, SoA lowering, fault
+//!   universe and collapsed list, compiled once and shared behind an
+//!   `Arc`), the one tile walk [`simulate_block`], which re-plans a tile
+//!   from the live count before every kernel pass, and the
+//!   [`FaultSimulator`], the owner of a campaign's fault list. The
+//!   simulator runs its sets through the walk itself, or applies the
+//!   detections of a set that `rls-dispatch`'s pool jobs computed with
+//!   the same walk;
 //! - [`partial_sim`] / [`multichain_sim`]: drivers for the partial-scan
 //!   and multiple-chain extensions over the same engine;
 //! - [`transition`]: the transition (delay) fault model's own 64-lane
@@ -70,7 +76,7 @@ pub mod transition;
 
 pub use collapse::CollapsedFaults;
 pub use coverage::Coverage;
-pub use engine::{FaultSimulator, LaneStats};
+pub use engine::{simulate_block, CompiledCircuit, FaultSimulator, LaneStats};
 pub use fault::{Fault, FaultId, FaultSite, FaultUniverse};
 pub use good::{GoodSim, TestTrace};
 pub use multichain_sim::{run_tests_multichain, McScanTest, McShiftOp};

@@ -15,7 +15,7 @@ pub const SPANS: &[&str] = &[
     "procedure2.ts0",   // TS0 generation + simulation
     "procedure2.iter",  // one outer iteration (paper index `i`)
     "procedure2.trial", // one (I, D1) trial: derive + simulate a test set
-    "fsim.test",        // sequential engine: one test against live faults
+    "fsim.test",        // sequential engine: one test set against live faults
     "dispatch.set",     // parallel executor: one fanned-out test set
     "bench.table",      // one table binary run
     "bench.circuit",    // one circuit within a table run
@@ -81,7 +81,7 @@ pub const GAUGES: &[&str] = &[
 /// Histogram names (sinks report count, mean, and log-scaled quantiles).
 pub const HISTOGRAMS: &[&str] = &[
     "procedure2.trial_cycles", // N_SH(I, D1) cost of one trial
-    "fsim.test_nanos",         // sequential engine time per test
+    "fsim.test_nanos",         // sequential engine time per test set
     "fsim.tile_height",        // tests packed into one tile by the fill rule
     "serve.campaign_nanos",    // wall time of one served campaign
 ];

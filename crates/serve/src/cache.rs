@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use rls_dispatch::CompiledCircuit;
+use rls_fsim::CompiledCircuit;
 
 use crate::protocol::CircuitRef;
 

@@ -1,8 +1,10 @@
 //! The served trial executor: Procedure 2 on the persistent shared pool.
 //!
-//! [`ServedExecutor`] wraps the same [`PoolExecutor`] a direct
-//! `Procedure2::run` drives — set fan-out, sequential degrade fallback,
-//! and all — and adds only what is server-specific: `cancelled()`
+//! [`ServedExecutor`] wraps the same [`CampaignExecutor`] a direct
+//! `Procedure2::run` drives — one `FaultSimulator` owning the fault
+//! list, a runner computing each set's detections on the shared pool,
+//! and the degrade to that simulator when a set keeps failing — and
+//! adds only what is server-specific: `cancelled()`
 //! answers from four sources so the greedy loop stops at the next trial
 //! boundary (the server draining, the client disconnecting, the watchdog
 //! declaring the campaign stalled, and a per-request deadline lapsing),
@@ -15,7 +17,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use rls_core::{PoolExecutor, TrialExecutor};
+use rls_core::{CampaignExecutor, TrialExecutor};
 use rls_dispatch::PoolSnapshot;
 use rls_fsim::{FaultId, ScanTest};
 
@@ -49,7 +51,7 @@ impl CancelCause {
 
 /// Drives one served campaign's trials on the shared pool.
 pub struct ServedExecutor<'c> {
-    inner: PoolExecutor<'c>,
+    inner: CampaignExecutor,
     drain: &'c AtomicBool,
     disconnect: Arc<AtomicBool>,
     progress: Option<Arc<ProgressCell>>,
@@ -65,11 +67,11 @@ impl std::fmt::Debug for ServedExecutor<'_> {
 }
 
 impl<'c> ServedExecutor<'c> {
-    /// An executor over a registered campaign's pool executor. `drain` is
+    /// An executor over a registered campaign's executor. `drain` is
     /// the server's global drain flag; `disconnect` is set by the response
     /// writer when the client goes away.
     pub fn new(
-        inner: PoolExecutor<'c>,
+        inner: CampaignExecutor,
         drain: &'c AtomicBool,
         disconnect: Arc<AtomicBool>,
     ) -> Self {
@@ -96,8 +98,8 @@ impl<'c> ServedExecutor<'c> {
     }
 
     /// The campaign's worker counters for the `workers` record (see
-    /// [`PoolExecutor::snapshot`]).
-    pub fn snapshot(&self) -> PoolSnapshot {
+    /// [`CampaignExecutor::snapshot`]).
+    pub fn snapshot(&self) -> Option<PoolSnapshot> {
         self.inner.snapshot()
     }
 
@@ -123,9 +125,9 @@ impl<'c> ServedExecutor<'c> {
         }
     }
 
-    /// Installs the sequential fallback up front (watchdog retries
-    /// exhausted): every subsequent set runs on this thread, which the
-    /// pool cannot stall.
+    /// Drops the pool runner up front (watchdog retries exhausted): every
+    /// subsequent set runs on the executor's simulator on this thread,
+    /// which the pool cannot stall.
     pub fn force_degrade(&mut self) {
         self.inner.force_degrade();
     }
@@ -169,8 +171,8 @@ impl TrialExecutor for ServedExecutor<'_> {
 mod tests {
     use super::*;
     use rls_core::RlsConfig;
-    use rls_dispatch::{CompiledCircuit, SharedPool};
-    use rls_fsim::FaultSimulator;
+    use rls_dispatch::SharedPool;
+    use rls_fsim::{CompiledCircuit, FaultSimulator};
 
     fn fixture() -> (SharedPool, Arc<CompiledCircuit>) {
         let compiled = Arc::new(CompiledCircuit::compile(rls_benchmarks::s27()).unwrap());
@@ -179,11 +181,12 @@ mod tests {
 
     fn served<'c>(
         pool: &SharedPool,
-        compiled: &'c Arc<CompiledCircuit>,
+        compiled: &Arc<CompiledCircuit>,
         drain: &'c AtomicBool,
         disconnect: Arc<AtomicBool>,
     ) -> ServedExecutor<'c> {
-        let inner = PoolExecutor::new(compiled, &RlsConfig::new(4, 8, 8), pool.register(2));
+        let inner =
+            CampaignExecutor::new(compiled, &RlsConfig::new(4, 8, 8), Some(pool.register(2)));
         ServedExecutor::new(inner, drain, disconnect)
     }
 
@@ -270,7 +273,10 @@ mod tests {
         assert!(exec.degraded());
         assert_eq!(newly, oracle.run_tests(&set));
         assert_eq!(exec.undetected(), oracle.live());
-        let stats = exec.snapshot().fallback.expect("fallback ran batches");
+        let stats = exec
+            .snapshot()
+            .and_then(|snap| snap.fallback)
+            .expect("fallback ran batches");
         assert!(stats.batches > 0 && stats.lanes_used > 0);
     }
 }

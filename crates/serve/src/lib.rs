@@ -18,8 +18,8 @@
 //!   collapsed fault lists keyed by config fingerprint, compiled once and
 //!   shared across concurrent campaigns;
 //! - [`exec`]: the [`exec::ServedExecutor`] — the `TrialExecutor` that
-//!   wraps the same `rls_core::PoolExecutor` a direct run drives (shared
-//!   pool, sequential degrade on poisoned jobs) and stops at trial
+//!   wraps the same `rls_core::CampaignExecutor` a direct run drives
+//!   (shared pool, sequential degrade on poisoned jobs) and stops at trial
 //!   boundaries when the server drains, the client disconnects, the
 //!   watchdog flags a stall, or a deadline lapses;
 //! - [`server`]: the accept loop, per-connection sessions, admission
@@ -38,7 +38,7 @@
 //! # Determinism
 //!
 //! A served campaign is **bit-identical** to a direct run of the same
-//! configuration: it runs the very same `rls_core::PoolExecutor` on the
+//! configuration: it runs the very same `rls_core::CampaignExecutor` on the
 //! same pool type a direct run starts (see `rls_dispatch::shared`), the
 //! campaign records stream through the very same `Campaign` writer, and
 //! the integration suite byte-compares served record lines (volatile

@@ -65,11 +65,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rls_core::{
-    fingerprint, load_checkpoint, PoolExecutor, Procedure2, Procedure2Outcome, ResumeState,
+    fingerprint, load_checkpoint, CampaignExecutor, Procedure2, Procedure2Outcome, ResumeState,
     RlsConfig,
 };
 use rls_dispatch::inject::{self, StreamFault};
-use rls_dispatch::{Campaign, CampaignSummary, CompiledCircuit, SharedPool};
+use rls_dispatch::{Campaign, CampaignSummary, SharedPool};
+use rls_fsim::CompiledCircuit;
 use rls_lfsr::SeedSequence;
 
 use crate::cache::CircuitCache;
@@ -814,7 +815,8 @@ fn execute_campaign(
         } else {
             shared.watchdog.register()
         };
-        let mut pooled = PoolExecutor::new(compiled, cfg, shared.pool.register(cfg.threads));
+        let mut pooled =
+            CampaignExecutor::new(compiled, cfg, Some(shared.pool.register(cfg.threads)));
         if guard.is_some() {
             // Bound wave barriers too: a worker wedged *inside* a wave
             // would otherwise block `apply_set` forever, beyond the
@@ -866,7 +868,7 @@ fn execute_campaign(
                 continue;
             }
         }
-        let snapshot = (cfg.threads > 1).then(|| exec.snapshot());
+        let snapshot = (cfg.threads > 1).then(|| exec.snapshot()).flatten();
         break (outcome, cancel, snapshot);
     };
     // End-of-run bookkeeping, mirroring a direct run: a workers record

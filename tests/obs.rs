@@ -12,29 +12,29 @@
 use std::sync::{Arc, Mutex};
 
 use random_limited_scan::core::{generate_ts0, RlsConfig};
-use random_limited_scan::dispatch::{
-    test_blocks, CompiledCircuit, SharedPool, SharedSetRunner, SharedSimContext,
-};
+use random_limited_scan::dispatch::{test_blocks, SharedPool, SharedSetRunner};
 use random_limited_scan::obs;
 use random_limited_scan::obs::record::Event;
-use rls_fsim::{KernelWord, LaneWord, ScanTest, SimOptions};
+use rls_fsim::{CompiledCircuit, FaultId, KernelWord, LaneWord, ScanTest, SimOptions};
 use rls_netlist::Circuit;
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
-/// A runner for `c` registered with budget `threads` on `pool`.
-fn runner(pool: &SharedPool, c: &Circuit, threads: usize) -> SharedSetRunner {
+/// A runner for `c` registered with budget `threads` on `pool`, and the
+/// full collapsed fault list to run it against.
+fn runner(pool: &SharedPool, c: &Circuit, threads: usize) -> (SharedSetRunner, Vec<FaultId>) {
     let compiled = Arc::new(CompiledCircuit::compile(c.clone()).expect("acyclic"));
-    let ctx = SharedSimContext::new(compiled, SimOptions::default());
-    SharedSetRunner::new(Arc::new(ctx), pool.register(threads))
+    let live = compiled.collapsed().representatives().to_vec();
+    let runner = SharedSetRunner::new(compiled, SimOptions::default(), pool.register(threads));
+    (runner, live)
 }
 
 /// Runs one set on a fresh `threads`-wide pool; the campaign retires
 /// (emitting its pool metrics) before this returns.
 fn run_one_set(c: &Circuit, tests: &[ScanTest], threads: usize) {
     let pool = SharedPool::new(threads);
-    let mut runner = runner(&pool, c, threads);
-    runner.try_run_set(tests).expect("no job fails");
+    let (runner, live) = runner(&pool, c, threads);
+    runner.try_run_set(&live, tests).expect("no job fails");
 }
 
 #[test]
@@ -51,9 +51,9 @@ fn test_block_jobs_cut_submit_overhead_on_large_circuits() {
     let tests = generate_ts0(&c, &cfg);
     for threads in [1, 2] {
         let pool = SharedPool::new(threads);
-        let mut runner = runner(&pool, &c, threads);
-        let live = runner.live_count();
-        runner.try_run_set(&tests).expect("no job fails");
+        let (runner, live) = runner(&pool, &c, threads);
+        runner.try_run_set(&live, &tests).expect("no job fails");
+        let live = live.len();
         let snap = runner.handle().snapshot();
         let jobs: u64 = snap.workers.iter().map(|w| w.jobs).sum();
         let blocks = test_blocks(tests.len(), threads).len() as u64;

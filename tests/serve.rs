@@ -284,9 +284,13 @@ fn drained_campaign_checkpoints_and_a_served_resume_completes_it() {
     let uninterrupted = Procedure2::new(&circuit, cfg.clone()).run();
     assert!(!uninterrupted.pairs.is_empty(), "needs pairs, else resume is trivial");
 
-    let compiled = Arc::new(rls_dispatch::CompiledCircuit::compile(circuit.clone()).unwrap());
+    let compiled = Arc::new(rls_fsim::CompiledCircuit::compile(circuit.clone()).unwrap());
     let pool = rls_dispatch::SharedPool::new(2);
-    let pooled = random_limited_scan::core::PoolExecutor::new(&compiled, &cfg, pool.register(1));
+    let pooled = random_limited_scan::core::CampaignExecutor::new(
+        &compiled,
+        &cfg,
+        Some(pool.register(1)),
+    );
     let drain = AtomicBool::new(true); // drained before the first trial
     let mut exec =
         rls_serve::ServedExecutor::new(pooled, &drain, Arc::new(AtomicBool::new(false)));
@@ -400,9 +404,13 @@ fn a_clean_run_leaves_no_journal_backlog() {
 fn interrupted_campaign(dir: &Path) -> (RlsConfig, PathBuf, u64) {
     let circuit = random_limited_scan::benchmarks::by_name("s208").unwrap();
     let cfg = RlsConfig::new(2, 3, 2); // TS0 alone does not reach coverage
-    let compiled = Arc::new(rls_dispatch::CompiledCircuit::compile(circuit.clone()).unwrap());
+    let compiled = Arc::new(rls_fsim::CompiledCircuit::compile(circuit.clone()).unwrap());
     let pool = rls_dispatch::SharedPool::new(2);
-    let pooled = random_limited_scan::core::PoolExecutor::new(&compiled, &cfg, pool.register(1));
+    let pooled = random_limited_scan::core::CampaignExecutor::new(
+        &compiled,
+        &cfg,
+        Some(pool.register(1)),
+    );
     let drain = AtomicBool::new(true); // cancelled before the first trial
     let mut exec =
         rls_serve::ServedExecutor::new(pooled, &drain, Arc::new(AtomicBool::new(false)));

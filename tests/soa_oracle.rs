@@ -37,14 +37,12 @@
 
 use random_limited_scan::core::extension::{derive_mc_test_set, generate_ts0_partial};
 use random_limited_scan::core::{derive_test_set, generate_ts0, RlsConfig, SeedMode};
-use random_limited_scan::dispatch::{
-    CompiledCircuit, SharedPool, SharedSetRunner, SharedSimContext,
-};
+use random_limited_scan::dispatch::{SharedPool, SharedSetRunner};
 use rls_fsim::good::traces_differ;
 use rls_fsim::{
     compatible_run, fill_height, max_tile_height, simulate_tile_lanes, tile_fault_capacity,
-    ChainMap, Fault, FaultId, FaultSimulator, FaultUniverse, GoodSim, KernelWord, LaneWord,
-    ScanTest, ShiftOp, SimOptions, TestTrace,
+    ChainMap, CompiledCircuit, Fault, FaultId, FaultSimulator, FaultUniverse, GoodSim, KernelWord,
+    LaneWord, ScanTest, ShiftOp, SimOptions, TestTrace,
 };
 use rls_netlist::{Circuit, LevelizedCircuit};
 use rls_scan::{for_each_lane_word, MultiChain, PartialScan};
@@ -489,13 +487,18 @@ fn dispatch_thread_matrix_matches_the_engine() {
         let compiled = CompiledCircuit::compile(c).expect("benchmarks are acyclic");
         let compiled = std::sync::Arc::new(compiled);
         for budget in [1, 2, 4] {
-            let ctx = SharedSimContext::new(compiled.clone(), SimOptions::default());
             let pool = SharedPool::new(budget);
-            let mut runner = SharedSetRunner::new(ctx.into(), pool.register(budget));
+            let runner = SharedSetRunner::new(
+                compiled.clone(),
+                SimOptions::default(),
+                pool.register(budget),
+            );
+            let mut sim = FaultSimulator::on(compiled.clone());
             for (k, (set, (detected, live))) in sets.iter().zip(&serial).enumerate() {
-                let count = runner.try_run_set(set).expect("no job fails").len();
+                let newly = runner.try_run_set(sim.live(), set).expect("no job fails");
+                sim.apply_detections(&newly);
                 assert_eq!(
-                    (count, runner.live()),
+                    (newly.len(), sim.live()),
                     (detected.len(), &live[..]),
                     "{label} set {k} x budget {budget}"
                 );

@@ -31,8 +31,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use rls_dispatch::inject::{self, sched_verdict, InjectionPlan};
-use rls_dispatch::{CompiledCircuit, SharedPool, SharedSetRunner, SharedSimContext};
-use rls_fsim::{FaultId, FaultSimulator, ScanTest, SimOptions};
+use rls_dispatch::{SharedPool, SharedSetRunner};
+use rls_fsim::{CompiledCircuit, FaultId, FaultSimulator, ScanTest, SimOptions};
 use rls_netlist::Circuit;
 
 /// How many leading verdicts identify a seed's perturbation schedule.
@@ -121,16 +121,27 @@ pub fn campaign_bytes(counts: &[usize], live: &[FaultId]) -> Vec<u8> {
     format!("{counts:?}|{live:?}").into_bytes()
 }
 
-fn run_campaign(runner: &mut SharedSetRunner, sets: &[Vec<ScanTest>]) -> Vec<u8> {
+/// Runs `sets` through `runner` against a fresh simulator's live list,
+/// applying each set's detections the way a campaign does.
+fn run_campaign(runner: &SharedSetRunner, sets: &[Vec<ScanTest>]) -> Vec<u8> {
+    let mut sim = FaultSimulator::on(compiled_s27());
     let counts: Vec<usize> = sets
         .iter()
-        .map(|set| runner.try_run_set(set).expect("waves settle").len())
+        .map(|set| {
+            let newly = runner.try_run_set(sim.live(), set).expect("waves settle");
+            sim.apply_detections(&newly);
+            newly.len()
+        })
         .collect();
-    campaign_bytes(&counts, runner.live())
+    campaign_bytes(&counts, sim.live())
 }
 
 fn compiled_s27() -> Arc<CompiledCircuit> {
     Arc::new(CompiledCircuit::compile(rls_benchmarks::s27()).unwrap())
+}
+
+fn s27_runner(pool: &SharedPool, budget: usize) -> SharedSetRunner {
+    SharedSetRunner::new(compiled_s27(), SimOptions::default(), pool.register(budget))
 }
 
 /// Scenario 1: one campaign, one pool, seeded schedule noise.
@@ -142,9 +153,8 @@ fn plain_wave(seed: u64) {
     let sets = s27_sets();
     let want = oracle_bytes(&rls_benchmarks::s27(), &sets);
     let pool = SharedPool::new(4);
-    let ctx = Arc::new(SharedSimContext::new(compiled_s27(), SimOptions::default()));
-    let mut runner = SharedSetRunner::new(ctx, pool.register(2));
-    assert_eq!(run_campaign(&mut runner, &sets), want, "plain wave, seed {seed:#x}");
+    let runner = s27_runner(&pool, 2);
+    assert_eq!(run_campaign(&runner, &sets), want, "plain wave, seed {seed:#x}");
     drop(runner);
     pool.shutdown();
     assert!(inject::sched_points() > 0, "the seed must actually have steered points");
@@ -164,16 +174,13 @@ fn concurrent_campaigns(seed: u64) {
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..2)
             .map(|_| {
-                let ctx = Arc::new(SharedSimContext::new(
+                let runner = SharedSetRunner::new(
                     Arc::clone(&compiled),
                     SimOptions::default(),
-                ));
-                let handle = pool.register(2);
+                    pool.register(2),
+                );
                 let sets = &sets;
-                s.spawn(move || {
-                    let mut runner = SharedSetRunner::new(ctx, handle);
-                    run_campaign(&mut runner, sets)
-                })
+                s.spawn(move || run_campaign(&runner, sets))
             })
             .collect();
         for h in handles {
@@ -196,9 +203,8 @@ fn requeue_under_noise(seed: u64) {
     let sets = s27_sets();
     let want = oracle_bytes(&rls_benchmarks::s27(), &sets);
     let pool = SharedPool::new(4);
-    let ctx = Arc::new(SharedSimContext::new(compiled_s27(), SimOptions::default()));
-    let mut runner = SharedSetRunner::new(ctx, pool.register(2));
-    assert_eq!(run_campaign(&mut runner, &sets), want, "requeue, seed {seed:#x}");
+    let runner = s27_runner(&pool, 2);
+    assert_eq!(run_campaign(&runner, &sets), want, "requeue, seed {seed:#x}");
     assert!(inject::fired() > 0, "panic_every=2 must have supervised some panics");
 }
 
@@ -242,9 +248,8 @@ pub fn wave_bytes(seed: u64, record: bool) -> Vec<u8> {
     }
     let sets = s27_sets();
     let pool = SharedPool::new(4);
-    let ctx = Arc::new(SharedSimContext::new(compiled_s27(), SimOptions::default()));
-    let mut runner = SharedSetRunner::new(ctx, pool.register(4));
-    let got = run_campaign(&mut runner, &sets);
+    let runner = s27_runner(&pool, 4);
+    let got = run_campaign(&runner, &sets);
     if record {
         let snap = rls_obs::recorder::drain();
         assert!(!snap.events.is_empty(), "an armed recorder captures events");
