@@ -9,6 +9,12 @@ cd "$(dirname "$0")"
 echo "== tier-1: build =="
 cargo build --release --offline --workspace
 
+echo "== lint: rustfmt =="
+# The tree is rustfmt-clean, so a change never has to reformat code it
+# does not touch. A `lint:` marker that trails a line rustfmt would split
+# or that ends in `{` goes on its own line above the code it blesses.
+cargo fmt --all -- --check
+
 echo "== lint: clippy -D warnings =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

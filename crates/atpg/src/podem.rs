@@ -236,7 +236,8 @@ impl<'c> Podem<'c> {
         let mut seen = vec![false; self.circuit.len()];
         let mut cone = Vec::new();
         while let Some(gate) = work.pop() {
-            if !std::mem::replace(&mut seen[gate.index()], true) { // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+            // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+            if !std::mem::replace(&mut seen[gate.index()], true) {
                 cone.push(gate);
                 work.extend_from_slice(&self.fanout[gate.index()]); // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
             }
@@ -343,7 +344,8 @@ impl<'c> Podem<'c> {
     ) -> Option<(NetId, bool)> {
         // 1. Activate: the good value at the site must be the opposite of
         //    the stuck value.
-        match planes.good[site_net.index()].known() { // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+        // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+        match planes.good[site_net.index()].known() {
             None => return Some((site_net, !fault.stuck)),
             Some(v) if v == fault.stuck => return None, // conflict
             Some(_) => {}
@@ -380,7 +382,8 @@ impl<'c> Podem<'c> {
             // get misclassified as redundant.
             if let Some(&x_input) = fanin
                 .iter()
-                .find(|f| planes.good[f.index()].is_x() || planes.faulty[f.index()].is_x()) // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+                // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+                .find(|f| planes.good[f.index()].is_x() || planes.faulty[f.index()].is_x())
             {
                 let val = match kind.controlling_value() {
                     Some(c) => !c,
@@ -399,7 +402,8 @@ impl<'c> Podem<'c> {
             let node = self.circuit.node(net);
             match &node.kind {
                 NodeKind::Input | NodeKind::Dff { .. } => {
-                    return planes.good[net.index()].is_x().then_some((net, val)); // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+                    // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+                    return planes.good[net.index()].is_x().then_some((net, val));
                 }
                 NodeKind::Const(_) => return None,
                 NodeKind::Gate { kind, fanin } => {
@@ -503,7 +507,8 @@ impl<'p, 'c> Search<'p, 'c> {
         self.set(input, v, faulty);
         let mut level = 0;
         while self.pending > 0 {
-            while let Some(gate) = self.buckets[level].pop() { // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+            // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+            while let Some(gate) = self.buckets[level].pop() {
                 self.pending -= 1;
                 self.queued[gate.index()] = false; // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
                 let (g, f) = self.podem.eval_gate(
@@ -514,7 +519,8 @@ impl<'p, 'c> Search<'p, 'c> {
                     &mut self.faulty_in,
                 );
                 let i = gate.index();
-                if (g, f) != (self.planes.good[i], self.planes.faulty[i]) { // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+                // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+                if (g, f) != (self.planes.good[i], self.planes.faulty[i]) {
                     self.set(gate, g, f);
                 }
             }
@@ -526,11 +532,14 @@ impl<'p, 'c> Search<'p, 'c> {
     /// queues the gates reading it.
     fn set(&mut self, net: NetId, good: V3, faulty: V3) {
         let i = net.index();
-        self.trail.push((net, self.planes.good[i], self.planes.faulty[i])); // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+        self.trail
+            .push((net, self.planes.good[i], self.planes.faulty[i])); // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
         self.planes.good[i] = good; // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
         self.planes.faulty[i] = faulty; // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
-        for &reader in &self.podem.fanout[i] { // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
-            if !std::mem::replace(&mut self.queued[reader.index()], true) { // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+                                        // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+        for &reader in &self.podem.fanout[i] {
+            // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+            if !std::mem::replace(&mut self.queued[reader.index()], true) {
                 self.buckets[self.podem.level[reader.index()] as usize].push(reader); // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
                 self.pending += 1;
             }

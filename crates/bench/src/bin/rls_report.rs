@@ -78,7 +78,9 @@ struct CampaignStats {
 
 fn stats_from(log: &CampaignLog) -> Result<CampaignStats, String> {
     let header = log.header().ok_or("no `campaign` header record")?;
-    let summary = log.summary().ok_or("no `summary` record (campaign unfinished?)")?;
+    let summary = log
+        .summary()
+        .ok_or("no `summary` record (campaign unfinished?)")?;
     let ts0_detected = log
         .of_type("initial")
         .last()
@@ -156,7 +158,9 @@ fn obs_stats_from(log: &CampaignLog) -> Result<ObsStats, String> {
     for s in log.of_type("span") {
         let name = s.str_field("name").unwrap_or("?").to_string();
         let nanos = s.u64_field("nanos").unwrap_or(0);
-        let agg = phases.entry(name).or_insert(PhaseStats { count: 0, nanos: 0 });
+        let agg = phases
+            .entry(name)
+            .or_insert(PhaseStats { count: 0, nanos: 0 });
         agg.count += 1;
         agg.nanos += nanos;
         if s.u64_field("parent") == Some(0) {
@@ -206,19 +210,47 @@ fn render(base: &CampaignStats, cand: &CampaignStats) -> String {
     let mut t = TextTable::new(vec!["metric", "baseline", "candidate"]);
     let mut row = |m: &str, a: String, b: String| t.row(vec![m.to_string(), a, b]);
     row("circuit", base.circuit.clone(), cand.circuit.clone());
-    row("threads", base.threads.to_string(), cand.threads.to_string());
+    row(
+        "threads",
+        base.threads.to_string(),
+        cand.threads.to_string(),
+    );
     let cov = |s: &CampaignStats| format!("{}/{}", s.detected, s.target_faults);
     row("detected/target", cov(base), cov(cand));
-    row("ts0 detected", base.ts0_detected.to_string(), cand.ts0_detected.to_string());
+    row(
+        "ts0 detected",
+        base.ts0_detected.to_string(),
+        cand.ts0_detected.to_string(),
+    );
     let comp = |s: &CampaignStats| if s.complete { "yes" } else { "NO" }.to_string();
     row("complete", comp(base), comp(cand));
     row("pairs kept", base.pairs.to_string(), cand.pairs.to_string());
     row("trials", base.trials.to_string(), cand.trials.to_string());
-    row("iterations", base.iterations.to_string(), cand.iterations.to_string());
-    row("total cycles", base.total_cycles.to_string(), cand.total_cycles.to_string());
-    row("wall time", millis(base.wall_nanos), millis(cand.wall_nanos));
-    row("worker respawns", base.respawns.to_string(), cand.respawns.to_string());
-    row("faults dropped", base.faults_dropped.to_string(), cand.faults_dropped.to_string());
+    row(
+        "iterations",
+        base.iterations.to_string(),
+        cand.iterations.to_string(),
+    );
+    row(
+        "total cycles",
+        base.total_cycles.to_string(),
+        cand.total_cycles.to_string(),
+    );
+    row(
+        "wall time",
+        millis(base.wall_nanos),
+        millis(cand.wall_nanos),
+    );
+    row(
+        "worker respawns",
+        base.respawns.to_string(),
+        cand.respawns.to_string(),
+    );
+    row(
+        "faults dropped",
+        base.faults_dropped.to_string(),
+        cand.faults_dropped.to_string(),
+    );
     let mut out = t.render();
     match curve_divergence(&base.curve, &cand.curve) {
         None => out.push_str("\ncoverage curves: identical\n"),
@@ -242,11 +274,23 @@ fn render_obs(base: &ObsStats, cand: &ObsStats) -> String {
         cand.run_id,
         millis(cand.wall_nanos),
     );
-    let mut t = TextTable::new(vec!["phase", "base n", "base time", "cand n", "cand time", "delta"]);
+    let mut t = TextTable::new(vec![
+        "phase",
+        "base n",
+        "base time",
+        "cand n",
+        "cand time",
+        "delta",
+    ]);
     // Every phase either run saw, heaviest candidate phases first.
     let mut names: Vec<&String> = base.phases.keys().chain(cand.phases.keys()).collect();
     names.sort_by_key(|n| {
-        std::cmp::Reverse(cand.phases.get(*n).or_else(|| base.phases.get(*n)).map_or(0, |p| p.nanos))
+        std::cmp::Reverse(
+            cand.phases
+                .get(*n)
+                .or_else(|| base.phases.get(*n))
+                .map_or(0, |p| p.nanos),
+        )
     });
     names.dedup();
     let zero = PhaseStats { count: 0, nanos: 0 };
@@ -260,7 +304,11 @@ fn render_obs(base: &ObsStats, cand: &ObsStats) -> String {
             millis(b.nanos),
             c.count.to_string(),
             millis(c.nanos),
-            format!("{}{}", if delta >= 0 { "+" } else { "-" }, millis(delta.unsigned_abs())),
+            format!(
+                "{}{}",
+                if delta >= 0 { "+" } else { "-" },
+                millis(delta.unsigned_abs())
+            ),
         ]);
     }
     out.push_str(&t.render());
@@ -467,9 +515,10 @@ fn run_flamegraph(obs_path: &str, svg_path: Option<&str>) -> ExitCode {
     };
     print!("{}", profile::collapsed_text(&frames));
     if let Some(out) = svg_path {
-        let title = Path::new(obs_path)
-            .file_stem()
-            .map_or_else(|| obs_path.to_string(), |s| s.to_string_lossy().into_owned());
+        let title = Path::new(obs_path).file_stem().map_or_else(
+            || obs_path.to_string(),
+            |s| s.to_string_lossy().into_owned(),
+        );
         let svg = profile::render_svg(&frames, &title);
         if let Err(e) = std::fs::write(out, svg) {
             eprintln!("rls-report: cannot write {out}: {e}");
@@ -583,9 +632,7 @@ fn main() -> ExitCode {
             return match args.get(1..) {
                 Some([obs, profile]) => run_gate(obs, profile),
                 _ => {
-                    eprintln!(
-                        "usage: rls-report --gate <obs.jsonl> <BENCH_phase_profile.json>"
-                    );
+                    eprintln!("usage: rls-report --gate <obs.jsonl> <BENCH_phase_profile.json>");
                     ExitCode::from(2)
                 }
             };
@@ -767,7 +814,10 @@ mod tests {
     #[test]
     fn unreadable_and_summaryless_files_are_errors() {
         assert!(load(Path::new("/nonexistent/x.jsonl")).is_err());
-        let path = write_log("nosummary", &[r#"{"type":"campaign","circuit":"s27","threads":1}"#]);
+        let path = write_log(
+            "nosummary",
+            &[r#"{"type":"campaign","circuit":"s27","threads":1}"#],
+        );
         let err = load(&path).unwrap_err();
         assert!(err.contains("summary"), "{err}");
     }
@@ -860,7 +910,10 @@ mod tests {
         let out = render_obs(&a, &b);
         assert!(out.contains("procedure2.trial"), "{out}");
         assert!(out.contains("+0.0ms"), "{out}"); // 2000ns delta renders as ms
-        assert!(out.contains("span coverage of wall time: baseline 95.0%"), "{out}");
+        assert!(
+            out.contains("span coverage of wall time: baseline 95.0%"),
+            "{out}"
+        );
         assert!(out.contains("diverge at trial 2"), "{out}");
     }
 }

@@ -157,7 +157,9 @@ pub fn self_shares(frames: &[Frame]) -> Vec<(String, f64)> {
 }
 
 fn xml_escape(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
+    s.replace('&', "&amp;")
+        .replace('<', "&lt;")
+        .replace('>', "&gt;")
 }
 
 /// Deterministic warm fill colour for a span name.
@@ -339,7 +341,9 @@ pub fn phase_profile_from(log: &CampaignLog) -> Result<PhaseProfile, String> {
                 .get("self_share")
                 .and_then(rls_dispatch::jsonl::JsonValue::as_f64)
                 .unwrap_or(0.0),
-            tolerance: p.get("tolerance").and_then(rls_dispatch::jsonl::JsonValue::as_f64),
+            tolerance: p
+                .get("tolerance")
+                .and_then(rls_dispatch::jsonl::JsonValue::as_f64),
         })
         .collect();
     if phases.is_empty() {
@@ -451,10 +455,12 @@ mod tests {
     #[test]
     fn collapse_computes_total_self_and_count() {
         let frames = collapse(&sample());
-        let by_path: BTreeMap<&str, &Frame> =
-            frames.iter().map(|f| (f.path.as_str(), f)).collect();
+        let by_path: BTreeMap<&str, &Frame> = frames.iter().map(|f| (f.path.as_str(), f)).collect();
         let fsim = by_path["run/trial/fsim.test"];
-        assert_eq!((fsim.total_nanos, fsim.self_nanos, fsim.count), (400, 400, 2));
+        assert_eq!(
+            (fsim.total_nanos, fsim.self_nanos, fsim.count),
+            (400, 400, 2)
+        );
         assert_eq!(fsim.first_start, 120);
         let trial = by_path["run/trial"];
         assert_eq!((trial.total_nanos, trial.self_nanos), (700, 300));
@@ -547,7 +553,10 @@ mod tests {
             ("mystery".to_string(), 0.15),
         ];
         let breaches = gate_breaches(&novel, &profile);
-        assert!(breaches.iter().any(|b| b.contains("mystery")), "{breaches:?}");
+        assert!(
+            breaches.iter().any(|b| b.contains("mystery")),
+            "{breaches:?}"
+        );
     }
 
     #[test]

@@ -137,17 +137,22 @@ mod tests {
     fn bench_dir_loader_reads_parses_and_guards_traversal() {
         let dir = std::env::temp_dir().join(format!("rls-bench-dir-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join("tiny.bench"),
-            "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n",
-        )
-        .unwrap();
+        std::fs::write(dir.join("tiny.bench"), "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n").unwrap();
         std::fs::write(dir.join("broken.bench"), "y = NOT(\n").unwrap();
         let c = load_bench_from(&dir, "tiny").expect("valid netlist loads");
         assert_eq!(c.name(), "tiny");
-        assert!(load_bench_from(&dir, "missing").is_none(), "absent file falls back");
-        assert!(load_bench_from(&dir, "broken").is_none(), "unparsable file falls back");
-        assert!(load_bench_from(&dir, "../tiny").is_none(), "traversal rejected");
+        assert!(
+            load_bench_from(&dir, "missing").is_none(),
+            "absent file falls back"
+        );
+        assert!(
+            load_bench_from(&dir, "broken").is_none(),
+            "unparsable file falls back"
+        );
+        assert!(
+            load_bench_from(&dir, "../tiny").is_none(),
+            "traversal rejected"
+        );
         assert!(load_bench_from(&dir, "").is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -278,7 +278,10 @@ mod tests {
         assert!(cfg.campaign_dir.is_none());
         assert_eq!(cfg.with_threads(0).threads, 1, "zero coerces to one");
         let cfg = RlsConfig::new(8, 16, 64).with_campaign_dir("results");
-        assert_eq!(cfg.campaign_dir.as_deref(), Some(std::path::Path::new("results")));
+        assert_eq!(
+            cfg.campaign_dir.as_deref(),
+            Some(std::path::Path::new("results"))
+        );
     }
 
     #[test]

@@ -55,15 +55,13 @@ impl ExecProfile {
     pub fn from_env() -> Result<Self, ConfigError> {
         let threads = match env_value("RLS_THREADS")? {
             None => 1,
-            Some(v) => v
-                .trim()
-                .parse::<usize>()
-                .map(|t| t.max(1))
-                .map_err(|_| ConfigError::InvalidEnv {
+            Some(v) => v.trim().parse::<usize>().map(|t| t.max(1)).map_err(|_| {
+                ConfigError::InvalidEnv {
                     var: "RLS_THREADS",
                     value: v,
                     expected: "a thread count such as `4`",
-                })?,
+                }
+            })?,
         };
         let campaign_dir = match env_value("RLS_CAMPAIGN_DIR")? {
             None => None,
@@ -119,11 +117,14 @@ impl ExecProfile {
             Some(v) => match v.trim().to_ascii_lowercase().as_str() {
                 "0" | "false" | "off" | "" => 0,
                 "1" | "true" | "on" => rls_obs::recorder::DEFAULT_CAPACITY,
-                trimmed => trimmed.parse::<usize>().map_err(|_| ConfigError::InvalidEnv {
-                    var: "RLS_RECORD",
-                    value: v,
-                    expected: "`1`/`on` (default ring capacity) or an event count such as `16384`",
-                })?,
+                trimmed => trimmed
+                    .parse::<usize>()
+                    .map_err(|_| ConfigError::InvalidEnv {
+                        var: "RLS_RECORD",
+                        value: v,
+                        expected:
+                            "`1`/`on` (default ring capacity) or an event count such as `16384`",
+                    })?,
             },
         };
         Ok(ExecProfile {
@@ -147,7 +148,8 @@ impl ExecProfile {
 /// Reads one environment variable, mapping a non-unicode value to a
 /// [`ConfigError`] instead of pretending it is unset.
 fn env_value(var: &'static str) -> Result<Option<String>, ConfigError> {
-    match std::env::var(var) { // lint: det-ok(the one sanctioned config entry point; values land in ExecProfile and are recorded in campaign headers)
+    // lint: det-ok(the one sanctioned config entry point; values land in ExecProfile and are recorded in campaign headers)
+    match std::env::var(var) {
         Ok(v) => Ok(Some(v)),
         Err(std::env::VarError::NotPresent) => Ok(None),
         Err(std::env::VarError::NotUnicode(raw)) => Err(ConfigError::InvalidEnv {

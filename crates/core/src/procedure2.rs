@@ -366,8 +366,7 @@ impl<'c> Procedure2<'c> {
                     break 'outer;
                 }
                 let derived = derive_test_set(&ts0, &self.cfg, i, d1, d2);
-                let trial_span =
-                    rls_obs::span!("procedure2.trial", i = i, d1 = u64::from(d1));
+                let trial_span = rls_obs::span!("procedure2.trial", i = i, d1 = u64::from(d1));
                 rls_obs::counter!("procedure2.trials", 1);
                 let trial_start = Instant::now(); // lint: det-ok(wall time is campaign-record metadata; selection never reads it)
                 let newly = exec.apply_set(&derived);
@@ -455,7 +454,8 @@ impl<'c> Procedure2<'c> {
         // a fresh run (every detection is either initial or in a pair),
         // and the only correct accounting after a resume, where the
         // executor never saw the pre-checkpoint detections.
-        let total_detected = initial_detected + pairs.iter().map(|p| p.newly_detected).sum::<usize>();
+        let total_detected =
+            initial_detected + pairs.iter().map(|p| p.newly_detected).sum::<usize>();
         Procedure2Outcome {
             initial_detected,
             initial_cycles: base_cycles,
@@ -797,8 +797,13 @@ mod tests {
             pairs: Vec::new(),
             source: None,
         };
-        let e = Procedure2::new(&c, cfg.clone()).resume(state.clone()).unwrap_err();
-        assert!(matches!(e, crate::resume::ResumeError::ConfigMismatch), "{e}");
+        let e = Procedure2::new(&c, cfg.clone())
+            .resume(state.clone())
+            .unwrap_err();
+        assert!(
+            matches!(e, crate::resume::ResumeError::ConfigMismatch),
+            "{e}"
+        );
         let mut other = state;
         other.circuit = "s208".to_string();
         let e = Procedure2::new(&c, cfg).resume(other).unwrap_err();

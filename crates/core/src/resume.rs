@@ -74,10 +74,9 @@ impl fmt::Display for ResumeError {
             ResumeError::Malformed { path, message } => {
                 write!(f, "malformed checkpoint in `{}`: {message}", path.display())
             }
-            ResumeError::CircuitMismatch { expected, found } => write!(
-                f,
-                "checkpoint is for circuit `{found}`, not `{expected}`"
-            ),
+            ResumeError::CircuitMismatch { expected, found } => {
+                write!(f, "checkpoint is for circuit `{found}`, not `{expected}`")
+            }
             ResumeError::ConfigMismatch => write!(
                 f,
                 "checkpoint was written under a different configuration (fingerprint mismatch)"

@@ -25,7 +25,9 @@ pub struct AtomicBitset {
 impl AtomicBitset {
     /// Creates a cleared bitset able to hold ids `0..capacity`.
     pub fn new(capacity: usize) -> Self {
-        let words = (0..capacity.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
+        let words = (0..capacity.div_ceil(64))
+            .map(|_| AtomicU64::new(0))
+            .collect();
         AtomicBitset { words, capacity }
     }
 

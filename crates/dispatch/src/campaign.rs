@@ -99,16 +99,13 @@ impl CampaignFile {
         // Write the header to a hidden temp file (the leading dot keeps it
         // out of `campaign-*.jsonl` globs), fsync, then rename over the
         // reservation: the visible file is never in a half-written state.
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .ok_or_else(|| {
-                DispatchError::io(
-                    "reserve campaign file",
-                    &path,
-                    std::io::Error::new(ErrorKind::InvalidData, "reserved name is not valid UTF-8"),
-                )
-            })?;
+        let name = path.file_name().and_then(|n| n.to_str()).ok_or_else(|| {
+            DispatchError::io(
+                "reserve campaign file",
+                &path,
+                std::io::Error::new(ErrorKind::InvalidData, "reserved name is not valid UTF-8"),
+            )
+        })?;
         let tmp = dir.join(format!(".{name}.tmp"));
         let write_header = || -> std::io::Result<File> {
             let mut f = File::create(&tmp)?; // lint: persist-ok(this is the rename helper itself; hidden temp, fsync, then rename below)
@@ -159,7 +156,8 @@ impl CampaignFile {
             f.write_all(b"\n")?;
             f.sync_data()
         };
-        write(&mut self.file).map_err(|e| DispatchError::io("append campaign record", &self.path, e))
+        write(&mut self.file)
+            .map_err(|e| DispatchError::io("append campaign record", &self.path, e))
     }
 }
 
@@ -181,10 +179,12 @@ fn truncate_torn_tail(path: &Path) -> std::io::Result<()> {
         let n = (end - start) as usize;
         f.seek(SeekFrom::Start(start))?;
         f.read_exact(&mut buf[..n])?; // lint: panic-ok(n = end - start <= buf.len() by the saturating_sub above)
-        if end == len && buf[n - 1] == b'\n' { // lint: panic-ok(n >= 1: len > 0 and start < end on every pass)
+                                      // lint: panic-ok(n >= 1: len > 0 and start < end on every pass)
+        if end == len && buf[n - 1] == b'\n' {
             return Ok(()); // intact tail, nothing to repair
         }
-        let keep = match buf[..n].iter().rposition(|&b| b == b'\n') { // lint: panic-ok(n <= buf.len(), as above)
+        // lint: panic-ok(n <= buf.len(), as above)
+        let keep = match buf[..n].iter().rposition(|&b| b == b'\n') {
             Some(pos) => start + pos as u64 + 1,
             None if start == 0 => 0, // one torn line is the whole file
             None => {
@@ -226,7 +226,10 @@ fn reserve_with_stamp(
         let name = if k == 0 {
             format!("campaign-{}-{threads}t-{stamp}.jsonl", sanitize(circuit))
         } else {
-            format!("campaign-{}-{threads}t-{stamp}-{k}.jsonl", sanitize(circuit))
+            format!(
+                "campaign-{}-{threads}t-{stamp}-{k}.jsonl",
+                sanitize(circuit)
+            )
         };
         let path = dir.join(name);
         match OpenOptions::new().write(true).create_new(true).open(&path) {
@@ -507,7 +510,13 @@ impl Campaign {
 /// Keeps file names tame for arbitrary circuit names.
 fn sanitize(name: &str) -> String {
     name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        })
         .collect()
 }
 
@@ -647,7 +656,12 @@ mod tests {
         let path = sample().write_jsonl(&dir).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains(r#""type":"summary""#));
-        assert!(path.file_name().unwrap().to_str().unwrap().starts_with("campaign-s27-4t-"));
+        assert!(path
+            .file_name()
+            .unwrap()
+            .to_str()
+            .unwrap()
+            .starts_with("campaign-s27-4t-"));
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
     }
@@ -680,7 +694,13 @@ mod tests {
         let a = Campaign::create(&dir, "s27", 4, 0xabcd).unwrap();
         let b = Campaign::create(&dir, "s27", 4, 0xabcd).unwrap();
         let name = |c: &Campaign| {
-            c.path().unwrap().file_name().unwrap().to_str().unwrap().to_string()
+            c.path()
+                .unwrap()
+                .file_name()
+                .unwrap()
+                .to_str()
+                .unwrap()
+                .to_string()
         };
         assert!(
             name(&a).starts_with("campaign-s27-4t-000000000000abcd-r"),
@@ -688,7 +708,10 @@ mod tests {
             name(&a)
         );
         assert_ne!(name(&a), name(&b));
-        let (pa, pb) = (a.path().unwrap().to_path_buf(), b.path().unwrap().to_path_buf());
+        let (pa, pb) = (
+            a.path().unwrap().to_path_buf(),
+            b.path().unwrap().to_path_buf(),
+        );
         drop((a, b));
         let _ = std::fs::remove_file(pa);
         let _ = std::fs::remove_file(pb);
@@ -748,7 +771,10 @@ mod tests {
             .collect();
         assert_eq!(kinds, ["campaign", "resume", "checkpoint"]);
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(!text.contains("trial"), "torn bytes truncated away:\n{text}");
+        assert!(
+            !text.contains("trial"),
+            "torn bytes truncated away:\n{text}"
+        );
         assert!(text.ends_with('\n'));
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);

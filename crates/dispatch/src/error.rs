@@ -45,7 +45,11 @@ pub enum DispatchError {
 
 impl DispatchError {
     /// Convenience constructor for IO failures.
-    pub fn io(context: impl Into<String>, path: impl Into<PathBuf>, source: std::io::Error) -> Self {
+    pub fn io(
+        context: impl Into<String>,
+        path: impl Into<PathBuf>,
+        source: std::io::Error,
+    ) -> Self {
         DispatchError::Io {
             context: context.into(),
             path: path.into(),

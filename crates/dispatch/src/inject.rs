@@ -186,7 +186,11 @@ mod armed {
             return Ok(());
         };
         state.io_calls += 1;
-        if state.plan.io_error_every.is_some_and(|k| state.io_calls % k == 0) {
+        if state
+            .plan
+            .io_error_every
+            .is_some_and(|k| state.io_calls % k == 0)
+        {
             FIRED.fetch_add(1, Ordering::Relaxed); // lint: ordering-ok(test-only telemetry counter; asserted after the campaign joins)
             return Err(std::io::Error::other(format!(
                 "injected io error at {site} (op #{})",
@@ -267,7 +271,9 @@ mod armed {
         let verdict = {
             let mut st = STATE.lock().unwrap_or_else(PoisonError::into_inner);
             let Some(state) = st.as_mut() else { return };
-            let Some(seed) = state.plan.sched_seed else { return };
+            let Some(seed) = state.plan.sched_seed else {
+                return;
+            };
             state.sched_calls += 1;
             super::sched_verdict(seed, state.sched_calls)
             // Lock dropped before perturbing: sleeping or spinning while
@@ -391,7 +397,9 @@ mod tests {
 
     #[test]
     fn panic_every_fires_on_schedule() {
-        let _g = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _g = LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         arm(InjectionPlan {
             panic_every: Some(2),
             ..InjectionPlan::default()
@@ -408,7 +416,9 @@ mod tests {
 
     #[test]
     fn io_errors_fire_on_schedule() {
-        let _g = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _g = LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         arm(InjectionPlan {
             io_error_every: Some(3),
             ..InjectionPlan::default()
@@ -422,20 +432,27 @@ mod tests {
 
     #[test]
     fn poison_tag_only_hits_its_tag() {
-        let _g = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _g = LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         arm(InjectionPlan {
             poison_tag: Some(7),
             ..InjectionPlan::default()
         });
         on_job_start(3);
         assert!(std::panic::catch_unwind(|| on_job_start(7)).is_err());
-        assert!(std::panic::catch_unwind(|| on_job_start(7)).is_err(), "persistent");
+        assert!(
+            std::panic::catch_unwind(|| on_job_start(7)).is_err(),
+            "persistent"
+        );
         disarm();
     }
 
     #[test]
     fn stream_faults_fire_on_schedule_with_destructive_priority() {
-        let _g = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _g = LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         arm(InjectionPlan {
             stream_delay_every: Some((2, 5)),
             stream_short_every: Some(3),
@@ -462,23 +479,35 @@ mod tests {
 
     #[test]
     fn journal_crash_hook_reports_exactly_one_op() {
-        let _g = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _g = LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         arm(InjectionPlan {
             journal_crash_at: Some((2, JournalCrash::Torn)),
             ..InjectionPlan::default()
         });
         assert_eq!(on_journal_append(), JournalCrash::None);
         assert_eq!(on_journal_append(), JournalCrash::Torn);
-        assert_eq!(on_journal_append(), JournalCrash::None, "fires once, not every 2nd");
+        assert_eq!(
+            on_journal_append(),
+            JournalCrash::None,
+            "fires once, not every 2nd"
+        );
         disarm();
     }
 
     #[test]
     fn sched_points_count_only_while_a_seed_is_armed() {
-        let _g = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _g = LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         arm(InjectionPlan::default());
         on_sched_point("a");
-        assert_eq!(sched_points(), 0, "no seed armed: points pass through uncounted");
+        assert_eq!(
+            sched_points(),
+            0,
+            "no seed armed: points pass through uncounted"
+        );
         arm_from_spec("sched_seed=42").unwrap();
         for _ in 0..5 {
             on_sched_point("b");
@@ -501,13 +530,18 @@ mod tests {
 
     #[test]
     fn spec_strings_arm_real_plans_and_reject_garbage() {
-        let _g = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _g = LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         arm_from_spec("stream_drop=1, journal_crash=9:durable").unwrap();
         assert_eq!(on_stream_write(), StreamFault::Drop);
         disarm();
         assert!(arm_from_spec("stream_drop").is_err(), "missing value");
         assert!(arm_from_spec("warp_factor=9").is_err(), "unknown key");
-        assert!(arm_from_spec("journal_crash=1:sideways").is_err(), "bad kind");
+        assert!(
+            arm_from_spec("journal_crash=1:sideways").is_err(),
+            "bad kind"
+        );
         disarm();
     }
 }

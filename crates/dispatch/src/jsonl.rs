@@ -212,11 +212,7 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected `{}` at byte {}",
-                char::from(b),
-                self.pos
-            ))
+            Err(format!("expected `{}` at byte {}", char::from(b), self.pos))
         }
     }
 
@@ -239,7 +235,11 @@ impl Parser<'_> {
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'n') => self.literal("null", JsonValue::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(c) => Err(format!("unexpected `{}` at byte {}", char::from(c), self.pos)),
+            Some(c) => Err(format!(
+                "unexpected `{}` at byte {}",
+                char::from(c),
+                self.pos
+            )),
             None => Err("unexpected end of input".to_string()),
         }
     }

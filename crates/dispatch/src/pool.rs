@@ -185,8 +185,7 @@ impl PoolSnapshot {
     /// Total kernel batches simulated across workers, including any
     /// degrade-path fallback batches.
     pub fn total_batches(&self) -> u64 {
-        self.workers.iter().map(|w| w.batches).sum::<u64>()
-            + self.fallback.map_or(0, |f| f.batches)
+        self.workers.iter().map(|w| w.batches).sum::<u64>() + self.fallback.map_or(0, |f| f.batches)
     }
 
     /// Total faults dropped across workers.
@@ -220,9 +219,18 @@ mod tests {
 
     #[test]
     fn failure_classification() {
-        assert_eq!(classify("injected panic: job call #3"), FailureClass::Injected);
-        assert_eq!(classify("index out of bounds: the len is 4"), FailureClass::OutOfBounds);
-        assert_eq!(classify("attempt to add with overflow"), FailureClass::Arithmetic);
+        assert_eq!(
+            classify("injected panic: job call #3"),
+            FailureClass::Injected
+        );
+        assert_eq!(
+            classify("index out of bounds: the len is 4"),
+            FailureClass::OutOfBounds
+        );
+        assert_eq!(
+            classify("attempt to add with overflow"),
+            FailureClass::Arithmetic
+        );
         assert_eq!(classify("assertion failed: x > 0"), FailureClass::Assertion);
         assert_eq!(classify("something else"), FailureClass::Other);
     }

@@ -262,7 +262,9 @@ impl SharedPool {
         let budget = budget.clamp(1, self.threads);
         let id = self.hub.next_id.fetch_add(1, Ordering::Relaxed); // lint: ordering-ok(unique-id counter; uniqueness is all that is required)
         let ledger = Arc::new(Ledger {
-            counters: (0..self.threads).map(|_| WorkerCounters::default()).collect(),
+            counters: (0..self.threads)
+                .map(|_| WorkerCounters::default())
+                .collect(),
             failures: Mutex::new(Vec::new()),
         });
         self.hub.lock().slots.push(Slot {
@@ -933,7 +935,9 @@ mod tests {
         let err = runner
             .run_waves(vec![7], |tags| {
                 for &tag in tags {
-                    runner.handle().submit_tagged(tag, |_| panic!("always down"));
+                    runner
+                        .handle()
+                        .submit_tagged(tag, |_| panic!("always down"));
                 }
             })
             .unwrap_err();
@@ -943,7 +947,10 @@ mod tests {
         assert_eq!(err.failures[0].tag, 7);
         let msg = err.to_string();
         assert!(msg.contains("always down"), "{msg}");
-        assert_eq!(runner.handle().snapshot().total_respawns(), (RETRY_ROUNDS + 1) as u64);
+        assert_eq!(
+            runner.handle().snapshot().total_respawns(),
+            (RETRY_ROUNDS + 1) as u64
+        );
     }
 
     #[test]
@@ -1041,7 +1048,11 @@ mod tests {
             });
         }
         pool.shutdown();
-        assert_eq!(ran.load(Ordering::SeqCst), 32, "queued jobs drain before exit");
+        assert_eq!(
+            ran.load(Ordering::SeqCst),
+            32,
+            "queued jobs drain before exit"
+        );
     }
 
     #[test]
@@ -1072,6 +1083,9 @@ mod tests {
             h.wait_idle_for(std::time::Duration::from_secs(10)),
             "once the job finishes the same wait succeeds"
         );
-        assert!(h.wait_idle_for(std::time::Duration::ZERO), "idle slot: zero bound is fine");
+        assert!(
+            h.wait_idle_for(std::time::Duration::ZERO),
+            "idle slot: zero bound is fine"
+        );
     }
 }

@@ -50,7 +50,8 @@ impl CollapsedFaults {
         // the source net fans out, otherwise the source's stem fault.
         let input_fault = |node: NetId, pin: u32, stuck: bool| -> FaultId {
             let src = circuit.node(node).fanin()[pin as usize]; // lint: panic-ok(fault collapse walks gate pins whose arity fixes the bounds)
-            let fault = if fanout[src.index()].len() > 1 { // lint: panic-ok(fault collapse walks gate pins whose arity fixes the bounds)
+                                                                // lint: panic-ok(fault collapse walks gate pins whose arity fixes the bounds)
+            let fault = if fanout[src.index()].len() > 1 {
                 Fault {
                     site: FaultSite::Branch { node, pin },
                     stuck,
@@ -64,7 +65,8 @@ impl CollapsedFaults {
             by_fault[&fault] // lint: panic-ok(fault collapse walks gate pins whose arity fixes the bounds)
         };
         let stem = |net: NetId, stuck: bool| -> FaultId {
-            by_fault[&Fault { // lint: panic-ok(fault collapse walks gate pins whose arity fixes the bounds)
+            // lint: panic-ok(fault collapse walks gate pins whose arity fixes the bounds)
+            by_fault[&Fault {
                 site: FaultSite::Stem(net),
                 stuck,
             }]
@@ -179,7 +181,8 @@ impl UnionFind {
     }
 
     fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x { // lint: panic-ok(fault collapse walks gate pins whose arity fixes the bounds)
+        // lint: panic-ok(fault collapse walks gate pins whose arity fixes the bounds)
+        while self.parent[x] != x {
             self.parent[x] = self.parent[self.parent[x]]; // lint: panic-ok(fault collapse walks gate pins whose arity fixes the bounds)
             x = self.parent[x]; // lint: panic-ok(fault collapse walks gate pins whose arity fixes the bounds)
         }

@@ -115,7 +115,8 @@ impl FaultUniverse {
         for i in 0..circuit.len() {
             let node = NetId(i as u32);
             for (pin, &src) in circuit.node(node).fanin().iter().enumerate() {
-                if fanout[src.index()].len() > 1 { // lint: panic-ok(fault sites index nets allocated by the same circuit)
+                // lint: panic-ok(fault sites index nets allocated by the same circuit)
+                if fanout[src.index()].len() > 1 {
                     for stuck in [false, true] {
                         faults.push(Fault {
                             site: FaultSite::Branch {

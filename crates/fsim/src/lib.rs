@@ -83,8 +83,8 @@ pub use multichain_sim::{run_tests_multichain, McScanTest, McShiftOp};
 pub use partial_sim::run_tests_partial;
 pub use rls_scan::{ChainMap, LaneWord};
 pub use soa::{
-    compatible_run, fill_height, max_tile_height, simulate_tile_lanes,
-    tile_compatible, tile_fault_capacity, KernelWord, SimOptions, SoaBatch,
+    compatible_run, fill_height, max_tile_height, simulate_tile_lanes, tile_compatible,
+    tile_fault_capacity, KernelWord, SimOptions, SoaBatch,
 };
 pub use test::{ScanTest, ShiftOp, TestError};
 pub use transition::{

@@ -471,13 +471,15 @@ fn eval_tile<W: LaneWord>(
         // pin re-evaluations first, then stem overrides, as if each gate
         // were patched when computed.
         let barrier = mutated_patch_barrier(ge);
-        while pin_i < batch.pin_gates.len() && batch.pin_gates[pin_i].gate < barrier { // lint: panic-ok(pin_i bounded by the loop condition)
+        // lint: panic-ok(pin_i bounded by the loop condition)
+        while pin_i < batch.pin_gates.len() && batch.pin_gates[pin_i].gate < barrier {
             let pp = &batch.pin_gates[pin_i]; // lint: panic-ok(pin_i bounded by the loop condition)
             let g = pp.gate as usize;
             let s = bounds[g] as usize; // lint: panic-ok(fanin_bounds has num_gates + 1 entries)
             let e = bounds[g + 1] as usize; // lint: panic-ok(fanin_bounds has num_gates + 1 entries)
             fanin_buf.clear();
-            for (pin, &fs) in fanins[s..e].iter().enumerate() { // lint: panic-ok(s..e is a CSR window of fanin_slots)
+            // lint: panic-ok(s..e is a CSR window of fanin_slots)
+            for (pin, &fs) in fanins[s..e].iter().enumerate() {
                 let mut w = values[fs as usize]; // lint: panic-ok(fanin slots index the dense value array)
                 for &(fp, f) in &pp.pins {
                     if fp as usize == pin {
@@ -489,7 +491,8 @@ fn eval_tile<W: LaneWord>(
             values[base + g] = mutated_op(g, ops[g]).eval_lanes(fanin_buf); // lint: panic-ok(gate g writes slot num_sources + g, in range)
             pin_i += 1;
         }
-        while stem_i < batch.gate_stem.len() && batch.gate_stem[stem_i].0 < barrier { // lint: panic-ok(stem_i bounded by the loop condition)
+        // lint: panic-ok(stem_i bounded by the loop condition)
+        while stem_i < batch.gate_stem.len() && batch.gate_stem[stem_i].0 < barrier {
             let (g, f) = batch.gate_stem[stem_i]; // lint: panic-ok(stem_i bounded by the loop condition)
             let s = base + g as usize;
             values[s] = f.apply(values[s]); // lint: panic-ok(gate indices write slots below num_slots)
@@ -635,7 +638,11 @@ pub fn simulate_tile_lanes<W: LaneWord>(
     // Initial scan-in: loaded positions from the tests, the rest at reset.
     let mut state: Vec<W> = vec![W::ZERO; nff];
     let mut loaded: Vec<W> = vec![W::ZERO; chains.load().len()];
-    mix_rows(&mut loaded, stride, tests.iter().map(|x| x.scan_in.as_slice()));
+    mix_rows(
+        &mut loaded,
+        stride,
+        tests.iter().map(|x| x.scan_in.as_slice()),
+    );
     for (&pos, &w) in chains.load().iter().zip(&loaded) {
         state[pos] = w; // lint: panic-ok(chain map positions index the dense state vector)
     }
@@ -645,8 +652,10 @@ pub fn simulate_tile_lanes<W: LaneWord>(
     let mut fill_words: Vec<W> = Vec::new();
     let mut scan_out: Vec<W> = Vec::new();
     let mut fanin_buf: Vec<W> = Vec::with_capacity(8);
-    for u in 0..tests[0].len() { // lint: panic-ok(t > 0 asserted at entry)
-        if let Some(op) = tests[0].shift_at(u) { // lint: panic-ok(t > 0 asserted at entry)
+    // lint: panic-ok(t > 0 asserted at entry)
+    for u in 0..tests[0].len() {
+        // lint: panic-ok(t > 0 asserted at entry)
+        if let Some(op) = tests[0].shift_at(u) {
             fill_words.resize(op.amount * chains.chains().len(), W::ZERO);
             let fills = tests.iter().map(|x| {
                 let shift = x.shift_at(u).expect("tile shapes agree"); // lint: panic-ok(tile_compatible guarantees a matching shift per pattern)
@@ -664,7 +673,12 @@ pub fn simulate_tile_lanes<W: LaneWord>(
                 return collect_detections(&batch, full);
             }
         }
-        mix_rows(&mut pi_words, stride, tests.iter().map(|x| x.vectors[u].as_slice())); // lint: panic-ok(tile tests share the length, so u indexes every test's vectors)
+        mix_rows(
+            &mut pi_words,
+            stride,
+            // lint: panic-ok(tile tests share the length, so u indexes every test's vectors)
+            tests.iter().map(|x| x.vectors[u].as_slice()),
+        );
         eval_tile(lc, &batch, &pi_words, &state, &mut values, &mut fanin_buf);
         if opts.observe_outputs {
             for &oslot in lc.output_slots() {
@@ -1234,7 +1248,9 @@ mod tests {
     #[test]
     fn compatible_runs_stop_at_the_first_shape_change() {
         let tests = tileable_set();
-        let runs: Vec<usize> = (0..=tests.len()).map(|i| compatible_run(&tests, i)).collect();
+        let runs: Vec<usize> = (0..=tests.len())
+            .map(|i| compatible_run(&tests, i))
+            .collect();
         assert_eq!(runs, vec![6, 5, 4, 3, 2, 1, 1, 0]);
         assert_eq!(compatible_run(&[], 0), 0);
     }
@@ -1251,7 +1267,10 @@ mod tests {
         for &live in &lives {
             for run in (1..=40).chain([64, 100, 128, 255, 256, 257, 600]) {
                 let h = fill_height(live, run);
-                assert!(h >= 1 && h <= run.min(cap), "live {live} run {run}: height {h}");
+                assert!(
+                    h >= 1 && h <= run.min(cap),
+                    "live {live} run {run}: height {h}"
+                );
                 if live > one_word {
                     assert_eq!(h, 1, "live {live} fills whole words: 1 tall");
                     continue;

@@ -106,7 +106,8 @@ pub fn simulate_batch_transition(
         *slot |= 1u64 << lane;
     }
     let mut has_force = vec![false; circuit.len()];
-    for &n in str_mask.keys().chain(stf_mask.keys()) { // lint: det-ok(order-free: sets independent per-key flags, no cross-key state)
+    // lint: det-ok(order-free: sets independent per-key flags, no cross-key state)
+    for &n in str_mask.keys().chain(stf_mask.keys()) {
         has_force[n as usize] = true; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
     }
     // Previous-cycle faulty values of the forced nets; `armed` is false for
@@ -145,7 +146,8 @@ pub fn simulate_batch_transition(
         // Sources can also carry transition faults (flip-flop outputs and
         // primary inputs); apply forcing to them before the sweep.
         if armed {
-            for (&n, &mask) in &str_mask { // lint: det-ok(order-free: each key updates only its own values slot)
+            // lint: det-ok(order-free: each key updates only its own values slot)
+            for (&n, &mask) in &str_mask {
                 let idx = n as usize;
                 if !circuit.node(NetId(n)).is_gate() {
                     let p = prev.get(&n).copied().unwrap_or(values[idx]); // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
@@ -153,7 +155,8 @@ pub fn simulate_batch_transition(
                     values[idx] = (values[idx] & !mask) | (forced & mask); // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
                 }
             }
-            for (&n, &mask) in &stf_mask { // lint: det-ok(order-free: each key updates only its own values slot)
+            // lint: det-ok(order-free: each key updates only its own values slot)
+            for (&n, &mask) in &stf_mask {
                 let idx = n as usize;
                 if !circuit.node(NetId(n)).is_gate() {
                     let p = prev.get(&n).copied().unwrap_or(values[idx]); // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
@@ -169,7 +172,8 @@ pub fn simulate_batch_transition(
             fanin_buf.clear();
             fanin_buf.extend(fanin.iter().map(|f| values[f.index()])); // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
             let mut w = kind.eval_word(&fanin_buf);
-            if armed && has_force[gate.index()] { // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
+            // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
+            if armed && has_force[gate.index()] {
                 if let Some(&mask) = str_mask.get(&gate.0) {
                     let p = prev.get(&gate.0).copied().unwrap_or(w);
                     w = (w & !mask) | ((w & p) & mask);
@@ -183,7 +187,8 @@ pub fn simulate_batch_transition(
         }
         // Record the (possibly forced) site values as the next launch
         // reference.
-        for &n in str_mask.keys().chain(stf_mask.keys()) { // lint: det-ok(order-free: inserts independent per-key snapshots, no cross-key state)
+        // lint: det-ok(order-free: inserts independent per-key snapshots, no cross-key state)
+        for &n in str_mask.keys().chain(stf_mask.keys()) {
             prev.insert(n, values[n as usize]); // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
         }
         armed = true;

@@ -174,7 +174,12 @@ mod tests {
     fn round_trips_through_render_and_parse() {
         let findings = vec![
             finding("crates/core/src/a.rs", "panic-unwrap", 10, "x.unwrap()"),
-            finding("crates/fsim/src/b.rs", "det-hash-iter", 3, "for k in m.keys() {"),
+            finding(
+                "crates/fsim/src/b.rs",
+                "det-hash-iter",
+                3,
+                "for k in m.keys() {",
+            ),
         ];
         let text = render(&entries(&findings));
         let parsed = parse(&text).unwrap();
@@ -187,14 +192,26 @@ mod tests {
 
     #[test]
     fn line_drift_does_not_create_new_findings() {
-        let baseline = parse(&render(&entries(&[finding("a.rs", "panic-unwrap", 10, "x.unwrap()")]))).unwrap();
+        let baseline = parse(&render(&entries(&[finding(
+            "a.rs",
+            "panic-unwrap",
+            10,
+            "x.unwrap()",
+        )])))
+        .unwrap();
         let drifted = [finding("a.rs", "panic-unwrap", 99, "x.unwrap()")];
         assert!(new_findings(&drifted, &baseline).is_empty());
     }
 
     #[test]
     fn surplus_duplicates_are_new() {
-        let baseline = parse(&render(&entries(&[finding("a.rs", "panic-unwrap", 10, "x.unwrap()")]))).unwrap();
+        let baseline = parse(&render(&entries(&[finding(
+            "a.rs",
+            "panic-unwrap",
+            10,
+            "x.unwrap()",
+        )])))
+        .unwrap();
         let current = [
             finding("a.rs", "panic-unwrap", 10, "x.unwrap()"),
             finding("a.rs", "panic-unwrap", 40, "x.unwrap()"),
@@ -206,13 +223,27 @@ mod tests {
 
     #[test]
     fn different_rule_or_file_is_new() {
-        let baseline = parse(&render(&entries(&[finding("a.rs", "panic-unwrap", 1, "x.unwrap()")]))).unwrap();
+        let baseline = parse(&render(&entries(&[finding(
+            "a.rs",
+            "panic-unwrap",
+            1,
+            "x.unwrap()",
+        )])))
+        .unwrap();
         assert_eq!(
-            new_findings(&[finding("b.rs", "panic-unwrap", 1, "x.unwrap()")], &baseline).len(),
+            new_findings(
+                &[finding("b.rs", "panic-unwrap", 1, "x.unwrap()")],
+                &baseline
+            )
+            .len(),
             1
         );
         assert_eq!(
-            new_findings(&[finding("a.rs", "panic-expect", 1, "x.unwrap()")], &baseline).len(),
+            new_findings(
+                &[finding("a.rs", "panic-expect", 1, "x.unwrap()")],
+                &baseline
+            )
+            .len(),
             1
         );
     }
@@ -224,8 +255,11 @@ mod tests {
             finding("a.rs", "panic-unwrap", 2, "y.unwrap()"),
         ])))
         .unwrap();
-        assert!(new_findings(&[finding("a.rs", "panic-unwrap", 1, "x.unwrap()")], &baseline)
-            .is_empty());
+        assert!(new_findings(
+            &[finding("a.rs", "panic-unwrap", 1, "x.unwrap()")],
+            &baseline
+        )
+        .is_empty());
     }
 
     #[test]

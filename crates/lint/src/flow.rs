@@ -115,8 +115,27 @@ const CALL_KEYWORDS: &[&str] = &[
 /// `std` module segments that must not trigger by-name call resolution
 /// (`thread::spawn` is not our `spawn`).
 const STD_MODULES: &[&str] = &[
-    "std", "core", "alloc", "mem", "fs", "thread", "io", "time", "fmt", "cmp", "iter", "slice",
-    "str", "env", "process", "ptr", "sync", "atomic", "collections", "path", "cell",
+    "std",
+    "core",
+    "alloc",
+    "mem",
+    "fs",
+    "thread",
+    "io",
+    "time",
+    "fmt",
+    "cmp",
+    "iter",
+    "slice",
+    "str",
+    "env",
+    "process",
+    "ptr",
+    "sync",
+    "atomic",
+    "collections",
+    "path",
+    "cell",
 ];
 
 /// How an atomic access touches the field.
@@ -150,9 +169,21 @@ enum Ev {
     /// to a let-bound guard even when the statement is a `let`.
     /// Chaining through `unwrap`/`expect`/`unwrap_or_else` preserves the
     /// guard and does not count.
-    Acquire { lock: String, line: u32, consumed: bool },
-    Call { targets: Vec<usize>, name: String, line: u32, consumed: bool },
-    Blocking { op: String, line: u32 },
+    Acquire {
+        lock: String,
+        line: u32,
+        consumed: bool,
+    },
+    Call {
+        targets: Vec<usize>,
+        name: String,
+        line: u32,
+        consumed: bool,
+    },
+    Blocking {
+        op: String,
+        line: u32,
+    },
 }
 
 /// Persistence events within one fn, in source order.
@@ -243,10 +274,8 @@ pub fn analyze(units: &[UnitIn<'_>]) -> FlowOutput {
     lock_and_blocking_pass(&universe, &facts, &mut out);
     atomic_pairing_pass(&universe, &sites, &mut out);
     persist_protocol_pass(&universe, &facts, &mut out);
-    out.findings.sort_by(|a, b| {
-        (&a.file, a.line, &a.rule)
-            .cmp(&(&b.file, b.line, &b.rule))
-    });
+    out.findings
+        .sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
     out
 }
 
@@ -304,7 +333,8 @@ impl Universe {
 
     /// Whether `ret` text says the fn hands back a lock guard.
     fn returns_guard(def: &FnDef) -> bool {
-        def.ret.contains("MutexGuard") || def.ret.contains("RwLockReadGuard")
+        def.ret.contains("MutexGuard")
+            || def.ret.contains("RwLockReadGuard")
             || def.ret.contains("RwLockWriteGuard")
     }
 
@@ -332,7 +362,11 @@ impl Universe {
 /// What a receiver chain resolves to.
 enum Resolved {
     /// Terminal `.field` access: owning struct, field name, field type.
-    Field { owner: String, field: String, ty: String },
+    Field {
+        owner: String,
+        field: String,
+        ty: String,
+    },
     /// A value of a known type (from `self`, a param, or a local).
     Typed(String),
     /// A `static` item.
@@ -411,11 +445,9 @@ fn collect_facts(u: &Universe, idx: usize, sites: &mut Vec<AtomicSite>) -> FnFac
         }
     };
     let first_ident_in = |open: usize, close: usize| -> Option<String> {
-        (open + 1..close).find_map(|k| {
-            match tok(k) {
-                Some(t) if t.kind == TokKind::Ident && t.text != "mut" => Some(t.text.clone()),
-                _ => None,
-            }
+        (open + 1..close).find_map(|k| match tok(k) {
+            Some(t) if t.kind == TokKind::Ident && t.text != "mut" => Some(t.text.clone()),
+            _ => None,
         })
     };
 
@@ -439,7 +471,9 @@ fn collect_facts(u: &Universe, idx: usize, sites: &mut Vec<AtomicSite>) -> FnFac
                         let mut depth = 0i32;
                         while let Some(t) = tok(e) {
                             match &t.kind {
-                                TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('<') => depth += 1,
+                                TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('<') => {
+                                    depth += 1
+                                }
                                 TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
                                 TokKind::Punct('>') if !(e > 0 && punct(e - 1, '-')) => depth -= 1,
                                 TokKind::Punct('=') | TokKind::Punct(';') if depth <= 0 => break,
@@ -675,7 +709,10 @@ fn collect_facts(u: &Universe, idx: usize, sites: &mut Vec<AtomicSite>) -> FnFac
                             || BLOCKING_METHODS.contains(&m.as_str())
                         {
                             facts.blocking.push((m.clone(), ln));
-                            facts.events.push(Ev::Blocking { op: m.clone(), line: ln });
+                            facts.events.push(Ev::Blocking {
+                                op: m.clone(),
+                                line: ln,
+                            });
                             if m == "sync_all" || m == "sync_data" {
                                 facts.has_sync = true;
                                 facts.persist.push(PersistEv::Sync);
@@ -695,14 +732,21 @@ fn collect_facts(u: &Universe, idx: usize, sites: &mut Vec<AtomicSite>) -> FnFac
                         }
                     } else if m == "sleep" {
                         facts.blocking.push(("sleep".to_string(), ln));
-                        facts.events.push(Ev::Blocking { op: "sleep".to_string(), line: ln });
+                        facts.events.push(Ev::Blocking {
+                            op: "sleep".to_string(),
+                            line: ln,
+                        });
                     } else {
                         let targets = match qual {
-                            Some(q) if u.fields.contains_key(q) || u.by_owner.contains_key(&(q.to_string(), m.clone())) => u
-                                .by_owner
-                                .get(&(q.to_string(), m.clone()))
-                                .cloned()
-                                .unwrap_or_default(),
+                            Some(q)
+                                if u.fields.contains_key(q)
+                                    || u.by_owner.contains_key(&(q.to_string(), m.clone())) =>
+                            {
+                                u.by_owner
+                                    .get(&(q.to_string(), m.clone()))
+                                    .cloned()
+                                    .unwrap_or_default()
+                            }
                             Some(q) if !STD_MODULES.contains(&q) => u.unique_by_name(&m),
                             _ => Vec::new(),
                         };
@@ -730,9 +774,7 @@ fn collect_facts(u: &Universe, idx: usize, sites: &mut Vec<AtomicSite>) -> FnFac
                         .map(|list| {
                             list.iter()
                                 .copied()
-                                .filter(|&i| {
-                                    u.fns.get(i).is_some_and(|(_, f)| f.owner.is_none())
-                                })
+                                .filter(|&i| u.fns.get(i).is_some_and(|(_, f)| f.owner.is_none()))
                                 .collect()
                         })
                         .unwrap_or_default();
@@ -761,12 +803,10 @@ fn collect_facts(u: &Universe, idx: usize, sites: &mut Vec<AtomicSite>) -> FnFac
 /// one group.
 fn atomic_group(resolved: &Option<Resolved>, chain: Option<&[String]>) -> Option<String> {
     match resolved {
-        Some(Resolved::Field { field, ty, .. }) => {
-            core_type(ty)
-                .is_some_and(|c| c.starts_with("Atomic"))
-                .then(|| field.clone())
-                .or_else(|| Some(field.clone()))
-        }
+        Some(Resolved::Field { field, ty, .. }) => core_type(ty)
+            .is_some_and(|c| c.starts_with("Atomic"))
+            .then(|| field.clone())
+            .or_else(|| Some(field.clone())),
         Some(Resolved::StaticRef { id, .. }) => Some(id.clone()),
         _ => chain.and_then(|c| c.last().cloned()),
     }
@@ -933,7 +973,11 @@ fn lock_and_blocking_pass(u: &Universe, facts: &[FnFacts], out: &mut FlowOutput)
                 Ev::Drop(name) => {
                     guards.retain(|g| g.name.as_deref() != Some(name.as_str()));
                 }
-                Ev::Acquire { lock, line, consumed } => {
+                Ev::Acquire {
+                    lock,
+                    line,
+                    consumed,
+                } => {
                     for (h, since) in held(&guards, &stmt_locks) {
                         if h != *lock {
                             edges.entry((h.clone(), lock.clone())).or_insert(EdgeInfo {
@@ -948,7 +992,12 @@ fn lock_and_blocking_pass(u: &Universe, facts: &[FnFacts], out: &mut FlowOutput)
                     }
                     stmt_locks.push((lock.clone(), *line, *consumed));
                 }
-                Ev::Call { targets, name, line, consumed } => {
+                Ev::Call {
+                    targets,
+                    name,
+                    line,
+                    consumed,
+                } => {
                     let held_now = held(&guards, &stmt_locks);
                     let mut callee_locks: BTreeSet<String> = BTreeSet::new();
                     let mut guard_ret: Vec<(String, u32)> = Vec::new();
@@ -993,8 +1042,11 @@ fn lock_and_blocking_pass(u: &Universe, facts: &[FnFacts], out: &mut FlowOutput)
                         }
                     }
                     if !guard_ret.is_empty() {
-                        stmt_locks
-                            .extend(guard_ret.into_iter().map(|(l, since)| (l, since, *consumed)));
+                        stmt_locks.extend(
+                            guard_ret
+                                .into_iter()
+                                .map(|(l, since)| (l, since, *consumed)),
+                        );
                     }
                 }
                 Ev::Blocking { op, line } => {
@@ -1049,7 +1101,8 @@ fn report_cycles(edges: &BTreeMap<(String, String), EdgeInfo>, out: &mut FlowOut
                     }
                     if let Some(pos) = path.iter().position(|&n| n == t) {
                         // Cycle: path[pos..] + t. Canonicalize rotation.
-                        let cycle: Vec<&str> = path.get(pos..).map(|s| s.to_vec()).unwrap_or_default();
+                        let cycle: Vec<&str> =
+                            path.get(pos..).map(|s| s.to_vec()).unwrap_or_default();
                         record_cycle(&cycle, edges, &mut seen_cycles, out);
                     } else if !done.contains(t) {
                         path.push(t);
@@ -1096,7 +1149,10 @@ fn record_cycle(
     let mut witness = Vec::new();
     let mut anchor: Option<&EdgeInfo> = None;
     for (i, from) in rotated.iter().enumerate() {
-        let to = rotated.get((i + 1) % rotated.len()).copied().unwrap_or(from);
+        let to = rotated
+            .get((i + 1) % rotated.len())
+            .copied()
+            .unwrap_or(from);
         if let Some(info) = edges.get(&(from.to_string(), to.to_string())) {
             witness.push(info.witness.clone());
             if anchor.is_none() {
@@ -1112,7 +1168,10 @@ fn record_cycle(
         file,
         line,
         snippet,
-        message: format!("lock-order cycle: {key} → {} (deadlock potential)", rotated.first().copied().unwrap_or("?")),
+        message: format!(
+            "lock-order cycle: {key} → {} (deadlock potential)",
+            rotated.first().copied().unwrap_or("?")
+        ),
         witness,
     });
 }
@@ -1167,22 +1226,23 @@ fn atomic_pairing_pass(u: &Universe, sites: &[AtomicSite], out: &mut FlowOutput)
                 })
                 .collect()
         };
-        let emit = |out: &mut FlowOutput, site: &AtomicSite, message: String, witness: Vec<String>| {
-            let Some(fd) = u.files.get(site.file) else {
-                return;
+        let emit =
+            |out: &mut FlowOutput, site: &AtomicSite, message: String, witness: Vec<String>| {
+                let Some(fd) = u.files.get(site.file) else {
+                    return;
+                };
+                if !fd.rules.atomics {
+                    return;
+                }
+                out.findings.push(Finding {
+                    rule: "atomic-pairing".to_string(),
+                    file: fd.label.clone(),
+                    line: site.line,
+                    snippet: fd.snippet(site.line),
+                    message,
+                    witness,
+                });
             };
-            if !fd.rules.atomics {
-                return;
-            }
-            out.findings.push(Finding {
-                rule: "atomic-pairing".to_string(),
-                file: fd.label.clone(),
-                line: site.line,
-                snippet: fd.snippet(site.line),
-                message,
-                witness,
-            });
-        };
         if relaxed_only {
             if !blessed_somewhere {
                 if let Some(first) = sorted.first() {
@@ -1264,27 +1324,25 @@ fn persist_protocol_pass(u: &Universe, facts: &[FnFacts], out: &mut FlowOutput) 
             let PersistEv::Rename { path, line } = ev else {
                 continue;
             };
-            let Some(cp) = f.persist.iter().take(rp).position(
-                |e| matches!(e, PersistEv::Create { path: p, .. } if p == path),
-            ) else {
+            let Some(cp) = f
+                .persist
+                .iter()
+                .take(rp)
+                .position(|e| matches!(e, PersistEv::Create { path: p, .. } if p == path))
+            else {
                 continue;
             };
             let create_line = match f.persist.get(cp) {
                 Some(PersistEv::Create { line, .. }) => *line,
                 _ => 0,
             };
-            let synced = f
-                .persist
-                .iter()
-                .take(rp)
-                .skip(cp + 1)
-                .any(|e| match e {
-                    PersistEv::Sync => true,
-                    PersistEv::Call { targets, .. } => targets
-                        .iter()
-                        .any(|&t| facts.get(t).is_some_and(|tf| tf.has_sync)),
-                    _ => false,
-                });
+            let synced = f.persist.iter().take(rp).skip(cp + 1).any(|e| match e {
+                PersistEv::Sync => true,
+                PersistEv::Call { targets, .. } => targets
+                    .iter()
+                    .any(|&t| facts.get(t).is_some_and(|tf| tf.has_sync)),
+                _ => false,
+            });
             if !synced {
                 out.findings.push(Finding {
                     rule: "persist-protocol".to_string(),
@@ -1574,7 +1632,11 @@ mod tests {
             }
         "#;
         let out = run(&[("pool.rs", bare)]);
-        assert!(rules_found(&out).contains(&"atomic-pairing"), "{:?}", out.findings);
+        assert!(
+            rules_found(&out).contains(&"atomic-pairing"),
+            "{:?}",
+            out.findings
+        );
         let blessed = r#"
             struct C { hits: AtomicU64 }
             impl C {
@@ -1631,7 +1693,11 @@ mod tests {
             }
         "#;
         let out = run(&[("journal.rs", bad)]);
-        assert!(rules_found(&out).contains(&"persist-protocol"), "{:?}", out.findings);
+        assert!(
+            rules_found(&out).contains(&"persist-protocol"),
+            "{:?}",
+            out.findings
+        );
         let good = r#"
             fn persist(tmp: &Path, path: &Path) -> io::Result<()> {
                 let mut f = File::create(&tmp)?;

@@ -136,9 +136,7 @@ impl Parser<'_> {
     }
 
     fn in_test(&self, k: usize) -> bool {
-        self.code
-            .get(k)
-            .is_some_and(|&i| self.scope.is_test(i))
+        self.code.get(k).is_some_and(|&i| self.scope.is_test(i))
     }
 
     /// Skips a balanced `< … >` generic list starting at `from` (which
@@ -366,12 +364,12 @@ impl Parser<'_> {
         let mut k = lo;
         while k < hi {
             match self.tok(k).map(|t| &t.kind) {
-                Some(TokKind::Punct('(')) | Some(TokKind::Punct('[')) | Some(TokKind::Punct('{')) => {
-                    paren += 1
-                }
-                Some(TokKind::Punct(')')) | Some(TokKind::Punct(']')) | Some(TokKind::Punct('}')) => {
-                    paren -= 1
-                }
+                Some(TokKind::Punct('('))
+                | Some(TokKind::Punct('['))
+                | Some(TokKind::Punct('{')) => paren += 1,
+                Some(TokKind::Punct(')'))
+                | Some(TokKind::Punct(']'))
+                | Some(TokKind::Punct('}')) => paren -= 1,
                 Some(TokKind::Punct('<')) => angle += 1,
                 Some(TokKind::Punct('>')) if !(k > 0 && self.punct(k - 1, '-')) => angle -= 1,
                 Some(TokKind::Punct(',')) if paren == 0 && angle <= 0 => {
@@ -485,9 +483,9 @@ impl Parser<'_> {
         let mut colon = None;
         for j in k..hi {
             match self.tok(j).map(|t| &t.kind) {
-                Some(TokKind::Punct('(')) | Some(TokKind::Punct('[')) | Some(TokKind::Punct('<')) => {
-                    depth += 1
-                }
+                Some(TokKind::Punct('('))
+                | Some(TokKind::Punct('['))
+                | Some(TokKind::Punct('<')) => depth += 1,
                 Some(TokKind::Punct(')')) | Some(TokKind::Punct(']')) => depth -= 1,
                 Some(TokKind::Punct('>')) if !(j > 0 && self.punct(j - 1, '-')) => depth -= 1,
                 Some(TokKind::Punct(':')) if depth == 0 => {
@@ -665,9 +663,7 @@ pub fn head_ident(ty: &str) -> Option<&str> {
                 // Path segments keep replacing the head until the
                 // generics open; `::` arrives as two `:` tokens which the
                 // `":"` arm above skips.
-                if p.chars()
-                    .all(|c| c.is_ascii_alphanumeric() || c == '_')
-                {
+                if p.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
                     head = Some(p);
                 } else {
                     break;
@@ -923,6 +919,9 @@ mod tests {
             generic_payload("Mutex < Vec < JobFailure > >").as_deref(),
             Some("Vec < JobFailure >")
         );
-        assert_eq!(core_type("std :: sync :: MutexGuard < '_ , Sched >").as_deref(), Some("MutexGuard"));
+        assert_eq!(
+            core_type("std :: sync :: MutexGuard < '_ , Sched >").as_deref(),
+            Some("MutexGuard")
+        );
     }
 }

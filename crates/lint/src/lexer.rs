@@ -399,7 +399,10 @@ mod tests {
             (r###"let b = br#"bytes "raw" here"#;"###, &["let", "b"]),
             (r##"let b = b"byte str with unwrap()";"##, &["let", "b"]),
             // A raw string whose body spans lines.
-            ("let s = r#\"line1\nline2 panic!()\"#; next", &["let", "s", "next"]),
+            (
+                "let s = r#\"line1\nline2 panic!()\"#; next",
+                &["let", "s", "next"],
+            ),
         ];
         for (src, expect) in cases {
             assert_eq!(&idents(src), expect, "source: {src}");
@@ -410,7 +413,10 @@ mod tests {
     fn table_nested_block_comments() {
         let cases: &[(&str, &[&str])] = &[
             ("/* unwrap() */ keep", &["keep"]),
-            ("/* outer /* inner unwrap() */ still comment */ keep", &["keep"]),
+            (
+                "/* outer /* inner unwrap() */ still comment */ keep",
+                &["keep"],
+            ),
             ("/* /* /* deep */ */ */ keep", &["keep"]),
             ("a /* x */ b /* y /* z */ */ c", &["a", "b", "c"]),
         ];
@@ -425,10 +431,18 @@ mod tests {
         let cases: &[(&str, &[&str], &[&str])] = &[
             ("fn f<'a>(x: &'a str) {}", &["'a", "'a"], &[]),
             ("let c = 'a';", &[], &["'a'"]),
-            ("let c = '\\n'; let l: &'static str;", &["'static"], &["'\\n'"]),
+            (
+                "let c = '\\n'; let l: &'static str;",
+                &["'static"],
+                &["'\\n'"],
+            ),
             ("'outer: loop { break 'outer; }", &["'outer", "'outer"], &[]),
             ("let q = '\\''; let b = b'{';", &[], &["'\\''", "b'{'"]),
-            ("let p = '('; struct S<'x>(&'x u8);", &["'x", "'x"], &["'('"]),
+            (
+                "let p = '('; struct S<'x>(&'x u8);",
+                &["'x", "'x"],
+                &["'('"],
+            ),
         ];
         for (src, lifetimes, chars) in cases {
             let toks = lex(src);
@@ -469,7 +483,10 @@ mod tests {
             .map(|(_, t)| t.as_str())
             .collect();
         assert_eq!(nums, ["0", "1.5", "0xff_u64"]);
-        let dots = toks.iter().filter(|(k, _)| *k == TokKind::Punct('.')).count();
+        let dots = toks
+            .iter()
+            .filter(|(k, _)| *k == TokKind::Punct('.'))
+            .count();
         assert_eq!(dots, 2, "both range dots survive");
     }
 

@@ -274,11 +274,15 @@ mod tests {
         let obs = rules_for_crate("obs");
         assert!(obs.det && obs.persist && obs.obs && !obs.conc);
         let lint = rules_for_crate("lint");
-        assert!(!lint.det && lint.panic && lint.atomics && !lint.persist && !lint.obs && !lint.conc);
+        assert!(
+            !lint.det && lint.panic && lint.atomics && !lint.persist && !lint.obs && !lint.conc
+        );
         let atpg = rules_for_crate("atpg");
         assert!(!atpg.det && atpg.panic && atpg.obs);
         let serve = rules_for_crate("serve");
-        assert!(serve.det && serve.panic && serve.atomics && serve.persist && serve.obs && serve.conc);
+        assert!(
+            serve.det && serve.panic && serve.atomics && serve.persist && serve.obs && serve.conc
+        );
     }
 
     #[test]
@@ -325,9 +329,15 @@ mod tests {
         let a = lint_workspace(&root).map(|f| f.len());
         let b = lint_workspace(&root).map(|f| f.len());
         assert!(a.is_ok(), "{a:?}");
-        let first = lint_workspace(&root).ok().and_then(|f| f.into_iter().next());
+        let first = lint_workspace(&root)
+            .ok()
+            .and_then(|f| f.into_iter().next());
         if let Some(f) = first {
-            assert!(!f.file.starts_with('/'), "label should be relative: {}", f.file);
+            assert!(
+                !f.file.starts_with('/'),
+                "label should be relative: {}",
+                f.file
+            );
             assert!(f.file.ends_with(".rs"));
         }
         assert_eq!(a.ok(), b.ok());

@@ -124,7 +124,9 @@ fn fix_stale(root: &Path, findings: &[Finding]) -> Result<usize, String> {
         .iter()
         .filter(|f| f.rule == "stale-blessing")
         .collect();
-    stale.sort_by(|a, b| (&a.file, std::cmp::Reverse(a.line)).cmp(&(&b.file, std::cmp::Reverse(b.line))));
+    stale.sort_by(|a, b| {
+        (&a.file, std::cmp::Reverse(a.line)).cmp(&(&b.file, std::cmp::Reverse(b.line)))
+    });
     let mut current: Option<(String, Vec<String>)> = None;
     for f in &stale {
         if current.as_ref().map(|(file, _)| file.as_str()) != Some(f.file.as_str()) {

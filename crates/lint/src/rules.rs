@@ -311,7 +311,10 @@ pub fn lint_source_with(
                     "`.unwrap()` outside test code — route the failure through `DispatchError`/`ConfigError`".to_string(),
                 );
             }
-            if ident_at(k) == Some("expect") && k > 0 && punct_at(k - 1, '.') && punct_at(k + 1, '(')
+            if ident_at(k) == Some("expect")
+                && k > 0
+                && punct_at(k - 1, '.')
+                && punct_at(k + 1, '(')
             {
                 emit(
                     "panic-expect",
@@ -510,10 +513,7 @@ fn hash_bound_names(code: &[(usize, &Token)], scope: &FileScope) -> Vec<(String,
         }
         let line = code.get(k).map(|(_, t)| t.line).unwrap_or(0);
         // Tokens of the same line, up to the HashMap/HashSet occurrence.
-        let line_start = code
-            .iter()
-            .position(|(_, t)| t.line == line)
-            .unwrap_or(k);
+        let line_start = code.iter().position(|(_, t)| t.line == line).unwrap_or(k);
         let before: Vec<&Token> = code
             .get(line_start..k)
             .unwrap_or(&[])
@@ -542,7 +542,9 @@ fn hash_bound_names(code: &[(usize, &Token)], scope: &FileScope) -> Vec<(String,
                 if t.kind == TokKind::Ident
                     && before.get(j + 1).is_some_and(|p| p.is_punct(':'))
                     && !before.get(j + 2).is_some_and(|p| p.is_punct(':'))
-                    && !before.get(j.wrapping_sub(1)).is_some_and(|p| p.is_punct(':'))
+                    && !before
+                        .get(j.wrapping_sub(1))
+                        .is_some_and(|p| p.is_punct(':'))
                 {
                     bound = Some((t.text.clone(), BindKind::Field));
                 }
@@ -594,7 +596,11 @@ mod tests {
                 }
             }
         "#;
-        assert!(all(src).contains(&"det-hash-iter".to_string()), "{:?}", all(src));
+        assert!(
+            all(src).contains(&"det-hash-iter".to_string()),
+            "{:?}",
+            all(src)
+        );
     }
 
     #[test]
@@ -724,7 +730,12 @@ mod tests {
         "#;
         assert_eq!(
             all(src),
-            ["det-wall-clock", "det-wall-clock", "det-thread-id", "det-env-read"]
+            [
+                "det-wall-clock",
+                "det-wall-clock",
+                "det-thread-id",
+                "det-env-read"
+            ]
         );
     }
 
@@ -903,7 +914,11 @@ mod tests {
         // (and itself becomes a stale-marker hygiene finding).
         let blessed =
             r#"fn f() { rls_obs::counter!("nope.metric", 1); } // lint: det-ok(not a det rule)"#;
-        assert!(all(blessed).contains(&"obs-metric-name".to_string()), "{:?}", all(blessed));
+        assert!(
+            all(blessed).contains(&"obs-metric-name".to_string()),
+            "{:?}",
+            all(blessed)
+        );
     }
 
     #[test]

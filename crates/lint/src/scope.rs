@@ -119,7 +119,8 @@ fn test_map(tokens: &[Token]) -> Vec<bool> {
     let mut in_test = vec![false; tokens.len()];
     let mut i = 0;
     while i < tokens.len() {
-        if token_is(tokens, i, '#') && next_code(tokens, i + 1).is_some_and(|j| token_is(tokens, j, '['))
+        if token_is(tokens, i, '#')
+            && next_code(tokens, i + 1).is_some_and(|j| token_is(tokens, j, '['))
         {
             let Some(open) = next_code(tokens, i + 1) else {
                 break;
@@ -242,7 +243,9 @@ fn looks_intentional(key: &str) -> bool {
     !key.is_empty()
         && key.len() <= 32
         && !key.contains(char::is_whitespace)
-        && key.chars().all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
+        && key
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
 }
 
 fn collect_annotations(tokens: &[Token]) -> Vec<Annotation> {
@@ -423,7 +426,9 @@ mod tests {
 
     #[test]
     fn standalone_marker_targets_next_code_line() {
-        let (anns, _) = ann("// lint: ordering-ok(monotone flag; barrier is the mutex)\n// more prose\nfoo();\n");
+        let (anns, _) = ann(
+            "// lint: ordering-ok(monotone flag; barrier is the mutex)\n// more prose\nfoo();\n",
+        );
         assert_eq!(anns.len(), 1);
         assert_eq!(anns.first().map(|a| a.target_line), Some(3));
     }
@@ -434,7 +439,8 @@ mod tests {
         assert!(anns.is_empty());
         assert_eq!(bad.len(), 1);
         assert!(
-            bad.first().is_some_and(|b| b.message.contains("orderng-ok")),
+            bad.first()
+                .is_some_and(|b| b.message.contains("orderng-ok")),
             "{bad:?}"
         );
     }
@@ -455,7 +461,8 @@ mod tests {
 
     #[test]
     fn prose_mentioning_lint_is_ignored() {
-        let (anns, bad) = ann("// the lint: markers described in the design doc are parsed here\nfoo();\n");
+        let (anns, bad) =
+            ann("// the lint: markers described in the design doc are parsed here\nfoo();\n");
         assert!(anns.is_empty());
         assert!(bad.is_empty(), "{bad:?}");
     }

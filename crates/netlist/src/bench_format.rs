@@ -408,7 +408,11 @@ mod tests {
             ("y = NOT(a\n", 1, "missing closing `)`"),
             ("y = NOT)a(\n", 1, "mismatched parentheses"),
             ("INPUT(a)\ny = AND(a, )\n", 2, "empty fanin name"),
-            ("INPUT(a)\nINPUT(b)\nq = DFF(a, b)\n", 3, "DFF takes exactly one fanin"),
+            (
+                "INPUT(a)\nINPUT(b)\nq = DFF(a, b)\n",
+                3,
+                "DFF takes exactly one fanin",
+            ),
         ];
         for (src, line, message) in cases {
             assert_eq!(

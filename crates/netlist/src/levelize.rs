@@ -59,10 +59,12 @@ impl Levelization {
             level[id.index()] = lvl; // lint: panic-ok(levelization visits only net ids it allocated)
             order.push(id);
             resolved += 1;
-            for &succ in &fanout[id.index()] { // lint: panic-ok(levelization visits only net ids it allocated)
+            // lint: panic-ok(levelization visits only net ids it allocated)
+            for &succ in &fanout[id.index()] {
                 if circuit.node(succ).is_gate() {
                     pending[succ.index()] -= 1; // lint: panic-ok(levelization visits only net ids it allocated)
-                    if pending[succ.index()] == 0 { // lint: panic-ok(levelization visits only net ids it allocated)
+                                                // lint: panic-ok(levelization visits only net ids it allocated)
+                    if pending[succ.index()] == 0 {
                         ready.push(succ);
                     }
                 }

@@ -288,11 +288,7 @@ mod tests {
         c.add_output(top);
         let lc = lower(&c);
         assert_eq!(lc.level_runs(), &[(0, 2), (2, 3)]);
-        let covered: usize = lc
-            .level_runs()
-            .iter()
-            .map(|&(s, e)| (e - s) as usize)
-            .sum();
+        let covered: usize = lc.level_runs().iter().map(|&(s, e)| (e - s) as usize).sum();
         assert_eq!(covered, lc.num_gates());
         // Fanins always point at strictly lower slots.
         for g in 0..lc.num_gates() {
@@ -309,11 +305,7 @@ mod tests {
         assert_eq!(lc.num_slots(), c.len());
         assert_eq!(lc.input_slots().len(), c.num_inputs());
         assert_eq!(lc.dff_slots().len(), c.num_dffs());
-        let covered: usize = lc
-            .level_runs()
-            .iter()
-            .map(|&(s, e)| (e - s) as usize)
-            .sum();
+        let covered: usize = lc.level_runs().iter().map(|&(s, e)| (e - s) as usize).sum();
         assert_eq!(covered, lc.num_gates());
         for s in 0..lc.num_slots() as u32 {
             assert_eq!(lc.slot(lc.net(s)), s);

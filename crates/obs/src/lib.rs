@@ -311,12 +311,7 @@ impl Drop for SpanGuard {
         });
         let nanos = s.start.elapsed().as_nanos() as u64;
         if recorder::recording() {
-            recorder::record(
-                recorder::RecKind::Exit,
-                s.name,
-                s.start_nanos + nanos,
-                s.id,
-            );
+            recorder::record(recorder::RecKind::Exit, s.name, s.start_nanos + nanos, s.id);
         }
         dispatch_event(Event::Span(SpanRecord {
             name: s.name,
@@ -513,7 +508,10 @@ mod tests {
     fn with_memory_sink<R>(f: impl FnOnce() -> R) -> (R, Vec<Event>) {
         let _guard = OBS_TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let sink = Arc::new(MemorySink::new());
-        assert!(install(sink.clone()), "collector left installed by another test");
+        assert!(
+            install(sink.clone()),
+            "collector left installed by another test"
+        );
         let out = f();
         finish();
         (out, sink.events())
@@ -646,9 +644,7 @@ mod tests {
         assert_ne!(a, b);
         assert!(a.starts_with("000000000000abcd-r"), "{a}");
         assert!(b.starts_with("000000000000abcd-r"), "{b}");
-        let seq_of = |id: &str| -> u64 {
-            id.rsplit("-r").next().unwrap().parse().unwrap()
-        };
+        let seq_of = |id: &str| -> u64 { id.rsplit("-r").next().unwrap().parse().unwrap() };
         assert!(seq_of(&b) > seq_of(&a), "monotonic: {a} then {b}");
     }
 

@@ -175,7 +175,11 @@ impl Event {
                 fields_into(&s.fields, &mut out);
             }
             Event::Metric(m) => {
-                let _ = write!(out, "{{\"type\":\"metric\",\"kind\":\"{}\",\"name\":\"", m.kind.as_str());
+                let _ = write!(
+                    out,
+                    "{{\"type\":\"metric\",\"kind\":\"{}\",\"name\":\"",
+                    m.kind.as_str()
+                );
                 escape_into(m.name, &mut out);
                 let _ = write!(out, "\",\"value\":{}", m.value);
                 fields_into(&m.fields, &mut out);

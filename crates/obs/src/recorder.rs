@@ -176,7 +176,7 @@ impl Ring {
         let mut raw: Vec<(u64, u64, u64, u64)> = Vec::with_capacity((h1 - lo) as usize);
         for n in lo..h1 {
             let slot = &self.slots[(n % cap) as usize]; // lint: panic-ok(modulo the ring length)
-            // lint: ordering-ok(validated below: slots the writer may have overwritten during this copy are discarded)
+                                                        // lint: ordering-ok(validated below: slots the writer may have overwritten during this copy are discarded)
             let meta = slot.meta.load(Ordering::Relaxed);
             // lint: ordering-ok(validated by the post-copy head re-read)
             let t = slot.t.load(Ordering::Relaxed);
@@ -272,11 +272,7 @@ struct ThreadRec {
 impl ThreadRec {
     fn name_index(&mut self, name: &'static str) -> u16 {
         let key = (name.as_ptr() as usize, name.len());
-        if let Some((_, _, idx)) = self
-            .names
-            .iter()
-            .find(|(p, l, _)| (*p, *l) == key)
-        {
+        if let Some((_, _, idx)) = self.names.iter().find(|(p, l, _)| (*p, *l) == key) {
             return *idx;
         }
         let idx = names::index_of(name).unwrap_or(UNREGISTERED);
@@ -308,7 +304,11 @@ fn shared() -> &'static Shared {
 /// `start` for the life of the process — later values are ignored.
 /// Returns `false` if the recorder was already armed.
 pub fn start(capacity: usize) -> bool {
-    let cap = if capacity == 0 { DEFAULT_CAPACITY } else { capacity.max(16) };
+    let cap = if capacity == 0 {
+        DEFAULT_CAPACITY
+    } else {
+        capacity.max(16)
+    };
     let _ = SHARED.get_or_init(|| Shared {
         capacity: cap,
         rings: Mutex::new(Vec::new()),
@@ -417,14 +417,12 @@ fn collect(consume: bool) -> Snapshot {
         }
         snap.events.extend(events);
     }
-    snap
-    .sorted()
+    snap.sorted()
 }
 
 impl Snapshot {
     fn sorted(mut self) -> Snapshot {
-        self.events
-            .sort_by_key(|e| (e.t_nanos, e.tid, e.seq));
+        self.events.sort_by_key(|e| (e.t_nanos, e.tid, e.seq));
         self.threads.sort();
         self
     }
@@ -500,7 +498,11 @@ fn write_dump(
             format!("rec-dump-{tag}-{pid}-{seq}-{k}.jsonl")
         };
         let candidate = dir.join(name);
-        match OpenOptions::new().write(true).create_new(true).open(&candidate) {
+        match OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&candidate)
+        {
             Ok(f) => break (candidate, f),
             Err(e) if e.kind() == io::ErrorKind::AlreadyExists => k += 1,
             Err(e) => return Err(e),

@@ -175,7 +175,11 @@ impl JsonlSink {
                 format!("obs-{run_id}-{k}.jsonl")
             };
             let candidate = dir.join(name);
-            match OpenOptions::new().write(true).create_new(true).open(&candidate) {
+            match OpenOptions::new()
+                .write(true)
+                .create_new(true)
+                .open(&candidate)
+            {
                 Ok(_) => break candidate,
                 Err(e) if e.kind() == io::ErrorKind::AlreadyExists => k += 1,
                 Err(e) => return Err(e),
@@ -458,8 +462,16 @@ mod tests {
         let a = JsonlSink::create(&dir, "00000000000000aa-r0").unwrap();
         let b = JsonlSink::create(&dir, "00000000000000aa-r0").unwrap();
         assert_ne!(a.path(), b.path(), "collision suffix must kick in");
-        assert!(a.path().to_str().unwrap().ends_with("obs-00000000000000aa-r0.jsonl"));
-        assert!(b.path().to_str().unwrap().ends_with("obs-00000000000000aa-r0-1.jsonl"));
+        assert!(a
+            .path()
+            .to_str()
+            .unwrap()
+            .ends_with("obs-00000000000000aa-r0.jsonl"));
+        assert!(b
+            .path()
+            .to_str()
+            .unwrap()
+            .ends_with("obs-00000000000000aa-r0-1.jsonl"));
         let text = std::fs::read_to_string(a.path()).unwrap();
         assert_eq!(
             text,
@@ -514,7 +526,10 @@ mod tests {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let live = Arc::new(MemorySink::new());
-        assert!(crate::install(live.clone()), "collector left installed by another test");
+        assert!(
+            crate::install(live.clone()),
+            "collector left installed by another test"
+        );
         sink.event(&event);
         sink.event(&span("procedure2.run", 5));
         crate::finish();

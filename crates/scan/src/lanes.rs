@@ -430,7 +430,12 @@ mod tests {
                     let covered = starts
                         .iter()
                         .any(|&i| w.lane(i) && (i..i + stride).contains(&lane));
-                    assert_eq!(spread.lane(lane), covered, "{} lanes stride {stride} lane {lane}", W::LANES);
+                    assert_eq!(
+                        spread.lane(lane),
+                        covered,
+                        "{} lanes stride {stride} lane {lane}",
+                        W::LANES
+                    );
                 }
             }
         }

@@ -145,7 +145,11 @@ fn request_json(o: &Opts) -> Result<String, String> {
         }
         _ => return Err("give exactly one of --circuit or --netlist-file".to_string()),
     }
-    obj = obj.num("la", la).num("lb", lb).num("n", n).num("threads", o.threads);
+    obj = obj
+        .num("la", la)
+        .num("lb", lb)
+        .num("n", n)
+        .num("threads", o.threads);
     if let Some(seed) = o.seed {
         obj = obj.num("seed", seed);
     }
@@ -404,18 +408,22 @@ fn cmd_direct(o: &Opts) -> Result<bool, String> {
         return Err("--la, --lb and --n are required".to_string());
     };
     let circuit = match (&o.circuit, &o.netlist_file) {
-        (Some(name), None) => rls_benchmarks::by_name(name)
-            .ok_or_else(|| format!("unknown circuit `{name}`"))?,
+        (Some(name), None) => {
+            rls_benchmarks::by_name(name).ok_or_else(|| format!("unknown circuit `{name}`"))?
+        }
         (None, Some(path)) => {
             let source = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let name = o.name.clone().ok_or("--netlist-file needs --name".to_string())?;
+            let name = o
+                .name
+                .clone()
+                .ok_or("--netlist-file needs --name".to_string())?;
             rls_netlist::parse_bench(&name, &source).map_err(|e| format!("bad netlist: {e}"))?
         }
         _ => return Err("give exactly one of --circuit or --netlist-file".to_string()),
     };
-    let mut cfg = RlsConfig::try_new(la as usize, lb as usize, n as usize)
-        .map_err(|e| e.to_string())?;
+    let mut cfg =
+        RlsConfig::try_new(la as usize, lb as usize, n as usize).map_err(|e| e.to_string())?;
     if let Some(seed) = o.seed {
         cfg = cfg.with_seeds(SeedSequence::new(seed));
     }

@@ -57,8 +57,9 @@ impl CircuitCache {
             return Ok(Arc::clone(hit));
         }
         let parsed = match circuit {
-            CircuitRef::Named(name) => rls_benchmarks::by_name(name)
-                .ok_or_else(|| format!("unknown circuit `{name}`"))?,
+            CircuitRef::Named(name) => {
+                rls_benchmarks::by_name(name).ok_or_else(|| format!("unknown circuit `{name}`"))?
+            }
             CircuitRef::Upload { name, source } => rls_netlist::parse_bench(name, source)
                 .map_err(|e| format!("netlist rejected: {e}"))?,
         };
@@ -100,8 +101,12 @@ mod tests {
     #[test]
     fn named_circuits_are_compiled_once_and_shared() {
         let cache = CircuitCache::new();
-        let a = cache.resolve(&CircuitRef::Named("s27".to_string())).unwrap();
-        let b = cache.resolve(&CircuitRef::Named("s27".to_string())).unwrap();
+        let a = cache
+            .resolve(&CircuitRef::Named("s27".to_string()))
+            .unwrap();
+        let b = cache
+            .resolve(&CircuitRef::Named("s27".to_string()))
+            .unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second lookup reuses the compilation");
         assert_eq!(cache.len(), 1);
         assert_eq!(a.circuit().name(), "s27");
@@ -138,7 +143,9 @@ mod tests {
     #[test]
     fn failures_are_reasons_not_cache_entries() {
         let cache = CircuitCache::new();
-        let e = cache.resolve(&CircuitRef::Named("nope".to_string())).unwrap_err();
+        let e = cache
+            .resolve(&CircuitRef::Named("nope".to_string()))
+            .unwrap_err();
         assert!(e.contains("unknown circuit"), "{e}");
         let e = cache
             .resolve(&CircuitRef::Upload {

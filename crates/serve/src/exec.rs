@@ -133,8 +133,7 @@ impl<'c> ServedExecutor<'c> {
     }
 
     fn past_deadline(&self) -> bool {
-        self.deadline
-            .is_some_and(|d| Instant::now() >= d) // lint: det-ok(deadline cancellation stops at a checkpointed trial boundary; the resumed outcome is bit-identical)
+        self.deadline.is_some_and(|d| Instant::now() >= d) // lint: det-ok(deadline cancellation stops at a checkpointed trial boundary; the resumed outcome is bit-identical)
     }
 }
 

@@ -130,7 +130,13 @@ impl Journal {
             let _ = d.sync_all();
         }
         let file = OpenOptions::new().append(true).open(&path)?;
-        Ok((Journal { path, file: Mutex::new(file) }, inflight))
+        Ok((
+            Journal {
+                path,
+                file: Mutex::new(file),
+            },
+            inflight,
+        ))
     }
 
     /// The journal file's path.
@@ -296,7 +302,11 @@ mod tests {
         std::fs::write(&path, &text).unwrap();
         let records = read(&path).unwrap();
         assert_eq!(records.len(), 2, "the torn line is ignored");
-        assert_eq!(inflight(&records).len(), 2, "r2 stays in-flight: its end never landed");
+        assert_eq!(
+            inflight(&records).len(),
+            2,
+            "r2 stays in-flight: its end never landed"
+        );
         // The same bytes mid-file are corruption, not a crash artifact.
         let torn_then_more = format!("{text}\n{}\n", entry("r3").render());
         std::fs::write(&path, torn_then_more).unwrap();

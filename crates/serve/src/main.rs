@@ -57,10 +57,12 @@ fn parse_args() -> ServeConfig {
     let mut write_timeout_ms: u64 = 10_000;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |what: &str| args.next().unwrap_or_else(|| {
-            eprintln!("{what} needs a value");
-            usage();
-        });
+        let mut value = |what: &str| {
+            args.next().unwrap_or_else(|| {
+                eprintln!("{what} needs a value");
+                usage();
+            })
+        };
         match arg.as_str() {
             "--socket" => socket = Some(PathBuf::from(value("--socket"))),
             "--threads" => {

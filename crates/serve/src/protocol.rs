@@ -27,8 +27,8 @@
 
 use std::path::PathBuf;
 
-use rls_dispatch::jsonl::{escape, parse, JsonValue};
 use rls_dispatch::jsonl::JsonObject;
+use rls_dispatch::jsonl::{escape, parse, JsonValue};
 
 /// Upper bound on one request line (netlist uploads included).
 pub const MAX_REQUEST_BYTES: usize = 4 * 1024 * 1024;
@@ -192,7 +192,8 @@ pub const CONTROL_TYPES: &[&str] = &[
 /// True when a parsed response line is a control frame rather than a
 /// campaign record.
 pub fn is_control(v: &JsonValue) -> bool {
-    v.str_field("type").is_some_and(|t| CONTROL_TYPES.contains(&t))
+    v.str_field("type")
+        .is_some_and(|t| CONTROL_TYPES.contains(&t))
 }
 
 /// The `accepted` frame: the request was admitted; record lines follow.
@@ -436,7 +437,10 @@ mod tests {
         assert_eq!(req.threads, 3);
         assert_eq!(req.seed, Some(7));
         assert_eq!(req.max_iterations, Some(4));
-        assert_eq!(req.resume.as_deref(), Some(std::path::Path::new("/tmp/c.jsonl")));
+        assert_eq!(
+            req.resume.as_deref(),
+            Some(std::path::Path::new("/tmp/c.jsonl"))
+        );
     }
 
     #[test]
@@ -470,7 +474,10 @@ mod tests {
         ] {
             assert!(parse_request(bad).is_err(), "{bad}");
         }
-        assert_eq!(parse_request(r#"{"type":"shutdown"}"#).unwrap(), Request::Shutdown);
+        assert_eq!(
+            parse_request(r#"{"type":"shutdown"}"#).unwrap(),
+            Request::Shutdown
+        );
     }
 
     #[test]
@@ -493,7 +500,10 @@ mod tests {
 
     #[test]
     fn stats_and_watch_parse() {
-        assert_eq!(parse_request(r#"{"type":"stats"}"#).unwrap(), Request::Stats);
+        assert_eq!(
+            parse_request(r#"{"type":"stats"}"#).unwrap(),
+            Request::Stats
+        );
         assert_eq!(
             parse_request(r#"{"type":"watch","run_id":"abc-r0"}"#).unwrap(),
             Request::Watch("abc-r0".to_string())
@@ -513,7 +523,9 @@ mod tests {
             r#"{"type":"run","circuit":"s27","la":4,"lb":8,"n":8,"deadline_ms":250}"#,
         )
         .unwrap();
-        let Request::Run(req) = r else { panic!("not a run request") };
+        let Request::Run(req) = r else {
+            panic!("not a run request")
+        };
         assert_eq!(req.deadline_ms, Some(250));
         assert!(parse_request(
             r#"{"type":"run","circuit":"s27","la":4,"lb":8,"n":8,"deadline_ms":"soon"}"#
@@ -532,7 +544,10 @@ mod tests {
             assert_eq!(d, backoff_ms(seed, attempt), "same inputs, same delay");
             assert!(d < 5_100, "capped: attempt {attempt} gave {d}");
         }
-        assert!(backoff_ms(seed, 4) > backoff_ms(seed, 0), "grows with attempts");
+        assert!(
+            backoff_ms(seed, 4) > backoff_ms(seed, 0),
+            "grows with attempts"
+        );
         assert_ne!(
             backoff_ms(seed, 1),
             backoff_ms(seed ^ 1, 1),
@@ -573,7 +588,10 @@ mod tests {
         let want = normalize_recovered(direct.iter().copied()).unwrap();
         let got = normalize_recovered(recovered.iter().copied()).unwrap();
         assert_eq!(got, want);
-        assert_eq!(want.last().map(String::as_str), Some(r#"{"type":"summary","detected":31,"complete":true}"#));
+        assert_eq!(
+            want.last().map(String::as_str),
+            Some(r#"{"type":"summary","detected":31,"complete":true}"#)
+        );
     }
 
     #[test]
@@ -591,9 +609,11 @@ mod tests {
             n,
             r#"{"type":"trial","i":1,"d1":2,"tests":16,"newly_detected":3,"kept":true,"live_after":1}"#
         );
-        let n = normalize_line(r#"{"type":"initial","ts0_tests":16,"ts0_detected":28,"ts0_wall_nanos":5}"#)
-            .unwrap()
-            .unwrap();
+        let n = normalize_line(
+            r#"{"type":"initial","ts0_tests":16,"ts0_detected":28,"ts0_wall_nanos":5}"#,
+        )
+        .unwrap()
+        .unwrap();
         assert_eq!(n, r#"{"type":"initial","ts0_tests":16,"ts0_detected":28}"#);
         // Untouched lines round-trip byte-identically, nesting included.
         let line = r#"{"type":"checkpoint","live":[3,5,8],"pairs":[{"i":1,"d1":2}],"big":18446744073709551615,"f":0.25,"x":null}"#;

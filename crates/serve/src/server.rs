@@ -421,7 +421,10 @@ fn session(stream: &UnixStream, shared: &Shared) {
 /// Answers one server-wide `stats` snapshot: admission state plus the
 /// live progress of every registered run (latest entry per run id).
 fn stats(stream: &UnixStream, shared: &Shared) {
-    shared.counters.stats_requests.fetch_add(1, Ordering::Relaxed); // lint: ordering-ok(advisory introspection counter)
+    shared
+        .counters
+        .stats_requests
+        .fetch_add(1, Ordering::Relaxed); // lint: ordering-ok(advisory introspection counter)
     rls_obs::counter!("serve.stats.requests", 1);
     let reg = shared.registry();
     let mut seen = std::collections::BTreeSet::new();
@@ -456,7 +459,10 @@ fn stats(stream: &UnixStream, shared: &Shared) {
 fn watch(stream: &UnixStream, shared: &Shared, run_id: &str) {
     let Some((circuit, progress)) = registry_progress(shared, run_id) else {
         rls_obs::counter!("serve.requests_rejected", 1);
-        send(stream, &rejected_line(&format!("unknown run id `{run_id}`")));
+        send(
+            stream,
+            &rejected_line(&format!("unknown run id `{run_id}`")),
+        );
         return;
     };
     let watchers = shared.counters.watchers.fetch_add(1, Ordering::Relaxed) + 1; // lint: ordering-ok(advisory introspection counter)
@@ -523,7 +529,10 @@ fn attach(stream: &UnixStream, shared: &Shared, run_id: &str) {
         match snapshot {
             None => {
                 rls_obs::counter!("serve.requests_rejected", 1);
-                send(stream, &rejected_line(&format!("unknown run id `{run_id}`")));
+                send(
+                    stream,
+                    &rejected_line(&format!("unknown run id `{run_id}`")),
+                );
                 return;
             }
             Some((_, RunState::Running)) => std::thread::sleep(ATTACH_POLL),
@@ -538,7 +547,10 @@ fn attach(stream: &UnixStream, shared: &Shared, run_id: &str) {
                 let text = match std::fs::read_to_string(&path) {
                     Ok(text) => text,
                     Err(e) => {
-                        send(stream, &error_line(&format!("campaign file unreadable: {e}")));
+                        send(
+                            stream,
+                            &error_line(&format!("campaign file unreadable: {e}")),
+                        );
                         return;
                     }
                 };
@@ -840,8 +852,7 @@ fn execute_campaign(
             .flatten();
         if cancel == Some(CancelCause::Stall) {
             let state = campaign.path().map(Path::to_path_buf).and_then(|path| {
-                match load_checkpoint(&path)
-                    .and_then(|s| procedure.validate_resume(&s).map(|()| s))
+                match load_checkpoint(&path).and_then(|s| procedure.validate_resume(&s).map(|()| s))
                 {
                     Ok(state) => Some(state),
                     Err(e) => {
@@ -943,13 +954,21 @@ fn recover_one(shared: &Shared, entry: &JournalEntry) {
         eprintln!("warning: could not recover run {}: {message}", entry.run_id);
         if let Err(e) = shared.journal.end(&entry.run_id, outcome) {
             rls_obs::counter!("serve.journal_errors", 1);
-            eprintln!("warning: could not journal outcome of {}: {e}", entry.run_id);
+            eprintln!(
+                "warning: could not journal outcome of {}: {e}",
+                entry.run_id
+            );
         }
         registry_set(shared, &entry.run_id, RunState::Failed(message));
     };
     let req = match parse_request(&entry.request) {
         Ok(Request::Run(req)) => req,
-        Ok(_) => return fail("failed", "journaled request is not a run request".to_string()),
+        Ok(_) => {
+            return fail(
+                "failed",
+                "journaled request is not a run request".to_string(),
+            )
+        }
         Err(e) => return fail("failed", format!("journaled request no longer parses: {e}")),
     };
     let compiled = match shared.cache.resolve(&req.circuit) {

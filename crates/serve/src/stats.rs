@@ -311,7 +311,10 @@ mod tests {
         p.observe_record(r#"{"type":"resume","from_iteration":0}"#);
         p.observe_record(r#"{"type":"degrade","reason":"watchdog"}"#);
         let line = progress_line("run-1", "s27", &p);
-        assert!(crate::protocol::is_control(&parse(&line).unwrap()), "{line}");
+        assert!(
+            crate::protocol::is_control(&parse(&line).unwrap()),
+            "{line}"
+        );
         assert!(line.contains(r#""type":"progress""#), "{line}");
         assert!(line.contains(r#""requeues":1"#), "{line}");
         assert!(line.contains(r#""degraded":true"#), "{line}");
@@ -369,11 +372,22 @@ mod tests {
             1,
             &counters,
             &[
-                RunRow { run_id: "r-a", circuit: "s27", progress: &a },
-                RunRow { run_id: "r-b", circuit: "s208", progress: &b },
+                RunRow {
+                    run_id: "r-a",
+                    circuit: "s27",
+                    progress: &a,
+                },
+                RunRow {
+                    run_id: "r-b",
+                    circuit: "s208",
+                    progress: &b,
+                },
             ],
         );
-        assert!(crate::protocol::is_control(&parse(&line).unwrap()), "{line}");
+        assert!(
+            crate::protocol::is_control(&parse(&line).unwrap()),
+            "{line}"
+        );
         assert!(line.contains(r#""type":"stats""#), "{line}");
         assert!(line.contains(r#""inflight":1"#), "{line}");
         assert!(line.contains(r#""stats_requests":3"#), "{line}");
@@ -381,6 +395,11 @@ mod tests {
         assert!(line.contains(r#""state":"interrupted""#), "{line}");
         // The whole frame parses as one JSON object.
         let v = parse(&line).unwrap();
-        assert_eq!(v.get("campaigns").and_then(|c| c.as_array()).map(<[_]>::len), Some(2));
+        assert_eq!(
+            v.get("campaigns")
+                .and_then(|c| c.as_array())
+                .map(<[_]>::len),
+            Some(2)
+        );
     }
 }

@@ -243,7 +243,10 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert!(silent.cell().stalled(), "no beats within the deadline");
-        assert!(!lively.cell().stalled(), "regular beats keep a campaign alive");
+        assert!(
+            !lively.cell().stalled(),
+            "regular beats keep a campaign alive"
+        );
         assert!(lively.cell().trials() > 0);
         // A requeued attempt clears the flag and is monitored afresh.
         silent.cell().clear_stall();

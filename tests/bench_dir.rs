@@ -40,7 +40,11 @@ fn bench_dir_overrides_reach_every_by_name_consumer() {
     let dir = scratch("override");
     std::fs::write(dir.join("s27.bench"), OVERRIDE_S27).unwrap();
 
-    assert_eq!(rls_benchmarks::s27().num_inputs(), 4, "embedded s27 untouched");
+    assert_eq!(
+        rls_benchmarks::s27().num_inputs(),
+        4,
+        "embedded s27 untouched"
+    );
     std::env::set_var(rls_benchmarks::BENCH_DIR_VAR, &dir);
     let overridden = rls_benchmarks::by_name("s27").expect("s27 resolves");
     assert_eq!(
@@ -55,13 +59,19 @@ fn bench_dir_overrides_reach_every_by_name_consumer() {
     let compiled = cache
         .resolve(&rls_serve::CircuitRef::Named("s27".to_string()))
         .expect("server-side resolution");
-    assert_eq!(compiled.circuit().num_inputs(), 1, "the server sees the override");
+    assert_eq!(
+        compiled.circuit().num_inputs(),
+        1,
+        "the server sees the override"
+    );
     // Names that try to escape the directory fall back to the registry
     // rather than touching the filesystem.
     assert!(rls_benchmarks::by_name("../s27").is_none());
     std::env::remove_var(rls_benchmarks::BENCH_DIR_VAR);
     assert_eq!(
-        rls_benchmarks::by_name("s27").expect("s27 resolves").num_inputs(),
+        rls_benchmarks::by_name("s27")
+            .expect("s27 resolves")
+            .num_inputs(),
         4,
         "without the variable the registry is back"
     );
@@ -86,7 +96,11 @@ fn real_netlists_match_the_paper_profiles() {
         };
         let profile = rls_benchmarks::profile(name).expect("registered profile");
         assert_eq!(real.num_inputs(), profile.inputs, "{name}: primary inputs");
-        assert_eq!(real.num_outputs(), profile.outputs, "{name}: primary outputs");
+        assert_eq!(
+            real.num_outputs(),
+            profile.outputs,
+            "{name}: primary outputs"
+        );
         assert_eq!(real.num_dffs(), profile.dffs, "{name}: flip-flops");
         checked += 1;
     }

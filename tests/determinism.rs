@@ -11,7 +11,11 @@
 
 use random_limited_scan::core::{Procedure2, Procedure2Outcome, RlsConfig};
 
-fn run_with_threads(circuit: &rls_netlist::Circuit, cfg: RlsConfig, threads: usize) -> Procedure2Outcome {
+fn run_with_threads(
+    circuit: &rls_netlist::Circuit,
+    cfg: RlsConfig,
+    threads: usize,
+) -> Procedure2Outcome {
     Procedure2::new(circuit, cfg.with_threads(threads)).run()
 }
 
@@ -41,7 +45,9 @@ fn campaign_jsonl_records_worker_counters() {
     let c = random_limited_scan::benchmarks::s27();
     let dir = std::env::temp_dir().join(format!("rls-det-campaign-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cfg = RlsConfig::new(4, 8, 8).with_threads(4).with_campaign_dir(&dir);
+    let cfg = RlsConfig::new(4, 8, 8)
+        .with_threads(4)
+        .with_campaign_dir(&dir);
     let outcome = Procedure2::new(&c, cfg).run();
     assert!(outcome.final_coverage().detected > 0);
     let files = campaign_files(&dir);
@@ -93,9 +99,15 @@ fn obs_enabled_parallel_is_bit_identical_to_sequential() {
         .count();
     assert!(runs >= 2, "both procedure2 runs traced, got {runs}");
     assert!(
-        log.lines().iter().any(|l| l.contains(r#""name":"dispatch.set""#)),
+        log.lines()
+            .iter()
+            .any(|l| l.contains(r#""name":"dispatch.set""#)),
         "the parallel run traced its sets"
     );
-    assert!(log.lines().last().unwrap().contains(r#""type":"obs_summary""#));
+    assert!(log
+        .lines()
+        .last()
+        .unwrap()
+        .contains(r#""type":"obs_summary""#));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -150,7 +150,12 @@ fn lint_crate_with(crate_name: &str, mutated_rel: &str, mutated_text: &str) -> V
     let src_dir = workspace_root().join("crates").join(crate_name).join("src");
     let mut names: Vec<String> = std::fs::read_dir(&src_dir)
         .expect("crate src dir")
-        .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
         .filter(|n| n.ends_with(".rs") && n != "main.rs")
         .collect();
     names.sort();
@@ -192,7 +197,11 @@ fn mutation_lock_inversion_in_shared_is_caught() {
     );
     let found = lint_crate_with("dispatch", rel, &mutated);
     let cycle = found.iter().find(|f| f.rule == "lock-order");
-    assert!(cycle.is_some(), "seeded inversion must report a cycle:\n{}", render(&found.iter().collect::<Vec<_>>()));
+    assert!(
+        cycle.is_some(),
+        "seeded inversion must report a cycle:\n{}",
+        render(&found.iter().collect::<Vec<_>>())
+    );
     assert!(
         cycle.is_some_and(|f| !f.witness.is_empty()),
         "the cycle finding must carry a witness path"

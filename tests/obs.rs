@@ -41,7 +41,9 @@ fn run_one_set(c: &Circuit, tests: &[ScanTest], threads: usize) {
 fn test_block_jobs_cut_submit_overhead_on_large_circuits() {
     // Serialized with the collector tests: a retiring campaign emits pool
     // metrics into whatever collector is installed.
-    let _guard = OBS_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _guard = OBS_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     // A set is one wave of contiguous test-block jobs sized by the
     // campaign's budget alone: on s953, whose live list spans many
     // kernel chunks, the job count is the block count, not tiles x fault
@@ -64,7 +66,10 @@ fn test_block_jobs_cut_submit_overhead_on_large_circuits() {
         assert!(jobs < fixed, "{jobs} block jobs vs {fixed} fixed chunks");
         // Each job split the live list into tile-capacity sub-batches,
         // each accounted at the full kernel word.
-        assert!(snap.total_batches() > jobs, "blocks run several kernel passes");
+        assert!(
+            snap.total_batches() > jobs,
+            "blocks run several kernel passes"
+        );
         assert_eq!(
             snap.total_lanes_capacity(),
             snap.total_batches() * KernelWord::LANES as u64
@@ -75,7 +80,9 @@ fn test_block_jobs_cut_submit_overhead_on_large_circuits() {
 
 #[test]
 fn parallel_campaign_emits_only_registered_metric_names() {
-    let _guard = OBS_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _guard = OBS_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let sink = Arc::new(obs::MemorySink::new());
     assert!(
         obs::install(sink.clone() as Arc<dyn obs::Sink>),
@@ -118,7 +125,9 @@ fn parallel_campaign_emits_only_registered_metric_names() {
 
 #[test]
 fn flight_recorder_dump_survives_a_parallel_campaign() {
-    let _guard = OBS_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _guard = OBS_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let dir = std::env::temp_dir().join(format!("rls-obs-recdump-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     obs::recorder::set_dump_dir(&dir);
@@ -141,7 +150,10 @@ fn flight_recorder_dump_survives_a_parallel_campaign() {
     assert!(!log.is_empty(), "dump holds a header at least");
     let header = &log.lines()[0];
     assert!(header.contains(r#""type":"rec_dump""#), "{header}");
-    assert!(header.contains(r#""reason":"integration test!""#), "{header}");
+    assert!(
+        header.contains(r#""reason":"integration test!""#),
+        "{header}"
+    );
     let events: Vec<&String> = log.lines()[1..].iter().collect();
     assert!(!events.is_empty(), "the campaign recorded events");
     for line in &events {
@@ -149,8 +161,14 @@ fn flight_recorder_dump_survives_a_parallel_campaign() {
     }
     // The dispatch spans land in the rings as enter/exit pairs, and the
     // kernel-batch marks from inside `fsim.test` ride along.
-    assert!(events.iter().any(|l| l.contains(r#""kind":"enter""#)), "no span enters");
-    assert!(events.iter().any(|l| l.contains(r#""kind":"exit""#)), "no span exits");
+    assert!(
+        events.iter().any(|l| l.contains(r#""kind":"enter""#)),
+        "no span enters"
+    );
+    assert!(
+        events.iter().any(|l| l.contains(r#""kind":"exit""#)),
+        "no span exits"
+    );
     assert!(
         events.iter().any(|l| l.contains(r#""name":"fsim.batch""#)),
         "no kernel batch marks"
@@ -160,7 +178,9 @@ fn flight_recorder_dump_survives_a_parallel_campaign() {
 
 #[test]
 fn disabled_obs_emits_nothing() {
-    let _guard = OBS_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _guard = OBS_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     assert!(!obs::enabled());
     // A full parallel set with obs disabled: the macros must not observe
     // anything (there is no collector to receive events anyway, but the

@@ -21,8 +21,8 @@ use random_limited_scan::core::cycles::measured_cycles;
 use random_limited_scan::core::{derive_test_set, generate_ts0, ncyc0, RlsConfig};
 use random_limited_scan::fsim::good::traces_differ;
 use random_limited_scan::fsim::{
-    compatible_run, simulate_tile_lanes, tile_fault_capacity, ChainMap, Fault, FaultId, FaultSimulator,
-    FaultUniverse, GoodSim, LaneWord, ScanTest, ShiftOp, SimOptions,
+    compatible_run, simulate_tile_lanes, tile_fault_capacity, ChainMap, Fault, FaultId,
+    FaultSimulator, FaultUniverse, GoodSim, LaneWord, ScanTest, ShiftOp, SimOptions,
 };
 use random_limited_scan::lfsr::{BitMatrix, FibonacciLfsr, SeedSequence};
 use random_limited_scan::netlist::{parse_bench, write_bench, Circuit, LevelizedCircuit};
@@ -47,16 +47,28 @@ fn small_synth(g: &mut Gen) -> SynthConfig {
 fn shrink_synth(cfg: &SynthConfig) -> Vec<SynthConfig> {
     let mut out = Vec::new();
     for gates in shrink_usize_min(cfg.gates, 5) {
-        out.push(SynthConfig { gates, ..cfg.clone() });
+        out.push(SynthConfig {
+            gates,
+            ..cfg.clone()
+        });
     }
     for dffs in quickprop::shrink_usize(cfg.dffs) {
-        out.push(SynthConfig { dffs, ..cfg.clone() });
+        out.push(SynthConfig {
+            dffs,
+            ..cfg.clone()
+        });
     }
     for inputs in shrink_usize_min(cfg.inputs, 1) {
-        out.push(SynthConfig { inputs, ..cfg.clone() });
+        out.push(SynthConfig {
+            inputs,
+            ..cfg.clone()
+        });
     }
     for outputs in shrink_usize_min(cfg.outputs, 1) {
-        out.push(SynthConfig { outputs, ..cfg.clone() });
+        out.push(SynthConfig {
+            outputs,
+            ..cfg.clone()
+        });
     }
     out
 }
@@ -100,7 +112,11 @@ fn prop_bench_round_trip() {
             let parsed = parse_bench(c.name(), &text).map_err(|e| e.to_string())?;
             let dims = |c: &Circuit| (c.num_inputs(), c.num_outputs(), c.num_dffs(), c.num_gates());
             if dims(&c) != dims(&parsed) {
-                return Err(format!("dimensions changed: {:?} -> {:?}", dims(&c), dims(&parsed)));
+                return Err(format!(
+                    "dimensions changed: {:?} -> {:?}",
+                    dims(&c),
+                    dims(&parsed)
+                ));
             }
             if write_bench(&parsed) != text {
                 return Err("second round trip is not a fixed point".into());
@@ -318,7 +334,11 @@ fn random_chain_test(c: &Circuit, g: &mut Gen, len: usize) -> (ChainMap, ScanTes
         for u in 1..len {
             if g.usize_in(0, 3) == 0 {
                 let amount = g.usize_in(1, chains.max_chain_len() + 1);
-                shifts.push(ShiftOp { at: u, amount, fill: g.bools(amount * n) });
+                shifts.push(ShiftOp {
+                    at: u,
+                    amount,
+                    fill: g.bools(amount * n),
+                });
             }
         }
     }
@@ -348,7 +368,11 @@ fn compatible_random_tests(c: &Circuit, g: &mut Gen, len: usize, count: usize) -
             let vectors = (0..len).map(|_| g.bools(c.num_inputs())).collect();
             let shifts = schedule
                 .iter()
-                .map(|&(at, amount)| ShiftOp { at, amount, fill: g.bools(amount) })
+                .map(|&(at, amount)| ShiftOp {
+                    at,
+                    amount,
+                    fill: g.bools(amount),
+                })
                 .collect();
             ScanTest::new(scan_in, vectors)
                 .with_shifts(shifts)
@@ -468,8 +492,10 @@ fn prop_ragged_tile_boundaries_agree() {
             let opts = SimOptions::default();
             // p + 1 compatible tests under a height-p cap: runs of p and 1.
             let tests = compatible_random_tests(&c, &mut g, 4, 9);
-            let reference: Vec<Vec<FaultId>> =
-                tests.iter().map(|t| serial_detections(&sim, t, &pairs)).collect();
+            let reference: Vec<Vec<FaultId>> = tests
+                .iter()
+                .map(|t| serial_detections(&sim, t, &pairs))
+                .collect();
             for_each_lane_word!(W => {
                 for p in HEIGHTS {
                     let tests = &tests[..=p];
@@ -558,7 +584,9 @@ fn prop_full_length_limited_scan_is_full_scan() {
                 return Err(format!("states diverge: {limited:?} vs {full:?}"));
             }
             if out_limited != out_full {
-                return Err(format!("scan-out diverges: {out_limited:?} vs {out_full:?}"));
+                return Err(format!(
+                    "scan-out diverges: {out_limited:?} vs {out_full:?}"
+                ));
             }
             Ok(())
         },
@@ -684,7 +712,9 @@ fn prop_dropping_is_sound() {
                 .collect();
             reference.sort_unstable();
             if dropped != reference {
-                return Err(format!("dropping {dropped:?} != fault-by-fault {reference:?}"));
+                return Err(format!(
+                    "dropping {dropped:?} != fault-by-fault {reference:?}"
+                ));
             }
             Ok(())
         },

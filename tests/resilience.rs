@@ -76,7 +76,10 @@ fn scratch_dir(tag: &str) -> PathBuf {
 fn s27_cfg() -> (Circuit, RlsConfig) {
     // Tiny test lengths leave TS0 incomplete, so Procedure 2 accepts
     // several pairs — each one a checkpoint boundary worth killing at.
-    (random_limited_scan::benchmarks::s27(), RlsConfig::new(2, 3, 2))
+    (
+        random_limited_scan::benchmarks::s27(),
+        RlsConfig::new(2, 3, 2),
+    )
 }
 
 fn s208_cfg() -> (Circuit, RlsConfig) {
@@ -106,7 +109,10 @@ fn worker_panics_do_not_change_the_outcome() {
         let fired = inject::fired();
         drop(armed);
         assert!(fired > 0, "{name}: the plan must actually fire");
-        assert_eq!(outcome, expected, "{name}: supervised recovery must be invisible");
+        assert_eq!(
+            outcome, expected,
+            "{name}: supervised recovery must be invisible"
+        );
     }
 }
 
@@ -127,7 +133,10 @@ fn poisoned_chunk_degrades_to_sequential_with_identical_outcome() {
     let fired = inject::fired();
     drop(armed);
     assert!(fired > 0, "the poisoned tag must be hit");
-    assert_eq!(outcome, expected, "degraded execution must match the oracle");
+    assert_eq!(
+        outcome, expected,
+        "degraded execution must match the oracle"
+    );
 }
 
 #[test]
@@ -195,7 +204,10 @@ fn campaign_io_errors_degrade_persistence_but_never_the_run() {
         let fired = inject::fired();
         drop(armed);
         assert!(fired > 0, "io plan every={every} must fire");
-        assert_eq!(outcome, expected, "io failures (every={every}) must not leak into results");
+        assert_eq!(
+            outcome, expected,
+            "io failures (every={every}) must not leak into results"
+        );
     }
 }
 
@@ -231,13 +243,19 @@ fn degraded_campaign_records_exact_fallback_lane_accounting() {
         .find(|l| l.contains("\"type\":\"workers\""))
         .expect("degraded parallel campaign still writes a workers record");
     let v = rls_dispatch::jsonl::parse(workers).unwrap();
-    let fallback = v.get("fallback").expect("degraded run records fallback lane stats");
+    let fallback = v
+        .get("fallback")
+        .expect("degraded run records fallback lane stats");
     let batches = fallback.u64_field("batches").unwrap();
     let used = fallback.u64_field("lanes_used").unwrap();
     let capacity = fallback.u64_field("lanes_capacity").unwrap();
     assert!(batches > 0, "{workers}");
     let lanes = <rls_fsim::KernelWord as rls_fsim::LaneWord>::LANES as u64;
-    assert_eq!(capacity, batches * lanes, "capacity is exactly batches x the kernel word");
+    assert_eq!(
+        capacity,
+        batches * lanes,
+        "capacity is exactly batches x the kernel word"
+    );
     assert!(used > 0, "{workers}");
     assert!(
         used < capacity,

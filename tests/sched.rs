@@ -60,7 +60,10 @@ fn fingerprints_replay_and_differ_across_sub_seeds() {
 #[test]
 fn soak_explores_100_distinct_interleavings_against_the_oracle() {
     let explored = sched::soak(ci_seed(), 100);
-    assert!(explored >= 100, "soak must explore at least 100 interleavings");
+    assert!(
+        explored >= 100,
+        "soak must explore at least 100 interleavings"
+    );
 }
 
 #[test]

@@ -25,7 +25,11 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// Starts a server; returns its socket path and join handle.
-fn start_server(dir: &Path, threads: usize, max_inflight: usize) -> (PathBuf, std::thread::JoinHandle<std::io::Result<()>>) {
+fn start_server(
+    dir: &Path,
+    threads: usize,
+    max_inflight: usize,
+) -> (PathBuf, std::thread::JoinHandle<std::io::Result<()>>) {
     let socket = dir.join("rls.sock");
     let mut cfg = ServeConfig::new(socket.clone(), dir.join("served"));
     cfg.threads = threads;
@@ -107,10 +111,16 @@ fn served_campaign_is_byte_identical_to_a_direct_run() {
         RlsConfig::new(4, 8, 8).with_threads(2),
         &dir.join("direct"),
     );
-    assert_eq!(normalize_stream(&lines), direct, "served ≡ direct, byte for byte");
+    assert_eq!(
+        normalize_stream(&lines),
+        direct,
+        "served ≡ direct, byte for byte"
+    );
     // The served campaign file holds the same records as the stream.
     let accepted = rls_dispatch::jsonl::parse(&lines[0]).unwrap();
-    let path = accepted.str_field("path").expect("accepted carries the file path");
+    let path = accepted
+        .str_field("path")
+        .expect("accepted carries the file path");
     let file_text = std::fs::read_to_string(path).unwrap();
     let from_file: Vec<String> = file_text
         .lines()
@@ -162,8 +172,16 @@ fn concurrent_clients_are_isolated_and_exact() {
         cfg_b,
         &dir.join("direct-b"),
     );
-    assert_eq!(normalize_stream(&lines_a), direct_a, "client A unpolluted by B");
-    assert_eq!(normalize_stream(&lines_b), direct_b, "client B unpolluted by A");
+    assert_eq!(
+        normalize_stream(&lines_a),
+        direct_a,
+        "client A unpolluted by B"
+    );
+    assert_eq!(
+        normalize_stream(&lines_b),
+        direct_b,
+        "client B unpolluted by A"
+    );
     shutdown(&socket);
     server.join().unwrap().unwrap();
 }
@@ -210,9 +228,8 @@ fn oversized_netlist_uploads_are_refused() {
     // A request line just over the limit; the trailing unread kilobyte
     // fits in the socket buffer, so the write never wedges.
     let filler = "a".repeat(rls_serve::MAX_REQUEST_BYTES + 1000);
-    let request = format!(
-        r#"{{"type":"run","netlist":"{filler}","name":"big","la":1,"lb":2,"n":1}}"#
-    );
+    let request =
+        format!(r#"{{"type":"run","netlist":"{filler}","name":"big","la":1,"lb":2,"n":1}}"#);
     let mut stream = connect(&socket);
     // The server may close the socket after reading its bounded prefix;
     // a late EPIPE on our remaining bytes is expected, not a failure.
@@ -282,25 +299,27 @@ fn drained_campaign_checkpoints_and_a_served_resume_completes_it() {
     let circuit = random_limited_scan::benchmarks::by_name("s208").unwrap();
     let cfg = RlsConfig::new(2, 3, 2); // TS0 alone does not reach coverage
     let uninterrupted = Procedure2::new(&circuit, cfg.clone()).run();
-    assert!(!uninterrupted.pairs.is_empty(), "needs pairs, else resume is trivial");
+    assert!(
+        !uninterrupted.pairs.is_empty(),
+        "needs pairs, else resume is trivial"
+    );
 
     let compiled = Arc::new(rls_fsim::CompiledCircuit::compile(circuit.clone()).unwrap());
     let pool = rls_dispatch::SharedPool::new(2);
-    let pooled = random_limited_scan::core::CampaignExecutor::new(
-        &compiled,
-        &cfg,
-        Some(pool.register(1)),
-    );
+    let pooled =
+        random_limited_scan::core::CampaignExecutor::new(&compiled, &cfg, Some(pool.register(1)));
     let drain = AtomicBool::new(true); // drained before the first trial
-    let mut exec =
-        rls_serve::ServedExecutor::new(pooled, &drain, Arc::new(AtomicBool::new(false)));
+    let mut exec = rls_serve::ServedExecutor::new(pooled, &drain, Arc::new(AtomicBool::new(false)));
     let print = random_limited_scan::core::fingerprint(circuit.name(), &cfg);
     let mut campaign =
         rls_dispatch::Campaign::create(&dir.join("served"), circuit.name(), 1, print).unwrap();
     let procedure = Procedure2::new(&circuit, cfg.clone());
     let outcome = procedure.run_on(&mut exec, Some(&mut campaign), None);
     assert!(!outcome.complete, "the drain stopped it early");
-    let path = campaign.path().expect("campaign streamed to disk").to_path_buf();
+    let path = campaign
+        .path()
+        .expect("campaign streamed to disk")
+        .to_path_buf();
     drop(campaign);
     pool.shutdown();
 
@@ -313,7 +332,10 @@ fn drained_campaign_checkpoints_and_a_served_resume_completes_it() {
     let done = lines.last().expect("resume produced a stream");
     assert!(done.contains("\"done\""), "{lines:?}");
     let v = rls_dispatch::jsonl::parse(done).unwrap();
-    assert_eq!(v.u64_field("detected"), Some(uninterrupted.total_detected as u64));
+    assert_eq!(
+        v.u64_field("detected"),
+        Some(uninterrupted.total_detected as u64)
+    );
     assert_eq!(v.u64_field("pairs"), Some(uninterrupted.pairs.len() as u64));
     assert_eq!(
         v.bool_field("complete"),
@@ -321,12 +343,18 @@ fn drained_campaign_checkpoints_and_a_served_resume_completes_it() {
         "resumed run converges to the uninterrupted outcome"
     );
     // The stream replays the resume seam so clients see the whole story.
-    assert!(lines.iter().any(|l| l.contains("\"type\":\"resume\"")), "{lines:?}");
+    assert!(
+        lines.iter().any(|l| l.contains("\"type\":\"resume\"")),
+        "{lines:?}"
+    );
     // And the file now ends in a summary matching that outcome.
     let text = std::fs::read_to_string(&path).unwrap();
     let last = text.lines().rfind(|l| !l.trim().is_empty()).unwrap();
     assert!(last.contains("\"type\":\"summary\""), "{last}");
-    assert!(last.contains(&format!("\"detected\":{}", uninterrupted.total_detected)), "{last}");
+    assert!(
+        last.contains(&format!("\"detected\":{}", uninterrupted.total_detected)),
+        "{last}"
+    );
 
     // A resume against a mismatched configuration is a clean reject.
     let bad = format!(
@@ -335,7 +363,10 @@ fn drained_campaign_checkpoints_and_a_served_resume_completes_it() {
     );
     let lines = roundtrip(&socket, &bad);
     assert_eq!(lines.len(), 1);
-    assert!(lines[0].contains("\"rejected\"") && lines[0].contains("cannot resume"), "{lines:?}");
+    assert!(
+        lines[0].contains("\"rejected\"") && lines[0].contains("cannot resume"),
+        "{lines:?}"
+    );
     shutdown(&socket);
     server.join().unwrap().unwrap();
 }
@@ -348,25 +379,41 @@ fn attach_replays_a_finished_run_and_rejects_unknown_ids() {
         &socket,
         r#"{"type":"run","circuit":"s27","la":4,"lb":8,"n":8,"threads":2}"#,
     );
-    assert!(lines.last().is_some_and(|l| l.contains("\"done\"")), "{lines:?}");
+    assert!(
+        lines.last().is_some_and(|l| l.contains("\"done\"")),
+        "{lines:?}"
+    );
     let accepted = rls_dispatch::jsonl::parse(&lines[0]).unwrap();
-    let run_id = accepted.str_field("run_id").expect("accepted carries run_id").to_string();
+    let run_id = accepted
+        .str_field("run_id")
+        .expect("accepted carries run_id")
+        .to_string();
 
     // Attaching to the finished run replays the campaign file behind a
     // `recovered` frame and ends with the stored final frame.
-    let replay = roundtrip(&socket, &format!(r#"{{"type":"attach","run_id":"{run_id}"}}"#));
+    let replay = roundtrip(
+        &socket,
+        &format!(r#"{{"type":"attach","run_id":"{run_id}"}}"#),
+    );
     assert!(
-        replay.first().is_some_and(|l| l.contains("\"recovered\"") && l.contains("\"done\"")),
+        replay
+            .first()
+            .is_some_and(|l| l.contains("\"recovered\"") && l.contains("\"done\"")),
         "{replay:?}"
     );
-    assert!(replay.last().is_some_and(|l| l.contains("\"type\":\"done\"")), "{replay:?}");
+    assert!(
+        replay
+            .last()
+            .is_some_and(|l| l.contains("\"type\":\"done\"")),
+        "{replay:?}"
+    );
     let direct = direct_reference(
         &random_limited_scan::benchmarks::s27(),
         RlsConfig::new(4, 8, 8).with_threads(2),
         &dir.join("direct"),
     );
-    let replayed =
-        rls_serve::normalize_recovered(replay.iter().map(String::as_str)).expect("replay normalizes");
+    let replayed = rls_serve::normalize_recovered(replay.iter().map(String::as_str))
+        .expect("replay normalizes");
     assert_eq!(replayed, direct, "attach replay ≡ direct, byte for byte");
 
     // Unknown run ids are a structured rejection, not a hang.
@@ -390,12 +437,18 @@ fn a_clean_run_leaves_no_journal_backlog() {
         &socket,
         r#"{"type":"run","circuit":"s27","la":4,"lb":8,"n":8}"#,
     );
-    assert!(lines.last().is_some_and(|l| l.contains("\"done\"")), "{lines:?}");
+    assert!(
+        lines.last().is_some_and(|l| l.contains("\"done\"")),
+        "{lines:?}"
+    );
     shutdown(&socket);
     server.join().unwrap().unwrap();
     let (journal, orphans) = rls_serve::Journal::open(&dir.join("served")).unwrap();
     drop(journal);
-    assert!(orphans.is_empty(), "clean runs leave nothing in flight: {orphans:?}");
+    assert!(
+        orphans.is_empty(),
+        "clean runs leave nothing in flight: {orphans:?}"
+    );
 }
 
 /// Builds a checkpointed-but-unfinished s208 campaign in `dir`/served —
@@ -406,20 +459,20 @@ fn interrupted_campaign(dir: &Path) -> (RlsConfig, PathBuf, u64) {
     let cfg = RlsConfig::new(2, 3, 2); // TS0 alone does not reach coverage
     let compiled = Arc::new(rls_fsim::CompiledCircuit::compile(circuit.clone()).unwrap());
     let pool = rls_dispatch::SharedPool::new(2);
-    let pooled = random_limited_scan::core::CampaignExecutor::new(
-        &compiled,
-        &cfg,
-        Some(pool.register(1)),
-    );
+    let pooled =
+        random_limited_scan::core::CampaignExecutor::new(&compiled, &cfg, Some(pool.register(1)));
     let drain = AtomicBool::new(true); // cancelled before the first trial
-    let mut exec =
-        rls_serve::ServedExecutor::new(pooled, &drain, Arc::new(AtomicBool::new(false)));
+    let mut exec = rls_serve::ServedExecutor::new(pooled, &drain, Arc::new(AtomicBool::new(false)));
     let print = random_limited_scan::core::fingerprint(circuit.name(), &cfg);
     let mut campaign =
         rls_dispatch::Campaign::create(&dir.join("served"), circuit.name(), 1, print).unwrap();
-    let outcome = Procedure2::new(&circuit, cfg.clone()).run_on(&mut exec, Some(&mut campaign), None);
+    let outcome =
+        Procedure2::new(&circuit, cfg.clone()).run_on(&mut exec, Some(&mut campaign), None);
     assert!(!outcome.complete, "the campaign must be left unfinished");
-    let path = campaign.path().expect("campaign streamed to disk").to_path_buf();
+    let path = campaign
+        .path()
+        .expect("campaign streamed to disk")
+        .to_path_buf();
     drop(campaign);
     pool.shutdown();
     (cfg, path, print)
@@ -452,8 +505,16 @@ fn a_journaled_orphan_is_auto_recovered_and_attach_collects_the_result() {
     let (socket, server) = start_server(&dir, 2, 4);
     // Attach blocks while the recovery runs, then replays the result.
     let replay = roundtrip(&socket, r#"{"type":"attach","run_id":"restart-owes-me"}"#);
-    assert!(replay.first().is_some_and(|l| l.contains("\"recovered\"")), "{replay:?}");
-    assert!(replay.last().is_some_and(|l| l.contains("\"type\":\"done\"")), "{replay:?}");
+    assert!(
+        replay.first().is_some_and(|l| l.contains("\"recovered\"")),
+        "{replay:?}"
+    );
+    assert!(
+        replay
+            .last()
+            .is_some_and(|l| l.contains("\"type\":\"done\"")),
+        "{replay:?}"
+    );
     let direct = direct_reference(
         &random_limited_scan::benchmarks::by_name("s208").unwrap(),
         cfg,
@@ -518,19 +579,38 @@ fn stats_snapshot_matches_the_campaign_summary_record() {
         &socket,
         r#"{"type":"run","circuit":"s27","la":4,"lb":8,"n":8,"threads":2}"#,
     );
-    assert!(lines.last().is_some_and(|l| l.contains("\"done\"")), "{lines:?}");
+    assert!(
+        lines.last().is_some_and(|l| l.contains("\"done\"")),
+        "{lines:?}"
+    );
     let accepted = rls_dispatch::jsonl::parse(&lines[0]).unwrap();
-    let run_id = accepted.str_field("run_id").expect("accepted carries run_id").to_string();
-    let path = PathBuf::from(accepted.str_field("path").expect("accepted carries the file path"));
+    let run_id = accepted
+        .str_field("run_id")
+        .expect("accepted carries run_id")
+        .to_string();
+    let path = PathBuf::from(
+        accepted
+            .str_field("path")
+            .expect("accepted carries the file path"),
+    );
 
     let stats = roundtrip(&socket, r#"{"type":"stats"}"#);
     assert_eq!(stats.len(), 1, "{stats:?}");
     let v = rls_dispatch::jsonl::parse(&stats[0]).unwrap();
-    assert!(rls_serve::protocol::is_control(&v), "stats frames are control frames");
+    assert!(
+        rls_serve::protocol::is_control(&v),
+        "stats frames are control frames"
+    );
     assert_eq!(v.str_field("type"), Some("stats"));
     assert!(v.u64_field("max_inflight").is_some(), "{stats:?}");
-    assert!(v.u64_field("stats_requests").is_some_and(|n| n >= 1), "{stats:?}");
-    let campaigns = v.get("campaigns").and_then(|c| c.as_array()).expect("campaigns array");
+    assert!(
+        v.u64_field("stats_requests").is_some_and(|n| n >= 1),
+        "{stats:?}"
+    );
+    let campaigns = v
+        .get("campaigns")
+        .and_then(|c| c.as_array())
+        .expect("campaigns array");
     let entry = campaigns
         .iter()
         .find(|c| c.str_field("run_id") == Some(run_id.as_str()))
@@ -539,15 +619,27 @@ fn stats_snapshot_matches_the_campaign_summary_record() {
     assert_eq!(entry.str_field("circuit"), Some("s27"), "{stats:?}");
 
     let log = rls_dispatch::CampaignLog::read(&path).unwrap();
-    let summary = log.summary().expect("a finished campaign ends in a summary");
-    for field in ["detected", "target_faults", "pairs", "total_cycles", "iterations"] {
+    let summary = log
+        .summary()
+        .expect("a finished campaign ends in a summary");
+    for field in [
+        "detected",
+        "target_faults",
+        "pairs",
+        "total_cycles",
+        "iterations",
+    ] {
         assert_eq!(
             entry.u64_field(field),
             summary.u64_field(field),
             "stats `{field}` diverged from the summary record: {stats:?}"
         );
     }
-    assert_eq!(entry.bool_field("complete"), summary.bool_field("complete"), "{stats:?}");
+    assert_eq!(
+        entry.bool_field("complete"),
+        summary.bool_field("complete"),
+        "{stats:?}"
+    );
     shutdown(&socket);
     server.join().unwrap().unwrap();
 }
@@ -584,24 +676,42 @@ fn watch_streams_progress_frames_and_closes_with_the_final_frame() {
         .unwrap()
         .to_string();
 
-    let frames = roundtrip(&socket, &format!(r#"{{"type":"watch","run_id":"{run_id}"}}"#));
-    assert!(frames.len() >= 2, "at least one progress frame and the final frame: {frames:?}");
+    let frames = roundtrip(
+        &socket,
+        &format!(r#"{{"type":"watch","run_id":"{run_id}"}}"#),
+    );
     assert!(
-        frames.last().is_some_and(|l| l.contains("\"type\":\"done\"")),
+        frames.len() >= 2,
+        "at least one progress frame and the final frame: {frames:?}"
+    );
+    assert!(
+        frames
+            .last()
+            .is_some_and(|l| l.contains("\"type\":\"done\"")),
         "{frames:?}"
     );
     for frame in &frames[..frames.len() - 1] {
         let v = rls_dispatch::jsonl::parse(frame).unwrap();
         assert_eq!(v.str_field("type"), Some("progress"), "{frames:?}");
         assert_eq!(v.str_field("run_id"), Some(run_id.as_str()), "{frames:?}");
-        assert!(rls_serve::protocol::is_control(&v), "progress frames are control frames");
+        assert!(
+            rls_serve::protocol::is_control(&v),
+            "progress frames are control frames"
+        );
     }
     // The last progress frame published the finished state before close.
     let final_progress = rls_dispatch::jsonl::parse(&frames[frames.len() - 2]).unwrap();
-    assert_eq!(final_progress.str_field("state"), Some("done"), "{frames:?}");
+    assert_eq!(
+        final_progress.str_field("state"),
+        Some("done"),
+        "{frames:?}"
+    );
     // The run's own stream still completes normally under a watcher.
     let rest: Vec<String> = reader.lines().map_while(Result::ok).collect();
-    assert!(rest.last().is_some_and(|l| l.contains("\"done\"")), "{rest:?}");
+    assert!(
+        rest.last().is_some_and(|l| l.contains("\"done\"")),
+        "{rest:?}"
+    );
     shutdown(&socket);
     server.join().unwrap().unwrap();
 }

@@ -41,7 +41,8 @@ use rls_serve::{normalize_recovered, ServeConfig, Server};
 static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 const REQ_S208: &str = r#"{"type":"run","circuit":"s208","la":2,"lb":3,"n":2,"threads":2}"#;
@@ -124,7 +125,12 @@ fn chaos_child_server_process() {
 /// Spawns this test binary as a chaos server over `dir`.
 fn spawn_server(dir: &Path, chaos: &str) -> Child {
     Command::new(std::env::current_exe().expect("current_exe"))
-        .args(["chaos_child_server_process", "--exact", "--nocapture", "--test-threads=1"])
+        .args([
+            "chaos_child_server_process",
+            "--exact",
+            "--nocapture",
+            "--test-threads=1",
+        ])
         .env("RLS_CHAOS_SERVER_DIR", dir)
         .env("RLS_CHAOS", chaos)
         .stdout(Stdio::null())
@@ -176,7 +182,11 @@ fn kill9_mid_campaign_is_recovered_on_restart_and_attach_matches_direct() {
         .unwrap_or_default()
         .contains("\"type\":\"checkpoint\"")
     {
-        assert!(Instant::now() < deadline, "no checkpoint appeared in {}", path.display());
+        assert!(
+            Instant::now() < deadline,
+            "no checkpoint appeared in {}",
+            path.display()
+        );
         std::thread::sleep(Duration::from_millis(10));
     }
     child.kill().expect("SIGKILL the server");
@@ -187,13 +197,18 @@ fn kill9_mid_campaign_is_recovered_on_restart_and_attach_matches_direct() {
     // the journal names the orphaned campaign, and recovery finishes it
     // under the original run id — collectable by attach.
     let (socket, server) = start_server(&dir, |c| c.threads = 2);
-    let replay = roundtrip(&socket, &format!(r#"{{"type":"attach","run_id":"{run_id}"}}"#));
+    let replay = roundtrip(
+        &socket,
+        &format!(r#"{{"type":"attach","run_id":"{run_id}"}}"#),
+    );
     assert!(
         replay.first().is_some_and(|l| l.contains("\"recovered\"")),
         "{replay:?}"
     );
     assert!(
-        replay.last().is_some_and(|l| l.contains("\"type\":\"done\"")),
+        replay
+            .last()
+            .is_some_and(|l| l.contains("\"type\":\"done\"")),
         "{replay:?}"
     );
     let got = normalize_recovered(replay.iter().map(String::as_str)).unwrap();
@@ -202,7 +217,10 @@ fn kill9_mid_campaign_is_recovered_on_restart_and_attach_matches_direct() {
         RlsConfig::new(2, 3, 2).with_threads(2),
         &dir.join("direct"),
     );
-    assert_eq!(got, direct, "kill -9 + restart + recovery ≡ direct, byte for byte");
+    assert_eq!(
+        got, direct,
+        "kill -9 + restart + recovery ≡ direct, byte for byte"
+    );
     shutdown(&socket);
     server.join().unwrap().unwrap();
 }
@@ -224,8 +242,15 @@ fn torn_journal_begin_recovers_nothing_and_the_restart_serves() {
         .map_while(Result::ok)
         .filter(|l| !l.is_empty())
         .collect();
-    assert!(lines.is_empty(), "crash precedes the accepted frame: {lines:?}");
-    assert_eq!(child.wait().unwrap().code(), Some(86), "the injected crash exit");
+    assert!(
+        lines.is_empty(),
+        "crash precedes the accepted frame: {lines:?}"
+    );
+    assert_eq!(
+        child.wait().unwrap().code(),
+        Some(86),
+        "the injected crash exit"
+    );
     let journal_path = dir.join("served").join(rls_serve::journal::JOURNAL_FILE);
     let records = rls_serve::journal::read(&journal_path).unwrap();
     assert!(
@@ -235,7 +260,12 @@ fn torn_journal_begin_recovers_nothing_and_the_restart_serves() {
     // The restarted server owes nothing and serves new campaigns.
     let (socket, server) = start_server(&dir, |c| c.threads = 2);
     let lines = roundtrip(&socket, REQ_S27);
-    assert!(lines.last().is_some_and(|l| l.contains("\"type\":\"done\"")), "{lines:?}");
+    assert!(
+        lines
+            .last()
+            .is_some_and(|l| l.contains("\"type\":\"done\"")),
+        "{lines:?}"
+    );
     shutdown(&socket);
     server.join().unwrap().unwrap();
 }
@@ -258,7 +288,10 @@ fn durable_begin_with_no_checkpoint_fails_closed_on_restart() {
         .map_while(Result::ok)
         .filter(|l| !l.is_empty())
         .collect();
-    assert!(lines.is_empty(), "crash precedes the accepted frame: {lines:?}");
+    assert!(
+        lines.is_empty(),
+        "crash precedes the accepted frame: {lines:?}"
+    );
     assert_eq!(child.wait().unwrap().code(), Some(86));
     let journal_path = dir.join("served").join(rls_serve::journal::JOURNAL_FILE);
     let owed = rls_serve::journal::inflight(&rls_serve::journal::read(&journal_path).unwrap());
@@ -266,7 +299,10 @@ fn durable_begin_with_no_checkpoint_fails_closed_on_restart() {
     let run_id = owed[0].run_id.clone();
 
     let (socket, server) = start_server(&dir, |c| c.threads = 2);
-    let reply = roundtrip(&socket, &format!(r#"{{"type":"attach","run_id":"{run_id}"}}"#));
+    let reply = roundtrip(
+        &socket,
+        &format!(r#"{{"type":"attach","run_id":"{run_id}"}}"#),
+    );
     assert_eq!(reply.len(), 1, "{reply:?}");
     assert!(
         reply[0].contains("\"error\"") && reply[0].contains("checkpoint"),
@@ -312,9 +348,20 @@ fn torn_journal_end_auto_resumes_under_the_original_run_id() {
     assert_eq!(child.wait().unwrap().code(), Some(86));
 
     let (socket, server) = start_server(&dir, |c| c.threads = 2);
-    let replay = roundtrip(&socket, &format!(r#"{{"type":"attach","run_id":"{run_id}"}}"#));
-    assert!(replay.first().is_some_and(|l| l.contains("\"recovered\"")), "{replay:?}");
-    assert!(replay.last().is_some_and(|l| l.contains("\"type\":\"done\"")), "{replay:?}");
+    let replay = roundtrip(
+        &socket,
+        &format!(r#"{{"type":"attach","run_id":"{run_id}"}}"#),
+    );
+    assert!(
+        replay.first().is_some_and(|l| l.contains("\"recovered\"")),
+        "{replay:?}"
+    );
+    assert!(
+        replay
+            .last()
+            .is_some_and(|l| l.contains("\"type\":\"done\"")),
+        "{replay:?}"
+    );
     let got = normalize_recovered(replay.iter().map(String::as_str)).unwrap();
     let direct = direct_reference(
         &random_limited_scan::benchmarks::by_name("s208").unwrap(),
@@ -372,7 +419,9 @@ fn watchdog_requeues_a_stalled_campaign_and_the_outcome_is_exact() {
         .collect();
     inject::disarm();
     assert!(
-        lines.last().is_some_and(|l| l.contains("\"type\":\"done\"")),
+        lines
+            .last()
+            .is_some_and(|l| l.contains("\"type\":\"done\"")),
         "the campaign still finishes: {lines:?}"
     );
     assert!(
@@ -385,7 +434,10 @@ fn watchdog_requeues_a_stalled_campaign_and_the_outcome_is_exact() {
         RlsConfig::new(2, 3, 2).with_threads(2),
         &dir.join("direct"),
     );
-    assert_eq!(got, direct, "stall + requeue + degrade ≡ direct, byte for byte");
+    assert_eq!(
+        got, direct,
+        "stall + requeue + degrade ≡ direct, byte for byte"
+    );
     shutdown(&socket);
     server.join().unwrap().unwrap();
 }
@@ -439,7 +491,9 @@ fn deadlines_interrupt_resumably_and_overload_sheds_with_a_hint() {
         ),
     );
     assert!(
-        resumed.last().is_some_and(|l| l.contains("\"type\":\"done\"")),
+        resumed
+            .last()
+            .is_some_and(|l| l.contains("\"type\":\"done\"")),
         "{resumed:?}"
     );
     let text = std::fs::read_to_string(&path).unwrap();
@@ -449,7 +503,10 @@ fn deadlines_interrupt_resumably_and_overload_sheds_with_a_hint() {
         RlsConfig::new(2, 3, 2).with_threads(2),
         &dir.join("direct"),
     );
-    assert_eq!(got, direct, "deadline interrupt + resume ≡ direct, byte for byte");
+    assert_eq!(
+        got, direct,
+        "deadline interrupt + resume ≡ direct, byte for byte"
+    );
     shutdown(&socket);
     server.join().unwrap().unwrap();
 }
@@ -465,7 +522,11 @@ fn chaos_client(socket: PathBuf, base: String) -> PathBuf {
                 if std::fs::read_to_string(p)
                     .is_ok_and(|t| t.contains("\"type\":\"checkpoint\"")) =>
             {
-                format!("{},\"resume\":\"{}\"}}", &base[..base.len() - 1], p.display())
+                format!(
+                    "{},\"resume\":\"{}\"}}",
+                    &base[..base.len() - 1],
+                    p.display()
+                )
             }
             _ => base.clone(),
         };
@@ -492,7 +553,10 @@ fn chaos_client(socket: PathBuf, base: String) -> PathBuf {
                 }
             }
         }
-        if lines.last().is_some_and(|l| l.contains("\"type\":\"done\"")) {
+        if lines
+            .last()
+            .is_some_and(|l| l.contains("\"type\":\"done\""))
+        {
             return path.expect("a done stream carried its accepted frame");
         }
         // A faulted stream: give the abandoned session a beat to cancel
@@ -562,7 +626,10 @@ fn chaos_soak_concurrent_clients_converge_byte_exactly_under_stream_faults() {
         .iter()
         .filter(|&&c| c > 0)
         .count();
-    assert!(classes >= 3, "the schedule exercised the fault points: {fired:?}");
+    assert!(
+        classes >= 3,
+        "the schedule exercised the fault points: {fired:?}"
+    );
     for (i, ((_, cfg, circuit), file)) in configs.into_iter().zip(files).enumerate() {
         let text = std::fs::read_to_string(&file).unwrap();
         let got = normalize_recovered(text.lines()).unwrap();

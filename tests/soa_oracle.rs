@@ -73,10 +73,18 @@ fn mixed_s27_tests(c: &Circuit) -> Vec<ScanTest> {
             .expect("interior units are valid")
     };
     // Group A: three tests sharing one schedule (tiles of height <= 3).
-    for scan_in in [[true, false, true], [false, true, true], [true, true, false]] {
+    for scan_in in [
+        [true, false, true],
+        [false, true, true],
+        [true, true, false],
+    ] {
         tests.push(shifted(
             &scan_in,
-            vec![ShiftOp { at: 2, amount: 2, fill: vec![true, false] }],
+            vec![ShiftOp {
+                at: 2,
+                amount: 2,
+                fill: vec![true, false],
+            }],
         ));
     }
     // Group B: two tests on a different schedule (same `at`, different
@@ -84,13 +92,21 @@ fn mixed_s27_tests(c: &Circuit) -> Vec<ScanTest> {
     for scan_in in [[false, false, true], [true, false, false]] {
         tests.push(shifted(
             &scan_in,
-            vec![ShiftOp { at: 2, amount: 1, fill: vec![true] }],
+            vec![ShiftOp {
+                at: 2,
+                amount: 1,
+                fill: vec![true],
+            }],
         ));
     }
     // Straggler: a schedule nothing else shares, always a 1-tall tile.
     tests.push(shifted(
         &[false, true, false],
-        vec![ShiftOp { at: 1, amount: 3, fill: vec![false, true, true] }],
+        vec![ShiftOp {
+            at: 1,
+            amount: 3,
+            fill: vec![false, true, true],
+        }],
     ));
     tests
 }
@@ -115,7 +131,11 @@ fn tests_for(chains: &ChainMap, tests: &[ScanTest]) -> Vec<ScanTest> {
                     let fill = (0..amount * n)
                         .map(|i| op.fill[i / n] ^ (i % n % 2 == 1))
                         .collect();
-                    ShiftOp { at: op.at, amount, fill }
+                    ShiftOp {
+                        at: op.at,
+                        amount,
+                        fill,
+                    }
                 })
                 .collect(),
         })
@@ -284,9 +304,8 @@ fn s27_reference_lanes_match_serial_trace_comparison() {
     let full = ChainMap::full(3);
     for opts in observation_mixes() {
         let reference = trace_reference(&c, &full, &tests, &pairs, opts);
-        let observes = opts.observe_outputs
-            || opts.observe_limited_scan_out
-            || opts.observe_final_scan_out;
+        let observes =
+            opts.observe_outputs || opts.observe_limited_scan_out || opts.observe_final_scan_out;
         assert_eq!(
             reference.iter().any(|r| !r.is_empty()),
             observes,
@@ -361,7 +380,11 @@ fn s298_sampled_partial_and_multichain_differential_is_order_exact() {
         let ts0 = generate_ts0(&c, &cfg);
         let mut tests: Vec<ScanTest> = ts0[..2].to_vec();
         let d2 = mc.max_chain_len() as u32 + 1;
-        tests.extend(derive_mc_test_set(&ts0, &cfg, &mc, 1, 1, d2).into_iter().take(4));
+        tests.extend(
+            derive_mc_test_set(&ts0, &cfg, &mc, 1, 1, d2)
+                .into_iter()
+                .take(4),
+        );
         assert!(tests.iter().any(|t| !t.shifts.is_empty()));
         let label = format!("s298 <={max_len}");
         assert_matrix_matches(&label, &c, &ChainMap::from(&mc), &tests, &pairs);
@@ -437,7 +460,10 @@ fn campaign_sets_drive_the_fill_rule_across_heights() {
         let tail = serial[0].1.len();
         assert!(tail > 0, "{label}: TS0 leaves faults for the derived sets");
         let run = compatible_run(&sets[1], 0);
-        assert!(run > 1, "{label}: PerTest tests of one length share a schedule");
+        assert!(
+            run > 1,
+            "{label}: PerTest tests of one length share a schedule"
+        );
         let tall = planned_heights(tail, &sets[1])[0];
         assert!(
             tall >= 8 && tall <= run.min(max_tile_height::<KernelWord>()),
@@ -445,7 +471,10 @@ fn campaign_sets_drive_the_fill_rule_across_heights() {
         );
         let free = sets.last().unwrap();
         let runs: Vec<usize> = (0..free.len()).map(|i| compatible_run(free, i)).collect();
-        assert!(runs.iter().all(|&r| r == 1), "{label}: FreeRunning runs {runs:?}");
+        assert!(
+            runs.iter().all(|&r| r == 1),
+            "{label}: FreeRunning runs {runs:?}"
+        );
     }
 }
 
@@ -530,7 +559,12 @@ mod mutation {
             let c = random_limited_scan::benchmarks::s27();
             let tests = tests_for(&chains, &mixed_s27_tests(&c));
             let pairs = universe_pairs(&c);
-            Diff { c, chains, tests, pairs }
+            Diff {
+                c,
+                chains,
+                tests,
+                pairs,
+            }
         }
 
         /// The full-scan s27 differential.
@@ -581,7 +615,10 @@ mod mutation {
             arm(Some(KernelMutation::ScanOutSkew));
             let green = diff.is_green();
             arm(None);
-            assert!(!green, "a skewed scan-out must survive no {label} differential");
+            assert!(
+                !green,
+                "a skewed scan-out must survive no {label} differential"
+            );
             assert!(diff.is_green(), "disarming must restore green on {label}");
         }
     }
@@ -596,7 +633,10 @@ mod mutation {
             arm(None);
             !green
         });
-        assert!(red, "no opcode swap over {gates} gates turned the oracle red");
+        assert!(
+            red,
+            "no opcode swap over {gates} gates turned the oracle red"
+        );
         assert!(diff.is_green(), "disarming must restore green");
     }
 
@@ -610,7 +650,10 @@ mod mutation {
             arm(None);
             !green
         });
-        assert!(red, "no fanin-window shift over {gates} gates turned the oracle red");
+        assert!(
+            red,
+            "no fanin-window shift over {gates} gates turned the oracle red"
+        );
         assert!(diff.is_green(), "disarming must restore green");
     }
 
@@ -620,7 +663,10 @@ mod mutation {
         arm(Some(KernelMutation::LevelBarrierSkew));
         let green = diff.is_green();
         arm(None);
-        assert!(!green, "a skewed patch barrier must not survive the differential");
+        assert!(
+            !green,
+            "a skewed patch barrier must not survive the differential"
+        );
         assert!(diff.is_green(), "disarming must restore green");
     }
 
@@ -632,7 +678,10 @@ mod mutation {
         arm(Some(KernelMutation::ReferenceLaneSkew));
         let green = diff.is_green();
         arm(None);
-        assert!(!green, "a skewed reference lane must not survive the differential");
+        assert!(
+            !green,
+            "a skewed reference lane must not survive the differential"
+        );
         assert!(diff.is_green(), "disarming must restore green");
     }
 
@@ -648,8 +697,8 @@ mod mutation {
         let test = &diff.tests[0];
         arm(None);
         let opts = SimOptions::default();
-        let detected = trace_reference(&diff.c, &diff.chains, &diff.tests[..1], &diff.pairs, opts)
-            .remove(0);
+        let detected =
+            trace_reference(&diff.c, &diff.chains, &diff.tests[..1], &diff.pairs, opts).remove(0);
         let last = *detected.last().expect("s27 TS0 detects faults");
         let mut chunk: Vec<(FaultId, Fault)> = diff
             .pairs

@@ -92,7 +92,12 @@ where
 /// Greedy descent: repeatedly replace the failing input with its first
 /// shrink candidate that still fails, until none fails (local minimum)
 /// or the step budget runs out.
-fn shrink_failure<T, S, P>(mut current: T, mut error: String, shrink: &S, prop: &P) -> (T, String, u32)
+fn shrink_failure<T, S, P>(
+    mut current: T,
+    mut error: String,
+    shrink: &S,
+    prop: &P,
+) -> (T, String, u32)
 where
     S: Fn(&T) -> Vec<T>,
     P: Fn(&T) -> Result<(), String>,

@@ -78,7 +78,9 @@ pub fn sub_seed(ci_seed: u64, i: u64) -> u64 {
 /// The first [`FINGERPRINT_LEN`] scheduling verdicts a seed would draw —
 /// the replayable identity of its interleaving.
 pub fn fingerprint(seed: u64) -> Vec<u64> {
-    (1..=FINGERPRINT_LEN as u64).map(|n| sched_verdict(seed, n)).collect()
+    (1..=FINGERPRINT_LEN as u64)
+        .map(|n| sched_verdict(seed, n))
+        .collect()
 }
 
 /// The three-set s27 workload shared by every campaign scenario (the
@@ -154,10 +156,17 @@ fn plain_wave(seed: u64) {
     let want = oracle_bytes(&rls_benchmarks::s27(), &sets);
     let pool = SharedPool::new(4);
     let runner = s27_runner(&pool, 2);
-    assert_eq!(run_campaign(&runner, &sets), want, "plain wave, seed {seed:#x}");
+    assert_eq!(
+        run_campaign(&runner, &sets),
+        want,
+        "plain wave, seed {seed:#x}"
+    );
     drop(runner);
     pool.shutdown();
-    assert!(inject::sched_points() > 0, "the seed must actually have steered points");
+    assert!(
+        inject::sched_points() > 0,
+        "the seed must actually have steered points"
+    );
 }
 
 /// Scenario 2: two campaigns racing on one pool; each must finish as if
@@ -184,7 +193,11 @@ fn concurrent_campaigns(seed: u64) {
             })
             .collect();
         for h in handles {
-            assert_eq!(h.join().unwrap(), want, "concurrent campaigns, seed {seed:#x}");
+            assert_eq!(
+                h.join().unwrap(),
+                want,
+                "concurrent campaigns, seed {seed:#x}"
+            );
         }
     });
     pool.shutdown();
@@ -204,8 +217,15 @@ fn requeue_under_noise(seed: u64) {
     let want = oracle_bytes(&rls_benchmarks::s27(), &sets);
     let pool = SharedPool::new(4);
     let runner = s27_runner(&pool, 2);
-    assert_eq!(run_campaign(&runner, &sets), want, "requeue, seed {seed:#x}");
-    assert!(inject::fired() > 0, "panic_every=2 must have supervised some panics");
+    assert_eq!(
+        run_campaign(&runner, &sets),
+        want,
+        "requeue, seed {seed:#x}"
+    );
+    assert!(
+        inject::fired() > 0,
+        "panic_every=2 must have supervised some panics"
+    );
 }
 
 /// Scenario 4: shutdown with jobs still queued — the drain guarantee
@@ -227,7 +247,10 @@ fn shutdown_drain(seed: u64) {
     }
     pool.shutdown();
     assert_eq!(ran.load(Ordering::SeqCst), 48, "drain, seed {seed:#x}");
-    assert!(h.take_failures().is_empty(), "drained jobs are not failures");
+    assert!(
+        h.take_failures().is_empty(),
+        "drained jobs are not failures"
+    );
 }
 
 /// Explores at least `runs` distinct interleavings derived from one CI
