@@ -17,12 +17,11 @@ fn paired(g: &[bool], f: &[bool]) -> String {
 fn print_view(title: &str, test: &ScanTest, good: &TestTrace, faulty: &TestTrace) {
     println!("{title}");
     let mut t = TextTable::new(vec!["u", "shift(u)", "T(u)", "S(u)", "Z(u)"]);
-    for u in 0..test.len() {
-        let shift = test.shift_at(u).map_or(0, |s| s.amount);
+    for (u, (shift, vector)) in test.units().enumerate() {
         t.row(vec![
             u.to_string(),
-            shift.to_string(),
-            bits_to_string(&test.vectors[u]),
+            shift.map_or(0, |s| s.amount).to_string(),
+            bits_to_string(vector),
             paired(&good.states[u], &faulty.states[u]),
             paired(&good.outputs[u], &faulty.outputs[u]),
         ]);
@@ -41,8 +40,8 @@ fn print_accurate_timing(test: &ScanTest, good: &TestTrace, faulty: &TestTrace) 
     println!("Table 2: accurate timing (the limited scan occupies its own time unit)");
     let mut t = TextTable::new(vec!["u", "T(u)", "S(u)", "Z(u)"]);
     let mut wall = 0usize;
-    for u in 0..test.len() {
-        if let Some(op) = test.shift_at(u) {
+    for (u, (shift, vector)) in test.units().enumerate() {
+        if let Some(op) = shift {
             // The shift cycles show the pre-shift state and no vector.
             t.row(vec![
                 wall.to_string(),
@@ -54,7 +53,7 @@ fn print_accurate_timing(test: &ScanTest, good: &TestTrace, faulty: &TestTrace) 
         }
         t.row(vec![
             wall.to_string(),
-            bits_to_string(&test.vectors[u]),
+            bits_to_string(vector),
             paired(&good.states[u], &faulty.states[u]),
             paired(&good.outputs[u], &faulty.outputs[u]),
         ]);

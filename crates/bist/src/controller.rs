@@ -203,17 +203,29 @@ impl BistController {
         let n_sv = cfg.n_sv;
         let num_sets = cfg.pairs.len() + 1;
         let mut sets: Vec<Vec<ScanTest>> = vec![Vec::new(); num_sets];
+        /// A test being assembled: its owning set, its scan-in and the
+        /// vectors seen so far. The `ScanTest` is built once the test ends.
+        struct Assembly {
+            set: usize,
+            scan_in: Vec<bool>,
+            vectors: Vec<Vec<bool>>,
+        }
         // Assembly state: scan bits seen since the last vector, the test
-        // being assembled (with its owning set), and its shift schedule.
+        // being assembled, and its shift schedule.
         let mut scan_buf: Vec<bool> = Vec::new();
-        let mut current: Option<(usize, ScanTest)> = None;
+        let mut current: Option<Assembly> = None;
         let mut pending_shift: Vec<(usize, Vec<bool>)> = Vec::new();
         fn finish(
-            current: &mut Option<(usize, ScanTest)>,
+            current: &mut Option<Assembly>,
             pending: &mut Vec<(usize, Vec<bool>)>,
             sets: &mut [Vec<ScanTest>],
         ) {
-            if let Some((set, test)) = current.take() {
+            if let Some(Assembly {
+                set,
+                scan_in,
+                vectors,
+            }) = current.take()
+            {
                 let shifts: Vec<ShiftOp> = pending
                     .drain(..)
                     .map(|(at, fill)| ShiftOp {
@@ -222,7 +234,7 @@ impl BistController {
                         fill,
                     })
                     .collect();
-                let test = test
+                let test = ScanTest::new(scan_in, vectors)
                     .with_shifts(shifts)
                     .expect("controller schedules are valid");
                 sets[set].push(test);
@@ -247,12 +259,15 @@ impl BistController {
                         .copied()
                         .collect();
                     scan_buf.clear();
-                    current = Some((*set, ScanTest::new(scan_in, Vec::new())));
+                    current = Some(Assembly {
+                        set: *set,
+                        scan_in,
+                        vectors: Vec::new(),
+                    });
                 }
                 current
                     .as_mut()
                     .expect("vector outside a test")
-                    .1
                     .vectors
                     .push(bits.clone());
             }

@@ -43,7 +43,7 @@ impl BaselineOutcome {
 fn random_test<R: RandomSource>(circuit: &Circuit, length: usize, rng: &mut R) -> ScanTest {
     let mut scan_in = vec![false; circuit.num_dffs()];
     rng.fill_bits(&mut scan_in);
-    let vectors = (0..length)
+    let vectors: Vec<Vec<bool>> = (0..length)
         .map(|_| {
             let mut v = vec![false; circuit.num_inputs()];
             rng.fill_bits(&mut v);

@@ -52,7 +52,7 @@ pub fn generate_ts0_partial(circuit: &Circuit, ps: &PartialScan, cfg: &RlsConfig
         for slot in scan_in.iter_mut().rev() {
             *slot = rng.next_bit();
         }
-        let vectors = (0..length)
+        let vectors: Vec<Vec<bool>> = (0..length)
             .map(|_| {
                 let mut v = vec![false; n_pi];
                 rng.fill_bits(&mut v);
@@ -181,7 +181,7 @@ pub fn derive_mc_test_set(
             McScanTest {
                 scan_in: test.scan_in.clone(),
                 vectors: test.vectors.clone(),
-                shifts,
+                shifts: shifts.into(),
             }
         })
         .collect()
@@ -200,16 +200,12 @@ pub fn run_multichain(circuit: &Circuit, mc: &MultiChain, cfg: &RlsConfig) -> Mu
     sim.set_chains(ChainMap::from(mc));
     let total_faults = sim.total_faults();
     let ts0 = generate_ts0(circuit, cfg);
-    let mc_ts0: Vec<McScanTest> = ts0
-        .iter()
-        .map(|t| McScanTest::new(t.scan_in.clone(), t.vectors.clone()))
-        .collect();
     let d2 = cfg.d2_override.unwrap_or(mc.max_chain_len() as u32 + 1);
     let boundary = mc.full_scan_cycles();
     let base_cycles =
         (2 * cfg.n as u64 + 1) * boundary + cfg.n as u64 * (cfg.la as u64 + cfg.lb as u64);
 
-    let initial_detected = sim.run_tests(&mc_ts0);
+    let initial_detected = sim.run_tests(&ts0);
 
     let mut pairs = Vec::new();
     let mut total_cycles = base_cycles;

@@ -13,6 +13,7 @@
 //! whole derivation replayable from the pair `(I, D1)` alone.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use rls_fsim::{ScanTest, ShiftOp};
 use rls_lfsr::{RandomSource, XorShift64};
@@ -24,11 +25,13 @@ use crate::config::{FillMode, RlsConfig, SeedMode};
 /// `d2` is the shift-count modulus (the paper's `D2 = N_SV + 1`; see
 /// [`RlsConfig::d2`]).
 ///
-/// Under [`SeedMode::PerTest`] every test restarts the stream at
-/// `seed(I)`, and a schedule reads nothing of its test but the length, so
-/// each distinct length is derived once and its schedule reused by every
-/// test of that length. [`SeedMode::FreeRunning`] draws test after test
-/// from one stream.
+/// Every derived test shares its `TS0` test's scan-in and vectors; only
+/// the schedule is new. Under [`SeedMode::PerTest`] every test restarts
+/// the stream at `seed(I)`, and a schedule reads nothing of its test but
+/// the length, so each distinct length is derived once and all tests of
+/// that length share its one schedule allocation.
+/// [`SeedMode::FreeRunning`] draws test after test from one stream, so
+/// each test owns its schedule.
 ///
 /// # Panics
 ///
@@ -44,21 +47,22 @@ pub fn derive_test_set(
     assert!(d2 > 0, "D2 must be positive");
     let seed = cfg.seeds.seed(iteration);
     let mut free_running = XorShift64::new(seed);
-    let mut per_length: BTreeMap<usize, Vec<ShiftOp>> = BTreeMap::new();
-    let schedule = |len: usize, rng: &mut XorShift64| {
+    let mut per_length: BTreeMap<usize, Arc<[ShiftOp]>> = BTreeMap::new();
+    let schedule = |len: usize, rng: &mut XorShift64| -> Arc<[ShiftOp]> {
         let shifts = derive_schedule(len, rng, d1, d2);
         match cfg.fill_mode {
-            FillMode::Random => shifts,
-            FillMode::Zero => zero_fills(shifts),
+            FillMode::Random => shifts.into(),
+            FillMode::Zero => zero_fills(shifts).into(),
         }
     };
     ts0.iter()
         .map(|test| {
             let shifts = match cfg.seed_mode {
-                SeedMode::PerTest => per_length
-                    .entry(test.len())
-                    .or_insert_with(|| schedule(test.len(), &mut XorShift64::new(seed)))
-                    .clone(),
+                SeedMode::PerTest => Arc::clone(
+                    per_length
+                        .entry(test.len())
+                        .or_insert_with(|| schedule(test.len(), &mut XorShift64::new(seed))),
+                ),
                 SeedMode::FreeRunning => schedule(test.len(), &mut free_running),
             };
             with_schedule(test, shifts)
@@ -106,8 +110,9 @@ fn derive_schedule<R: RandomSource>(len: usize, rng: &mut R, d1: u32, d2: u32) -
     shifts
 }
 
-/// `test` with `shifts` (derived for its length) as its schedule.
-fn with_schedule(test: &ScanTest, shifts: Vec<ShiftOp>) -> ScanTest {
+/// `test` with `shifts` (derived for its length) as its schedule, sharing
+/// `test`'s scan-in and vectors.
+fn with_schedule(test: &ScanTest, shifts: impl Into<Arc<[ShiftOp]>>) -> ScanTest {
     test.clone()
         .with_shifts(shifts)
         .expect("derived schedule is valid by construction") // lint: panic-ok(derive_schedule emits ordered interior units with nonzero amounts and matching fills)
@@ -137,6 +142,29 @@ mod tests {
     }
 
     #[test]
+    fn derived_tests_share_stimulus_and_per_length_schedules() {
+        // A derived test reads its TS0 test's scan-in and vectors in
+        // place. Under PerTest the tests of one length share one schedule
+        // allocation; under FreeRunning every test owns its own.
+        let (ts0, mut cfg) = setup();
+        for seed_mode in [SeedMode::PerTest, SeedMode::FreeRunning] {
+            cfg.seed_mode = seed_mode;
+            let derived = derive_test_set(&ts0, &cfg, 1, 1, 4);
+            for (d, o) in derived.iter().zip(&ts0) {
+                assert!(Arc::ptr_eq(&d.scan_in, &o.scan_in), "{seed_mode:?}");
+                assert!(Arc::ptr_eq(&d.vectors, &o.vectors), "{seed_mode:?}");
+            }
+            for (i, a) in derived.iter().enumerate() {
+                for b in &derived[i + 1..] {
+                    let shared = Arc::ptr_eq(&a.shifts, &b.shifts);
+                    let expect = seed_mode == SeedMode::PerTest && a.len() == b.len();
+                    assert_eq!(shared, expect, "{seed_mode:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn derivation_is_replayable_from_the_pair() {
         let (ts0, cfg) = setup();
         let a = derive_test_set(&ts0, &cfg, 3, 5, 4);
@@ -157,7 +185,7 @@ mod tests {
         let (ts0, cfg) = setup();
         let derived = derive_test_set(&ts0, &cfg, 1, 1, 4);
         for t in &derived {
-            for s in &t.shifts {
+            for s in t.shifts.iter() {
                 assert!(s.amount >= 1 && s.amount <= 3);
                 assert_eq!(s.fill.len(), s.amount);
             }
@@ -246,7 +274,7 @@ mod tests {
                 };
                 let mut derived = derive_one(test, rng, d1, d2);
                 if cfg.fill_mode == FillMode::Zero {
-                    derived.shifts = zero_fills(derived.shifts);
+                    derived.shifts = zero_fills(derived.shifts.to_vec()).into();
                 }
                 derived
             })

@@ -57,7 +57,7 @@ pub fn generate_with_source<R: RandomSource>(
         for slot in scan_in.iter_mut().rev() {
             *slot = rng.next_bit();
         }
-        let vectors = (0..length)
+        let vectors: Vec<Vec<bool>> = (0..length)
             .map(|_| {
                 let mut v = vec![false; n_pi];
                 rng.fill_bits(&mut v);
@@ -97,7 +97,7 @@ mod tests {
         let ts0 = generate_ts0(&c, &cfg());
         for t in &ts0 {
             assert_eq!(t.scan_in.len(), 3);
-            for v in &t.vectors {
+            for v in t.vectors.iter() {
                 assert_eq!(v.len(), 4);
             }
             assert!(t.shifts.is_empty(), "TS0 has no limited scans");

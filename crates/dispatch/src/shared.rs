@@ -530,6 +530,8 @@ struct SetWork {
     compiled: Arc<CompiledCircuit>,
     chains: Arc<ChainMap>,
     options: SimOptions,
+    /// The set's tests: a copy of reference counts, since each test's
+    /// stimulus and schedule are shared slices.
     tests: Vec<ScanTest>,
     /// The caller's live list at the start of the set.
     live: Vec<FaultId>,

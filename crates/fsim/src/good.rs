@@ -265,9 +265,9 @@ impl<'c> GoodSim<'c> {
             final_scan_out: Vec::new(),
         };
         let mut values = Vec::new();
-        for (u, vector) in test.vectors.iter().enumerate() {
+        for (u, (shift, vector)) in test.units().enumerate() {
             trace.pre_shift_states.push(state.clone());
-            if let Some(op) = test.shift_at(u) {
+            if let Some(op) = shift {
                 let observed = self
                     .chains
                     .limited_scan_bools(&mut state, op.amount, &op.fill);

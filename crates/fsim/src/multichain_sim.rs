@@ -82,13 +82,14 @@ mod tests {
         let mc = MultiChain::with_max_length(30, 10); // 3 chains
         let sim = GoodSim::new(&c).with_chains(ChainMap::from(&mc));
         let test = McScanTest {
-            scan_in: vec![false; 30],
-            vectors: vec![vec![false; 4]; 3],
+            scan_in: vec![false; 30].into(),
+            vectors: vec![vec![false; 4]; 3].into(),
             shifts: vec![McShiftOp {
                 at: 1,
                 amount: 2,
                 fill: vec![false; 6],
-            }],
+            }]
+            .into(),
         };
         let trace = sim.simulate_test(&test);
         // 2 cycles × 3 chains = 6 observed bits for 2 clock cycles.
@@ -103,12 +104,13 @@ mod tests {
         let universe = FaultUniverse::enumerate(&c);
         let collapsed = crate::collapse::CollapsedFaults::build(&c, &universe);
         let tests: Vec<McScanTest> = (0..8)
-            .map(|k| McScanTest {
-                scan_in: vec![k % 2 == 0, k % 3 == 0, k % 5 == 0],
-                vectors: (0..4)
-                    .map(|v| vec![v % 2 == 0, k % 2 == 1, true, false])
-                    .collect(),
-                shifts: vec![],
+            .map(|k| {
+                McScanTest::new(
+                    vec![k % 2 == 0, k % 3 == 0, k % 5 == 0],
+                    (0..4)
+                        .map(|v| vec![v % 2 == 0, k % 2 == 1, true, false])
+                        .collect::<Vec<_>>(),
+                )
             })
             .collect();
         let det = run_tests_multichain(&sim, &mc, &tests, collapsed.representatives(), &universe);

@@ -115,7 +115,7 @@ mod tests {
                 .map(|_| {
                     let mut scan_in = vec![false; chain];
                     rng.fill_bits(&mut scan_in);
-                    let vectors = (0..6)
+                    let vectors: Vec<Vec<bool>> = (0..6)
                         .map(|_| {
                             let mut v = vec![false; c.num_inputs()];
                             rng.fill_bits(&mut v);

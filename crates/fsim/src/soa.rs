@@ -638,11 +638,7 @@ pub fn simulate_tile_lanes<W: LaneWord>(
     // Initial scan-in: loaded positions from the tests, the rest at reset.
     let mut state: Vec<W> = vec![W::ZERO; nff];
     let mut loaded: Vec<W> = vec![W::ZERO; chains.load().len()];
-    mix_rows(
-        &mut loaded,
-        stride,
-        tests.iter().map(|x| x.scan_in.as_slice()),
-    );
+    mix_rows(&mut loaded, stride, tests.iter().map(|x| &*x.scan_in));
     for (&pos, &w) in chains.load().iter().zip(&loaded) {
         state[pos] = w; // lint: panic-ok(chain map positions index the dense state vector)
     }
@@ -652,16 +648,18 @@ pub fn simulate_tile_lanes<W: LaneWord>(
     let mut fill_words: Vec<W> = Vec::new();
     let mut scan_out: Vec<W> = Vec::new();
     let mut fanin_buf: Vec<W> = Vec::with_capacity(8);
+    // `tile_compatible` tests share `(at, amount)` index by index, so the
+    // first test's units drive the walk and `k` is the index of the
+    // current shift in every pattern's schedule.
+    let mut k = 0;
     // lint: panic-ok(t > 0 asserted at entry)
-    for u in 0..tests[0].len() {
-        // lint: panic-ok(t > 0 asserted at entry)
-        if let Some(op) = tests[0].shift_at(u) {
+    for (u, (shift, _)) in tests[0].units().enumerate() {
+        if let Some(op) = shift {
             fill_words.resize(op.amount * chains.chains().len(), W::ZERO);
-            let fills = tests.iter().map(|x| {
-                let shift = x.shift_at(u).expect("tile shapes agree"); // lint: panic-ok(tile_compatible guarantees a matching shift per pattern)
-                shift.fill.as_slice()
-            });
+            // lint: panic-ok(tile_compatible gives every pattern a k-th shift)
+            let fills = tests.iter().map(|x| x.shifts[k].fill.as_slice());
             mix_rows(&mut fill_words, stride, fills);
+            k += 1;
             shift_chains(chains, &mut state, op.amount, &fill_words, &mut scan_out);
             if opts.observe_limited_scan_out {
                 for &w in &scan_out {
@@ -888,7 +886,7 @@ fn mutated_reference_lanes<W: LaneWord>(lanes: W) -> W {
 mod tests {
     use super::*;
     use crate::fault::FaultUniverse;
-    use crate::good::GoodSim;
+    use crate::good::{traces_differ, GoodSim};
     use crate::test::ShiftOp;
     use rls_netlist::Levelization;
     use rls_scan::{MultiChain, PartialScan, W256};
@@ -1110,6 +1108,83 @@ mod tests {
                     let alone = [tile_tests[p]];
                     let single = simulate_tile_lanes::<W256>(&c, &lc, &full, &alone, chunk, opts);
                     assert_eq!(tiled[p], single[0], "tile height {t}, pattern {p}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shift_cursor_walks_first_last_and_every_interior_unit() {
+        // The tile walk steps one cursor through the schedule its tests
+        // share. A shift at the first interior unit, one at the last, and
+        // one at every interior unit (the D1 = 1 shape, amounts cycling
+        // 1..=3) must each land at its unit with its own pattern's fill:
+        // the tile's detections equal the serial trace comparison's, one
+        // pattern alone and at the tallest tile.
+        let c = rls_benchmarks::s27();
+        let sim = GoodSim::new(&c);
+        let (lc, _) = lower(&c);
+        let full = ChainMap::full(3);
+        let pairs = all_pairs(&FaultUniverse::enumerate(&c));
+        let opts = SimOptions::default();
+        let len = 6;
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut bit = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x & 1 == 1
+        };
+        for units in [vec![1], vec![len - 1], (1..len).collect::<Vec<_>>()] {
+            let patterns: Vec<ScanTest> = (0..8)
+                .map(|_| {
+                    let scan_in: Vec<bool> = (0..3).map(|_| bit()).collect();
+                    let vectors: Vec<Vec<bool>> =
+                        (0..len).map(|_| (0..4).map(|_| bit()).collect()).collect();
+                    let shifts: Vec<ShiftOp> = units
+                        .iter()
+                        .enumerate()
+                        .map(|(k, &at)| {
+                            let amount = 1 + k % 3;
+                            let fill = (0..amount).map(|_| bit()).collect();
+                            ShiftOp { at, amount, fill }
+                        })
+                        .collect();
+                    ScanTest::new(scan_in, vectors).with_shifts(shifts).unwrap()
+                })
+                .collect();
+            let expect: Vec<Vec<FaultId>> = patterns
+                .iter()
+                .map(|t| {
+                    let good = sim.simulate_test(t);
+                    pairs
+                        .iter()
+                        .filter(|&&(_, f)| traces_differ(&good, &sim.simulate_faulty(t, f)))
+                        .map(|&(id, _)| id)
+                        .collect()
+                })
+                .collect();
+            assert!(expect.iter().any(|d| !d.is_empty()));
+            for height in [1, max_tile_height::<KernelWord>()] {
+                let starts = if height == 1 { patterns.len() } else { 1 };
+                for first in 0..starts {
+                    let tile: Vec<&ScanTest> =
+                        patterns.iter().cycle().skip(first).take(height).collect();
+                    let mut got = vec![Vec::new(); height];
+                    for chunk in pairs.chunks(tile_fault_capacity::<KernelWord>(height)) {
+                        let tiled =
+                            simulate_tile_lanes::<KernelWord>(&c, &lc, &full, &tile, chunk, opts);
+                        for (p, d) in tiled.into_iter().enumerate() {
+                            got[p].extend(d);
+                        }
+                    }
+                    for (p, d) in got.iter().enumerate() {
+                        assert_eq!(
+                            *d,
+                            expect[(first + p) % patterns.len()],
+                            "shifts at {units:?}, height {height}, pattern {p}"
+                        );
+                    }
                 }
             }
         }

@@ -4,9 +4,15 @@
 //! schedule `shift(u)` of a derived test `τ̂ ∈ TS(I, D1)`: at time unit `u`
 //! (for `0 < u < L`), the state is first shifted by `shift(u)` positions
 //! (with given fill bits), then the vector `T(u)` is applied at speed.
+//!
+//! A test's stimulus and schedule are shared and immutable: cloning a
+//! [`ScanTest`] copies three reference counts, not bits. A derived test
+//! reads its `TS0` test's scan-in and vectors in place, and tests may
+//! share one schedule.
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// A limited scan operation within a test.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,15 +27,18 @@ pub struct ShiftOp {
 
 /// A complete scan test: scan-in, vectors, optional limited scans, final
 /// scan-out (implicit).
+///
+/// The three parts are shared slices, so a clone shares them with the
+/// original; equality compares contents.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanTest {
     /// The scan-in state `SI` (one bit per flip-flop, chain order).
-    pub scan_in: Vec<bool>,
+    pub scan_in: Arc<[bool]>,
     /// The at-speed primary input sequence `T` (each inner vector has one
     /// bit per primary input).
-    pub vectors: Vec<Vec<bool>>,
+    pub vectors: Arc<[Vec<bool>]>,
     /// Limited scan operations, strictly ascending by `at`.
-    pub shifts: Vec<ShiftOp>,
+    pub shifts: Arc<[ShiftOp]>,
 }
 
 /// Errors constructing a [`ScanTest`].
@@ -78,12 +87,13 @@ fn parse_bits(s: &str) -> Result<Vec<bool>, TestError> {
 }
 
 impl ScanTest {
-    /// A test without limited scans.
-    pub fn new(scan_in: Vec<bool>, vectors: Vec<Vec<bool>>) -> Self {
+    /// A test without limited scans. Passing `Arc`s shares them; a `Vec`
+    /// is copied into a new shared allocation.
+    pub fn new(scan_in: impl Into<Arc<[bool]>>, vectors: impl Into<Arc<[Vec<bool>]>>) -> Self {
         ScanTest {
-            scan_in,
-            vectors,
-            shifts: Vec::new(),
+            scan_in: scan_in.into(),
+            vectors: vectors.into(),
+            shifts: Arc::from([]),
         }
     }
 
@@ -100,20 +110,22 @@ impl ScanTest {
             vectors
                 .iter()
                 .map(|v| parse_bits(v))
-                .collect::<Result<_, _>>()?,
+                .collect::<Result<Vec<_>, _>>()?,
         ))
     }
 
     /// Adds limited scan operations (replacing any existing schedule).
+    /// Passing an `Arc` shares one schedule among tests.
     ///
     /// # Errors
     ///
     /// Validates the schedule: ascending time units within `0 < at < L`,
     /// nonzero amounts, and matching fill lengths.
-    pub fn with_shifts(mut self, shifts: Vec<ShiftOp>) -> Result<Self, TestError> {
+    pub fn with_shifts(mut self, shifts: impl Into<Arc<[ShiftOp]>>) -> Result<Self, TestError> {
+        let shifts = shifts.into();
         let len = self.vectors.len();
         let mut prev: Option<usize> = None;
-        for s in &shifts {
+        for s in shifts.iter() {
             if s.at == 0 || s.at >= len {
                 return Err(TestError::ShiftOutOfRange { at: s.at, len });
             }
@@ -144,9 +156,15 @@ impl ScanTest {
         self.vectors.is_empty()
     }
 
-    /// The shift operation scheduled at time unit `u`, if any.
-    pub fn shift_at(&self, u: usize) -> Option<&ShiftOp> {
-        self.shifts.iter().find(|s| s.at == u)
+    /// Each time unit in order: the limited scan that precedes its vector,
+    /// if any, and the vector. One cursor walks the ascending schedule, so
+    /// a full walk costs `O(L)`.
+    pub fn units(&self) -> impl Iterator<Item = (Option<&ShiftOp>, &[bool])> {
+        let mut shifts = self.shifts.iter().peekable();
+        self.vectors
+            .iter()
+            .enumerate()
+            .map(move |(u, v)| (shifts.next_if(|s| s.at == u), v.as_slice()))
     }
 
     /// Total limited-scan shift cycles (the test's contribution to the
@@ -169,7 +187,7 @@ mod tests {
     #[test]
     fn from_strings_parses_paper_test() {
         let t = ScanTest::from_strings("001", &["0111", "1001", "0111", "1001", "0100"]).unwrap();
-        assert_eq!(t.scan_in, vec![false, false, true]);
+        assert_eq!(*t.scan_in, [false, false, true]);
         assert_eq!(t.len(), 5);
         assert_eq!(t.vectors[0], vec![false, true, true, true]);
         assert_eq!(t.shift_cycles(), 0);
@@ -258,7 +276,38 @@ mod tests {
             .unwrap();
         assert_eq!(t.shift_cycles(), 5);
         assert_eq!(t.limited_scan_units(), 2);
-        assert!(t.shift_at(1).is_some());
-        assert!(t.shift_at(2).is_none());
+    }
+
+    #[test]
+    fn units_pair_each_vector_with_its_shift() {
+        let t = ScanTest::from_strings("0000", &["0", "1", "0", "1", "1"])
+            .unwrap()
+            .with_shifts(vec![
+                ShiftOp {
+                    at: 1,
+                    amount: 1,
+                    fill: vec![true],
+                },
+                ShiftOp {
+                    at: 4,
+                    amount: 2,
+                    fill: vec![false, true],
+                },
+            ])
+            .unwrap();
+        let walk: Vec<(Option<usize>, bool)> = t
+            .units()
+            .map(|(op, v)| (op.map(|s| s.amount), v[0]))
+            .collect();
+        assert_eq!(
+            walk,
+            [
+                (None, false),
+                (Some(1), true),
+                (None, false),
+                (None, true),
+                (Some(2), true)
+            ]
+        );
     }
 }

@@ -119,8 +119,8 @@ pub fn simulate_batch_transition(
     let mut state: Vec<u64> = ops::broadcast(&test.scan_in);
     let mut values: Vec<u64> = vec![0; circuit.len()];
     let mut scan_out_idx = 0usize;
-    for (u, vector) in test.vectors.iter().enumerate() {
-        if let Some(op) = test.shift_at(u) {
+    for (u, (shift, vector)) in test.units().enumerate() {
+        if let Some(op) = shift {
             let outs = ops::limited_scan_words(&mut state, op.amount, &op.fill);
             let (_, good_outs) = &trace.scan_outs[scan_out_idx]; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
             scan_out_idx += 1;
@@ -273,7 +273,7 @@ mod tests {
             .map(|_| {
                 let mut si = vec![false; 3];
                 rng.fill_bits(&mut si);
-                let vectors = (0..6)
+                let vectors: Vec<Vec<bool>> = (0..6)
                     .map(|_| {
                         let mut v = vec![false; 4];
                         rng.fill_bits(&mut v);

@@ -44,8 +44,8 @@ fn main() {
         .unwrap();
     println!("\nWith limited scan shift(3)=1 (paper Table 1(b), fault-free columns):");
     let trace = sim.simulate_test(&shifted);
-    for u in 0..shifted.len() {
-        let marker = shifted.shift_at(u).map_or(String::new(), |op| {
+    for (u, (shift, vector)) in shifted.units().enumerate() {
+        let marker = shift.map_or(String::new(), |op| {
             format!(
                 "  <- limited scan, {} position(s), scanned out {}",
                 op.amount,
@@ -54,7 +54,7 @@ fn main() {
         });
         println!(
             "  u={u}  T(u)={}  S(u)={}  Z(u)={}{marker}",
-            bits_to_string(&shifted.vectors[u]),
+            bits_to_string(vector),
             bits_to_string(&trace.states[u]),
             bits_to_string(&trace.outputs[u]),
         );

@@ -77,7 +77,7 @@ fn shrink_synth(cfg: &SynthConfig) -> Vec<SynthConfig> {
 /// `random_test` strategy).
 fn random_test(c: &Circuit, g: &mut Gen, len: usize) -> ScanTest {
     let scan_in = g.bools(c.num_dffs());
-    let vectors = (0..len).map(|_| g.bools(c.num_inputs())).collect();
+    let vectors: Vec<Vec<bool>> = (0..len).map(|_| g.bools(c.num_inputs())).collect();
     let mut test = ScanTest::new(scan_in, vectors);
     if c.num_dffs() > 0 && len > 2 {
         let mut shifts = Vec::new();
@@ -343,9 +343,9 @@ fn random_chain_test(c: &Circuit, g: &mut Gen, len: usize) -> (ChainMap, ScanTes
         }
     }
     let test = ScanTest {
-        scan_in: g.bools(chains.load().len()),
+        scan_in: g.bools(chains.load().len()).into(),
         vectors: (0..len).map(|_| g.bools(c.num_inputs())).collect(),
-        shifts,
+        shifts: shifts.into(),
     };
     (chains, test)
 }
@@ -365,8 +365,8 @@ fn compatible_random_tests(c: &Circuit, g: &mut Gen, len: usize, count: usize) -
     (0..count)
         .map(|_| {
             let scan_in = g.bools(c.num_dffs());
-            let vectors = (0..len).map(|_| g.bools(c.num_inputs())).collect();
-            let shifts = schedule
+            let vectors: Vec<Vec<bool>> = (0..len).map(|_| g.bools(c.num_inputs())).collect();
+            let shifts: Vec<ShiftOp> = schedule
                 .iter()
                 .map(|&(at, amount)| ShiftOp {
                     at,

@@ -66,7 +66,7 @@ fn universe_pairs(c: &Circuit) -> Vec<(FaultId, Fault)> {
 fn mixed_s27_tests(c: &Circuit) -> Vec<ScanTest> {
     let cfg = RlsConfig::new(4, 8, 8);
     let mut tests = generate_ts0(c, &cfg);
-    let base: Vec<Vec<bool>> = tests[0].vectors.clone();
+    let base: Vec<Vec<bool>> = tests[0].vectors.to_vec();
     let shifted = |scan_in: &[bool], shifts: Vec<ShiftOp>| {
         ScanTest::new(scan_in.to_vec(), base.clone())
             .with_shifts(shifts)
