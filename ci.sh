@@ -94,6 +94,24 @@ for t in 2 4; do
 done
 rm -rf "$THREAD_DIR"
 
+echo "== results: committed extension and Table 5 output =="
+# partial_scan and multichain run Procedure 2 on a partial-scan chain and
+# on multiple short chains; their committed tables pin that one flow byte
+# for byte, beside table5's closed-form ranking. A table5 argument that
+# is not an N_SV value must print the usage line and exit 2, not panic.
+RESULTS_DIR=$(mktemp -d)
+for bin in partial_scan multichain table5; do
+    cargo run -q --release --offline -p rls-bench --bin "$bin" \
+        > "$RESULTS_DIR/$bin.txt" 2> /dev/null
+    cmp "$RESULTS_DIR/$bin.txt" "results/$bin.txt"
+done
+status=0
+./target/release/table5 s27 > /dev/null 2> "$RESULTS_DIR/table5-usage.err" || status=$?
+[ "$status" -eq 2 ]
+grep -q 'usage: table5' "$RESULTS_DIR/table5-usage.err"
+if grep -q 'panicked' "$RESULTS_DIR/table5-usage.err"; then exit 1; fi
+rm -rf "$RESULTS_DIR"
+
 echo "== fsim: soa oracle =="
 # The SoA kernel's verification wall: the differential matrix against
 # the serial one-fault-at-a-time reference (every s27 fault x every
@@ -148,7 +166,7 @@ RLS_REPORT=./target/release/rls-report
     > "$PROF_DIR/collapsed.txt" 2> /dev/null
 grep -q 'bench.table;bench.circuit' "$PROF_DIR/collapsed.txt"
 head -n 1 "$PROF_DIR/flame.svg" | grep -q '^<svg xmlns'
-! grep -q '<script' "$PROF_DIR/flame.svg"
+if grep -q '<script' "$PROF_DIR/flame.svg"; then exit 1; fi
 "$RLS_REPORT" --trace "$PROF_STREAM" | grep -q '"traceEvents"'
 "$RLS_REPORT" --gate "$PROF_STREAM" BENCH_phase_profile.json
 RLS_RECORD=1 RLS_THREADS=2 \

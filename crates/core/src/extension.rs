@@ -2,25 +2,30 @@
 //!
 //! The concluding remark of the paper: *"limited scan can be used to
 //! improve the fault coverage for partial scan circuits as well."* This
-//! module carries that claim out: the `TS0` / Procedure 1 / Procedure 2
-//! machinery re-targeted at a [`PartialScan`] architecture, where only a
-//! subset of the flip-flops is scannable and `D2` is bounded by the chain
-//! length instead of `N_SV`.
+//! module carries that claim out on a [`PartialScan`] architecture, where
+//! only a subset of the flip-flops is scannable, and pairs limited scan
+//! with the multiple short chains of refs \[5\]/\[6\] ([`MultiChain`]).
+//!
+//! Neither needs a flow of its own. Each builds the architecture's
+//! [`ChainMap`], runs [`Procedure2`] on it, and reports the
+//! [`Procedure2Outcome`] in its own terms; `TS0`, Procedure 1 and the
+//! greedy loop read the scan-in width, the fill bits per shift cycle and
+//! the scan cost from the map (see [`crate::procedure2`]). `D2` is
+//! therefore bounded by the longest chain instead of `N_SV`.
 //!
 //! Because sequential (partial-scan) detectability has no cheap exact
 //! reference — the combinational argument behind [`crate::experiment::detectable_target`]
 //! needs full scan — these experiments report achieved coverage over all
 //! collapsed faults rather than claiming completeness.
 
-use rls_fsim::{ChainMap, FaultSimulator, McScanTest, McShiftOp, ScanTest};
-use rls_lfsr::{RandomSource, XorShift64};
+use rls_fsim::{ChainMap, McScanTest, ScanTest};
 use rls_netlist::Circuit;
 use rls_scan::{MultiChain, PartialScan};
 
-use crate::config::{RlsConfig, SeedMode};
-use crate::cycles::ncyc0;
-use crate::procedure1;
-use crate::ts0::generate_ts0;
+use crate::config::RlsConfig;
+use crate::procedure1::derive_test_set_on;
+use crate::procedure2::{Procedure2, Procedure2Outcome};
+use crate::ts0::generate_ts0_on;
 
 /// The outcome of a partial-scan limited-scan session.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,7 +36,7 @@ pub struct PartialOutcome {
     pub initial_detected: usize,
     /// Faults detected after the selected pairs.
     pub total_detected: usize,
-    /// Total collapsed faults.
+    /// Size of the coverage target (all collapsed faults by default).
     pub total_faults: usize,
     /// Selected `(I, D1)` pairs.
     pub pairs: Vec<(u64, u32)>,
@@ -40,28 +45,10 @@ pub struct PartialOutcome {
     pub total_cycles: u64,
 }
 
-/// Generates the base test set for a partial-scan architecture: the same
-/// structure as `TS0`, with scan-in words covering only the chain.
+/// Generates the base test set for a partial-scan architecture: `TS0`
+/// with scan-in words covering only the chain.
 pub fn generate_ts0_partial(circuit: &Circuit, ps: &PartialScan, cfg: &RlsConfig) -> Vec<ScanTest> {
-    let mut rng = XorShift64::new(cfg.seeds.ts0_seed());
-    let n_pi = circuit.num_inputs();
-    let mut tests = Vec::with_capacity(2 * cfg.n);
-    for index in 0..2 * cfg.n {
-        let length = if index < cfg.n { cfg.la } else { cfg.lb };
-        let mut scan_in = vec![false; ps.chain_len()];
-        for slot in scan_in.iter_mut().rev() {
-            *slot = rng.next_bit();
-        }
-        let vectors: Vec<Vec<bool>> = (0..length)
-            .map(|_| {
-                let mut v = vec![false; n_pi];
-                rng.fill_bits(&mut v);
-                v
-            })
-            .collect();
-        tests.push(ScanTest::new(scan_in, vectors));
-    }
-    tests
+    generate_ts0_on(circuit, &ChainMap::from(ps), cfg)
 }
 
 /// Runs the limited-scan flow on a partial-scan architecture.
@@ -70,51 +57,14 @@ pub fn generate_ts0_partial(circuit: &Circuit, ps: &PartialScan, cfg: &RlsConfig
 ///
 /// Panics if `ps` does not match the circuit.
 pub fn run_partial(circuit: &Circuit, ps: &PartialScan, cfg: &RlsConfig) -> PartialOutcome {
-    assert_eq!(ps.n_sv(), circuit.num_dffs(), "architecture mismatch");
-    let mut sim = FaultSimulator::new(circuit);
-    sim.set_chains(ChainMap::from(ps));
-    let total_faults = sim.total_faults();
-    let ts0 = generate_ts0_partial(circuit, ps, cfg);
-    // The D2 analogue: bounded by the chain, not N_SV.
-    let d2 = cfg.d2_override.unwrap_or(ps.chain_len() as u32 + 1);
-    let base_cycles = ncyc0(ps.chain_len(), cfg.la, cfg.lb, cfg.n);
-
-    let initial_detected = sim.run_tests(&ts0);
-
-    let mut pairs = Vec::new();
-    let mut total_cycles = base_cycles;
-    let mut same = 0u32;
-    let mut iteration = 0u64;
-    while sim.live_count() > 0 && same < cfg.n_same_fc && iteration < u64::from(cfg.max_iterations)
-    {
-        iteration += 1;
-        let mut improved = false;
-        for d1 in cfg.d1_order.values(cfg.d1_max) {
-            if sim.live_count() == 0 {
-                break;
-            }
-            let derived = procedure1::derive_test_set(&ts0, cfg, iteration, d1, d2);
-            let newly = sim.run_tests(&derived);
-            if newly > 0 {
-                improved = true;
-                let shifts: u64 = derived.iter().map(ScanTest::shift_cycles).sum();
-                total_cycles += base_cycles + shifts;
-                pairs.push((iteration, d1));
-            }
-        }
-        if improved {
-            same = 0;
-        } else {
-            same += 1;
-        }
-    }
+    let out = run_on(circuit, ChainMap::from(ps), cfg);
     PartialOutcome {
         chain_len: ps.chain_len(),
-        initial_detected,
-        total_detected: sim.detected_count(),
-        total_faults,
-        pairs,
-        total_cycles,
+        initial_detected: out.initial_detected,
+        total_detected: out.total_detected,
+        total_faults: out.target_faults,
+        pairs: selected(&out),
+        total_cycles: out.total_cycles,
     }
 }
 
@@ -129,7 +79,7 @@ pub struct MultiChainOutcome {
     pub initial_detected: usize,
     /// Faults detected after the selected pairs.
     pub total_detected: usize,
-    /// Total collapsed faults.
+    /// Size of the coverage target (all collapsed faults by default).
     pub total_faults: usize,
     /// Selected `(I, D1)` pairs.
     pub pairs: Vec<(u64, u32)>,
@@ -137,9 +87,9 @@ pub struct MultiChainOutcome {
     pub total_cycles: u64,
 }
 
-/// Derives the multichain variant of `TS(I, D1)`: the same `r1 mod D1` /
-/// `r2 mod D2` schedule draws as Procedure 1, but each shift cycle scans
-/// one fresh bit into *every* chain (`amount × chains` fill bits).
+/// Derives the multichain variant of `TS(I, D1)`: Procedure 1's schedule
+/// draws, with each shift cycle scanning one fresh bit into *every*
+/// chain (`amount × chains` fill bits).
 pub fn derive_mc_test_set(
     ts0: &[ScanTest],
     cfg: &RlsConfig,
@@ -148,101 +98,39 @@ pub fn derive_mc_test_set(
     d1: u32,
     d2: u32,
 ) -> Vec<McScanTest> {
-    assert!(d1 > 0, "D1 must be positive");
-    assert!(d2 > 0, "D2 must be positive");
-    let seed = cfg.seeds.seed(iteration);
-    let mut free_running = XorShift64::new(seed);
-    ts0.iter()
-        .map(|test| {
-            let mut per_test = XorShift64::new(seed);
-            let rng: &mut XorShift64 = match cfg.seed_mode {
-                SeedMode::PerTest => &mut per_test,
-                SeedMode::FreeRunning => &mut free_running,
-            };
-            let mut shifts = Vec::new();
-            for u in 1..test.len() {
-                let r1 = rng.next_u32();
-                if !r1.is_multiple_of(d1) {
-                    continue;
-                }
-                let r2 = rng.next_u32();
-                let amount = (r2 % d2) as usize;
-                if amount == 0 {
-                    continue;
-                }
-                let mut fill = vec![false; amount * mc.chains()];
-                rng.fill_bits(&mut fill);
-                shifts.push(McShiftOp {
-                    at: u,
-                    amount,
-                    fill,
-                });
-            }
-            McScanTest {
-                scan_in: test.scan_in.clone(),
-                vectors: test.vectors.clone(),
-                shifts: shifts.into(),
-            }
-        })
-        .collect()
+    derive_test_set_on(ts0, cfg, mc.chains(), iteration, d1, d2)
 }
 
 /// Runs the limited-scan flow on a multiple-scan-chain architecture (the
-/// [5]/[6] setting combined with the paper's method). `D2` is bounded by
+/// \[5\]/\[6\] setting combined with the paper's method). `D2` is bounded by
 /// the longest chain.
 ///
 /// # Panics
 ///
 /// Panics if `mc` does not match the circuit.
 pub fn run_multichain(circuit: &Circuit, mc: &MultiChain, cfg: &RlsConfig) -> MultiChainOutcome {
-    assert_eq!(mc.n_sv(), circuit.num_dffs(), "architecture mismatch");
-    let mut sim = FaultSimulator::new(circuit);
-    sim.set_chains(ChainMap::from(mc));
-    let total_faults = sim.total_faults();
-    let ts0 = generate_ts0(circuit, cfg);
-    let d2 = cfg.d2_override.unwrap_or(mc.max_chain_len() as u32 + 1);
-    let boundary = mc.full_scan_cycles();
-    let base_cycles =
-        (2 * cfg.n as u64 + 1) * boundary + cfg.n as u64 * (cfg.la as u64 + cfg.lb as u64);
-
-    let initial_detected = sim.run_tests(&ts0);
-
-    let mut pairs = Vec::new();
-    let mut total_cycles = base_cycles;
-    let mut same = 0u32;
-    let mut iteration = 0u64;
-    while sim.live_count() > 0 && same < cfg.n_same_fc && iteration < u64::from(cfg.max_iterations)
-    {
-        iteration += 1;
-        let mut improved = false;
-        for d1 in cfg.d1_order.values(cfg.d1_max) {
-            if sim.live_count() == 0 {
-                break;
-            }
-            let derived = derive_mc_test_set(&ts0, cfg, mc, iteration, d1, d2);
-            let newly = sim.run_tests(&derived);
-            if newly > 0 {
-                improved = true;
-                let shifts: u64 = derived.iter().map(McScanTest::shift_cycles).sum();
-                total_cycles += base_cycles + shifts;
-                pairs.push((iteration, d1));
-            }
-        }
-        if improved {
-            same = 0;
-        } else {
-            same += 1;
-        }
-    }
+    let out = run_on(circuit, ChainMap::from(mc), cfg);
     MultiChainOutcome {
         chains: mc.chains(),
-        scan_op_cycles: boundary,
-        initial_detected,
-        total_detected: sim.detected_count(),
-        total_faults,
-        pairs,
-        total_cycles,
+        scan_op_cycles: mc.full_scan_cycles(),
+        initial_detected: out.initial_detected,
+        total_detected: out.total_detected,
+        total_faults: out.target_faults,
+        pairs: selected(&out),
+        total_cycles: out.total_cycles,
     }
+}
+
+/// Procedure 2 on the scan chains of `chains`.
+fn run_on(circuit: &Circuit, chains: ChainMap, cfg: &RlsConfig) -> Procedure2Outcome {
+    Procedure2::new(circuit, cfg.clone())
+        .with_chains(chains)
+        .run()
+}
+
+/// The selected `(I, D1)` pairs of an outcome, in selection order.
+fn selected(out: &Procedure2Outcome) -> Vec<(u64, u32)> {
+    out.pairs.iter().map(|p| (p.i, p.d1)).collect()
 }
 
 #[cfg(test)]
@@ -257,7 +145,6 @@ mod tests {
 
     #[test]
     fn full_chain_matches_full_scan_procedure2() {
-        use crate::procedure2::Procedure2;
         let c = rls_benchmarks::s27();
         let cfg = RlsConfig::new(4, 8, 8);
         let full_arch = PartialScan::full(3);
@@ -299,20 +186,30 @@ mod tests {
     }
 
     #[test]
-    fn single_chain_multichain_matches_procedure2_counts() {
-        use crate::procedure2::Procedure2;
+    fn single_chain_multichain_matches_procedure2() {
+        // One chain over every flip-flop is full scan: the same TS0, the
+        // same schedules and fills, the same outcome.
         let c = rls_benchmarks::s27();
-        let cfg = RlsConfig::new(4, 8, 8);
+        let cfg = RlsConfig::new(2, 3, 2); // tiny: forces several pairs
         let mc = MultiChain::new(3, 1);
-        let outcome = run_multichain(&c, &mc, &cfg);
-        let standard = Procedure2::new(&c, cfg).run();
-        assert_eq!(outcome.initial_detected, standard.initial_detected);
-        // Fill streams differ between the single-chain ScanTest derivation
-        // and the multichain derivation only in how many bits each shift
-        // draws, so pair-level equality is not required — but one chain of
-        // length N_SV must cost exactly the standard N_cyc0 for TS0.
-        assert!(outcome.total_cycles >= standard.initial_cycles);
-        assert_eq!(outcome.scan_op_cycles, 3);
+        let standard = Procedure2::new(&c, cfg.clone()).run();
+        let on_chain = Procedure2::new(&c, cfg.clone())
+            .with_chains(ChainMap::from(&mc))
+            .run();
+        assert_eq!(on_chain, standard);
+        assert!(!standard.pairs.is_empty(), "the comparison covers pairs");
+        assert_eq!(
+            run_multichain(&c, &mc, &cfg),
+            MultiChainOutcome {
+                chains: 1,
+                scan_op_cycles: 3,
+                initial_detected: standard.initial_detected,
+                total_detected: standard.total_detected,
+                total_faults: standard.target_faults,
+                pairs: selected(&standard),
+                total_cycles: standard.total_cycles,
+            }
+        );
     }
 
     #[test]

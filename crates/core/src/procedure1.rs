@@ -10,7 +10,10 @@
 //!
 //! A nonzero shift becomes a limited scan operation of that many positions;
 //! its scanned-in fill bits are drawn from the same stream, keeping the
-//! whole derivation replayable from the pair `(I, D1)` alone.
+//! whole derivation replayable from the pair `(I, D1)` alone. Each shift
+//! cycle scans one fill bit into every chain of the `ChainMap`, so a
+//! shift of `k` draws `k × chains` bits, cycle-major as the kernel reads
+//! them: one bit per cycle under full and partial scan.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -20,10 +23,27 @@ use rls_lfsr::{RandomSource, XorShift64};
 
 use crate::config::{FillMode, RlsConfig, SeedMode};
 
-/// Derives the test set `TS(I, D1)`.
+/// Derives the test set `TS(I, D1)` under full scan.
 ///
 /// `d2` is the shift-count modulus (the paper's `D2 = N_SV + 1`; see
 /// [`RlsConfig::d2`]).
+///
+/// # Panics
+///
+/// Panics if `d1 == 0` or `d2 == 0`.
+pub fn derive_test_set(
+    ts0: &[ScanTest],
+    cfg: &RlsConfig,
+    iteration: u64,
+    d1: u32,
+    d2: u32,
+) -> Vec<ScanTest> {
+    derive_test_set_on(ts0, cfg, 1, iteration, d1, d2)
+}
+
+/// Derives the test set `TS(I, D1)` for `chains` scan chains
+/// ([`rls_fsim::ChainMap::chains`]): every shift cycle draws one fill
+/// bit per chain.
 ///
 /// Every derived test shares its `TS0` test's scan-in and vectors; only
 /// the schedule is new. Under [`SeedMode::PerTest`] every test restarts
@@ -36,9 +56,10 @@ use crate::config::{FillMode, RlsConfig, SeedMode};
 /// # Panics
 ///
 /// Panics if `d1 == 0` or `d2 == 0`.
-pub fn derive_test_set(
+pub fn derive_test_set_on(
     ts0: &[ScanTest],
     cfg: &RlsConfig,
+    chains: usize,
     iteration: u64,
     d1: u32,
     d2: u32,
@@ -49,7 +70,7 @@ pub fn derive_test_set(
     let mut free_running = XorShift64::new(seed);
     let mut per_length: BTreeMap<usize, Arc<[ShiftOp]>> = BTreeMap::new();
     let schedule = |len: usize, rng: &mut XorShift64| -> Arc<[ShiftOp]> {
-        let shifts = derive_schedule(len, rng, d1, d2);
+        let shifts = derive_schedule(len, rng, chains, d1, d2);
         match cfg.fill_mode {
             FillMode::Random => shifts.into(),
             FillMode::Zero => zero_fills(shifts).into(),
@@ -80,14 +101,16 @@ fn zero_fills(mut shifts: Vec<ShiftOp>) -> Vec<ShiftOp> {
     shifts
 }
 
-/// Derives the limited-scan schedule of a single test from a source.
-pub fn derive_one<R: RandomSource>(test: &ScanTest, rng: &mut R, d1: u32, d2: u32) -> ScanTest {
-    with_schedule(test, derive_schedule(test.len(), rng, d1, d2))
-}
-
 /// The limited-scan schedule of a test of length `len`: one draw per
-/// interior time unit, plus the amount and fill draws of each insertion.
-fn derive_schedule<R: RandomSource>(len: usize, rng: &mut R, d1: u32, d2: u32) -> Vec<ShiftOp> {
+/// interior time unit, plus the amount and the `amount × chains` fill
+/// draws of each insertion.
+fn derive_schedule<R: RandomSource>(
+    len: usize,
+    rng: &mut R,
+    chains: usize,
+    d1: u32,
+    d2: u32,
+) -> Vec<ShiftOp> {
     let mut shifts = Vec::new();
     for u in 1..len {
         let r1 = rng.next_u32();
@@ -99,7 +122,7 @@ fn derive_schedule<R: RandomSource>(len: usize, rng: &mut R, d1: u32, d2: u32) -
         if amount == 0 {
             continue;
         }
-        let mut fill = vec![false; amount];
+        let mut fill = vec![false; amount * chains];
         rng.fill_bits(&mut fill);
         shifts.push(ShiftOp {
             at: u,
@@ -272,7 +295,7 @@ mod tests {
                     SeedMode::PerTest => &mut per_test,
                     SeedMode::FreeRunning => &mut free_running,
                 };
-                let mut derived = derive_one(test, rng, d1, d2);
+                let mut derived = with_schedule(test, derive_schedule(test.len(), rng, 1, d1, d2));
                 if cfg.fill_mode == FillMode::Zero {
                     derived.shifts = zero_fills(derived.shifts.to_vec()).into();
                 }

@@ -7,6 +7,12 @@
 //! 3. Stop when the target is fully covered, or after `N_SAME_FC`
 //!    consecutive iterations without improvement (or the safety cap).
 //!
+//! Tests are applied through full scan unless [`Procedure2::with_chains`]
+//! installs another [`ChainMap`] (a partial-scan chain, multiple short
+//! chains). From the map follow a `TS0` scan-in bit per loaded position,
+//! a fill bit per chain per shift cycle, and the longest chain as the
+//! scan cost in `N_cyc0` and the default `D2` (`N_SV` under full scan).
+//!
 //! # Execution
 //!
 //! The greedy selection across trials is inherently sequential (each kept
@@ -31,15 +37,15 @@ use rls_dispatch::{
     Campaign, CampaignHandle, CampaignSummary, PoolSnapshot, SharedPool, SharedSetRunner,
     TrialRecord,
 };
-use rls_fsim::{CompiledCircuit, FaultId, FaultSimulator, ScanTest};
+use rls_fsim::{ChainMap, CompiledCircuit, FaultId, FaultSimulator, ScanTest};
 use rls_netlist::Circuit;
 
 use crate::config::{CoverageTarget, RlsConfig};
 use crate::cycles::{ncyc0, nsh};
 use crate::metrics::LsAverage;
-use crate::procedure1::derive_test_set;
+use crate::procedure1::derive_test_set_on;
 use crate::resume::{fingerprint, ResumeError, ResumeState};
-use crate::ts0::generate_ts0;
+use crate::ts0::generate_ts0_on;
 
 /// One selected `(I, D1)` pair and its bookkeeping.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,12 +111,37 @@ impl Procedure2Outcome {
 pub struct Procedure2<'c> {
     circuit: &'c Circuit,
     cfg: RlsConfig,
+    chains: ChainMap,
 }
 
 impl<'c> Procedure2<'c> {
-    /// Creates a driver for one circuit and configuration.
+    /// Creates a full-scan driver for one circuit and configuration.
     pub fn new(circuit: &'c Circuit, cfg: RlsConfig) -> Self {
-        Procedure2 { circuit, cfg }
+        let chains = ChainMap::full(circuit.num_dffs());
+        Procedure2 {
+            circuit,
+            cfg,
+            chains,
+        }
+    }
+
+    /// Applies every test through the scan chains of `chains`, which must
+    /// cover the circuit's flip-flops, instead of full scan.
+    pub fn with_chains(mut self, chains: ChainMap) -> Self {
+        self.chains = chains;
+        self
+    }
+
+    /// The scan chains tests are applied through; an executor handed to
+    /// [`Procedure2::run_on`] must simulate on the same map.
+    pub fn chains(&self) -> &ChainMap {
+        &self.chains
+    }
+
+    /// The run's [`fingerprint`]: what a checkpoint must carry to resume
+    /// this run, and what names its campaign file.
+    pub fn fingerprint(&self) -> u64 {
+        fingerprint(self.circuit.name(), &self.cfg, &self.chains)
     }
 
     /// Runs the procedure to completion.
@@ -149,7 +180,7 @@ impl<'c> Procedure2<'c> {
                 found: state.circuit.clone(),
             });
         }
-        if state.fingerprint != fingerprint(self.circuit.name(), &self.cfg) {
+        if state.fingerprint != self.fingerprint() {
             return Err(ResumeError::ConfigMismatch);
         }
         Ok(())
@@ -197,7 +228,7 @@ impl<'c> Procedure2<'c> {
         // every set into test blocks, and shorter runs fill fewer lanes.
         let pool = (threads > 1).then(|| SharedPool::new(threads));
         let handle = pool.as_ref().map(|pool| pool.register(threads));
-        let mut exec = CampaignExecutor::new(&compiled, &self.cfg, handle);
+        let mut exec = CampaignExecutor::new(&compiled, &self.chains, &self.cfg, handle);
         let outcome = self.drive(&mut exec, campaign.as_mut(), resume);
         if let Some(campaign) = campaign.as_mut() {
             if let Some(snapshot) = exec.snapshot() {
@@ -241,7 +272,7 @@ impl<'c> Procedure2<'c> {
             });
         }
         let dir = self.cfg.campaign_dir.as_ref()?;
-        let print = fingerprint(name, &self.cfg);
+        let print = self.fingerprint();
         Some(match Campaign::create(dir, name, threads, print) {
             Ok(c) => c,
             Err(e) => {
@@ -264,14 +295,17 @@ impl<'c> Procedure2<'c> {
         mut campaign: Option<&mut Campaign>,
         resume: Option<ResumeState>,
     ) -> Procedure2Outcome {
-        let n_sv = self.circuit.num_dffs();
-        let d2 = self.cfg.d2(n_sv);
-        let base_cycles = ncyc0(n_sv, self.cfg.la, self.cfg.lb, self.cfg.n);
-        let print = fingerprint(self.circuit.name(), &self.cfg);
+        // A complete scan operation costs a cycle per position of the
+        // longest chain.
+        let scan_len = self.chains.max_chain_len();
+        let d2 = self.cfg.d2(scan_len);
+        let base_cycles = ncyc0(scan_len, self.cfg.la, self.cfg.lb, self.cfg.n);
+        let print = self.fingerprint();
+        let fill_width = self.chains.chains().len();
 
         // Step 2: TS0 (regenerated even on resume — later trials derive
         // their sets from it).
-        let ts0 = generate_ts0(self.circuit, &self.cfg);
+        let ts0 = generate_ts0_on(self.circuit, &self.chains, &self.cfg);
         let vector_units: u64 = ts0.iter().map(|t| t.len() as u64).sum();
 
         let target_faults;
@@ -365,7 +399,7 @@ impl<'c> Procedure2<'c> {
                 if exec.cancelled() || exec.live_count() == 0 {
                     break 'outer;
                 }
-                let derived = derive_test_set(&ts0, &self.cfg, i, d1, d2);
+                let derived = derive_test_set_on(&ts0, &self.cfg, fill_width, i, d1, d2);
                 let trial_span = rls_obs::span!("procedure2.trial", i = i, d1 = u64::from(d1));
                 rls_obs::counter!("procedure2.trials", 1);
                 let trial_start = Instant::now(); // lint: det-ok(wall time is campaign-record metadata; selection never reads it)
@@ -536,20 +570,29 @@ impl std::fmt::Debug for CampaignExecutor {
 }
 
 impl CampaignExecutor {
-    /// An executor targeting what `cfg.target` names: pooled on `handle`'s
-    /// campaign if there is one, sequential otherwise.
+    /// An executor targeting what `cfg.target` names through the scan
+    /// chains of `chains`: pooled on `handle`'s campaign if there is one,
+    /// sequential otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chains` covers a different number of flip-flops than
+    /// the circuit has.
     pub fn new(
         compiled: &Arc<CompiledCircuit>,
+        chains: &ChainMap,
         cfg: &RlsConfig,
         handle: Option<CampaignHandle>,
     ) -> Self {
         let mut sim = FaultSimulator::on(Arc::clone(compiled));
+        sim.set_chains(chains.clone());
         sim.set_options(cfg.observe);
         if let CoverageTarget::Faults(targets) = &cfg.target {
             sim.set_targets(targets);
         }
-        let runner =
-            handle.map(|handle| SharedSetRunner::new(Arc::clone(compiled), cfg.observe, handle));
+        let runner = handle.map(|handle| {
+            SharedSetRunner::new(Arc::clone(compiled), chains.clone(), cfg.observe, handle)
+        });
         CampaignExecutor {
             sim,
             runner,
@@ -637,6 +680,7 @@ impl TrialExecutor for CampaignExecutor {
 mod tests {
     use super::*;
     use crate::config::D1Order;
+    use crate::ts0::generate_ts0;
 
     #[test]
     fn s27_reaches_complete_coverage() {
@@ -813,6 +857,39 @@ mod tests {
         );
     }
 
+    #[test]
+    fn checkpoints_do_not_cross_scan_architectures() {
+        // A partial-scan checkpoint resumes only a partial-scan run on
+        // the same chain, and a full-scan checkpoint only a full-scan run.
+        let c = rls_benchmarks::s27();
+        let dir = std::env::temp_dir().join(format!("rls-p2-chains-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = RlsConfig::new(2, 3, 2).with_campaign_dir(&dir);
+        let partial = ChainMap::from(&rls_scan::PartialScan::new(3, vec![0, 2]));
+        let full = || Procedure2::new(&c, cfg.clone());
+        let on_chain = || Procedure2::new(&c, cfg.clone()).with_chains(partial.clone());
+        let checkpoint = |procedure: Procedure2<'_>| {
+            let outcome = procedure.run();
+            let print = procedure.fingerprint();
+            let file = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .find(|p| p.to_string_lossy().contains(&format!("{print:016x}")))
+                .expect("campaign file written");
+            (outcome, crate::resume::load_checkpoint(&file).unwrap())
+        };
+        let (partial_outcome, from_partial) = checkpoint(on_chain());
+        let (_, from_full) = checkpoint(full());
+        assert_ne!(from_partial.fingerprint, from_full.fingerprint);
+        for (procedure, state) in [(full(), &from_partial), (on_chain(), &from_full)] {
+            let e = procedure.resume(state.clone()).unwrap_err();
+            assert!(matches!(e, ResumeError::ConfigMismatch), "{e}");
+        }
+        let resumed = on_chain().resume(from_partial).unwrap();
+        assert_eq!(resumed, partial_outcome);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Runs every set through `inner`, dropping its runner before set
     /// `k`, and records the lanes each set cost the executor's own
     /// simulator.
@@ -869,8 +946,9 @@ mod tests {
             cfg.max_iterations = 2;
             let compiled = Arc::new(CompiledCircuit::compile(c.clone()).unwrap());
             let procedure = Procedure2::new(&c, cfg.clone());
+            let chains = procedure.chains();
             let mut oracle = DegradeAt {
-                inner: CampaignExecutor::new(&compiled, &cfg, None),
+                inner: CampaignExecutor::new(&compiled, chains, &cfg, None),
                 k: usize::MAX,
                 sets: 0,
                 lanes: Vec::new(),
@@ -885,7 +963,12 @@ mod tests {
                 let pool = SharedPool::new(threads);
                 for k in 0..=oracle.sets {
                     let mut exec = DegradeAt {
-                        inner: CampaignExecutor::new(&compiled, &cfg, Some(pool.register(threads))),
+                        inner: CampaignExecutor::new(
+                            &compiled,
+                            chains,
+                            &cfg,
+                            Some(pool.register(threads)),
+                        ),
                         k,
                         sets: 0,
                         lanes: Vec::new(),

@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 
 use rls_dispatch::jsonl::{array, JsonObject, JsonValue};
 use rls_dispatch::{CampaignLog, DispatchError};
-use rls_fsim::FaultId;
+use rls_fsim::{ChainMap, FaultId};
 
 use crate::config::{CoverageTarget, RlsConfig};
 use crate::procedure2::SelectedPair;
@@ -222,12 +222,16 @@ impl ResumeState {
     }
 }
 
-/// FNV-1a over the trajectory-relevant configuration and circuit name.
+/// FNV-1a over the trajectory-relevant configuration, the circuit name
+/// and the scan chains.
 ///
 /// `threads` and `campaign_dir` are deliberately excluded: they change
 /// how a campaign executes, never what it selects, so a campaign begun
-/// with 4 threads may be resumed with 1 (or vice versa).
-pub fn fingerprint(circuit: &str, cfg: &RlsConfig) -> u64 {
+/// with 4 threads may be resumed with 1 (or vice versa). The chain map is
+/// mixed in only when it is not full scan, so every full-scan fingerprint
+/// (and with it every campaign file name and served run id) is the one
+/// the configuration alone gives.
+pub fn fingerprint(circuit: &str, cfg: &RlsConfig, chains: &ChainMap) -> u64 {
     let target = match &cfg.target {
         CoverageTarget::AllCollapsed => "all".to_string(),
         CoverageTarget::Faults(fs) => {
@@ -240,7 +244,7 @@ pub fn fingerprint(circuit: &str, cfg: &RlsConfig) -> u64 {
             s
         }
     };
-    let canon = format!(
+    let mut canon = format!(
         "{circuit}|la={}|lb={}|n={}|d1_max={}|d1_order={:?}|n_same_fc={}|max_iterations={}|seed_mode={:?}|seed_base={}|d2={:?}|fill={:?}|observe={:?}|target={target}",
         cfg.la,
         cfg.lb,
@@ -255,6 +259,9 @@ pub fn fingerprint(circuit: &str, cfg: &RlsConfig) -> u64 {
         cfg.fill_mode,
         cfg.observe,
     );
+    if *chains != ChainMap::full(chains.n_sv()) {
+        canon.push_str(&format!("|chains={chains:?}"));
+    }
     fnv1a(canon.as_bytes())
 }
 
@@ -345,19 +352,49 @@ mod tests {
     #[test]
     fn fingerprint_tracks_trajectory_fields_only() {
         let cfg = RlsConfig::new(4, 8, 8);
-        let base = fingerprint("s27", &cfg);
-        assert_eq!(base, fingerprint("s27", &cfg.clone()), "stable");
-        assert_ne!(base, fingerprint("s208", &cfg), "circuit matters");
+        let full = ChainMap::full(3);
+        let base = fingerprint("s27", &cfg, &full);
+        assert_eq!(base, fingerprint("s27", &cfg.clone(), &full), "stable");
+        assert_ne!(base, fingerprint("s208", &cfg, &full), "circuit matters");
         assert_ne!(
             base,
-            fingerprint("s27", &RlsConfig::new(4, 8, 16)),
+            fingerprint("s27", &RlsConfig::new(4, 8, 16), &full),
             "N matters"
         );
         let threaded = cfg.clone().with_threads(4).with_campaign_dir("results");
         assert_eq!(
             base,
-            fingerprint("s27", &threaded),
+            fingerprint("s27", &threaded, &full),
             "threads and campaign_dir are execution-only"
+        );
+        let partial = ChainMap::from(&rls_scan::PartialScan::new(3, vec![0, 2]));
+        let two = ChainMap::from(&rls_scan::MultiChain::new(3, 2));
+        let one = ChainMap::from(&rls_scan::MultiChain::new(3, 1));
+        assert_ne!(base, fingerprint("s27", &cfg, &partial), "chains matter");
+        assert_ne!(base, fingerprint("s27", &cfg, &two), "chains matter");
+        assert_ne!(
+            fingerprint("s27", &cfg, &partial),
+            fingerprint("s27", &cfg, &two)
+        );
+        assert_eq!(
+            base,
+            fingerprint("s27", &cfg, &one),
+            "one chain is full scan"
+        );
+    }
+
+    #[test]
+    fn full_scan_fingerprints_are_pinned() {
+        // Campaign file names, checkpoints and served run ids carry the
+        // full-scan fingerprint, so it must not move when other scan
+        // styles join the hash.
+        assert_eq!(
+            fingerprint("s27", &RlsConfig::new(4, 8, 8), &ChainMap::full(3)),
+            13_985_329_617_226_108_444
+        );
+        assert_eq!(
+            fingerprint("s208", &RlsConfig::new(8, 16, 64), &ChainMap::full(8)),
+            6_643_823_024_148_692_020
         );
     }
 

@@ -7,20 +7,23 @@
 //! requirement for applying the same `TS0` under every `TS(I, D1)`.
 //!
 //! Draw order (pinned, part of the reproducibility contract): for each test
-//! in sequence, first the `N_SV` scan-in bits in *shift order* — the first
-//! bit drawn is the first bit shifted into the chain, which ends at the
-//! chain *tail* — then the `L × N_PI` vector bits (time-unit major, input
-//! order within a vector). The shift-order convention is what a hardware
-//! scan-in does, so the BIST controller of `rls-bist` reproduces this
-//! stream bit for bit.
+//! in sequence, first the scan-in bits in *shift order* — the first bit
+//! drawn is the first bit shifted into the chain, which ends at the chain
+//! *tail* — then the `L × N_PI` vector bits (time-unit major, input order
+//! within a vector). The shift-order convention is what a hardware scan-in
+//! does, so the BIST controller of `rls-bist` reproduces this stream bit
+//! for bit.
+//!
+//! A scan-in word has one bit per position the [`ChainMap`] loads: `N_SV`
+//! under full and multichain scan, the chain length under partial scan.
 
-use rls_fsim::ScanTest;
+use rls_fsim::{ChainMap, ScanTest};
 use rls_lfsr::{RandomSource, XorShift64};
 use rls_netlist::Circuit;
 
 use crate::config::RlsConfig;
 
-/// Generates `TS0` for a circuit.
+/// Generates `TS0` for a circuit under full scan.
 ///
 /// The same configuration always yields the same test set.
 ///
@@ -35,25 +38,32 @@ use crate::config::RlsConfig;
 /// assert_eq!(ts0[16].len(), 8); // L_B
 /// ```
 pub fn generate_ts0(circuit: &Circuit, cfg: &RlsConfig) -> Vec<ScanTest> {
-    let mut rng = XorShift64::new(cfg.seeds.ts0_seed());
-    generate_with_source(circuit, cfg, &mut rng)
+    generate_ts0_on(circuit, &ChainMap::full(circuit.num_dffs()), cfg)
 }
 
-/// Generates `TS0` drawing from an arbitrary source (used by the BIST
-/// controller equivalence tests, which substitute a hardware LFSR).
-pub fn generate_with_source<R: RandomSource>(
+/// Generates `TS0` for a circuit whose scan-in loads the positions of
+/// `chains`.
+pub fn generate_ts0_on(circuit: &Circuit, chains: &ChainMap, cfg: &RlsConfig) -> Vec<ScanTest> {
+    let mut rng = XorShift64::new(cfg.seeds.ts0_seed());
+    generate_with_source(circuit, chains, cfg, &mut rng)
+}
+
+/// Generates `TS0` drawing from an arbitrary source (a hardware LFSR in
+/// the tests below).
+fn generate_with_source<R: RandomSource>(
     circuit: &Circuit,
+    chains: &ChainMap,
     cfg: &RlsConfig,
     rng: &mut R,
 ) -> Vec<ScanTest> {
-    let n_sv = circuit.num_dffs();
+    let width = chains.load().len();
     let n_pi = circuit.num_inputs();
     let mut tests = Vec::with_capacity(2 * cfg.n);
     for index in 0..2 * cfg.n {
         let length = if index < cfg.n { cfg.la } else { cfg.lb };
         // Shift order: the first bit drawn is shifted in first and ends at
         // the chain tail (the highest index).
-        let mut scan_in = vec![false; n_sv];
+        let mut scan_in = vec![false; width];
         for slot in scan_in.iter_mut().rev() {
             *slot = rng.next_bit();
         }
@@ -140,8 +150,9 @@ mod tests {
         let config = cfg();
         let mut l1 = rls_lfsr::GaloisLfsr::max_length(32, 0xACE1).unwrap();
         let mut l2 = rls_lfsr::GaloisLfsr::max_length(32, 0xACE1).unwrap();
-        let a = generate_with_source(&c, &config, &mut l1);
-        let b = generate_with_source(&c, &config, &mut l2);
+        let full = ChainMap::full(c.num_dffs());
+        let a = generate_with_source(&c, &full, &config, &mut l1);
+        let b = generate_with_source(&c, &full, &config, &mut l2);
         assert_eq!(a, b);
     }
 }

@@ -61,12 +61,13 @@
 //! use std::sync::Arc;
 //!
 //! use rls_dispatch::{SharedPool, SharedSetRunner};
-//! use rls_fsim::{CompiledCircuit, FaultSimulator, ScanTest, SimOptions};
+//! use rls_fsim::{ChainMap, CompiledCircuit, FaultSimulator, ScanTest, SimOptions};
 //!
 //! let compiled = Arc::new(CompiledCircuit::compile(rls_benchmarks::s27()).unwrap());
 //! let mut sim = FaultSimulator::on(Arc::clone(&compiled));
 //! let pool = SharedPool::new(2);
-//! let runner = SharedSetRunner::new(compiled, SimOptions::default(), pool.register(2));
+//! let chains = ChainMap::full(3);
+//! let runner = SharedSetRunner::new(compiled, chains, SimOptions::default(), pool.register(2));
 //! let test = ScanTest::from_strings("001", &["0111", "1001"]).unwrap();
 //! let newly = runner.try_run_set(sim.live(), &[test]).unwrap();
 //! assert!(!newly.is_empty());

@@ -517,7 +517,7 @@ impl Drop for CampaignHandle {
 /// are bit-identical to `rls_fsim::FaultSimulator::run_tests`.
 pub struct SharedSetRunner {
     compiled: Arc<CompiledCircuit>,
-    /// Full scan: campaigns apply tests through one complete chain.
+    /// The scan chains the campaign applies its tests through.
     chains: Arc<ChainMap>,
     options: SimOptions,
     handle: CampaignHandle,
@@ -540,17 +540,17 @@ struct SetWork {
 }
 
 impl SharedSetRunner {
-    /// A runner simulating on `compiled` with `options`, submitting its
-    /// jobs through `handle`.
+    /// A runner simulating on `compiled` through the scan chains of
+    /// `chains` with `options`, submitting its jobs through `handle`.
     pub fn new(
         compiled: Arc<CompiledCircuit>,
+        chains: ChainMap,
         options: SimOptions,
         handle: CampaignHandle,
     ) -> Self {
-        let chains = Arc::new(ChainMap::full(compiled.circuit().num_dffs()));
         SharedSetRunner {
             compiled,
-            chains,
+            chains: Arc::new(chains),
             options,
             handle,
             wave_timeout: None,
@@ -768,6 +768,7 @@ mod tests {
         for budget in [1, 2, 4] {
             let runner = SharedSetRunner::new(
                 Arc::clone(&compiled),
+                ChainMap::full(3),
                 SimOptions::default(),
                 pool.register(budget),
             );
@@ -807,7 +808,9 @@ mod tests {
         let compiled = compiled_s27();
         let pool = SharedPool::new(2);
         let mut sim = FaultSimulator::on(Arc::clone(&compiled));
-        let runner = SharedSetRunner::new(compiled, SimOptions::default(), pool.register(2));
+        let chains = ChainMap::full(compiled.circuit().num_dffs());
+        let runner =
+            SharedSetRunner::new(compiled, chains, SimOptions::default(), pool.register(2));
         let counts = run_sets(&runner, &mut sim, &sets);
         assert_eq!(counts, seq_counts);
         assert_eq!(sim.live(), &seq_live[..]);
@@ -841,7 +844,9 @@ mod tests {
         sim.set_targets(&targets);
         let seq: usize = set.iter().map(|t| sim.run_test(t).len()).sum();
         let pool = SharedPool::new(2);
-        let runner = SharedSetRunner::new(compiled, SimOptions::default(), pool.register(2));
+        let chains = ChainMap::full(compiled.circuit().num_dffs());
+        let runner =
+            SharedSetRunner::new(compiled, chains, SimOptions::default(), pool.register(2));
         let newly = runner.try_run_set(&targets, set).unwrap();
         assert_eq!(newly.len(), seq);
         let left: Vec<FaultId> = targets
@@ -865,6 +870,7 @@ mod tests {
         let pool = SharedPool::new(2);
         let runner = SharedSetRunner::new(
             Arc::clone(&compiled),
+            ChainMap::full(compiled.circuit().num_dffs()),
             SimOptions::default(),
             pool.register(2),
         );
@@ -900,7 +906,12 @@ mod tests {
     }
 
     fn s27_runner(pool: &SharedPool) -> SharedSetRunner {
-        SharedSetRunner::new(compiled_s27(), SimOptions::default(), pool.register(2))
+        SharedSetRunner::new(
+            compiled_s27(),
+            ChainMap::full(3),
+            SimOptions::default(),
+            pool.register(2),
+        )
     }
 
     #[test]
@@ -969,6 +980,7 @@ mod tests {
                 .map(|_| {
                     let runner = SharedSetRunner::new(
                         Arc::clone(&compiled),
+                        ChainMap::full(3),
                         SimOptions::default(),
                         pool.register(2),
                     );

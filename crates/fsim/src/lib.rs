@@ -37,8 +37,11 @@
 //!   simulator runs its sets through the walk itself, or applies the
 //!   detections of a set that `rls-dispatch`'s pool jobs computed with
 //!   the same walk;
-//! - [`partial_sim`] / [`multichain_sim`]: drivers for the partial-scan
-//!   and multiple-chain extensions over the same engine;
+//! - [`partial_sim`] / [`multichain_sim`]: one-call drivers that run a
+//!   test list on a partial-scan or multiple-chain architecture through
+//!   the same engine (a campaign on those architectures is a
+//!   `rls-core` Procedure 2 run whose executor installs the
+//!   [`ChainMap`] with [`FaultSimulator::set_chains`]);
 //! - [`transition`]: the transition (delay) fault model's own 64-lane
 //!   simulator;
 //! - [`coverage`]: fault-coverage bookkeeping.
@@ -79,7 +82,7 @@ pub use coverage::Coverage;
 pub use engine::{simulate_block, CompiledCircuit, FaultSimulator, LaneStats};
 pub use fault::{Fault, FaultId, FaultSite, FaultUniverse};
 pub use good::{GoodSim, TestTrace};
-pub use multichain_sim::{run_tests_multichain, McScanTest, McShiftOp};
+pub use multichain_sim::{run_tests_multichain, McScanTest};
 pub use partial_sim::run_tests_partial;
 pub use rls_scan::{ChainMap, LaneWord};
 pub use soa::{

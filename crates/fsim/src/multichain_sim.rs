@@ -11,21 +11,18 @@
 //! A multichain test is a [`ScanTest`] whose `scan_in` covers the whole
 //! state (the parallel load costs only `max_chain_len` cycles) and whose
 //! shifts carry `amount × chains` fill bits, cycle-major
-//! (`fill[cycle * chains + chain]`). [`ScanTest::with_shifts`] checks the
-//! single-chain fill length, so multichain schedules are built directly.
-//! The architecture is a [`ChainMap`], so these tests run through the
-//! same kernel and engine as full scan.
+//! (`fill[cycle * chains + chain]`). [`ScanTest::with_shifts`] accepts
+//! any whole number of fill bits per cycle; the kernel, which knows the
+//! chain count, checks the exact width. The architecture is a
+//! [`ChainMap`], so these tests run through the same kernel and engine as
+//! full scan.
 
 use rls_scan::{ChainMap, MultiChain};
 
 use crate::engine::run_tests_on_chains;
 use crate::fault::{FaultId, FaultUniverse};
 use crate::good::GoodSim;
-use crate::test::{ScanTest, ShiftOp};
-
-/// A limited scan on all chains simultaneously: `fill` holds
-/// `amount × chains` bits, cycle-major.
-pub type McShiftOp = ShiftOp;
+use crate::test::ScanTest;
 
 /// A test for a multichain architecture (see the module docs for the
 /// fill layout).
@@ -51,6 +48,7 @@ pub fn run_tests_multichain(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test::ShiftOp;
 
     #[test]
     fn single_chain_matches_standard_engine() {
@@ -84,7 +82,7 @@ mod tests {
         let test = McScanTest {
             scan_in: vec![false; 30].into(),
             vectors: vec![vec![false; 4]; 3].into(),
-            shifts: vec![McShiftOp {
+            shifts: vec![ShiftOp {
                 at: 1,
                 amount: 2,
                 fill: vec![false; 6],

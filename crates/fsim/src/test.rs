@@ -21,7 +21,9 @@ pub struct ShiftOp {
     pub at: usize,
     /// Number of shift positions (`1..=N_SV`).
     pub amount: usize,
-    /// Bits scanned in at the chain head, one per shift cycle.
+    /// Bits scanned in at the chain heads, one per chain per shift
+    /// cycle, cycle-major (`fill[cycle * chains + chain]`): `amount` bits
+    /// on a single chain.
     pub fill: Vec<bool>,
 }
 
@@ -50,7 +52,8 @@ pub enum TestError {
     ShiftOutOfRange { at: usize, len: usize },
     /// Shift ops are not strictly ascending by time unit.
     ShiftsUnordered,
-    /// A shift's fill length does not equal its amount.
+    /// A shift's fill is not a whole, nonzero number of bits per shift
+    /// cycle.
     FillLengthMismatch { at: usize },
     /// A shift amount of zero (zero-shift draws are simply omitted).
     ZeroShift { at: usize },
@@ -120,7 +123,8 @@ impl ScanTest {
     /// # Errors
     ///
     /// Validates the schedule: ascending time units within `0 < at < L`,
-    /// nonzero amounts, and matching fill lengths.
+    /// nonzero amounts, and fills of a whole, nonzero number of bits per
+    /// shift cycle (the kernel checks one bit per chain).
     pub fn with_shifts(mut self, shifts: impl Into<Arc<[ShiftOp]>>) -> Result<Self, TestError> {
         let shifts = shifts.into();
         let len = self.vectors.len();
@@ -137,7 +141,7 @@ impl ScanTest {
             if s.amount == 0 {
                 return Err(TestError::ZeroShift { at: s.at });
             }
-            if s.fill.len() != s.amount {
+            if s.fill.is_empty() || s.fill.len() % s.amount != 0 {
                 return Err(TestError::FillLengthMismatch { at: s.at });
             }
             prev = Some(s.at);
@@ -249,6 +253,13 @@ mod tests {
             mismatch,
             Err(TestError::FillLengthMismatch { .. })
         ));
+        // Two bits per cycle is a whole row on two chains.
+        let rows = t.clone().with_shifts(vec![ShiftOp {
+            at: 1,
+            amount: 2,
+            fill: vec![false; 4],
+        }]);
+        assert!(rows.is_ok());
         let zero = t.with_shifts(vec![ShiftOp {
             at: 1,
             amount: 0,

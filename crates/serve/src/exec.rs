@@ -171,7 +171,7 @@ mod tests {
     use super::*;
     use rls_core::RlsConfig;
     use rls_dispatch::SharedPool;
-    use rls_fsim::{CompiledCircuit, FaultSimulator};
+    use rls_fsim::{ChainMap, CompiledCircuit, FaultSimulator};
 
     fn fixture() -> (SharedPool, Arc<CompiledCircuit>) {
         let compiled = Arc::new(CompiledCircuit::compile(rls_benchmarks::s27()).unwrap());
@@ -184,8 +184,12 @@ mod tests {
         drain: &'c AtomicBool,
         disconnect: Arc<AtomicBool>,
     ) -> ServedExecutor<'c> {
-        let inner =
-            CampaignExecutor::new(compiled, &RlsConfig::new(4, 8, 8), Some(pool.register(2)));
+        let inner = CampaignExecutor::new(
+            compiled,
+            &ChainMap::full(3),
+            &RlsConfig::new(4, 8, 8),
+            Some(pool.register(2)),
+        );
         ServedExecutor::new(inner, drain, disconnect)
     }
 

@@ -65,8 +65,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rls_core::{
-    fingerprint, load_checkpoint, CampaignExecutor, Procedure2, Procedure2Outcome, ResumeState,
-    RlsConfig,
+    load_checkpoint, CampaignExecutor, Procedure2, Procedure2Outcome, ResumeState, RlsConfig,
 };
 use rls_dispatch::inject::{self, StreamFault};
 use rls_dispatch::{Campaign, CampaignSummary, SharedPool};
@@ -658,8 +657,8 @@ fn run_campaign(stream: &UnixStream, shared: &Shared, req: &RunRequest, line: &s
     };
     let threads = cfg.threads;
     let name = compiled.circuit().name().to_string();
-    let print = fingerprint(&name, &cfg);
     let procedure = Procedure2::new(compiled.circuit(), cfg.clone());
+    let print = procedure.fingerprint();
 
     // Resume: load and validate before touching any file.
     let resume: Option<ResumeState> = match &req.resume {
@@ -827,8 +826,12 @@ fn execute_campaign(
         } else {
             shared.watchdog.register()
         };
-        let mut pooled =
-            CampaignExecutor::new(compiled, cfg, Some(shared.pool.register(cfg.threads)));
+        let mut pooled = CampaignExecutor::new(
+            compiled,
+            procedure.chains(),
+            cfg,
+            Some(shared.pool.register(cfg.threads)),
+        );
         if guard.is_some() {
             // Bound wave barriers too: a worker wedged *inside* a wave
             // would otherwise block `apply_set` forever, beyond the
@@ -980,7 +983,8 @@ fn recover_one(shared: &Shared, entry: &JournalEntry) {
         Err(reason) => return fail("failed", reason),
     };
     let name = compiled.circuit().name().to_string();
-    let print = fingerprint(&name, &cfg);
+    let procedure = Procedure2::new(compiled.circuit(), cfg.clone());
+    let print = procedure.fingerprint();
     if print != entry.fingerprint {
         rls_obs::counter!("serve.journal_rejects", 1);
         return fail(
@@ -992,7 +996,6 @@ fn recover_one(shared: &Shared, entry: &JournalEntry) {
             ),
         );
     }
-    let procedure = Procedure2::new(compiled.circuit(), cfg.clone());
     let state = match load_checkpoint(&entry.path)
         .and_then(|s| procedure.validate_resume(&s).map(|()| s))
     {

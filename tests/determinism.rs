@@ -111,3 +111,30 @@ fn obs_enabled_parallel_is_bit_identical_to_sequential() {
         .contains(r#""type":"obs_summary""#));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn scan_variant_runs_are_bit_identical_across_threads() {
+    // Partial and multichain scan run the same Procedure 2 on a chain
+    // map, so the pooled runner must reproduce the sequential outcome
+    // under either architecture too.
+    use random_limited_scan::core::extension::{run_multichain, run_partial};
+    use rls_scan::{MultiChain, PartialScan};
+    let c = random_limited_scan::benchmarks::by_name("s298").expect("s298 exists");
+    let n_sv = c.num_dffs();
+    let half = PartialScan::new(n_sv, (0..n_sv.div_ceil(2)).collect());
+    let short = MultiChain::with_max_length(n_sv, 4);
+    let mut cfg = RlsConfig::new(8, 16, 16);
+    cfg.max_iterations = 4;
+    let partial = run_partial(&c, &half, &cfg.clone().with_threads(1));
+    let multi = run_multichain(&c, &short, &cfg.clone().with_threads(1));
+    assert!(!partial.pairs.is_empty() && !multi.pairs.is_empty());
+    for threads in [2, 4] {
+        let at = cfg.clone().with_threads(threads);
+        assert_eq!(run_partial(&c, &half, &at), partial, "partial x {threads}");
+        assert_eq!(
+            run_multichain(&c, &short, &at),
+            multi,
+            "multichain x {threads}"
+        );
+    }
+}

@@ -15,7 +15,7 @@ use random_limited_scan::core::{generate_ts0, RlsConfig};
 use random_limited_scan::dispatch::{test_blocks, SharedPool, SharedSetRunner};
 use random_limited_scan::obs;
 use random_limited_scan::obs::record::Event;
-use rls_fsim::{CompiledCircuit, FaultId, KernelWord, LaneWord, ScanTest, SimOptions};
+use rls_fsim::{ChainMap, CompiledCircuit, FaultId, KernelWord, LaneWord, ScanTest, SimOptions};
 use rls_netlist::Circuit;
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
@@ -25,7 +25,13 @@ static OBS_LOCK: Mutex<()> = Mutex::new(());
 fn runner(pool: &SharedPool, c: &Circuit, threads: usize) -> (SharedSetRunner, Vec<FaultId>) {
     let compiled = Arc::new(CompiledCircuit::compile(c.clone()).expect("acyclic"));
     let live = compiled.collapsed().representatives().to_vec();
-    let runner = SharedSetRunner::new(compiled, SimOptions::default(), pool.register(threads));
+    let chains = ChainMap::full(c.num_dffs());
+    let runner = SharedSetRunner::new(
+        compiled,
+        chains,
+        SimOptions::default(),
+        pool.register(threads),
+    );
     (runner, live)
 }
 

@@ -306,14 +306,18 @@ fn drained_campaign_checkpoints_and_a_served_resume_completes_it() {
 
     let compiled = Arc::new(rls_fsim::CompiledCircuit::compile(circuit.clone()).unwrap());
     let pool = rls_dispatch::SharedPool::new(2);
-    let pooled =
-        random_limited_scan::core::CampaignExecutor::new(&compiled, &cfg, Some(pool.register(1)));
+    let procedure = Procedure2::new(&circuit, cfg.clone());
+    let pooled = random_limited_scan::core::CampaignExecutor::new(
+        &compiled,
+        procedure.chains(),
+        &cfg,
+        Some(pool.register(1)),
+    );
     let drain = AtomicBool::new(true); // drained before the first trial
     let mut exec = rls_serve::ServedExecutor::new(pooled, &drain, Arc::new(AtomicBool::new(false)));
-    let print = random_limited_scan::core::fingerprint(circuit.name(), &cfg);
+    let print = procedure.fingerprint();
     let mut campaign =
         rls_dispatch::Campaign::create(&dir.join("served"), circuit.name(), 1, print).unwrap();
-    let procedure = Procedure2::new(&circuit, cfg.clone());
     let outcome = procedure.run_on(&mut exec, Some(&mut campaign), None);
     assert!(!outcome.complete, "the drain stopped it early");
     let path = campaign
@@ -459,15 +463,19 @@ fn interrupted_campaign(dir: &Path) -> (RlsConfig, PathBuf, u64) {
     let cfg = RlsConfig::new(2, 3, 2); // TS0 alone does not reach coverage
     let compiled = Arc::new(rls_fsim::CompiledCircuit::compile(circuit.clone()).unwrap());
     let pool = rls_dispatch::SharedPool::new(2);
-    let pooled =
-        random_limited_scan::core::CampaignExecutor::new(&compiled, &cfg, Some(pool.register(1)));
+    let procedure = Procedure2::new(&circuit, cfg.clone());
+    let pooled = random_limited_scan::core::CampaignExecutor::new(
+        &compiled,
+        procedure.chains(),
+        &cfg,
+        Some(pool.register(1)),
+    );
     let drain = AtomicBool::new(true); // cancelled before the first trial
     let mut exec = rls_serve::ServedExecutor::new(pooled, &drain, Arc::new(AtomicBool::new(false)));
-    let print = random_limited_scan::core::fingerprint(circuit.name(), &cfg);
+    let print = procedure.fingerprint();
     let mut campaign =
         rls_dispatch::Campaign::create(&dir.join("served"), circuit.name(), 1, print).unwrap();
-    let outcome =
-        Procedure2::new(&circuit, cfg.clone()).run_on(&mut exec, Some(&mut campaign), None);
+    let outcome = procedure.run_on(&mut exec, Some(&mut campaign), None);
     assert!(!outcome.complete, "the campaign must be left unfinished");
     let path = campaign
         .path()

@@ -509,9 +509,6 @@ fn dispatch_thread_matrix_matches_the_engine() {
     // reference's (which the engine matrix above pins the sequential
     // engine to) at every budget.
     for (label, c, chains, sets) in dropping_cases() {
-        if chains != ChainMap::full(c.num_dffs()) {
-            continue;
-        }
         let serial = serial_dropping(&c, &chains, &sets);
         let compiled = CompiledCircuit::compile(c).expect("benchmarks are acyclic");
         let compiled = std::sync::Arc::new(compiled);
@@ -519,10 +516,12 @@ fn dispatch_thread_matrix_matches_the_engine() {
             let pool = SharedPool::new(budget);
             let runner = SharedSetRunner::new(
                 compiled.clone(),
+                chains.clone(),
                 SimOptions::default(),
                 pool.register(budget),
             );
             let mut sim = FaultSimulator::on(compiled.clone());
+            sim.set_chains(chains.clone());
             for (k, (set, (detected, live))) in sets.iter().zip(&serial).enumerate() {
                 let newly = runner.try_run_set(sim.live(), set).expect("no job fails");
                 sim.apply_detections(&newly);

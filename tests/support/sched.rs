@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use rls_dispatch::inject::{self, sched_verdict, InjectionPlan};
 use rls_dispatch::{SharedPool, SharedSetRunner};
-use rls_fsim::{CompiledCircuit, FaultId, FaultSimulator, ScanTest, SimOptions};
+use rls_fsim::{ChainMap, CompiledCircuit, FaultId, FaultSimulator, ScanTest, SimOptions};
 use rls_netlist::Circuit;
 
 /// How many leading verdicts identify a seed's perturbation schedule.
@@ -143,7 +143,12 @@ fn compiled_s27() -> Arc<CompiledCircuit> {
 }
 
 fn s27_runner(pool: &SharedPool, budget: usize) -> SharedSetRunner {
-    SharedSetRunner::new(compiled_s27(), SimOptions::default(), pool.register(budget))
+    SharedSetRunner::new(
+        compiled_s27(),
+        ChainMap::full(3),
+        SimOptions::default(),
+        pool.register(budget),
+    )
 }
 
 /// Scenario 1: one campaign, one pool, seeded schedule noise.
@@ -185,6 +190,7 @@ fn concurrent_campaigns(seed: u64) {
             .map(|_| {
                 let runner = SharedSetRunner::new(
                     Arc::clone(&compiled),
+                    ChainMap::full(3),
                     SimOptions::default(),
                     pool.register(2),
                 );
