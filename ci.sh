@@ -98,7 +98,8 @@ echo "== results: committed extension and Table 5 output =="
 # partial_scan and multichain run Procedure 2 on a partial-scan chain and
 # on multiple short chains; their committed tables pin that one flow byte
 # for byte, beside table5's closed-form ranking. A table5 argument that
-# is not an N_SV value must print the usage line and exit 2, not panic.
+# is not an N_SV value, or a table6 argument that names no circuit, must
+# print the usage line and exit 2, not panic.
 RESULTS_DIR=$(mktemp -d)
 for bin in partial_scan multichain table5; do
     cargo run -q --release --offline -p rls-bench --bin "$bin" \
@@ -110,6 +111,12 @@ status=0
 [ "$status" -eq 2 ]
 grep -q 'usage: table5' "$RESULTS_DIR/table5-usage.err"
 if grep -q 'panicked' "$RESULTS_DIR/table5-usage.err"; then exit 1; fi
+# Likewise an unknown circuit name, checked before any circuit runs.
+status=0
+./target/release/table6 nosuch > /dev/null 2> "$RESULTS_DIR/table6-usage.err" || status=$?
+[ "$status" -eq 2 ]
+grep -q 'usage: table6' "$RESULTS_DIR/table6-usage.err"
+if grep -q 'panicked' "$RESULTS_DIR/table6-usage.err"; then exit 1; fi
 rm -rf "$RESULTS_DIR"
 
 echo "== fsim: soa oracle =="
@@ -155,11 +162,22 @@ echo "== obs: profile smoke =="
 # BENCH_phase_profile.json (regenerate after an intentional phase shift
 # with `rls-report --phase-profile`). The recorder must also never
 # change results: a table run with RLS_RECORD=1 is byte-identical to
-# one without.
+# one without. The run's s953 row (and its detectable target) must be
+# the committed one in results/table6.txt: this pins the PODEM target
+# pass, classified on every core, on a circuit with redundant and
+# aborted faults. The committed table drops the TS0 cycles and ls columns.
 PROF_DIR=$(mktemp -d)
 RLS_OBS=1 RLS_OBS_SINK=jsonl RLS_RECORD=1 RLS_THREADS=2 RLS_CAMPAIGN_DIR="$PROF_DIR" \
     cargo run -q --release --offline -p rls-bench --bin table6 -- s953 \
-    > "$PROF_DIR/recorded.out" 2> /dev/null
+    > "$PROF_DIR/recorded.out" 2> "$PROF_DIR/recorded.err"
+awk '$1 == "s953" { print $1, $2, $3, $5, $6, $7, $9 }' "$PROF_DIR/recorded.out" \
+    > "$PROF_DIR/s953.row"
+awk '$1 == "s953" { print $1, $2, $3, $4, $5, $7, $8 }' results/table6.txt \
+    > "$PROF_DIR/s953.committed"
+[ -s "$PROF_DIR/s953.row" ]
+cmp "$PROF_DIR/s953.row" "$PROF_DIR/s953.committed"
+S953_TARGET=$(awk '$1 == "s953" { print $6 }' results/table6.txt)
+grep -q "^\[s953\] faults: $S953_TARGET detectable," "$PROF_DIR/recorded.err"
 PROF_STREAM=$(ls "$PROF_DIR"/obs-*.jsonl)
 RLS_REPORT=./target/release/rls-report
 "$RLS_REPORT" --flamegraph "$PROF_STREAM" --svg "$PROF_DIR/flame.svg" \

@@ -8,6 +8,9 @@
 //! occasional inversion where a larger `TS0` needs fewer pairs — is the
 //! reproduction target.
 //!
+//! Usage: `table3 [circuit...]` (default: s208; only the first name
+//! runs). An unknown name prints the usage line and exits with code 2.
+//!
 //! Execution: `RLS_THREADS=n` shards fault simulation, `RLS_CAMPAIGN_DIR=dir`
 //! persists JSONL campaign records, and `--resume <file>` (or `RLS_RESUME`)
 //! restarts an interrupted campaign from its last checkpoint.
@@ -18,9 +21,12 @@ use rls_core::report::TextTable;
 use rls_core::{PAPER_LA_GRID, PAPER_LB_GRID, PAPER_N_GRID};
 
 fn main() {
+    let name = rls_bench::circuits_from_args(&["s208"])
+        .into_iter()
+        .next()
+        .expect("circuits_from_args falls back to the default list");
     let exec = exec_profile();
     let table = rls_bench::table_span("table3");
-    let name = std::env::args().nth(1).unwrap_or_else(|| "s208".into());
     let c = circuit(&name);
     let info = target_for(&c, &name);
     let rows = cycles_grid(&c, &name, &info.target, &exec);

@@ -6,13 +6,13 @@
 //! restarts an interrupted campaign from its last checkpoint.
 
 fn main() {
-    let exec = rls_bench::exec_profile();
-    let table = rls_bench::table_span("table4");
     // Delegate: table3's logic with a different default circuit.
     let name = rls_bench::circuits_from_args(&["s420"])
         .into_iter()
         .next()
         .expect("circuits_from_args falls back to the default list");
+    let exec = rls_bench::exec_profile();
+    let table = rls_bench::table_span("table4");
     let c = rls_bench::circuit(&name);
     let info = rls_bench::target_for(&c, &name);
     let rows = rls_core::experiment::cycles_grid(&c, &name, &info.target, &exec);

@@ -184,21 +184,49 @@ pub fn target_for(c: &Circuit, name: &str) -> TargetInfo {
 
 /// Circuit names from argv, or the given default list. The `--resume`
 /// flag (and its value) belongs to [`exec_profile`] and is skipped here.
+///
+/// Every name is checked before any circuit runs: an unknown one prints
+/// `usage: <bin> [circuit...]`, naming it and the known circuits, and
+/// exits with code 2.
 pub fn circuits_from_args(default: &[&str]) -> Vec<String> {
-    let mut args = std::env::args().skip(1);
+    let mut args = std::env::args();
+    let bin = args
+        .next()
+        .as_deref()
+        .and_then(|path| std::path::Path::new(path).file_name())
+        .map_or_else(|| "table".into(), |f| f.to_string_lossy().into_owned());
+    parse_circuits(args, default).unwrap_or_else(|bad| {
+        eprintln!(
+            "usage: {bin} [circuit...] (unknown circuit `{bad}`; known: {})",
+            rls_benchmarks::all_names().join(", ")
+        );
+        std::process::exit(2);
+    })
+}
+
+/// The circuit names among `args` (the `--resume` flag and its value
+/// skipped), or `default` without any. The first name no circuit answers
+/// to is the error.
+fn parse_circuits(
+    mut args: impl Iterator<Item = String>,
+    default: &[&str],
+) -> Result<Vec<String>, String> {
     let mut names = Vec::new();
     while let Some(arg) = args.next() {
         if arg == "--resume" {
             args.next();
         } else if !arg.starts_with("--resume=") {
+            if rls_benchmarks::by_name(&arg).is_none() {
+                return Err(arg);
+            }
             names.push(arg);
         }
     }
-    if names.is_empty() {
+    Ok(if names.is_empty() {
         default.iter().map(|s| s.to_string()).collect()
     } else {
         names
-    }
+    })
 }
 
 /// Renders Table 6/7/8-style rows.
@@ -281,6 +309,32 @@ mod tests {
     #[should_panic(expected = "unknown circuit")]
     fn circuit_panics_on_unknown() {
         circuit("nope");
+    }
+
+    fn parse(args: &[&str], default: &[&str]) -> Result<Vec<String>, String> {
+        parse_circuits(args.iter().map(|a| a.to_string()), default)
+    }
+
+    #[test]
+    fn circuit_arguments_default_and_skip_the_resume_flag() {
+        assert_eq!(parse(&[], &["s298"]), Ok(vec!["s298".to_string()]));
+        assert_eq!(
+            parse(&["s27", "--resume", "a.jsonl", "s208"], &["s298"]),
+            Ok(vec!["s27".to_string(), "s208".to_string()])
+        );
+        assert_eq!(
+            parse(&["--resume=a.jsonl"], &["s298"]),
+            Ok(vec!["s298".to_string()])
+        );
+    }
+
+    #[test]
+    fn the_first_unknown_circuit_is_named() {
+        assert_eq!(parse(&["nosuch"], &["s298"]), Err("nosuch".to_string()));
+        assert_eq!(
+            parse(&["s27", "nosuch", "other"], &["s298"]),
+            Err("nosuch".to_string())
+        );
     }
 
     #[test]

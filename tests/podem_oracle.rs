@@ -12,6 +12,10 @@
 //!   cheaply;
 //! - a property over seeded synthetic circuits with XOR gates, flip-flop
 //!   pin branches and flip-flop output stems.
+//!
+//! On each of these fault lists `DetectableSet::compute_for`, which
+//! classifies on every core, must also give each fault the reference's
+//! verdict and witness, in input order.
 
 #[path = "support/quickprop.rs"]
 mod quickprop;
@@ -19,8 +23,8 @@ mod quickprop;
 use quickprop::{check, no_shrink, Gen};
 use random_limited_scan::benchmarks::SynthConfig;
 use rls_atpg::v3::eval_v3;
-use rls_atpg::{Podem, PodemOutcome, V3};
-use rls_fsim::{Fault, FaultSimulator, FaultSite, ScanTest};
+use rls_atpg::{DetectableSet, Podem, PodemOutcome, V3};
+use rls_fsim::{Fault, FaultId, FaultSimulator, FaultSite, ScanTest};
 use rls_netlist::{Circuit, GateKind, NetId, NodeKind};
 
 /// The full-recompute PODEM engine.
@@ -276,14 +280,18 @@ impl<'c> Reference<'c> {
     }
 }
 
-/// Compares both engines on every collapsed fault; returns the first
-/// disagreement, and counts of (detected, redundant, aborted) otherwise.
+/// Compares both engines on every collapsed fault, and the fanned-out
+/// [`DetectableSet::compute_for`] with the reference's verdicts and
+/// witnesses in input order; returns the first disagreement, and counts
+/// of (detected, redundant, aborted) otherwise.
 fn compare(c: &Circuit, limit: usize) -> Result<[usize; 3], String> {
     let podem = Podem::new(c, limit);
     let reference = Reference::new(c, limit);
     let sim = FaultSimulator::new(c);
-    let mut tally = [0; 3];
-    for &rep in sim.collapsed().representatives() {
+    let faults = sim.collapsed().representatives();
+    let mut verdicts: [Vec<FaultId>; 3] = Default::default();
+    let mut witnesses = Vec::new();
+    for &rep in faults {
         let fault = sim.universe().fault(rep);
         let got = podem.generate(fault);
         let want = reference.generate(fault);
@@ -294,13 +302,37 @@ fn compare(c: &Circuit, limit: usize) -> Result<[usize; 3], String> {
                 c.name()
             ));
         }
-        tally[match got {
-            PodemOutcome::Detected(_) => 0,
+        let kind = match want {
+            PodemOutcome::Detected(test) => {
+                witnesses.push((rep, test));
+                0
+            }
             PodemOutcome::Redundant => 1,
             PodemOutcome::Aborted => 2,
-        }] += 1;
+        };
+        verdicts[kind].push(rep);
     }
-    Ok(tally)
+    let set = DetectableSet::compute_for(c, sim.universe(), faults, limit);
+    let lists = [
+        ("detectable", set.detectable(), &verdicts[0]),
+        ("redundant", set.redundant(), &verdicts[1]),
+        ("aborted", set.aborted(), &verdicts[2]),
+    ];
+    for (what, got, want) in lists {
+        if got != want.as_slice() {
+            return Err(format!(
+                "compute_for on {}: {what} {got:?}, reference {want:?}",
+                c.name()
+            ));
+        }
+    }
+    if set.witnesses() != witnesses.as_slice() {
+        return Err(format!(
+            "compute_for on {}: witnesses differ from the reference's",
+            c.name()
+        ));
+    }
+    Ok(verdicts.map(|v| v.len()))
 }
 
 fn circuit(name: &str) -> Circuit {
