@@ -66,7 +66,8 @@ echo "== fsim: thread matrix =="
 # by one fill rule) and merge detections in the same order. s208's
 # fault list spans several kernel chunks; the ablations binary adds the
 # FreeRunning schedules, whose tiles are 1 tall. The kernel-shape axis
-# (every lane word x tile height 1/2/4/8) lives in the soa oracle below.
+# (fixed tile heights 1/2/3/4/8 x fault-chunk lengths on the one kernel
+# word) lives in the soa oracle below.
 THREAD_DIR=$(mktemp -d)
 for t in 1 2 4; do
     RLS_THREADS=$t \
@@ -99,7 +100,8 @@ echo "== results: committed extension and Table 5 output =="
 # on multiple short chains; their committed tables pin that one flow byte
 # for byte, beside table5's closed-form ranking. A table5 argument that
 # is not an N_SV value, or a table6 argument that names no circuit, must
-# print the usage line and exit 2, not panic.
+# print the usage line and exit 2, not panic; an RLS_MAX_TRIES that is not
+# a positive integer must exit 2 with an [exec] message.
 RESULTS_DIR=$(mktemp -d)
 for bin in partial_scan multichain table5; do
     cargo run -q --release --offline -p rls-bench --bin "$bin" \
@@ -117,12 +119,21 @@ status=0
 [ "$status" -eq 2 ]
 grep -q 'usage: table6' "$RESULTS_DIR/table6-usage.err"
 if grep -q 'panicked' "$RESULTS_DIR/table6-usage.err"; then exit 1; fi
+for tries in abc 0; do
+    status=0
+    RLS_MAX_TRIES=$tries ./target/release/table6 s27 > /dev/null \
+        2> "$RESULTS_DIR/table6-tries.err" || status=$?
+    [ "$status" -eq 2 ]
+    grep -q '^\[exec\] invalid RLS_MAX_TRIES' "$RESULTS_DIR/table6-tries.err"
+    if grep -q 'panicked' "$RESULTS_DIR/table6-tries.err"; then exit 1; fi
+done
 rm -rf "$RESULTS_DIR"
 
 echo "== fsim: soa oracle =="
 # The SoA kernel's verification wall: the differential matrix against
 # the serial one-fault-at-a-time reference (every s27 fault x every
-# test, order-exact, at every lane word x tile height, under full,
+# test, order-exact, on the one kernel word at every fixed tile height
+# 1/2/3/4/8 x whole-tile and 7-fault chunks, under full,
 # partial and multichain scan; s953 and s298 sampled; the engine and the
 # pooled runner under the fill rule and dropping on s27, and on s208 and
 # s298 through TS0 and derived sets, at budgets 1/2/4) plus
@@ -132,11 +143,11 @@ cargo test -q --offline --test soa_oracle
 cargo test -q --offline --features kernel-mutate --test soa_oracle
 
 echo "== fsim: fill-rule bench gate =="
-# The production fill rule (KernelWord, tile heights from the live
-# count) must hold up against the committed s953 measurement's own
-# history: on each workload (TS0 against the full list, a derived set
-# against the post-TS0 tail) its row must be present and within 1.25x
-# of the fastest fixed-height row. Regenerate after kernel changes with
+# The production fill rule (tile heights from the live count) must hold
+# up against the committed s953 measurement of the one kernel word at
+# fixed heights 1/2/4/8: on each workload (TS0 against the full list, a
+# derived set against the post-TS0 tail) its row must be present and
+# within 1.25x of the fastest fixed-height row. Regenerate after kernel changes with
 # `cargo run --release -p rls-bench --bin bench_fsim_lanes`.
 cargo run -q --release --offline -p rls-bench --bin rls-report -- --lanes BENCH_fsim_lanes.json --gate
 

@@ -1,6 +1,6 @@
-//! `bench_fsim_lanes` — measures the fault-simulation kernel across the
-//! (lane word × tile height) matrix and against the production fill
-//! rule, and records the comparison as JSONL.
+//! `bench_fsim_lanes` — measures the fault-simulation kernel at fixed
+//! tile heights and under the production fill rule, and records the
+//! comparison as JSONL.
 //!
 //! ```text
 //! bench_fsim_lanes [out.json]    (default: BENCH_fsim_lanes.json)
@@ -8,20 +8,20 @@
 //!
 //! Two workloads on s953, each run drop-as-you-go in test order:
 //!
-//! - `ts0`: the TS0 test set against the full collapsed fault list, at
-//!   each word (64/128/256/512 lanes) × each fixed tile height (1/2/4/8
-//!   tests), plus one row for the fill rule at `KernelWord`;
+//! - `ts0`: the TS0 test set against the full collapsed fault list;
 //! - `campaign`: the first derived `TS(I, D1)` set (`I = 1`, `D1 = 1`)
 //!   against the live list TS0 leaves — the shape Procedure 2's
-//!   iterations simulate — at `KernelWord` × each fixed height, plus the
-//!   fill rule.
+//!   iterations simulate.
+//!
+//! Each workload runs at each fixed tile height (1/2/4/8 tests) plus one
+//! row for the fill rule, all on the one 512-lane `KernelWord`.
 //!
 //! A fixed-height row tiles each run of shape-compatible tests
 //! (`compatible_run`) at most that tall; the fill row picks every tile's
 //! height from the live count with `fill_height`, exactly as
 //! `FaultSimulator::run_tests` does. Each tile runs
-//! `simulate_tile_lanes::<W>` against the live list in chunks of
-//! `lanes / height - 1` faults (one lane per pattern is its fault-free
+//! `simulate_tile_lanes` against the live list in chunks of
+//! `512 / height - 1` faults (one lane per pattern is its fault-free
 //! reference machine).
 //!
 //! Each configuration runs several repeats and keeps the fastest pass
@@ -32,11 +32,11 @@
 //!
 //! The output is one JSONL record per configuration behind a `fsim_lanes`
 //! header (`pattern_lanes` is 0 on the fill rows, whose height varies
-//! per tile):
+//! per tile; `speedup_vs_x1` is relative to the `ts0` 1-tall row):
 //!
 //! ```text
 //! {"type":"fsim_lanes","circuit":"s953","tests":32,...,"default_lanes":512}
-//! {"type":"lane_width","workload":"ts0","tiling":"fixed","lanes":512,"words":8,"pattern_lanes":4,"test_nanos":...,"batches":...,"speedup_vs_64":...}
+//! {"type":"lane_width","workload":"ts0","tiling":"fixed","pattern_lanes":4,"test_nanos":...,"batches":...,"speedup_vs_x1":...}
 //! ```
 //!
 //! `rls-report --lanes <file>` renders the rows; `rls-report --lanes
@@ -52,7 +52,7 @@ use rls_core::{derive_test_set, generate_ts0, RlsConfig};
 use rls_dispatch::jsonl::JsonObject;
 use rls_fsim::{
     compatible_run, fill_height, simulate_tile_lanes, tile_fault_capacity, ChainMap, Fault,
-    FaultId, FaultSimulator, KernelWord, LaneWord, ScanTest, SimOptions,
+    FaultId, FaultSimulator, KernelWord, ScanTest, SimOptions,
 };
 use rls_netlist::{Circuit, LevelizedCircuit};
 
@@ -83,7 +83,6 @@ impl Tiling {
 /// One measured configuration.
 struct Sample {
     workload: &'static str,
-    lanes: usize,
     tiling: Tiling,
     /// Fastest-of-repeats wall time of one pass over the test set.
     test_nanos: u64,
@@ -101,9 +100,9 @@ struct Setup<'c> {
     chains: ChainMap,
 }
 
-/// One drop-as-you-go pass at word `W` from the live list `targets`: the
-/// wall time, the kernel calls, and the detections in drop order.
-fn one_pass<W: LaneWord>(
+/// One drop-as-you-go pass from the live list `targets`: the wall time,
+/// the kernel calls, and the detections in drop order.
+fn one_pass(
     s: &Setup<'_>,
     tests: &[ScanTest],
     targets: &[(FaultId, Fault)],
@@ -118,10 +117,10 @@ fn one_pass<W: LaneWord>(
         let hi = lo + tiling.height(live.len(), compatible_run(tests, lo));
         let tile: Vec<&ScanTest> = tests[lo..hi].iter().collect();
         let mut per_pattern: Vec<Vec<FaultId>> = vec![Vec::new(); tile.len()];
-        for chunk in live.chunks(tile_fault_capacity::<W>(tile.len())) {
+        for chunk in live.chunks(tile_fault_capacity(tile.len())) {
             batches += 1;
             let opts = SimOptions::default();
-            let dets = simulate_tile_lanes::<W>(s.circuit, s.lc, &s.chains, &tile, chunk, opts);
+            let dets = simulate_tile_lanes(s.circuit, s.lc, &s.chains, &tile, chunk, opts);
             for (p, d) in dets.into_iter().enumerate() {
                 per_pattern[p].extend(d);
             }
@@ -140,7 +139,7 @@ fn one_pass<W: LaneWord>(
     (start.elapsed().as_nanos() as u64, batches, detected)
 }
 
-fn measure<W: LaneWord>(
+fn measure(
     s: &Setup<'_>,
     workload: &'static str,
     tests: &[ScanTest],
@@ -151,23 +150,17 @@ fn measure<W: LaneWord>(
     let mut batches = 0;
     let mut detected = Vec::new();
     for repeat in 0..REPEATS {
-        let (nanos, b, d) = one_pass::<W>(s, tests, targets, tiling);
+        let (nanos, b, d) = one_pass(s, tests, targets, tiling);
         best_nanos = best_nanos.min(nanos);
         if repeat == 0 {
             batches = b;
             detected = d;
         } else {
-            assert_eq!(
-                detected,
-                d,
-                "{workload} at {} lanes: repeats must agree",
-                W::LANES
-            );
+            assert_eq!(detected, d, "{workload}: repeats must agree");
         }
     }
     Sample {
         workload,
-        lanes: W::LANES,
         tiling,
         test_nanos: best_nanos,
         batches,
@@ -181,8 +174,7 @@ fn check_rows(samples: &[Sample], workload: &str, engine: &[FaultId]) {
     for s in samples.iter().filter(|s| s.workload == workload) {
         assert_eq!(
             s.detected, engine,
-            "{workload}: a row at {} lanes disagrees with the engine",
-            s.lanes
+            "{workload}: a row disagrees with the engine"
         );
     }
 }
@@ -215,36 +207,23 @@ fn main() {
     let tail = pairs(&engine);
     engine.run_tests(&derived);
     let campaign_detected = engine.detected()[ts0_detected.len()..].to_vec();
+    let tilings: Vec<Tiling> = HEIGHTS
+        .map(Tiling::Fixed)
+        .into_iter()
+        .chain([Tiling::Fill])
+        .collect();
     let mut samples: Vec<Sample> = Vec::new();
-    rls_scan::for_each_lane_word!(W => {
-        for height in HEIGHTS {
-            samples.push(measure::<W>(&setup, "ts0", &ts0, &full, Tiling::Fixed(height)));
-        }
-    });
-    samples.push(measure::<KernelWord>(
-        &setup,
-        "ts0",
-        &ts0,
-        &full,
-        Tiling::Fill,
-    ));
-    for height in HEIGHTS {
-        let fixed = Tiling::Fixed(height);
-        samples.push(measure::<KernelWord>(
-            &setup, "campaign", &derived, &tail, fixed,
-        ));
+    for &tiling in &tilings {
+        samples.push(measure(&setup, "ts0", &ts0, &full, tiling));
     }
-    samples.push(measure::<KernelWord>(
-        &setup,
-        "campaign",
-        &derived,
-        &tail,
-        Tiling::Fill,
-    ));
+    for &tiling in &tilings {
+        samples.push(measure(&setup, "campaign", &derived, &tail, tiling));
+    }
     // The oracle before the numbers: every configuration found the same
     // faults in the same order as the production engine.
     check_rows(&samples, "ts0", &ts0_detected);
     check_rows(&samples, "campaign", &campaign_detected);
+    // The speedup base: the ts0 1-tall row.
     let base = samples[0].test_nanos.max(1);
     let mut lines = vec![JsonObject::new()
         .str("type", "fsim_lanes")
@@ -268,12 +247,10 @@ fn main() {
                 .str("type", "lane_width")
                 .str("workload", s.workload)
                 .str("tiling", tiling)
-                .num("lanes", s.lanes as u64)
-                .num("words", (s.lanes / 64) as u64)
                 .num("pattern_lanes", height as u64)
                 .num("test_nanos", s.test_nanos)
                 .num("batches", s.batches)
-                .float("speedup_vs_64", speedup)
+                .float("speedup_vs_x1", speedup)
                 .render(),
         );
         let shape = match s.tiling {
@@ -281,8 +258,8 @@ fn main() {
             Tiling::Fill => "fill".to_string(),
         };
         println!(
-            "{:<8} {shape:>4} {:>4} lanes: {:>12} ns  ({} batches, {speedup:.2}x vs ts0 64 lanes x1)",
-            s.workload, s.lanes, s.test_nanos, s.batches,
+            "{:<8} {shape:>4}: {:>12} ns  ({} batches, {speedup:.2}x vs ts0 x1)",
+            s.workload, s.test_nanos, s.batches,
         );
     }
     std::fs::write(&out_path, lines.join("\n") + "\n").expect("write bench record");

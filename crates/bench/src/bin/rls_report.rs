@@ -21,7 +21,7 @@
 //! divergence point from the `procedure2.coverage` gauges.
 //!
 //! With `--lanes` and one `fsim_lanes` record (written by
-//! `bench_fsim_lanes`), prints each workload's (lane word × tile height)
+//! `bench_fsim_lanes`), prints each workload's fixed-tile-height
 //! `fsim.test_nanos` rows beside its fill-rule row. Adding `--gate`
 //! checks the production fill rule against the record's own history:
 //! every workload must hold a fill row, and that row must be within
@@ -336,8 +336,8 @@ fn render_obs(base: &ObsStats, cand: &ObsStats) -> String {
     out
 }
 
-/// One measured (workload, width, tiling) configuration from a
-/// `fsim_lanes` bench record.
+/// One measured (workload, tiling) configuration from a `fsim_lanes`
+/// bench record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct LaneRow {
     /// Which test set against which live list (`ts0`, `campaign`).
@@ -345,7 +345,6 @@ struct LaneRow {
     /// Whether the row runs the production fill rule (heights from the
     /// live count) rather than one fixed height.
     fill: bool,
-    lanes: u64,
     pattern_lanes: u64,
     test_nanos: u64,
     batches: u64,
@@ -370,7 +369,6 @@ fn lane_stats_from(log: &CampaignLog) -> Result<LaneStats, String> {
         .map(|r| LaneRow {
             workload: r.str_field("workload").unwrap_or("ts0").to_string(),
             fill: r.str_field("tiling") == Some("fill"),
-            lanes: r.u64_field("lanes").unwrap_or(0),
             pattern_lanes: r.u64_field("pattern_lanes").unwrap_or(1),
             test_nanos: r.u64_field("test_nanos").unwrap_or(0),
             batches: r.u64_field("batches").unwrap_or(0),
@@ -419,11 +417,10 @@ fn render_lanes(stats: &LaneStats) -> String {
         stats.circuit,
         stats.tests,
         stats.detected,
-        <rls_fsim::KernelWord as rls_fsim::LaneWord>::LANES,
+        rls_fsim::KernelWord::LANES,
     );
     let mut t = TextTable::new(vec![
         "workload",
-        "lanes",
         "patterns",
         "test time",
         "batches",
@@ -443,7 +440,6 @@ fn render_lanes(stats: &LaneStats) -> String {
             };
             t.row(vec![
                 workload.to_string(),
-                r.lanes.to_string(),
                 patterns,
                 millis(r.test_nanos),
                 r.batches.to_string(),
@@ -827,7 +823,7 @@ mod tests {
         let mut lines = vec![r#"{"type":"fsim_lanes","circuit":"s953","tests":1}"#.to_string()];
         for &(workload, tiling, nanos) in rows {
             lines.push(format!(
-                r#"{{"type":"lane_width","workload":"{workload}","tiling":"{tiling}","lanes":512,"pattern_lanes":4,"test_nanos":{nanos}}}"#
+                r#"{{"type":"lane_width","workload":"{workload}","tiling":"{tiling}","pattern_lanes":4,"test_nanos":{nanos}}}"#
             ));
         }
         let refs: Vec<&str> = lines.iter().map(String::as_str).collect();

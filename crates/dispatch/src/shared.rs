@@ -703,7 +703,7 @@ impl SharedSetRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rls_fsim::{FaultSimulator, KernelWord, LaneWord};
+    use rls_fsim::{FaultSimulator, KernelWord};
     use std::sync::atomic::AtomicUsize;
 
     fn s27_sets() -> Vec<Vec<ScanTest>> {

@@ -6,16 +6,17 @@
 use std::sync::Arc;
 
 use rls_netlist::{Circuit, LevelizedCircuit, NetlistError};
-use rls_scan::{ChainMap, LaneWord};
+use rls_scan::ChainMap;
 
 use crate::collapse::CollapsedFaults;
 use crate::coverage::Coverage;
 use crate::fault::{Fault, FaultId, FaultUniverse};
 use crate::good::GoodSim;
 use crate::soa::{
-    compatible_run, fill_height, simulate_tile_lanes, tile_fault_capacity, KernelWord, SimOptions,
+    compatible_run, fill_height, simulate_tile_lanes, tile_fault_capacity, SimOptions,
 };
 use crate::test::ScanTest;
+use crate::word::KernelWord;
 
 /// Kernel-lane accounting of one [`simulate_block`] walk, or summed over
 /// a simulator's lifetime.
@@ -146,11 +147,11 @@ pub fn simulate_block(
         }
         let height = fill_height(candidates.len(), compatible_run(tests, next));
         let tile: Vec<&ScanTest> = tests[next..next + height].iter().collect(); // lint: panic-ok(fill_height never exceeds the compatible run, which ends inside tests)
-        let cap = tile_fault_capacity::<KernelWord>(height);
+        let cap = tile_fault_capacity(height);
         let mut per_pattern: Vec<Vec<FaultId>> = vec![Vec::new(); height];
         for chunk in candidates.chunks(cap) {
             rls_obs::mark!("fsim.batch", chunk.len());
-            let dets = simulate_tile_lanes::<KernelWord>(
+            let dets = simulate_tile_lanes(
                 compiled.circuit(),
                 compiled.levelized(),
                 chains,

@@ -22,9 +22,9 @@
 //!   and the faulty traces that, compared by [`good::traces_differ`], are
 //!   the serial reference oracle of the kernel;
 //! - [`soa`]: the one stuck-at kernel — levelized SoA tiles over
-//!   [`rls_netlist::LevelizedCircuit`], generic over the lane word but
-//!   run in production on one word, [`KernelWord`] (512 lanes), split
-//!   into (fault × pattern) axes, the fault-free machine in one reference
+//!   [`rls_netlist::LevelizedCircuit`] on one word, [`KernelWord`] (512
+//!   lanes in eight `u64` limbs, the only type that knows the kernel's
+//!   word format), split into (fault × pattern) axes, the fault-free machine in one reference
 //!   lane per pattern, and scan style (full, partial, multichain) read
 //!   from a [`ChainMap`]; each tile's height comes from the live fault
 //!   count through one fill rule ([`fill_height`] over a
@@ -76,6 +76,7 @@ pub mod partial_sim;
 pub mod soa;
 pub mod test;
 pub mod transition;
+mod word;
 
 pub use collapse::CollapsedFaults;
 pub use coverage::Coverage;
@@ -84,12 +85,13 @@ pub use fault::{Fault, FaultId, FaultSite, FaultUniverse};
 pub use good::{GoodSim, TestTrace};
 pub use multichain_sim::{run_tests_multichain, McScanTest};
 pub use partial_sim::run_tests_partial;
-pub use rls_scan::{ChainMap, LaneWord};
+pub use rls_scan::ChainMap;
 pub use soa::{
     compatible_run, fill_height, max_tile_height, simulate_tile_lanes, tile_compatible,
-    tile_fault_capacity, KernelWord, SimOptions, SoaBatch,
+    tile_fault_capacity, SimOptions,
 };
 pub use test::{ScanTest, ShiftOp, TestError};
 pub use transition::{
     enumerate_transition_faults, simulate_batch_transition, transition_coverage, TransitionFault,
 };
+pub use word::KernelWord;

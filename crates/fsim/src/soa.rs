@@ -2,15 +2,15 @@
 //! the crate's one stuck-at kernel.
 //!
 //! The kernel sweeps the dense slot arrays of a [`LevelizedCircuit`] —
-//! one contiguous `Vec<W>` of values, an opcode table and a CSR fanin
+//! one contiguous `Vec<KernelWord>` of values, an opcode table and a CSR fanin
 //! table — instead of walking [`rls_netlist::Node`] objects per gate, so
 //! the hot loop is branch-light and pointer-chase-free.
 //!
 //! # Two lane axes and a reference lane
 //!
-//! A lane word carries [`LaneWord::LANES`] machines, split across *two*
-//! axes: a tile of `T` tests (patterns), each owning `C + 1` lanes for a
-//! batch of `C` faults, with `T * (C + 1) <= W::LANES`. Pattern `p` owns
+//! A [`KernelWord`] carries [`KernelWord::LANES`] machines, split across
+//! *two* axes: a tile of `T` tests (patterns), each owning `C + 1` lanes
+//! for a batch of `C` faults, with `T * (C + 1) <= KernelWord::LANES`. Pattern `p` owns
 //! the contiguous lane range `[p*(C+1), (p+1)*(C+1))`:
 //!
 //! ```text
@@ -26,31 +26,31 @@
 //! compared with its pattern's reference bit broadcast across the
 //! pattern's range; the detection and early-exit mask covers the fault
 //! lanes only. The broadcast is one word operation at any height: the
-//! reference lanes sit `C + 1` apart, so [`LaneWord::spread`] of the word
-//! masked to them fills every range at once. With `T = 1` the kernel degenerates
-//! to the single-test layout: one reference lane plus `W::LANES - 1`
-//! faults.
+//! reference lanes sit `C + 1` apart, so `KernelWord::spread` of the
+//! word masked to them fills every range at once. With `T = 1` the kernel
+//! degenerates to the single-test layout: one reference lane plus
+//! `KernelWord::LANES - 1` faults.
 //!
 //! Tests sharing one tile must be *shape-compatible* ([`tile_compatible`]):
 //! same length and the same `(at, amount)` shift schedule. Scan-in states,
 //! vectors and shift fills may all differ per pattern — they are mixed
 //! into lane words per pattern range, reference lane included.
 //!
-//! # One production word, heights from the live count
+//! # One word, heights from the live count
 //!
-//! [`simulate_tile_lanes`] is generic over the [`LaneWord`], and every
-//! word × tile height is bit-identical, but production runs one word,
-//! [`KernelWord`] (512 lanes), and picks each tile's height with one fill
-//! rule: [`fill_height`] takes the live fault count and the length of the
+//! [`simulate_tile_lanes`] runs on one word, [`KernelWord`] (512 lanes),
+//! and every tile height is bit-identical. Production picks each tile's
+//! height with one fill rule: [`fill_height`] takes the live fault count
+//! and the length of the
 //! [`compatible_run`] starting at the next test, and returns the height
 //! that needs the fewest kernel passes — or 1 once a
 //! single test's faults fill whole words. A long live list gives short
 //! tiles with many fault lanes each; a thin tail of tens of faults gives
 //! tall tiles that pack many tests into one word. Both the sequential
 //! engine and the dispatch pool re-plan before every tile.
-//! Tests and `bench_fsim_lanes` instantiate the kernel at every word and
-//! at fixed heights 1/2/4/8, which keeps edge cases cheap to cover and
-//! the fill rule backed by a measurement.
+//! Tests and `bench_fsim_lanes` also run fixed heights (1/2/4/8, and 3 in
+//! the oracle, whose pattern ranges start mid-limb), which keeps edge
+//! cases cheap to cover and the fill rule backed by a measurement.
 //!
 //! # Scan style as data
 //!
@@ -76,29 +76,18 @@
 //! [`crate::good::traces_differ`]), which reads the same [`ChainMap`] but
 //! shares no word code with this kernel. The differential oracle
 //! (`tests/soa_oracle.rs` plus the in-crate tests below) proves the
-//! kernel order-exact against it across every lane word, tile height,
-//! observation mix, scan style and thread count. The
+//! kernel order-exact against it across every tile height, fault-chunk
+//! length, observation mix, scan style and thread count. The
 //! `kernel-mutate` feature compiles in seeded single-site corruptions
 //! ([`mutate`]) used by the mutation self-tests to prove the oracle
 //! actually turns red.
 
 use rls_netlist::{Circuit, GateKind, LevelizedCircuit};
-use rls_scan::lanes::LaneWord;
-use rls_scan::{ChainMap, W512};
+use rls_scan::ChainMap;
 
 use crate::fault::{Fault, FaultId, FaultSite};
 use crate::test::ScanTest;
-
-/// The production kernel word: 512 lanes (eight chunked `u64`s).
-///
-/// Chosen from the measured s953 TS0 campaign (see
-/// `BENCH_fsim_lanes.json`, regenerated by `bench_fsim_lanes`, which
-/// sweeps [`simulate_tile_lanes`] over every [`LaneWord`] × tile height):
-/// wider words amortise per-tile setup, and [`fill_height`] fills the
-/// lanes a thin fault tail would otherwise waste with extra test
-/// patterns. Detections are bit-identical at every word and height; only
-/// throughput differs.
-pub type KernelWord = W512;
+use crate::word::KernelWord;
 
 /// Which observation points count toward detection.
 ///
@@ -128,15 +117,15 @@ impl Default for SimOptions {
 
 /// A force applied to a word: `w = (w & and) | or`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Force<W> {
-    and: W,
-    or: W,
+struct Force {
+    and: KernelWord,
+    or: KernelWord,
 }
 
-impl<W: LaneWord> Force<W> {
-    const NONE: Force<W> = Force {
-        and: W::ONES,
-        or: W::ZERO,
+impl Force {
+    const NONE: Force = Force {
+        and: KernelWord::ONES,
+        or: KernelWord::ZERO,
     };
 
     #[inline]
@@ -149,7 +138,7 @@ impl<W: LaneWord> Force<W> {
     }
 
     #[inline]
-    fn apply(self, w: W) -> W {
+    fn apply(self, w: KernelWord) -> KernelWord {
         (w & self.and) | self.or
     }
 }
@@ -183,9 +172,9 @@ pub fn compatible_run(tests: &[ScanTest], start: usize) -> usize {
 /// Kernel passes that simulate `run` tests against `live` faults in
 /// `height`-tall tiles of [`KernelWord`]s: `ceil(run / height)` tiles,
 /// each split into `ceil(live / capacity)` fault chunks. `height` must be
-/// in `1..=max_tile_height::<KernelWord>()`.
+/// in `1..=max_tile_height()`.
 const fn kernel_passes(live: usize, run: usize, height: usize) -> usize {
-    run.div_ceil(height) * live.div_ceil(tile_fault_capacity::<KernelWord>(height))
+    run.div_ceil(height) * live.div_ceil(tile_fault_capacity(height))
 }
 
 /// The fill rule: the tile height for `live` faults over a compatible run
@@ -201,10 +190,10 @@ const fn kernel_passes(live: usize, run: usize, height: usize) -> usize {
 /// in the tile is simulated against faults its predecessors would have
 /// dropped. The result is always at least 1.
 pub fn fill_height(live: usize, run: usize) -> usize {
-    if live > tile_fault_capacity::<KernelWord>(1) {
+    if live > tile_fault_capacity(1) {
         return 1;
     }
-    let tallest = run.clamp(1, max_tile_height::<KernelWord>());
+    let tallest = run.clamp(1, max_tile_height());
     // `min_by_key` keeps the first minimum: the shortest tied height.
     (1..=tallest)
         .min_by_key(|&h| kernel_passes(live, run, h))
@@ -213,44 +202,45 @@ pub fn fill_height(live: usize, run: usize) -> usize {
 
 /// Pin patches of one gate: `(pin, force)` pairs in ascending pin order.
 #[derive(Debug)]
-struct PinPatch<W> {
+struct PinPatch {
     gate: u32,
-    pins: Vec<(u32, Force<W>)>,
+    pins: Vec<(u32, Force)>,
 }
 
-/// A prepared `patterns × (1 + faults)` tile of at most `W::LANES` lanes:
-/// per pattern one force-free reference lane, then one lane per fault.
+/// A prepared `patterns × (1 + faults)` tile of at most
+/// `KernelWord::LANES` lanes: per pattern one force-free reference lane,
+/// then one lane per fault.
 ///
 /// All patch lists are sorted by their application key so the kernel can
 /// walk them with a cursor as it sweeps the level runs.
 #[derive(Debug)]
-pub struct SoaBatch<W = u64> {
+struct SoaBatch {
     ids: Vec<FaultId>,
     patterns: usize,
     /// Stem forces on source slots (inputs/constants), by ascending slot.
-    source_stem: Vec<(u32, Force<W>)>,
+    source_stem: Vec<(u32, Force)>,
     /// Stem forces on gate outputs, by ascending gate index (eval order).
-    gate_stem: Vec<(u32, Force<W>)>,
+    gate_stem: Vec<(u32, Force)>,
     /// Branch forces on gate fanin pins, grouped per gate, ascending.
-    pin_gates: Vec<PinPatch<W>>,
+    pin_gates: Vec<PinPatch>,
     /// Stuck register outputs by chain position, re-applied after every
     /// state mutation.
-    ff_pos: Vec<(usize, Force<W>)>,
+    ff_pos: Vec<(usize, Force)>,
     /// Branch forces on flip-flop data pins by chain position, applied to
     /// the captured word.
-    ff_capture: Vec<(usize, Force<W>)>,
+    ff_capture: Vec<(usize, Force)>,
 }
 
 /// Sorts raw `(key, fault index, stuck)` entries and folds equal keys into
 /// one [`Force`] covering the fault's lane in every pattern (lane
 /// `p * stride + 1 + j`; the reference lane `p * stride` stays force-free).
-fn fold_forces<K: Ord + Copy, W: LaneWord>(
+fn fold_forces<K: Ord + Copy>(
     mut raw: Vec<(K, usize, bool)>,
     patterns: usize,
     stride: usize,
-) -> Vec<(K, Force<W>)> {
+) -> Vec<(K, Force)> {
     raw.sort_by_key(|&(k, _, _)| k);
-    let mut out: Vec<(K, Force<W>)> = Vec::new();
+    let mut out: Vec<(K, Force)> = Vec::new();
     for (k, j, stuck) in raw {
         if out.last().map(|&(lk, _)| lk) != Some(k) {
             out.push((k, Force::NONE));
@@ -263,26 +253,15 @@ fn fold_forces<K: Ord + Copy, W: LaneWord>(
     out
 }
 
-impl<W: LaneWord> SoaBatch<W> {
-    /// Prepares a tile of `patterns` × (reference lane + `faults`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `patterns * (faults.len() + 1)` exceeds `W::LANES`.
-    pub fn new(
+impl SoaBatch {
+    /// Prepares a tile of `patterns` × (reference lane + `faults`); the
+    /// caller has checked that it fits one word.
+    fn new(
         circuit: &Circuit,
         lc: &LevelizedCircuit,
         faults: &[(FaultId, Fault)],
         patterns: usize,
     ) -> Self {
-        assert!(patterns > 0, "a tile must hold at least one pattern");
-        assert!(
-            patterns * (faults.len() + 1) <= W::LANES,
-            "tile of {} patterns x (1 + {} faults) exceeds {} lanes",
-            patterns,
-            faults.len(),
-            W::LANES
-        );
         let stride = faults.len() + 1;
         let num_sources = lc.num_sources();
         let mut src: Vec<(u32, usize, bool)> = Vec::new();
@@ -313,8 +292,8 @@ impl<W: LaneWord> SoaBatch<W> {
                 }
             }
         }
-        let pin_forces = fold_forces::<(u32, u32), W>(pins, patterns, stride);
-        let mut pin_gates: Vec<PinPatch<W>> = Vec::new();
+        let pin_forces = fold_forces(pins, patterns, stride);
+        let mut pin_gates: Vec<PinPatch> = Vec::new();
         for ((gate, pin), f) in pin_forces {
             match pin_gates.last_mut() {
                 Some(pp) if pp.gate == gate => pp.pins.push((pin, f)),
@@ -335,24 +314,13 @@ impl<W: LaneWord> SoaBatch<W> {
         }
     }
 
-    /// Number of occupied lanes (`patterns × (1 + faults)`), reference
-    /// lanes included.
-    pub fn lanes(&self) -> usize {
-        self.patterns * self.stride()
-    }
-
     /// Lanes per pattern: the reference lane plus one lane per fault.
     fn stride(&self) -> usize {
         self.ids.len() + 1
     }
 
-    /// The tile's fault ids, in candidate order.
-    pub fn ids(&self) -> &[FaultId] {
-        &self.ids
-    }
-
     #[inline]
-    fn force_state(&self, state: &mut [W]) {
+    fn force_state(&self, state: &mut [KernelWord]) {
         for &(pos, f) in &self.ff_pos {
             state[pos] = f.apply(state[pos]); // lint: panic-ok(ff positions index the dense state vector)
         }
@@ -362,15 +330,11 @@ impl<W: LaneWord> SoaBatch<W> {
 /// Mixes per-pattern bit rows into lane words: `words[i]` carries bit `i`
 /// of row `p` across pattern `p`'s range of `stride` lanes. Each row sets
 /// one lane per word at the start of its range, then one
-/// [`LaneWord::spread`] per word fills every range at once, so a word
+/// [`KernelWord::spread`] per word fills every range at once, so a word
 /// costs the same at every tile height. Rows may be shorter than `words`
 /// (their missing bits are zero).
-fn mix_rows<'a, W: LaneWord>(
-    words: &mut [W],
-    stride: usize,
-    rows: impl Iterator<Item = &'a [bool]>,
-) {
-    words.fill(W::ZERO);
+fn mix_rows<'a>(words: &mut [KernelWord], stride: usize, rows: impl Iterator<Item = &'a [bool]>) {
+    words.fill(KernelWord::ZERO);
     for (p, row) in rows.enumerate() {
         for (w, &bit) in words.iter_mut().zip(row) {
             if bit {
@@ -386,7 +350,7 @@ fn mix_rows<'a, W: LaneWord>(
 /// Evaluates one gate from its fanin slots — the branch-light heart of the
 /// kernel, with dedicated unary/binary fast paths.
 #[inline]
-fn eval_gate<W: LaneWord>(op: GateKind, fanins: &[u32], values: &[W]) -> W {
+fn eval_gate(op: GateKind, fanins: &[u32], values: &[KernelWord]) -> KernelWord {
     match fanins {
         [a] => {
             let x = values[*a as usize]; // lint: panic-ok(fanin slots index the dense value array)
@@ -432,13 +396,13 @@ fn eval_gate<W: LaneWord>(op: GateKind, fanins: &[u32], values: &[W]) -> W {
 /// One combinational sweep over the levelized arrays: loads sources,
 /// bulk-evaluates each level run, and applies the tile's fault patches at
 /// run boundaries (sound because all fanout crosses to higher levels).
-fn eval_tile<W: LaneWord>(
+fn eval_tile(
     lc: &LevelizedCircuit,
-    batch: &SoaBatch<W>,
-    pi_words: &[W],
-    state: &[W],
-    values: &mut [W],
-    fanin_buf: &mut Vec<W>,
+    batch: &SoaBatch,
+    pi_words: &[KernelWord],
+    state: &[KernelWord],
+    values: &mut [KernelWord],
+    fanin_buf: &mut Vec<KernelWord>,
 ) {
     for (k, &s) in lc.input_slots().iter().enumerate() {
         values[s as usize] = pi_words[k]; // lint: panic-ok(one PI word per input slot, values dense over slots)
@@ -448,7 +412,7 @@ fn eval_tile<W: LaneWord>(
         values[s as usize] = state[i]; // lint: panic-ok(one state word per dff slot, values dense over slots)
     }
     for &(s, v) in lc.const_slots() {
-        values[s as usize] = W::splat(v); // lint: panic-ok(const slots index the dense value array)
+        values[s as usize] = KernelWord::splat(v); // lint: panic-ok(const slots index the dense value array)
     }
     for &(s, f) in &batch.source_stem {
         values[s as usize] = f.apply(values[s as usize]); // lint: panic-ok(source slots index the dense value array)
@@ -502,7 +466,7 @@ fn eval_tile<W: LaneWord>(
 }
 
 /// Collects per-pattern detections in candidate (batch) order.
-fn collect_detections<W: LaneWord>(batch: &SoaBatch<W>, detected: W) -> Vec<Vec<FaultId>> {
+fn collect_detections(batch: &SoaBatch, detected: KernelWord) -> Vec<Vec<FaultId>> {
     let stride = batch.stride();
     (0..batch.patterns)
         .map(|p| {
@@ -526,12 +490,12 @@ fn collect_detections<W: LaneWord>(batch: &SoaBatch<W>, detected: W) -> Vec<Vec<
 /// state — cycle `i` of a length-`m` chain sees old position `m - 1 - i`,
 /// or, once `i >= m`, the fill word that entered `m` cycles earlier — and
 /// then each chain moves `k` positions in one pass.
-fn shift_chains<W: LaneWord>(
+fn shift_chains(
     map: &ChainMap,
-    state: &mut [W],
+    state: &mut [KernelWord],
     k: usize,
-    fill: &[W],
-    out: &mut Vec<W>,
+    fill: &[KernelWord],
+    out: &mut Vec<KernelWord>,
 ) {
     let chains = map.chains();
     let n = chains.len();
@@ -564,8 +528,8 @@ fn shift_chains<W: LaneWord>(
     }
 }
 
-/// Width-generic tile simulation: runs a shape-compatible tile of tests
-/// against one fault batch on the scan chains of `chains` and returns,
+/// Tile simulation: runs a shape-compatible tile of tests against one
+/// fault batch on the scan chains of `chains` and returns,
 /// per test, the detected faults in candidate order.
 ///
 /// The fault-free machine of every test runs in its pattern's reference
@@ -579,8 +543,8 @@ fn shift_chains<W: LaneWord>(
 /// Panics if the tile is empty, the tests are not shape-compatible or do
 /// not match the circuit's or the chain map's widths, a shift exceeds the
 /// longest chain, or `tests.len() * (faults.len() + 1)` exceeds
-/// `W::LANES`.
-pub fn simulate_tile_lanes<W: LaneWord>(
+/// `KernelWord::LANES`.
+pub fn simulate_tile_lanes(
     circuit: &Circuit,
     lc: &LevelizedCircuit,
     chains: &ChainMap,
@@ -591,11 +555,11 @@ pub fn simulate_tile_lanes<W: LaneWord>(
     let t = tests.len();
     assert!(t > 0, "a tile must hold at least one test");
     assert!(
-        t * (faults.len() + 1) <= W::LANES,
+        t * (faults.len() + 1) <= KernelWord::LANES,
         "tile of {} patterns x (1 + {} faults) exceeds the {}-lane kernel width",
         t,
         faults.len(),
-        W::LANES
+        KernelWord::LANES
     );
     assert!(
         tests.iter().all(|x| tile_compatible(tests[0], x)), // lint: panic-ok(t > 0 asserted just above)
@@ -624,37 +588,37 @@ pub fn simulate_tile_lanes<W: LaneWord>(
     if faults.is_empty() {
         return vec![Vec::new(); t];
     }
-    let batch: SoaBatch<W> = SoaBatch::new(circuit, lc, faults, t);
+    let batch = SoaBatch::new(circuit, lc, faults, t);
     let stride = batch.stride();
     // Pattern `p` owns lanes `[p*stride, (p+1)*stride)`, its reference
     // lane first; `full` is the fault lanes only. Per-pattern stimulus is
     // mixed into words by `mix_rows`.
-    let ref_lanes = mutated_reference_lanes((0..t).fold(W::ZERO, |mut acc, p| {
+    let ref_lanes = mutated_reference_lanes((0..t).fold(KernelWord::ZERO, |mut acc, p| {
         acc.set_lane(p * stride, true);
         acc
     }));
-    let fault_lanes = (0..t).fold(W::ZERO, |acc, p| {
-        acc | (W::low_mask((p + 1) * stride) ^ W::low_mask(p * stride + 1))
+    let fault_lanes = (0..t).fold(KernelWord::ZERO, |acc, p| {
+        acc | (KernelWord::low_mask((p + 1) * stride) ^ KernelWord::low_mask(p * stride + 1))
     });
     let full = mutated_full_mask(fault_lanes, t * stride);
     // Lanes disagreeing with their pattern's fault-free machine: the
     // reference lanes' bits, spread across their ranges, are exactly the
     // broadcast each lane is compared with.
-    let diff = |w: W| w ^ (w & ref_lanes).spread(stride);
-    let mut detected = W::ZERO;
+    let diff = |w: KernelWord| w ^ (w & ref_lanes).spread(stride);
+    let mut detected = KernelWord::ZERO;
     // Initial scan-in: loaded positions from the tests, the rest at reset.
-    let mut state: Vec<W> = vec![W::ZERO; nff];
-    let mut loaded: Vec<W> = vec![W::ZERO; chains.load().len()];
+    let mut state = vec![KernelWord::ZERO; nff];
+    let mut loaded = vec![KernelWord::ZERO; chains.load().len()];
     mix_rows(&mut loaded, stride, tests.iter().map(|x| &*x.scan_in));
     for (&pos, &w) in chains.load().iter().zip(&loaded) {
         state[pos] = w; // lint: panic-ok(chain map positions index the dense state vector)
     }
     batch.force_state(&mut state);
-    let mut values: Vec<W> = vec![W::ZERO; lc.num_slots()];
-    let mut pi_words: Vec<W> = vec![W::ZERO; npi];
-    let mut fill_words: Vec<W> = Vec::new();
-    let mut scan_out: Vec<W> = Vec::new();
-    let mut fanin_buf: Vec<W> = Vec::with_capacity(8);
+    let mut values = vec![KernelWord::ZERO; lc.num_slots()];
+    let mut pi_words = vec![KernelWord::ZERO; npi];
+    let mut fill_words = Vec::new();
+    let mut scan_out = Vec::new();
+    let mut fanin_buf = Vec::with_capacity(8);
     // `tile_compatible` tests share `(at, amount)` index by index, so the
     // first test's units drive the walk and `k` is the index of the
     // current shift in every pattern's schedule.
@@ -662,7 +626,7 @@ pub fn simulate_tile_lanes<W: LaneWord>(
     // lint: panic-ok(t > 0 asserted at entry)
     for (u, (shift, _)) in tests[0].units().enumerate() {
         if let Some(op) = shift {
-            fill_words.resize(op.amount * chains.chains().len(), W::ZERO);
+            fill_words.resize(op.amount * chains.chains().len(), KernelWord::ZERO);
             // lint: panic-ok(tile_compatible gives every pattern a k-th shift)
             let fills = tests.iter().map(|x| x.shifts[k].fill.as_slice());
             mix_rows(&mut fill_words, stride, fills);
@@ -712,17 +676,17 @@ pub fn simulate_tile_lanes<W: LaneWord>(
     collect_detections(&batch, detected)
 }
 
-/// Fault lanes per pattern of a `height`-tall tile of `W` words: each
-/// pattern spends one lane on its reference machine. `height` must be in
-/// `1..=max_tile_height::<W>()`.
-pub const fn tile_fault_capacity<W: LaneWord>(height: usize) -> usize {
-    W::LANES / height - 1
+/// Fault lanes per pattern of a `height`-tall tile: each pattern spends
+/// one lane on its reference machine. `height` must be in
+/// `1..=max_tile_height()`.
+pub const fn tile_fault_capacity(height: usize) -> usize {
+    KernelWord::LANES / height - 1
 }
 
-/// The tallest tile a `W` word can hold: every pattern needs its
-/// reference lane plus at least one fault lane.
-pub const fn max_tile_height<W: LaneWord>() -> usize {
-    W::LANES / 2
+/// The tallest tile a word can hold: every pattern needs its reference
+/// lane plus at least one fault lane.
+pub const fn max_tile_height() -> usize {
+    KernelWord::LANES / 2
 }
 
 /// Seeded single-site kernel corruptions for mutation self-tests.
@@ -844,10 +808,10 @@ fn mutated_patch_barrier(run_end: u32) -> u32 {
 
 #[cfg(feature = "kernel-mutate")]
 #[inline]
-fn mutated_full_mask<W: LaneWord>(fault_lanes: W, occupied: usize) -> W {
+fn mutated_full_mask(fault_lanes: KernelWord, occupied: usize) -> KernelWord {
     match mutate::armed() {
         Some(mutate::KernelMutation::DetectMaskShort) => {
-            fault_lanes & W::low_mask(occupied.saturating_sub(1))
+            fault_lanes & KernelWord::low_mask(occupied.saturating_sub(1))
         }
         _ => fault_lanes,
     }
@@ -855,7 +819,7 @@ fn mutated_full_mask<W: LaneWord>(fault_lanes: W, occupied: usize) -> W {
 
 #[cfg(not(feature = "kernel-mutate"))]
 #[inline(always)]
-fn mutated_full_mask<W: LaneWord>(fault_lanes: W, _occupied: usize) -> W {
+fn mutated_full_mask(fault_lanes: KernelWord, _occupied: usize) -> KernelWord {
     fault_lanes
 }
 
@@ -876,7 +840,7 @@ fn mutated_scan_out(chain_index: usize) -> usize {
 
 #[cfg(feature = "kernel-mutate")]
 #[inline]
-fn mutated_reference_lanes<W: LaneWord>(lanes: W) -> W {
+fn mutated_reference_lanes(lanes: KernelWord) -> KernelWord {
     match mutate::armed() {
         Some(mutate::KernelMutation::ReferenceLaneSkew) => lanes.shift_up(1),
         _ => lanes,
@@ -885,7 +849,7 @@ fn mutated_reference_lanes<W: LaneWord>(lanes: W) -> W {
 
 #[cfg(not(feature = "kernel-mutate"))]
 #[inline(always)]
-fn mutated_reference_lanes<W: LaneWord>(lanes: W) -> W {
+fn mutated_reference_lanes(lanes: KernelWord) -> KernelWord {
     lanes
 }
 
@@ -896,7 +860,7 @@ mod tests {
     use crate::good::{traces_differ, GoodSim};
     use crate::test::ShiftOp;
     use rls_netlist::Levelization;
-    use rls_scan::{MultiChain, PartialScan, W256};
+    use rls_scan::{MultiChain, PartialScan};
 
     fn lower(c: &Circuit) -> (LevelizedCircuit, Levelization) {
         let lev = c.levelize().unwrap();
@@ -934,21 +898,19 @@ mod tests {
             .collect()
     }
 
-    /// One-test SoA detections over `pairs`, chunked to the 1-tall tile
-    /// capacity of `W`.
-    fn soa_single<W: LaneWord>(
+    /// One-test SoA detections over `pairs` in chunks of `chunk` faults.
+    fn soa_single(
         c: &Circuit,
         lc: &LevelizedCircuit,
         chains: &ChainMap,
         test: &ScanTest,
         pairs: &[(FaultId, Fault)],
+        chunk: usize,
         opts: SimOptions,
     ) -> Vec<FaultId> {
         pairs
-            .chunks(tile_fault_capacity::<W>(1))
-            .flat_map(|chunk| {
-                simulate_tile_lanes::<W>(c, lc, chains, &[test], chunk, opts).remove(0)
-            })
+            .chunks(chunk)
+            .flat_map(|chunk| simulate_tile_lanes(c, lc, chains, &[test], chunk, opts).remove(0))
             .collect()
     }
 
@@ -979,7 +941,7 @@ mod tests {
         let full = ChainMap::full(c.num_dffs());
         let pairs = [(FaultId(0), fault)];
         let opts = SimOptions::default();
-        !simulate_tile_lanes::<u64>(c, &lc, &full, &[test], &pairs, opts)[0].is_empty()
+        !simulate_tile_lanes(c, &lc, &full, &[test], &pairs, opts)[0].is_empty()
     }
 
     #[test]
@@ -1023,7 +985,7 @@ mod tests {
         let (lc, _) = lower(&c);
         let pairs = [(FaultId(7), Fault::stem_sa0(d))];
         let full = ChainMap::full(1);
-        let out = simulate_tile_lanes::<u64>(&c, &lc, &full, &[&shifted], &pairs, no_final);
+        let out = simulate_tile_lanes(&c, &lc, &full, &[&shifted], &pairs, no_final);
         assert_eq!(out, vec![vec![FaultId(7)]]);
         // A stuck register output corrupts what the final scan-out reads.
         let c = rls_benchmarks::parametric::shift_register(2);
@@ -1032,9 +994,10 @@ mod tests {
     }
 
     #[test]
-    fn soa_matches_serial_on_s27_at_every_width_and_observation_mix() {
+    fn soa_matches_serial_on_s27_at_every_observation_mix() {
         // Every s27 fault under every test: the SoA detections equal the
-        // serial trace comparison's, in order.
+        // serial trace comparison's, in order, in one chunk and in
+        // several.
         let c = rls_benchmarks::s27();
         let sim = GoodSim::new(&c);
         let (lc, _) = lower(&c);
@@ -1049,10 +1012,10 @@ mod tests {
                 };
                 let expect = serial(&sim, &test, &pairs, opts);
                 assert_eq!(expect.is_empty(), mask == 0, "opts {opts:?}");
-                rls_scan::for_each_lane_word!(W => {
-                    let soa = soa_single::<W>(&c, &lc, &full, &test, &pairs, opts);
-                    assert_eq!(expect, soa, "{} lanes, opts {opts:?}", W::LANES);
-                });
+                for chunk in [tile_fault_capacity(1), 7] {
+                    let soa = soa_single(&c, &lc, &full, &test, &pairs, chunk, opts);
+                    assert_eq!(expect, soa, "chunks of {chunk}, opts {opts:?}");
+                }
             }
         }
     }
@@ -1074,16 +1037,23 @@ mod tests {
             ChainMap::from(&MultiChain::new(7, 3)),
             ChainMap::from(&MultiChain::new(2, 3)),
         ];
+        let mut word = move || {
+            let mut w = KernelWord::ZERO;
+            for lane in 0..KernelWord::LANES {
+                w.set_lane(lane, word() & 1 == 1);
+            }
+            w
+        };
         for map in &maps {
             let n = map.chains().len();
             for k in 0..=map.max_chain_len() {
-                let mut state: Vec<u64> = (0..map.n_sv()).map(|_| word()).collect();
-                let fill: Vec<u64> = (0..k * n).map(|_| word()).collect();
+                let mut state: Vec<KernelWord> = (0..map.n_sv()).map(|_| word()).collect();
+                let fill: Vec<KernelWord> = (0..k * n).map(|_| word()).collect();
                 let before = state.clone();
                 let mut out = Vec::new();
                 shift_chains(map, &mut state, k, &fill, &mut out);
-                for lane in [0, 17, 63] {
-                    let bit = |w: &u64| w >> lane & 1 == 1;
+                for lane in [0, 17, 63, 64, 300, 511] {
+                    let bit = |w: &KernelWord| w.lane(lane);
                     let mut expect: Vec<bool> = before.iter().map(bit).collect();
                     let fill_bits: Vec<bool> = fill.iter().map(bit).collect();
                     let expect_out = map.limited_scan_bools(&mut expect, k, &fill_bits);
@@ -1109,11 +1079,11 @@ mod tests {
         let full = ChainMap::full(3);
         for t in [1usize, 2, 4] {
             let tile_tests: Vec<&ScanTest> = tests[..t].iter().collect();
-            for chunk in pairs.chunks(tile_fault_capacity::<W256>(t)) {
-                let tiled = simulate_tile_lanes::<W256>(&c, &lc, &full, &tile_tests, chunk, opts);
+            for chunk in pairs.chunks(tile_fault_capacity(t)) {
+                let tiled = simulate_tile_lanes(&c, &lc, &full, &tile_tests, chunk, opts);
                 for p in 0..t {
                     let alone = [tile_tests[p]];
-                    let single = simulate_tile_lanes::<W256>(&c, &lc, &full, &alone, chunk, opts);
+                    let single = simulate_tile_lanes(&c, &lc, &full, &alone, chunk, opts);
                     assert_eq!(tiled[p], single[0], "tile height {t}, pattern {p}");
                 }
             }
@@ -1172,15 +1142,14 @@ mod tests {
                 })
                 .collect();
             assert!(expect.iter().any(|d| !d.is_empty()));
-            for height in [1, max_tile_height::<KernelWord>()] {
+            for height in [1, max_tile_height()] {
                 let starts = if height == 1 { patterns.len() } else { 1 };
                 for first in 0..starts {
                     let tile: Vec<&ScanTest> =
                         patterns.iter().cycle().skip(first).take(height).collect();
                     let mut got = vec![Vec::new(); height];
-                    for chunk in pairs.chunks(tile_fault_capacity::<KernelWord>(height)) {
-                        let tiled =
-                            simulate_tile_lanes::<KernelWord>(&c, &lc, &full, &tile, chunk, opts);
+                    for chunk in pairs.chunks(tile_fault_capacity(height)) {
+                        let tiled = simulate_tile_lanes(&c, &lc, &full, &tile, chunk, opts);
                         for (p, d) in tiled.into_iter().enumerate() {
                             got[p].extend(d);
                         }
@@ -1206,16 +1175,16 @@ mod tests {
         let u = FaultUniverse::enumerate(&c);
         let pairs = all_pairs(&u);
         let base = &s27_tests()[0];
-        let height = max_tile_height::<u64>();
-        assert_eq!(height, 32);
-        assert_eq!(tile_fault_capacity::<u64>(height), 1);
-        assert_eq!(tile_fault_capacity::<KernelWord>(4), 127);
+        let height = max_tile_height();
+        assert_eq!(height, 256);
+        assert_eq!(tile_fault_capacity(height), 1);
+        assert_eq!(tile_fault_capacity(4), 127);
         let tile_tests: Vec<&ScanTest> = vec![base; height];
         let opts = SimOptions::default();
         let full = ChainMap::full(3);
         for chunk in pairs.chunks(1) {
-            let tiled = simulate_tile_lanes::<u64>(&c, &lc, &full, &tile_tests, chunk, opts);
-            let single = simulate_tile_lanes::<u64>(&c, &lc, &full, &[base], chunk, opts);
+            let tiled = simulate_tile_lanes(&c, &lc, &full, &tile_tests, chunk, opts);
+            let single = simulate_tile_lanes(&c, &lc, &full, &[base], chunk, opts);
             assert!(tiled.iter().all(|d| *d == single[0]));
         }
     }
@@ -1226,7 +1195,7 @@ mod tests {
         let (lc, _) = lower(&c);
         let tests = s27_tests();
         let tile_tests: Vec<&ScanTest> = tests.iter().collect();
-        let per = simulate_tile_lanes::<u64>(
+        let per = simulate_tile_lanes(
             &c,
             &lc,
             &ChainMap::full(3),
@@ -1239,21 +1208,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the 64-lane kernel width")]
+    #[should_panic(expected = "exceeds the 512-lane kernel width")]
     fn oversized_tile_is_guarded() {
         let c = rls_benchmarks::s27();
         let (lc, _) = lower(&c);
         let u = FaultUniverse::enumerate(&c);
-        let pairs = all_pairs(&u);
+        let pairs: Vec<_> = all_pairs(&u).into_iter().cycle().take(128).collect();
         let tests = s27_tests();
         let tile_tests: Vec<&ScanTest> = tests.iter().collect();
-        // 4 patterns × (1 reference + 16 faults) = 68 lanes > 64.
-        simulate_tile_lanes::<u64>(
+        // 4 patterns × (1 reference + 128 faults) = 516 lanes > 512.
+        simulate_tile_lanes(
             &c,
             &lc,
             &ChainMap::full(3),
             &tile_tests,
-            &pairs[..16],
+            &pairs,
             SimOptions::default(),
         );
     }
@@ -1265,7 +1234,7 @@ mod tests {
         let (lc, _) = lower(&c);
         let a = ScanTest::from_strings("001", &["0111", "1001"]).unwrap();
         let b = ScanTest::from_strings("001", &["0111", "1001", "0100"]).unwrap();
-        simulate_tile_lanes::<u64>(
+        simulate_tile_lanes(
             &c,
             &lc,
             &ChainMap::full(3),
@@ -1290,7 +1259,7 @@ mod tests {
                 fill: vec![true],
             }])
             .unwrap();
-        simulate_tile_lanes::<u64>(
+        simulate_tile_lanes(
             &c,
             &lc,
             &ChainMap::from(&rls_scan::MultiChain::new(3, 2)),
@@ -1366,8 +1335,8 @@ mod tests {
     fn fill_height_is_the_shortest_pass_minimum() {
         // Brute force over live counts and run lengths around every
         // capacity step of the kernel word.
-        let cap = max_tile_height::<KernelWord>();
-        let one_word = tile_fault_capacity::<KernelWord>(1);
+        let cap = max_tile_height();
+        let one_word = tile_fault_capacity(1);
         let lives: Vec<usize> = (0..=40)
             .chain([63, 64, 126, 127, 128, 255, 256, 510, 511, 512, 1500, 5000])
             .collect();

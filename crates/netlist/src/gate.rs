@@ -87,7 +87,7 @@ impl GateKind {
     }
 
     /// Width-generic version of [`GateKind::eval_word`]: evaluates the gate
-    /// over any bit-parallel lane word (e.g. `u64`, `rls_scan::WideWord`).
+    /// over any bit-parallel lane word (e.g. `u64`, `rls_fsim::KernelWord`).
     ///
     /// The bounds are purely the bitwise operators, so this crate needs no
     /// knowledge of the lane-word trait: the folds are seeded from the

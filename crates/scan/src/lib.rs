@@ -15,8 +15,7 @@
 //! This crate implements those operations on plain `bool` state vectors,
 //! plus cycle accounting, the multiple scan chain and partial scan
 //! extensions, and the [`ChainMap`] that describes all three scan styles
-//! as data for the fault simulator. [`LaneWord`] is the fault simulator's
-//! bit-parallel word.
+//! as data for the fault simulator.
 //!
 //! # Example
 //!
@@ -33,7 +32,6 @@
 pub mod chain;
 pub mod chain_map;
 pub mod cost;
-pub mod lanes;
 pub mod multichain;
 pub mod ops;
 pub mod partial;
@@ -41,6 +39,5 @@ pub mod partial;
 pub use chain::ChainConfig;
 pub use chain_map::ChainMap;
 pub use cost::{CycleCounter, OpCost};
-pub use lanes::{LaneWord, WideWord, W128, W256, W512};
 pub use multichain::MultiChain;
 pub use partial::PartialScan;

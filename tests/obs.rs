@@ -15,7 +15,7 @@ use random_limited_scan::core::{generate_ts0, RlsConfig};
 use random_limited_scan::dispatch::{test_blocks, SharedPool, SharedSetRunner};
 use random_limited_scan::obs;
 use random_limited_scan::obs::record::Event;
-use rls_fsim::{ChainMap, CompiledCircuit, FaultId, KernelWord, LaneWord, ScanTest, SimOptions};
+use rls_fsim::{ChainMap, CompiledCircuit, FaultId, KernelWord, ScanTest, SimOptions};
 use rls_netlist::Circuit;
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());

@@ -4,13 +4,13 @@
 //! Each property draws random synthetic circuits and tests from seeded
 //! generators and shrinks failures greedily to a minimal counterexample;
 //! the covered invariants are the cross-crate ones the kernels and
-//! procedures lean on: serial/batched agreement at every lane word, lane
-//! independence, sound fault dropping, the `N_cyc0` closed formula,
+//! procedures lean on: serial/batched agreement in one fault chunk and in
+//! several, lane independence, sound fault dropping, the `N_cyc0` closed formula,
 //! `.bench` round-tripping, limited-scan algebra (composition, full
 //! length ≡ full scan), Procedure 1 determinism, LFSR jump-ahead, and the
 //! SoA tile kernel — the levelized lowering against the serial gate-walk
 //! reference on random scan chains, pattern-lane independence, and ragged
-//! tile boundaries (`faults % W`, `patterns % P`).
+//! tile boundaries (`faults % chunk`, `patterns % P`).
 
 #[path = "support/quickprop.rs"]
 mod quickprop;
@@ -22,11 +22,11 @@ use random_limited_scan::core::{derive_test_set, generate_ts0, ncyc0, RlsConfig}
 use random_limited_scan::fsim::good::traces_differ;
 use random_limited_scan::fsim::{
     compatible_run, simulate_tile_lanes, tile_fault_capacity, ChainMap, Fault, FaultId,
-    FaultSimulator, FaultUniverse, GoodSim, LaneWord, ScanTest, ShiftOp, SimOptions,
+    FaultSimulator, FaultUniverse, GoodSim, ScanTest, ShiftOp, SimOptions,
 };
 use random_limited_scan::lfsr::{BitMatrix, FibonacciLfsr, SeedSequence};
 use random_limited_scan::netlist::{parse_bench, write_bench, Circuit, LevelizedCircuit};
-use random_limited_scan::scan::{for_each_lane_word, ops, MultiChain, PartialScan};
+use random_limited_scan::scan::{ops, MultiChain, PartialScan};
 
 /// A small, valid synthetic sequential circuit description.
 fn small_synth(g: &mut Gen) -> SynthConfig {
@@ -127,9 +127,9 @@ fn prop_bench_round_trip() {
 }
 
 #[test]
-fn prop_batched_detection_matches_faulty_traces_at_every_width() {
-    // Trace/batch agreement, widened: the bit-parallel kernel (at every
-    // lane word) detects exactly the faults whose full faulty trace
+fn prop_batched_detection_matches_faulty_traces() {
+    // Trace/batch agreement: the bit-parallel kernel (in one fault chunk
+    // and in several) detects exactly the faults whose full faulty trace
     // differs from the good trace, in fault-enumeration order.
     check(
         "batched_matches_traces",
@@ -155,25 +155,25 @@ fn prop_batched_detection_matches_faulty_traces_at_every_width() {
                 .map(|&(id, _)| id)
                 .collect();
             let lc = LevelizedCircuit::build(&c, sim.levelization());
-            for_each_lane_word!(W => {
-                let batched = soa_detections::<W>(&c, &lc, &test, &pairs);
+            let full = ChainMap::full(c.num_dffs());
+            for chunk in CHUNKS {
+                let batched = soa_detections(&c, &lc, &full, &test, &pairs, chunk);
                 if batched != expected {
                     return Err(format!(
-                        "{} lanes: batched {batched:?} != per-trace {expected:?}",
-                        W::LANES
+                        "chunks of {chunk}: batched {batched:?} != per-trace {expected:?}"
                     ));
                 }
-            });
+            }
             Ok(())
         },
     );
 }
 
 #[test]
-fn prop_lanes_are_independent_at_every_width() {
+fn prop_lanes_are_independent() {
     // Packing faults into one batch never changes any individual
-    // verdict: a full-width batch detects exactly the concatenation of
-    // the single-fault detections, at every width.
+    // verdict: a full-word batch (and a short one) detects exactly the
+    // concatenation of the single-fault detections.
     check(
         "lane_independence",
         0x5eed_0003,
@@ -191,18 +191,17 @@ fn prop_lanes_are_independent_at_every_width() {
                 .iter()
                 .flat_map(|&pair| {
                     let opts = SimOptions::default();
-                    simulate_tile_lanes::<u64>(&c, &lc, &full, &[&test], &[pair], opts).remove(0)
+                    simulate_tile_lanes(&c, &lc, &full, &[&test], &[pair], opts).remove(0)
                 })
                 .collect();
-            for_each_lane_word!(W => {
-                let batched = soa_detections::<W>(&c, &lc, &test, &packed);
+            for chunk in CHUNKS {
+                let batched = soa_detections(&c, &lc, &full, &test, &packed, chunk);
                 if batched != singles {
                     return Err(format!(
-                        "{} lanes: batch verdicts {batched:?} != singleton verdicts {singles:?}",
-                        W::LANES
+                        "chunks of {chunk}: batch verdicts {batched:?} != singleton verdicts {singles:?}"
                     ));
                 }
-            });
+            }
             Ok(())
         },
     );
@@ -276,20 +275,26 @@ fn all_faults(c: &Circuit) -> Vec<(FaultId, Fault)> {
         .collect()
 }
 
-/// Full-scan single-test SoA detections over `pairs`, chunked to the
-/// 1-tall tile capacity of `W`.
-fn soa_detections<W: LaneWord>(
+/// The fault-chunk lengths the single-test properties run: a whole
+/// 1-tall tile, and a short chunk that splits every fault list of more
+/// than 7 faults.
+const CHUNKS: [usize; 2] = [tile_fault_capacity(1), 7];
+
+/// Single-test SoA detections over `pairs` on the scan chains of
+/// `chains`, in chunks of `chunk` faults.
+fn soa_detections(
     c: &Circuit,
     lc: &LevelizedCircuit,
+    chains: &ChainMap,
     test: &ScanTest,
     pairs: &[(FaultId, Fault)],
+    chunk: usize,
 ) -> Vec<FaultId> {
-    let full = ChainMap::full(c.num_dffs());
     pairs
-        .chunks(tile_fault_capacity::<W>(1))
+        .chunks(chunk)
         .flat_map(|chunk| {
             let opts = SimOptions::default();
-            simulate_tile_lanes::<W>(c, lc, &full, &[test], chunk, opts).remove(0)
+            simulate_tile_lanes(c, lc, chains, &[test], chunk, opts).remove(0)
         })
         .collect()
 }
@@ -386,8 +391,8 @@ fn prop_soa_kernel_matches_gate_walk_on_random_netlists() {
     // The levelized lowering and the chain-map shifts round-trip: on any
     // random netlist under random scan chains (full, partial or
     // multichain) the SoA kernel detects exactly what the serial
-    // gate-walking simulator on the same chains does, order-exact, at
-    // every lane word.
+    // gate-walking simulator on the same chains does, order-exact, in one
+    // fault chunk and in several.
     check(
         "soa_matches_gate_walk",
         0x5eed_0006,
@@ -401,35 +406,29 @@ fn prop_soa_kernel_matches_gate_walk_on_random_netlists() {
             let lc = LevelizedCircuit::build(&c, sim.levelization());
             let pairs = all_faults(&c);
             let walk = serial_detections(&sim, &test, &pairs);
-            let opts = SimOptions::default();
-            for_each_lane_word!(W => {
-                let soa: Vec<FaultId> = pairs
-                    .chunks(tile_fault_capacity::<W>(1))
-                    .flat_map(|chunk| {
-                        simulate_tile_lanes::<W>(&c, &lc, &chains, &[&test], chunk, opts).remove(0)
-                    })
-                    .collect();
+            for chunk in CHUNKS {
+                let soa = soa_detections(&c, &lc, &chains, &test, &pairs, chunk);
                 if soa != walk {
                     return Err(format!(
-                        "{} lanes on {chains:?}: soa {soa:?} != gate-walk {walk:?}",
-                        W::LANES
+                        "chunks of {chunk} on {chains:?}: soa {soa:?} != gate-walk {walk:?}"
                     ));
                 }
-            });
+            }
             Ok(())
         },
     );
 }
 
-/// The tile heights the tiling properties sweep at every lane word.
-const HEIGHTS: [usize; 4] = [1, 2, 4, 8];
+/// The tile heights the tiling properties sweep; height 3's pattern
+/// ranges start mid-limb.
+const HEIGHTS: [usize; 5] = [1, 2, 3, 4, 8];
 
 #[test]
 fn prop_pattern_lanes_are_independent() {
     // Packing shape-compatible tests into one tile never changes any
     // per-test verdict: a height-P tile detects, for each test, exactly
-    // what a height-1 tile over the same faults detects, at every lane
-    // word and height.
+    // what a height-1 tile over the same faults detects, at every
+    // height.
     check(
         "pattern_lane_independence",
         0x5eed_0007,
@@ -444,27 +443,21 @@ fn prop_pattern_lanes_are_independent() {
             let pairs = all_faults(&c);
             let full = ChainMap::full(c.num_dffs());
             let opts = SimOptions::default();
-            for_each_lane_word!(W => {
-                for p in HEIGHTS {
-                    let tile_tests: Vec<&ScanTest> = tests[..p].iter().collect();
-                    for chunk in pairs.chunks(tile_fault_capacity::<W>(p)) {
-                        let tiled =
-                            simulate_tile_lanes::<W>(&c, &lc, &full, &tile_tests, chunk, opts);
-                        for (i, test) in tile_tests.iter().enumerate() {
-                            let alone =
-                                simulate_tile_lanes::<W>(&c, &lc, &full, &[test], chunk, opts);
-                            if tiled[i] != alone[0] {
-                                return Err(format!(
-                                    "{} lanes, test {i}/{p}: tiled {:?} != alone {:?}",
-                                    W::LANES,
-                                    tiled[i],
-                                    alone[0]
-                                ));
-                            }
+            for p in HEIGHTS {
+                let tile_tests: Vec<&ScanTest> = tests[..p].iter().collect();
+                for chunk in pairs.chunks(tile_fault_capacity(p)) {
+                    let tiled = simulate_tile_lanes(&c, &lc, &full, &tile_tests, chunk, opts);
+                    for (i, test) in tile_tests.iter().enumerate() {
+                        let alone = simulate_tile_lanes(&c, &lc, &full, &[test], chunk, opts);
+                        if tiled[i] != alone[0] {
+                            return Err(format!(
+                                "test {i}/{p}: tiled {:?} != alone {:?}",
+                                tiled[i], alone[0]
+                            ));
                         }
                     }
                 }
-            });
+            }
             Ok(())
         },
     );
@@ -473,9 +466,9 @@ fn prop_pattern_lanes_are_independent() {
 #[test]
 fn prop_ragged_tile_boundaries_agree() {
     // Tile-boundary edge cases: fault chunks that don't divide the word
-    // (`faults % W != 0`) under tile heights that don't divide the test
-    // count (`patterns % P != 0`) still agree with the serial reference,
-    // at every lane word and height.
+    // (`faults % chunk != 0`) under tile heights that don't divide the
+    // test count (`patterns % P != 0`) still agree with the serial
+    // reference, at every height.
     check(
         "ragged_tile_boundaries",
         0x5eed_0008,
@@ -496,32 +489,30 @@ fn prop_ragged_tile_boundaries_agree() {
                 .iter()
                 .map(|t| serial_detections(&sim, t, &pairs))
                 .collect();
-            for_each_lane_word!(W => {
-                for p in HEIGHTS {
-                    let tests = &tests[..=p];
-                    // A chunk size that leaves a ragged tail with high
-                    // probability, capped so the tall run still fits.
-                    let chunk_len = g.usize_in(1, tile_fault_capacity::<W>(p) + 1);
-                    let mut per_test: Vec<Vec<FaultId>> = vec![Vec::new(); tests.len()];
-                    assert_eq!(compatible_run(tests, 0), p + 1, "one compatible run");
-                    for (lo, hi) in [(0, p), (p, p + 1)] {
-                        let tile_tests: Vec<&ScanTest> = tests[lo..hi].iter().collect();
-                        for chunk in pairs.chunks(chunk_len) {
-                            let tiled =
-                                simulate_tile_lanes::<W>(&c, &lc, &full, &tile_tests, chunk, opts);
-                            for (i, det) in tiled.into_iter().enumerate() {
-                                per_test[lo + i].extend(det);
-                            }
+            for p in HEIGHTS {
+                let tests = &tests[..=p];
+                // A chunk size that leaves a ragged tail with high
+                // probability, capped so the tall run still fits and at
+                // the fault count so the list splits.
+                let cap = tile_fault_capacity(p).min(pairs.len().max(1));
+                let chunk_len = g.usize_in(1, cap + 1);
+                let mut per_test: Vec<Vec<FaultId>> = vec![Vec::new(); tests.len()];
+                assert_eq!(compatible_run(tests, 0), p + 1, "one compatible run");
+                for (lo, hi) in [(0, p), (p, p + 1)] {
+                    let tile_tests: Vec<&ScanTest> = tests[lo..hi].iter().collect();
+                    for chunk in pairs.chunks(chunk_len) {
+                        let tiled = simulate_tile_lanes(&c, &lc, &full, &tile_tests, chunk, opts);
+                        for (i, det) in tiled.into_iter().enumerate() {
+                            per_test[lo + i].extend(det);
                         }
                     }
-                    if per_test[..] != reference[..=p] {
-                        return Err(format!(
-                            "{} lanes x{p}, chunk {chunk_len}: ragged tiles diverge from serial",
-                            W::LANES
-                        ));
-                    }
                 }
-            });
+                if per_test[..] != reference[..=p] {
+                    return Err(format!(
+                        "x{p}, chunk {chunk_len}: ragged tiles diverge from serial"
+                    ));
+                }
+            }
             Ok(())
         },
     );

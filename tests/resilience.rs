@@ -250,7 +250,7 @@ fn degraded_campaign_records_exact_fallback_lane_accounting() {
     let used = fallback.u64_field("lanes_used").unwrap();
     let capacity = fallback.u64_field("lanes_capacity").unwrap();
     assert!(batches > 0, "{workers}");
-    let lanes = <rls_fsim::KernelWord as rls_fsim::LaneWord>::LANES as u64;
+    let lanes = rls_fsim::KernelWord::LANES as u64;
     assert_eq!(
         capacity,
         batches * lanes,

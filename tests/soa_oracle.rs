@@ -1,8 +1,8 @@
 //! The SoA kernel's verification wall: a differential oracle that
 //! compares the levelized SoA tile kernel order-exactly against the
 //! serial one-fault-at-a-time trace comparison (`GoodSim::simulate_faulty`
-//! compared by `traces_differ`), across the full (lane word × tile
-//! height × observation mix × scan style) matrix, plus
+//! compared by `traces_differ`), across the full (tile height ×
+//! fault-chunk length × observation mix × scan style) matrix, plus
 //! seeded mutation self-tests proving the oracle turns red when the
 //! kernel is deliberately broken.
 //!
@@ -16,11 +16,10 @@
 //! (every third fault, order-exact), and so is s298 under 25%/50% partial
 //! scan and ≤4/≤10-long multiple chains.
 //!
-//! The kernel-level matrix calls the width-generic
-//! `simulate_tile_lanes::<W>` directly at every lane word (`u64` through
-//! `W512`) × fixed tile height 1/2/4/8: it is where the kernel-shape axis
-//! lives, since production runs one word (`KernelWord`) and picks each
-//! tile's height from the live count (`fill_height`). The engine- and
+//! The kernel-level matrix calls `simulate_tile_lanes` directly at every
+//! fixed tile height 1/2/3/4/8 × whole-tile and 7-fault chunks: it is
+//! where the kernel-shape axis lives, since production picks each tile's
+//! height from the live count (`fill_height`). The engine- and
 //! dispatch-level tests add fault dropping, that fill rule and the
 //! thread axis against a serial drop-as-you-go reference: on s27, and on
 //! s208 and s298 through `TS0` and then derived `TS(I, D1)` sets against
@@ -41,14 +40,19 @@ use random_limited_scan::dispatch::{SharedPool, SharedSetRunner};
 use rls_fsim::good::traces_differ;
 use rls_fsim::{
     compatible_run, fill_height, max_tile_height, simulate_tile_lanes, tile_fault_capacity,
-    ChainMap, CompiledCircuit, Fault, FaultId, FaultSimulator, FaultUniverse, GoodSim, KernelWord,
-    LaneWord, ScanTest, ShiftOp, SimOptions, TestTrace,
+    ChainMap, CompiledCircuit, Fault, FaultId, FaultSimulator, FaultUniverse, GoodSim, ScanTest,
+    ShiftOp, SimOptions, TestTrace,
 };
 use rls_netlist::{Circuit, LevelizedCircuit};
-use rls_scan::{for_each_lane_word, MultiChain, PartialScan};
+use rls_scan::{MultiChain, PartialScan};
 
-/// The tile heights the kernel matrix sweeps at every lane word.
-const HEIGHTS: [usize; 4] = [1, 2, 4, 8];
+/// The kernel matrix's fixed tile heights; height 3's 170-lane pattern
+/// ranges start mid-limb, the others' on `u64` limb boundaries.
+const HEIGHTS: [usize; 5] = [1, 2, 3, 4, 8];
+
+/// The matrix's fault-chunk lengths: the tile's capacity (`None`), and a
+/// short chunk that gives even s27 several chunks per tile.
+const CHUNKS: [Option<usize>; 2] = [None, Some(7)];
 
 /// Every stuck-at fault of the circuit, in enumeration order.
 fn universe_pairs(c: &Circuit) -> Vec<(FaultId, Fault)> {
@@ -152,15 +156,17 @@ fn s27_scan_styles() -> Vec<ChainMap> {
     ]
 }
 
-/// Per-test detections from the SoA tile kernel at word `W` and tile
-/// `height` on the scan chains of `chains`, chunking faults so every tile
-/// (one reference lane plus the fault lanes per pattern) fits the word.
-fn soa_per_test<W: LaneWord>(
+/// Per-test detections from the SoA tile kernel at tile `height` on the
+/// scan chains of `chains`, chunking faults at `chunk` (or, for `None`,
+/// at the tile's capacity: one reference lane plus the fault lanes per
+/// pattern fill the word).
+fn soa_per_test(
     c: &Circuit,
     chains: &ChainMap,
     tests: &[ScanTest],
     pairs: &[(FaultId, Fault)],
     height: usize,
+    chunk: Option<usize>,
     opts: SimOptions,
 ) -> Vec<Vec<FaultId>> {
     let lc = LevelizedCircuit::build(c, &c.levelize().expect("benchmarks are acyclic"));
@@ -169,8 +175,9 @@ fn soa_per_test<W: LaneWord>(
     while lo < tests.len() {
         let hi = lo + compatible_run(tests, lo).min(height);
         let tile_tests: Vec<&ScanTest> = tests[lo..hi].iter().collect();
-        for chunk in pairs.chunks(tile_fault_capacity::<W>(hi - lo)) {
-            let per_pattern = simulate_tile_lanes::<W>(c, &lc, chains, &tile_tests, chunk, opts);
+        let cap = tile_fault_capacity(hi - lo);
+        for chunk in pairs.chunks(chunk.map_or(cap, |n| n.min(cap))) {
+            let per_pattern = simulate_tile_lanes(c, &lc, chains, &tile_tests, chunk, opts);
             for (p, det) in per_pattern.into_iter().enumerate() {
                 per_test[lo + p].extend(det);
             }
@@ -231,8 +238,8 @@ fn trace_reference(
         .collect()
 }
 
-/// Asserts the kernel equals the serial reference at every lane word ×
-/// tile height, and that the reference detects something.
+/// Asserts the kernel equals the serial reference at every tile height ×
+/// chunk length, and that the reference detects something.
 fn assert_matrix_matches(
     label: &str,
     c: &Circuit,
@@ -246,17 +253,15 @@ fn assert_matrix_matches(
         reference.iter().any(|r| !r.is_empty()),
         "{label}: the matrix must exercise real detections"
     );
-    for_each_lane_word!(W => {
-        for height in HEIGHTS {
-            let soa = soa_per_test::<W>(c, chains, tests, pairs, height, opts);
+    for height in HEIGHTS {
+        for chunk in CHUNKS {
+            let soa = soa_per_test(c, chains, tests, pairs, height, chunk, opts);
             assert_eq!(
-                soa,
-                reference,
-                "{label} {} lanes x height {height}: SoA diverged from the serial reference",
-                W::LANES
+                soa, reference,
+                "{label} height {height} x chunk {chunk:?}: SoA diverged from the serial reference"
             );
         }
-    });
+    }
 }
 
 /// The serial drop-as-you-go reference over a sequence of sets: tests in
@@ -296,7 +301,7 @@ fn serial_dropping(
 fn s27_reference_lanes_match_serial_trace_comparison() {
     // The reference lane's oracle: per-(test, fault) detection equals the
     // serial good-versus-faulty trace comparison for every universe
-    // fault x every test, at every lane word x tile height x
+    // fault x every test, at every tile height x chunk length x
     // observation mix.
     let c = random_limited_scan::benchmarks::s27();
     let tests = mixed_s27_tests(&c);
@@ -311,25 +316,23 @@ fn s27_reference_lanes_match_serial_trace_comparison() {
             observes,
             "{opts:?}: detections exist exactly when something is observed"
         );
-        for_each_lane_word!(W => {
-            for height in HEIGHTS {
-                let soa = soa_per_test::<W>(&c, &full, &tests, &pairs, height, opts);
+        for height in HEIGHTS {
+            for chunk in CHUNKS {
+                let soa = soa_per_test(&c, &full, &tests, &pairs, height, chunk, opts);
                 assert_eq!(
-                    soa,
-                    reference,
-                    "{} lanes x height {height} x {opts:?}: SoA diverged from \
-                     the serial trace comparison",
-                    W::LANES
+                    soa, reference,
+                    "height {height} x chunk {chunk:?} x {opts:?}: SoA diverged from \
+                     the serial trace comparison"
                 );
             }
-        });
+        }
     }
 }
 
 #[test]
 fn s27_exhaustive_differential_matrix() {
-    // Every fault x every test, order-exact, at every lane word and
-    // every tile height, under each scan style — the full kernel-level
+    // Every fault x every test, order-exact, at every tile height and
+    // chunk length, under each scan style — the full kernel-level
     // differential, chain shifts included.
     let c = random_limited_scan::benchmarks::s27();
     let pairs = universe_pairs(&c);
@@ -349,8 +352,8 @@ fn s953_sampled_differential_is_order_exact() {
     let tests: Vec<ScanTest> = generate_ts0(&c, &cfg).into_iter().take(3).collect();
     let pairs: Vec<(FaultId, Fault)> = universe_pairs(&c).into_iter().step_by(3).collect();
     assert!(
-        pairs.len() > KernelWord::LANES / 2,
-        "the sample must span several tiles even at the widest kernel"
+        pairs.len() > tile_fault_capacity(1),
+        "the sample must span several chunks even in a 1-tall tile"
     );
     assert_matrix_matches("s953", &c, &ChainMap::full(c.num_dffs()), &tests, &pairs);
 }
@@ -454,7 +457,7 @@ fn campaign_sets_drive_the_fill_rule_across_heights() {
         let full = FaultSimulator::new(&c).live_count();
         let first = planned_heights(full, &sets[0])[0];
         assert!(
-            full > tile_fault_capacity::<KernelWord>(first),
+            full > tile_fault_capacity(first),
             "{label}: TS0's first {first}-tall tile splits {full} faults into several chunks"
         );
         let tail = serial[0].1.len();
@@ -466,7 +469,7 @@ fn campaign_sets_drive_the_fill_rule_across_heights() {
         );
         let tall = planned_heights(tail, &sets[1])[0];
         assert!(
-            tall >= 8 && tall <= run.min(max_tile_height::<KernelWord>()),
+            tall >= 8 && tall <= run.min(max_tile_height()),
             "{label}: a {tail}-fault tail packs a tall tile of its {run}-test run, got {tall}"
         );
         let free = sets.last().unwrap();
@@ -543,6 +546,7 @@ fn dispatch_thread_matrix_matches_the_engine() {
 mod mutation {
     use super::*;
     use rls_fsim::soa::mutate::{arm, KernelMutation};
+    use rls_fsim::KernelWord;
 
     /// Everything the differential needs, precomputed once per test.
     struct Diff {
@@ -571,7 +575,7 @@ mod mutation {
             Diff::s27_on(ChainMap::full(3))
         }
 
-        /// Runs the differential at every lane word x tile height and
+        /// Runs the differential at every tile height x chunk length and
         /// reports whether the SoA kernel still matches the serial trace
         /// comparison at all of them. The reference is computed while
         /// *disarmed* so only the kernel under test is mutated.
@@ -583,11 +587,12 @@ mod mutation {
             arm(armed);
             let (c, chains, tests, pairs) = (&self.c, &self.chains, &self.tests, &self.pairs);
             let mut green = true;
-            for_each_lane_word!(W => {
-                for height in HEIGHTS {
-                    green &= soa_per_test::<W>(c, chains, tests, pairs, height, opts) == reference;
+            for height in HEIGHTS {
+                for chunk in CHUNKS {
+                    green &=
+                        soa_per_test(c, chains, tests, pairs, height, chunk, opts) == reference;
                 }
-            });
+            }
             green
         }
     }
@@ -688,8 +693,10 @@ mod mutation {
     fn detect_mask_short_drops_the_last_lane() {
         // The short mask silently drops the *last* (pattern, fault) lane,
         // so the differential only reddens when that lane would have
-        // detected. Arrange exactly that: a single-test tile, full to the
-        // last lane, whose final candidate is a known-detected fault.
+        // detected. Arrange exactly that: a tile full to the last lane of
+        // the kernel word (16 copies of one test, 31 faults each) whose
+        // final candidate is a known-detected fault.
+        const HEIGHT: usize = 16;
         let diff = Diff::s27();
         let good = GoodSim::new(&diff.c);
         let lc = LevelizedCircuit::build(&diff.c, good.levelization());
@@ -703,7 +710,7 @@ mod mutation {
             .pairs
             .iter()
             .filter(|&&(id, _)| id != last)
-            .take(tile_fault_capacity::<u64>(1) - 1)
+            .take(tile_fault_capacity(HEIGHT) - 1)
             .copied()
             .collect();
         chunk.push(
@@ -713,27 +720,22 @@ mod mutation {
                 .find(|&&(id, _)| id == last)
                 .expect("the detected fault is in the universe"),
         );
+        assert_eq!(HEIGHT * (chunk.len() + 1), KernelWord::LANES);
+        let tile = vec![test; HEIGHT];
         let run = |armed| {
             arm(armed);
-            let out = simulate_tile_lanes::<u64>(
-                &diff.c,
-                &lc,
-                &diff.chains,
-                &[test],
-                &chunk,
-                SimOptions::default(),
-            );
+            let out = simulate_tile_lanes(&diff.c, &lc, &diff.chains, &tile, &chunk, opts);
             arm(None);
             out
         };
         let clean = run(None);
         assert!(
-            clean[0].contains(&last),
+            clean[HEIGHT - 1].contains(&last),
             "the staged last lane must detect when unmutated"
         );
         let short = run(Some(KernelMutation::DetectMaskShort));
         assert!(
-            !short[0].contains(&last),
+            !short[HEIGHT - 1].contains(&last),
             "the short mask must drop the last lane's detection"
         );
         assert_ne!(short, clean, "the oracle sees the dropped lane");
