@@ -163,6 +163,14 @@ grep -q '"name":"procedure2.run"' "$OBS_STREAM"
 grep -q '"name":"dispatch.set"' "$OBS_STREAM"
 tail -n 1 "$OBS_STREAM" | grep -q '"type":"obs_summary"'
 grep -q 's27' "$OBS_DIR/table6.out"
+# Every durable file was published whole: no hidden temp file is left,
+# and the run's campaign record reads back through rls-report.
+[ -z "$(find "$OBS_DIR" -name '.*.tmp')" ]
+CAMPAIGN_FILES=("$OBS_DIR"/campaign-s27-2t-*.jsonl)
+CAMPAIGN_FILE=${CAMPAIGN_FILES[0]}
+[ -f "$CAMPAIGN_FILE" ]
+cargo run -q --release --offline -p rls-bench --bin rls-report -- \
+    "$CAMPAIGN_FILE" "$CAMPAIGN_FILE" > /dev/null
 rm -rf "$OBS_DIR"
 
 echo "== obs: profile smoke =="

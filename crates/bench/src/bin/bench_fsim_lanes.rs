@@ -49,12 +49,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rls_core::{derive_test_set, generate_ts0, RlsConfig};
-use rls_dispatch::jsonl::JsonObject;
 use rls_fsim::{
     compatible_run, fill_height, simulate_tile_lanes, tile_fault_capacity, ChainMap, Fault,
     FaultId, FaultSimulator, KernelWord, ScanTest, SimOptions,
 };
 use rls_netlist::{Circuit, LevelizedCircuit};
+use rls_obs::jsonl::JsonObject;
 
 /// Repeats per configuration; the fastest pass survives.
 const REPEATS: usize = 3;

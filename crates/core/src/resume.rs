@@ -28,9 +28,9 @@ use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use rls_dispatch::jsonl::{array, JsonObject, JsonValue};
 use rls_dispatch::{CampaignLog, DispatchError};
 use rls_fsim::{ChainMap, FaultId};
+use rls_obs::jsonl::{array, JsonObject, JsonValue};
 
 use crate::config::{CoverageTarget, RlsConfig};
 use crate::procedure2::SelectedPair;
@@ -330,7 +330,7 @@ mod tests {
     fn checkpoint_round_trips() {
         let state = sample_state();
         let line = state.render();
-        let v = rls_dispatch::jsonl::parse(&line).unwrap();
+        let v = rls_obs::jsonl::parse(&line).unwrap();
         assert_eq!(v.str_field("type"), Some("checkpoint"));
         let back = ResumeState::from_value(&v).unwrap();
         assert_eq!(back, state);
@@ -338,13 +338,12 @@ mod tests {
 
     #[test]
     fn from_value_reports_missing_fields() {
-        let v = rls_dispatch::jsonl::parse(r#"{"type":"checkpoint","circuit":"s27"}"#).unwrap();
+        let v = rls_obs::jsonl::parse(r#"{"type":"checkpoint","circuit":"s27"}"#).unwrap();
         let e = ResumeState::from_value(&v).unwrap_err();
         assert!(e.contains("missing"), "{e}");
-        let v = rls_dispatch::jsonl::parse(
-            r#"{"type":"checkpoint","circuit":"s27","live":[],"pairs":[]}"#,
-        )
-        .unwrap();
+        let v =
+            rls_obs::jsonl::parse(r#"{"type":"checkpoint","circuit":"s27","live":[],"pairs":[]}"#)
+                .unwrap();
         let e = ResumeState::from_value(&v).unwrap_err();
         assert!(e.contains("fingerprint"), "{e}");
     }

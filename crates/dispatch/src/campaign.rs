@@ -11,13 +11,12 @@
 //!
 //! # Crash safety
 //!
-//! Records stream to disk as the campaign runs, not at the end:
+//! Records stream to disk as the campaign runs, not at the end, through
+//! [`rls_obs::jsonl::JsonlFile`] — the workspace's one durable JSONL file:
 //!
-//! - the file is *created* by writing the header to a hidden temp file,
-//!   fsyncing it, and atomically renaming over a `create_new`-reserved
-//!   unique name — a crash mid-create leaves no half-written visible
-//!   file, and two campaigns racing for the same stamp get distinct names
-//!   (monotonic `-k` suffix) instead of overwriting each other;
+//! - the header is published atomically under a `create_new`-reserved
+//!   name (monotonic `-k` suffix on collisions), so a crash mid-create
+//!   leaves no half-written visible file;
 //! - each record is one `write_all` + `sync_data`, so after `kill -9` the
 //!   file holds every fully-appended record plus at most one torn tail
 //!   line, which [`CampaignLog::read`] (and the resume parser) ignore;
@@ -27,14 +26,13 @@
 //! Timing fields record wall-clock observations; they are deliberately
 //! excluded from anything the deterministic outcome depends on.
 
-use std::fs::{File, OpenOptions};
-use std::io::{ErrorKind, Write as _};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use rls_obs::jsonl::{self, array, JsonObject, JsonValue, JsonlFile, ReadError};
+
 use crate::error::DispatchError;
 use crate::inject;
-use crate::jsonl::{array, parse, JsonObject, JsonValue};
 use crate::pool::PoolSnapshot;
 
 /// One `(I, D1)` trial of Procedure 2.
@@ -73,171 +71,43 @@ pub struct CampaignSummary {
     pub iterations: u64,
 }
 
-/// A crash-safe append-only JSONL sink.
+/// A campaign's [`JsonlFile`], behind the `fault-inject` IO hooks.
 #[derive(Debug)]
-struct CampaignFile {
-    file: File,
-    path: PathBuf,
-}
+struct CampaignFile(JsonlFile);
 
 impl CampaignFile {
-    /// Creates `<dir>/campaign-<circuit>-<threads>t-<run_id>[-k].jsonl`
-    /// atomically with `header` as its first record.
-    fn create(
-        dir: &Path,
-        circuit: &str,
-        threads: usize,
-        fingerprint: u64,
-        header: &str,
-    ) -> Result<Self, DispatchError> {
+    /// Creates `<dir>/<stem>[-k].jsonl` atomically with `header` as its
+    /// first record.
+    fn create(dir: &Path, stem: &str, header: &str) -> Result<Self, DispatchError> {
         inject::on_io("create campaign file")
-            .map_err(|e| DispatchError::io("create campaign file", dir, e))?;
-        std::fs::create_dir_all(dir)
-            .map_err(|e| DispatchError::io("create campaign directory", dir, e))?;
-        let (path, _reservation) = reserve_unique(dir, circuit, threads, fingerprint)
-            .map_err(|e| DispatchError::io("reserve campaign file", dir, e))?;
-        // Write the header to a hidden temp file (the leading dot keeps it
-        // out of `campaign-*.jsonl` globs), fsync, then rename over the
-        // reservation: the visible file is never in a half-written state.
-        let name = path.file_name().and_then(|n| n.to_str()).ok_or_else(|| {
-            DispatchError::io(
-                "reserve campaign file",
-                &path,
-                std::io::Error::new(ErrorKind::InvalidData, "reserved name is not valid UTF-8"),
-            )
-        })?;
-        let tmp = dir.join(format!(".{name}.tmp"));
-        let write_header = || -> std::io::Result<File> {
-            let mut f = File::create(&tmp)?; // lint: persist-ok(this is the rename helper itself; hidden temp, fsync, then rename below)
-            f.write_all(header.as_bytes())?;
-            f.write_all(b"\n")?;
-            f.sync_all()?;
-            std::fs::rename(&tmp, &path)?;
-            Ok(f)
-        };
-        let file = write_header().map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            let _ = std::fs::remove_file(&path);
-            DispatchError::io("write campaign header", &path, e)
-        })?;
-        // Persist the rename itself (best-effort; not all filesystems
-        // support fsync on directories).
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-        Ok(CampaignFile { file, path })
+            .and_then(|()| JsonlFile::create(dir, stem, &[header]))
+            .map(CampaignFile)
+            .map_err(|e| DispatchError::io("create campaign file", dir, e))
     }
 
-    /// Opens an existing campaign file for appending (resume). A torn
-    /// final line — a crash mid-append left bytes without a trailing
-    /// newline — is truncated away first; appending straight after it
-    /// would glue the resume seam onto the torn bytes and turn one
-    /// tolerated torn tail into intolerable mid-file garbage.
+    /// Opens an existing campaign file for appending (resume), repairing
+    /// a torn final line first.
     fn append_to(path: &Path) -> Result<Self, DispatchError> {
         inject::on_io("open campaign file for append")
-            .map_err(|e| DispatchError::io("open campaign file for append", path, e))?;
-        truncate_torn_tail(path)
-            .map_err(|e| DispatchError::io("repair campaign file tail", path, e))?;
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| DispatchError::io("open campaign file for append", path, e))?;
-        Ok(CampaignFile {
-            file,
-            path: path.to_path_buf(),
-        })
+            .and_then(|()| JsonlFile::append_to(path))
+            .map(CampaignFile)
+            .map_err(|e| DispatchError::io("open campaign file for append", path, e))
     }
 
     /// Appends one record line and syncs it to disk.
     fn append(&mut self, line: &str) -> Result<(), DispatchError> {
-        let write = |f: &mut File| -> std::io::Result<()> {
-            inject::on_io("append campaign record")?;
-            f.write_all(line.as_bytes())?;
-            f.write_all(b"\n")?;
-            f.sync_data()
-        };
-        write(&mut self.file)
-            .map_err(|e| DispatchError::io("append campaign record", &self.path, e))
+        inject::on_io("append campaign record")
+            .and_then(|()| self.0.append(line))
+            .map_err(|e| DispatchError::io("append campaign record", self.0.path(), e))
     }
 }
 
-/// Truncates a torn final line (bytes after the last newline, left by a
-/// crash mid-append) so subsequent appends start on a fresh line. A file
-/// ending in a newline — or an empty one — is left untouched. Scans
-/// backwards in chunks, so only the tail is read regardless of size.
-fn truncate_torn_tail(path: &Path) -> std::io::Result<()> {
-    use std::io::{Read as _, Seek, SeekFrom};
-    let mut f = OpenOptions::new().read(true).write(true).open(path)?;
-    let len = f.metadata()?.len();
-    if len == 0 {
-        return Ok(());
-    }
-    let mut buf = [0u8; 4096];
-    let mut end = len;
-    loop {
-        let start = end.saturating_sub(buf.len() as u64);
-        let n = (end - start) as usize;
-        f.seek(SeekFrom::Start(start))?;
-        f.read_exact(&mut buf[..n])?; // lint: panic-ok(n = end - start <= buf.len() by the saturating_sub above)
-                                      // lint: panic-ok(n >= 1: len > 0 and start < end on every pass)
-        if end == len && buf[n - 1] == b'\n' {
-            return Ok(()); // intact tail, nothing to repair
-        }
-        // lint: panic-ok(n <= buf.len(), as above)
-        let keep = match buf[..n].iter().rposition(|&b| b == b'\n') {
-            Some(pos) => start + pos as u64 + 1,
-            None if start == 0 => 0, // one torn line is the whole file
-            None => {
-                end = start;
-                continue;
-            }
-        };
-        f.set_len(keep)?;
-        return f.sync_data();
-    }
-}
-
-/// Reserves a unique campaign file name in `dir` with `create_new`.
-///
-/// The name stamp is an `rls-obs` run id — config fingerprint plus a
-/// process-monotonic counter — instead of the wall clock, so resumed or
-/// rapid-fire runs can no longer collide on nanosecond resolution. The
-/// `-k` collision suffix stays as the backstop for names left by *other*
-/// processes (run ids are only process-unique).
-fn reserve_unique(
-    dir: &Path,
-    circuit: &str,
-    threads: usize,
-    fingerprint: u64,
-) -> std::io::Result<(PathBuf, File)> {
-    reserve_with_stamp(dir, circuit, threads, &rls_obs::run_id(fingerprint))
-}
-
-/// Collision loop of [`reserve_unique`], stamp supplied by the caller
-/// (tests mock it to force collisions).
-fn reserve_with_stamp(
-    dir: &Path,
-    circuit: &str,
-    threads: usize,
-    stamp: &str,
-) -> std::io::Result<(PathBuf, File)> {
-    let mut k = 0u32;
-    loop {
-        let name = if k == 0 {
-            format!("campaign-{}-{threads}t-{stamp}.jsonl", sanitize(circuit))
-        } else {
-            format!(
-                "campaign-{}-{threads}t-{stamp}-{k}.jsonl",
-                sanitize(circuit)
-            )
-        };
-        let path = dir.join(name);
-        match OpenOptions::new().write(true).create_new(true).open(&path) {
-            Ok(f) => return Ok((path, f)),
-            Err(e) if e.kind() == ErrorKind::AlreadyExists => k += 1,
-            Err(e) => return Err(e),
-        }
-    }
+/// The file-name stem of a campaign: circuit, threads, and a stamp that
+/// is an `rls-obs` run id — config fingerprint plus a process-monotonic
+/// counter — so resumed or rapid-fire runs never collide; the `-k`
+/// suffix backstops names left by *other* processes.
+fn file_stem(circuit: &str, threads: usize, stamp: &str) -> String {
+    format!("campaign-{}-{threads}t-{stamp}", sanitize(circuit))
 }
 
 /// A live tap on the record stream: called with each rendered record line
@@ -306,13 +176,8 @@ impl Campaign {
         fingerprint: u64,
     ) -> Result<Self, DispatchError> {
         let mut c = Campaign::new(circuit, threads);
-        c.sink = Some(CampaignFile::create(
-            dir,
-            circuit,
-            threads,
-            fingerprint,
-            &c.header_line(),
-        )?);
+        let stem = file_stem(circuit, threads, &rls_obs::run_id(fingerprint));
+        c.sink = Some(CampaignFile::create(dir, &stem, &c.header_line())?);
         Ok(c)
     }
 
@@ -334,7 +199,7 @@ impl Campaign {
 
     /// The file records stream to, if any.
     pub fn path(&self) -> Option<&Path> {
-        self.sink.as_ref().map(|s| s.path.as_path())
+        self.sink.as_ref().map(|s| s.0.path())
     }
 
     /// Appends a line to the sink; on failure warns once and disables the
@@ -494,17 +359,6 @@ impl Campaign {
         out.push('\n');
         out
     }
-
-    /// Writes the in-memory record to a fresh uniquely-named file under
-    /// `dir` (collision-safe), creating the directory as needed; returns
-    /// the path. Prefer [`Campaign::create`] for crash-safe streaming.
-    pub fn write_jsonl(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let (path, mut f) = reserve_unique(dir, &self.circuit, self.threads, 0)?;
-        f.write_all(self.to_jsonl().as_bytes())?;
-        f.sync_all()?;
-        Ok(path)
-    }
 }
 
 /// Keeps file names tame for arbitrary circuit names.
@@ -530,33 +384,19 @@ pub struct CampaignLog {
 }
 
 impl CampaignLog {
-    /// Reads and parses `path`. A final line that fails to parse is
-    /// ignored (torn tail from a killed process); a malformed line
-    /// *before* the end is an error — the file did not come from this
-    /// writer.
+    /// Reads and parses `path` with [`rls_obs::jsonl::read`]: a final
+    /// line that fails to parse is ignored (torn tail from a killed
+    /// process); a malformed line *before* the end is an error — the file
+    /// did not come from this writer.
     pub fn read(path: &Path) -> Result<Self, DispatchError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| DispatchError::io("read campaign file", path, e))?;
-        let lines: Vec<(usize, &str)> = text
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty())
-            .collect();
-        let mut records = Vec::with_capacity(lines.len());
-        let last = lines.len();
-        for (n, (line_no, line)) in lines.iter().enumerate() {
-            match parse(line) {
-                Ok(v) => records.push(v),
-                Err(_) if n + 1 == last => break, // torn tail
-                Err(message) => {
-                    return Err(DispatchError::Parse {
-                        path: path.to_path_buf(),
-                        line: line_no + 1,
-                        message,
-                    });
-                }
-            }
-        }
+        let records = jsonl::read(path).map_err(|e| match e {
+            ReadError::Io(e) => DispatchError::io("read campaign file", path, e),
+            ReadError::Parse { line, message } => DispatchError::Parse {
+                path: path.to_path_buf(),
+                line,
+                message,
+            },
+        })?;
         Ok(CampaignLog {
             path: path.to_path_buf(),
             records,
@@ -651,38 +491,50 @@ mod tests {
     }
 
     #[test]
-    fn write_jsonl_creates_file_under_dir() {
-        let dir = scratch_dir("write");
-        let path = sample().write_jsonl(&dir).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains(r#""type":"summary""#));
-        assert!(path
-            .file_name()
-            .unwrap()
-            .to_str()
-            .unwrap()
-            .starts_with("campaign-s27-4t-"));
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
-    }
-
-    #[test]
     fn same_stamp_campaigns_get_distinct_names() {
         // Two campaigns reserving the same stamp (a run id left by
         // another process, mocked here) must get distinct files, not
         // overwrite.
         let dir = scratch_dir("collide");
-        std::fs::create_dir_all(&dir).unwrap();
-        let (p1, _f1) = reserve_with_stamp(&dir, "s27", 4, "12345").unwrap();
-        let (p2, _f2) = reserve_with_stamp(&dir, "s27", 4, "12345").unwrap();
-        let (p3, _f3) = reserve_with_stamp(&dir, "s27", 4, "12345").unwrap();
-        assert_eq!(p1.file_name().unwrap(), "campaign-s27-4t-12345.jsonl");
-        assert_eq!(p2.file_name().unwrap(), "campaign-s27-4t-12345-1.jsonl");
-        assert_eq!(p3.file_name().unwrap(), "campaign-s27-4t-12345-2.jsonl");
-        for p in [p1, p2, p3] {
-            let _ = std::fs::remove_file(p);
-        }
-        let _ = std::fs::remove_dir(&dir);
+        let stem = file_stem("s27", 4, "12345");
+        let names: Vec<String> = (0..3)
+            .map(|_| {
+                let f = CampaignFile::create(&dir, &stem, "{}").unwrap();
+                f.0.path()
+                    .file_name()
+                    .unwrap()
+                    .to_str()
+                    .unwrap()
+                    .to_string()
+            })
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "campaign-s27-4t-12345.jsonl",
+                "campaign-s27-4t-12345-1.jsonl",
+                "campaign-s27-4t-12345-2.jsonl"
+            ]
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_create_leaves_no_visible_campaign_file() {
+        // A directory squatting on the temp name makes the header publish
+        // fail after the final name was reserved: the reservation goes too.
+        let dir = scratch_dir("create-fails");
+        let _ = std::fs::remove_dir_all(&dir);
+        let tmp = ".campaign-s27-1t-12345.jsonl.tmp";
+        std::fs::create_dir_all(dir.join(tmp)).unwrap();
+        let err = CampaignFile::create(&dir, &file_stem("s27", 1, "12345"), "{}").unwrap_err();
+        assert!(err.to_string().contains("create campaign file"), "{err}");
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, [tmp]);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -755,7 +607,10 @@ mod tests {
         drop(c);
         // A crash mid-append leaves half a record with no newline.
         {
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .unwrap();
             f.write_all(br#"{"type":"trial","i":1,"d1":"#).unwrap();
         }
         // Without the repair, the resume seam would be glued onto the

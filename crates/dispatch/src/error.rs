@@ -11,7 +11,7 @@ use std::fmt;
 use std::path::PathBuf;
 
 /// Errors produced by campaign persistence (`campaign`) and record
-/// parsing (`jsonl::parse`, `CampaignLog`).
+/// parsing (`CampaignLog`).
 #[derive(Debug)]
 pub enum DispatchError {
     /// An IO operation failed. `context` says what was being attempted.

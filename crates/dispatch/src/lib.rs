@@ -29,8 +29,8 @@
 //!   anywhere is dropped everywhere mid-test-set;
 //! - [`campaign`]: [`Campaign`] JSONL records — header, per-trial lines,
 //!   checkpoints, per-worker counters, summary — appended crash-safely
-//!   under `results/` and read back by [`CampaignLog`];
-//! - [`jsonl`]: the dependency-free JSON rendering and parsing underneath;
+//!   under `results/` through `rls_obs::jsonl`'s durable file and read
+//!   back by [`CampaignLog`];
 //! - [`error`]: structured [`DispatchError`] for persistence and parsing;
 //! - [`inject`]: deterministic fault injection behind the `fault-inject`
 //!   feature (no-op inlines otherwise), driving `tests/resilience.rs`.
@@ -80,7 +80,6 @@ pub mod campaign;
 pub mod error;
 pub mod executor;
 pub mod inject;
-pub mod jsonl;
 pub mod pool;
 pub mod shared;
 

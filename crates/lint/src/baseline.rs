@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use rls_dispatch::jsonl::{self, JsonObject, JsonValue};
+use rls_obs::jsonl::{self, JsonObject, JsonValue};
 
 use crate::rules::Finding;
 

@@ -89,12 +89,12 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
 
 fn print_finding(f: &Finding, json: bool) {
     if json {
-        let witness = rls_dispatch::jsonl::array(
+        let witness = rls_obs::jsonl::array(
             f.witness
                 .iter()
-                .map(|w| format!("\"{}\"", rls_dispatch::jsonl::escape(w))),
+                .map(|w| format!("\"{}\"", rls_obs::jsonl::escape(w))),
         );
-        let line = rls_dispatch::jsonl::JsonObject::new()
+        let line = rls_obs::jsonl::JsonObject::new()
             .str("file", &f.file)
             .num("line", u64::from(f.line))
             .str("rule", &f.rule)

@@ -16,8 +16,8 @@
 //!
 //! Consumers: the [`crate::StderrSink`] metric table (live aggregation)
 //! and `rls-report`'s obs mode (offline aggregation of raw JSONL
-//! observations — the per-observation schema is unchanged, so the
-//! existing [`crate::MetricsLog`] reader still reads every stream).
+//! observations — the per-observation schema is unchanged, so
+//! [`crate::jsonl::read`] still reads every stream).
 
 /// Bits of linear sub-bucketing per power-of-two bucket.
 const SUB_BITS: u32 = 3;

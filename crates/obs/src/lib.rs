@@ -21,8 +21,13 @@
 //!   [`names`] registry — enforced by `rls-lint`'s `obs-metric-name` rule.
 //! - Events flow to one installed [`Sink`]: the human-readable
 //!   [`StderrSink`] tree renderer, the crash-safe [`JsonlSink`] stream
-//!   (read back by [`MetricsLog`] and diffed by `rls-report`), the
+//!   (read back by [`jsonl::read`] and diffed by `rls-report`), the
 //!   in-memory [`MemorySink`] for tests, or a [`TeeSink`] fan-out.
+//! - [`jsonl`] is the workspace's JSON renderer and parser, and its one
+//!   durable JSONL file: campaign records, the serve journal, metrics
+//!   streams and recorder dumps are all written by [`jsonl::JsonlFile`]
+//!   and read back by [`jsonl::read`]. It lives here, at the bottom of
+//!   the dependency graph, so every writer can share it.
 //!
 //! # Cost when disabled
 //!
@@ -44,8 +49,8 @@
 //! environment variables.
 
 pub mod hist;
+pub mod jsonl;
 pub mod names;
-pub mod reader;
 pub mod record;
 pub mod recorder;
 pub mod sink;
@@ -57,7 +62,6 @@ use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
 pub use hist::HdrHistogram;
-pub use reader::MetricsLog;
 pub use record::{Event, FieldValue, MetricKind, MetricRecord, SpanRecord};
 pub use sink::{JsonlSink, MemorySink, Sink, StderrSink, TeeSink};
 
@@ -671,8 +675,11 @@ mod tests {
             counter!("procedure2.trials", 1);
         }
         finish();
-        let log = MetricsLog::read(&path).unwrap();
-        assert!(log.len() >= 4, "header + span + metric + summary: {log:?}");
+        let records = jsonl::read(&path).unwrap();
+        assert!(
+            records.len() >= 4,
+            "header + span + metric + summary: {records:?}"
+        );
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"type\":\"obs\""));
         assert!(text.contains("\"type\":\"obs_summary\""));

@@ -36,14 +36,13 @@
 //! results; recording is proven non-perturbing by `tests/sched.rs`.
 
 use std::cell::RefCell;
-use std::fs::OpenOptions;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
+use crate::jsonl::{array, escape_into, JsonObject, JsonlFile};
 use crate::names;
-use crate::record::escape_into;
 
 /// Ring capacity used when [`start`] is handed `0` (or `RLS_RECORD=1`).
 pub const DEFAULT_CAPACITY: usize = 8192;
@@ -432,10 +431,10 @@ impl Snapshot {
 /// file under the configured dump directory, named
 /// `rec-dump-<reason>-<pid>-<seq>[-k].jsonl`.
 ///
-/// The file follows the workspace persistence contract one line at a
-/// time (`write_all` per line, `sync_data` at the end), so a crash *in
-/// the middle of dumping a crash* leaves at most one torn tail line —
-/// which [`crate::MetricsLog`] readers tolerate. Returns `None` (and
+/// The whole dump is published at once through [`JsonlFile::create`]
+/// (hidden temp file, fsync, rename), so a crash *in the middle of
+/// dumping a crash* leaves no visible partial dump; readers use
+/// [`crate::jsonl::read`]. Returns `None` (and
 /// does nothing) when the recorder is disarmed, no dump directory is
 /// configured, or the dump cannot be created.
 pub fn dump(reason: &str) -> Option<PathBuf> {
@@ -488,53 +487,27 @@ fn write_dump(
     reason: &str,
     snap: &Snapshot,
 ) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let pid = std::process::id();
-    let mut k = 0u32;
-    let (path, mut file) = loop {
-        let name = if k == 0 {
-            format!("rec-dump-{tag}-{pid}-{seq}.jsonl")
-        } else {
-            format!("rec-dump-{tag}-{pid}-{seq}-{k}.jsonl")
-        };
-        let candidate = dir.join(name);
-        match OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&candidate)
-        {
-            Ok(f) => break (candidate, f),
-            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => k += 1,
-            Err(e) => return Err(e),
-        }
-    };
-    let mut header = String::from("{\"type\":\"rec_dump\",\"version\":1,\"reason\":\"");
-    escape_into(reason, &mut header);
-    use std::fmt::Write as _;
-    let _ = write!(
-        header,
-        "\",\"events\":{},\"dropped\":{}",
-        snap.events.len(),
-        snap.dropped
-    );
-    header.push_str(",\"threads\":[");
-    for (n, (tid, label)) in snap.threads.iter().enumerate() {
-        if n > 0 {
-            header.push(',');
-        }
-        let _ = write!(header, "{{\"tid\":{tid},\"label\":\"");
-        escape_into(label, &mut header);
-        header.push_str("\"}");
-    }
-    header.push_str("]}\n");
-    file.write_all(header.as_bytes())?;
-    for event in &snap.events {
-        let mut line = event.to_json();
-        line.push('\n');
-        file.write_all(line.as_bytes())?;
-    }
-    file.sync_data()?;
-    Ok(path)
+    let threads = array(snap.threads.iter().map(|(tid, label)| {
+        JsonObject::new()
+            .num("tid", u64::from(*tid))
+            .str("label", label)
+            .render()
+    }));
+    let header = JsonObject::new()
+        .str("type", "rec_dump")
+        .num("version", 1)
+        .str("reason", reason)
+        .num("events", snap.events.len() as u64)
+        .num("dropped", snap.dropped)
+        .raw("threads", &threads)
+        .render();
+    let mut records = Vec::with_capacity(snap.events.len() + 1);
+    records.push(header);
+    records.extend(snap.events.iter().map(SnapEvent::to_json));
+    let stem = format!("rec-dump-{tag}-{}-{seq}", std::process::id());
+    Ok(JsonlFile::create(dir, &stem, &records)?
+        .path()
+        .to_path_buf())
 }
 
 #[cfg(test)]
@@ -708,14 +681,41 @@ mod tests {
             assert!(text.contains("\"name\":\"dispatch.degrade\""));
             // The dump parses with the shared torn-tail-tolerant reader,
             // including with its final line torn off mid-record.
-            let log = crate::MetricsLog::read(&path).unwrap();
-            assert!(log.len() >= 3, "{log:?}");
+            let records = crate::jsonl::read(&path).unwrap();
+            assert!(records.len() >= 3, "{records:?}");
             let torn = &text[..text.len() - 10];
-            let torn_log = crate::MetricsLog::from_text(torn).unwrap();
-            assert_eq!(torn_log.len(), log.len() - 1, "only the tail drops");
+            let torn_records = crate::jsonl::parse_records(torn).unwrap();
+            assert_eq!(torn_records.len(), records.len() - 1, "only the tail drops");
             // A second dump must not collide.
             let second = dump("test-degrade").expect("second dump");
             assert_ne!(path, second);
+            std::fs::remove_dir_all(&dir).unwrap();
+        });
+    }
+
+    #[test]
+    fn a_failed_dump_leaves_no_visible_file() {
+        armed(|| {
+            let dir = std::env::temp_dir().join(format!(
+                "rls-rec-dump-fail-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            set_dump_dir(&dir);
+            record(RecKind::Mark, "dispatch.degrade", 1, 0);
+            // A directory squatting on the next dump's temp name makes
+            // the publish fail after the final name was reserved.
+            let seq = SHARED.get().unwrap().dump_seq.load(Ordering::Relaxed);
+            let tmp = format!(".rec-dump-sabotaged-{}-{seq}.jsonl.tmp", std::process::id());
+            std::fs::create_dir(dir.join(&tmp)).unwrap();
+            assert!(dump("sabotaged").is_none());
+            let names: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            assert_eq!(names, [tmp], "no empty visible dump left behind");
             std::fs::remove_dir_all(&dir).unwrap();
         });
     }

@@ -6,14 +6,14 @@
 //! free to take its own mutex without blocking emitters on other sinks.
 
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::hist::HdrHistogram;
-use crate::record::{escape_into, Event, MetricKind};
+use crate::jsonl::{JsonObject, JsonlFile};
+use crate::record::{Event, MetricKind};
 
 /// An event consumer.
 pub trait Sink: Send + Sync {
@@ -137,12 +137,10 @@ impl Sink for StderrSink {
 
 /// Crash-safe JSONL metrics stream.
 ///
-/// Mirrors the campaign persistence contract (DESIGN.md §7): the final
-/// name is reserved with `create_new` plus a `-k` collision suffix, the
-/// header lands via a hidden temp file and an atomic rename over the
-/// reservation, and every event is appended as one `write_all` +
-/// `sync_data` line — a crash leaves at most one torn tail line, which
-/// the [`crate::MetricsLog`] reader tolerates.
+/// A [`JsonlFile`] (DESIGN.md §7): the header lands atomically under a
+/// reserved `obs-<run_id>[-k].jsonl` name and every event is appended as
+/// one `write_all` + `sync_data` line — a crash leaves at most one torn
+/// tail line, which [`crate::jsonl::read`] tolerates.
 ///
 /// On the first append error the sink warns once on stderr and disables
 /// itself; the run continues without metrics rather than failing.
@@ -155,7 +153,7 @@ impl Sink for StderrSink {
 /// whichever collector (or armed recorder) is live when the late event
 /// arrives — never the sealed stream itself.
 pub struct JsonlSink {
-    file: Mutex<Option<File>>,
+    file: Mutex<Option<JsonlFile>>,
     path: PathBuf,
     dead: AtomicBool,
 }
@@ -164,59 +162,22 @@ impl JsonlSink {
     /// Creates `obs-<run_id>[-k].jsonl` under `dir` and writes the header
     /// record `{"type":"obs","version":1,"run_id":…}`.
     pub fn create(dir: &Path, run_id: &str) -> io::Result<JsonlSink> {
-        std::fs::create_dir_all(dir)?;
-        // Reserve a unique final name. Run ids are only process-unique,
-        // so the -k suffix backstops names left by other processes.
-        let mut k = 0u32;
-        let path = loop {
-            let name = if k == 0 {
-                format!("obs-{run_id}.jsonl")
-            } else {
-                format!("obs-{run_id}-{k}.jsonl")
-            };
-            let candidate = dir.join(name);
-            match OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&candidate)
-            {
-                Ok(_) => break candidate,
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => k += 1,
-                Err(e) => return Err(e),
-            }
-        };
-        let mut header = String::from("{\"type\":\"obs\",\"version\":1,\"run_id\":\"");
-        escape_into(run_id, &mut header);
-        header.push_str("\"}\n");
-        let file_name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("obs.jsonl");
-        let tmp = path.with_file_name(format!(".{file_name}.tmp"));
-        // lint: persist-ok(this is the rename helper itself; hidden temp, fsync, then rename below)
-        let mut t = File::create(&tmp)?;
-        t.write_all(header.as_bytes())?;
-        t.sync_all()?;
-        std::fs::rename(&tmp, &path)?;
-        // Make the rename durable (best-effort: not all platforms allow
-        // opening a directory for sync).
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-        let file = OpenOptions::new().append(true).open(&path)?;
-        Ok(JsonlSink {
-            file: Mutex::new(Some(file)),
-            path,
-            dead: AtomicBool::new(false),
-        })
+        let header = JsonObject::new()
+            .str("type", "obs")
+            .num("version", 1)
+            .str("run_id", run_id)
+            .render();
+        Ok(JsonlSink::from_file(JsonlFile::create(
+            dir,
+            &format!("obs-{run_id}"),
+            &[header],
+        )?))
     }
 
-    /// Wraps an already-open file — the test hook for the disable path.
-    #[cfg(test)]
-    fn from_parts(file: File, path: PathBuf) -> JsonlSink {
+    fn from_file(file: JsonlFile) -> JsonlSink {
         JsonlSink {
+            path: file.path().to_path_buf(),
             file: Mutex::new(Some(file)),
-            path,
             dead: AtomicBool::new(false),
         }
     }
@@ -244,13 +205,7 @@ impl JsonlSink {
         let Some(f) = guard.as_mut() else {
             return false;
         };
-        let mut buf = Vec::with_capacity(line.len() + 1);
-        buf.extend_from_slice(line.as_bytes());
-        buf.push(b'\n');
-        // One write_all per record keeps the torn-tail guarantee; the
-        // per-line sync matches the campaign stream's crash contract.
-        let outcome = f.write_all(&buf).and_then(|()| f.sync_data());
-        if let Err(e) = outcome {
+        if let Err(e) = f.append(line) {
             *guard = None;
             // lint: ordering-ok(monotone latch; set under the file mutex that every writer takes)
             self.dead.store(true, Ordering::Relaxed);
@@ -488,6 +443,21 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_create_leaves_no_visible_stream() {
+        // A directory squatting on the temp name makes the publish fail
+        // after the final name was reserved: the reservation must go too.
+        let dir = temp_dir("create-fails");
+        std::fs::create_dir(dir.join(".obs-X.jsonl.tmp")).unwrap();
+        assert!(JsonlSink::create(&dir, "X").is_err());
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, [".obs-X.jsonl.tmp"], "no empty obs-X.jsonl");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn jsonl_sink_appends_events_and_summary() {
         let dir = temp_dir("events");
         let sink = JsonlSink::create(&dir, "0-r1").unwrap();
@@ -556,8 +526,8 @@ mod tests {
         let path = dir.join("obs-x.jsonl");
         std::fs::write(&path, "{\"type\":\"obs\",\"version\":1}\n").unwrap();
         // A read-only handle forces every append to fail.
-        let readonly = File::open(&path).unwrap();
-        let sink = JsonlSink::from_parts(readonly, path.clone());
+        let readonly = std::fs::File::open(&path).unwrap();
+        let sink = JsonlSink::from_file(JsonlFile::from_parts(readonly, path.clone()));
         assert!(!sink.disabled());
         let event = Event::Metric(MetricRecord {
             kind: MetricKind::Counter,

@@ -44,8 +44,8 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use rls_core::{Procedure2, RlsConfig};
-use rls_dispatch::jsonl::JsonObject;
 use rls_lfsr::SeedSequence;
+use rls_obs::jsonl::JsonObject;
 use rls_serve::{backoff_ms, fnv1a, normalize_line, normalize_recovered};
 
 #[derive(Default)]
@@ -233,7 +233,7 @@ fn control_end(kind: &str, line: &str) -> Option<StreamEnd> {
     match kind {
         "done" | "interrupted" | "draining" => Some(StreamEnd::Ok),
         "rejected" => Some(StreamEnd::Rejected(
-            rls_dispatch::jsonl::parse(line)
+            rls_obs::jsonl::parse(line)
                 .ok()
                 .and_then(|v| v.u64_field("retry_after_ms")),
         )),
@@ -251,7 +251,7 @@ fn tail(stream: UnixStream, normalize: bool) -> StreamEnd {
         if line.is_empty() {
             continue;
         }
-        let kind = rls_dispatch::jsonl::parse(&line)
+        let kind = rls_obs::jsonl::parse(&line)
             .ok()
             .and_then(|v| v.str_field("type").map(str::to_string))
             .unwrap_or_default();
@@ -295,7 +295,7 @@ fn tail_recovered(stream: UnixStream) -> Result<StreamEnd, String> {
         if line.is_empty() {
             continue;
         }
-        let kind = rls_dispatch::jsonl::parse(&line)
+        let kind = rls_obs::jsonl::parse(&line)
             .ok()
             .and_then(|v| v.str_field("type").map(str::to_string))
             .unwrap_or_default();

@@ -11,22 +11,22 @@
 //! one from its last checkpoint through the ordinary
 //! `Procedure2::resume` machinery.
 //!
-//! Persistence follows the `dispatch::jsonl` campaign-file idiom exactly:
-//! the compacted file is written to a hidden temp name, fsynced, and
-//! renamed into place; appends are `write_all` + `sync_data`; the reader
-//! tolerates a torn final line (a crash mid-append) but treats mid-file
-//! garbage as corruption. A `begin` carries everything recovery needs —
+//! Persistence is `rls_obs::jsonl`'s durable file, the one campaign files
+//! use: compaction rewrites the file by hidden temp + fsync + rename,
+//! appends are `write_all` + `sync_data`, and the reader tolerates a torn
+//! final line (a crash mid-append) but treats mid-file garbage as
+//! corruption. A `begin` carries everything recovery needs —
 //! run id, circuit, config fingerprint, campaign file path, and the raw
 //! request line — so the server can rebuild the exact configuration and
 //! refuse to resume under a fingerprint that no longer matches.
 
-use std::fs::{File, OpenOptions};
+use std::fs::OpenOptions;
 use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
 use rls_dispatch::inject;
-use rls_dispatch::jsonl::{self, JsonObject, JsonValue};
+use rls_obs::jsonl::{self, JsonObject, JsonValue, JsonlFile, ReadError};
 
 /// The journal's file name under the campaign directory.
 pub const JOURNAL_FILE: &str = "serve-journal.jsonl";
@@ -84,7 +84,7 @@ impl JournalEntry {
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
-    file: Mutex<File>,
+    file: Mutex<JsonlFile>,
 }
 
 impl Journal {
@@ -92,19 +92,23 @@ impl Journal {
     /// and returns the in-flight entries a previous process left behind.
     ///
     /// Compaction rewrites the file to hold only those in-flight `begin`
-    /// entries — temp file, fsync, atomic rename — so the journal stays
-    /// bounded by the number of concurrently admitted campaigns rather
-    /// than growing with server lifetime. A corrupt journal (garbage
-    /// before the final line) is quarantined to `serve-journal.corrupt`
-    /// and recovery starts empty: a crash can tear only the tail, so
-    /// mid-file damage means something other than us wrote the file, and
-    /// refusing to serve would turn one bad line into a dead service.
+    /// entries ([`JsonlFile::replace`]: temp file, fsync, atomic rename),
+    /// so the journal stays bounded by the number of concurrently
+    /// admitted campaigns rather than growing with server lifetime. A
+    /// corrupt journal (garbage before the final line) is quarantined to
+    /// `serve-journal.corrupt` and recovery starts empty: a crash can
+    /// tear only the tail, so mid-file damage means something other than
+    /// us wrote the file, and refusing to serve would turn one bad line
+    /// into a dead service. A journal that cannot be *read* is an error:
+    /// its campaigns are still owed, and moving it aside would lose them.
     pub fn open(dir: &Path) -> std::io::Result<(Journal, Vec<JournalEntry>)> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(JOURNAL_FILE);
-        let inflight = match read(&path) {
+        let inflight = match jsonl::read(&path) {
             Ok(records) => inflight(&records),
-            Err(err) => {
+            Err(ReadError::Io(e)) if e.kind() == ErrorKind::NotFound => Vec::new(),
+            Err(ReadError::Io(e)) => return Err(e),
+            Err(err @ ReadError::Parse { .. }) => {
                 let quarantine = dir.join("serve-journal.corrupt");
                 eprintln!(
                     "rls-serve: journal {} is corrupt ({err}); quarantining to {} and starting empty",
@@ -115,21 +119,8 @@ impl Journal {
                 Vec::new()
             }
         };
-        // Compact: rewrite only the surviving begins via temp + rename.
-        let tmp = dir.join(format!(".{JOURNAL_FILE}.tmp"));
-        {
-            let mut f = File::create(&tmp)?; // lint: persist-ok(hidden temp for the compaction rewrite; fsynced and renamed over the journal below)
-            for entry in &inflight {
-                f.write_all(entry.render().as_bytes())?;
-                f.write_all(b"\n")?;
-            }
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)?;
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-        let file = OpenOptions::new().append(true).open(&path)?;
+        let entries: Vec<String> = inflight.iter().map(JournalEntry::render).collect();
+        let file = JsonlFile::replace(&path, &entries)?;
         Ok((
             Journal {
                 path,
@@ -162,51 +153,27 @@ impl Journal {
 
     fn append(&self, line: &str) -> std::io::Result<()> {
         let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut bytes = Vec::with_capacity(line.len() + 1);
-        bytes.extend_from_slice(line.as_bytes());
-        bytes.push(b'\n');
         // Chaos fault point: die exactly like a power cut would, either
         // mid-append (torn tail, fsync never ran) or just after the entry
         // became durable. Recovery must converge from both states.
         match inject::on_journal_append() {
             inject::JournalCrash::None => {}
             inject::JournalCrash::Torn => {
-                // lint: block-ok(the mutex IS the append serializer; a torn-crash fault point)
-                let _ = file.write_all(&bytes[..bytes.len() / 2]); // lint: panic-ok(len/2 <= len)
-                let _ = file.flush(); // lint: block-ok(the mutex IS the append serializer)
+                let torn = line.as_bytes().get(..line.len().div_ceil(2));
+                if let Ok(mut raw) = OpenOptions::new().append(true).open(&self.path) {
+                    let _ = raw.write_all(torn.unwrap_or_default()); // lint: block-ok(the mutex IS the append serializer)
+                }
                 std::process::exit(86);
             }
             inject::JournalCrash::Durable => {
-                let _ = file.write_all(&bytes); // lint: block-ok(the mutex IS the append serializer)
-                let _ = file.sync_data(); // lint: block-ok(durable-crash fault point; mutex serializes appends)
+                let _ = file.append(line);
                 std::process::exit(86);
             }
         }
-        file.write_all(&bytes)?; // lint: block-ok(appends must be exclusive; the Mutex<File> is the whole protocol)
-        file.sync_data() // lint: block-ok(durability barrier before begin/end returns; serialized by design)
+        // The mutex serializes appends: each entry is durable before
+        // begin/end returns.
+        file.append(line)
     }
-}
-
-/// Reads every journal record, tolerating a torn final line (the record
-/// being appended when the process died) but not mid-file garbage —
-/// the same contract as `CampaignLog::read`.
-pub fn read(path: &Path) -> Result<Vec<JsonValue>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
-    };
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    let mut records = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        match jsonl::parse(line) {
-            Ok(v) if v.str_field("type").is_some() => records.push(v),
-            _ if i + 1 == lines.len() => break, // torn tail: crash mid-append
-            Ok(_) => return Err(format!("{}: record {} has no type", path.display(), i + 1)),
-            Err(e) => return Err(format!("{}: record {}: {e}", path.display(), i + 1)),
-        }
-    }
-    Ok(records)
 }
 
 /// The `begin` entries without a matching `end`, in journal order.
@@ -262,7 +229,7 @@ mod tests {
         journal.begin(&entry("r1")).unwrap();
         journal.begin(&entry("r2")).unwrap();
         journal.end("r1", "done").unwrap();
-        let records = read(journal.path()).unwrap();
+        let records = jsonl::read(journal.path()).unwrap();
         assert_eq!(records.len(), 3);
         let open = inflight(&records);
         assert_eq!(open.len(), 1);
@@ -282,7 +249,7 @@ mod tests {
         let (journal, recovered) = Journal::open(&dir).unwrap();
         assert_eq!(recovered.len(), 1);
         assert_eq!(recovered[0].run_id, "r2");
-        let records = read(journal.path()).unwrap();
+        let records = jsonl::read(journal.path()).unwrap();
         assert_eq!(records.len(), 1, "closed pairs are compacted away");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -300,7 +267,7 @@ mod tests {
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str("{\"type\":\"end\",\"run_id\":\"r2\",\"outco");
         std::fs::write(&path, &text).unwrap();
-        let records = read(&path).unwrap();
+        let records = jsonl::read(&path).unwrap();
         assert_eq!(records.len(), 2, "the torn line is ignored");
         assert_eq!(
             inflight(&records).len(),
@@ -310,12 +277,24 @@ mod tests {
         // The same bytes mid-file are corruption, not a crash artifact.
         let torn_then_more = format!("{text}\n{}\n", entry("r3").render());
         std::fs::write(&path, torn_then_more).unwrap();
-        let err = read(&path).unwrap_err();
-        assert!(err.contains("record 3"), "{err}");
+        let err = jsonl::read(&path).unwrap_err();
+        assert!(matches!(err, ReadError::Parse { line: 3, .. }), "{err}");
         // open() quarantines the corrupt journal instead of dying.
         let (_, recovered) = Journal::open(&dir).unwrap();
         assert!(recovered.is_empty());
         assert!(dir.join("serve-journal.corrupt").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_unreadable_journal_is_an_error_not_corruption() {
+        // A journal that cannot be read still owes its campaigns: open()
+        // must fail and leave it in place, not quarantine it.
+        let dir = scratch("unreadable");
+        std::fs::create_dir(dir.join(JOURNAL_FILE)).unwrap();
+        assert!(Journal::open(&dir).is_err());
+        assert!(dir.join(JOURNAL_FILE).is_dir());
+        assert!(!dir.join("serve-journal.corrupt").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

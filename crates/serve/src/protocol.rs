@@ -27,8 +27,8 @@
 
 use std::path::PathBuf;
 
-use rls_dispatch::jsonl::JsonObject;
-use rls_dispatch::jsonl::{escape, parse, JsonValue};
+use rls_obs::jsonl::JsonObject;
+use rls_obs::jsonl::{escape, parse, JsonValue};
 
 /// Upper bound on one request line (netlist uploads included).
 pub const MAX_REQUEST_BYTES: usize = 4 * 1024 * 1024;

@@ -91,24 +91,23 @@ fn obs_enabled_parallel_is_bit_identical_to_sequential() {
     assert_eq!(sequential, parallel, "tracing must not perturb the outcome");
     obs::finish().expect("a collector was installed");
     // The metrics stream parses, covers both runs, and ends in a summary.
-    let log = obs::MetricsLog::read(&path).unwrap();
-    let runs = log
-        .lines()
-        .iter()
-        .filter(|l| l.contains(r#""name":"procedure2.run""#))
-        .count();
+    let records = obs::jsonl::read(&path).unwrap();
+    let named = |name: &str| {
+        records
+            .iter()
+            .filter(|r| r.str_field("name") == Some(name))
+            .count()
+    };
+    let runs = named("procedure2.run");
     assert!(runs >= 2, "both procedure2 runs traced, got {runs}");
     assert!(
-        log.lines()
-            .iter()
-            .any(|l| l.contains(r#""name":"dispatch.set""#)),
+        named("dispatch.set") > 0,
         "the parallel run traced its sets"
     );
-    assert!(log
-        .lines()
-        .last()
-        .unwrap()
-        .contains(r#""type":"obs_summary""#));
+    assert_eq!(
+        records.last().and_then(|r| r.str_field("type")),
+        Some("obs_summary")
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

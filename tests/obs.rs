@@ -152,33 +152,24 @@ fn flight_recorder_dump_survives_a_parallel_campaign() {
     // The dump is readable through the same torn-tail-tolerant reader the
     // metrics stream uses, and every event line carries a registered (or
     // placeholder) name the report layer can rely on.
-    let log = obs::MetricsLog::read(&path).expect("dump parses as a metrics log");
-    assert!(!log.is_empty(), "dump holds a header at least");
-    let header = &log.lines()[0];
-    assert!(header.contains(r#""type":"rec_dump""#), "{header}");
-    assert!(
-        header.contains(r#""reason":"integration test!""#),
-        "{header}"
+    let records = obs::jsonl::read(&path).expect("dump parses as JSONL records");
+    let (header, events) = records.split_first().expect("dump holds a header at least");
+    assert_eq!(header.str_field("type"), Some("rec_dump"), "{header:?}");
+    assert_eq!(
+        header.str_field("reason"),
+        Some("integration test!"),
+        "{header:?}"
     );
-    let events: Vec<&String> = log.lines()[1..].iter().collect();
     assert!(!events.is_empty(), "the campaign recorded events");
-    for line in &events {
-        assert!(line.contains(r#""type":"rec_event""#), "{line}");
+    for event in events {
+        assert_eq!(event.str_field("type"), Some("rec_event"), "{event:?}");
     }
     // The dispatch spans land in the rings as enter/exit pairs, and the
     // kernel-batch marks from inside `fsim.test` ride along.
-    assert!(
-        events.iter().any(|l| l.contains(r#""kind":"enter""#)),
-        "no span enters"
-    );
-    assert!(
-        events.iter().any(|l| l.contains(r#""kind":"exit""#)),
-        "no span exits"
-    );
-    assert!(
-        events.iter().any(|l| l.contains(r#""name":"fsim.batch""#)),
-        "no kernel batch marks"
-    );
+    let any = |key: &str, value: &str| events.iter().any(|e| e.str_field(key) == Some(value));
+    assert!(any("kind", "enter"), "no span enters");
+    assert!(any("kind", "exit"), "no span exits");
+    assert!(any("name", "fsim.batch"), "no kernel batch marks");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -242,7 +242,7 @@ fn degraded_campaign_records_exact_fallback_lane_accounting() {
         .lines()
         .find(|l| l.contains("\"type\":\"workers\""))
         .expect("degraded parallel campaign still writes a workers record");
-    let v = rls_dispatch::jsonl::parse(workers).unwrap();
+    let v = rls_obs::jsonl::parse(workers).unwrap();
     let fallback = v
         .get("fallback")
         .expect("degraded run records fallback lane stats");

@@ -174,7 +174,7 @@ fn kill9_mid_campaign_is_recovered_on_restart_and_attach_matches_direct() {
     let socket = dir.join("rls.sock");
     let (accepted, reader) = open_stream(&socket, REQ_S208);
     assert!(accepted.contains("\"accepted\""), "{accepted}");
-    let v = rls_dispatch::jsonl::parse(&accepted).unwrap();
+    let v = rls_obs::jsonl::parse(&accepted).unwrap();
     let run_id = v.str_field("run_id").expect("run id").to_string();
     let path = PathBuf::from(v.str_field("path").expect("path"));
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -252,7 +252,7 @@ fn torn_journal_begin_recovers_nothing_and_the_restart_serves() {
         "the injected crash exit"
     );
     let journal_path = dir.join("served").join(rls_serve::journal::JOURNAL_FILE);
-    let records = rls_serve::journal::read(&journal_path).unwrap();
+    let records = rls_obs::jsonl::read(&journal_path).unwrap();
     assert!(
         rls_serve::journal::inflight(&records).is_empty(),
         "a torn begin never became durable: {records:?}"
@@ -294,7 +294,7 @@ fn durable_begin_with_no_checkpoint_fails_closed_on_restart() {
     );
     assert_eq!(child.wait().unwrap().code(), Some(86));
     let journal_path = dir.join("served").join(rls_serve::journal::JOURNAL_FILE);
-    let owed = rls_serve::journal::inflight(&rls_serve::journal::read(&journal_path).unwrap());
+    let owed = rls_serve::journal::inflight(&rls_obs::jsonl::read(&journal_path).unwrap());
     assert_eq!(owed.len(), 1, "the durable begin is owed");
     let run_id = owed[0].run_id.clone();
 
@@ -311,7 +311,7 @@ fn durable_begin_with_no_checkpoint_fails_closed_on_restart() {
     shutdown(&socket);
     server.join().unwrap().unwrap();
     // The failed recovery closed its journal entry: nothing stays owed.
-    let owed = rls_serve::journal::inflight(&rls_serve::journal::read(&journal_path).unwrap());
+    let owed = rls_serve::journal::inflight(&rls_obs::jsonl::read(&journal_path).unwrap());
     assert!(owed.is_empty(), "{owed:?}");
 }
 
@@ -329,7 +329,7 @@ fn torn_journal_end_auto_resumes_under_the_original_run_id() {
     let socket = dir.join("rls.sock");
     let (accepted, reader) = open_stream(&socket, REQ_S208);
     assert!(accepted.contains("\"accepted\""), "{accepted}");
-    let run_id = rls_dispatch::jsonl::parse(&accepted)
+    let run_id = rls_obs::jsonl::parse(&accepted)
         .unwrap()
         .str_field("run_id")
         .expect("run id")
@@ -398,7 +398,7 @@ fn watchdog_requeues_a_stalled_campaign_and_the_outcome_is_exact() {
     let (accepted, reader) = open_stream(&socket, REQ_S208);
     assert!(accepted.contains("\"accepted\""), "{accepted}");
     let path = PathBuf::from(
-        rls_dispatch::jsonl::parse(&accepted)
+        rls_obs::jsonl::parse(&accepted)
             .unwrap()
             .str_field("path")
             .expect("path"),
@@ -458,7 +458,7 @@ fn deadlines_interrupt_resumably_and_overload_sheds_with_a_hint() {
     );
     assert!(accepted.contains("\"accepted\""), "{accepted}");
     let path = PathBuf::from(
-        rls_dispatch::jsonl::parse(&accepted)
+        rls_obs::jsonl::parse(&accepted)
             .unwrap()
             .str_field("path")
             .expect("path"),
@@ -546,7 +546,7 @@ fn chaos_client(socket: PathBuf, base: String) -> PathBuf {
             .map_while(Result::ok)
             .filter(|l| !l.is_empty())
             .collect();
-        if let Some(Ok(v)) = lines.first().map(|l| rls_dispatch::jsonl::parse(l)) {
+        if let Some(Ok(v)) = lines.first().map(|l| rls_obs::jsonl::parse(l)) {
             if v.str_field("type") == Some("accepted") {
                 if let Some(p) = v.str_field("path") {
                     path = Some(PathBuf::from(p));
@@ -644,6 +644,6 @@ fn chaos_soak_concurrent_clients_converge_byte_exactly_under_stream_faults() {
     server.join().unwrap().unwrap();
     // Every interruption along the way closed its journal entry.
     let journal_path = dir.join("served").join(rls_serve::journal::JOURNAL_FILE);
-    let owed = rls_serve::journal::inflight(&rls_serve::journal::read(&journal_path).unwrap());
+    let owed = rls_serve::journal::inflight(&rls_obs::jsonl::read(&journal_path).unwrap());
     assert!(owed.is_empty(), "{owed:?}");
 }
