@@ -98,12 +98,15 @@ rm -rf "$THREAD_DIR"
 echo "== results: committed extension and Table 5 output =="
 # partial_scan and multichain run Procedure 2 on a partial-scan chain and
 # on multiple short chains; their committed tables pin that one flow byte
-# for byte, beside table5's closed-form ranking. A table5 argument that
-# is not an N_SV value, or a table6 argument that names no circuit, must
-# print the usage line and exit 2, not panic; an RLS_MAX_TRIES that is not
-# a positive integer must exit 2 with an [exec] message.
+# for byte, beside table5's closed-form ranking. table1 pins the serial
+# scan path (GoodSim through the chain map) and at_speed the transition
+# simulator, which shifts its 64-lane words through the same map. A
+# table5 argument that is not an N_SV value, or a table6 argument that
+# names no circuit, must print the usage line and exit 2, not panic; an
+# RLS_MAX_TRIES that is not a positive integer must exit 2 with an [exec]
+# message.
 RESULTS_DIR=$(mktemp -d)
-for bin in partial_scan multichain table5; do
+for bin in partial_scan multichain table5 table1 at_speed; do
     cargo run -q --release --offline -p rls-bench --bin "$bin" \
         > "$RESULTS_DIR/$bin.txt" 2> /dev/null
     cmp "$RESULTS_DIR/$bin.txt" "results/$bin.txt"

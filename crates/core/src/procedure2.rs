@@ -316,6 +316,7 @@ impl<'c> Procedure2<'c> {
         let mut n_same_fc;
         // Mid-iteration entry point: `(iteration, d1_pos, improved)`.
         let mut entry: Option<(u64, usize, bool)> = None;
+        let fresh = resume.is_none();
         if let Some(state) = resume {
             rls_obs::counter!("procedure2.resumes", 1, iteration = state.iteration);
             target_faults = state.target_faults;
@@ -345,29 +346,49 @@ impl<'c> Procedure2<'c> {
             total_cycles = base_cycles;
             iterations = 0;
             n_same_fc = 0;
-            // First checkpoint: the post-TS0 state.
-            if let Some(c) = campaign.as_deref_mut() {
-                if c.has_sink() {
-                    let state = ResumeState {
-                        circuit: self.circuit.name().to_string(),
-                        fingerprint: print,
-                        iteration: 0,
-                        d1_pos: 0,
-                        in_iteration: false,
-                        improved: false,
-                        n_same_fc: 0,
-                        total_cycles,
-                        initial_detected,
-                        initial_cycles: base_cycles,
-                        target_faults,
-                        live: exec.undetected(),
-                        pairs: Vec::new(),
-                        source: None,
-                    };
-                    c.record_raw(&state.render());
-                    rls_obs::counter!("procedure2.checkpoints", 1);
-                }
-            }
+        }
+
+        // A checkpoint record: what a resume needs to re-enter with the
+        // next trial at `(iteration, d1_pos)`. Inside an iteration a
+        // checkpoint follows a kept pair, so the iteration has improved.
+        let checkpoint = |campaign: Option<&mut Campaign>,
+                          exec: &E,
+                          (iteration, d1_pos, in_iteration): (u64, usize, bool),
+                          n_same_fc: u32,
+                          total_cycles: u64,
+                          pairs: &[SelectedPair]| {
+            let Some(c) = campaign.filter(|c| c.has_sink()) else {
+                return;
+            };
+            let state = ResumeState {
+                circuit: self.circuit.name().to_string(),
+                fingerprint: print,
+                iteration,
+                d1_pos,
+                in_iteration,
+                improved: in_iteration,
+                n_same_fc,
+                total_cycles,
+                initial_detected,
+                initial_cycles: base_cycles,
+                target_faults,
+                live: exec.undetected(),
+                pairs: pairs.to_vec(),
+                source: None,
+            };
+            c.record_raw(&state.render());
+            rls_obs::counter!("procedure2.checkpoints", 1);
+        };
+        // First checkpoint: the post-TS0 state.
+        if fresh {
+            checkpoint(
+                campaign.as_deref_mut(),
+                exec,
+                (0, 0, false),
+                0,
+                total_cycles,
+                &pairs,
+            );
         }
 
         let d1_values = self.cfg.d1_order.values(self.cfg.d1_max);
@@ -454,28 +475,14 @@ impl<'c> Procedure2<'c> {
                     });
                     // Checkpoint after every accepted pair: the next
                     // trial to run is `(i, pos + 1)`.
-                    if let Some(c) = campaign.as_deref_mut() {
-                        if c.has_sink() {
-                            let state = ResumeState {
-                                circuit: self.circuit.name().to_string(),
-                                fingerprint: print,
-                                iteration: i,
-                                d1_pos: pos + 1,
-                                in_iteration: true,
-                                improved: true,
-                                n_same_fc,
-                                total_cycles,
-                                initial_detected,
-                                initial_cycles: base_cycles,
-                                target_faults,
-                                live: exec.undetected(),
-                                pairs: pairs.clone(),
-                                source: None,
-                            };
-                            c.record_raw(&state.render());
-                            rls_obs::counter!("procedure2.checkpoints", 1);
-                        }
-                    }
+                    checkpoint(
+                        campaign.as_deref_mut(),
+                        exec,
+                        (i, pos + 1, true),
+                        n_same_fc,
+                        total_cycles,
+                        &pairs,
+                    );
                 }
             }
             if improved {
@@ -764,8 +771,6 @@ mod tests {
         let full = Procedure2::new(&c, base.clone()).run();
         // Re-run targeting only the faults TS0 already detects: complete
         // with zero pairs.
-        let sim = FaultSimulator::new(&c);
-        let _ = sim;
         let easy: Vec<FaultId> = {
             let mut s = FaultSimulator::new(&c);
             let ts0 = generate_ts0(&c, &base);

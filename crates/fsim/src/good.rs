@@ -255,7 +255,7 @@ impl<'c> GoodSim<'c> {
                 state[pos] = v; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
             }
         };
-        let mut state = self.chains.load_bools(&test.scan_in);
+        let mut state = self.chains.load_state(&test.scan_in);
         force_state(&mut state);
         let mut trace = TestTrace {
             states: Vec::with_capacity(test.len() + 1),
@@ -268,9 +268,7 @@ impl<'c> GoodSim<'c> {
         for (u, (shift, vector)) in test.units().enumerate() {
             trace.pre_shift_states.push(state.clone());
             if let Some(op) = shift {
-                let observed = self
-                    .chains
-                    .limited_scan_bools(&mut state, op.amount, &op.fill);
+                let observed = self.chains.limited_scan(&mut state, op.amount, &op.fill);
                 trace.scan_outs.push((u, observed));
                 force_state(&mut state);
             }
@@ -283,7 +281,7 @@ impl<'c> GoodSim<'c> {
             }
             force_state(&mut state);
         }
-        trace.final_scan_out = self.chains.observe_bools(&state);
+        trace.final_scan_out = self.chains.observe_state(&state);
         trace.states.push(state);
         trace
     }

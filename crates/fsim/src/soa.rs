@@ -485,7 +485,7 @@ fn collect_detections(batch: &SoaBatch, detected: KernelWord) -> Vec<Vec<FaultId
 /// per-pattern fill words `fill[cycle * chains + chain]`.
 ///
 /// The scan-out words land in `out` in the order
-/// [`ChainMap::limited_scan_bools`] returns its bits: cycle-major, chains
+/// [`ChainMap::limited_scan`] returns its cells: cycle-major, chains
 /// in map order, empty chains skipped. They are read from the pre-shift
 /// state — cycle `i` of a length-`m` chain sees old position `m - 1 - i`,
 /// or, once `i >= m`, the fill word that entered `m` cycles earlier — and
@@ -1056,7 +1056,7 @@ mod tests {
                     let bit = |w: &KernelWord| w.lane(lane);
                     let mut expect: Vec<bool> = before.iter().map(bit).collect();
                     let fill_bits: Vec<bool> = fill.iter().map(bit).collect();
-                    let expect_out = map.limited_scan_bools(&mut expect, k, &fill_bits);
+                    let expect_out = map.limited_scan(&mut expect, k, &fill_bits);
                     let got: Vec<bool> = state.iter().map(bit).collect();
                     let got_out: Vec<bool> = out.iter().map(bit).collect();
                     assert_eq!(got, expect, "{map:?} k {k}");

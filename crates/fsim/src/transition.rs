@@ -28,13 +28,21 @@
 use std::collections::HashMap;
 
 use rls_netlist::{Circuit, NetId, NodeKind};
-use rls_scan::ops;
 
 use crate::good::{GoodSim, TestTrace};
 use crate::test::ScanTest;
 
 /// Faults per batch: one per lane of a `u64`.
 const LANES: usize = 64;
+
+/// The same bit in every lane.
+fn splat(bit: bool) -> u64 {
+    if bit {
+        !0
+    } else {
+        0
+    }
+}
 
 /// A transition-delay fault on a net.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,30 +124,35 @@ pub fn simulate_batch_transition(
     let mut prev: HashMap<u32, u64> = HashMap::new();
     let mut armed = false;
     let mut detected = 0u64;
-    let mut state: Vec<u64> = ops::broadcast(&test.scan_in);
+    let chains = sim.chains();
+    let scan_in: Vec<u64> = test.scan_in.iter().map(|&b| splat(b)).collect();
+    let mut state: Vec<u64> = chains.load_state(&scan_in);
     let mut values: Vec<u64> = vec![0; circuit.len()];
     let mut scan_out_idx = 0usize;
+    let mut fill: Vec<u64> = Vec::new();
     for (u, (shift, vector)) in test.units().enumerate() {
         if let Some(op) = shift {
-            let outs = ops::limited_scan_words(&mut state, op.amount, &op.fill);
+            fill.clear();
+            fill.extend(op.fill.iter().map(|&b| splat(b)));
+            let outs = chains.limited_scan(&mut state, op.amount, &fill);
             let (_, good_outs) = &trace.scan_outs[scan_out_idx]; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
             scan_out_idx += 1;
             for (w, &g) in outs.iter().zip(good_outs.iter()) {
-                detected |= w ^ if g { !0u64 } else { 0 };
+                detected |= w ^ splat(g);
             }
             // A scan operation breaks the at-speed pair.
             armed = false;
         }
         // Evaluate with per-lane transition forcing.
         for (k, &pi) in circuit.inputs().iter().enumerate() {
-            values[pi.index()] = if vector[k] { !0u64 } else { 0 }; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
+            values[pi.index()] = splat(vector[k]); // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
         }
         for (p, &ff) in circuit.dffs().iter().enumerate() {
             values[ff.index()] = state[p]; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
         }
         for (i, node) in circuit.nodes().iter().enumerate() {
             if let NodeKind::Const(v) = node.kind {
-                values[i] = if v { !0u64 } else { 0 }; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
+                values[i] = splat(v); // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
             }
         }
         let mut fanin_buf: Vec<u64> = Vec::with_capacity(8);
@@ -194,7 +207,7 @@ pub fn simulate_batch_transition(
         armed = true;
         // Observation: primary outputs.
         for (k, &po) in circuit.outputs().iter().enumerate() {
-            let good_w = if trace.outputs[u][k] { !0u64 } else { 0 }; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
+            let good_w = splat(trace.outputs[u][k]); // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
             detected |= values[po.index()] ^ good_w; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
         }
         if detected & full == full {
@@ -208,8 +221,9 @@ pub fn simulate_batch_transition(
             state[p] = values[d.index()]; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
         }
     }
-    for (p, &g) in trace.final_state().iter().enumerate() {
-        detected |= state[p] ^ if g { !0u64 } else { 0 }; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
+    let final_scan_out = chains.observe_state(&state);
+    for (w, &g) in final_scan_out.iter().zip(&trace.final_scan_out) {
+        detected |= w ^ splat(g);
     }
     detected &= full;
     (0..faults.len())

@@ -33,12 +33,13 @@
 //! walked as part of the enclosing fn; condvar `wait`/`wait_timeout` are
 //! not blocking (they release the mutex). Receiver resolution is typed
 //! where the item parser can see a type (params, `let x: T`, `let x =
-//! T::ctor(…)`, `self` fields) and falls back to unique-name lookup; an
+//! T::ctor(…)`, `let g = self.field.lock().unwrap();` typed as the mutex
+//! payload, `self` fields) and falls back to unique-name lookup; an
 //! unresolved receiver produces no event.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::items::{self, core_type, generic_payload, FileItems, FnDef};
+use crate::items::{self, core_type, generic_payload, head_ident, FileItems, FnDef};
 use crate::lexer::{lex, TokKind, Token};
 use crate::rules::{Finding, RuleSet};
 use crate::scope::{AnnKey, FileScope};
@@ -388,6 +389,20 @@ fn lock_core(ty: &str) -> Option<String> {
     None
 }
 
+/// The payload of a `Mutex` type behind `Arc`/`Rc`/`Box` layers:
+/// `"Arc < Mutex < JsonlFile > >"` → `JsonlFile`.
+fn mutex_payload(ty: &str) -> Option<String> {
+    let mut cur = ty.to_string();
+    for _ in 0..6 {
+        match head_ident(&cur)? {
+            "Mutex" => return generic_payload(&cur),
+            "Arc" | "Rc" | "Box" => cur = generic_payload(&cur)?,
+            _ => return None,
+        }
+    }
+    None
+}
+
 /// Walks one fn body, producing its event stream, persistence events, and
 /// atomic sites.
 fn collect_facts(u: &Universe, idx: usize, sites: &mut Vec<AtomicSite>) -> FnFacts {
@@ -464,7 +479,23 @@ fn collect_facts(u: &Universe, idx: usize, sites: &mut Vec<AtomicSite>) -> FnFac
                 if ident(n) == Some("mut") {
                     n += 1;
                 }
-                if let Some(name) = ident(n).map(str::to_string) {
+                // `let Some ( name ) = opt . as_mut|as_ref ( )` — `name`
+                // takes the payload of `opt: Option<T>`.
+                let unwrapped = (ident(n) == Some("Some")
+                    && punct(n + 1, '(')
+                    && punct(n + 3, ')')
+                    && punct(n + 4, '=')
+                    && punct(n + 6, '.')
+                    && matches!(ident(n + 7), Some("as_mut" | "as_ref"))
+                    && punct(n + 8, '(')
+                    && punct(n + 9, ')'))
+                .then(|| Some((ident(n + 2)?, env.get(ident(n + 5)?)?)))
+                .flatten()
+                .filter(|(_, ty)| head_ident(ty) == Some("Option"))
+                .and_then(|(name, ty)| Some((name.to_string(), generic_payload(ty)?)));
+                if let Some((name, ty)) = unwrapped {
+                    env.insert(name, ty);
+                } else if let Some(name) = ident(n).map(str::to_string) {
                     if punct(n + 1, ':') && !punct(n + 2, ':') {
                         // `let name : TYPE =` — type runs to `=` or `;`.
                         let mut e = n + 2;
@@ -486,8 +517,34 @@ fn collect_facts(u: &Universe, idx: usize, sites: &mut Vec<AtomicSite>) -> FnFac
                             .collect();
                         env.insert(name, ty.join(" "));
                     } else if punct(n + 1, '=') {
+                        // `let name = self . field . lock ( )` plus at most
+                        // one `unwrap`/`expect`/`unwrap_or_else` before the
+                        // `;` — the guard derefs to the mutex payload.
+                        let guard_end = |open: usize| -> bool {
+                            let after = match_close(open) + 1;
+                            punct(after, ';')
+                                || (punct(after, '.')
+                                    && matches!(
+                                        ident(after + 1),
+                                        Some("unwrap" | "expect" | "unwrap_or_else")
+                                    )
+                                    && punct(after + 2, '(')
+                                    && punct(match_close(after + 2) + 1, ';'))
+                        };
+                        let guarded = (ident(n + 2) == Some("self")
+                            && punct(n + 3, '.')
+                            && punct(n + 5, '.')
+                            && ident(n + 6) == Some("lock")
+                            && punct(n + 7, '(')
+                            && guard_end(n + 7))
+                        .then(|| ident(n + 4))
+                        .flatten()
+                        .and_then(|field| u.field_ty(def.owner.as_deref()?, field))
+                        .and_then(mutex_payload);
+                        if let Some(ty) = guarded {
+                            env.insert(name, ty);
                         // `let name = Type :: ctor (` — constructor convention.
-                        if let Some(t0) = ident(n + 2) {
+                        } else if let Some(t0) = ident(n + 2) {
                             let upper = t0.chars().next().is_some_and(|c| c.is_ascii_uppercase());
                             if punct(n + 3, ':') && punct(n + 4, ':') && punct(n + 6, '(') {
                                 if t0 == "Arc" && ident(n + 5) == Some("clone") {
@@ -1580,6 +1637,77 @@ mod tests {
         let f = f.unwrap();
         assert!(f.message.contains("write_all"), "{}", f.message);
         assert!(!f.witness.is_empty(), "2-hop finding carries the chain");
+    }
+
+    #[test]
+    fn fsync_through_a_guard_bound_receiver_is_blocking() {
+        // `append` is defined on two types, so only the guard's type
+        // (the mutex payload) resolves the call to the one that fsyncs.
+        let src = r#"
+            struct Log { file: File }
+            impl Log {
+                fn append(&mut self, line: &str) -> io::Result<()> {
+                    self.file.sync_data()
+                }
+            }
+            struct Other { lines: Vec<String> }
+            impl Other {
+                fn append(&mut self, line: &str) {
+                    self.lines.push(line.to_string());
+                }
+            }
+            struct Journal { file: Mutex<Log> }
+            impl Journal {
+                fn append(&self, line: &str) -> io::Result<()> {
+                    let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
+                    file.append(line)
+                }
+            }
+        "#;
+        let out = run(&[("journal.rs", src)]);
+        let f = out
+            .findings
+            .iter()
+            .find(|f| f.rule == "blocking-under-lock");
+        assert!(f.is_some(), "{:?}", out.findings);
+        let f = f.unwrap();
+        assert_eq!(f.snippet, "file.append(line)");
+        assert!(f.message.contains("sync_data"), "{}", f.message);
+        // The same fsync behind `Mutex<Option<Log>>`, reached through
+        // `let Some(f) = guard.as_mut()`.
+        let optional = src
+            .replace("file: Mutex<Log>", "file: Mutex<Option<Log>>")
+            .replace(
+                "file.append(line)",
+                "let Some(f) = file.as_mut() else { return Ok(()) };\n f.append(line)",
+            );
+        let out = run(&[("journal.rs", &optional)]);
+        let f = out
+            .findings
+            .iter()
+            .find(|f| f.rule == "blocking-under-lock");
+        assert!(f.is_some(), "{:?}", out.findings);
+        assert_eq!(f.unwrap().snippet, "f.append(line)");
+        // A binding that only passes through the guard (`….lock().unwrap()
+        // .snapshot()`) is not the payload: `copy.append` stays unresolved
+        // although another guard is live.
+        let through = src
+            .replace(
+                "impl Log {",
+                "impl Log {\n fn snapshot(&self) -> Other { Other { lines: Vec::new() } }",
+            )
+            .replace("struct Journal { file: Mutex<Log> }", "struct Journal { file: Mutex<Log>, seen: Mutex<u64> }")
+            .replace(
+                "let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);\n                    file.append(line)",
+                "let _seen = self.seen.lock().unwrap();\n let mut copy = self.file.lock().unwrap().snapshot();\n copy.append(line);\n Ok(())",
+            );
+        assert!(through.contains("copy.append(line)"));
+        let out = run(&[("journal.rs", &through)]);
+        assert!(
+            !out.findings.iter().any(|f| f.rule == "blocking-under-lock"),
+            "{:?}",
+            out.findings
+        );
     }
 
     #[test]

@@ -205,6 +205,7 @@ impl JsonlSink {
         let Some(f) = guard.as_mut() else {
             return false;
         };
+        // lint: block-ok(the mutex serializes stream appends; each record is durable before the next)
         if let Err(e) = f.append(line) {
             *guard = None;
             // lint: ordering-ok(monotone latch; set under the file mutex that every writer takes)

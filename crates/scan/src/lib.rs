@@ -1,5 +1,5 @@
-//! Scan-chain machinery: full and limited scan operations and their cycle
-//! costs.
+//! Scan-chain machinery: full, partial and multichain scan as one
+//! [`ChainMap`].
 //!
 //! The paper's tests interleave three kinds of activity on a full-scan
 //! circuit:
@@ -12,32 +12,27 @@
 //!    end are observed (extra fault-detection opportunity) and the `k`
 //!    vacated leftmost positions take fresh random values.
 //!
-//! This crate implements those operations on plain `bool` state vectors,
-//! plus cycle accounting, the multiple scan chain and partial scan
-//! extensions, and the [`ChainMap`] that describes all three scan styles
-//! as data for the fault simulator.
+//! [`ChainMap`] implements the scan-in load, the limited scan and the
+//! concluding scan-out for every scan style; [`PartialScan`] and
+//! [`MultiChain`] describe the partial scan and multiple scan chain
+//! extensions and convert into a map.
 //!
 //! # Example
 //!
 //! ```
-//! use rls_scan::ops;
+//! use rls_scan::ChainMap;
 //!
 //! // The paper's s27 example: state 010 shifted right by one, fill 0.
 //! let mut state = vec![false, true, false];
-//! let out = ops::limited_scan_bools(&mut state, 1, &[false]);
+//! let out = ChainMap::full(3).limited_scan(&mut state, 1, &[false]);
 //! assert_eq!(state, vec![false, false, true]); // 001
 //! assert_eq!(out, vec![false]);                // bit scanned out
 //! ```
 
-pub mod chain;
 pub mod chain_map;
-pub mod cost;
 pub mod multichain;
-pub mod ops;
 pub mod partial;
 
-pub use chain::ChainConfig;
 pub use chain_map::ChainMap;
-pub use cost::{CycleCounter, OpCost};
 pub use multichain::MultiChain;
 pub use partial::PartialScan;

@@ -1,13 +1,10 @@
 //! Partial scan.
 //!
 //! The paper's concluding remark: "limited scan can be used to improve the
-//! fault coverage for partial scan circuits as well." This module provides
-//! the state-manipulation side of that extension: only a subset of the
-//! flip-flops is stitched into the chain; the rest hold their values during
-//! scan operations and are neither written by scan-in nor observed by
-//! scan-out.
-
-use crate::ops;
+//! fault coverage for partial scan circuits as well." A [`PartialScan`]
+//! names the flip-flops stitched into the one chain; the rest hold their
+//! values during scan operations and are neither written by scan-in nor
+//! observed by scan-out. [`crate::ChainMap`] turns it into chains.
 
 /// A partial scan configuration over a state vector of `n_sv` flip-flops.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,50 +53,6 @@ impl PartialScan {
     pub fn scanned(&self) -> &[usize] {
         &self.scanned
     }
-
-    /// Whether the state position is scanned.
-    pub fn is_scanned(&self, position: usize) -> bool {
-        self.scanned.contains(&position)
-    }
-
-    /// Performs a limited scan of `k` positions on the chain embedded in
-    /// `state`; unscanned flip-flops are untouched.
-    ///
-    /// Returns the observed bits, tail-first, exactly as
-    /// [`ops::limited_scan_bools`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state.len() != n_sv`, `k > chain_len()`, or
-    /// `fill.len() != k`.
-    pub fn limited_scan_bools(&self, state: &mut [bool], k: usize, fill: &[bool]) -> Vec<bool> {
-        assert_eq!(state.len(), self.n_sv, "state length mismatch");
-        let mut chain: Vec<bool> = self.scanned.iter().map(|&p| state[p]).collect();
-        let out = ops::limited_scan_bools(&mut chain, k, fill);
-        for (&p, &b) in self.scanned.iter().zip(chain.iter()) {
-            state[p] = b;
-        }
-        out
-    }
-
-    /// Scans in a complete new chain image (a full scan operation of
-    /// `chain_len()` cycles); unscanned flip-flops hold.
-    ///
-    /// Returns the old chain contents, tail-first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state.len() != n_sv` or `new.len() != chain_len()`.
-    pub fn full_scan_bools(&self, state: &mut [bool], new: &[bool]) -> Vec<bool> {
-        assert_eq!(state.len(), self.n_sv, "state length mismatch");
-        assert_eq!(new.len(), self.chain_len(), "scan-in must fill the chain");
-        let mut chain: Vec<bool> = self.scanned.iter().map(|&p| state[p]).collect();
-        let out = ops::full_scan_bools(&mut chain, new);
-        for (&p, &b) in self.scanned.iter().zip(chain.iter()) {
-            state[p] = b;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -107,49 +60,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn full_configuration_behaves_like_ops() {
-        let ps = PartialScan::full(4);
-        let mut a = vec![true, false, true, false];
-        let mut b = a.clone();
-        let out_ps = ps.limited_scan_bools(&mut a, 2, &[false, true]);
-        let out_ops = ops::limited_scan_bools(&mut b, 2, &[false, true]);
-        assert_eq!(a, b);
-        assert_eq!(out_ps, out_ops);
-    }
-
-    #[test]
-    fn unscanned_ffs_hold() {
-        // Scan only positions 0 and 2 of a 4-FF circuit.
-        let ps = PartialScan::new(4, vec![0, 2]);
-        let mut state = vec![true, true, false, false];
-        let out = ps.limited_scan_bools(&mut state, 1, &[false]);
-        // Chain was [state0, state2] = [1, 0]; shift right, fill 0:
-        // out = 0 (tail), chain = [0, 1].
-        assert_eq!(out, vec![false]);
-        assert_eq!(state, vec![false, true, true, false]);
-        // Positions 1 and 3 are unchanged.
-        assert!(state[1]);
-        assert!(!state[3]);
-    }
-
-    #[test]
-    fn full_scan_writes_only_chain() {
-        let ps = PartialScan::new(4, vec![3, 1]);
-        let mut state = vec![true, true, true, true];
-        let out = ps.full_scan_bools(&mut state, &[false, false]);
-        assert_eq!(out.len(), 2);
-        assert_eq!(state, vec![true, false, true, false]);
-    }
-
-    #[test]
-    fn chain_len_and_membership() {
+    fn chain_len_and_order() {
         let ps = PartialScan::new(5, vec![4, 0]);
         assert_eq!(ps.chain_len(), 2);
         assert_eq!(ps.n_sv(), 5);
-        assert!(ps.is_scanned(0));
-        assert!(ps.is_scanned(4));
-        assert!(!ps.is_scanned(2));
         assert_eq!(ps.scanned(), &[4, 0]);
+        assert_eq!(PartialScan::full(3).scanned(), &[0, 1, 2]);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 use random_limited_scan::core::{Procedure2, RlsConfig};
 use random_limited_scan::fsim::FaultSimulator;
 use random_limited_scan::netlist::parse_bench;
-use random_limited_scan::scan::ChainConfig;
 
 /// A small serial-protocol-ish controller, written directly in the
 /// `.bench` format your synthesis flow would emit.
@@ -35,13 +34,12 @@ fn main() {
     let circuit = parse_bench("handshake", MY_DESIGN).expect("well-formed netlist");
     println!("parsed: {} — {}", circuit.name(), circuit.stats());
 
-    // 2. The scan chain defaults to flip-flop declaration order.
-    let chain = ChainConfig::for_circuit(&circuit);
+    // 2. The scan chain follows flip-flop declaration order.
+    let chain = circuit.dffs();
     println!(
         "scan chain ({} bits): {}",
         chain.len(),
         chain
-            .order()
             .iter()
             .map(|&f| circuit.node(f).name.as_str())
             .collect::<Vec<_>>()

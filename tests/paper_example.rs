@@ -102,11 +102,11 @@ fn no_single_fault_reproduces_the_papers_faulty_columns_exactly() {
 fn paper_scan_out_detection_example() {
     // Section 2's second mechanism: state 00000/00010 shifted by two scans
     // out 00 (fault-free) vs 10 (faulty) — reproduced with the scan crate.
-    use random_limited_scan::scan::ops::limited_scan_bools;
+    let chain = random_limited_scan::scan::ChainMap::full(5);
     let mut good = vec![false; 5];
     let mut faulty = vec![false, false, false, true, false];
-    let g = limited_scan_bools(&mut good, 2, &[false, false]);
-    let f = limited_scan_bools(&mut faulty, 2, &[false, false]);
+    let g = chain.limited_scan(&mut good, 2, &[false, false]);
+    let f = chain.limited_scan(&mut faulty, 2, &[false, false]);
     assert_eq!(bits_to_string(&g), "00");
     assert_eq!(bits_to_string(&f), "01"); // tail-first order: 0 then 1
     assert_ne!(g, f);

@@ -26,7 +26,7 @@ use random_limited_scan::fsim::{
 };
 use random_limited_scan::lfsr::{BitMatrix, FibonacciLfsr, SeedSequence};
 use random_limited_scan::netlist::{parse_bench, write_bench, Circuit, LevelizedCircuit};
-use random_limited_scan::scan::{ops, MultiChain, PartialScan};
+use random_limited_scan::scan::{MultiChain, PartialScan};
 
 /// A small, valid synthetic sequential circuit description.
 fn small_synth(g: &mut Gen) -> SynthConfig {
@@ -314,14 +314,10 @@ fn serial_detections(
         .collect()
 }
 
-/// A random scan-chain map for `n_sv` flip-flops — full scan, a partial
-/// chain over a random subset in random order, or 1–4 round-robin
-/// chains — and a random test shaped for it: one scan-in bit per loaded
-/// position, shifts up to the longest chain with one fill bit per chain
-/// per cycle.
-fn random_chain_test(c: &Circuit, g: &mut Gen, len: usize) -> (ChainMap, ScanTest) {
-    let n_sv = c.num_dffs();
-    let chains = match g.usize_in(0, 3) {
+/// A random scan-chain map for `n_sv` flip-flops: full scan, a partial
+/// chain over a random subset in random order, or 1–4 round-robin chains.
+fn random_chain_map(n_sv: usize, g: &mut Gen) -> ChainMap {
+    match g.usize_in(0, 3) {
         0 => ChainMap::full(n_sv),
         1 => {
             let mut order: Vec<usize> = (0..n_sv).filter(|_| g.usize_in(0, 2) == 0).collect();
@@ -332,7 +328,14 @@ fn random_chain_test(c: &Circuit, g: &mut Gen, len: usize) -> (ChainMap, ScanTes
             ChainMap::from(&PartialScan::new(n_sv, order))
         }
         _ => ChainMap::from(&MultiChain::new(n_sv, g.usize_in(1, 5))),
-    };
+    }
+}
+
+/// A [`random_chain_map`] and a random test shaped for it: one scan-in
+/// bit per loaded position, shifts up to the longest chain with one fill
+/// bit per chain per cycle.
+fn random_chain_test(c: &Circuit, g: &mut Gen, len: usize) -> (ChainMap, ScanTest) {
+    let chains = random_chain_map(c.num_dffs(), g);
     let n = chains.chains().len();
     let mut shifts = Vec::new();
     if chains.max_chain_len() > 0 && len > 2 {
@@ -520,26 +523,29 @@ fn prop_ragged_tile_boundaries_agree() {
 
 #[test]
 fn prop_limited_scans_compose() {
-    // Shifting j then k equals shifting j+k with concatenated fill.
+    // On a random full, partial or multichain map, shifting j then k
+    // equals shifting j+k with the concatenated (cycle-major) fill.
     check(
         "limited_scans_compose",
         0x5eed_0005,
         64,
         |g| {
-            let n = g.usize_in(2, 24);
-            let j = g.usize_in(1, n);
-            let k = g.usize_in(1, n - j + 1);
-            (g.bools(n), j, k, g.word())
+            let n_sv = g.usize_in(2, 24);
+            let map = random_chain_map(n_sv, g);
+            let m = map.max_chain_len();
+            let j = g.usize_in(0, m + 1);
+            let k = g.usize_in(0, m - j + 1);
+            let fill = g.bools((j + k) * map.chains().len());
+            (map, g.bools(n_sv), j, k, fill)
         },
         no_shrink,
-        |(state, j, k, fill_seed)| {
-            let (j, k) = (*j, *k);
-            let fill = Gen::new(*fill_seed).bools(j + k);
+        |(map, state, j, k, fill)| {
+            let split = j * map.chains().len();
             let mut two_step = state.clone();
-            let mut out = ops::limited_scan_bools(&mut two_step, j, &fill[..j]);
-            out.extend(ops::limited_scan_bools(&mut two_step, k, &fill[j..]));
+            let mut out = map.limited_scan(&mut two_step, *j, &fill[..split]);
+            out.extend(map.limited_scan(&mut two_step, *k, &fill[split..]));
             let mut one_step = state.clone();
-            let out_one = ops::limited_scan_bools(&mut one_step, j + k, &fill);
+            let out_one = map.limited_scan(&mut one_step, j + k, fill);
             if two_step != one_step {
                 return Err(format!("states diverge: {two_step:?} vs {one_step:?}"));
             }
@@ -553,8 +559,9 @@ fn prop_limited_scans_compose() {
 
 #[test]
 fn prop_full_length_limited_scan_is_full_scan() {
-    // A limited scan of the full chain length replaces the state exactly
-    // like a complete scan operation.
+    // A limited scan of the whole chain with fill `new` reversed leaves
+    // exactly the state a scan-in of `new` loads, and scans the old state
+    // out tail first.
     check(
         "full_length_limited_scan",
         0x5eed_0009,
@@ -564,20 +571,19 @@ fn prop_full_length_limited_scan_is_full_scan() {
             (g.bools(n), g.bools(n))
         },
         no_shrink,
-        |(state, fill)| {
+        |(state, new)| {
             let n = state.len();
-            let mut limited = state.clone();
-            let out_limited = ops::limited_scan_bools(&mut limited, n, fill);
-            let mut full = state.clone();
-            let new: Vec<bool> = fill.iter().rev().copied().collect();
-            let out_full = ops::full_scan_bools(&mut full, &new);
-            if limited != full {
-                return Err(format!("states diverge: {limited:?} vs {full:?}"));
+            let map = ChainMap::full(n);
+            let fill: Vec<bool> = new.iter().rev().copied().collect();
+            let mut shifted = state.clone();
+            let out = map.limited_scan(&mut shifted, n, &fill);
+            let loaded = map.load_state(new);
+            if shifted != loaded {
+                return Err(format!("states diverge: {shifted:?} vs {loaded:?}"));
             }
-            if out_limited != out_full {
-                return Err(format!(
-                    "scan-out diverges: {out_limited:?} vs {out_full:?}"
-                ));
+            let old_tail_first: Vec<bool> = state.iter().rev().copied().collect();
+            if out != old_tail_first {
+                return Err(format!("scan-out diverges: {out:?} vs {old_tail_first:?}"));
             }
             Ok(())
         },
