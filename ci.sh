@@ -188,6 +188,10 @@ echo "== obs: profile smoke =="
 # the committed one in results/table6.txt: this pins the PODEM target
 # pass, classified on every core, on a circuit with redundant and
 # aborted faults. The committed table drops the TS0 cycles and ls columns.
+# The pass's summed search effort is pinned exactly too: the decision and
+# backtrack counts depend only on the circuit, the faults and the limit,
+# not on the width, so a change to the engine that moves them has changed
+# the search, not only its speed.
 PROF_DIR=$(mktemp -d)
 RLS_OBS=1 RLS_OBS_SINK=jsonl RLS_RECORD=1 RLS_THREADS=2 RLS_CAMPAIGN_DIR="$PROF_DIR" \
     cargo run -q --release --offline -p rls-bench --bin table6 -- s953 \
@@ -201,6 +205,8 @@ cmp "$PROF_DIR/s953.row" "$PROF_DIR/s953.committed"
 S953_TARGET=$(awk '$1 == "s953" { print $6 }' results/table6.txt)
 grep -q "^\[s953\] faults: $S953_TARGET detectable," "$PROF_DIR/recorded.err"
 PROF_STREAM=$(ls "$PROF_DIR"/obs-*.jsonl)
+grep -qx '{"type":"metric","kind":"counter","name":"atpg.decisions","value":828498}' "$PROF_STREAM"
+grep -qx '{"type":"metric","kind":"counter","name":"atpg.backtracks","value":789942}' "$PROF_STREAM"
 RLS_REPORT=./target/release/rls-report
 "$RLS_REPORT" --flamegraph "$PROF_STREAM" --svg "$PROF_DIR/flame.svg" \
     > "$PROF_DIR/collapsed.txt" 2> /dev/null

@@ -12,8 +12,11 @@
 //!   (good/faulty) three-valued simulation, with a backtrack limit.
 //!   Implication is event-driven: a decision re-evaluates only the gates
 //!   whose inputs changed, level by level, and logs the old values on an
-//!   undo trail that a backtrack rewinds. The D-frontier is searched only
-//!   in the fault's cone. The search makes the same decisions as a
+//!   undo trail that a backtrack rewinds. Gates are evaluated in place
+//!   over flat per-net arrays, in both planes only inside the fault's
+//!   cone, and success is checked only at ports an implication wrote.
+//!   The D-frontier is searched only in the fault's cone. The search
+//!   makes the same decisions as a
 //!   full-recompute engine, which the workspace's `tests/podem_oracle.rs`
 //!   keeps as its differential reference;
 //! - [`DetectableSet`] — per-fault classification

@@ -17,6 +17,24 @@
 //! in levelized order, so it finds the same gate a whole-circuit scan
 //! would.
 //!
+//! Three more things make a step cheap, and none changes a value the
+//! search reads, so none changes a decision:
+//!
+//! - **Flat gate data.** [`Podem::new`] lays out each gate's kind and
+//!   fanins, each net's gate readers and each net's observation ports in
+//!   flat per-net arrays (an offset array and one item array). Gates are
+//!   evaluated in place over them by [`eval_gate`]; implication,
+//!   objective and backtrace never look up a netlist node.
+//! - **One plane outside the cone.** A gate outside the fault's cone
+//!   (other than the stem-fault gate itself) reads no net that can carry
+//!   an error, so its faulty value is its good value: it is evaluated
+//!   once and the value copied.
+//! - **Success checked where values changed.** A decision is only made
+//!   when no observation port sees an error, and a rewind restores such a
+//!   state, so after an implication only the ports on nets it wrote (the
+//!   trail entries above the decision's mark) can newly see one. Only
+//!   those are checked; the initial planes get the full check.
+//!
 //! Exhausting the decision space proves a fault *redundant*
 //! (combinationally undetectable); exceeding the backtrack limit *aborts*.
 
@@ -24,7 +42,7 @@ use rls_netlist::{Circuit, GateKind, NetId, NodeKind};
 
 use rls_fsim::{Fault, FaultSite, ScanTest};
 
-use crate::v3::{eval_v3, V3};
+use crate::v3::{eval_gate, V3};
 
 /// Outcome of test generation for one fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,14 +71,46 @@ pub(crate) struct Effort {
     pub backtracks: u64,
 }
 
+/// One list per net in a flat array: net `i`'s list is
+/// `items[start[i]..start[i + 1]]`.
+#[derive(Debug)]
+struct PerNet<T> {
+    start: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T> PerNet<T> {
+    /// Lays out `lists`, the first being net 0's.
+    fn new<L: IntoIterator<Item = T>>(lists: impl IntoIterator<Item = L>) -> Self {
+        let mut start = vec![0];
+        let mut items = Vec::new();
+        for list in lists {
+            items.extend(list);
+            start.push(items.len() as u32);
+        }
+        PerNet { start, items }
+    }
+
+    /// Net `net`'s list.
+    fn of(&self, net: NetId) -> &[T] {
+        let i = net.index();
+        // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+        &self.items[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+}
+
 /// A PODEM engine bound to one circuit.
 #[derive(Debug)]
 pub struct Podem<'c> {
     circuit: &'c Circuit,
     /// Gates in levelized order.
     order: Vec<NetId>,
-    /// `fanout[i]`: the gates reading net `i`, each once.
-    fanout: Vec<Vec<NetId>>,
+    /// `kind[i]`: gate `i`'s kind (`Buf` for a non-gate, never read).
+    kind: Vec<GateKind>,
+    /// Each gate's fanins in pin order; empty for every non-gate.
+    fanin: PerNet<NetId>,
+    /// The gates reading each net, each once.
+    fanout: PerNet<NetId>,
     /// `level[i]`: the logic level of net `i` (0 for sources).
     level: Vec<u32>,
     /// `position[i]`: the index of gate `i` in `order` (0 for non-gates).
@@ -68,6 +118,8 @@ pub struct Podem<'c> {
     /// Observation ports: the net read, and the owning flip-flop when the
     /// port is a scan-out observation of that flip-flop's captured value.
     observed: Vec<(NetId, Option<NetId>)>,
+    /// The owners of the observation ports on each net.
+    ports: PerNet<Option<NetId>>,
     backtrack_limit: usize,
 }
 
@@ -104,11 +156,27 @@ impl<'c> Podem<'c> {
                 observed.push((d, Some(ff)));
             }
         }
-        let mut fanout = circuit.fanout();
-        for readers in &mut fanout {
+        let mut ports = vec![Vec::new(); circuit.len()];
+        for &(net, owner) in &observed {
+            ports[net.index()].push(owner); // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+        }
+        let kind = circuit
+            .nodes()
+            .iter()
+            .map(|node| match node.kind {
+                NodeKind::Gate { kind, .. } => kind,
+                _ => GateKind::Buf,
+            })
+            .collect();
+        let fanin = PerNet::new(circuit.nodes().iter().map(|node| match &node.kind {
+            NodeKind::Gate { fanin, .. } => fanin.clone(),
+            _ => Vec::new(),
+        }));
+        let fanout = PerNet::new(circuit.fanout().into_iter().map(|mut readers| {
             readers.retain(|&r| circuit.node(r).is_gate());
             readers.dedup(); // ids are sorted, so repeats are adjacent
-        }
+            readers
+        }));
         let level = (0..circuit.len())
             .map(|i| lev.level(NetId(i as u32)))
             .collect();
@@ -119,10 +187,13 @@ impl<'c> Podem<'c> {
         Podem {
             circuit,
             order: lev.order().to_vec(),
+            kind,
+            fanin,
             fanout,
             level,
             position,
             observed,
+            ports: PerNet::new(ports),
             backtrack_limit,
         }
     }
@@ -175,23 +246,32 @@ impl<'c> Podem<'c> {
     fn generate_inner(&self, fault: Fault, effort: &mut Effort) -> PodemOutcome {
         let site_net = fault.site.source_net(self.circuit);
         let cone = self.cone(fault);
-        let mut search = Search::new(self, fault);
+        let mut search = Search::new(self, fault, &cone);
         let mut stack: Vec<Decision> = Vec::new();
         let mut backtracks = 0usize;
+        // The trail position the last implication started at; `None`
+        // before the first, when every port is checked.
+        let mut implied_from = None;
         loop {
-            if self.success(fault, &search.planes) {
+            let detected = match implied_from {
+                None => self.success(fault, &search.planes),
+                Some(mark) => search.error_since(mark),
+            };
+            if detected {
                 return PodemOutcome::Detected(self.witness(&stack));
             }
             let objective = self.objective(fault, site_net, &cone, &search.planes);
             if let Some((net, val)) = objective {
                 if let Some((input, value)) = self.backtrace(net, val, &search.planes) {
+                    let mark = search.trail.len();
                     stack.push(Decision {
                         input,
                         value,
                         flipped: false,
-                        mark: search.trail.len(),
+                        mark,
                     });
                     search.assign(input, value);
+                    implied_from = Some(mark);
                     effort.decisions += 1;
                     continue;
                 }
@@ -214,6 +294,7 @@ impl<'c> Podem<'c> {
                             ..d
                         });
                         search.assign(d.input, !d.value);
+                        implied_from = Some(d.mark);
                         break;
                     }
                     Some(_) => continue,
@@ -229,7 +310,7 @@ impl<'c> Podem<'c> {
     /// so no gate there can have an error input.
     fn cone(&self, fault: Fault) -> Vec<NetId> {
         let mut work: Vec<NetId> = match fault.site {
-            FaultSite::Stem(net) => self.fanout[net.index()].clone(), // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+            FaultSite::Stem(net) => self.fanout.of(net).to_vec(),
             FaultSite::Branch { node, .. } if self.circuit.node(node).is_gate() => vec![node],
             FaultSite::Branch { .. } => Vec::new(),
         };
@@ -239,50 +320,48 @@ impl<'c> Podem<'c> {
             // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
             if !std::mem::replace(&mut seen[gate.index()], true) {
                 cone.push(gate);
-                work.extend_from_slice(&self.fanout[gate.index()]); // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+                work.extend_from_slice(self.fanout.of(gate));
             }
         }
         cone.sort_unstable_by_key(|g| self.position[g.index()]); // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
         cone
     }
 
-    /// Evaluates `gate` in both planes from its current fanin values, with
-    /// `fault` injected. `good_in`/`faulty_in` are scratch buffers.
-    fn eval_gate(
-        &self,
-        fault: Fault,
-        gate: NetId,
-        planes: &Planes,
-        good_in: &mut Vec<V3>,
-        faulty_in: &mut Vec<V3>,
-    ) -> (V3, V3) {
-        let NodeKind::Gate { kind, fanin } = &self.circuit.node(gate).kind else {
-            unreachable!("only gates are evaluated"); // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
-        };
-        good_in.clear();
-        faulty_in.clear();
-        for (pin, &f) in fanin.iter().enumerate() {
-            good_in.push(planes.good[f.index()]); // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
-            let mut fv = planes.faulty[f.index()]; // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
-            if let FaultSite::Branch { node, pin: p } = fault.site {
-                if node == gate && p as usize == pin {
-                    fv = V3::from_bool(fault.stuck);
-                }
-            }
-            faulty_in.push(fv);
+    /// Evaluates `gate` in both planes from its fanins' current values,
+    /// with `fault` injected. A gate outside the cone (`!in_cone`) reads
+    /// no error, so it is evaluated once and its faulty value is its good
+    /// value.
+    fn eval(&self, fault: Fault, gate: NetId, in_cone: bool, planes: &Planes) -> (V3, V3) {
+        let kind = self.kind[gate.index()]; // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+        let fanin = self.fanin.of(gate);
+        // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+        let good = eval_gate(kind, fanin.iter().map(|f| planes.good[f.index()]));
+        if !in_cone {
+            return (good, good);
         }
-        let good = eval_v3(*kind, good_in);
-        let faulty = if fault.site == FaultSite::Stem(gate) {
-            V3::from_bool(fault.stuck)
-        } else {
-            eval_v3(*kind, faulty_in)
+        let stuck = V3::from_bool(fault.stuck);
+        let faulty = match fault.site {
+            FaultSite::Stem(net) if net == gate => stuck,
+            FaultSite::Branch { node, pin } if node == gate => {
+                let faulty_in = fanin.iter().enumerate().map(|(p, f)| {
+                    if p == pin as usize {
+                        stuck
+                    } else {
+                        planes.faulty[f.index()] // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+                    }
+                });
+                eval_gate(kind, faulty_in)
+            }
+            // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+            _ => eval_gate(kind, fanin.iter().map(|f| planes.faulty[f.index()])),
         };
         (good, faulty)
     }
 
     /// The planes before any decision: every source at X, constants set,
-    /// the fault injected, and one sweep over all gates.
-    fn initial_planes(&self, fault: Fault) -> Planes {
+    /// the fault injected, and one sweep over all gates, both planes
+    /// evaluated where `in_cone` says so.
+    fn initial_planes(&self, fault: Fault, in_cone: &[bool]) -> Planes {
         let c = self.circuit;
         let mut planes = Planes {
             good: vec![V3::X; c.len()],
@@ -301,38 +380,39 @@ impl<'c> Podem<'c> {
                 planes.faulty[net.index()] = V3::from_bool(fault.stuck); // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
             }
         }
-        let (mut good_in, mut faulty_in) = (Vec::new(), Vec::new());
         for &gate in &self.order {
-            let (g, f) = self.eval_gate(fault, gate, &planes, &mut good_in, &mut faulty_in);
-            planes.good[gate.index()] = g; // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
-            planes.faulty[gate.index()] = f; // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+            let i = gate.index();
+            let (g, f) = self.eval(fault, gate, in_cone[i], &planes); // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+            planes.good[i] = g; // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+            planes.faulty[i] = f; // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
         }
         planes
     }
 
-    /// The faulty-machine value observed at a port. A fault on the owning
-    /// flip-flop — its data pin or its output — corrupts the *stored*
-    /// value the scan-out reads, independent of the net's value.
-    fn port_faulty(&self, fault: Fault, port: NetId, owner: Option<NetId>, planes: &Planes) -> V3 {
-        if let Some(ff) = owner {
-            let hits = match fault.site {
-                FaultSite::Branch { node, pin: 0 } => node == ff,
-                FaultSite::Stem(net) => net == ff,
-                _ => false,
-            };
-            if hits {
-                return V3::from_bool(fault.stuck);
-            }
-        }
-        planes.faulty[port.index()] // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+    /// Whether the port on `net` owned by `owner` observes an error: both
+    /// values known and different. A fault on the owning flip-flop — its
+    /// data pin or its output — corrupts the *stored* value the scan-out
+    /// reads, independent of the net's value.
+    fn port_error(&self, fault: Fault, net: NetId, owner: Option<NetId>, planes: &Planes) -> bool {
+        let hits = owner.is_some_and(|ff| match fault.site {
+            FaultSite::Branch { node, pin: 0 } => node == ff,
+            FaultSite::Stem(stem) => stem == ff,
+            _ => false,
+        });
+        let faulty = if hits {
+            V3::from_bool(fault.stuck)
+        } else {
+            planes.faulty[net.index()] // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+        };
+        let good = planes.good[net.index()]; // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+        matches!((good.known(), faulty.known()), (Some(a), Some(b)) if a != b)
     }
 
+    /// Whether any observation port observes an error.
     fn success(&self, fault: Fault, planes: &Planes) -> bool {
-        self.observed.iter().any(|&(port, owner)| {
-            let g = planes.good[port.index()].known(); // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
-            let f = self.port_faulty(fault, port, owner, planes).known();
-            matches!((g, f), (Some(a), Some(b)) if a != b)
-        })
+        self.observed
+            .iter()
+            .any(|&(port, owner)| self.port_error(fault, port, owner, planes))
     }
 
     fn objective(
@@ -353,15 +433,13 @@ impl<'c> Podem<'c> {
         // 2. Propagate: pick the first D-frontier gate of the cone and set
         //    an X input to the non-controlling value.
         for &gate in cone {
-            let NodeKind::Gate { kind, fanin } = &self.circuit.node(gate).kind else {
-                unreachable!("the cone contains only gates"); // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
-            };
             let out_g = planes.good[gate.index()]; // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
             let out_f = planes.faulty[gate.index()]; // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
             let out_error = matches!((out_g.known(), out_f.known()), (Some(a), Some(b)) if a != b);
             if out_error || (!out_g.is_x() && !out_f.is_x()) {
                 continue;
             }
+            let fanin = self.fanin.of(gate);
             let has_error_input = fanin.iter().enumerate().any(|(pin, &f)| {
                 let g = planes.good[f.index()].known(); // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
                 let mut fv = planes.faulty[f.index()]; // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
@@ -385,7 +463,8 @@ impl<'c> Podem<'c> {
                 // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
                 .find(|f| planes.good[f.index()].is_x() || planes.faulty[f.index()].is_x())
             {
-                let val = match kind.controlling_value() {
+                // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+                let val = match self.kind[gate.index()].controlling_value() {
                     Some(c) => !c,
                     None => false, // XOR family: any known value sensitizes
                 };
@@ -399,46 +478,44 @@ impl<'c> Podem<'c> {
     /// output) and an initial value.
     fn backtrace(&self, mut net: NetId, mut val: bool, planes: &Planes) -> Option<(NetId, bool)> {
         loop {
-            let node = self.circuit.node(net);
-            match &node.kind {
-                NodeKind::Input | NodeKind::Dff { .. } => {
-                    // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
-                    return planes.good[net.index()].is_x().then_some((net, val));
-                }
-                NodeKind::Const(_) => return None,
-                NodeKind::Gate { kind, fanin } => {
-                    // Pre-inversion target.
-                    let t = val ^ kind.is_inverting();
-                    // Descend through good-plane X inputs when available,
-                    // else fault-plane X (backtrace is a heuristic: it only
-                    // needs to reach an unassigned input).
-                    let x_input = fanin
+            let fanin = self.fanin.of(net);
+            if fanin.is_empty() {
+                // A source: an input or flip-flop output is assignable
+                // while X; a constant never is X.
+                // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+                return planes.good[net.index()].is_x().then_some((net, val));
+            }
+            let kind = self.kind[net.index()]; // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+                                               // Pre-inversion target.
+            let t = val ^ kind.is_inverting();
+            // Descend through good-plane X inputs when available,
+            // else fault-plane X (backtrace is a heuristic: it only
+            // needs to reach an unassigned input).
+            let x_input = fanin
+                .iter()
+                .copied()
+                .find(|f| planes.good[f.index()].is_x()) // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+                .or_else(|| {
+                    fanin
                         .iter()
                         .copied()
-                        .find(|f| planes.good[f.index()].is_x()) // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
-                        .or_else(|| {
-                            fanin
-                                .iter()
-                                .copied()
-                                .find(|f| planes.faulty[f.index()].is_x()) // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
-                        })?;
-                    let next_val = match kind {
-                        GateKind::And | GateKind::Nand => t, // 0 needs one 0; 1 needs all 1
-                        GateKind::Or | GateKind::Nor => t,   // 1 needs one 1; 0 needs all 0
-                        GateKind::Not | GateKind::Buf => t,
-                        GateKind::Xor | GateKind::Xnor => {
-                            // Aim for the parity using known inputs.
-                            let known_parity = fanin
-                                .iter()
-                                .filter_map(|f| planes.good[f.index()].known()) // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
-                                .fold(false, |acc, b| acc ^ b);
-                            t ^ known_parity
-                        }
-                    };
-                    net = x_input;
-                    val = next_val;
+                        .find(|f| planes.faulty[f.index()].is_x()) // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+                })?;
+            let next_val = match kind {
+                GateKind::And | GateKind::Nand => t, // 0 needs one 0; 1 needs all 1
+                GateKind::Or | GateKind::Nor => t,   // 1 needs one 1; 0 needs all 0
+                GateKind::Not | GateKind::Buf => t,
+                GateKind::Xor | GateKind::Xnor => {
+                    // Aim for the parity using known inputs.
+                    let known_parity = fanin
+                        .iter()
+                        .filter_map(|f| planes.good[f.index()].known()) // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+                        .fold(false, |acc, b| acc ^ b);
+                    t ^ known_parity
                 }
-            }
+            };
+            net = x_input;
+            val = next_val;
         }
     }
 
@@ -459,11 +536,14 @@ impl<'c> Podem<'c> {
     }
 }
 
-/// One fault's implication state: the two planes, the undo trail, and the
-/// level-bucketed event queue.
+/// One fault's implication state: the cone flags, the two planes, the
+/// undo trail, and the level-bucketed event queue.
 struct Search<'p, 'c> {
     podem: &'p Podem<'c>,
     fault: Fault,
+    /// `in_cone[i]`: gate `i` can carry an error — it lies in the fault's
+    /// cone or is the stem-fault gate — so both planes are evaluated.
+    in_cone: Vec<bool>,
     planes: Planes,
     /// The old `(net, good, faulty)` of every net changed by a decision,
     /// oldest first; a decision's mark is the trail length before it.
@@ -474,23 +554,30 @@ struct Search<'p, 'c> {
     queued: Vec<bool>,
     /// Gates in all buckets.
     pending: usize,
-    good_in: Vec<V3>,
-    faulty_in: Vec<V3>,
 }
 
 impl<'p, 'c> Search<'p, 'c> {
-    fn new(podem: &'p Podem<'c>, fault: Fault) -> Self {
+    /// The search state before any decision, for `fault` with its `cone`.
+    fn new(podem: &'p Podem<'c>, fault: Fault, cone: &[NetId]) -> Self {
         let depth = podem.level.iter().copied().max().unwrap_or(0) as usize;
+        let mut in_cone = vec![false; podem.circuit.len()];
+        for &gate in cone {
+            in_cone[gate.index()] = true; // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+        }
+        // The cone holds a stem's readers; a stem-fault gate is stuck in
+        // the faulty plane. (On a source the flag is never read.)
+        if let FaultSite::Stem(net) = fault.site {
+            in_cone[net.index()] = true; // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+        }
         Search {
             podem,
             fault,
-            planes: podem.initial_planes(fault),
+            planes: podem.initial_planes(fault, &in_cone),
+            in_cone,
             trail: Vec::new(),
             buckets: vec![Vec::new(); depth + 1],
             queued: vec![false; podem.circuit.len()],
             pending: 0,
-            good_in: Vec::new(),
-            faulty_in: Vec::new(),
         }
     }
 
@@ -510,15 +597,10 @@ impl<'p, 'c> Search<'p, 'c> {
             // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
             while let Some(gate) = self.buckets[level].pop() {
                 self.pending -= 1;
-                self.queued[gate.index()] = false; // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
-                let (g, f) = self.podem.eval_gate(
-                    self.fault,
-                    gate,
-                    &self.planes,
-                    &mut self.good_in,
-                    &mut self.faulty_in,
-                );
                 let i = gate.index();
+                self.queued[i] = false; // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+                let in_cone = self.in_cone[i]; // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+                let (g, f) = self.podem.eval(self.fault, gate, in_cone, &self.planes);
                 // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
                 if (g, f) != (self.planes.good[i], self.planes.faulty[i]) {
                     self.set(gate, g, f);
@@ -536,11 +618,11 @@ impl<'p, 'c> Search<'p, 'c> {
             .push((net, self.planes.good[i], self.planes.faulty[i])); // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
         self.planes.good[i] = good; // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
         self.planes.faulty[i] = faulty; // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
-                                        // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
-        for &reader in &self.podem.fanout[i] {
+        let podem = self.podem;
+        for &reader in podem.fanout.of(net) {
             // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
             if !std::mem::replace(&mut self.queued[reader.index()], true) {
-                self.buckets[self.podem.level[reader.index()] as usize].push(reader); // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+                self.buckets[podem.level[reader.index()] as usize].push(reader); // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
                 self.pending += 1;
             }
         }
@@ -552,6 +634,20 @@ impl<'p, 'c> Search<'p, 'c> {
             self.planes.good[net.index()] = good; // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
             self.planes.faulty[net.index()] = faulty; // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
         }
+    }
+
+    /// Whether an observation port on a net written since trail position
+    /// `mark` observes an error.
+    fn error_since(&self, mark: usize) -> bool {
+        let podem = self.podem;
+        // lint: panic-ok(PODEM search: gate and net ids validated when the circuit is built)
+        self.trail[mark..].iter().any(|&(net, ..)| {
+            podem
+                .ports
+                .of(net)
+                .iter()
+                .any(|&owner| podem.port_error(self.fault, net, owner, &self.planes))
+        })
     }
 }
 
@@ -677,28 +773,94 @@ mod tests {
         }
     }
 
+    #[test]
+    fn an_error_on_the_decided_input_itself_is_observed() {
+        // Inputs read directly by a primary output and by a flip-flop: the
+        // decided net is the only one an implication writes, so the
+        // success check after it must include that net's own ports.
+        let mut c = Circuit::new("wires");
+        let a = c.add_input("a");
+        let b = c.add_input("b");
+        c.add_dff("q", b);
+        c.add_output(a);
+        let podem = Podem::new(&c, 100);
+        for fault in [
+            Fault::stem_sa0(a),
+            Fault::stem_sa1(a),
+            Fault::stem_sa0(b),
+            Fault::stem_sa1(b),
+        ] {
+            match podem.generate(fault) {
+                PodemOutcome::Detected(t) => check_witness(&c, fault, &t),
+                other => panic!("{}: {other:?}", fault.describe(&c)),
+            }
+        }
+    }
+
     /// The full-recompute reference: sources set from `assigned`, the fault
-    /// injected, and every gate swept in levelized order.
+    /// injected, and every gate swept in levelized order in both planes.
     fn imply_all(podem: &Podem, fault: Fault, assigned: &[(NetId, bool)]) -> Planes {
-        let mut planes = podem.initial_planes(fault);
+        let everywhere = vec![true; podem.circuit.len()];
+        let mut planes = podem.initial_planes(fault, &everywhere);
         for &(input, value) in assigned {
             planes.good[input.index()] = V3::from_bool(value);
             if fault.site != FaultSite::Stem(input) {
                 planes.faulty[input.index()] = V3::from_bool(value);
             }
         }
-        let (mut good_in, mut faulty_in) = (Vec::new(), Vec::new());
         for &gate in &podem.order {
-            let (g, f) = podem.eval_gate(fault, gate, &planes, &mut good_in, &mut faulty_in);
+            let (g, f) = podem.eval(fault, gate, true, &planes);
             planes.good[gate.index()] = g;
             planes.faulty[gate.index()] = f;
         }
         planes
     }
 
+    /// Drives `search` through a seeded random walk of 24 decisions and
+    /// rewinds, comparing its planes with [`imply_all`] of the surviving
+    /// decisions before the walk and after every step; returns whether
+    /// they always agreed.
+    fn walk_matches_full_sweeps(
+        search: &mut Search,
+        rng: &mut impl rls_lfsr::RandomSource,
+    ) -> bool {
+        let (podem, fault) = (search.podem, search.fault);
+        let c = podem.circuit;
+        let sources: Vec<NetId> = c.inputs().iter().chain(c.dffs()).copied().collect();
+        if search.planes != imply_all(podem, fault, &[]) {
+            return false;
+        }
+        let mut decided: Vec<(NetId, bool, usize)> = Vec::new();
+        let mut agreed = true;
+        for _ in 0..24 {
+            if decided.is_empty() || rng.draw_mod(3) != 0 {
+                let free: Vec<NetId> = sources
+                    .iter()
+                    .copied()
+                    .filter(|s| decided.iter().all(|d| d.0 != *s))
+                    .collect();
+                if free.is_empty() {
+                    continue;
+                }
+                let input = free[rng.draw_mod(free.len() as u32) as usize];
+                let value = rng.next_bit();
+                decided.push((input, value, search.trail.len()));
+                search.assign(input, value);
+            } else {
+                let keep = rng.draw_mod(decided.len() as u32) as usize;
+                search.undo(decided[keep].2);
+                decided.truncate(keep);
+            }
+            let assigned: Vec<(NetId, bool)> = decided.iter().map(|&(n, v, _)| (n, v)).collect();
+            agreed &= search.planes == imply_all(podem, fault, &assigned);
+            assert_eq!(search.pending, 0);
+        }
+        agreed
+    }
+
     #[test]
     fn incremental_planes_match_a_full_sweep_after_every_assign_and_undo() {
-        use rls_lfsr::{RandomSource, XorShift64};
+        use rls_lfsr::XorShift64;
         let mut rng = XorShift64::new(0x5eed);
         for c in [
             rls_benchmarks::s27(),
@@ -706,46 +868,44 @@ mod tests {
             rls_benchmarks::by_name("s298").unwrap(),
         ] {
             let podem = Podem::new(&c, 0);
-            let sources: Vec<NetId> = c.inputs().iter().chain(c.dffs()).copied().collect();
             let sim = FaultSimulator::new(&c);
             for &rep in sim.collapsed().representatives() {
                 let fault = sim.universe().fault(rep);
-                let mut search = Search::new(&podem, fault);
-                assert_eq!(search.planes, imply_all(&podem, fault, &[]));
-                // A random walk of decisions and rewinds, checked at every
-                // step against a sweep of the surviving decisions.
-                let mut decided: Vec<(NetId, bool, usize)> = Vec::new();
-                for _ in 0..24 {
-                    if decided.is_empty() || rng.draw_mod(3) != 0 {
-                        let free: Vec<NetId> = sources
-                            .iter()
-                            .copied()
-                            .filter(|s| decided.iter().all(|d| d.0 != *s))
-                            .collect();
-                        if free.is_empty() {
-                            continue;
-                        }
-                        let input = free[rng.draw_mod(free.len() as u32) as usize];
-                        let value = rng.next_bit();
-                        decided.push((input, value, search.trail.len()));
-                        search.assign(input, value);
-                    } else {
-                        let keep = rng.draw_mod(decided.len() as u32) as usize;
-                        search.undo(decided[keep].2);
-                        decided.truncate(keep);
-                    }
-                    let assigned: Vec<(NetId, bool)> =
-                        decided.iter().map(|&(n, v, _)| (n, v)).collect();
-                    assert_eq!(
-                        search.planes,
-                        imply_all(&podem, fault, &assigned),
-                        "{} after {assigned:?}",
-                        fault.describe(&c)
-                    );
-                    assert_eq!(search.pending, 0);
-                }
+                // The cone flags `generate_inner` builds, so gates outside
+                // the cone take the one-plane path.
+                let mut search = Search::new(&podem, fault, &podem.cone(fault));
+                assert!(
+                    walk_matches_full_sweeps(&mut search, &mut rng),
+                    "{}",
+                    fault.describe(&c)
+                );
             }
         }
+    }
+
+    #[test]
+    fn a_missing_cone_flag_breaks_the_planes() {
+        // Evaluating one cone gate in the good plane only must show: the
+        // walk above is not blind to the cone flags.
+        use rls_lfsr::XorShift64;
+        let mut rng = XorShift64::new(0x5eed);
+        let c = rls_benchmarks::by_name("s208").unwrap();
+        let podem = Podem::new(&c, 0);
+        let sim = FaultSimulator::new(&c);
+        let mut broken = 0;
+        for &rep in sim.collapsed().representatives() {
+            let fault = sim.universe().fault(rep);
+            let mut cone = podem.cone(fault);
+            if cone.is_empty() {
+                continue;
+            }
+            cone.remove(0);
+            let mut search = Search::new(&podem, fault, &cone);
+            if !walk_matches_full_sweeps(&mut search, &mut rng) {
+                broken += 1;
+            }
+        }
+        assert!(broken > 0, "no fault noticed the missing cone flag");
     }
 
     #[test]

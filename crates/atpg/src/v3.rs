@@ -52,22 +52,27 @@ impl std::ops::Not for V3 {
     }
 }
 
-/// Evaluates a gate over three-valued inputs.
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty or a unary gate gets several inputs.
-pub fn eval_v3(kind: GateKind, inputs: &[V3]) -> V3 {
-    assert!(!inputs.is_empty(), "gate must have at least one fanin");
+/// Evaluates a gate of `kind` over its input values, in one pass and
+/// without collecting them: PODEM's implication calls it in place over
+/// each gate's flat fanin list. A controlling input settles AND/OR-family
+/// gates at once; any X input makes an XOR-family gate X. A unary gate
+/// reads its first input (circuits give it exactly one) and is X with
+/// none.
+pub fn eval_gate(kind: GateKind, inputs: impl IntoIterator<Item = V3>) -> V3 {
+    let mut inputs = inputs.into_iter();
     match kind {
         GateKind::And | GateKind::Nand => {
-            let v = if inputs.contains(&V3::Zero) {
-                V3::Zero
-            } else if inputs.iter().all(|&v| v == V3::One) {
-                V3::One
-            } else {
-                V3::X
-            };
+            let mut v = V3::One;
+            for input in inputs {
+                match input {
+                    V3::Zero => {
+                        v = V3::Zero;
+                        break;
+                    }
+                    V3::X => v = V3::X,
+                    V3::One => {}
+                }
+            }
             if kind == GateKind::Nand {
                 !v
             } else {
@@ -75,13 +80,17 @@ pub fn eval_v3(kind: GateKind, inputs: &[V3]) -> V3 {
             }
         }
         GateKind::Or | GateKind::Nor => {
-            let v = if inputs.contains(&V3::One) {
-                V3::One
-            } else if inputs.iter().all(|&v| v == V3::Zero) {
-                V3::Zero
-            } else {
-                V3::X
-            };
+            let mut v = V3::Zero;
+            for input in inputs {
+                match input {
+                    V3::One => {
+                        v = V3::One;
+                        break;
+                    }
+                    V3::X => v = V3::X,
+                    V3::Zero => {}
+                }
+            }
             if kind == GateKind::Nor {
                 !v
             } else {
@@ -89,28 +98,17 @@ pub fn eval_v3(kind: GateKind, inputs: &[V3]) -> V3 {
             }
         }
         GateKind::Xor | GateKind::Xnor => {
-            if inputs.iter().any(|v| v.is_x()) {
-                V3::X
-            } else {
-                let parity = inputs
-                    .iter()
-                    .fold(false, |acc, v| acc ^ v.known().expect("checked"));
-                let v = V3::from_bool(parity);
-                if kind == GateKind::Xnor {
-                    !v
-                } else {
-                    v
+            let mut parity = kind == GateKind::Xnor;
+            for input in inputs {
+                match input.known() {
+                    Some(b) => parity ^= b,
+                    None => return V3::X,
                 }
             }
+            V3::from_bool(parity)
         }
-        GateKind::Not => {
-            assert_eq!(inputs.len(), 1, "NOT takes exactly one fanin");
-            !inputs[0]
-        }
-        GateKind::Buf => {
-            assert_eq!(inputs.len(), 1, "BUF takes exactly one fanin");
-            inputs[0]
-        }
+        GateKind::Not => !inputs.next().unwrap_or(V3::X),
+        GateKind::Buf => inputs.next().unwrap_or(V3::X),
     }
 }
 
@@ -126,7 +124,7 @@ mod tests {
                 let bools: Vec<bool> = (0..arity).map(|i| combo >> i & 1 == 1).collect();
                 let v3s: Vec<V3> = bools.iter().map(|&b| V3::from_bool(b)).collect();
                 assert_eq!(
-                    eval_v3(kind, &v3s),
+                    eval_gate(kind, v3s),
                     V3::from_bool(kind.eval_bool(&bools)),
                     "{kind} {bools:?}"
                 );
@@ -136,18 +134,18 @@ mod tests {
 
     #[test]
     fn controlling_values_dominate_x() {
-        assert_eq!(eval_v3(GateKind::And, &[V3::Zero, V3::X]), V3::Zero);
-        assert_eq!(eval_v3(GateKind::Nand, &[V3::Zero, V3::X]), V3::One);
-        assert_eq!(eval_v3(GateKind::Or, &[V3::One, V3::X]), V3::One);
-        assert_eq!(eval_v3(GateKind::Nor, &[V3::One, V3::X]), V3::Zero);
+        assert_eq!(eval_gate(GateKind::And, [V3::Zero, V3::X]), V3::Zero);
+        assert_eq!(eval_gate(GateKind::Nand, [V3::Zero, V3::X]), V3::One);
+        assert_eq!(eval_gate(GateKind::Or, [V3::One, V3::X]), V3::One);
+        assert_eq!(eval_gate(GateKind::Nor, [V3::One, V3::X]), V3::Zero);
     }
 
     #[test]
     fn x_propagates_when_undetermined() {
-        assert_eq!(eval_v3(GateKind::And, &[V3::One, V3::X]), V3::X);
-        assert_eq!(eval_v3(GateKind::Or, &[V3::Zero, V3::X]), V3::X);
-        assert_eq!(eval_v3(GateKind::Xor, &[V3::One, V3::X]), V3::X);
-        assert_eq!(eval_v3(GateKind::Not, &[V3::X]), V3::X);
+        assert_eq!(eval_gate(GateKind::And, [V3::One, V3::X]), V3::X);
+        assert_eq!(eval_gate(GateKind::Or, [V3::Zero, V3::X]), V3::X);
+        assert_eq!(eval_gate(GateKind::Xor, [V3::One, V3::X]), V3::X);
+        assert_eq!(eval_gate(GateKind::Not, [V3::X]), V3::X);
     }
 
     #[test]

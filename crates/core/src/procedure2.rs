@@ -308,19 +308,35 @@ impl<'c> Procedure2<'c> {
         let ts0 = generate_ts0_on(self.circuit, &self.chains, &self.cfg);
         let vector_units: u64 = ts0.iter().map(|t| t.len() as u64).sum();
 
-        let target_faults;
-        let initial_detected;
+        // Every checkpoint record is this post-`TS0` state with the fields
+        // that moved since replaced: what a resume needs to re-enter with
+        // the next trial at `(iteration, d1_pos)`.
+        let mut base = ResumeState {
+            circuit: self.circuit.name().to_string(),
+            fingerprint: print,
+            iteration: 0,
+            d1_pos: 0,
+            in_iteration: false,
+            improved: false,
+            n_same_fc: 0,
+            total_cycles: base_cycles,
+            initial_detected: 0,
+            initial_cycles: base_cycles,
+            target_faults: 0,
+            live: Vec::new(),
+            pairs: Vec::new(),
+            source: None,
+        };
         let mut pairs: Vec<SelectedPair>;
         let mut total_cycles;
         let mut iterations;
         let mut n_same_fc;
         // Mid-iteration entry point: `(iteration, d1_pos, improved)`.
         let mut entry: Option<(u64, usize, bool)> = None;
-        let fresh = resume.is_none();
         if let Some(state) = resume {
             rls_obs::counter!("procedure2.resumes", 1, iteration = state.iteration);
-            target_faults = state.target_faults;
-            initial_detected = state.initial_detected;
+            base.target_faults = state.target_faults;
+            base.initial_detected = state.initial_detected;
             exec.restrict(&state.live);
             pairs = state.pairs;
             total_cycles = state.total_cycles;
@@ -330,66 +346,29 @@ impl<'c> Procedure2<'c> {
                 entry = Some((state.iteration, state.d1_pos, state.improved));
             }
         } else {
-            target_faults = exec.live_count();
+            base.target_faults = exec.live_count();
             let ts0_span = rls_obs::span!("procedure2.ts0", tests = ts0.len());
             let ts0_start = Instant::now(); // lint: det-ok(wall time is campaign-record metadata; selection never reads it)
-            initial_detected = exec.apply_set(&ts0);
+            base.initial_detected = exec.apply_set(&ts0);
             drop(ts0_span);
             if let Some(c) = campaign.as_deref_mut() {
                 c.record_initial(
                     ts0.len(),
-                    initial_detected,
+                    base.initial_detected,
                     ts0_start.elapsed().as_nanos() as u64,
                 );
             }
+            // First checkpoint: the post-TS0 state.
+            record_checkpoint(campaign.as_deref_mut(), || ResumeState {
+                live: exec.undetected(),
+                ..base.clone()
+            });
             pairs = Vec::new();
             total_cycles = base_cycles;
             iterations = 0;
             n_same_fc = 0;
         }
-
-        // A checkpoint record: what a resume needs to re-enter with the
-        // next trial at `(iteration, d1_pos)`. Inside an iteration a
-        // checkpoint follows a kept pair, so the iteration has improved.
-        let checkpoint = |campaign: Option<&mut Campaign>,
-                          exec: &E,
-                          (iteration, d1_pos, in_iteration): (u64, usize, bool),
-                          n_same_fc: u32,
-                          total_cycles: u64,
-                          pairs: &[SelectedPair]| {
-            let Some(c) = campaign.filter(|c| c.has_sink()) else {
-                return;
-            };
-            let state = ResumeState {
-                circuit: self.circuit.name().to_string(),
-                fingerprint: print,
-                iteration,
-                d1_pos,
-                in_iteration,
-                improved: in_iteration,
-                n_same_fc,
-                total_cycles,
-                initial_detected,
-                initial_cycles: base_cycles,
-                target_faults,
-                live: exec.undetected(),
-                pairs: pairs.to_vec(),
-                source: None,
-            };
-            c.record_raw(&state.render());
-            rls_obs::counter!("procedure2.checkpoints", 1);
-        };
-        // First checkpoint: the post-TS0 state.
-        if fresh {
-            checkpoint(
-                campaign.as_deref_mut(),
-                exec,
-                (0, 0, false),
-                0,
-                total_cycles,
-                &pairs,
-            );
-        }
+        let (target_faults, initial_detected) = (base.target_faults, base.initial_detected);
 
         let d1_values = self.cfg.d1_order.values(self.cfg.d1_max);
         let mut degrade_logged = false;
@@ -475,14 +454,17 @@ impl<'c> Procedure2<'c> {
                     });
                     // Checkpoint after every accepted pair: the next
                     // trial to run is `(i, pos + 1)`.
-                    checkpoint(
-                        campaign.as_deref_mut(),
-                        exec,
-                        (i, pos + 1, true),
+                    record_checkpoint(campaign.as_deref_mut(), || ResumeState {
+                        iteration: i,
+                        d1_pos: pos + 1,
+                        in_iteration: true,
+                        improved: true,
                         n_same_fc,
                         total_cycles,
-                        &pairs,
-                    );
+                        live: exec.undetected(),
+                        pairs: pairs.clone(),
+                        ..base.clone()
+                    });
                 }
             }
             if improved {
@@ -509,6 +491,16 @@ impl<'c> Procedure2<'c> {
             undetected: exec.undetected(),
         }
     }
+}
+
+/// Appends the checkpoint `state` builds to the campaign file, when the
+/// run has one (the state is not built otherwise).
+fn record_checkpoint(campaign: Option<&mut Campaign>, state: impl FnOnce() -> ResumeState) {
+    let Some(c) = campaign.filter(|c| c.has_sink()) else {
+        return;
+    };
+    c.record_raw(&state().render());
+    rls_obs::counter!("procedure2.checkpoints", 1);
 }
 
 /// How the driver simulates one test set against the remaining faults.

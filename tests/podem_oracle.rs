@@ -10,22 +10,91 @@
 //! - every collapsed fault of s27, s208 and s298 at the table limit;
 //! - s344 and s382 at a small limit, so the abort and flip paths run
 //!   cheaply;
+//! - every collapsed fault of s953, the benchmark's circuit, at limit 20,
+//!   where dozens of faults abort;
 //! - a property over seeded synthetic circuits with XOR gates, flip-flop
 //!   pin branches and flip-flop output stems.
 //!
 //! On each of these fault lists `DetectableSet::compute_for`, which
 //! classifies on every core, must also give each fault the reference's
 //! verdict and witness, in input order.
+//!
+//! The reference evaluates gates with its own [`eval_v3`], which collects
+//! each gate's inputs first; the production engine evaluates in place with
+//! `rls_atpg::v3::eval_gate`, so the two share no evaluation code. A
+//! property compares the two evaluators on random three-valued inputs.
 
 #[path = "support/quickprop.rs"]
 mod quickprop;
 
 use quickprop::{check, no_shrink, Gen};
 use random_limited_scan::benchmarks::SynthConfig;
-use rls_atpg::v3::eval_v3;
+use rls_atpg::v3::eval_gate;
 use rls_atpg::{DetectableSet, Podem, PodemOutcome, V3};
 use rls_fsim::{Fault, FaultId, FaultSimulator, FaultSite, ScanTest};
 use rls_netlist::{Circuit, GateKind, NetId, NodeKind};
+
+/// Evaluates a gate over three-valued inputs, collected into a slice.
+///
+/// # Panics
+///
+/// Panics if `inputs` is empty or a unary gate gets several inputs.
+fn eval_v3(kind: GateKind, inputs: &[V3]) -> V3 {
+    assert!(!inputs.is_empty(), "gate must have at least one fanin");
+    match kind {
+        GateKind::And | GateKind::Nand => {
+            let v = if inputs.contains(&V3::Zero) {
+                V3::Zero
+            } else if inputs.iter().all(|&v| v == V3::One) {
+                V3::One
+            } else {
+                V3::X
+            };
+            if kind == GateKind::Nand {
+                !v
+            } else {
+                v
+            }
+        }
+        GateKind::Or | GateKind::Nor => {
+            let v = if inputs.contains(&V3::One) {
+                V3::One
+            } else if inputs.iter().all(|&v| v == V3::Zero) {
+                V3::Zero
+            } else {
+                V3::X
+            };
+            if kind == GateKind::Nor {
+                !v
+            } else {
+                v
+            }
+        }
+        GateKind::Xor | GateKind::Xnor => {
+            if inputs.iter().any(|v| v.is_x()) {
+                V3::X
+            } else {
+                let parity = inputs
+                    .iter()
+                    .fold(false, |acc, v| acc ^ v.known().expect("checked"));
+                let v = V3::from_bool(parity);
+                if kind == GateKind::Xnor {
+                    !v
+                } else {
+                    v
+                }
+            }
+        }
+        GateKind::Not => {
+            assert_eq!(inputs.len(), 1, "NOT takes exactly one fanin");
+            !inputs[0]
+        }
+        GateKind::Buf => {
+            assert_eq!(inputs.len(), 1, "BUF takes exactly one fanin");
+            inputs[0]
+        }
+    }
+}
 
 /// The full-recompute PODEM engine.
 struct Reference<'c> {
@@ -354,6 +423,49 @@ fn abort_and_flip_paths_match_the_reference_at_a_small_limit() {
         aborted += a;
     }
     assert!(aborted > 0, "the small limit must reach the abort path");
+}
+
+#[test]
+fn every_s953_fault_matches_the_reference_at_a_small_limit() {
+    let [_, _, aborted] = compare(&circuit("s953"), 20).unwrap();
+    assert!(aborted > 0, "the small limit must reach the abort path");
+}
+
+#[test]
+fn prop_in_place_evaluator_matches_the_reference_evaluator() {
+    // Arities the property reached, by input count 1..=4.
+    let reached = std::cell::Cell::new([0usize; 4]);
+    check(
+        "eval_gate_matches_eval_v3",
+        0xe7a1,
+        512,
+        |g: &mut Gen| {
+            let kind = GateKind::ALL[g.usize_in(0, GateKind::ALL.len())];
+            let arity = if kind.is_unary() { 1 } else { g.usize_in(1, 5) };
+            let inputs: Vec<V3> = (0..arity)
+                .map(|_| [V3::Zero, V3::One, V3::X][g.usize_in(0, 3)])
+                .collect();
+            (kind, inputs)
+        },
+        no_shrink,
+        |(kind, inputs)| {
+            let mut seen = reached.get();
+            seen[inputs.len() - 1] += 1;
+            reached.set(seen);
+            let (got, want) = (
+                eval_gate(*kind, inputs.iter().copied()),
+                eval_v3(*kind, inputs),
+            );
+            if got == want {
+                Ok(())
+            } else {
+                Err(format!(
+                    "{kind} {inputs:?}: in place {got:?}, reference {want:?}"
+                ))
+            }
+        },
+    );
+    assert!(reached.get().iter().all(|&n| n > 0), "{:?}", reached.get());
 }
 
 #[test]
