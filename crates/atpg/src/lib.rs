@@ -21,7 +21,7 @@
 //!   keeps as its differential reference;
 //! - [`DetectableSet`] — per-fault classification
 //!   (detectable / redundant / aborted) for a whole collapsed fault list,
-//!   with a [`ScanTest`] witness for every detectable fault. The list is
+//!   with a [`rls_fsim::ScanTest`] witness for every detectable fault. The list is
 //!   classified on every core of the host and merged back in input
 //!   order, so the set never depends on the width. Each call is traced
 //!   as an `atpg.classify` span (with the width as its `workers` field)

@@ -3,7 +3,7 @@
 //! The paper evaluates on ISCAS-89 and ITC-99 circuits. Those netlists are
 //! not distributable with this repository, so this crate provides:
 //!
-//! - [`s27`]: the one circuit whose netlist is fully pinned down by the
+//! - [`s27()`]: the one circuit whose netlist is fully pinned down by the
 //!   paper's own worked example (Section 2 / Table 1), embedded verbatim;
 //! - [`profiles`]: the published size profiles (PI/PO/FF/gate counts) of
 //!   every circuit in the paper's result tables;

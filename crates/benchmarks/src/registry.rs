@@ -5,8 +5,8 @@
 //! the crate docs and DESIGN.md). When the `RLS_BENCH_DIR` environment
 //! variable points at a directory of real ISCAS-89 `.bench` netlists,
 //! `<dir>/<name>.bench` takes precedence over both, so the whole stack —
-//! including the campaign server's named-circuit resolution — runs on the
-//! genuine circuits without a code change.
+//! table binaries, tests and examples alike — runs on the genuine
+//! circuits without a code change.
 
 use std::path::Path;
 

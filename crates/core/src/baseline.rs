@@ -1,13 +1,13 @@
 //! Baseline random BIST schemes the paper compares against.
 //!
-//! The reference methods ([5] Tsai/Cheng/Bhawmik DAC'99 and [6]
+//! The reference methods (\[5\] Tsai/Cheng/Bhawmik DAC'99 and \[6\]
 //! Huang/Pomeranz/Reddy/Rajski ICCAD'00) apply random tests *without*
 //! limited scan under a fixed clock-cycle budget (500,000 cycles in their
 //! experiments). Two baselines are provided:
 //!
 //! - [`classic_scan_bist`]: single-vector tests (`L = 1`), the textbook
 //!   test-per-scan BIST;
-//! - [`two_length_bist`]: the [6]-style scheme with test lengths `L_A` and
+//! - [`two_length_bist`]: the \[6\]-style scheme with test lengths `L_A` and
 //!   `L_B` but no limited scan — exactly our `TS0` repeated with fresh
 //!   randomness until the budget runs out.
 //!
@@ -106,7 +106,7 @@ pub fn classic_scan_bist(
 }
 
 /// Two-length at-speed BIST without limited scan: tests alternate between
-/// lengths `la` and `lb` (the [6]-style scheme restricted to our cost
+/// lengths `la` and `lb` (the \[6\]-style scheme restricted to our cost
 /// model).
 pub fn two_length_bist(
     circuit: &Circuit,

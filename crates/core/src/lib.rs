@@ -56,8 +56,6 @@ pub use extension::{run_multichain, run_partial, MultiChainOutcome, PartialOutco
 pub use metrics::LsAverage;
 pub use params::{rank_combinations, Combo, PAPER_LA_GRID, PAPER_LB_GRID, PAPER_N_GRID};
 pub use procedure1::{derive_test_set, derive_test_set_on};
-pub use procedure2::{
-    CampaignExecutor, Procedure2, Procedure2Outcome, SelectedPair, TrialExecutor,
-};
+pub use procedure2::{Procedure2, Procedure2Outcome, SelectedPair};
 pub use resume::{fingerprint, load_checkpoint, ResumeError, ResumeState};
 pub use ts0::{generate_ts0, generate_ts0_on};

@@ -18,24 +18,22 @@
 //! The greedy selection across trials is inherently sequential (each kept
 //! pair changes the fault list the next trial sees), but each trial's
 //! test-set simulation is embarrassingly parallel. The driver abstracts
-//! the per-set simulation behind [`TrialExecutor`], and one executor,
-//! [`CampaignExecutor`], implements it: a [`FaultSimulator`] owns the
-//! campaign's fault list, and an optional `rls-dispatch`
-//! [`SharedSetRunner`] computes a set's detections on a pool. With
-//! `threads = 1` there is no runner and every set runs through the
-//! simulator's own tile walk; `threads > 1` registers one campaign on a
-//! private [`SharedPool`] — the same path the `rls-serve` campaign server
-//! takes — and the simulator applies what the runner's deterministic
-//! reduction returns, so both produce bit-identical
-//! [`Procedure2Outcome`]s. With `campaign_dir` set, a JSONL campaign
-//! record (per-trial lines, per-worker counters) is persisted.
+//! the per-set simulation behind a crate-private executor trait, and one
+//! executor implements it: a [`FaultSimulator`] owns the campaign's fault
+//! list, and an optional `rls-dispatch` [`SharedSetRunner`] computes a
+//! set's detections on a pool. With `threads = 1` there is no runner and
+//! every set runs through the simulator's own tile walk; `threads > 1`
+//! starts a private [`SharedPool`] for the campaign, and the simulator
+//! applies what the runner's deterministic reduction returns, so both
+//! produce bit-identical [`Procedure2Outcome`]s. With `campaign_dir`
+//! set, a JSONL campaign record (per-trial lines, per-worker counters)
+//! is persisted.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use rls_dispatch::{
-    Campaign, CampaignHandle, CampaignSummary, PoolSnapshot, SharedPool, SharedSetRunner,
-    TrialRecord,
+    Campaign, CampaignSummary, PoolSnapshot, SharedPool, SharedSetRunner, TrialRecord,
 };
 use rls_fsim::{ChainMap, CompiledCircuit, FaultId, FaultSimulator, ScanTest};
 use rls_netlist::Circuit;
@@ -132,8 +130,7 @@ impl<'c> Procedure2<'c> {
         self
     }
 
-    /// The scan chains tests are applied through; an executor handed to
-    /// [`Procedure2::run_on`] must simulate on the same map.
+    /// The scan chains tests are applied through.
     pub fn chains(&self) -> &ChainMap {
         &self.chains
     }
@@ -165,15 +162,6 @@ impl<'c> Procedure2<'c> {
     /// an uninterrupted run. If the checkpoint's `source` is set, new
     /// records append to that same campaign file.
     pub fn resume(&self, state: ResumeState) -> Result<Procedure2Outcome, ResumeError> {
-        self.validate_resume(&state)?;
-        Ok(self.run_from(Some(state)))
-    }
-
-    /// Checks that `state` belongs to this circuit and configuration
-    /// (the same validation [`Procedure2::resume`] performs) without
-    /// running anything — callers driving a custom executor via
-    /// [`Procedure2::run_on`] validate first, then pass the state in.
-    pub fn validate_resume(&self, state: &ResumeState) -> Result<(), ResumeError> {
         if state.circuit != self.circuit.name() {
             return Err(ResumeError::CircuitMismatch {
                 expected: self.circuit.name().to_string(),
@@ -183,31 +171,7 @@ impl<'c> Procedure2<'c> {
         if state.fingerprint != self.fingerprint() {
             return Err(ResumeError::ConfigMismatch);
         }
-        Ok(())
-    }
-
-    /// Runs the greedy selection loop on a caller-supplied executor.
-    ///
-    /// This is the seam the campaign server uses to drive Procedure 2 on
-    /// a persistent shared pool: the caller owns executor construction,
-    /// the campaign sink, and end-of-run bookkeeping (`workers` /
-    /// `summary` records), while the selection loop — and therefore the
-    /// outcome — is exactly the one [`Procedure2::run`] executes. Pass a
-    /// [`validate_resume`](Procedure2::validate_resume)-checked state to
-    /// re-enter from a checkpoint.
-    pub fn run_on<E: TrialExecutor>(
-        &self,
-        exec: &mut E,
-        campaign: Option<&mut Campaign>,
-        resume: Option<ResumeState>,
-    ) -> Procedure2Outcome {
-        let _run_span = rls_obs::span!(
-            "procedure2.run",
-            circuit = self.circuit.name(),
-            threads = self.cfg.threads.max(1) as u64,
-            resumed = resume.is_some()
-        );
-        self.drive(exec, campaign, resume)
+        Ok(self.run_from(Some(state)))
     }
 
     fn run_from(&self, resume: Option<ResumeState>) -> Procedure2Outcome {
@@ -227,20 +191,15 @@ impl<'c> Procedure2<'c> {
         // One thread runs without a pool: a one-worker pool would cut
         // every set into test blocks, and shorter runs fill fewer lanes.
         let pool = (threads > 1).then(|| SharedPool::new(threads));
-        let handle = pool.as_ref().map(|pool| pool.register(threads));
-        let mut exec = CampaignExecutor::new(&compiled, &self.chains, &self.cfg, handle);
+        let mut exec = CampaignExecutor::new(&compiled, &self.chains, &self.cfg, pool);
         let outcome = self.drive(&mut exec, campaign.as_mut(), resume);
         if let Some(campaign) = campaign.as_mut() {
             if let Some(snapshot) = exec.snapshot() {
                 campaign.record_workers(snapshot);
             }
         }
-        // Retire the campaign (emitting its pool metrics) before the
-        // workers shut down.
+        // Retire the pool: its workers join and it emits its metrics.
         drop(exec);
-        if let Some(pool) = pool {
-            pool.shutdown();
-        }
         if let Some(campaign) = campaign.as_mut() {
             campaign.record_summary(CampaignSummary {
                 detected: outcome.total_detected,
@@ -383,8 +342,7 @@ impl<'c> Procedure2<'c> {
                     (i, pos, improved)
                 }
                 None => {
-                    if exec.cancelled()
-                        || exec.live_count() == 0
+                    if exec.live_count() == 0
                         || n_same_fc >= self.cfg.n_same_fc
                         || iterations >= u64::from(self.cfg.max_iterations)
                     {
@@ -396,7 +354,7 @@ impl<'c> Procedure2<'c> {
             };
             let _iter_span = rls_obs::span!("procedure2.iter", i = i, live = exec.live_count());
             for (pos, &d1) in d1_values.iter().enumerate().skip(start_pos) {
-                if exec.cancelled() || exec.live_count() == 0 {
+                if exec.live_count() == 0 {
                     break 'outer;
                 }
                 let derived = derive_test_set_on(&ts0, &self.cfg, fill_width, i, d1, d2);
@@ -510,7 +468,7 @@ fn record_checkpoint(campaign: Option<&mut Campaign>, state: impl FnOnce() -> Re
 /// current live list, and drops them. Which test within the set detects a
 /// fault is bookkeeping-irrelevant (the union is invariant), which is
 /// exactly what lets the pool-backed executor reorder work freely.
-pub trait TrialExecutor {
+pub(crate) trait TrialExecutor {
     /// Number of currently undetected target faults.
     fn live_count(&self) -> usize;
     /// Simulates one test set, drops and counts newly detected faults.
@@ -524,12 +482,6 @@ pub trait TrialExecutor {
     fn degraded(&self) -> bool {
         false
     }
-    /// Whether the run should stop at the next trial boundary (graceful
-    /// drain). The loop exits cleanly; the last checkpoint — written
-    /// after TS0 and after every kept pair — makes the run resumable.
-    fn cancelled(&self) -> bool {
-        false
-    }
 }
 
 /// The one trial executor: a [`FaultSimulator`] owns the campaign's
@@ -537,26 +489,22 @@ pub trait TrialExecutor {
 /// detections on a pool.
 ///
 /// Built from the compiled circuit, the run configuration, and, for a
-/// pooled run, a registered [`CampaignHandle`], so `observe` and
-/// [`CoverageTarget::Faults`] are applied here for direct and served
-/// runs alike. Without a runner a set runs through
-/// [`FaultSimulator::run_tests`]; with one, the runner simulates the set
-/// against the simulator's live list and the simulator applies the
-/// detections it returns.
+/// pooled run, the campaign's [`SharedPool`], so `observe` and
+/// [`CoverageTarget::Faults`] are applied here for every thread count.
+/// Without a runner a set runs through [`FaultSimulator::run_tests`];
+/// with one, the runner simulates the set against the simulator's live
+/// list and the simulator applies the detections it returns.
 ///
 /// If a set keeps failing through the pool's retry budget (a poisoned
-/// job, a timed-out wave), the executor *degrades*: it drops the runner
-/// and runs the failed set — which the runner left unapplied — and every
-/// later set on the simulator. The sequential path is the oracle the pool
-/// is tested against, so the outcome is unchanged; only the wall clock
-/// suffers.
-pub struct CampaignExecutor {
+/// job), the executor *degrades*: it drops the runner and runs the failed
+/// set — which the runner left unapplied — and every later set on the
+/// simulator. The sequential path is the oracle the pool is tested
+/// against, so the outcome is unchanged; only the wall clock suffers.
+pub(crate) struct CampaignExecutor {
     sim: FaultSimulator,
     runner: Option<SharedSetRunner>,
-    /// A degraded campaign's pool handle, kept for its worker counters.
-    /// Holding it instead of dropping it means a job a timed-out wave
-    /// left running finishes on its own instead of blocking the campaign.
-    retired: Option<CampaignHandle>,
+    /// A degraded campaign's pool, kept for its worker counters.
+    retired: Option<SharedPool>,
 }
 
 impl std::fmt::Debug for CampaignExecutor {
@@ -570,8 +518,8 @@ impl std::fmt::Debug for CampaignExecutor {
 
 impl CampaignExecutor {
     /// An executor targeting what `cfg.target` names through the scan
-    /// chains of `chains`: pooled on `handle`'s campaign if there is one,
-    /// sequential otherwise.
+    /// chains of `chains`: pooled on `pool` if there is one, sequential
+    /// otherwise.
     ///
     /// # Panics
     ///
@@ -581,7 +529,7 @@ impl CampaignExecutor {
         compiled: &Arc<CompiledCircuit>,
         chains: &ChainMap,
         cfg: &RlsConfig,
-        handle: Option<CampaignHandle>,
+        pool: Option<SharedPool>,
     ) -> Self {
         let mut sim = FaultSimulator::on(Arc::clone(compiled));
         sim.set_chains(chains.clone());
@@ -589,22 +537,13 @@ impl CampaignExecutor {
         if let CoverageTarget::Faults(targets) = &cfg.target {
             sim.set_targets(targets);
         }
-        let runner = handle.map(|handle| {
-            SharedSetRunner::new(Arc::clone(compiled), chains.clone(), cfg.observe, handle)
+        let runner = pool.map(|pool| {
+            SharedSetRunner::new(Arc::clone(compiled), chains.clone(), cfg.observe, pool)
         });
         CampaignExecutor {
             sim,
             runner,
             retired: None,
-        }
-    }
-
-    /// Bounds how long a wave barrier may wait for its jobs (`None`
-    /// waits forever). A timed-out wave fails its set, which degrades
-    /// that set to the sequential oracle.
-    pub fn set_wave_timeout(&mut self, timeout: Option<std::time::Duration>) {
-        if let Some(runner) = self.runner.as_mut() {
-            runner.set_wave_timeout(timeout);
         }
     }
 
@@ -614,10 +553,8 @@ impl CampaignExecutor {
     /// `lanes_used`/`capacity` stay exact.
     pub fn snapshot(&self) -> Option<PoolSnapshot> {
         match (&self.runner, &self.retired) {
-            (Some(runner), _) => Some(runner.handle().snapshot()),
-            (None, Some(handle)) => {
-                Some(handle.snapshot().with_fallback_lanes(self.sim.lane_stats()))
-            }
+            (Some(runner), _) => Some(runner.pool().snapshot()),
+            (None, Some(pool)) => Some(pool.snapshot().with_fallback_lanes(self.sim.lane_stats())),
             (None, None) => None,
         }
     }
@@ -627,7 +564,7 @@ impl CampaignExecutor {
     /// live list the runner would have simulated against.
     pub fn force_degrade(&mut self) {
         if let Some(runner) = self.runner.take() {
-            self.retired = Some(runner.into_handle());
+            self.retired = Some(runner.into_pool());
         }
     }
 }
@@ -950,27 +887,26 @@ mod tests {
                 sets: 0,
                 lanes: Vec::new(),
             };
-            let expect = procedure.run_on(&mut oracle, None, None);
+            let expect = procedure.drive(&mut oracle, None, None);
             assert_eq!(
                 expect,
                 procedure.run(),
                 "{name}: the wrapper is transparent"
             );
             for threads in [2, 4] {
-                let pool = SharedPool::new(threads);
                 for k in 0..=oracle.sets {
                     let mut exec = DegradeAt {
                         inner: CampaignExecutor::new(
                             &compiled,
                             chains,
                             &cfg,
-                            Some(pool.register(threads)),
+                            Some(SharedPool::new(threads)),
                         ),
                         k,
                         sets: 0,
                         lanes: Vec::new(),
                     };
-                    let got = procedure.run_on(&mut exec, None, None);
+                    let got = procedure.drive(&mut exec, None, None);
                     let at = format!("{name} x {threads} threads, degraded after {k} sets");
                     assert_eq!(got, expect, "{at}");
                     assert_eq!(exec.degraded(), k < oracle.sets, "{at}");
@@ -981,7 +917,6 @@ mod tests {
                     let snap = exec.inner.snapshot().expect("a pooled run has a snapshot");
                     assert_eq!(snap.fallback.unwrap_or_default(), after, "{at}");
                 }
-                pool.shutdown();
             }
         }
     }

@@ -229,7 +229,7 @@ impl ResumeState {
 /// how a campaign executes, never what it selects, so a campaign begun
 /// with 4 threads may be resumed with 1 (or vice versa). The chain map is
 /// mixed in only when it is not full scan, so every full-scan fingerprint
-/// (and with it every campaign file name and served run id) is the one
+/// (and with it every campaign file name) is the one
 /// the configuration alone gives.
 pub fn fingerprint(circuit: &str, cfg: &RlsConfig, chains: &ChainMap) -> u64 {
     let target = match &cfg.target {
@@ -384,7 +384,7 @@ mod tests {
 
     #[test]
     fn full_scan_fingerprints_are_pinned() {
-        // Campaign file names, checkpoints and served run ids carry the
+        // Campaign file names and checkpoints carry the
         // full-scan fingerprint, so it must not move when other scan
         // styles join the hash.
         assert_eq!(

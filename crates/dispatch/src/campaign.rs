@@ -110,17 +110,6 @@ fn file_stem(circuit: &str, threads: usize, stamp: &str) -> String {
     format!("campaign-{}-{threads}t-{stamp}", sanitize(circuit))
 }
 
-/// A live tap on the record stream: called with each rendered record line
-/// as it is recorded, independently of (and before) the disk sink. The
-/// campaign server uses this to stream results to a connected client.
-struct Observer(Box<dyn FnMut(&str) + Send>);
-
-impl std::fmt::Debug for Observer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Observer(..)")
-    }
-}
-
 /// An in-progress campaign record.
 ///
 /// Always accumulates in memory (so [`Campaign::to_jsonl`] and
@@ -137,7 +126,6 @@ pub struct Campaign {
     workers: Option<PoolSnapshot>,
     summary: Option<CampaignSummary>,
     sink: Option<CampaignFile>,
-    observer: Option<Observer>,
 }
 
 impl Campaign {
@@ -152,16 +140,7 @@ impl Campaign {
             workers: None,
             summary: None,
             sink: None,
-            observer: None,
         }
-    }
-
-    /// Installs a live observer: `f` is called with each rendered record
-    /// line as it is recorded, before (and regardless of) the disk sink.
-    /// The header line is *not* replayed — callers that need it render
-    /// [`Campaign::header_line`] themselves.
-    pub fn set_observer(&mut self, f: impl FnMut(&str) + Send + 'static) {
-        self.observer = Some(Observer(Box::new(f)));
     }
 
     /// Starts a record that streams crash-safely to a fresh file under
@@ -177,7 +156,7 @@ impl Campaign {
     ) -> Result<Self, DispatchError> {
         let mut c = Campaign::new(circuit, threads);
         let stem = file_stem(circuit, threads, &rls_obs::run_id(fingerprint));
-        c.sink = Some(CampaignFile::create(dir, &stem, &c.header_line())?);
+        c.sink = Some(CampaignFile::create(dir, &stem, &c.seam_line("campaign"))?);
         Ok(c)
     }
 
@@ -186,7 +165,7 @@ impl Campaign {
     pub fn append_to(path: &Path, circuit: &str, threads: usize) -> Result<Self, DispatchError> {
         let mut c = Campaign::new(circuit, threads);
         let mut sink = CampaignFile::append_to(path)?;
-        sink.append(&c.resume_line())?;
+        sink.append(&c.seam_line("resume"))?;
         c.sink = Some(sink);
         Ok(c)
     }
@@ -205,9 +184,6 @@ impl Campaign {
     /// Appends a line to the sink; on failure warns once and disables the
     /// sink — persistence trouble must never abort a campaign.
     fn stream(&mut self, line: &str) {
-        if let Some(obs) = self.observer.as_mut() {
-            (obs.0)(line);
-        }
         let Some(sink) = self.sink.as_mut() else {
             return;
         };
@@ -220,21 +196,12 @@ impl Campaign {
         }
     }
 
-    /// The `campaign` header record, exactly as [`Campaign::create`]
-    /// writes it as the file's first line.
-    pub fn header_line(&self) -> String {
+    /// The `campaign` header ([`Campaign::create`]'s first line) or the
+    /// `resume` seam ([`Campaign::append_to`]'s first append): the
+    /// record `kind`, the circuit and the thread count.
+    fn seam_line(&self, kind: &str) -> String {
         JsonObject::new()
-            .str("type", "campaign")
-            .str("circuit", &self.circuit)
-            .num("threads", self.threads as u64)
-            .render()
-    }
-
-    /// The `resume` seam record, exactly as [`Campaign::append_to`]
-    /// appends it when recording resumes onto an existing file.
-    pub fn resume_line(&self) -> String {
-        JsonObject::new()
-            .str("type", "resume")
+            .str("type", kind)
             .str("circuit", &self.circuit)
             .num("threads", self.threads as u64)
             .render()
@@ -342,7 +309,7 @@ impl Campaign {
     /// Renders the whole in-memory record as JSONL (the same shape the
     /// streaming sink writes, minus raw checkpoint lines).
     pub fn to_jsonl(&self) -> String {
-        let mut lines = vec![self.header_line()];
+        let mut lines = vec![self.seam_line("campaign")];
         if let Some((tests, detected, wall)) = self.initial {
             lines.push(Self::initial_line(tests, detected, wall));
         }
@@ -468,10 +435,9 @@ mod tests {
     fn jsonl_has_one_record_per_line() {
         let mut c = sample();
         let pool = SharedPool::new(2);
-        let handle = pool.register(2);
-        handle.submit_tagged(0, |w| w.add_dropped(1));
-        handle.wait_idle();
-        let snap = handle.snapshot();
+        pool.submit_tagged(0, |w| w.add_dropped(1));
+        pool.wait_idle();
+        let snap = pool.snapshot();
         c.record_workers(snap);
         let text = c.to_jsonl();
         let lines: Vec<&str> = text.lines().collect();

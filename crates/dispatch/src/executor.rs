@@ -33,21 +33,17 @@ use crate::pool::JobFailure;
 /// Retry waves allowed per set before it is declared failed.
 pub const RETRY_ROUNDS: usize = 3;
 
-/// Test blocks per unit of campaign budget. A few blocks per budgeted
-/// thread balance uneven blocks (early blocks of a set find more live
-/// faults than late ones) while keeping queue traffic to a handful of
-/// jobs per set.
-pub const BLOCKS_PER_BUDGET: usize = 4;
+/// Test blocks per pool thread. A few blocks per thread balance uneven
+/// blocks (early blocks of a set find more live faults than late ones)
+/// while keeping queue traffic to a handful of jobs per set.
+pub const BLOCKS_PER_THREAD: usize = 4;
 
 /// Splits a set of `tests` tests into at most
-/// `BLOCKS_PER_BUDGET × budget` contiguous, near-equal `(start, end)`
-/// blocks in test order — one pool job each, tagged by its index.
-///
-/// Sized by the campaign's budget, not the pool width, so a campaign's
-/// jobs are the same whether it shares the workers or not. An empty set
-/// has no blocks.
-pub fn test_blocks(tests: usize, budget: usize) -> Vec<(usize, usize)> {
-    let blocks = tests.min(BLOCKS_PER_BUDGET * budget.max(1));
+/// `BLOCKS_PER_THREAD × threads` contiguous, near-equal `(start, end)`
+/// blocks in test order — one pool job each, tagged by its index. An
+/// empty set has no blocks.
+pub fn test_blocks(tests: usize, threads: usize) -> Vec<(usize, usize)> {
+    let blocks = tests.min(BLOCKS_PER_THREAD * threads.max(1));
     (0..blocks)
         .map(|b| (b * tests / blocks, (b + 1) * tests / blocks))
         .collect()
@@ -93,16 +89,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn test_blocks_partition_the_set_by_budget() {
+    fn test_blocks_partition_the_set_by_threads() {
         assert_eq!(test_blocks(10, 1), vec![(0, 2), (2, 5), (5, 7), (7, 10)]);
         // Never more blocks than tests, never an empty block.
         assert_eq!(test_blocks(3, 4), vec![(0, 1), (1, 2), (2, 3)]);
         assert!(test_blocks(0, 2).is_empty());
-        // A degenerate budget is clamped to one thread.
-        assert_eq!(test_blocks(128, 0).len(), BLOCKS_PER_BUDGET);
-        for (tests, budget) in [(64, 2), (256, 2), (255, 3), (7, 8)] {
-            let blocks = test_blocks(tests, budget);
-            assert_eq!(blocks.len(), tests.min(BLOCKS_PER_BUDGET * budget));
+        // A degenerate thread count is clamped to one thread.
+        assert_eq!(test_blocks(128, 0).len(), BLOCKS_PER_THREAD);
+        for (tests, threads) in [(64, 2), (256, 2), (255, 3), (7, 8)] {
+            let blocks = test_blocks(tests, threads);
+            assert_eq!(blocks.len(), tests.min(BLOCKS_PER_THREAD * threads));
             assert_eq!(blocks.first().map(|b| b.0), Some(0));
             assert_eq!(blocks.last().map(|b| b.1), Some(tests));
             assert!(blocks.windows(2).all(|w| w[0].1 == w[1].0));

@@ -9,18 +9,16 @@
 //!
 //! # Architecture
 //!
-//! - [`shared`]: the [`SharedPool`] — owned supervised workers serving
-//!   any number of registered campaigns with fair round-robin budgets —
-//!   plus [`SharedSetRunner`], which computes one test set's detections
-//!   against a live list its caller owns: it fans the set out as
-//!   contiguous test-block jobs, each running `rls_fsim`'s one tile walk,
-//!   and reduces detections in live-list order at the set barrier. The
-//!   runner keeps no fault list; `rls_core`'s executor keeps it in a
-//!   `FaultSimulator` and applies what the runner returns. Direct runs
-//!   register one campaign on a private pool; the `rls-serve` campaign
-//!   server shares one pool across requests;
+//! - [`shared`]: the [`SharedPool`] — one campaign's owned, supervised
+//!   workers on one FIFO queue — plus [`SharedSetRunner`], which
+//!   computes one test set's detections against a live list its caller
+//!   owns: it fans the set out as contiguous test-block jobs, each
+//!   running `rls_fsim`'s one tile walk, and reduces detections in
+//!   live-list order at the set barrier. The runner keeps no fault list;
+//!   `rls_core`'s executor keeps it in a `FaultSimulator` and applies
+//!   what the runner returns;
 //! - [`executor`]: the wave protocol underneath the runner — the
-//!   budget-sized [`test_blocks`] whose indices tag the jobs, the retry
+//!   thread-sized [`test_blocks`] whose indices tag the jobs, the retry
 //!   budget, and [`SetFailure`];
 //! - [`pool`]: per-worker atomic counters ([`WorkerCounters`]), their
 //!   [`PoolSnapshot`], and classified [`JobFailure`]s;
@@ -65,9 +63,8 @@
 //!
 //! let compiled = Arc::new(CompiledCircuit::compile(rls_benchmarks::s27()).unwrap());
 //! let mut sim = FaultSimulator::on(Arc::clone(&compiled));
-//! let pool = SharedPool::new(2);
 //! let chains = ChainMap::full(3);
-//! let runner = SharedSetRunner::new(compiled, chains, SimOptions::default(), pool.register(2));
+//! let runner = SharedSetRunner::new(compiled, chains, SimOptions::default(), SharedPool::new(2));
 //! let test = ScanTest::from_strings("001", &["0111", "1001"]).unwrap();
 //! let newly = runner.try_run_set(sim.live(), &[test]).unwrap();
 //! assert!(!newly.is_empty());
@@ -88,4 +85,4 @@ pub use campaign::{Campaign, CampaignLog, CampaignSummary, TrialRecord};
 pub use error::DispatchError;
 pub use executor::{test_blocks, SetFailure};
 pub use pool::{FailureClass, JobFailure, PoolSnapshot, WorkerCounters, WorkerSnapshot};
-pub use shared::{CampaignHandle, SharedPool, SharedSetRunner};
+pub use shared::{SharedPool, SharedSetRunner};

@@ -1,12 +1,12 @@
 //! Worker accounting and failure records shared by every pool user.
 //!
 //! The pool itself lives in [`crate::shared`]; this module holds the
-//! value types its campaigns read back:
+//! value types its campaign reads back:
 //!
 //! - [`WorkerCounters`]: one cache-line-padded set of atomic counters per
-//!   worker and campaign (jobs, kernel batches, faults dropped,
-//!   simulation time, respawns, lane occupancy), bumped by the jobs
-//!   themselves and read without stopping the pool;
+//!   worker (jobs, kernel batches, faults dropped, simulation time,
+//!   respawns, lane occupancy), bumped by the jobs themselves and read
+//!   without stopping the pool;
 //! - [`PoolSnapshot`] / [`WorkerSnapshot`]: point-in-time copies of those
 //!   counters, the payload of the campaign `workers` record;
 //! - [`JobFailure`] / [`FailureClass`]: a caught job panic, recorded under
@@ -75,7 +75,7 @@ pub(crate) fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Per-worker activity counters, updated by the owning worker (and by the
 /// jobs it runs) and read concurrently by
-/// [`crate::CampaignHandle::snapshot`].
+/// [`crate::SharedPool::snapshot`].
 #[derive(Debug, Default)]
 #[repr(align(64))] // avoid false sharing between neighbouring workers
 pub struct WorkerCounters {

@@ -1,23 +1,16 @@
-//! The worker pool: persistent owned threads multiplexing campaigns.
+//! The worker pool: persistent owned threads running one campaign.
 //!
-//! Every parallel run goes through this one pool. A direct
-//! `Procedure2::run` with `threads > 1` starts a private pool and
-//! registers a single campaign on it; the `rls-serve` campaign server
-//! keeps one pool for the life of the process and registers a campaign
-//! per request. Both then drive a [`SharedSetRunner`], so "served ≡
-//! direct" holds by construction.
+//! A `Procedure2::run` with `threads > 1` starts one [`SharedPool`] and
+//! drives it through a [`SharedSetRunner`]; a run with one thread has no
+//! pool at all.
 //!
-//! - [`SharedPool`] owns `threads` worker threads. Jobs are `'static`
-//!   closures handed over through per-campaign FIFO queues (no borrowed
-//!   environment, hence no `unsafe`); campaign context travels in `Arc`s.
-//! - [`SharedPool::register`] adds a campaign *slot* with a thread
-//!   `budget` and returns a [`CampaignHandle`]: `submit_tagged` /
-//!   `wait_idle` / `take_failures` / `snapshot`.
-//! - Scheduling is fair round-robin across slots: workers scan slots from
-//!   a rotating cursor and claim at most `budget` concurrent jobs per
-//!   slot, so one huge campaign cannot starve a small one.
+//! - [`SharedPool`] owns `threads` worker threads and one FIFO queue.
+//!   Jobs are `'static` closures (no borrowed environment, hence no
+//!   `unsafe`); a set's context travels in an `Arc`. The campaign submits
+//!   through `submit_tagged` and meets its jobs at `wait_idle` /
+//!   `take_failures`; `snapshot` reads the per-worker counters.
 //! - Workers are supervised: a panicking job is caught, classified, and
-//!   recorded under its tag in the owning campaign's ledger (with a
+//!   recorded under its tag in the pool's failure ledger (with a
 //!   `dispatch.panic` mark and a `worker-panic` flight-recorder dump);
 //!   the worker carries on. Retries are the caller's policy
 //!   ([`SharedSetRunner`] runs the wave protocol of [`crate::executor`]).
@@ -26,10 +19,10 @@
 //!   [`crate::FailureClass::Other`]) instead of vanishing, so a caller's
 //!   wave protocol observes the outage and can degrade to the sequential
 //!   oracle.
-//! - Observability is per campaign: when a [`CampaignHandle`] retires it
-//!   emits the pool's per-worker busy/idle gauges and job counts plus the
-//!   campaign's batch, drop, respawn, and lane-occupancy totals, once,
-//!   from its final snapshot — the hot loop carries no obs calls.
+//! - Observability is per campaign: when the pool retires it emits its
+//!   per-worker busy/idle gauges and job counts plus the campaign's
+//!   batch, drop, respawn, and lane-occupancy totals, once, from its
+//!   final snapshot — the hot loop carries no obs calls.
 //!
 //! # Determinism
 //!
@@ -43,17 +36,13 @@
 //! detected *set* at a barrier is therefore the union a sequential run
 //! computes, however jobs interleave and however tall each job's tiles
 //! are, and the runner returns it in live-list order (ascending fault id
-//! for the default target). Test blocks are sized by the campaign's
-//! *budget*, not the pool width, so a campaign's jobs are the same
-//! whether it shares the workers or not. The outcome is bit-identical to
-//! the sequential oracle regardless of how many other campaigns share
-//! the pool; the integration suites byte-compare served campaign records
-//! against direct runs to pin this.
+//! for the default target). The outcome is bit-identical to the
+//! sequential oracle at every thread count; `tests/determinism.rs`
+//! byte-compares the campaign records of 1, 2 and 4 threads to pin this.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -62,82 +51,50 @@ use rls_fsim::{simulate_block, ChainMap, CompiledCircuit, FaultId, ScanTest, Sim
 use crate::bitset::AtomicBitset;
 use crate::executor::{test_blocks, SetFailure, RETRY_ROUNDS};
 use crate::inject;
-use crate::pool::{
-    classify, payload_message, FailureClass, JobFailure, PoolSnapshot, WorkerCounters,
-};
+use crate::pool::{classify, payload_message, JobFailure, PoolSnapshot, WorkerCounters};
 
-/// A job runnable on the pool. Jobs own their state (`'static`) —
-/// campaign context travels in `Arc`s.
+/// A job runnable on the pool. Jobs own their state (`'static`) — set
+/// context travels in `Arc`s.
 pub type SharedJob = Box<dyn FnOnce(&WorkerCounters) + Send + 'static>;
 
-/// One registered campaign's scheduling state.
-struct Slot {
-    id: u64,
+/// The queue and its accounting, under the hub's one scheduling lock.
+struct Sched {
     queue: VecDeque<(u64, SharedJob)>,
-    /// Jobs currently executing on some worker.
-    running: usize,
     /// Jobs submitted and not yet finished (queued + running).
     pending: usize,
-    /// Concurrency cap: at most this many of the campaign's jobs run at
-    /// once, so co-tenants keep their share of the pool.
-    budget: usize,
-    ledger: Arc<Ledger>,
-}
-
-/// Per-campaign accounting, shared between the slot (workers write
-/// through it) and the [`CampaignHandle`] (the campaign reads it).
-struct Ledger {
-    /// Per-OS-worker counters, indexed by worker id.
-    counters: Vec<WorkerCounters>,
-    failures: Mutex<Vec<JobFailure>>,
-}
-
-struct Sched {
-    slots: Vec<Slot>,
-    /// Round-robin scan start, advanced past each claimed slot.
-    cursor: usize,
-    /// False once shutdown begins: queues drain, new submissions fail.
+    /// False once shutdown begins: the queue drains, new submissions fail.
     open: bool,
 }
 
 struct Hub {
     sched: Mutex<Sched>,
-    /// Signalled when work (or capacity to run it) appears, and at
-    /// shutdown.
+    /// Signalled when a job is queued, and at shutdown.
     work_cv: Condvar,
-    /// Signalled when a slot's pending count reaches zero.
+    /// Signalled when the pending count reaches zero.
     idle_cv: Condvar,
-    next_id: AtomicU64,
+    /// Per-worker counters, indexed by worker id.
+    counters: Vec<WorkerCounters>,
+    /// The failure ledger: jobs that panicked or met a closed pool, in
+    /// the order they failed. Never locked while `sched` is held.
+    failures: Mutex<Vec<JobFailure>>,
 }
 
 impl Hub {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Sched> {
+    fn lock(&self) -> MutexGuard<'_, Sched> {
         self.sched.lock().unwrap_or_else(PoisonError::into_inner)
     }
-}
 
-/// Claims the next runnable job, scanning slots round-robin from the
-/// cursor and respecting each slot's budget.
-fn claim(sched: &mut Sched) -> Option<(u64, u64, SharedJob, Arc<Ledger>)> {
-    let n = sched.slots.len();
-    for step in 0..n {
-        let idx = (sched.cursor + step) % n;
-        let slot = &mut sched.slots[idx]; // lint: panic-ok(idx is reduced modulo slots.len() on the line above)
-        if slot.running < slot.budget {
-            if let Some((tag, job)) = slot.queue.pop_front() {
-                slot.running += 1;
-                let id = slot.id;
-                let ledger = Arc::clone(&slot.ledger);
-                sched.cursor = (idx + 1) % n;
-                return Some((id, tag, job, ledger));
-            }
-        }
+    fn record_failure(&self, failure: JobFailure) {
+        self.failures
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(failure);
     }
-    None
 }
 
 /// The supervised worker loop: claim, run under `catch_unwind`, settle.
 fn worker_loop(hub: Arc<Hub>, w: usize) {
+    let counters = &hub.counters[w]; // lint: panic-ok(the hub is built with one counter per worker; w < threads by construction)
     loop {
         // Schedule-exploration points sit *outside* the sched lock: the
         // soak harness perturbs who reaches the lock next, never what
@@ -146,8 +103,8 @@ fn worker_loop(hub: Arc<Hub>, w: usize) {
         let claimed = {
             let mut sched = hub.lock();
             loop {
-                if let Some(c) = claim(&mut sched) {
-                    break Some(c);
+                if let Some(job) = sched.queue.pop_front() {
+                    break Some(job);
                 }
                 if !sched.open {
                     break None;
@@ -158,11 +115,10 @@ fn worker_loop(hub: Arc<Hub>, w: usize) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let Some((id, tag, job, ledger)) = claimed else {
+        let Some((tag, job)) = claimed else {
             return; // closed and drained
         };
         inject::on_sched_point("worker.claimed");
-        let counters = &ledger.counters[w]; // lint: panic-ok(ledgers are built with one counter per pool worker; w < threads by construction)
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             inject::on_job_start(tag);
             job(counters);
@@ -177,43 +133,33 @@ fn worker_loop(hub: Arc<Hub>, w: usize) {
                 // failing context is still in the rings.
                 rls_obs::mark!("dispatch.panic", tag);
                 let _ = rls_obs::recorder::dump("worker-panic");
-                ledger
-                    .failures
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(JobFailure {
-                        worker: w,
-                        tag,
-                        message,
-                        class,
-                    });
+                hub.record_failure(JobFailure {
+                    worker: w,
+                    tag,
+                    message,
+                    class,
+                });
                 counters.add_respawn();
             }
         }
         let mut sched = hub.lock();
-        if let Some(slot) = sched.slots.iter_mut().find(|s| s.id == id) {
-            slot.running -= 1;
-            slot.pending -= 1;
-            if slot.pending == 0 {
-                hub.idle_cv.notify_all();
-            } else if !slot.queue.is_empty() && slot.running < slot.budget {
-                // Freed budget with work still queued: wake a sleeper so
-                // the slot is not stuck at this worker's pace.
-                hub.work_cv.notify_one();
-            }
+        sched.pending -= 1;
+        if sched.pending == 0 {
+            hub.idle_cv.notify_all();
         }
     }
 }
 
-/// A pool of owned worker threads that outlives any single campaign.
+/// One campaign's pool of owned worker threads.
 ///
-/// Dropping (or [`SharedPool::shutdown`]) closes the pool: already-queued
-/// jobs drain, workers join, and later submissions are recorded as
-/// failures on their campaign's ledger.
+/// Dropping the pool shuts it down (see [`SharedPool::shutdown`]) and
+/// emits the campaign's pool metrics.
 pub struct SharedPool {
     hub: Arc<Hub>,
     workers: Vec<JoinHandle<()>>,
     threads: usize,
+    /// Times the pool's life (the busy/idle base).
+    lifetime: rls_obs::Stopwatch,
 }
 
 impl std::fmt::Debug for SharedPool {
@@ -230,13 +176,14 @@ impl SharedPool {
         let threads = threads.max(1);
         let hub = Arc::new(Hub {
             sched: Mutex::new(Sched {
-                slots: Vec::new(),
-                cursor: 0,
+                queue: VecDeque::new(),
+                pending: 0,
                 open: true,
             }),
             work_cv: Condvar::new(),
             idle_cv: Condvar::new(),
-            next_id: AtomicU64::new(0),
+            counters: (0..threads).map(|_| WorkerCounters::default()).collect(),
+            failures: Mutex::new(Vec::new()),
         });
         let workers = (0..threads)
             .map(|w| {
@@ -248,133 +195,46 @@ impl SharedPool {
             hub,
             workers,
             threads,
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Registers a campaign with a concurrency `budget` (clamped to
-    /// `1..=threads`) and returns its submission handle.
-    pub fn register(&self, budget: usize) -> CampaignHandle {
-        let budget = budget.clamp(1, self.threads);
-        let id = self.hub.next_id.fetch_add(1, Ordering::Relaxed); // lint: ordering-ok(unique-id counter; uniqueness is all that is required)
-        let ledger = Arc::new(Ledger {
-            counters: (0..self.threads)
-                .map(|_| WorkerCounters::default())
-                .collect(),
-            failures: Mutex::new(Vec::new()),
-        });
-        self.hub.lock().slots.push(Slot {
-            id,
-            queue: VecDeque::new(),
-            running: 0,
-            pending: 0,
-            budget,
-            ledger: Arc::clone(&ledger),
-        });
-        CampaignHandle {
-            hub: Arc::clone(&self.hub),
-            id,
-            budget,
-            ledger,
             lifetime: rls_obs::Stopwatch::start(),
         }
     }
 
-    fn close(&self) {
-        self.hub.lock().open = false;
-        self.hub.work_cv.notify_all();
+    /// Number of worker threads; [`test_blocks`] sizes a set's jobs by it.
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 
-    /// Closes the pool and joins every worker after queued jobs drain.
-    pub fn shutdown(mut self) {
-        self.close();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for SharedPool {
-    fn drop(&mut self) {
-        self.close();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// One campaign's handle onto the pool.
-///
-/// Dropping the handle waits for the campaign's in-flight jobs, retires
-/// its slot, and emits the campaign's pool metrics.
-pub struct CampaignHandle {
-    hub: Arc<Hub>,
-    id: u64,
-    budget: usize,
-    ledger: Arc<Ledger>,
-    /// Times the campaign's life on the pool (the busy/idle base).
-    lifetime: rls_obs::Stopwatch,
-}
-
-impl std::fmt::Debug for CampaignHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CampaignHandle")
-            .field("id", &self.id)
-            .field("budget", &self.budget)
-            .finish_non_exhaustive()
-    }
-}
-
-impl CampaignHandle {
     /// Enqueues a job under a caller-chosen tag. If the job panics, the
-    /// tag identifies it in [`CampaignHandle::take_failures`], so the
-    /// caller can rebuild and retry exactly the failed work. On a closed
-    /// pool the job is not run; a failure is recorded under the tag so the
+    /// tag identifies it in [`SharedPool::take_failures`], so the caller
+    /// can rebuild and retry exactly the failed work. On a closed pool
+    /// the job is not run; a failure is recorded under the tag so the
     /// caller's wave protocol observes the outage.
     pub fn submit_tagged(&self, tag: u64, job: impl FnOnce(&WorkerCounters) + Send + 'static) {
         inject::on_sched_point("campaign.submit");
         let mut sched = self.hub.lock();
         if !sched.open {
             drop(sched);
-            self.ledger
-                .failures
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(JobFailure {
-                    worker: usize::MAX,
-                    tag,
-                    message: "shared pool is shut down".to_string(),
-                    class: classify("shared pool is shut down"),
-                });
+            let message = "shared pool is shut down";
+            self.hub.record_failure(JobFailure {
+                worker: usize::MAX,
+                tag,
+                message: message.to_string(),
+                class: classify(message),
+            });
             return;
         }
-        if let Some(slot) = sched.slots.iter_mut().find(|s| s.id == self.id) {
-            slot.queue.push_back((tag, Box::new(job)));
-            slot.pending += 1;
-        }
+        sched.queue.push_back((tag, Box::new(job)));
+        sched.pending += 1;
         drop(sched);
         self.hub.work_cv.notify_one();
     }
 
-    /// Blocks until every job this campaign submitted has finished — the
-    /// per-campaign reduction barrier. Other campaigns' jobs are
-    /// irrelevant to (and unaffected by) this wait.
+    /// Blocks until every submitted job has finished — the set's
+    /// reduction barrier.
     pub fn wait_idle(&self) {
         inject::on_sched_point("campaign.wait_idle");
         let mut sched = self.hub.lock();
-        loop {
-            let pending = sched
-                .slots
-                .iter()
-                .find(|s| s.id == self.id)
-                .map_or(0, |s| s.pending);
-            if pending == 0 {
-                return;
-            }
+        while sched.pending > 0 {
             sched = self
                 .hub
                 .idle_cv
@@ -383,68 +243,28 @@ impl CampaignHandle {
         }
     }
 
-    /// [`wait_idle`](Self::wait_idle) with an upper bound: returns `false`
-    /// if jobs are still pending when `timeout` elapses. A wedged worker
-    /// (infinite loop, never-returning syscall) would otherwise pin its
-    /// campaign in the barrier forever; the serve-layer watchdog uses this
-    /// to turn "no progress" into a bounded, checkpointable failure
-    /// instead. Timing out abandons no state — the jobs finish (or not)
-    /// on their own and the slot drains normally at handle drop.
-    pub fn wait_idle_for(&self, timeout: std::time::Duration) -> bool {
-        let deadline = Instant::now() + timeout; // lint: det-ok(bounds the wait only; the reduced result never depends on when the timeout fires)
-        let mut sched = self.hub.lock();
-        loop {
-            let pending = sched
-                .slots
-                .iter()
-                .find(|s| s.id == self.id)
-                .map_or(0, |s| s.pending);
-            if pending == 0 {
-                return true;
-            }
-            let left = deadline.saturating_duration_since(Instant::now()); // lint: det-ok(bounds the wait only; the reduced result never depends on when the timeout fires)
-            if left.is_zero() {
-                return false;
-            }
-            let (guard, _timed_out) = self
-                .hub
-                .idle_cv
-                .wait_timeout(sched, left)
-                .unwrap_or_else(PoisonError::into_inner);
-            sched = guard;
-        }
-    }
-
     /// Drains the failures recorded since the last call. Call at a
-    /// [`CampaignHandle::wait_idle`] barrier; an empty result means every
+    /// [`SharedPool::wait_idle`] barrier; an empty result means every
     /// job since the last drain completed.
     pub fn take_failures(&self) -> Vec<JobFailure> {
         inject::on_sched_point("campaign.take_failures");
         std::mem::take(
             &mut self
-                .ledger
+                .hub
                 .failures
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner),
         )
     }
 
-    /// A progress snapshot of this campaign only: its pending count and
-    /// its per-worker counters. `threads` reports the campaign's budget —
-    /// the parallelism the campaign was promised — not the pool width.
+    /// A progress snapshot: the pending count and the per-worker
+    /// counters.
     pub fn snapshot(&self) -> PoolSnapshot {
-        let pending = self
-            .hub
-            .lock()
-            .slots
-            .iter()
-            .find(|s| s.id == self.id)
-            .map_or(0, |s| s.pending);
         PoolSnapshot {
-            threads: self.budget,
-            pending,
+            threads: self.threads,
+            pending: self.hub.lock().pending,
             workers: self
-                .ledger
+                .hub
                 .counters
                 .iter()
                 .enumerate()
@@ -454,10 +274,20 @@ impl CampaignHandle {
         }
     }
 
+    /// Closes the pool and joins every worker after the queued jobs
+    /// drain. Later submissions are recorded as failures. Calling it
+    /// again is a no-op.
+    pub fn shutdown(&mut self) {
+        self.hub.lock().open = false;
+        self.hub.work_cv.notify_all();
+        for h in self.workers.drain(..) {
+            let _ = h.join();
+        }
+    }
+
     /// Emits the campaign's pool metrics once, from its final counters.
-    /// "Busy" is simulation wall time; the rest of the campaign's life on
-    /// the pool counts as idle (queue waits, other campaigns' jobs,
-    /// sleeps).
+    /// "Busy" is simulation wall time; the rest of the pool's life
+    /// counts as idle (queue waits, set barriers, sleeps).
     fn emit_metrics(&self) {
         if !rls_obs::enabled() {
             return;
@@ -479,36 +309,17 @@ impl CampaignHandle {
         rls_obs::counter!("fsim.lanes_used", snap.total_lanes_used());
         rls_obs::counter!("fsim.lanes_capacity", snap.total_lanes_capacity());
     }
-
-    /// The campaign's concurrency budget (the `threads` analogue for
-    /// test-block sizing).
-    pub fn threads(&self) -> usize {
-        self.budget
-    }
 }
 
-impl Drop for CampaignHandle {
+impl Drop for SharedPool {
     fn drop(&mut self) {
-        let mut sched = self.hub.lock();
-        while let Some(pos) = sched.slots.iter().position(|s| s.id == self.id) {
-            let slot = &sched.slots[pos]; // lint: panic-ok(pos was just produced by position() over the same vec under the same lock)
-            if slot.pending == 0 {
-                sched.slots.remove(pos);
-                break;
-            }
-            sched = self
-                .hub
-                .idle_cv
-                .wait(sched)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        drop(sched);
+        self.shutdown();
         self.emit_metrics();
     }
 }
 
-/// Computes one test set's detections on a [`CampaignHandle`] against a
-/// live fault list the caller owns.
+/// Computes one test set's detections on a [`SharedPool`] against a live
+/// fault list the caller owns.
 ///
 /// The runner keeps no fault list and no detection state between sets:
 /// [`SharedSetRunner::try_run_set`] builds the set's tests, its
@@ -520,9 +331,7 @@ pub struct SharedSetRunner {
     /// The scan chains the campaign applies its tests through.
     chains: Arc<ChainMap>,
     options: SimOptions,
-    handle: CampaignHandle,
-    /// Upper bound on one wave's reduction barrier; `None` waits forever.
-    wave_timeout: Option<std::time::Duration>,
+    pool: SharedPool,
 }
 
 /// What one set's jobs share, built per set.
@@ -541,40 +350,30 @@ struct SetWork {
 
 impl SharedSetRunner {
     /// A runner simulating on `compiled` through the scan chains of
-    /// `chains` with `options`, submitting its jobs through `handle`.
+    /// `chains` with `options`, submitting its jobs to `pool`.
     pub fn new(
         compiled: Arc<CompiledCircuit>,
         chains: ChainMap,
         options: SimOptions,
-        handle: CampaignHandle,
+        pool: SharedPool,
     ) -> Self {
         SharedSetRunner {
             compiled,
             chains: Arc::new(chains),
             options,
-            handle,
-            wave_timeout: None,
+            pool,
         }
     }
 
-    /// Bounds every wave barrier: a wave whose jobs have not all finished
-    /// within `timeout` is reported as a [`SetFailure`] instead of
-    /// blocking forever, so the caller can fall back to sequential
-    /// execution of the same set (which re-derives every drop and keeps
-    /// the outcome bit-identical). `None` restores unbounded waits.
-    pub fn set_wave_timeout(&mut self, timeout: Option<std::time::Duration>) {
-        self.wave_timeout = timeout;
+    /// The campaign's pool.
+    pub fn pool(&self) -> &SharedPool {
+        &self.pool
     }
 
-    /// The campaign's pool handle.
-    pub fn handle(&self) -> &CampaignHandle {
-        &self.handle
-    }
-
-    /// Gives the pool handle back, e.g. to keep a degraded campaign's
-    /// worker counters without running more sets on the pool.
-    pub fn into_handle(self) -> CampaignHandle {
-        self.handle
+    /// Gives the pool back, e.g. to keep a degraded campaign's worker
+    /// counters without running more sets on it.
+    pub fn into_pool(self) -> SharedPool {
+        self.pool
     }
 
     /// Submits one wave of test-block jobs for the given tags (block
@@ -585,7 +384,7 @@ impl SharedSetRunner {
         for &tag in tags {
             let (lo, hi) = blocks[tag as usize]; // lint: panic-ok(tags are minted over 0..blocks.len())
             let set = Arc::clone(set);
-            self.handle.submit_tagged(tag, move |counters| {
+            self.pool.submit_tagged(tag, move |counters| {
                 let start = Instant::now(); // lint: det-ok(wall time feeds observability counters only, never the reduced result)
                 let mut dropped = 0;
                 let stats = simulate_block(
@@ -617,32 +416,11 @@ impl SharedSetRunner {
             submit(&tags);
             rls_obs::gauge!(
                 "dispatch.queue_depth",
-                self.handle.snapshot().pending as u64,
+                self.pool.snapshot().pending as u64,
                 phase = PHASE
             );
-            match self.wave_timeout {
-                None => self.handle.wait_idle(),
-                Some(timeout) => {
-                    if !self.handle.wait_idle_for(timeout) {
-                        let mut failures = self.handle.take_failures();
-                        failures.push(JobFailure {
-                            worker: usize::MAX,
-                            tag: 0,
-                            message: format!(
-                                "wave barrier timed out after {}ms with jobs still running",
-                                timeout.as_millis()
-                            ),
-                            class: FailureClass::Other,
-                        });
-                        return Err(SetFailure {
-                            phase: PHASE,
-                            attempts,
-                            failures,
-                        });
-                    }
-                }
-            }
-            let failures = self.handle.take_failures();
+            self.pool.wait_idle();
+            let failures = self.pool.take_failures();
             if failures.is_empty() {
                 return Ok(());
             }
@@ -675,11 +453,10 @@ impl SharedSetRunner {
         let _span = rls_obs::span!("dispatch.set", tests = tests.len(), live = live.len());
         // Drop failures left over from before this set (a degraded caller
         // may have abandoned a failing set without draining).
-        let _ = self.handle.take_failures();
-        // One wave of contiguous test-block jobs, sized by the campaign's
-        // budget exactly as a direct run with `threads = budget` would
-        // size them, each simulating against the set-start live list.
-        let blocks = test_blocks(tests.len(), self.handle.threads());
+        let _ = self.pool.take_failures();
+        // One wave of contiguous test-block jobs, sized by the pool's
+        // threads, each simulating against the set-start live list.
+        let blocks = test_blocks(tests.len(), self.pool.threads());
         let set = Arc::new(SetWork {
             compiled: Arc::clone(&self.compiled),
             chains: Arc::clone(&self.chains),
@@ -704,7 +481,7 @@ impl SharedSetRunner {
 mod tests {
     use super::*;
     use rls_fsim::{FaultSimulator, KernelWord};
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn s27_sets() -> Vec<Vec<ScanTest>> {
         let plain =
@@ -764,20 +541,18 @@ mod tests {
         let sets = s27_sets();
         let (seq_counts, seq_live) = sequential(&sets);
         let compiled = compiled_s27();
-        let pool = SharedPool::new(4);
-        for budget in [1, 2, 4] {
+        for threads in [1, 2, 4] {
             let runner = SharedSetRunner::new(
                 Arc::clone(&compiled),
                 ChainMap::full(3),
                 SimOptions::default(),
-                pool.register(budget),
+                SharedPool::new(threads),
             );
             let mut sim = FaultSimulator::on(Arc::clone(&compiled));
             let counts = run_sets(&runner, &mut sim, &sets);
-            assert_eq!(counts, seq_counts, "budget = {budget}");
-            assert_eq!(sim.live(), &seq_live[..], "budget = {budget}");
+            assert_eq!(counts, seq_counts, "threads = {threads}");
+            assert_eq!(sim.live(), &seq_live[..], "threads = {threads}");
         }
-        pool.shutdown();
     }
 
     #[test]
@@ -806,33 +581,29 @@ mod tests {
         let sets = vec![tileable, s27_sets()[0].clone()];
         let (seq_counts, seq_live) = sequential(&sets);
         let compiled = compiled_s27();
-        let pool = SharedPool::new(2);
         let mut sim = FaultSimulator::on(Arc::clone(&compiled));
         let chains = ChainMap::full(compiled.circuit().num_dffs());
         let runner =
-            SharedSetRunner::new(compiled, chains, SimOptions::default(), pool.register(2));
+            SharedSetRunner::new(compiled, chains, SimOptions::default(), SharedPool::new(2));
         let counts = run_sets(&runner, &mut sim, &sets);
         assert_eq!(counts, seq_counts);
         assert_eq!(sim.live(), &seq_live[..]);
-        let snap = runner.handle().snapshot();
+        let snap = runner.pool().snapshot();
         assert_eq!(
             snap.total_lanes_capacity(),
             snap.total_batches() * KernelWord::LANES as u64
         );
-        pool.shutdown();
     }
 
     #[test]
     fn newly_detected_is_in_live_list_order() {
-        let pool = SharedPool::new(4);
-        let runner = s27_runner(&pool);
+        let runner = s27_runner(4);
         let live = compiled_s27().collapsed().representatives().to_vec();
         let newly = runner.try_run_set(&live, &s27_sets()[0]).unwrap();
         let mut sorted = newly.clone();
         sorted.sort_unstable();
         assert_eq!(newly, sorted, "default live list is ascending by id");
         assert!(!newly.is_empty());
-        pool.shutdown();
     }
 
     #[test]
@@ -843,10 +614,9 @@ mod tests {
         let mut sim = FaultSimulator::on(Arc::clone(&compiled));
         sim.set_targets(&targets);
         let seq: usize = set.iter().map(|t| sim.run_test(t).len()).sum();
-        let pool = SharedPool::new(2);
         let chains = ChainMap::full(compiled.circuit().num_dffs());
         let runner =
-            SharedSetRunner::new(compiled, chains, SimOptions::default(), pool.register(2));
+            SharedSetRunner::new(compiled, chains, SimOptions::default(), SharedPool::new(2));
         let newly = runner.try_run_set(&targets, set).unwrap();
         assert_eq!(newly.len(), seq);
         let left: Vec<FaultId> = targets
@@ -856,7 +626,7 @@ mod tests {
             .collect();
         assert_eq!(left, sim.live());
         // The workers' drop counters account for exactly these faults.
-        assert_eq!(runner.handle().snapshot().total_dropped() as usize, seq);
+        assert_eq!(runner.pool().snapshot().total_dropped() as usize, seq);
     }
 
     #[test]
@@ -867,12 +637,11 @@ mod tests {
         let compiled = compiled_s27();
         let all = compiled.collapsed().representatives().to_vec();
         let set = &s27_sets()[0];
-        let pool = SharedPool::new(2);
         let runner = SharedSetRunner::new(
             Arc::clone(&compiled),
             ChainMap::full(compiled.circuit().num_dffs()),
             SimOptions::default(),
-            pool.register(2),
+            SharedPool::new(2),
         );
         let first = runner.try_run_set(&all, set).unwrap();
         let again = *first.first().expect("the set detects something");
@@ -889,7 +658,6 @@ mod tests {
             newly, expect,
             "the same faults as the engine, in live order"
         );
-        pool.shutdown();
     }
 
     /// Suppresses panic-hook spew for tests that panic on purpose;
@@ -905,27 +673,26 @@ mod tests {
         Restore
     }
 
-    fn s27_runner(pool: &SharedPool) -> SharedSetRunner {
+    fn s27_runner(threads: usize) -> SharedSetRunner {
         SharedSetRunner::new(
             compiled_s27(),
             ChainMap::full(3),
             SimOptions::default(),
-            pool.register(2),
+            SharedPool::new(threads),
         )
     }
 
     #[test]
     fn run_waves_retries_only_failed_tags() {
         let _quiet = quiet_panics();
-        let pool = SharedPool::new(2);
-        let runner = s27_runner(&pool);
+        let runner = s27_runner(2);
         let flaky_runs = Arc::new(AtomicUsize::new(0));
         let total_jobs = Arc::new(AtomicUsize::new(0));
         let r = runner.run_waves(vec![1, 2, 3], |tags| {
             for &tag in tags {
                 let flaky_runs = Arc::clone(&flaky_runs);
                 let total_jobs = Arc::clone(&total_jobs);
-                runner.handle().submit_tagged(tag, move |_| {
+                runner.pool().submit_tagged(tag, move |_| {
                     total_jobs.fetch_add(1, Ordering::Relaxed);
                     if tag == 2 && flaky_runs.fetch_add(1, Ordering::Relaxed) == 0 {
                         panic!("flaky once");
@@ -943,14 +710,11 @@ mod tests {
     #[test]
     fn run_waves_gives_up_after_bounded_retries() {
         let _quiet = quiet_panics();
-        let pool = SharedPool::new(2);
-        let runner = s27_runner(&pool);
+        let runner = s27_runner(2);
         let err = runner
             .run_waves(vec![7], |tags| {
                 for &tag in tags {
-                    runner
-                        .handle()
-                        .submit_tagged(tag, |_| panic!("always down"));
+                    runner.pool().submit_tagged(tag, |_| panic!("always down"));
                 }
             })
             .unwrap_err();
@@ -961,103 +725,40 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("always down"), "{msg}");
         assert_eq!(
-            runner.handle().snapshot().total_respawns(),
+            runner.pool().snapshot().total_respawns(),
             (RETRY_ROUNDS + 1) as u64
         );
     }
 
     #[test]
-    fn concurrent_campaigns_are_isolated_and_exact() {
-        // Two campaigns over the same compiled circuit, driven from two
-        // client threads sharing one pool: each must match the oracle as
-        // if it ran alone.
-        let sets = s27_sets();
-        let (seq_counts, seq_live) = sequential(&sets);
-        let compiled = compiled_s27();
-        let pool = SharedPool::new(4);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    let runner = SharedSetRunner::new(
-                        Arc::clone(&compiled),
-                        ChainMap::full(3),
-                        SimOptions::default(),
-                        pool.register(2),
-                    );
-                    let mut sim = FaultSimulator::on(Arc::clone(&compiled));
-                    let sets = &sets;
-                    s.spawn(move || {
-                        let counts = run_sets(&runner, &mut sim, sets);
-                        (counts, sim.live().to_vec())
-                    })
-                })
-                .collect();
-            for h in handles {
-                let (counts, live) = h.join().unwrap();
-                assert_eq!(counts, seq_counts);
-                assert_eq!(live, seq_live);
-            }
-        });
-        pool.shutdown();
-    }
-
-    #[test]
-    fn failures_are_recorded_per_campaign_and_pool_survives() {
+    fn failures_are_recorded_and_the_pool_survives() {
         let _quiet = quiet_panics();
         let pool = SharedPool::new(2);
-        let bad = pool.register(2);
-        let good = pool.register(2);
-        bad.submit_tagged(7, |_| panic!("down on purpose"));
-        good.submit_tagged(1, |_| {});
-        bad.wait_idle();
-        good.wait_idle();
-        let failures = bad.take_failures();
+        pool.submit_tagged(7, |_| panic!("down on purpose"));
+        pool.submit_tagged(1, |_| {});
+        pool.wait_idle();
+        let failures = pool.take_failures();
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].tag, 7);
         assert!(failures[0].message.contains("down on purpose"));
-        assert!(good.take_failures().is_empty());
         // The pool still runs work after a supervised panic.
         let ran = Arc::new(AtomicUsize::new(0));
         let r = Arc::clone(&ran);
-        bad.submit_tagged(8, move |_| {
+        pool.submit_tagged(8, move |_| {
             r.fetch_add(1, Ordering::SeqCst);
         });
-        bad.wait_idle();
+        pool.wait_idle();
         assert_eq!(ran.load(Ordering::SeqCst), 1);
-        assert!(bad.take_failures().is_empty());
-    }
-
-    #[test]
-    fn budget_caps_concurrency() {
-        // With budget 1 on a 4-wide pool, no two of the campaign's jobs
-        // may overlap.
-        let pool = SharedPool::new(4);
-        let h = pool.register(1);
-        let active = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
-        for t in 0..16 {
-            let active = Arc::clone(&active);
-            let peak = Arc::clone(&peak);
-            h.submit_tagged(t, move |_| {
-                let now = active.fetch_add(1, Ordering::SeqCst) + 1;
-                peak.fetch_max(now, Ordering::SeqCst);
-                std::thread::sleep(std::time::Duration::from_micros(200));
-                active.fetch_sub(1, Ordering::SeqCst);
-            });
-        }
-        h.wait_idle();
-        assert_eq!(peak.load(Ordering::SeqCst), 1);
-        assert_eq!(h.snapshot().threads, 1);
+        assert!(pool.take_failures().is_empty());
     }
 
     #[test]
     fn shutdown_drains_queued_jobs() {
-        let pool = SharedPool::new(1);
-        let h = pool.register(1);
+        let mut pool = SharedPool::new(1);
         let ran = Arc::new(AtomicUsize::new(0));
         for t in 0..32 {
             let r = Arc::clone(&ran);
-            h.submit_tagged(t, move |_| {
+            pool.submit_tagged(t, move |_| {
                 r.fetch_add(1, Ordering::SeqCst);
             });
         }
@@ -1071,35 +772,13 @@ mod tests {
 
     #[test]
     fn submit_after_shutdown_records_a_failure() {
-        let pool = SharedPool::new(1);
-        let h = pool.register(1);
+        let mut pool = SharedPool::new(1);
         pool.shutdown();
-        h.submit_tagged(42, |_| {});
-        h.wait_idle(); // trivially idle: nothing was enqueued
-        let failures = h.take_failures();
+        pool.submit_tagged(42, |_| {});
+        pool.wait_idle(); // trivially idle: nothing was enqueued
+        let failures = pool.take_failures();
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].tag, 42);
         assert!(failures[0].message.contains("shut down"));
-    }
-
-    #[test]
-    fn bounded_idle_wait_times_out_on_a_wedged_job_then_drains() {
-        let pool = SharedPool::new(2);
-        let h = pool.register(2);
-        h.submit_tagged(1, |_| {
-            std::thread::sleep(std::time::Duration::from_millis(150));
-        });
-        assert!(
-            !h.wait_idle_for(std::time::Duration::from_millis(10)),
-            "a job outliving the bound must report not-idle"
-        );
-        assert!(
-            h.wait_idle_for(std::time::Duration::from_secs(10)),
-            "once the job finishes the same wait succeeds"
-        );
-        assert!(
-            h.wait_idle_for(std::time::Duration::ZERO),
-            "idle slot: zero bound is fine"
-        );
     }
 }

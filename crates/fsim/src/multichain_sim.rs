@@ -1,6 +1,6 @@
 //! Fault simulation for **multiple scan chain** architectures.
 //!
-//! The reference methods the paper compares against ([5], [6]) use multiple
+//! The reference methods the paper compares against (\[5\], \[6\]) use multiple
 //! scan chains with a maximum length of 10, making complete scan operations
 //! almost free. This module combines that architecture with the paper's
 //! limited scans: a `k`-cycle limited scan shifts *every* chain by `k`

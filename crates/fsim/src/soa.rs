@@ -79,7 +79,7 @@
 //! kernel order-exact against it across every tile height, fault-chunk
 //! length, observation mix, scan style and thread count. The
 //! `kernel-mutate` feature compiles in seeded single-site corruptions
-//! ([`mutate`]) used by the mutation self-tests to prove the oracle
+//! (the feature-gated `mutate` module) used by the mutation self-tests to prove the oracle
 //! actually turns red.
 
 use rls_netlist::{Circuit, GateKind, LevelizedCircuit};

@@ -9,7 +9,7 @@
 //!
 //! - a test of length 1 detects **no** transition faults (nothing is
 //!   launched at speed) — the limitation of classic test-per-scan BIST
-//!   that motivated [5]/[6] and this paper;
+//!   that motivated \[5\]/\[6\] and this paper;
 //! - scan operations are not at speed: the first functional cycle after
 //!   the scan-in *or after any limited scan* cannot serve as a capture
 //!   cycle. Limited scans therefore trade at-speed pairs for stuck-at
@@ -88,7 +88,8 @@ pub fn enumerate_transition_faults(circuit: &Circuit) -> Vec<TransitionFault> {
 ///
 /// # Panics
 ///
-/// Panics if more than [`LANES`] faults are given or on width mismatches.
+/// Panics if more than 64 faults (one word of lanes) are given or on
+/// width mismatches.
 pub fn simulate_batch_transition(
     sim: &GoodSim<'_>,
     test: &ScanTest,

@@ -24,7 +24,7 @@
 //!   create and rename (directly or via one call hop). Blessable with
 //!   `persist-ok`, never baselineable.
 //!
-//! # Soundness model (see DESIGN.md §13)
+//! # Soundness model (see DESIGN.md §11)
 //!
 //! Guard liveness is approximated: a `let`-bound guard lives to the end of
 //! its enclosing block or an explicit `drop(name)`; a non-`let` (temporary)
@@ -46,7 +46,7 @@ use crate::scope::{AnnKey, FileScope};
 
 /// One input file with its crate, findings label, and rule classes.
 pub struct UnitIn<'a> {
-    /// Crate name (`dispatch`, `serve`, …) for grouping in messages.
+    /// Crate name (`dispatch`, `obs`, …) for grouping in messages.
     pub crate_name: &'a str,
     /// Findings label (workspace-relative path).
     pub label: &'a str,

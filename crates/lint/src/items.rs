@@ -648,7 +648,7 @@ impl Parser<'_> {
     }
 }
 
-/// The head identifier of a type text as produced by [`Parser::text`]:
+/// The head identifier of a type text as produced by `Parser::text`:
 /// skips `&`, `mut`, `dyn`, `impl`, lifetimes and path prefixes, then
 /// returns the last segment of the first path (`"std :: sync :: Mutex <
 /// Sched >"` → `Mutex`; `"& 'c AtomicBool"` → `AtomicBool`).

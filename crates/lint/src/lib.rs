@@ -25,7 +25,7 @@
 //! - the baseline gate ([`baseline`]) — pre-existing findings are
 //!   committed to `lint-baseline.json`; CI fails only on new ones.
 //!
-//! See DESIGN.md §8 for the rule catalogue and §13 for the flow layer.
+//! See DESIGN.md §8 for the rule catalogue and §11 for the flow layer.
 
 pub mod baseline;
 pub mod flow;
@@ -44,23 +44,21 @@ use rules::{lint_source_with, FileExtras, Finding, RuleSet};
 /// `obs` is held to the same bar — its wall-clock reads exist *only* to
 /// time spans, and each one carries a `det-ok` blessing saying so.
 const DET_CRATES: &[&str] = &[
-    "core", "fsim", "lfsr", "scan", "netlist", "dispatch", "obs", "root", "serve",
+    "core", "fsim", "lfsr", "scan", "netlist", "dispatch", "obs", "root",
 ];
 
 /// Crates that own on-disk campaign artifacts: persistence rules apply
-/// (`obs` writes the metrics JSONL stream next to the campaign records;
-/// `serve` streams campaign records to clients and owns the server-side
-/// campaign directory).
-const PERSIST_CRATES: &[&str] = &["dispatch", "obs", "serve"];
+/// (`obs` writes the metrics JSONL stream next to the campaign records).
+const PERSIST_CRATES: &[&str] = &["dispatch", "obs"];
 
 /// Crates that emit `rls-obs` metrics: the metric-name audit applies.
-const OBS_CRATES: &[&str] = &["atpg", "core", "fsim", "dispatch", "obs", "root", "serve"];
+const OBS_CRATES: &[&str] = &["atpg", "core", "fsim", "dispatch", "obs", "root"];
 
 /// The lock-dense crates: concurrency flow rules (`lock-order`,
 /// `blocking-under-lock`) apply (`obs` holds its metrics-stream mutex
 /// across the append). Everything else either has no shared state or
 /// touches locks only through these crates' APIs.
-const CONC_CRATES: &[&str] = &["dispatch", "obs", "serve"];
+const CONC_CRATES: &[&str] = &["dispatch", "obs"];
 
 /// Crates excluded from scanning entirely (benchmark harness binaries —
 /// operator tooling, not result paths).
@@ -280,10 +278,6 @@ mod tests {
         );
         let atpg = rules_for_crate("atpg");
         assert!(!atpg.det && atpg.panic && atpg.obs);
-        let serve = rules_for_crate("serve");
-        assert!(
-            serve.det && serve.panic && serve.atomics && serve.persist && serve.obs && serve.conc
-        );
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::lexer::{lex, TokKind, Token};
 use crate::scope::{AnnKey, FileScope};
 
 /// Which rule classes apply to a file (derived from its crate, see
-/// [`crate::config`]).
+/// [`crate::rules_for_crate`]).
 #[derive(Debug, Clone, Copy)]
 pub struct RuleSet {
     /// Determinism rules (`det-*`).

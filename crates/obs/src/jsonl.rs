@@ -7,15 +7,14 @@
 //! campaigns.
 //!
 //! The [`parse`] half reads records back (checkpoint/resume, the
-//! `rls-report` differ, the serve journal): a strict recursive-descent
+//! `rls-report` differ): a strict recursive-descent
 //! parser for one JSON value, returning a [`JsonValue`] tree with typed
 //! accessors. Numbers keep their raw token so `u64` fields (cycle counts,
 //! fault ids) round-trip losslessly instead of passing through `f64`.
 //!
 //! # Durable files
 //!
-//! Campaign files, the serve journal, obs metrics streams and recorder
-//! dumps all persist through [`JsonlFile`] and read back through
+//! Campaign files, obs metrics streams and recorder dumps all persist through [`JsonlFile`] and read back through
 //! [`read`], so the crash contract (DESIGN.md §7) is written once:
 //!
 //! - [`JsonlFile::create`] reserves `<stem>[-k].jsonl` with `create_new`
@@ -24,8 +23,6 @@
 //!   `sync_all`, rename over the reservation, best-effort directory
 //!   fsync. On any error both files are removed, so a failed create
 //!   leaves nothing visible;
-//! - [`JsonlFile::replace`] rewrites a whole file the same way (the
-//!   journal's compaction);
 //! - [`JsonlFile::append`] writes one record as a single `write_all`
 //!   plus `sync_data`, so after `kill -9` the file holds every appended
 //!   record and at most one torn final line;
@@ -452,16 +449,6 @@ impl JsonlFile {
         }
     }
 
-    /// Atomically replaces the whole of `path` with `records` and keeps it
-    /// open for appending. On error `path` is left as it was.
-    pub fn replace<S: AsRef<str>>(path: &Path, records: &[S]) -> io::Result<JsonlFile> {
-        let file = publish(path, &lines(records))?;
-        Ok(JsonlFile {
-            file,
-            path: path.to_path_buf(),
-        })
-    }
-
     /// Opens an existing file for appending. A torn final line — a crash
     /// mid-append left bytes without a trailing newline — is truncated
     /// away first; appending straight after it would glue the next record
@@ -615,7 +602,7 @@ impl std::fmt::Display for ReadError {
 
 impl std::error::Error for ReadError {}
 
-/// Reads `path` back as parsed records (see [`parse_records`]). The file
+/// Reads `path` back as parsed records (see `parse_records`). The file
 /// may still be growing: each read returns every intact record present
 /// at that moment.
 pub fn read(path: &Path) -> Result<Vec<JsonValue>, ReadError> {
@@ -791,25 +778,6 @@ mod tests {
         assert_eq!(read(f.path()).unwrap().len(), 2);
         f.file.write_all(b"etric\",\"value\":2}\n").unwrap();
         assert_eq!(read(f.path()).unwrap().len(), 3);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn replace_rewrites_the_whole_file_and_keeps_appending() {
-        let dir = scratch("replace");
-        let path = dir.join("journal.jsonl");
-        std::fs::write(&path, format!("{HEADER}\n{METRIC}\n{{\"type\":\"me")).unwrap();
-        let mut f = JsonlFile::replace(&path, &[METRIC]).unwrap();
-        f.append(HEADER).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, format!("{METRIC}\n{HEADER}\n"));
-        let empty = JsonlFile::replace(&path, &[] as &[&str]).unwrap();
-        assert_eq!(std::fs::read_to_string(empty.path()).unwrap(), "");
-        let names: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name())
-            .collect();
-        assert_eq!(names, ["journal.jsonl"], "no temp file left behind");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

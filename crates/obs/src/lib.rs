@@ -24,10 +24,10 @@
 //!   (read back by [`jsonl::read`] and diffed by `rls-report`), the
 //!   in-memory [`MemorySink`] for tests, or a [`TeeSink`] fan-out.
 //! - [`jsonl`] is the workspace's JSON renderer and parser, and its one
-//!   durable JSONL file: campaign records, the serve journal, metrics
-//!   streams and recorder dumps are all written by [`jsonl::JsonlFile`]
-//!   and read back by [`jsonl::read`]. It lives here, at the bottom of
-//!   the dependency graph, so every writer can share it.
+//!   durable JSONL file: campaign records, metrics streams and recorder
+//!   dumps are all written by [`jsonl::JsonlFile`] and read back by
+//!   [`jsonl::read`]. It lives here, at the bottom of the dependency
+//!   graph, so every writer can share it.
 //!
 //! # Cost when disabled
 //!

@@ -24,58 +24,41 @@ pub const SPANS: &[&str] = &[
 
 /// Counter names (sinks accumulate by summing).
 pub const COUNTERS: &[&str] = &[
-    "procedure2.trials",             // (I, D1) trials attempted
-    "procedure2.pairs_kept",         // trials whose pair entered the test set
-    "procedure2.checkpoints",        // checkpoint records written
-    "procedure2.resumes",            // campaigns continued from a checkpoint
-    "procedure2.degrades",           // pool executor fell back to sequential
-    "campaign.records",              // JSONL campaign lines streamed
-    "campaign.sink_errors",          // campaign persistence disabled by IO error
-    "fsim.faults_simulated",         // candidate faults pushed through the kernel
-    "fsim.batches",                  // wide-word kernel invocations
-    "fsim.lanes_used",               // fault lanes across those batches (reference lanes excluded)
-    "fsim.lanes_capacity",           // available lanes across those batches
-    "fsim.tiles",                    // SoA tile passes (a single test is a 1-tall tile)
-    "dispatch.retry_waves",          // re-submission waves after job failures
-    "dispatch.respawns",             // supervised worker replacements
-    "dispatch.faults_dropped",       // faults dropped via the shared bitset
-    "dispatch.batches",              // batch jobs completed by the pool
-    "pool.worker.jobs",              // jobs executed, per worker
-    "serve.requests_accepted",       // campaign requests admitted by the server
-    "serve.requests_rejected",       // requests refused (admission, parse, compile)
-    "serve.load_shed",               // requests shed at the in-flight limit
-    "serve.recovered",               // journaled campaigns resumed after a crash
-    "serve.attach_replays",          // finished runs replayed to attach clients
-    "serve.journal_rejects",         // recoveries refused on fingerprint mismatch
-    "serve.journal_errors",          // journal writes that failed (run unaffected)
-    "serve.deadline_cancels",        // campaigns interrupted by a request deadline
-    "serve.slow_client_disconnects", // writes that hit the client timeout
-    "serve.watchdog.stalls",         // campaigns declared stalled by the watchdog
-    "serve.watchdog.requeues",       // stalled campaigns requeued from checkpoints
-    "serve.watchdog.degrades",       // stalled campaigns forced to the sequential path
-    "lint.findings",                 // findings reported by an rls-lint run
-    "sched.permutations",            // adversarial interleavings explored by the soak
-    "obs.recorder.dumps",            // flight-recorder crash dumps written
-    "obs.recorder.dropped",          // ring events overwritten before a dump read them
-    "obs.late_events",               // events discarded after a sealed stream's summary
-    "serve.stats.requests",          // stats/watch introspection requests served
-    "serve.stats.frames",            // progress frames streamed to watch clients
-    "atpg.decisions",                // PODEM decisions made over one fault list
-    "atpg.backtracks",               // PODEM decisions flipped over one fault list
-    "atpg.detected",                 // faults PODEM proved detectable
-    "atpg.redundant",                // faults PODEM proved redundant
-    "atpg.aborted",                  // faults PODEM gave up on at the backtrack limit
+    "procedure2.trials",       // (I, D1) trials attempted
+    "procedure2.pairs_kept",   // trials whose pair entered the test set
+    "procedure2.checkpoints",  // checkpoint records written
+    "procedure2.resumes",      // campaigns continued from a checkpoint
+    "procedure2.degrades",     // pool executor fell back to sequential
+    "campaign.records",        // JSONL campaign lines streamed
+    "campaign.sink_errors",    // campaign persistence disabled by IO error
+    "fsim.faults_simulated",   // candidate faults pushed through the kernel
+    "fsim.batches",            // wide-word kernel invocations
+    "fsim.lanes_used",         // fault lanes across those batches (reference lanes excluded)
+    "fsim.lanes_capacity",     // available lanes across those batches
+    "fsim.tiles",              // SoA tile passes (a single test is a 1-tall tile)
+    "dispatch.retry_waves",    // re-submission waves after job failures
+    "dispatch.respawns",       // supervised worker replacements
+    "dispatch.faults_dropped", // faults dropped via the shared bitset
+    "dispatch.batches",        // batch jobs completed by the pool
+    "pool.worker.jobs",        // jobs executed, per worker
+    "lint.findings",           // findings reported by an rls-lint run
+    "sched.permutations",      // adversarial interleavings explored by the soak
+    "obs.recorder.dumps",      // flight-recorder crash dumps written
+    "obs.recorder.dropped",    // ring events overwritten before a dump read them
+    "obs.late_events",         // events discarded after a sealed stream's summary
+    "atpg.decisions",          // PODEM decisions made over one fault list
+    "atpg.backtracks",         // PODEM decisions flipped over one fault list
+    "atpg.detected",           // faults PODEM proved detectable
+    "atpg.redundant",          // faults PODEM proved redundant
+    "atpg.aborted",            // faults PODEM gave up on at the backtrack limit
 ];
 
 /// Gauge names (sinks keep the last observation).
 pub const GAUGES: &[&str] = &[
-    "procedure2.coverage",      // detected-fault count after a kept pair
-    "dispatch.queue_depth",     // jobs pending right after a submission wave
-    "pool.worker.busy_nanos",   // per-worker time inside simulate calls
-    "pool.worker.idle_nanos",   // per-worker pool lifetime minus busy time
-    "serve.queue_depth",        // in-flight campaigns right after an admit
-    "serve.watchdog.monitored", // campaigns currently under the watchdog
-    "serve.stats.watchers",     // watch sessions currently streaming frames
+    "procedure2.coverage",    // detected-fault count after a kept pair
+    "dispatch.queue_depth",   // jobs pending right after a submission wave
+    "pool.worker.busy_nanos", // per-worker time inside simulate calls
+    "pool.worker.idle_nanos", // per-worker pool lifetime minus busy time
 ];
 
 /// Histogram names (sinks report count, mean, and log-scaled quantiles).
@@ -83,7 +66,6 @@ pub const HISTOGRAMS: &[&str] = &[
     "procedure2.trial_cycles", // N_SH(I, D1) cost of one trial
     "fsim.test_nanos",         // sequential engine time per test set
     "fsim.tile_height",        // tests packed into one tile by the fill rule
-    "serve.campaign_nanos",    // wall time of one served campaign
 ];
 
 /// Instantaneous event names — the [`crate::mark!`] macro. Marks are
@@ -93,7 +75,6 @@ pub const EVENTS: &[&str] = &[
     "fsim.batch",       // one wide-word kernel batch boundary
     "dispatch.degrade", // pool executor fell back to the sequential oracle
     "dispatch.panic",   // supervised worker caught a job panic
-    "serve.stall",      // watchdog declared a campaign stalled
 ];
 
 /// Registry groups in index order — the flight recorder encodes names as

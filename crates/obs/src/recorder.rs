@@ -16,7 +16,7 @@
 //!
 //! # Design
 //!
-//! Each thread owns one ring ([`Ring`]) and is its only writer; readers
+//! Each thread owns one ring (`Ring`) and is its only writer; readers
 //! (snapshot, dump) run concurrently on other threads. A slot is three
 //! relaxed atomic words; the writer publishes with one release store of
 //! the ring head. A reader copies the window and then re-reads the head:
@@ -169,7 +169,8 @@ impl Ring {
     /// `dropped` counts window events overwritten before they were read.
     fn collect(&self, since: u64) -> (Vec<SnapEvent>, u64) {
         let cap = self.slots.len() as u64;
-        // lint: ordering-ok(Acquire pairs with the writer's Release head store: events below h1 are fully written)
+        // Acquire pairs with the writer's Release head store: events
+        // below h1 are fully written.
         let h1 = self.head.load(Ordering::Acquire);
         let lo = h1.saturating_sub(cap).max(since);
         let mut raw: Vec<(u64, u64, u64, u64)> = Vec::with_capacity((h1 - lo) as usize);
@@ -186,7 +187,8 @@ impl Ring {
         // Anything the writer may have been writing during the copy is
         // an event index <= h2, which recycles slots of events
         // <= h2 - cap; only events above that line are trustworthy.
-        // lint: ordering-ok(Acquire re-read bounds the writer's progress during the copy)
+        // The Acquire re-read bounds the writer's progress during the
+        // copy.
         let h2 = self.head.load(Ordering::Acquire);
         let valid_lo = (h2 + 1).saturating_sub(cap);
         let dropped = valid_lo.min(h1).saturating_sub(since);

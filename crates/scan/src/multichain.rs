@@ -1,6 +1,6 @@
 //! Multiple scan chains.
 //!
-//! The methods the paper compares against ([5], [6]) use multiple scan
+//! The methods the paper compares against (\[5\], \[6\]) use multiple scan
 //! chains with a maximum length of 10, so a complete scan operation costs at
 //! most 10 cycles. A [`MultiChain`] describes that architecture: flip-flops
 //! are dealt round-robin into `c` chains, every chain shifts in parallel,
@@ -30,7 +30,7 @@ impl MultiChain {
     }
 
     /// Creates a configuration with as many chains as needed so no chain is
-    /// longer than `max_len` (the [5]/[6] setting is `max_len = 10`).
+    /// longer than `max_len` (the \[5\]/\[6\] setting is `max_len = 10`).
     ///
     /// # Panics
     ///

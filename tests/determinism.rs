@@ -137,3 +137,53 @@ fn scan_variant_runs_are_bit_identical_across_threads() {
         );
     }
 }
+
+#[test]
+fn campaign_records_are_identical_across_threads() {
+    // Every thread count runs the one executor, so the campaign records
+    // (TS0, trials, checkpoints, summary) match record for record once
+    // the header (which records `threads`), the per-worker counters and
+    // the wall-clock fields are set aside.
+    use random_limited_scan::obs::jsonl::{self, JsonValue};
+    let c = random_limited_scan::benchmarks::by_name("s208").expect("s208 exists");
+    let mut cfg = RlsConfig::new(2, 3, 2);
+    cfg.max_iterations = 2;
+    let records: Vec<Vec<JsonValue>> = [1, 2, 4]
+        .into_iter()
+        .map(|threads| {
+            let dir = std::env::temp_dir()
+                .join(format!("rls-det-records-{threads}t-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let at = cfg.clone().with_threads(threads).with_campaign_dir(&dir);
+            Procedure2::new(&c, at).run();
+            let files: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect();
+            assert_eq!(files.len(), 1, "one campaign record per run");
+            let records = jsonl::read(&files[0]).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            records
+                .into_iter()
+                .filter(|r| !matches!(r.str_field("type"), Some("campaign" | "workers")))
+                .map(|r| match r {
+                    JsonValue::Object(fields) => JsonValue::Object(
+                        fields
+                            .into_iter()
+                            .filter(|(k, _)| k != "wall_nanos" && k != "ts0_wall_nanos")
+                            .collect(),
+                    ),
+                    other => other,
+                })
+                .collect()
+        })
+        .collect();
+    assert!(
+        records[0]
+            .iter()
+            .any(|r| r.str_field("type") == Some("checkpoint")),
+        "the s208 run keeps pairs and checkpoints them"
+    );
+    assert_eq!(records[0], records[1], "2 threads");
+    assert_eq!(records[0], records[2], "4 threads");
+}

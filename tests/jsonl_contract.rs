@@ -1,11 +1,11 @@
 //! The durable-JSONL reader contract, checked on every kind of file the
-//! workspace persists: campaign records, obs metrics streams, flight
-//! recorder dumps and the serve journal.
+//! workspace persists: campaign records, obs metrics streams and flight
+//! recorder dumps.
 //!
 //! Each kind is written by its real writer and read back the way its
-//! production consumer reads it (`CampaignLog` for the files `rls-report`
-//! and resume load, `rls_obs::jsonl::read` for the journal). All of them
-//! sit on `rls_obs::jsonl`, so one table pins one contract:
+//! production consumer reads it (`CampaignLog`, which `rls-report` and
+//! resume load through). All of them sit on `rls_obs::jsonl`, so one
+//! table pins one contract:
 //!
 //! - a torn final line is dropped;
 //! - garbage before the final line is an error carrying its 1-based line
@@ -18,9 +18,8 @@
 use std::path::{Path, PathBuf};
 
 use rls_dispatch::{Campaign, CampaignLog, DispatchError, TrialRecord};
-use rls_obs::jsonl::{self, JsonValue, JsonlFile, ReadError};
+use rls_obs::jsonl::{JsonValue, JsonlFile};
 use rls_obs::{Event, JsonlSink, MetricKind, MetricRecord, Sink};
-use rls_serve::journal::{Journal, JournalEntry, JOURNAL_FILE};
 
 /// One persisted file kind.
 struct Kind {
@@ -34,9 +33,6 @@ struct Kind {
     /// Reopens the file after a crash and appends a record whose
     /// `run_id` is `"reopened"`.
     reopen: fn(&Path),
-    /// Whether the writer reserves `<stem>[-k].jsonl` names (the journal
-    /// has one fixed name).
-    reserved: bool,
 }
 
 const REOPENED: &str = r#"{"type":"reopened","run_id":"reopened"}"#;
@@ -45,14 +41,6 @@ fn campaign_log(path: &Path) -> Result<Vec<JsonValue>, usize> {
     match CampaignLog::read(path) {
         Ok(log) => Ok(log.records().to_vec()),
         Err(DispatchError::Parse { line, .. }) => Err(line),
-        Err(e) => panic!("{e}"),
-    }
-}
-
-fn one_reader(path: &Path) -> Result<Vec<JsonValue>, usize> {
-    match jsonl::read(path) {
-        Ok(records) => Ok(records),
-        Err(ReadError::Parse { line, .. }) => Err(line),
         Err(e) => panic!("{e}"),
     }
 }
@@ -105,58 +93,24 @@ fn write_recorder_dump(dir: &Path) -> PathBuf {
     path
 }
 
-fn entry(run_id: &str) -> JournalEntry {
-    JournalEntry {
-        run_id: run_id.to_string(),
-        circuit: "s27".to_string(),
-        fingerprint: 0x42,
-        path: PathBuf::from("campaign-s27.jsonl"),
-        threads: 1,
-        request: r#"{"type":"run","circuit":"s27"}"#.to_string(),
-    }
-}
-
-fn write_journal(dir: &Path) -> PathBuf {
-    let (journal, _) = Journal::open(dir).unwrap();
-    journal.begin(&entry("r1")).unwrap();
-    journal.begin(&entry("r2")).unwrap();
-    journal.end("r1", "done").unwrap();
-    journal.path().to_path_buf()
-}
-
-fn reopen_journal(path: &Path) {
-    let (journal, _) = Journal::open(path.parent().unwrap()).unwrap();
-    journal.begin(&entry("reopened")).unwrap();
-}
-
 const KINDS: &[Kind] = &[
     Kind {
         name: "campaign file",
         write: write_campaign,
         read: campaign_log,
         reopen: reopen_campaign,
-        reserved: true,
     },
     Kind {
         name: "obs stream",
         write: write_obs_stream,
         read: campaign_log,
         reopen: reopen_any,
-        reserved: true,
     },
     Kind {
         name: "recorder dump",
         write: write_recorder_dump,
         read: campaign_log,
         reopen: reopen_any,
-        reserved: true,
-    },
-    Kind {
-        name: "serve journal",
-        write: write_journal,
-        read: one_reader,
-        reopen: reopen_journal,
-        reserved: false,
     },
 ];
 
@@ -227,17 +181,13 @@ fn every_persisted_kind_obeys_the_reader_contract() {
 
         // A name collision takes the `-k` suffix.
         let file_name = path.file_name().unwrap().to_str().unwrap();
-        if kind.reserved {
-            let stem = file_name.strip_suffix(".jsonl").unwrap();
-            let twin = JsonlFile::create(&dir, stem, &["{}"]).unwrap();
-            assert_eq!(
-                twin.path().file_name().unwrap().to_str().unwrap(),
-                format!("{stem}-1.jsonl"),
-                "{name}"
-            );
-        } else {
-            assert_eq!(file_name, JOURNAL_FILE);
-        }
+        let stem = file_name.strip_suffix(".jsonl").unwrap();
+        let twin = JsonlFile::create(&dir, stem, &["{}"]).unwrap();
+        assert_eq!(
+            twin.path().file_name().unwrap().to_str().unwrap(),
+            format!("{stem}-1.jsonl"),
+            "{name}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

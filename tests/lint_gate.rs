@@ -184,13 +184,13 @@ fn mutation_lock_inversion_in_shared_is_caught() {
     let clean = read_source(rel);
     let mutated = format!(
         "{clean}\n\
-         fn seeded_fwd(hub: &Hub, ledger: &Ledger) {{\n\
+         fn seeded_fwd(hub: &Hub) {{\n\
              let s = hub.sched.lock().unwrap_or_else(PoisonError::into_inner);\n\
-             let f = ledger.failures.lock().unwrap_or_else(PoisonError::into_inner);\n\
+             let f = hub.failures.lock().unwrap_or_else(PoisonError::into_inner);\n\
              let _ = (s, f);\n\
          }}\n\
-         fn seeded_rev(hub: &Hub, ledger: &Ledger) {{\n\
-             let f = ledger.failures.lock().unwrap_or_else(PoisonError::into_inner);\n\
+         fn seeded_rev(hub: &Hub) {{\n\
+             let f = hub.failures.lock().unwrap_or_else(PoisonError::into_inner);\n\
              let s = hub.sched.lock().unwrap_or_else(PoisonError::into_inner);\n\
              let _ = (s, f);\n\
          }}\n"
@@ -234,8 +234,8 @@ fn mutation_join_under_guard_is_caught() {
 
 #[test]
 fn mutation_dropped_sync_all_in_jsonl_publish_is_caught() {
-    // Every durable JSONL file (campaign records, the serve journal, obs
-    // streams, recorder dumps) is published by the one helper in
+    // Every durable JSONL file (campaign records, obs streams, recorder
+    // dumps) is published by the one helper in
     // `rls_obs::jsonl`: dropping its fsync must be caught.
     let rel = "crates/obs/src/jsonl.rs";
     let clean = read_source(rel);
@@ -257,25 +257,25 @@ fn mutation_dropped_sync_all_in_jsonl_publish_is_caught() {
 
 #[test]
 fn mutation_relaxed_downgraded_store_is_caught() {
-    let rel = "crates/serve/src/server.rs";
+    let rel = "crates/obs/src/recorder.rs";
     let clean = read_source(rel);
-    let release_store = "shared.drain.store(true, Ordering::Release);";
+    let release_store = "self.head.store(n + 1, Ordering::Release);";
     assert!(
         clean.contains(release_store),
-        "the drain flag's Release store moved (mutation anchor)"
+        "the ring head's Release store moved (mutation anchor)"
     );
     let mutated = clean.replacen(
         release_store,
-        "shared.drain.store(true, Ordering::Relaxed);",
+        "self.head.store(n + 1, Ordering::Relaxed);",
         1,
     );
-    let found = lint_crate_with("serve", rel, &mutated);
+    let found = lint_crate_with("obs", rel, &mutated);
     assert!(
         rules_hit(&found, "atomic-pairing") > 0,
         "Acquire loads with no Release store must be flagged:\n{}",
         render(&found.iter().collect::<Vec<_>>())
     );
-    let unmutated = lint_crate_with("serve", rel, &clean);
+    let unmutated = lint_crate_with("obs", rel, &clean);
     assert_eq!(rules_hit(&unmutated, "atomic-pairing"), 0);
 }
 
@@ -287,7 +287,13 @@ fn rule_scopes_cover_the_result_affecting_crates() {
             "determinism rules must cover `{name}`"
         );
     }
-    assert!(rls_lint::rules_for_crate("dispatch").persist);
+    // The crates that persist campaign artifacts and hold the pool's and
+    // the metrics stream's locks get the persistence and concurrency
+    // flow rules.
+    for name in ["dispatch", "obs"] {
+        let rules = rls_lint::rules_for_crate(name);
+        assert!(rules.persist && rules.conc, "`{name}` needs persist + conc");
+    }
     // And the linter holds itself to the panic/atomics rules.
     let own = rls_lint::rules_for_crate("lint");
     assert!(own.panic && own.atomics);

@@ -1,7 +1,7 @@
 //! Observability integration: the `rls-obs` layer wired through the
 //! dispatch pool and Procedure 2.
 //!
-//! Covers the job shape (a set is one job per budget-sized test block,
+//! Covers the job shape (a set is one job per thread-sized test block,
 //! visible in the pool's job counters) and the metric contract:
 //! every name emitted during a real parallel campaign is a registered
 //! lowercase dot-separated literal from `rls_obs::names`.
@@ -20,9 +20,9 @@ use rls_netlist::Circuit;
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
-/// A runner for `c` registered with budget `threads` on `pool`, and the
-/// full collapsed fault list to run it against.
-fn runner(pool: &SharedPool, c: &Circuit, threads: usize) -> (SharedSetRunner, Vec<FaultId>) {
+/// A runner for `c` on a fresh `threads`-wide pool, and the full
+/// collapsed fault list to run it against.
+fn runner(c: &Circuit, threads: usize) -> (SharedSetRunner, Vec<FaultId>) {
     let compiled = Arc::new(CompiledCircuit::compile(c.clone()).expect("acyclic"));
     let live = compiled.collapsed().representatives().to_vec();
     let chains = ChainMap::full(c.num_dffs());
@@ -30,16 +30,15 @@ fn runner(pool: &SharedPool, c: &Circuit, threads: usize) -> (SharedSetRunner, V
         compiled,
         chains,
         SimOptions::default(),
-        pool.register(threads),
+        SharedPool::new(threads),
     );
     (runner, live)
 }
 
-/// Runs one set on a fresh `threads`-wide pool; the campaign retires
-/// (emitting its pool metrics) before this returns.
+/// Runs one set on a fresh `threads`-wide pool; the pool retires
+/// (emitting its metrics) before this returns.
 fn run_one_set(c: &Circuit, tests: &[ScanTest], threads: usize) {
-    let pool = SharedPool::new(threads);
-    let (runner, live) = runner(&pool, c, threads);
+    let (runner, live) = runner(c, threads);
     runner.try_run_set(&live, tests).expect("no job fails");
 }
 
@@ -51,21 +50,20 @@ fn test_block_jobs_cut_submit_overhead_on_large_circuits() {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     // A set is one wave of contiguous test-block jobs sized by the
-    // campaign's budget alone: on s953, whose live list spans many
+    // pool's threads alone: on s953, whose live list spans many
     // kernel chunks, the job count is the block count, not tiles x fault
     // chunks.
     let c = random_limited_scan::benchmarks::by_name("s953").expect("s953 exists");
     let cfg = RlsConfig::new(8, 16, 8);
     let tests = generate_ts0(&c, &cfg);
     for threads in [1, 2] {
-        let pool = SharedPool::new(threads);
-        let (runner, live) = runner(&pool, &c, threads);
+        let (runner, live) = runner(&c, threads);
         runner.try_run_set(&live, &tests).expect("no job fails");
         let live = live.len();
-        let snap = runner.handle().snapshot();
+        let snap = runner.pool().snapshot();
         let jobs: u64 = snap.workers.iter().map(|w| w.jobs).sum();
         let blocks = test_blocks(tests.len(), threads).len() as u64;
-        assert_eq!(jobs, blocks, "one job per test block at budget {threads}");
+        assert_eq!(jobs, blocks, "one job per test block at {threads} threads");
         // Fixed 64-fault chunks of 1-tall tiles would need one job per
         // (test, chunk).
         let fixed = (tests.len() * live.div_ceil(64)) as u64;
@@ -119,7 +117,7 @@ fn parallel_campaign_emits_only_registered_metric_names() {
     // heights…
     assert!(gauge("dispatch.queue_depth").is_some());
     assert!(events.iter().any(|e| e.name() == "fsim.tile_height"));
-    // …and the retired campaign its per-worker busy/idle profile.
+    // …and the retired pool its per-worker busy/idle profile.
     let busy = events
         .iter()
         .filter(|e| e.name() == "pool.worker.busy_nanos")

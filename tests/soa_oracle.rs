@@ -506,22 +506,21 @@ fn engine_matrix_matches_the_serial_reference_under_dropping() {
 
 #[test]
 fn dispatch_thread_matrix_matches_the_engine() {
-    // The pooled runner splits each set into budget-sized test blocks
-    // across the shared pool's workers; after every set its count and
+    // The pooled runner splits each set into thread-sized test blocks
+    // across the pool's workers; after every set its count and
     // surviving live list must equal the serial drop-as-you-go
     // reference's (which the engine matrix above pins the sequential
-    // engine to) at every budget.
+    // engine to) at every thread count.
     for (label, c, chains, sets) in dropping_cases() {
         let serial = serial_dropping(&c, &chains, &sets);
         let compiled = CompiledCircuit::compile(c).expect("benchmarks are acyclic");
         let compiled = std::sync::Arc::new(compiled);
-        for budget in [1, 2, 4] {
-            let pool = SharedPool::new(budget);
+        for threads in [1, 2, 4] {
             let runner = SharedSetRunner::new(
                 compiled.clone(),
                 chains.clone(),
                 SimOptions::default(),
-                pool.register(budget),
+                SharedPool::new(threads),
             );
             let mut sim = FaultSimulator::on(compiled.clone());
             sim.set_chains(chains.clone());
@@ -531,7 +530,7 @@ fn dispatch_thread_matrix_matches_the_engine() {
                 assert_eq!(
                     (newly.len(), sim.live()),
                     (detected.len(), &live[..]),
-                    "{label} set {k} x budget {budget}"
+                    "{label} set {k} x {threads} threads"
                 );
             }
         }

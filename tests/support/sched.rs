@@ -1,4 +1,4 @@
-//! Schedule-exploration harness for the shared worker pool.
+//! Schedule-exploration harness for the worker pool.
 //!
 //! The static side of PR 8's concurrency work is the flow-aware linter;
 //! this is the dynamic side: drive [`rls_dispatch::SharedPool`] through
@@ -14,12 +14,11 @@
 //! interleavings. [`soak`] derives ≥`runs` sub-seeds from one CI seed,
 //! proves their perturbation schedules pairwise distinct (by
 //! fingerprinting the verdict stream — no timing luck involved), and
-//! rotates four scenarios over them:
+//! rotates three scenarios over them:
 //!
 //! 1. a plain campaign wave (`SharedSetRunner` over the s27 sets);
-//! 2. two concurrent campaigns racing on one pool;
-//! 3. a campaign with seeded worker panics riding the requeue protocol;
-//! 4. a shutdown drain with jobs still queued.
+//! 2. a campaign with seeded worker panics riding the requeue protocol;
+//! 3. a shutdown drain with jobs still queued.
 //!
 //! Every scenario asserts the oracle contract; the harness then reports
 //! the explored count through the `sched.permutations` counter.
@@ -43,7 +42,7 @@ const FINGERPRINT_LEN: usize = 32;
 static LOCK: Mutex<()> = Mutex::new(());
 
 /// Serializes a scenario against the process-global injection state and
-/// quiets the panic hook (scenario 3 panics workers on purpose); restores
+/// quiets the panic hook (scenario 2 panics workers on purpose); restores
 /// both on drop, exactly like `tests/resilience.rs`.
 pub struct Armed {
     _guard: MutexGuard<'static, ()>,
@@ -84,7 +83,7 @@ pub fn fingerprint(seed: u64) -> Vec<u64> {
 }
 
 /// The three-set s27 workload shared by every campaign scenario (the
-/// same shape the shared-pool unit tests pin).
+/// same shape the pool's unit tests pin).
 fn s27_sets() -> Vec<Vec<ScanTest>> {
     let plain = ScanTest::from_strings("001", &["0111", "1001", "0111", "1001", "0100"]).unwrap();
     let shifted = plain
@@ -118,7 +117,7 @@ fn oracle_bytes(c: &Circuit, sets: &[Vec<ScanTest>]) -> Vec<u8> {
 
 /// Canonical byte rendering of a campaign outcome: per-set detection
 /// counts plus the surviving live list. Byte equality here is the same
-/// claim the serve-layer smoke makes by `cmp`-ing campaign records.
+/// claim `tests/determinism.rs` makes by comparing campaign records.
 pub fn campaign_bytes(counts: &[usize], live: &[FaultId]) -> Vec<u8> {
     format!("{counts:?}|{live:?}").into_bytes()
 }
@@ -142,12 +141,12 @@ fn compiled_s27() -> Arc<CompiledCircuit> {
     Arc::new(CompiledCircuit::compile(rls_benchmarks::s27()).unwrap())
 }
 
-fn s27_runner(pool: &SharedPool, budget: usize) -> SharedSetRunner {
+fn s27_runner(threads: usize) -> SharedSetRunner {
     SharedSetRunner::new(
         compiled_s27(),
         ChainMap::full(3),
         SimOptions::default(),
-        pool.register(budget),
+        SharedPool::new(threads),
     )
 }
 
@@ -159,57 +158,20 @@ fn plain_wave(seed: u64) {
     });
     let sets = s27_sets();
     let want = oracle_bytes(&rls_benchmarks::s27(), &sets);
-    let pool = SharedPool::new(4);
-    let runner = s27_runner(&pool, 2);
+    let runner = s27_runner(2);
     assert_eq!(
         run_campaign(&runner, &sets),
         want,
         "plain wave, seed {seed:#x}"
     );
     drop(runner);
-    pool.shutdown();
     assert!(
         inject::sched_points() > 0,
         "the seed must actually have steered points"
     );
 }
 
-/// Scenario 2: two campaigns racing on one pool; each must finish as if
-/// it ran alone, whatever the perturbed claim order interleaves.
-fn concurrent_campaigns(seed: u64) {
-    let _armed = Armed::new(InjectionPlan {
-        sched_seed: Some(seed),
-        ..InjectionPlan::default()
-    });
-    let sets = s27_sets();
-    let want = oracle_bytes(&rls_benchmarks::s27(), &sets);
-    let compiled = compiled_s27();
-    let pool = SharedPool::new(4);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                let runner = SharedSetRunner::new(
-                    Arc::clone(&compiled),
-                    ChainMap::full(3),
-                    SimOptions::default(),
-                    pool.register(2),
-                );
-                let sets = &sets;
-                s.spawn(move || run_campaign(&runner, sets))
-            })
-            .collect();
-        for h in handles {
-            assert_eq!(
-                h.join().unwrap(),
-                want,
-                "concurrent campaigns, seed {seed:#x}"
-            );
-        }
-    });
-    pool.shutdown();
-}
-
-/// Scenario 3: schedule noise *plus* seeded worker panics — the requeue
+/// Scenario 2: schedule noise *plus* seeded worker panics — the requeue
 /// waves must re-run exactly the failed tags and still converge on the
 /// oracle bytes. The three s27 sets are four test-block jobs in all, so
 /// every second job panics.
@@ -221,8 +183,7 @@ fn requeue_under_noise(seed: u64) {
     });
     let sets = s27_sets();
     let want = oracle_bytes(&rls_benchmarks::s27(), &sets);
-    let pool = SharedPool::new(4);
-    let runner = s27_runner(&pool, 2);
+    let runner = s27_runner(2);
     assert_eq!(
         run_campaign(&runner, &sets),
         want,
@@ -234,7 +195,7 @@ fn requeue_under_noise(seed: u64) {
     );
 }
 
-/// Scenario 4: shutdown with jobs still queued — the drain guarantee
+/// Scenario 3: shutdown with jobs still queued — the drain guarantee
 /// (every queued job runs before workers exit) must hold under any
 /// claim-order perturbation.
 fn shutdown_drain(seed: u64) {
@@ -242,27 +203,22 @@ fn shutdown_drain(seed: u64) {
         sched_seed: Some(seed),
         ..InjectionPlan::default()
     });
-    let pool = SharedPool::new(2);
-    let h = pool.register(2);
+    let mut pool = SharedPool::new(2);
     let ran = Arc::new(AtomicUsize::new(0));
     for t in 0..48 {
         let r = Arc::clone(&ran);
-        h.submit_tagged(t, move |_| {
+        pool.submit_tagged(t, move |_| {
             r.fetch_add(1, Ordering::SeqCst);
         });
     }
     pool.shutdown();
     assert_eq!(ran.load(Ordering::SeqCst), 48, "drain, seed {seed:#x}");
     assert!(
-        h.take_failures().is_empty(),
+        pool.take_failures().is_empty(),
         "drained jobs are not failures"
     );
 }
 
-/// Explores at least `runs` distinct interleavings derived from one CI
-/// seed, rotating the four scenarios, and returns how many ran. Panics
-/// if any two sub-seeds would replay the same perturbation schedule, so
-/// "distinct interleavings" is a checked claim, not a hope.
 /// Scenario 1's outcome bytes, optionally with the flight recorder
 /// armed. Equal bytes for `record` on and off — under the same
 /// adversarial schedule — is the proof that recording never perturbs a
@@ -276,8 +232,7 @@ pub fn wave_bytes(seed: u64, record: bool) -> Vec<u8> {
         assert!(rls_obs::recorder::start(512), "the recorder must arm");
     }
     let sets = s27_sets();
-    let pool = SharedPool::new(4);
-    let runner = s27_runner(&pool, 4);
+    let runner = s27_runner(4);
     let got = run_campaign(&runner, &sets);
     if record {
         let snap = rls_obs::recorder::drain();
@@ -287,6 +242,10 @@ pub fn wave_bytes(seed: u64, record: bool) -> Vec<u8> {
     got
 }
 
+/// Explores at least `runs` distinct interleavings derived from one CI
+/// seed, rotating the three scenarios, and returns how many ran. Panics
+/// if any two sub-seeds would replay the same perturbation schedule, so
+/// "distinct interleavings" is a checked claim, not a hope.
 pub fn soak(ci_seed: u64, runs: usize) -> usize {
     let seeds: Vec<u64> = (0..runs as u64).map(|i| sub_seed(ci_seed, i)).collect();
     let mut prints: Vec<Vec<u64>> = seeds.iter().map(|&s| fingerprint(s)).collect();
@@ -298,10 +257,9 @@ pub fn soak(ci_seed: u64, runs: usize) -> usize {
         "CI seed {ci_seed:#x} derived colliding perturbation schedules"
     );
     for (i, &seed) in seeds.iter().enumerate() {
-        match i % 4 {
+        match i % 3 {
             0 => plain_wave(seed),
-            1 => concurrent_campaigns(seed),
-            2 => requeue_under_noise(seed),
+            1 => requeue_under_noise(seed),
             _ => shutdown_drain(seed),
         }
     }
