@@ -82,7 +82,7 @@ done
 # tests/determinism.rs (campaign_records_are_identical_across_threads).
 rm -rf "$THREAD_DIR"
 
-echo "== results: committed extension and Table 5 output =="
+echo "== results: committed extension, Table 3 and Table 5 output =="
 # partial_scan and multichain run Procedure 2 on a partial-scan chain and
 # on multiple short chains; their committed tables pin that one flow byte
 # for byte, beside table5's closed-form ranking. table1 pins the serial
@@ -91,12 +91,18 @@ echo "== results: committed extension and Table 5 output =="
 # table5 argument that is not an N_SV value, or a table6 argument that
 # names no circuit, must print the usage line and exit 2, not panic; an
 # RLS_MAX_TRIES that is not a positive integer must exit 2 with an [exec]
-# message.
+# message. table3 (default s208) pins the Table 3 grid path — TS0
+# generation, derived sets and the kernel's stimulus mixing — at 1 and 2
+# threads.
 RESULTS_DIR=$(mktemp -d)
 for bin in partial_scan multichain table5 table1 at_speed; do
     cargo run -q --release --offline -p rls-bench --bin "$bin" \
         > "$RESULTS_DIR/$bin.txt" 2> /dev/null
     cmp "$RESULTS_DIR/$bin.txt" "results/$bin.txt"
+done
+for t in 1 2; do
+    RLS_THREADS=$t ./target/release/table3 > "$RESULTS_DIR/table3-t$t.txt" 2> /dev/null
+    cmp "$RESULTS_DIR/table3-t$t.txt" results/table3.txt
 done
 status=0
 ./target/release/table5 s27 > /dev/null 2> "$RESULTS_DIR/table5-usage.err" || status=$?

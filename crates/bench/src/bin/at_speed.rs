@@ -15,7 +15,7 @@
 
 use rls_core::report::TextTable;
 use rls_core::{derive_test_set, generate_ts0, RlsConfig};
-use rls_fsim::{transition_coverage, ScanTest};
+use rls_fsim::{transition_coverage, ScanTest, TestVectors};
 use rls_lfsr::{RandomSource, XorShift64};
 
 fn main() {
@@ -44,9 +44,7 @@ fn main() {
             .map(|_| {
                 let mut si = vec![false; c.num_dffs()];
                 rng.fill_bits(&mut si);
-                let mut v = vec![false; c.num_inputs()];
-                rng.fill_bits(&mut v);
-                ScanTest::new(si, vec![v])
+                ScanTest::new(si, TestVectors::draw(1, c.num_inputs(), &mut rng))
             })
             .collect();
         row("single-vector tests (test-per-scan)".into(), &singles);

@@ -21,7 +21,7 @@ fn print_view(title: &str, test: &ScanTest, good: &TestTrace, faulty: &TestTrace
         t.row(vec![
             u.to_string(),
             shift.map_or(0, |s| s.amount).to_string(),
-            bits_to_string(vector),
+            bits_to_string(&vector.to_vec()),
             paired(&good.states[u], &faulty.states[u]),
             paired(&good.outputs[u], &faulty.outputs[u]),
         ]);
@@ -53,7 +53,7 @@ fn print_accurate_timing(test: &ScanTest, good: &TestTrace, faulty: &TestTrace) 
         }
         t.row(vec![
             wall.to_string(),
-            bits_to_string(vector),
+            bits_to_string(&vector.to_vec()),
             paired(&good.states[u], &faulty.states[u]),
             paired(&good.outputs[u], &faulty.outputs[u]),
         ]);

@@ -14,7 +14,7 @@
 //! Both report the coverage achieved within the budget, giving the
 //! comparison row for EXPERIMENTS.md.
 
-use rls_fsim::{Coverage, FaultId, FaultSimulator, ScanTest};
+use rls_fsim::{Coverage, FaultId, FaultSimulator, ScanTest, TestVectors};
 use rls_lfsr::{RandomSource, XorShift64};
 use rls_netlist::Circuit;
 
@@ -43,13 +43,7 @@ impl BaselineOutcome {
 fn random_test<R: RandomSource>(circuit: &Circuit, length: usize, rng: &mut R) -> ScanTest {
     let mut scan_in = vec![false; circuit.num_dffs()];
     rng.fill_bits(&mut scan_in);
-    let vectors: Vec<Vec<bool>> = (0..length)
-        .map(|_| {
-            let mut v = vec![false; circuit.num_inputs()];
-            rng.fill_bits(&mut v);
-            v
-        })
-        .collect();
+    let vectors = TestVectors::draw(length, circuit.num_inputs(), rng);
     ScanTest::new(scan_in, vectors)
 }
 

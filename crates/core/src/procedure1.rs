@@ -175,7 +175,7 @@ mod tests {
             let derived = derive_test_set(&ts0, &cfg, 1, 1, 4);
             for (d, o) in derived.iter().zip(&ts0) {
                 assert!(Arc::ptr_eq(&d.scan_in, &o.scan_in), "{seed_mode:?}");
-                assert!(Arc::ptr_eq(&d.vectors, &o.vectors), "{seed_mode:?}");
+                assert!(d.vectors.ptr_eq(&o.vectors), "{seed_mode:?}");
             }
             for (i, a) in derived.iter().enumerate() {
                 for b in &derived[i + 1..] {

@@ -264,7 +264,9 @@ impl<'c> Procedure2<'c> {
 
         // Step 2: TS0 (regenerated even on resume — later trials derive
         // their sets from it).
+        let ts0_gen_span = rls_obs::span!("procedure2.ts0_gen");
         let ts0 = generate_ts0_on(self.circuit, &self.chains, &self.cfg);
+        drop(ts0_gen_span);
         let vector_units: u64 = ts0.iter().map(|t| t.len() as u64).sum();
 
         // Every checkpoint record is this post-`TS0` state with the fields
@@ -357,7 +359,9 @@ impl<'c> Procedure2<'c> {
                 if exec.live_count() == 0 {
                     break 'outer;
                 }
+                let derive_span = rls_obs::span!("procedure2.derive", i = i, d1 = u64::from(d1));
                 let derived = derive_test_set_on(&ts0, &self.cfg, fill_width, i, d1, d2);
+                drop(derive_span);
                 let trial_span = rls_obs::span!("procedure2.trial", i = i, d1 = u64::from(d1));
                 rls_obs::counter!("procedure2.trials", 1);
                 let trial_start = Instant::now(); // lint: det-ok(wall time is campaign-record metadata; selection never reads it)

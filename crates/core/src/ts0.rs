@@ -16,8 +16,14 @@
 //!
 //! A scan-in word has one bit per position the [`ChainMap`] loads: `N_SV`
 //! under full and multichain scan, the chain length under partial scan.
+//!
+//! The vectors are drawn straight into their packed words
+//! ([`TestVectors::draw`]): each row takes `N_PI` bits in draws of up to
+//! 64, and a [`RandomSource::next_bits`] draw is by contract the same bits,
+//! LSB first, as that many single-bit draws — so the packed rows hold
+//! exactly the bit stream above.
 
-use rls_fsim::{ChainMap, ScanTest};
+use rls_fsim::{ChainMap, ScanTest, TestVectors};
 use rls_lfsr::{RandomSource, XorShift64};
 use rls_netlist::Circuit;
 
@@ -48,8 +54,8 @@ pub fn generate_ts0_on(circuit: &Circuit, chains: &ChainMap, cfg: &RlsConfig) ->
     generate_with_source(circuit, chains, cfg, &mut rng)
 }
 
-/// Generates `TS0` drawing from an arbitrary source (a hardware LFSR in
-/// the tests below).
+/// Generates `TS0` drawing from an arbitrary source (a second generator
+/// in the tests below).
 fn generate_with_source<R: RandomSource>(
     circuit: &Circuit,
     chains: &ChainMap,
@@ -67,14 +73,11 @@ fn generate_with_source<R: RandomSource>(
         for slot in scan_in.iter_mut().rev() {
             *slot = rng.next_bit();
         }
-        let vectors: Vec<Vec<bool>> = (0..length)
-            .map(|_| {
-                let mut v = vec![false; n_pi];
-                rng.fill_bits(&mut v);
-                v
-            })
-            .collect();
-        tests.push(ScanTest::new(scan_in, vectors));
+        // Time-unit major; within a row, input `i` is the `i`-th draw.
+        tests.push(ScanTest::new(
+            scan_in,
+            TestVectors::draw(length, n_pi, &mut *rng),
+        ));
     }
     tests
 }
@@ -107,6 +110,7 @@ mod tests {
         let ts0 = generate_ts0(&c, &cfg());
         for t in &ts0 {
             assert_eq!(t.scan_in.len(), 3);
+            assert_eq!(t.vectors.width(), 4);
             for v in t.vectors.iter() {
                 assert_eq!(v.len(), 4);
             }
@@ -137,7 +141,7 @@ mod tests {
             .iter()
             .flat_map(|t| t.vectors.iter())
             .flat_map(|v| v.iter())
-            .filter(|&&b| b)
+            .filter(|&b| b)
             .count();
         let total: usize = ts0.iter().map(|t| t.len() * 4).sum();
         let frac = ones as f64 / total as f64;
@@ -145,14 +149,69 @@ mod tests {
     }
 
     #[test]
-    fn lfsr_source_is_also_reproducible() {
+    fn second_source_is_also_reproducible() {
         let c = rls_benchmarks::s27();
         let config = cfg();
-        let mut l1 = rls_lfsr::GaloisLfsr::max_length(32, 0xACE1).unwrap();
-        let mut l2 = rls_lfsr::GaloisLfsr::max_length(32, 0xACE1).unwrap();
+        let mut s1 = rls_lfsr::SplitMix64::new(0xACE1);
+        let mut s2 = rls_lfsr::SplitMix64::new(0xACE1);
         let full = ChainMap::full(c.num_dffs());
-        let a = generate_with_source(&c, &full, &config, &mut l1);
-        let b = generate_with_source(&c, &full, &config, &mut l2);
+        let a = generate_with_source(&c, &full, &config, &mut s1);
+        let b = generate_with_source(&c, &full, &config, &mut s2);
         assert_eq!(a, b);
+        assert_ne!(a, generate_ts0(&c, &config), "a different source");
+        assert_eq!(
+            a,
+            reference_ts0(&c, &config, rls_lfsr::SplitMix64::new(0xACE1))
+        );
+    }
+
+    /// The per-bit reference generator: one `next_bit` per stimulus bit,
+    /// scan-in in shift order, then vectors time-unit major as rows of
+    /// bits.
+    fn reference_ts0(c: &Circuit, cfg: &RlsConfig, mut rng: impl RandomSource) -> Vec<ScanTest> {
+        (0..2 * cfg.n)
+            .map(|index| {
+                let length = if index < cfg.n { cfg.la } else { cfg.lb };
+                let mut scan_in: Vec<bool> = (0..c.num_dffs()).map(|_| rng.next_bit()).collect();
+                scan_in.reverse();
+                let vectors: Vec<Vec<bool>> = (0..length)
+                    .map(|_| (0..c.num_inputs()).map(|_| rng.next_bit()).collect())
+                    .collect();
+                ScanTest::new(scan_in, vectors)
+            })
+            .collect()
+    }
+
+    /// A synthetic circuit with 70 primary inputs: every vector row spans
+    /// two words, the second one padded.
+    fn wide_circuit() -> Circuit {
+        rls_benchmarks::synth::SynthConfig {
+            name: "wide70".to_string(),
+            inputs: 70,
+            outputs: 6,
+            dffs: 5,
+            gates: 90,
+            seed: 7,
+            resistant_gates: 1,
+            resistant_width: 4,
+        }
+        .build()
+    }
+
+    #[test]
+    fn packed_ts0_is_the_per_bit_stream() {
+        let circuits = [
+            rls_benchmarks::s27(),
+            rls_benchmarks::by_name("s208").expect("s208 exists"),
+            wide_circuit(),
+        ];
+        assert_eq!(circuits[2].num_inputs(), 70);
+        for c in &circuits {
+            for config in [RlsConfig::new(3, 7, 5), RlsConfig::new(1, 64, 2)] {
+                let packed = generate_ts0(c, &config);
+                let rng = XorShift64::new(config.seeds.ts0_seed());
+                assert_eq!(packed, reference_ts0(c, &config, rng), "{}", c.name());
+            }
+        }
     }
 }

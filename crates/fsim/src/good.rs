@@ -265,6 +265,7 @@ impl<'c> GoodSim<'c> {
             final_scan_out: Vec::new(),
         };
         let mut values = Vec::new();
+        let mut pis = Vec::with_capacity(test.vectors.width());
         for (u, (shift, vector)) in test.units().enumerate() {
             trace.pre_shift_states.push(state.clone());
             if let Some(op) = shift {
@@ -273,7 +274,9 @@ impl<'c> GoodSim<'c> {
                 force_state(&mut state);
             }
             trace.states.push(state.clone());
-            self.eval_with(vector, &state, fault, &mut values);
+            pis.clear();
+            pis.extend(vector.iter());
+            self.eval_with(&pis, &state, fault, &mut values);
             trace.outputs.push(self.outputs(&values));
             state = self.next_state(&values);
             if let Some((pos, v)) = ff_pin {

@@ -90,7 +90,7 @@ pub use soa::{
     compatible_run, fill_height, max_tile_height, simulate_tile_lanes, tile_compatible,
     tile_fault_capacity, SimOptions,
 };
-pub use test::{ScanTest, ShiftOp, TestError};
+pub use test::{ScanTest, ShiftOp, TestError, TestVectors, VectorRow};
 pub use transition::{
     enumerate_transition_faults, simulate_batch_transition, transition_coverage, TransitionFault,
 };

@@ -46,7 +46,7 @@ pub fn run_tests_partial(
 mod tests {
     use super::*;
     use crate::good::traces_differ;
-    use crate::test::ShiftOp;
+    use crate::test::{ShiftOp, TestVectors};
 
     #[test]
     fn full_configuration_matches_full_scan_engine() {
@@ -115,14 +115,7 @@ mod tests {
                 .map(|_| {
                     let mut scan_in = vec![false; chain];
                     rng.fill_bits(&mut scan_in);
-                    let vectors: Vec<Vec<bool>> = (0..6)
-                        .map(|_| {
-                            let mut v = vec![false; c.num_inputs()];
-                            rng.fill_bits(&mut v);
-                            v
-                        })
-                        .collect();
-                    ScanTest::new(scan_in, vectors)
+                    ScanTest::new(scan_in, TestVectors::draw(6, c.num_inputs(), rng))
                 })
                 .collect()
         };

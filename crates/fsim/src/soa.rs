@@ -86,7 +86,7 @@ use rls_netlist::{Circuit, GateKind, LevelizedCircuit};
 use rls_scan::ChainMap;
 
 use crate::fault::{Fault, FaultId, FaultSite};
-use crate::test::ScanTest;
+use crate::test::{ScanTest, VectorRow};
 use crate::word::KernelWord;
 
 /// Which observation points count toward detection.
@@ -347,6 +347,33 @@ fn mix_rows<'a>(words: &mut [KernelWord], stride: usize, rows: impl Iterator<Ite
     }
 }
 
+/// Mixes per-pattern packed vectors into primary-input lane words, as
+/// [`mix_rows`] does for rows of bits: each row's set bits are found a
+/// word at a time (`trailing_zeros`), each sets one lane at the start of
+/// its pattern's range, and one [`KernelWord::spread`] per word fills
+/// every range.
+fn mix_vector_rows<'a>(
+    words: &mut [KernelWord],
+    stride: usize,
+    rows: impl Iterator<Item = VectorRow<'a>> + Clone,
+) {
+    words.fill(KernelWord::ZERO);
+    for (p, row) in rows.clone().enumerate() {
+        for (base, &packed) in (0..).step_by(64).zip(row.words()) {
+            let mut bits = packed;
+            while bits != 0 {
+                // lint: panic-ok(set bits lie below the row width, which the tile entry check matched to words.len())
+                words[base + bits.trailing_zeros() as usize].set_lane(p * stride, true);
+                bits &= bits - 1;
+            }
+        }
+    }
+    mutated_last_input(words, stride, rows);
+    for w in words.iter_mut() {
+        *w = w.spread(stride);
+    }
+}
+
 /// Evaluates one gate from its fanin slots — the branch-light heart of the
 /// kernel, with dedicated unary/binary fast paths.
 #[inline]
@@ -582,7 +609,7 @@ pub fn simulate_tile_lanes(
     assert!(
         tests
             .iter()
-            .all(|x| x.vectors.iter().all(|v| v.len() == npi)),
+            .all(|x| x.vectors.is_empty() || x.vectors.width() == npi),
         "vector width mismatch"
     );
     if faults.is_empty() {
@@ -592,7 +619,8 @@ pub fn simulate_tile_lanes(
     let stride = batch.stride();
     // Pattern `p` owns lanes `[p*stride, (p+1)*stride)`, its reference
     // lane first; `full` is the fault lanes only. Per-pattern stimulus is
-    // mixed into words by `mix_rows`.
+    // mixed into words by `mix_rows` (scan-in, fills) and
+    // `mix_vector_rows` (vectors).
     let ref_lanes = mutated_reference_lanes((0..t).fold(KernelWord::ZERO, |mut acc, p| {
         acc.set_lane(p * stride, true);
         acc
@@ -642,11 +670,10 @@ pub fn simulate_tile_lanes(
                 return collect_detections(&batch, full);
             }
         }
-        mix_rows(
+        mix_vector_rows(
             &mut pi_words,
             stride,
-            // lint: panic-ok(tile tests share the length, so u indexes every test's vectors)
-            tests.iter().map(|x| x.vectors[u].as_slice()),
+            tests.iter().map(|x| x.vectors.row(u)),
         );
         eval_tile(lc, &batch, &pi_words, &state, &mut values, &mut fanin_buf);
         if opts.observe_outputs {
@@ -722,6 +749,9 @@ pub mod mutate {
         /// A limited scan reads each chain's scan-out one position short
         /// of the tail (the neighbour towards the head).
         ScanOutSkew,
+        /// The last primary input reads its vector row one bit too far
+        /// (bit `i + 1`, past the row's width) instead of its own bit `i`.
+        LastInputOffByOne,
     }
 
     thread_local! {
@@ -836,6 +866,41 @@ fn mutated_scan_out(chain_index: usize) -> usize {
 #[inline(always)]
 fn mutated_scan_out(chain_index: usize) -> usize {
     chain_index
+}
+
+#[cfg(feature = "kernel-mutate")]
+fn mutated_last_input<'a>(
+    words: &mut [KernelWord],
+    stride: usize,
+    rows: impl Iterator<Item = VectorRow<'a>>,
+) {
+    if mutate::armed() != Some(mutate::KernelMutation::LastInputOffByOne) {
+        return;
+    }
+    let Some(last) = words.len().checked_sub(1) else {
+        return;
+    };
+    // Bit `last + 1` is row padding, or past the row's words when the
+    // width fills them.
+    let src = last + 1;
+    let mut word = KernelWord::ZERO;
+    for (p, row) in rows.enumerate() {
+        let bit = row
+            .words()
+            .get(src / 64)
+            .is_some_and(|w| w >> (src % 64) & 1 == 1);
+        word.set_lane(p * stride, bit);
+    }
+    words[last] = word; // lint: panic-ok(last < words.len())
+}
+
+#[cfg(not(feature = "kernel-mutate"))]
+#[inline(always)]
+fn mutated_last_input<'a>(
+    _words: &mut [KernelWord],
+    _stride: usize,
+    _rows: impl Iterator<Item = VectorRow<'a>>,
+) {
 }
 
 #[cfg(feature = "kernel-mutate")]

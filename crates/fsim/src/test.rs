@@ -5,6 +5,14 @@
 //! (for `0 < u < L`), the state is first shifted by `shift(u)` positions
 //! (with given fill bits), then the vector `T(u)` is applied at speed.
 //!
+//! The vectors are bit-packed ([`TestVectors`]): one shared `u64` array
+//! holding `L` rows of `N_PI` bits, each row padded to whole words, with
+//! input `i` of time unit `u` in bit `i % 64` of the row's word `i / 64`.
+//! Random stimulus is drawn straight into the words
+//! ([`TestVectors::draw`]), and the SoA kernel reads them a word at a
+//! time; [`ScanTest::units`] hands out one [`VectorRow`] view per time
+//! unit.
+//!
 //! A test's stimulus and schedule are shared and immutable: cloning a
 //! [`ScanTest`] copies three reference counts, not bits. A derived test
 //! reads its `TS0` test's scan-in and vectors in place, and tests may
@@ -13,6 +21,191 @@
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
+
+use rls_lfsr::RandomSource;
+
+/// Bits per storage word of [`TestVectors`].
+const WORD_BITS: usize = u64::BITS as usize;
+
+/// A test's at-speed vectors `T(0) … T(L-1)`, bit-packed.
+///
+/// Row `u` occupies `width.div_ceil(64)` consecutive words of one shared
+/// array; bit `i` of the row is bit `i % 64` of its word `i / 64`, and the
+/// padding above `width` is always zero. A clone shares the array, and
+/// equality compares contents.
+#[derive(Clone, PartialEq, Eq)]
+pub struct TestVectors {
+    words: Arc<[u64]>,
+    len: usize,
+    width: usize,
+}
+
+impl TestVectors {
+    /// `len` rows of `width` bits from their packed words, row-major,
+    /// `width.div_ceil(64)` words per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` does not hold exactly `len` rows or a row has a
+    /// bit set above `width`.
+    pub fn from_words(len: usize, width: usize, words: impl Into<Arc<[u64]>>) -> Self {
+        let words = words.into();
+        let stride = width.div_ceil(WORD_BITS);
+        assert_eq!(words.len(), len * stride, "packed vector length mismatch");
+        if !width.is_multiple_of(WORD_BITS) {
+            let padding = !0u64 << (width % WORD_BITS);
+            assert!(
+                words
+                    .chunks_exact(stride)
+                    .all(|row| row.last().is_none_or(|w| w & padding == 0)),
+                "packed vector rows must be zero above their width"
+            );
+        }
+        TestVectors { words, len, width }
+    }
+
+    /// `len` random rows of `width` bits: row after row, input `i` of a row
+    /// is the `i`-th bit drawn for it. Each row is drawn in
+    /// [`RandomSource::next_bits`] calls of up to 64 bits, which by that
+    /// method's contract yield the same bits as `width` single-bit draws.
+    pub fn draw(len: usize, width: usize, rng: &mut impl RandomSource) -> Self {
+        let mut words = Vec::with_capacity(len * width.div_ceil(WORD_BITS));
+        for _ in 0..len {
+            let mut left = width;
+            while left > 0 {
+                let take = left.min(WORD_BITS);
+                words.push(rng.next_bits(take as u32));
+                left -= take;
+            }
+        }
+        TestVectors::from_words(len, width, words)
+    }
+
+    /// Number of time units `L`.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether there are no time units.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bits per vector (the circuit's primary inputs).
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// The vector of time unit `u`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u >= self.len()`.
+    pub fn row(&self, u: usize) -> VectorRow<'_> {
+        assert!(u < self.len, "time unit {u} outside 0..{}", self.len);
+        let stride = self.width.div_ceil(WORD_BITS);
+        VectorRow {
+            // lint: panic-ok(u < len asserted above, and the array holds len rows of stride words)
+            words: &self.words[u * stride..(u + 1) * stride],
+            width: self.width,
+        }
+    }
+
+    /// The vectors in time order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = VectorRow<'_>> + '_ {
+        (0..self.len).map(|u| self.row(u))
+    }
+
+    /// Whether both share one packed array (a derived test and its `TS0`
+    /// test do).
+    pub fn ptr_eq(&self, other: &TestVectors) -> bool {
+        Arc::ptr_eq(&self.words, &other.words)
+    }
+}
+
+impl From<Vec<Vec<bool>>> for TestVectors {
+    /// Packs rows of bits. The width is the first row's length, so an
+    /// empty list of rows has width 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows differ in width.
+    fn from(rows: Vec<Vec<bool>>) -> Self {
+        let width = rows.first().map_or(0, Vec::len);
+        let mut words = Vec::with_capacity(rows.len() * width.div_ceil(WORD_BITS));
+        for row in &rows {
+            assert_eq!(row.len(), width, "vector width mismatch");
+            words.extend(row.chunks(WORD_BITS).map(|chunk| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |w, (i, &bit)| w | u64::from(bit) << i)
+            }));
+        }
+        TestVectors::from_words(rows.len(), width, words)
+    }
+}
+
+impl fmt::Debug for TestVectors {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// One packed vector: a borrowed row of a [`TestVectors`].
+#[derive(Clone, Copy)]
+pub struct VectorRow<'a> {
+    words: &'a [u64],
+    width: usize,
+}
+
+impl<'a> VectorRow<'a> {
+    /// Bits in the vector.
+    pub fn len(&self) -> usize {
+        self.width
+    }
+
+    /// Whether the vector has no bits.
+    pub fn is_empty(&self) -> bool {
+        self.width == 0
+    }
+
+    /// Bit `i` (the value of primary input `i`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn get(&self, i: usize) -> bool {
+        assert!(i < self.width, "input {i} outside 0..{}", self.width);
+        // lint: panic-ok(i < width asserted above, and the row holds width.div_ceil(64) words)
+        self.words[i / WORD_BITS] >> (i % WORD_BITS) & 1 == 1
+    }
+
+    /// The bits in input order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = bool> + 'a {
+        let row = *self;
+        (0..self.width).map(move |i| row.get(i))
+    }
+
+    /// The packed words: bit `i` is bit `i % 64` of word `i / 64`, and the
+    /// bits above `len()` are zero.
+    pub fn words(&self) -> &'a [u64] {
+        self.words
+    }
+
+    /// The bits as a vector.
+    pub fn to_vec(&self) -> Vec<bool> {
+        self.iter().collect()
+    }
+}
+
+impl fmt::Debug for VectorRow<'_> {
+    /// The paper's notation: input 0 first, e.g. `0111`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let bits: String = self.iter().map(|b| if b { '1' } else { '0' }).collect();
+        write!(f, "{bits}")
+    }
+}
 
 /// A limited scan operation within a test.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,9 +229,9 @@ pub struct ShiftOp {
 pub struct ScanTest {
     /// The scan-in state `SI` (one bit per flip-flop, chain order).
     pub scan_in: Arc<[bool]>,
-    /// The at-speed primary input sequence `T` (each inner vector has one
-    /// bit per primary input).
-    pub vectors: Arc<[Vec<bool>]>,
+    /// The at-speed primary input sequence `T`, one packed row of one bit
+    /// per primary input per time unit.
+    pub vectors: TestVectors,
     /// Limited scan operations, strictly ascending by `at`.
     pub shifts: Arc<[ShiftOp]>,
 }
@@ -48,6 +241,12 @@ pub struct ScanTest {
 pub enum TestError {
     /// A character other than `0`/`1` in a bit-string literal.
     BadBitChar(char),
+    /// A vector whose width differs from the first vector's.
+    VectorWidthMismatch {
+        unit: usize,
+        expected: usize,
+        found: usize,
+    },
     /// A shift op is out of the valid `0 < at < L` range.
     ShiftOutOfRange { at: usize, len: usize },
     /// Shift ops are not strictly ascending by time unit.
@@ -63,6 +262,14 @@ impl fmt::Display for TestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TestError::BadBitChar(c) => write!(f, "invalid bit character {c:?}"),
+            TestError::VectorWidthMismatch {
+                unit,
+                expected,
+                found,
+            } => write!(
+                f,
+                "vector of time unit {unit} has {found} bits, expected {expected}"
+            ),
             TestError::ShiftOutOfRange { at, len } => {
                 write!(f, "shift at time unit {at} outside 1..{len}")
             }
@@ -90,9 +297,14 @@ fn parse_bits(s: &str) -> Result<Vec<bool>, TestError> {
 }
 
 impl ScanTest {
-    /// A test without limited scans. Passing `Arc`s shares them; a `Vec`
-    /// is copied into a new shared allocation.
-    pub fn new(scan_in: impl Into<Arc<[bool]>>, vectors: impl Into<Arc<[Vec<bool>]>>) -> Self {
+    /// A test without limited scans. Passing an `Arc` or [`TestVectors`]
+    /// shares it; a `Vec` is copied (and rows of bits packed) into a new
+    /// shared allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vectors` are rows of bits that differ in width.
+    pub fn new(scan_in: impl Into<Arc<[bool]>>, vectors: impl Into<TestVectors>) -> Self {
         ScanTest {
             scan_in: scan_in.into(),
             vectors: vectors.into(),
@@ -106,15 +318,22 @@ impl ScanTest {
     ///
     /// # Errors
     ///
-    /// Returns [`TestError::BadBitChar`] on non-binary characters.
+    /// Returns [`TestError::BadBitChar`] on non-binary characters and
+    /// [`TestError::VectorWidthMismatch`] when the vectors differ in width.
     pub fn from_strings(scan_in: &str, vectors: &[&str]) -> Result<Self, TestError> {
-        Ok(ScanTest::new(
-            parse_bits(scan_in)?,
-            vectors
-                .iter()
-                .map(|v| parse_bits(v))
-                .collect::<Result<Vec<_>, _>>()?,
-        ))
+        let rows = vectors
+            .iter()
+            .map(|v| parse_bits(v))
+            .collect::<Result<Vec<_>, _>>()?;
+        let expected = rows.first().map_or(0, Vec::len);
+        if let Some((unit, row)) = rows.iter().enumerate().find(|(_, r)| r.len() != expected) {
+            return Err(TestError::VectorWidthMismatch {
+                unit,
+                expected,
+                found: row.len(),
+            });
+        }
+        Ok(ScanTest::new(parse_bits(scan_in)?, rows))
     }
 
     /// Adds limited scan operations (replacing any existing schedule).
@@ -163,12 +382,12 @@ impl ScanTest {
     /// Each time unit in order: the limited scan that precedes its vector,
     /// if any, and the vector. One cursor walks the ascending schedule, so
     /// a full walk costs `O(L)`.
-    pub fn units(&self) -> impl Iterator<Item = (Option<&ShiftOp>, &[bool])> {
+    pub fn units(&self) -> impl Iterator<Item = (Option<&ShiftOp>, VectorRow<'_>)> {
         let mut shifts = self.shifts.iter().peekable();
         self.vectors
             .iter()
             .enumerate()
-            .map(move |(u, v)| (shifts.next_if(|s| s.at == u), v.as_slice()))
+            .map(move |(u, v)| (shifts.next_if(|s| s.at == u), v))
     }
 
     /// Total limited-scan shift cycles (the test's contribution to the
@@ -193,7 +412,7 @@ mod tests {
         let t = ScanTest::from_strings("001", &["0111", "1001", "0111", "1001", "0100"]).unwrap();
         assert_eq!(*t.scan_in, [false, false, true]);
         assert_eq!(t.len(), 5);
-        assert_eq!(t.vectors[0], vec![false, true, true, true]);
+        assert_eq!(t.vectors.row(0).to_vec(), [false, true, true, true]);
         assert_eq!(t.shift_cycles(), 0);
     }
 
@@ -202,6 +421,18 @@ mod tests {
         assert_eq!(
             ScanTest::from_strings("0x1", &[]).unwrap_err(),
             TestError::BadBitChar('x')
+        );
+    }
+
+    #[test]
+    fn ragged_strings_rejected() {
+        assert_eq!(
+            ScanTest::from_strings("0", &["01", "01", "1"]).unwrap_err(),
+            TestError::VectorWidthMismatch {
+                unit: 2,
+                expected: 2,
+                found: 1
+            }
         );
     }
 
@@ -308,7 +539,7 @@ mod tests {
             .unwrap();
         let walk: Vec<(Option<usize>, bool)> = t
             .units()
-            .map(|(op, v)| (op.map(|s| s.amount), v[0]))
+            .map(|(op, v)| (op.map(|s| s.amount), v.get(0)))
             .collect();
         assert_eq!(
             walk,
@@ -320,5 +551,77 @@ mod tests {
                 (Some(2), true)
             ]
         );
+    }
+
+    #[test]
+    fn vectors_round_trip_through_the_packed_rows() {
+        // Widths below, at and above one word: 70 bits put each row in two
+        // words, the second half-padded.
+        for width in [0usize, 1, 3, 63, 64, 65, 70, 128] {
+            let rows: Vec<Vec<bool>> = (0..5)
+                .map(|u| (0..width).map(|i| (i * 7 + u * 3) % 5 < 2).collect())
+                .collect();
+            let packed = TestVectors::from(rows.clone());
+            assert_eq!(packed.len(), 5);
+            assert_eq!(packed.width(), width);
+            let back: Vec<Vec<bool>> = packed.iter().map(|r| r.to_vec()).collect();
+            assert_eq!(back, rows, "width {width}");
+            for (u, row) in rows.iter().enumerate() {
+                let view = packed.row(u);
+                assert_eq!(view.len(), width);
+                assert_eq!(view.words().len(), width.div_ceil(64));
+                for (i, &bit) in row.iter().enumerate() {
+                    assert_eq!(view.get(i), bit, "width {width}, unit {u}, input {i}");
+                }
+            }
+            let rebuilt = TestVectors::from_words(5, width, packed.words.to_vec());
+            assert_eq!(rebuilt, packed);
+            assert!(!rebuilt.ptr_eq(&packed));
+            assert!(packed.clone().ptr_eq(&packed));
+        }
+    }
+
+    #[test]
+    fn draw_matches_single_bit_draws() {
+        use rls_lfsr::XorShift64;
+        for width in [0usize, 1, 4, 63, 64, 65, 130] {
+            let drawn = TestVectors::draw(7, width, &mut XorShift64::new(99));
+            let mut rng = XorShift64::new(99);
+            let rows: Vec<Vec<bool>> = (0..7)
+                .map(|_| (0..width).map(|_| rng.next_bit()).collect())
+                .collect();
+            assert_eq!(drawn, TestVectors::from(rows), "width {width}");
+            assert_eq!(drawn.width(), width);
+        }
+    }
+
+    #[test]
+    fn vector_equality_compares_contents() {
+        let a = TestVectors::from(vec![vec![true, false, true], vec![false; 3]]);
+        let b = TestVectors::from(vec![vec![true, false, true], vec![false; 3]]);
+        assert_eq!(a, b);
+        assert!(!a.ptr_eq(&b));
+        assert_ne!(
+            a,
+            TestVectors::from(vec![vec![true, false, false], vec![false; 3]])
+        );
+        // Same bits, different shape.
+        assert_ne!(
+            a,
+            TestVectors::from(vec![vec![true, false, true, false, false, false]])
+        );
+        assert_eq!(format!("{a:?}"), "[101, 000]");
+    }
+
+    #[test]
+    #[should_panic(expected = "vector width mismatch")]
+    fn ragged_vectors_are_rejected() {
+        let _ = TestVectors::from(vec![vec![true, false], vec![true]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero above their width")]
+    fn set_padding_is_rejected() {
+        let _ = TestVectors::from_words(1, 3, vec![0b1000u64]);
     }
 }

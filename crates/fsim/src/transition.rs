@@ -146,7 +146,7 @@ pub fn simulate_batch_transition(
         }
         // Evaluate with per-lane transition forcing.
         for (k, &pi) in circuit.inputs().iter().enumerate() {
-            values[pi.index()] = splat(vector[k]); // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
+            values[pi.index()] = splat(vector.get(k)); // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
         }
         for (p, &ff) in circuit.dffs().iter().enumerate() {
             values[ff.index()] = state[p]; // lint: panic-ok(kernel hot loop: net ids are dense indices validated at levelization)
@@ -261,6 +261,7 @@ pub fn transition_coverage(circuit: &Circuit, tests: &[ScanTest]) -> (usize, usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test::TestVectors;
 
     #[test]
     fn length_one_tests_detect_nothing() {
@@ -288,14 +289,7 @@ mod tests {
             .map(|_| {
                 let mut si = vec![false; 3];
                 rng.fill_bits(&mut si);
-                let vectors: Vec<Vec<bool>> = (0..6)
-                    .map(|_| {
-                        let mut v = vec![false; 4];
-                        rng.fill_bits(&mut v);
-                        v
-                    })
-                    .collect();
-                ScanTest::new(si, vectors)
+                ScanTest::new(si, TestVectors::draw(6, 4, &mut rng))
             })
             .collect();
         let (det, total) = transition_coverage(&c, &tests);

@@ -3,16 +3,23 @@
 //! Every random decision in the reproduction — test vectors, scan-in states,
 //! the `r1 mod D1` limited-scan insertion coin, the `r2 mod D2` shift count,
 //! and the fill bits scanned in during a limited scan — is drawn through
-//! [`RandomSource`]. Any implementor (hardware-faithful LFSR or fast
-//! software PRNG) can therefore drive the procedures of `rls-core`, and the
-//! BIST controller equivalence tests in `rls-bist` rely on exactly this
-//! interchangeability.
+//! [`RandomSource`]. The BIST controller model of `rls-bist` draws through
+//! the same trait from the same generators, which is what lets its tests
+//! check it against the software procedures bit for bit.
+//!
+//! Both generators here produce 64-bit words and hand them out LSB-first:
+//! [`RandomSource::next_bits`] takes a whole run of bits out of the buffered
+//! word (and the next one, when the run crosses a word boundary) with a
+//! mask and a shift, and returns exactly the bits that as many
+//! [`RandomSource::next_bit`] calls would.
 
 /// A deterministic stream of random bits.
 ///
 /// Implementors only need [`RandomSource::next_bit`]; everything else has
 /// default implementations layered on it so that two sources producing the
-/// same bit stream produce identical derived draws.
+/// same bit stream produce identical derived draws. A source that
+/// overrides [`RandomSource::next_bits`] must keep that contract: the
+/// `n`-bit draw is the next `n` single-bit draws, packed LSB-first.
 pub trait RandomSource {
     /// The next pseudo-random bit.
     fn next_bit(&mut self) -> bool;
@@ -62,17 +69,70 @@ impl<T: RandomSource + ?Sized> RandomSource for &mut T {
     fn next_bit(&mut self) -> bool {
         (**self).next_bit()
     }
+
+    fn next_bits(&mut self, n: u32) -> u64 {
+        (**self).next_bits(n)
+    }
 }
 
-/// The xorshift64* generator: fast, decent-quality software PRNG used where
-/// hardware faithfulness is not required (synthetic circuit generation,
-/// reference models in tests).
+/// The unread bits of a generator's current 64-bit output word, consumed
+/// LSB-first; bits above `remaining` are zero.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+struct WordBits {
+    buffer: u64,
+    remaining: u32,
+}
+
+/// The low `n` bits set (`n <= 64`).
+fn low_bits(n: u32) -> u64 {
+    u64::MAX.checked_shr(64 - n).unwrap_or(0)
+}
+
+impl WordBits {
+    /// The next bit, calling `refill` for a fresh word when this one is
+    /// used up.
+    #[inline]
+    fn bit(&mut self, refill: impl FnOnce() -> u64) -> bool {
+        if self.remaining == 0 {
+            self.buffer = refill();
+            self.remaining = 64;
+        }
+        let bit = self.buffer & 1 == 1;
+        self.buffer >>= 1;
+        self.remaining -= 1;
+        bit
+    }
+
+    /// The next `n` bits packed LSB-first: the same bits, and the same
+    /// buffer afterwards, as `n` calls of [`WordBits::bit`].
+    #[inline]
+    fn bits(&mut self, n: u32, refill: impl FnOnce() -> u64) -> u64 {
+        assert!(n <= 64, "at most 64 bits per draw");
+        if n <= self.remaining {
+            let out = self.buffer & low_bits(n);
+            self.buffer = self.buffer.checked_shr(n).unwrap_or(0);
+            self.remaining -= n;
+            return out;
+        }
+        // The run crosses into the next word: the `have < 64` buffered
+        // bits are its low end, the next word's low `need` bits the rest.
+        let have = self.remaining;
+        let need = n - have;
+        let word = refill();
+        let out = self.buffer | (word & low_bits(need)) << have;
+        self.buffer = word.checked_shr(need).unwrap_or(0);
+        self.remaining = 64 - need;
+        out
+    }
+}
+
+/// The xorshift64* generator: the fast software PRNG behind `TS0`, the
+/// limited-scan schedules, synthetic circuit generation and the reference
+/// models in tests.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct XorShift64 {
     state: u64,
-    /// Buffered bits of the current word, consumed LSB-first.
-    buffer: u64,
-    remaining: u32,
+    bits: WordBits,
 }
 
 impl XorShift64 {
@@ -85,31 +145,30 @@ impl XorShift64 {
             } else {
                 seed
             },
-            buffer: 0,
-            remaining: 0,
+            bits: WordBits::default(),
         }
     }
+}
 
-    fn next_word(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
+/// One xorshift64* step: advances `state` and returns the output word.
+fn xorshift_word(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
 impl RandomSource for XorShift64 {
     fn next_bit(&mut self) -> bool {
-        if self.remaining == 0 {
-            self.buffer = self.next_word();
-            self.remaining = 64;
-        }
-        let bit = self.buffer & 1 == 1;
-        self.buffer >>= 1;
-        self.remaining -= 1;
-        bit
+        let state = &mut self.state;
+        self.bits.bit(|| xorshift_word(state))
+    }
+
+    fn next_bits(&mut self, n: u32) -> u64 {
+        let state = &mut self.state;
+        self.bits.bits(n, || xorshift_word(state))
     }
 }
 
@@ -118,8 +177,16 @@ impl RandomSource for XorShift64 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
-    buffer: u64,
-    remaining: u32,
+    bits: WordBits,
+}
+
+/// One splitmix64 step: advances `state` and returns the output word.
+fn splitmix_word(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 impl SplitMix64 {
@@ -127,31 +194,25 @@ impl SplitMix64 {
     pub fn new(seed: u64) -> Self {
         SplitMix64 {
             state: seed,
-            buffer: 0,
-            remaining: 0,
+            bits: WordBits::default(),
         }
     }
 
     /// The next full 64-bit output.
     pub fn next_word(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix_word(&mut self.state)
     }
 }
 
 impl RandomSource for SplitMix64 {
     fn next_bit(&mut self) -> bool {
-        if self.remaining == 0 {
-            self.buffer = self.next_word();
-            self.remaining = 64;
-        }
-        let bit = self.buffer & 1 == 1;
-        self.buffer >>= 1;
-        self.remaining -= 1;
-        bit
+        let state = &mut self.state;
+        self.bits.bit(|| splitmix_word(state))
+    }
+
+    fn next_bits(&mut self, n: u32) -> u64 {
+        let state = &mut self.state;
+        self.bits.bits(n, || splitmix_word(state))
     }
 }
 
@@ -267,5 +328,104 @@ mod tests {
         }
         let mut s = XorShift64::new(5);
         let _ = draw(&mut s);
+    }
+
+    /// The per-bit reference: only `next_bit` is implemented, so every
+    /// wider draw goes through the trait's bit-by-bit defaults.
+    struct PerBit<R>(R);
+
+    impl<R: RandomSource> RandomSource for PerBit<R> {
+        fn next_bit(&mut self) -> bool {
+            self.0.next_bit()
+        }
+    }
+
+    /// One draw of an interleaving, applied to any source.
+    #[derive(Debug, Clone, Copy)]
+    enum Draw {
+        Bit,
+        Bits(u32),
+        U32,
+    }
+
+    impl Draw {
+        fn apply(self, rng: &mut impl RandomSource) -> u64 {
+            match self {
+                Draw::Bit => u64::from(rng.next_bit()),
+                Draw::Bits(n) => rng.next_bits(n),
+                Draw::U32 => u64::from(rng.next_u32()),
+            }
+        }
+    }
+
+    /// Seeded interleavings of single bits, `next_bits(1..=64)` and
+    /// `next_u32`; with buffer phases drifting by odd widths, reads cross
+    /// the 64-bit word boundary at every offset.
+    fn interleavings() -> impl Iterator<Item = Vec<Draw>> {
+        (0..64u64).map(|case| {
+            let mut pick = SplitMix64::new(case);
+            (0..300)
+                .map(|_| match pick.next_word() % 4 {
+                    0 => Draw::Bit,
+                    1 => Draw::U32,
+                    _ => Draw::Bits(1 + (pick.next_word() % 64) as u32),
+                })
+                .collect()
+        })
+    }
+
+    /// Every interleaving, drawn directly, through `&mut` and through
+    /// `&mut dyn`, returns the per-bit reference's values and leaves the
+    /// generator in the reference's state.
+    fn word_draws_match_per_bit<R>(make: impl Fn(u64) -> R)
+    where
+        R: RandomSource + Clone + PartialEq + std::fmt::Debug,
+    {
+        for (case, draws) in interleavings().enumerate() {
+            let seed = case as u64 * 0x9E37 + 1;
+            let mut reference = PerBit(make(seed));
+            let mut direct = make(seed);
+            let mut owner = make(seed);
+            let mut by_ref = &mut owner;
+            let mut dyn_owner = make(seed);
+            let by_dyn: &mut dyn RandomSource = &mut dyn_owner;
+            for (k, &d) in draws.iter().enumerate() {
+                let want = d.apply(&mut reference);
+                assert_eq!(d.apply(&mut direct), want, "case {case}, draw {k}: {d:?}");
+                assert_eq!(d.apply(&mut by_ref), want, "case {case}, draw {k} via &mut");
+                let got = match d {
+                    Draw::Bit => u64::from(by_dyn.next_bit()),
+                    Draw::Bits(n) => by_dyn.next_bits(n),
+                    Draw::U32 => u64::from(by_dyn.next_u32()),
+                };
+                assert_eq!(got, want, "case {case}, draw {k} via &mut dyn");
+            }
+            assert_eq!(direct, reference.0, "case {case}: generator state");
+            assert_eq!(owner, reference.0, "case {case}: generator state via &mut");
+            assert_eq!(dyn_owner, reference.0, "case {case}: state via &mut dyn");
+        }
+    }
+
+    #[test]
+    fn prop_xorshift_word_draws_match_per_bit_draws() {
+        word_draws_match_per_bit(XorShift64::new);
+    }
+
+    #[test]
+    fn prop_splitmix_word_draws_match_per_bit_draws() {
+        word_draws_match_per_bit(SplitMix64::new);
+    }
+
+    #[test]
+    fn word_draws_cross_the_buffer_boundary() {
+        // 63 bits leave one buffered bit; the 64-bit draw takes it as bit
+        // 0 and the next word's low 63 bits above it.
+        let mut fast = XorShift64::new(11);
+        let mut slow = PerBit(XorShift64::new(11));
+        assert_eq!(fast.next_bits(63), slow.next_bits(63));
+        assert_eq!(fast.next_bits(64), slow.next_bits(64));
+        assert_eq!(fast.next_bits(0), 0);
+        assert_eq!(fast.next_bits(1), slow.next_bits(1));
+        assert_eq!(fast, slow.0);
     }
 }

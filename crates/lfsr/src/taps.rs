@@ -12,15 +12,11 @@ pub const MIN_DEGREE: u32 = 2;
 /// Largest supported LFSR degree.
 pub const MAX_DEGREE: u32 = 64;
 
-/// Errors constructing an LFSR.
+/// Errors looking up a tap mask.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LfsrError {
     /// Degree outside `MIN_DEGREE..=MAX_DEGREE`.
     UnsupportedDegree(u32),
-    /// The seed was zero (an LFSR stuck state) or had bits above the degree.
-    InvalidSeed { degree: u32, seed: u64 },
-    /// A custom tap mask was empty or had bits above the degree.
-    InvalidTaps { degree: u32, taps: u64 },
 }
 
 impl fmt::Display for LfsrError {
@@ -28,12 +24,6 @@ impl fmt::Display for LfsrError {
         match self {
             LfsrError::UnsupportedDegree(d) => {
                 write!(f, "unsupported LFSR degree {d} (supported: 2..=64)")
-            }
-            LfsrError::InvalidSeed { degree, seed } => {
-                write!(f, "invalid seed {seed:#x} for degree-{degree} LFSR")
-            }
-            LfsrError::InvalidTaps { degree, taps } => {
-                write!(f, "invalid tap mask {taps:#x} for degree-{degree} LFSR")
             }
         }
     }
@@ -135,39 +125,18 @@ pub fn primitive_taps(degree: u32) -> Result<u64, LfsrError> {
     Ok(mask)
 }
 
-/// Validates a seed for a degree-`degree` LFSR: nonzero, fits in `degree`
-/// bits.
-pub(crate) fn check_seed(degree: u32, seed: u64) -> Result<(), LfsrError> {
-    let mask = state_mask(degree);
-    if seed == 0 || seed & !mask != 0 {
-        return Err(LfsrError::InvalidSeed { degree, seed });
-    }
-    Ok(())
-}
-
-/// Validates a custom tap mask: nonzero, top tap present, fits in `degree`
-/// bits.
-pub(crate) fn check_taps(degree: u32, taps: u64) -> Result<(), LfsrError> {
-    let mask = state_mask(degree);
-    let top = 1u64 << (degree - 1);
-    if taps == 0 || taps & !mask != 0 || taps & top == 0 {
-        return Err(LfsrError::InvalidTaps { degree, taps });
-    }
-    Ok(())
-}
-
-/// All-ones mask of `degree` bits.
-pub(crate) fn state_mask(degree: u32) -> u64 {
-    if degree == 64 {
-        !0u64
-    } else {
-        (1u64 << degree) - 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// All-ones mask of `degree` bits.
+    fn state_mask(degree: u32) -> u64 {
+        if degree == 64 {
+            !0u64
+        } else {
+            (1u64 << degree) - 1
+        }
+    }
 
     #[test]
     fn taps_cover_all_degrees() {
@@ -184,6 +153,132 @@ mod tests {
         }
     }
 
+    /// One clock of the right-shift Galois register the MISR runs: the
+    /// bottom bit shifts out and, when set, the tap mask is XORed in.
+    fn galois_step(state: u64, taps: u64) -> u64 {
+        let out = state & 1;
+        (state >> 1) ^ (taps & out.wrapping_neg())
+    }
+
+    /// A square GF(2) matrix of at most 64 rows; bit `j` of `rows[i]` is
+    /// entry `(i, j)`, so the parity of `rows[i] & state` is bit `i` of
+    /// the next state.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Gf2Matrix {
+        rows: Vec<u64>,
+    }
+
+    impl Gf2Matrix {
+        fn identity(n: usize) -> Self {
+            Gf2Matrix {
+                rows: (0..n).map(|i| 1u64 << i).collect(),
+            }
+        }
+
+        /// The transition matrix of `galois_step` with `taps` on an
+        /// `n`-bit register: column `j` is the step applied to bit `j`.
+        fn galois(n: usize, taps: u64) -> Self {
+            let mut rows = vec![0u64; n];
+            for j in 0..n {
+                let next = galois_step(1u64 << j, taps);
+                for (i, row) in rows.iter_mut().enumerate() {
+                    *row |= (next >> i & 1) << j;
+                }
+            }
+            Gf2Matrix { rows }
+        }
+
+        fn mul(&self, other: &Gf2Matrix) -> Gf2Matrix {
+            let rows = self
+                .rows
+                .iter()
+                .map(|&row| {
+                    let (mut acc, mut bits) = (0u64, row);
+                    while bits != 0 {
+                        acc ^= other.rows[bits.trailing_zeros() as usize];
+                        bits &= bits - 1;
+                    }
+                    acc
+                })
+                .collect();
+            Gf2Matrix { rows }
+        }
+
+        fn pow(&self, mut k: u128) -> Gf2Matrix {
+            let mut result = Gf2Matrix::identity(self.rows.len());
+            let mut base = self.clone();
+            while k > 0 {
+                if k & 1 == 1 {
+                    result = result.mul(&base);
+                }
+                base = base.mul(&base);
+                k >>= 1;
+            }
+            result
+        }
+    }
+
+    #[test]
+    fn galois_matrix_matches_stepping() {
+        let taps = primitive_taps(12).unwrap();
+        let m = Gf2Matrix::galois(12, taps);
+        let (mut state, mut via_matrix) = (0x5A5u64, 0x5A5u64);
+        for _ in 0..100 {
+            state = galois_step(state, taps);
+            via_matrix = m.rows.iter().enumerate().fold(0, |y, (i, &row)| {
+                y | u64::from((row & via_matrix).count_ones() & 1) << i
+            });
+            assert_eq!(via_matrix, state);
+        }
+    }
+
+    /// Exhaustive: for degrees 2–16 the register visits every nonzero
+    /// state once before returning to its seed.
+    #[test]
+    fn maximal_period_small_degrees() {
+        for degree in 2..=16u32 {
+            let taps = primitive_taps(degree).unwrap();
+            let period = (1usize << degree) - 1;
+            let mut seen = vec![false; period + 1];
+            let mut state = 1u64;
+            for _ in 0..period {
+                assert!(!seen[state as usize], "degree {degree} repeated early");
+                seen[state as usize] = true;
+                state = galois_step(state, taps);
+            }
+            assert_eq!(state, 1, "degree {degree} did not close the cycle");
+        }
+    }
+
+    /// For every degree 2–64 the transition matrix `M` satisfies
+    /// `M^(2^n - 1) = I`, so the period divides `2^n - 1`, including
+    /// degrees far beyond exhaustive reach.
+    #[test]
+    fn tap_table_period_divides_maximal_for_all_degrees() {
+        for degree in MIN_DEGREE..=MAX_DEGREE {
+            let m = Gf2Matrix::galois(degree as usize, primitive_taps(degree).unwrap());
+            let period = u128::from(state_mask(degree));
+            assert_eq!(
+                m.pow(period),
+                Gf2Matrix::identity(degree as usize),
+                "degree {degree}"
+            );
+        }
+    }
+
+    /// No tap-table polynomial repeats within 16 steps, which would mark a
+    /// grossly composite polynomial.
+    #[test]
+    fn tap_table_has_no_tiny_period() {
+        for degree in MIN_DEGREE..=MAX_DEGREE {
+            let m = Gf2Matrix::galois(degree as usize, primitive_taps(degree).unwrap());
+            let identity = Gf2Matrix::identity(degree as usize);
+            for k in 1..=16u128.min(u128::from(state_mask(degree)) - 1) {
+                assert_ne!(m.pow(k), identity, "degree {degree} repeats at power {k}");
+            }
+        }
+    }
+
     #[test]
     fn out_of_range_degrees_rejected() {
         assert_eq!(primitive_taps(0), Err(LfsrError::UnsupportedDegree(0)));
@@ -197,34 +292,9 @@ mod tests {
     }
 
     #[test]
-    fn state_mask_degree_64_is_all_ones() {
-        assert_eq!(state_mask(64), !0u64);
-        assert_eq!(state_mask(3), 0b111);
-    }
-
-    #[test]
-    fn seed_validation() {
-        assert!(check_seed(8, 0xAB).is_ok());
-        assert!(check_seed(8, 0).is_err());
-        assert!(check_seed(8, 0x100).is_err());
-        assert!(check_seed(64, !0u64).is_ok());
-    }
-
-    #[test]
-    fn taps_validation() {
-        assert!(check_taps(4, 0b1100).is_ok());
-        assert!(check_taps(4, 0).is_err());
-        assert!(check_taps(4, 0b0100).is_err(), "missing top tap");
-        assert!(check_taps(4, 0b11000).is_err(), "tap above degree");
-    }
-
-    #[test]
     fn error_display() {
         assert!(LfsrError::UnsupportedDegree(1)
             .to_string()
             .contains("degree 1"));
-        assert!(LfsrError::InvalidSeed { degree: 8, seed: 0 }
-            .to_string()
-            .contains("seed"));
     }
 }

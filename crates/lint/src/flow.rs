@@ -18,7 +18,13 @@
 //!   no Acquire-side load (or vice versa) is a broken pairing; a group
 //!   whose every access is Relaxed needs one `ordering-ok` blessing for
 //!   the protocol; `SeqCst` still needs a per-site blessing. This replaces
-//!   the per-site `atomic-ordering` audit with whole-field reasoning.
+//!   the per-site `atomic-ordering` audit with whole-field reasoning. A
+//!   broken pairing on a resolved field or static cannot be blessed:
+//!   `ordering-ok` markers justify a Relaxed-only protocol or a `SeqCst`
+//!   site, and a marker on a site of an unpaired field must not hide the
+//!   field's missing edge. A group keyed by an unresolved receiver's name
+//!   (a closure binding such as `w` in `words.iter().map(|w| …)`) may be
+//!   a split-off part of a field, so its broken pairing stays blessable.
 //! - **`persist-protocol`** — within a fn, a `rename` of a path previously
 //!   given to `File::create` must have a `sync_all`/`sync_data` between
 //!   create and rename (directly or via one call hop). Blessable with
@@ -59,8 +65,12 @@ pub struct UnitIn<'a> {
 /// The result of one whole-workspace flow pass.
 #[derive(Debug, Default)]
 pub struct FlowOutput {
-    /// Findings from the four flow families, labelled per file.
+    /// Findings from the four flow families, labelled per file; a marker
+    /// of the finding's class on its line blesses it.
     pub findings: Vec<Finding>,
+    /// Findings no marker blesses (a broken Release/Acquire pairing on a
+    /// resolved field or static), labelled per file.
+    pub pinned: Vec<Finding>,
     /// `(label, target_line)` of annotations consumed by flow analysis
     /// (atomic sites whose `ordering-ok` markers justify a group), so the
     /// stale-marker pass does not flag them.
@@ -151,6 +161,9 @@ enum AccessKind {
 #[derive(Debug, Clone)]
 struct AtomicSite {
     group: String,
+    /// The group key names a resolved field or static, not the fallback
+    /// chain segment (a closure or iterator binding such as `w`).
+    resolved: bool,
     accesses: Vec<(AccessKind, String)>,
     file: usize,
     line: u32,
@@ -275,8 +288,9 @@ pub fn analyze(units: &[UnitIn<'_>]) -> FlowOutput {
     lock_and_blocking_pass(&universe, &facts, &mut out);
     atomic_pairing_pass(&universe, &sites, &mut out);
     persist_protocol_pass(&universe, &facts, &mut out);
-    out.findings
-        .sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
+    for list in [&mut out.findings, &mut out.pinned] {
+        list.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
+    }
     out
 }
 
@@ -703,9 +717,10 @@ fn collect_facts(u: &Universe, idx: usize, sites: &mut Vec<AtomicSite>) -> FnFac
                         let ords = orderings_in(k + 2, close);
                         if !ords.is_empty() {
                             let group = atomic_group(&resolved, chain.as_deref());
-                            if let Some(group) = group {
+                            if let Some((group, resolved)) = group {
                                 sites.push(AtomicSite {
                                     group,
+                                    resolved,
                                     accesses: classify_accesses(&m, &ords),
                                     file: *fi,
                                     line: ln,
@@ -857,15 +872,13 @@ fn collect_facts(u: &Universe, idx: usize, sites: &mut Vec<AtomicSite>) -> FnFac
 /// Group key for an atomic site: the resolved field/static name, falling
 /// back to the chain's terminal segment. Grouping is by *name* across the
 /// workspace so a field and the `&AtomicBool` params it is lent to land in
-/// one group.
-fn atomic_group(resolved: &Option<Resolved>, chain: Option<&[String]>) -> Option<String> {
+/// one group. The flag is true when the key came from a resolved field or
+/// static.
+fn atomic_group(resolved: &Option<Resolved>, chain: Option<&[String]>) -> Option<(String, bool)> {
     match resolved {
-        Some(Resolved::Field { field, ty, .. }) => core_type(ty)
-            .is_some_and(|c| c.starts_with("Atomic"))
-            .then(|| field.clone())
-            .or_else(|| Some(field.clone())),
-        Some(Resolved::StaticRef { id, .. }) => Some(id.clone()),
-        _ => chain.and_then(|c| c.last().cloned()),
+        Some(Resolved::Field { field, .. }) => Some((field.clone(), true)),
+        Some(Resolved::StaticRef { id, .. }) => Some((id.clone(), true)),
+        _ => chain.and_then(|c| c.last().cloned()).map(|g| (g, false)),
     }
 }
 
@@ -1283,15 +1296,20 @@ fn atomic_pairing_pass(u: &Universe, sites: &[AtomicSite], out: &mut FlowOutput)
                 })
                 .collect()
         };
+        // A blessable finding lands in `findings`. A broken pairing on a
+        // resolved field or static lands in `pinned`; one on a group keyed
+        // by a fallback binding name stays blessable, since the parser may
+        // have split a field's sites across names.
+        let pin_broken = sorted.iter().any(|s| s.resolved);
         let emit =
-            |out: &mut FlowOutput, site: &AtomicSite, message: String, witness: Vec<String>| {
+            |list: &mut Vec<Finding>, site: &AtomicSite, message: String, witness: Vec<String>| {
                 let Some(fd) = u.files.get(site.file) else {
                     return;
                 };
                 if !fd.rules.atomics {
                     return;
                 }
-                out.findings.push(Finding {
+                list.push(Finding {
                     rule: "atomic-pairing".to_string(),
                     file: fd.label.clone(),
                     line: site.line,
@@ -1304,7 +1322,7 @@ fn atomic_pairing_pass(u: &Universe, sites: &[AtomicSite], out: &mut FlowOutput)
             if !blessed_somewhere {
                 if let Some(first) = sorted.first() {
                     emit(
-                        out,
+                        &mut out.findings,
                         first,
                         format!(
                             "atomic field `{name}` is accessed only with `Relaxed` ({} site(s)) — bless one site with ordering-ok describing the protocol, or strengthen an edge",
@@ -1323,7 +1341,11 @@ fn atomic_pairing_pass(u: &Universe, sites: &[AtomicSite], out: &mut FlowOutput)
                 });
                 if let Some(site) = first {
                     emit(
-                        out,
+                        if pin_broken {
+                            &mut out.pinned
+                        } else {
+                            &mut out.findings
+                        },
                         site,
                         format!(
                             "atomic field `{name}` has a Release-side store but no Acquire-side load pairs with it — the release fence orders nothing"
@@ -1340,7 +1362,11 @@ fn atomic_pairing_pass(u: &Universe, sites: &[AtomicSite], out: &mut FlowOutput)
                 });
                 if let Some(site) = first {
                     emit(
-                        out,
+                        if pin_broken {
+                            &mut out.pinned
+                        } else {
+                            &mut out.findings
+                        },
                         site,
                         format!(
                             "atomic field `{name}` has an Acquire-side load but no Release-side store pairs with it — the acquire fence orders nothing"
@@ -1352,7 +1378,7 @@ fn atomic_pairing_pass(u: &Universe, sites: &[AtomicSite], out: &mut FlowOutput)
             for s in &sorted {
                 if s.accesses.iter().any(|(_, o)| o == "SeqCst") {
                     emit(
-                        out,
+                        &mut out.findings,
                         s,
                         format!(
                             "`SeqCst` access on atomic field `{name}` — state why sequential consistency is required (ordering-ok) or relax to Acquire/Release"
@@ -1439,7 +1465,11 @@ mod tests {
     }
 
     fn rules_found(out: &FlowOutput) -> Vec<&str> {
-        out.findings.iter().map(|f| f.rule.as_str()).collect()
+        out.findings
+            .iter()
+            .chain(&out.pinned)
+            .map(|f| f.rule.as_str())
+            .collect()
     }
 
     #[test]
@@ -1724,9 +1754,36 @@ mod tests {
             }
         "#;
         let out = run(&[("exec.rs", src)]);
-        let f = out.findings.iter().find(|f| f.rule == "atomic-pairing");
-        assert!(f.is_some(), "{:?}", out.findings);
+        let f = out.pinned.iter().find(|f| f.rule == "atomic-pairing");
+        assert!(f.is_some(), "{:?}", out.pinned);
         assert!(f.unwrap().message.contains("ready"), "{:?}", f.unwrap());
+    }
+
+    #[test]
+    fn broken_pairing_is_pinned_only_on_a_resolved_field() {
+        // `self.words[k]` resolves to the `words` field: its unpaired
+        // Acquire load is pinned. The closure binding `w` does not resolve,
+        // so its group keys on the binding name and stays blessable.
+        let src = r#"
+            struct Bits { words: Box<[AtomicU64]> }
+            impl Bits {
+                fn get(&self, k: usize) -> u64 {
+                    self.words[k].load(Ordering::Acquire)
+                }
+                fn count(&self) -> u32 {
+                    self.words.iter().map(|w| w.load(Ordering::Acquire).count_ones()).sum()
+                }
+            }
+        "#;
+        let out = run(&[("exec.rs", src)]);
+        let msg = |list: &[Finding], name: &str| {
+            list.iter()
+                .any(|f| f.rule == "atomic-pairing" && f.message.contains(name))
+        };
+        assert!(msg(&out.pinned, "`words`"), "{:?}", out.pinned);
+        assert!(!msg(&out.findings, "`words`"), "{:?}", out.findings);
+        assert!(msg(&out.findings, "`w`"), "{:?}", out.findings);
+        assert!(!msg(&out.pinned, "`w`"), "{:?}", out.pinned);
     }
 
     #[test]

@@ -167,6 +167,14 @@ fn lint_units(units: &[Unit]) -> Vec<Finding> {
                 .collect(),
         };
         findings.extend(lint_source_with(&u.label, u.rules, &u.source, &extras));
+        // Pinned flow findings bypass marker suppression.
+        findings.extend(
+            flow_out
+                .pinned
+                .iter()
+                .filter(|f| f.file == u.label)
+                .cloned(),
+        );
     }
     findings.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
     findings
@@ -312,6 +320,39 @@ mod tests {
             cycle.is_some_and(|f| !f.witness.is_empty()),
             "lock-order finding carries a witness path: {cycle:?}"
         );
+    }
+
+    #[test]
+    fn blessings_do_not_hide_a_broken_pairing() {
+        // Every site of `head` carries an ordering-ok marker, yet the
+        // Acquire loads have no Release store to pair with: the group is
+        // broken, and no blessing may silence it. The markers count as
+        // consumed, not stale.
+        let src = r#"
+            use std::sync::atomic::{AtomicU64, Ordering};
+            pub struct Ring { head: AtomicU64 }
+            impl Ring {
+                pub fn push(&self) {
+                    // lint: ordering-ok(single writer)
+                    let n = self.head.load(Ordering::Relaxed);
+                    // lint: ordering-ok(publishes the slot)
+                    self.head.store(n + 1, Ordering::Relaxed);
+                }
+                pub fn read(&self) -> u64 {
+                    // lint: ordering-ok(pairs with the publish)
+                    self.head.load(Ordering::Acquire)
+                }
+            }
+        "#;
+        let found = lint_sources(&[("obs", "crates/obs/src/ring.rs", src)]);
+        let rules: Vec<&str> = found.iter().map(|f| f.rule.as_str()).collect();
+        assert_eq!(rules, ["atomic-pairing"], "{found:?}");
+        let fixed = src.replace(
+            "self.head.store(n + 1, Ordering::Relaxed)",
+            "self.head.store(n + 1, Ordering::Release)",
+        );
+        let found = lint_sources(&[("obs", "crates/obs/src/ring.rs", &fixed)]);
+        assert!(found.is_empty(), "{found:?}");
     }
 
     #[test]

@@ -11,15 +11,17 @@
 
 /// Span names, one per instrumented phase.
 pub const SPANS: &[&str] = &[
-    "procedure2.run",   // one Procedure 2 campaign, root span
-    "procedure2.ts0",   // TS0 generation + simulation
-    "procedure2.iter",  // one outer iteration (paper index `i`)
-    "procedure2.trial", // one (I, D1) trial: derive + simulate a test set
-    "fsim.test",        // sequential engine: one test set against live faults
-    "dispatch.set",     // parallel executor: one fanned-out test set
-    "bench.table",      // one table binary run
-    "bench.circuit",    // one circuit within a table run
-    "atpg.classify",    // PODEM classification of one fault list
+    "procedure2.run",     // one Procedure 2 campaign, root span
+    "procedure2.ts0_gen", // TS0 generation (the bit-packed stimulus draw)
+    "procedure2.ts0",     // TS0 simulation against the full target list
+    "procedure2.iter",    // one outer iteration (paper index `i`)
+    "procedure2.derive",  // one (I, D1) test set derived from TS0
+    "procedure2.trial",   // one (I, D1) trial: simulate the derived set
+    "fsim.test",          // sequential engine: one test set against live faults
+    "dispatch.set",       // parallel executor: one fanned-out test set
+    "bench.table",        // one table binary run
+    "bench.circuit",      // one circuit within a table run
+    "atpg.classify",      // PODEM classification of one fault list
 ];
 
 /// Counter names (sinks accumulate by summing).

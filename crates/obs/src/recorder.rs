@@ -169,8 +169,7 @@ impl Ring {
     /// `dropped` counts window events overwritten before they were read.
     fn collect(&self, since: u64) -> (Vec<SnapEvent>, u64) {
         let cap = self.slots.len() as u64;
-        // Acquire pairs with the writer's Release head store: events
-        // below h1 are fully written.
+        // lint: ordering-ok(Acquire pairs with the writer's Release head store: events below h1 are fully written)
         let h1 = self.head.load(Ordering::Acquire);
         let lo = h1.saturating_sub(cap).max(since);
         let mut raw: Vec<(u64, u64, u64, u64)> = Vec::with_capacity((h1 - lo) as usize);
@@ -187,8 +186,7 @@ impl Ring {
         // Anything the writer may have been writing during the copy is
         // an event index <= h2, which recycles slots of events
         // <= h2 - cap; only events above that line are trustworthy.
-        // The Acquire re-read bounds the writer's progress during the
-        // copy.
+        // lint: ordering-ok(Acquire re-read bounds the writer's progress during the copy)
         let h2 = self.head.load(Ordering::Acquire);
         let valid_lo = (h2 + 1).saturating_sub(cap);
         let dropped = valid_lo.min(h1).saturating_sub(since);

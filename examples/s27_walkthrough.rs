@@ -23,7 +23,7 @@ fn main() {
     for u in 0..plain.len() {
         println!(
             "  u={u}  T(u)={}  S(u)={}  Z(u)={}",
-            bits_to_string(&plain.vectors[u]),
+            bits_to_string(&plain.vectors.row(u).to_vec()),
             bits_to_string(&trace.states[u]),
             bits_to_string(&trace.outputs[u]),
         );
@@ -54,7 +54,7 @@ fn main() {
         });
         println!(
             "  u={u}  T(u)={}  S(u)={}  Z(u)={}{marker}",
-            bits_to_string(vector),
+            bits_to_string(&vector.to_vec()),
             bits_to_string(&trace.states[u]),
             bits_to_string(&trace.outputs[u]),
         );

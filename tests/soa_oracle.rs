@@ -14,7 +14,8 @@
 //! shares no word code with it, so it checks the kernel's in-word
 //! fault-free machine and its chain shifts independently. s953 is sampled
 //! (every third fault, order-exact), and so is s298 under 25%/50% partial
-//! scan and ≤4/≤10-long multiple chains.
+//! scan and ≤4/≤10-long multiple chains. A synthetic 70-input circuit is
+//! checked exhaustively too: its packed vector rows span two words.
 //!
 //! The kernel-level matrix calls `simulate_tile_lanes` directly at every
 //! fixed tile height 1/2/3/4/8 × whole-tile and 7-fault chunks: it is
@@ -34,6 +35,7 @@
 //! inputs that stay green for the unmutated kernel — a differential
 //! harness that cannot catch a wrong opcode proves nothing.
 
+use random_limited_scan::benchmarks::SynthConfig;
 use random_limited_scan::core::extension::{derive_mc_test_set, generate_ts0_partial};
 use random_limited_scan::core::{derive_test_set, generate_ts0, RlsConfig, SeedMode};
 use random_limited_scan::dispatch::{SharedPool, SharedSetRunner};
@@ -70,7 +72,7 @@ fn universe_pairs(c: &Circuit) -> Vec<(FaultId, Fault)> {
 fn mixed_s27_tests(c: &Circuit) -> Vec<ScanTest> {
     let cfg = RlsConfig::new(4, 8, 8);
     let mut tests = generate_ts0(c, &cfg);
-    let base: Vec<Vec<bool>> = tests[0].vectors.to_vec();
+    let base = tests[0].vectors.clone();
     let shifted = |scan_in: &[bool], shifts: Vec<ShiftOp>| {
         ScanTest::new(scan_in.to_vec(), base.clone())
             .with_shifts(shifts)
@@ -112,6 +114,32 @@ fn mixed_s27_tests(c: &Circuit) -> Vec<ScanTest> {
             fill: vec![false, true, true],
         }],
     ));
+    tests
+}
+
+/// A synthetic circuit with 70 primary inputs: every packed vector row
+/// spans two words, the second one padded, so primary inputs 64..70 are
+/// mixed from each row's second word.
+fn wide_circuit() -> Circuit {
+    SynthConfig {
+        name: "wide70".to_string(),
+        inputs: 70,
+        outputs: 6,
+        dffs: 5,
+        gates: 90,
+        seed: 7,
+        resistant_gates: 1,
+        resistant_width: 4,
+    }
+    .build()
+}
+
+/// `TS0` of `c` plus one derived `TS(1, 2)` set: flat tests and limited
+/// scans on the same vectors.
+fn ts0_and_derived(c: &Circuit) -> Vec<ScanTest> {
+    let cfg = RlsConfig::new(3, 6, 4);
+    let mut tests = generate_ts0(c, &cfg);
+    tests.extend(derive_test_set(&tests, &cfg, 1, 2, cfg.d2(c.num_dffs())));
     tests
 }
 
@@ -340,6 +368,18 @@ fn s27_exhaustive_differential_matrix() {
         let tests = tests_for(&chains, &mixed_s27_tests(&c));
         assert_matrix_matches(&format!("s27 {chains:?}"), &c, &chains, &tests, &pairs);
     }
+}
+
+#[test]
+fn wide_vector_rows_differential_is_order_exact() {
+    // More than 64 primary inputs: each tile mixes its input words from
+    // two packed words per vector row, the second one padded.
+    let c = wide_circuit();
+    assert_eq!(c.num_inputs(), 70);
+    let tests = ts0_and_derived(&c);
+    assert!(tests.iter().any(|t| !t.shifts.is_empty()));
+    let chains = ChainMap::full(c.num_dffs());
+    assert_matrix_matches("wide70", &c, &chains, &tests, &universe_pairs(&c));
 }
 
 #[test]
@@ -574,6 +614,17 @@ mod mutation {
             Diff::s27_on(ChainMap::full(3))
         }
 
+        /// The full-scan differential on the 70-input circuit.
+        fn wide() -> Diff {
+            let c = wide_circuit();
+            Diff {
+                chains: ChainMap::full(c.num_dffs()),
+                tests: ts0_and_derived(&c),
+                pairs: universe_pairs(&c),
+                c,
+            }
+        }
+
         /// Runs the differential at every tile height x chunk length and
         /// reports whether the SoA kernel still matches the serial trace
         /// comparison at all of them. The reference is computed while
@@ -686,6 +737,23 @@ mod mutation {
             "a skewed reference lane must not survive the differential"
         );
         assert!(diff.is_green(), "disarming must restore green");
+    }
+
+    #[test]
+    fn last_input_off_by_one_turns_the_oracle_red() {
+        // The last primary input reading its row one bit too far (the
+        // padding) must survive neither s27's one-word rows nor rows that
+        // span two words.
+        for (label, diff) in [("s27", Diff::s27()), ("wide70", Diff::wide())] {
+            arm(Some(KernelMutation::LastInputOffByOne));
+            let green = diff.is_green();
+            arm(None);
+            assert!(
+                !green,
+                "an off-by-one last input must not survive the {label} differential"
+            );
+            assert!(diff.is_green(), "disarming must restore green on {label}");
+        }
     }
 
     #[test]
