@@ -6,15 +6,19 @@
 //! bench_fsim_lanes [out.json]    (default: BENCH_fsim_lanes.json)
 //! ```
 //!
-//! Two workloads on s953, each run drop-as-you-go in test order:
+//! Three workloads on s953, each run drop-as-you-go in test order:
 //!
 //! - `ts0`: the TS0 test set against the full collapsed fault list;
 //! - `campaign`: the first derived `TS(I, D1)` set (`I = 1`, `D1 = 1`)
 //!   against the live list TS0 leaves — the shape Procedure 2's
-//!   iterations simulate.
+//!   iterations simulate;
+//! - `thin`: a derived `TS(1, 1)` set of a 256-test `TS0` (compatible
+//!   runs of 128 tests) against 8 faults of the live list the `campaign`
+//!   set leaves — the thin tail whose tiles the fill rule makes tall.
 //!
-//! Each workload runs at each fixed tile height (1/2/4/8 tests) plus one
-//! row for the fill rule, all on the one 512-lane `KernelWord`.
+//! `ts0` and `campaign` run at fixed tile heights 1/2/4/8, `thin` at
+//! 1/2/4/…/128, and each workload has one row for the fill rule, all on
+//! the one 512-lane `KernelWord`.
 //!
 //! A fixed-height row tiles each run of shape-compatible tests
 //! (`compatible_run`) at most that tall; the fill row picks every tile's
@@ -59,8 +63,15 @@ use rls_obs::jsonl::JsonObject;
 /// Repeats per configuration; the fastest pass survives.
 const REPEATS: usize = 3;
 
-/// The swept fixed tile heights.
+/// The swept fixed tile heights of the `ts0` and `campaign` workloads.
 const HEIGHTS: [usize; 4] = [1, 2, 4, 8];
+
+/// The swept fixed tile heights of the `thin` workload, up to the tall
+/// tiles a handful of live faults take.
+const THIN_HEIGHTS: [usize; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
+
+/// Live faults of the `thin` workload.
+const THIN_LIVE: usize = 8;
 
 /// How a pass picks each tile's height.
 #[derive(Clone, Copy)]
@@ -207,22 +218,41 @@ fn main() {
     let tail = pairs(&engine);
     engine.run_tests(&derived);
     let campaign_detected = engine.detected()[ts0_detected.len()..].to_vec();
-    let tilings: Vec<Tiling> = HEIGHTS
-        .map(Tiling::Fixed)
-        .into_iter()
-        .chain([Tiling::Fill])
-        .collect();
+    let thin: Vec<(FaultId, Fault)> = pairs(&engine).into_iter().take(THIN_LIVE).collect();
+    let thin_cfg = RlsConfig::new(8, 16, 128);
+    let thin_tests = derive_test_set(
+        &generate_ts0(&c, &thin_cfg),
+        &thin_cfg,
+        1,
+        1,
+        thin_cfg.d2(c.num_dffs()),
+    );
+    let thin_ids: Vec<FaultId> = thin.iter().map(|&(id, _)| id).collect();
+    engine.set_targets(&thin_ids);
+    engine.run_tests(&thin_tests);
+    let thin_detected = engine.detected().to_vec();
+    let tilings = |heights: &[usize]| -> Vec<Tiling> {
+        heights
+            .iter()
+            .map(|&h| Tiling::Fixed(h))
+            .chain([Tiling::Fill])
+            .collect()
+    };
     let mut samples: Vec<Sample> = Vec::new();
-    for &tiling in &tilings {
+    for tiling in tilings(&HEIGHTS) {
         samples.push(measure(&setup, "ts0", &ts0, &full, tiling));
     }
-    for &tiling in &tilings {
+    for tiling in tilings(&HEIGHTS) {
         samples.push(measure(&setup, "campaign", &derived, &tail, tiling));
+    }
+    for tiling in tilings(&THIN_HEIGHTS) {
+        samples.push(measure(&setup, "thin", &thin_tests, &thin, tiling));
     }
     // The oracle before the numbers: every configuration found the same
     // faults in the same order as the production engine.
     check_rows(&samples, "ts0", &ts0_detected);
     check_rows(&samples, "campaign", &campaign_detected);
+    check_rows(&samples, "thin", &thin_detected);
     // The speedup base: the ts0 1-tall row.
     let base = samples[0].test_nanos.max(1);
     let mut lines = vec![JsonObject::new()
@@ -233,6 +263,9 @@ fn main() {
         .num("campaign_tests", derived.len() as u64)
         .num("campaign_live", tail.len() as u64)
         .num("campaign_detected", campaign_detected.len() as u64)
+        .num("thin_tests", thin_tests.len() as u64)
+        .num("thin_live", thin.len() as u64)
+        .num("thin_detected", thin_detected.len() as u64)
         .num("repeats", REPEATS as u64)
         .num("default_lanes", KernelWord::LANES as u64)
         .render()];

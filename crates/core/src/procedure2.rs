@@ -367,6 +367,9 @@ impl<'c> Procedure2<'c> {
                 let trial_start = Instant::now(); // lint: det-ok(wall time is campaign-record metadata; selection never reads it)
                 let newly = exec.apply_set(&derived);
                 drop(trial_span);
+                // The trial's bookkeeping: coverage gauge, degrade check,
+                // campaign trial record, kept pair and its checkpoint.
+                let _record_span = rls_obs::span!("procedure2.record", i = i, d1 = u64::from(d1));
                 rls_obs::gauge!(
                     "procedure2.coverage",
                     (target_faults.saturating_sub(exec.live_count())) as u64,

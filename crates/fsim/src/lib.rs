@@ -24,7 +24,8 @@
 //! - [`soa`]: the one stuck-at kernel — levelized SoA tiles over
 //!   [`rls_netlist::LevelizedCircuit`] on one word, [`KernelWord`] (512
 //!   lanes in eight `u64` limbs, the only type that knows the kernel's
-//!   word format), split into (fault × pattern) axes, the fault-free machine in one reference
+//!   word format; the stimulus mixer fills it a limb at a time), split
+//!   into (fault × pattern) axes, the fault-free machine in one reference
 //!   lane per pattern, and scan style (full, partial, multichain) read
 //!   from a [`ChainMap`]; each tile's height comes from the live fault
 //!   count through one fill rule ([`fill_height`] over a
@@ -71,6 +72,7 @@ pub mod coverage;
 pub mod engine;
 pub mod fault;
 pub mod good;
+mod mix;
 pub mod multichain_sim;
 pub mod partial_sim;
 pub mod soa;

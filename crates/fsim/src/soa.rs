@@ -36,6 +36,21 @@
 //! vectors and shift fills may all differ per pattern — they are mixed
 //! into lane words per pattern range, reference lane included.
 //!
+//! # Stimulus mixing
+//!
+//! The crate's `mix` module builds each stimulus word from the tile's
+//! rows eight patterns at a time: one byte per (bit, 8-pattern group),
+//! from a branch-free 8×8 bit transpose of the group's packed vector
+//! bytes (or read bit by bit from scan-in and fill rows), indexes a
+//! per-(group, limb) table holding that limb's lanes of every set
+//! pattern's whole range. A word is one table read and OR per (group,
+//! limb): no loop over set bits, no per-pattern row lookup per frame and
+//! no `spread`. The tables depend only on the tile's height and stride,
+//! and each thread keeps the last shape's. Vector rows are gathered
+//! frame-major in chunks of at most 16 KiB. A tile whose tests share one
+//! schedule allocation (every same-length test of a `SeedMode::PerTest`
+//! derived set) scans in the same fills, so its fill words are splats.
+//!
 //! # One word, heights from the live count
 //!
 //! [`simulate_tile_lanes`] runs on one word, [`KernelWord`] (512 lanes),
@@ -48,9 +63,10 @@
 //! tiles with many fault lanes each; a thin tail of tens of faults gives
 //! tall tiles that pack many tests into one word. Both the sequential
 //! engine and the dispatch pool re-plan before every tile.
-//! Tests and `bench_fsim_lanes` also run fixed heights (1/2/4/8, and 3 in
-//! the oracle, whose pattern ranges start mid-limb), which keeps edge
-//! cases cheap to cover and the fill rule backed by a measurement.
+//! Tests and `bench_fsim_lanes` also run fixed heights (1/2/4/8 and up
+//! to 128 on a thin tail; 3, 9, 65 and 256 too in the oracle, whose
+//! pattern ranges start mid-limb), which keeps edge cases cheap to cover
+//! and the fill rule backed by a measurement.
 //!
 //! # Scan style as data
 //!
@@ -82,11 +98,14 @@
 //! (the feature-gated `mutate` module) used by the mutation self-tests to prove the oracle
 //! actually turns red.
 
+use std::sync::Arc;
+
 use rls_netlist::{Circuit, GateKind, LevelizedCircuit};
 use rls_scan::ChainMap;
 
 use crate::fault::{Fault, FaultId, FaultSite};
-use crate::test::{ScanTest, VectorRow};
+use crate::mix::TileStimulus;
+use crate::test::ScanTest;
 use crate::word::KernelWord;
 
 /// Which observation points count toward detection.
@@ -324,53 +343,6 @@ impl SoaBatch {
         for &(pos, f) in &self.ff_pos {
             state[pos] = f.apply(state[pos]); // lint: panic-ok(ff positions index the dense state vector)
         }
-    }
-}
-
-/// Mixes per-pattern bit rows into lane words: `words[i]` carries bit `i`
-/// of row `p` across pattern `p`'s range of `stride` lanes. Each row sets
-/// one lane per word at the start of its range, then one
-/// [`KernelWord::spread`] per word fills every range at once, so a word
-/// costs the same at every tile height. Rows may be shorter than `words`
-/// (their missing bits are zero).
-fn mix_rows<'a>(words: &mut [KernelWord], stride: usize, rows: impl Iterator<Item = &'a [bool]>) {
-    words.fill(KernelWord::ZERO);
-    for (p, row) in rows.enumerate() {
-        for (w, &bit) in words.iter_mut().zip(row) {
-            if bit {
-                w.set_lane(p * stride, true);
-            }
-        }
-    }
-    for w in words.iter_mut() {
-        *w = w.spread(stride);
-    }
-}
-
-/// Mixes per-pattern packed vectors into primary-input lane words, as
-/// [`mix_rows`] does for rows of bits: each row's set bits are found a
-/// word at a time (`trailing_zeros`), each sets one lane at the start of
-/// its pattern's range, and one [`KernelWord::spread`] per word fills
-/// every range.
-fn mix_vector_rows<'a>(
-    words: &mut [KernelWord],
-    stride: usize,
-    rows: impl Iterator<Item = VectorRow<'a>> + Clone,
-) {
-    words.fill(KernelWord::ZERO);
-    for (p, row) in rows.clone().enumerate() {
-        for (base, &packed) in (0..).step_by(64).zip(row.words()) {
-            let mut bits = packed;
-            while bits != 0 {
-                // lint: panic-ok(set bits lie below the row width, which the tile entry check matched to words.len())
-                words[base + bits.trailing_zeros() as usize].set_lane(p * stride, true);
-                bits &= bits - 1;
-            }
-        }
-    }
-    mutated_last_input(words, stride, rows);
-    for w in words.iter_mut() {
-        *w = w.spread(stride);
     }
 }
 
@@ -616,48 +588,72 @@ pub fn simulate_tile_lanes(
         return vec![Vec::new(); t];
     }
     let batch = SoaBatch::new(circuit, lc, faults, t);
+    TileStimulus::with(t, batch.stride(), |stimulus| {
+        run_tile(circuit, lc, chains, tests, &batch, stimulus, opts)
+    })
+}
+
+/// The walk of [`simulate_tile_lanes`] over a checked tile, with the
+/// tile's stimulus mixer.
+fn run_tile(
+    circuit: &Circuit,
+    lc: &LevelizedCircuit,
+    chains: &ChainMap,
+    tests: &[&ScanTest],
+    batch: &SoaBatch,
+    stimulus: &mut TileStimulus,
+    opts: SimOptions,
+) -> Vec<Vec<FaultId>> {
+    let t = tests.len();
     let stride = batch.stride();
     // Pattern `p` owns lanes `[p*stride, (p+1)*stride)`, its reference
     // lane first; `full` is the fault lanes only. Per-pattern stimulus is
-    // mixed into words by `mix_rows` (scan-in, fills) and
-    // `mix_vector_rows` (vectors).
-    let ref_lanes = mutated_reference_lanes((0..t).fold(KernelWord::ZERO, |mut acc, p| {
+    // mixed into words by the `TileStimulus` (scan-in, vectors and fills);
+    // fills the tile's tests share are splats.
+    let reference = (0..t).fold(KernelWord::ZERO, |mut acc, p| {
         acc.set_lane(p * stride, true);
         acc
-    }));
-    let fault_lanes = (0..t).fold(KernelWord::ZERO, |acc, p| {
-        acc | (KernelWord::low_mask((p + 1) * stride) ^ KernelWord::low_mask(p * stride + 1))
     });
-    let full = mutated_full_mask(fault_lanes, t * stride);
+    let full = mutated_full_mask(KernelWord::low_mask(t * stride) ^ reference, t * stride);
+    let ref_lanes = mutated_reference_lanes(reference);
     // Lanes disagreeing with their pattern's fault-free machine: the
     // reference lanes' bits, spread across their ranges, are exactly the
     // broadcast each lane is compared with.
     let diff = |w: KernelWord| w ^ (w & ref_lanes).spread(stride);
     let mut detected = KernelWord::ZERO;
     // Initial scan-in: loaded positions from the tests, the rest at reset.
-    let mut state = vec![KernelWord::ZERO; nff];
+    let mut state = vec![KernelWord::ZERO; circuit.num_dffs()];
     let mut loaded = vec![KernelWord::ZERO; chains.load().len()];
-    mix_rows(&mut loaded, stride, tests.iter().map(|x| &*x.scan_in));
+    stimulus.mix_bits(&mut loaded, tests.iter().map(|x| &*x.scan_in));
     for (&pos, &w) in chains.load().iter().zip(&loaded) {
         state[pos] = w; // lint: panic-ok(chain map positions index the dense state vector)
     }
     batch.force_state(&mut state);
     let mut values = vec![KernelWord::ZERO; lc.num_slots()];
-    let mut pi_words = vec![KernelWord::ZERO; npi];
+    let mut pi_words = vec![KernelWord::ZERO; circuit.num_inputs()];
     let mut fill_words = Vec::new();
     let mut scan_out = Vec::new();
     let mut fanin_buf = Vec::with_capacity(8);
+    // lint: panic-ok(t > 0 asserted at entry)
+    let first = tests[0];
+    // Tests holding one schedule allocation (every same-length test of a
+    // `SeedMode::PerTest` derived set) scan in the same fills.
+    let shared_fills = tests.iter().all(|x| Arc::ptr_eq(&x.shifts, &first.shifts));
     // `tile_compatible` tests share `(at, amount)` index by index, so the
     // first test's units drive the walk and `k` is the index of the
     // current shift in every pattern's schedule.
     let mut k = 0;
-    // lint: panic-ok(t > 0 asserted at entry)
-    for (u, (shift, _)) in tests[0].units().enumerate() {
+    for (u, (shift, _)) in first.units().enumerate() {
         if let Some(op) = shift {
-            fill_words.resize(op.amount * chains.chains().len(), KernelWord::ZERO);
-            // lint: panic-ok(tile_compatible gives every pattern a k-th shift)
-            let fills = tests.iter().map(|x| x.shifts[k].fill.as_slice());
-            mix_rows(&mut fill_words, stride, fills);
+            if shared_fills {
+                fill_words.clear();
+                fill_words.extend(op.fill.iter().map(|&bit| KernelWord::splat(bit)));
+            } else {
+                fill_words.resize(op.fill.len(), KernelWord::ZERO);
+                // lint: panic-ok(tile_compatible gives every pattern a k-th shift)
+                let fills = tests.iter().map(|x| x.shifts[k].fill.as_slice());
+                stimulus.mix_bits(&mut fill_words, fills);
+            }
             k += 1;
             shift_chains(chains, &mut state, op.amount, &fill_words, &mut scan_out);
             if opts.observe_limited_scan_out {
@@ -667,22 +663,18 @@ pub fn simulate_tile_lanes(
             }
             batch.force_state(&mut state);
             if detected & full == full {
-                return collect_detections(&batch, full);
+                return collect_detections(batch, full);
             }
         }
-        mix_vector_rows(
-            &mut pi_words,
-            stride,
-            tests.iter().map(|x| x.vectors.row(u)),
-        );
-        eval_tile(lc, &batch, &pi_words, &state, &mut values, &mut fanin_buf);
+        stimulus.mix_vectors(&mut pi_words, tests, u);
+        eval_tile(lc, batch, &pi_words, &state, &mut values, &mut fanin_buf);
         if opts.observe_outputs {
             for &oslot in lc.output_slots() {
                 detected |= diff(values[oslot as usize]); // lint: panic-ok(output slots index the dense value array)
             }
         }
         if detected & full == full {
-            return collect_detections(&batch, full);
+            return collect_detections(batch, full);
         }
         // Capture next state.
         for (i, &dslot) in lc.dff_data_slots().iter().enumerate() {
@@ -700,7 +692,7 @@ pub fn simulate_tile_lanes(
         }
     }
     detected &= full;
-    collect_detections(&batch, detected)
+    collect_detections(batch, detected)
 }
 
 /// Fault lanes per pattern of a `height`-tall tile: each pattern spends
@@ -752,6 +744,9 @@ pub mod mutate {
         /// The last primary input reads its vector row one bit too far
         /// (bit `i + 1`, past the row's width) instead of its own bit `i`.
         LastInputOffByOne,
+        /// The vector transpose drops the last pattern of every 8-pattern
+        /// group: its inputs read 0 whatever its row holds.
+        TransposeDropsLastPattern,
     }
 
     thread_local! {
@@ -869,38 +864,35 @@ fn mutated_scan_out(chain_index: usize) -> usize {
 }
 
 #[cfg(feature = "kernel-mutate")]
-fn mutated_last_input<'a>(
-    words: &mut [KernelWord],
-    stride: usize,
-    rows: impl Iterator<Item = VectorRow<'a>>,
-) {
-    if mutate::armed() != Some(mutate::KernelMutation::LastInputOffByOne) {
-        return;
+#[inline]
+pub(crate) fn mutated_input_source(input: usize, inputs: usize) -> usize {
+    match mutate::armed() {
+        // Bit `input + 1` is row padding, or past the row's words when
+        // the width fills them.
+        Some(mutate::KernelMutation::LastInputOffByOne) if input + 1 == inputs => inputs,
+        _ => input,
     }
-    let Some(last) = words.len().checked_sub(1) else {
-        return;
-    };
-    // Bit `last + 1` is row padding, or past the row's words when the
-    // width fills them.
-    let src = last + 1;
-    let mut word = KernelWord::ZERO;
-    for (p, row) in rows.enumerate() {
-        let bit = row
-            .words()
-            .get(src / 64)
-            .is_some_and(|w| w >> (src % 64) & 1 == 1);
-        word.set_lane(p * stride, bit);
-    }
-    words[last] = word; // lint: panic-ok(last < words.len())
 }
 
 #[cfg(not(feature = "kernel-mutate"))]
 #[inline(always)]
-fn mutated_last_input<'a>(
-    _words: &mut [KernelWord],
-    _stride: usize,
-    _rows: impl Iterator<Item = VectorRow<'a>>,
-) {
+pub(crate) fn mutated_input_source(input: usize, _inputs: usize) -> usize {
+    input
+}
+
+#[cfg(feature = "kernel-mutate")]
+#[inline]
+pub(crate) fn mutated_transpose(bytes: u64) -> u64 {
+    match mutate::armed() {
+        Some(mutate::KernelMutation::TransposeDropsLastPattern) => bytes & 0x7F7F_7F7F_7F7F_7F7F,
+        _ => bytes,
+    }
+}
+
+#[cfg(not(feature = "kernel-mutate"))]
+#[inline(always)]
+pub(crate) fn mutated_transpose(bytes: u64) -> u64 {
+    bytes
 }
 
 #[cfg(feature = "kernel-mutate")]

@@ -20,6 +20,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use rls_lfsr::RandomSource;
@@ -109,6 +110,18 @@ impl TestVectors {
             words: &self.words[u * stride..(u + 1) * stride],
             width: self.width,
         }
+    }
+
+    /// The packed words of time units `units`, row after row
+    /// (`width.div_ceil(64)` words per row).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `units` reaches past `self.len()`.
+    pub(crate) fn rows_words(&self, units: Range<usize>) -> &[u64] {
+        let stride = self.width.div_ceil(WORD_BITS);
+        // lint: panic-ok(documented contract: units lie inside 0..len, and the array holds len rows of stride words)
+        &self.words[units.start * stride..units.end * stride]
     }
 
     /// The vectors in time order.

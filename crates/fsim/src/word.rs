@@ -11,6 +11,10 @@ use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, N
 /// `u64` limbs per word.
 const LIMBS: usize = 8;
 
+/// Lanes per limb: lane `i` is bit `i % LIMB_LANES` of limb
+/// `i / LIMB_LANES`.
+pub(crate) const LIMB_LANES: usize = u64::BITS as usize;
+
 /// The production kernel word: 512 one-bit lanes in eight `u64` limbs.
 ///
 /// Chosen from the measured s953 TS0 campaign when the kernel still swept
@@ -71,6 +75,17 @@ impl KernelWord {
             Self::LANES
         );
         self.0[lane / 64] >> (lane % 64) & 1 == 1
+    }
+
+    /// ORs `bits` into limb `limb`: bit `b` of `bits` sets lane
+    /// `LIMB_LANES * limb + b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `limb >= LIMBS`.
+    #[inline]
+    pub(crate) fn or_limb(&mut self, limb: usize, bits: u64) {
+        self.0[limb] |= bits;
     }
 
     /// A word with the low `n` lanes set and the rest clear.

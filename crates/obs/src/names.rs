@@ -17,6 +17,7 @@ pub const SPANS: &[&str] = &[
     "procedure2.iter",    // one outer iteration (paper index `i`)
     "procedure2.derive",  // one (I, D1) test set derived from TS0
     "procedure2.trial",   // one (I, D1) trial: simulate the derived set
+    "procedure2.record",  // one trial's bookkeeping: gauge, degrade check, records, checkpoint
     "fsim.test",          // sequential engine: one test set against live faults
     "dispatch.set",       // parallel executor: one fanned-out test set
     "bench.table",        // one table binary run

@@ -20,7 +20,12 @@
 //! The kernel-level matrix calls `simulate_tile_lanes` directly at every
 //! fixed tile height 1/2/3/4/8 × whole-tile and 7-fault chunks: it is
 //! where the kernel-shape axis lives, since production picks each tile's
-//! height from the live count (`fill_height`). The engine- and
+//! height from the live count (`fill_height`). A tall-tile matrix adds
+//! the heights a thin fault list takes (8, 9, 63, 64, 65, 128 and the
+//! tallest, 256) × whole-tile and 2-fault chunks (3-lane pattern ranges
+//! straddle limbs) on 3-, 10- and 70-input circuits, through `TS0`, a
+//! derived set whose tests share one schedule, the same set with a
+//! schedule (and fills) per test, and a `FreeRunning` set. The engine- and
 //! dispatch-level tests add fault dropping, that fill rule and the
 //! thread axis against a serial drop-as-you-go reference: on s27, and on
 //! s208 and s298 through `TS0` and then derived `TS(I, D1)` sets against
@@ -133,6 +138,15 @@ fn wide_circuit() -> Circuit {
     }
     .build()
 }
+
+/// The tall-tile matrix's fixed heights: around the 8-pattern groups the
+/// kernel mixes stimulus in, around one 64-lane limb per pattern, and up
+/// to the tallest tile.
+const TALL_HEIGHTS: [usize; 7] = [8, 9, 63, 64, 65, 128, 256];
+
+/// The tall-tile matrix's fault-chunk lengths: the tile's capacity, and
+/// 2 faults (3-lane pattern ranges, which straddle limb boundaries).
+const TALL_CHUNKS: [Option<usize>; 2] = [None, Some(2)];
 
 /// `TS0` of `c` plus one derived `TS(1, 2)` set: flat tests and limited
 /// scans on the same vectors.
@@ -288,6 +302,135 @@ fn assert_matrix_matches(
                 soa, reference,
                 "{label} height {height} x chunk {chunk:?}: SoA diverged from the serial reference"
             );
+        }
+    }
+}
+
+/// Test sets whose compatible runs reach the tallest tile: a 512-test
+/// `TS0` (two runs of 256), a paper-literal derived set (one shared
+/// schedule per run), the same derived tests each holding its own copy
+/// of the schedule with its own fills, and the head of a `FreeRunning`
+/// derived set (1-tall runs).
+fn tall_sets(c: &Circuit) -> Vec<(&'static str, Vec<ScanTest>)> {
+    let mut cfg = RlsConfig::new(3, 5, 256);
+    let d2 = cfg.d2(c.num_dffs());
+    let ts0 = generate_ts0(c, &cfg);
+    let shared = derive_test_set(&ts0, &cfg, 1, 1, d2);
+    let own: Vec<ScanTest> = shared
+        .iter()
+        .enumerate()
+        .map(|(k, t)| {
+            let shifts: Vec<ShiftOp> = t
+                .shifts
+                .iter()
+                .enumerate()
+                .map(|(j, op)| ShiftOp {
+                    fill: (0..op.fill.len())
+                        .map(|i| (k * 7 + j * 3 + i) % 5 < 2)
+                        .collect(),
+                    ..op.clone()
+                })
+                .collect();
+            t.clone()
+                .with_shifts(shifts)
+                .expect("the schedule is unchanged")
+        })
+        .collect();
+    cfg.seed_mode = SeedMode::FreeRunning;
+    let free: Vec<ScanTest> = derive_test_set(&ts0, &cfg, 2, 1, d2)
+        .into_iter()
+        .take(24)
+        .collect();
+    vec![
+        ("TS0", ts0),
+        ("shared schedule", shared),
+        ("own schedules", own),
+        ("FreeRunning", free),
+    ]
+}
+
+/// Asserts the kernel equals the serial reference on `tests` at every
+/// tall height × chunk length.
+fn assert_tall_matrix_matches(
+    label: &str,
+    c: &Circuit,
+    tests: &[ScanTest],
+    pairs: &[(FaultId, Fault)],
+) {
+    let opts = SimOptions::default();
+    let chains = ChainMap::full(c.num_dffs());
+    let reference = trace_reference(c, &chains, tests, pairs, opts);
+    assert!(
+        reference.iter().any(|r| !r.is_empty()),
+        "{label}: the matrix must exercise real detections"
+    );
+    for height in TALL_HEIGHTS {
+        for chunk in TALL_CHUNKS {
+            let soa = soa_per_test(c, &chains, tests, pairs, height, chunk, opts);
+            assert_eq!(
+                soa, reference,
+                "{label} height {height} x chunk {chunk:?}: SoA diverged from the serial reference"
+            );
+        }
+    }
+}
+
+/// A thin fault list of `c`: every `step`-th universe fault, at most
+/// `count` of them.
+fn thin_pairs(c: &Circuit, step: usize, count: usize) -> Vec<(FaultId, Fault)> {
+    universe_pairs(c)
+        .into_iter()
+        .step_by(step)
+        .take(count)
+        .collect()
+}
+
+/// A tall-tile circuit and its thin fault sample.
+struct TallCase {
+    name: &'static str,
+    c: Circuit,
+    pairs: Vec<(FaultId, Fault)>,
+}
+
+/// The tall-tile circuits: s298 (3 inputs, one row byte), s208 (10
+/// inputs, two row bytes) and the 70-input synthetic circuit (rows of
+/// two words), each with a thin fault sample.
+fn tall_cases() -> Vec<TallCase> {
+    let mut cases: Vec<TallCase> = ["s298", "s208"]
+        .into_iter()
+        .map(|name| {
+            let c = random_limited_scan::benchmarks::by_name(name).expect("registered circuit");
+            let pairs = thin_pairs(&c, 37, 8);
+            TallCase { name, c, pairs }
+        })
+        .collect();
+    let c = wide_circuit();
+    let pairs = thin_pairs(&c, 23, 8);
+    cases.push(TallCase {
+        name: "wide70",
+        c,
+        pairs,
+    });
+    cases
+}
+
+#[test]
+fn tall_tile_differential_is_order_exact() {
+    // The heights a thin tail takes, on rows of one byte, two bytes and
+    // two words, with fills mixed as shared splats and per pattern.
+    for TallCase { name, c, pairs } in tall_cases() {
+        assert!(c.num_inputs() == 3 || c.num_inputs() == 10 || c.num_inputs() == 70);
+        let sets = tall_sets(&c);
+        assert_eq!(compatible_run(&sets[0].1, 0), max_tile_height());
+        let (shared, own) = (&sets[1].1, &sets[2].1);
+        assert!(shared[1..256]
+            .iter()
+            .all(|t| std::sync::Arc::ptr_eq(&t.shifts, &shared[0].shifts)));
+        assert!(shared[..256].iter().all(|t| !t.shifts.is_empty()));
+        assert!(!std::sync::Arc::ptr_eq(&own[0].shifts, &own[1].shifts));
+        assert_eq!(compatible_run(own, 0), max_tile_height());
+        for (set, tests) in &sets {
+            assert_tall_matrix_matches(&format!("{name} {set}"), &c, tests, &pairs);
         }
     }
 }
@@ -753,6 +896,37 @@ mod mutation {
                 "an off-by-one last input must not survive the {label} differential"
             );
             assert!(diff.is_green(), "disarming must restore green on {label}");
+        }
+    }
+
+    #[test]
+    fn transpose_drops_last_pattern_turns_the_oracle_red() {
+        // A transpose that loses the last pattern of each 8-pattern group
+        // must survive neither s27's 8-tall tiles nor the tall matrix on
+        // one-byte, two-byte and two-word rows.
+        let diff = Diff::s27();
+        arm(Some(KernelMutation::TransposeDropsLastPattern));
+        let green = diff.is_green();
+        arm(None);
+        assert!(
+            !green,
+            "a lossy transpose must not survive the s27 differential"
+        );
+        assert!(diff.is_green(), "disarming must restore green");
+        let opts = SimOptions::default();
+        for TallCase { name, c, pairs } in tall_cases() {
+            let tests = tall_sets(&c).swap_remove(0).1;
+            let chains = ChainMap::full(c.num_dffs());
+            let reference = trace_reference(&c, &chains, &tests, &pairs, opts);
+            arm(Some(KernelMutation::TransposeDropsLastPattern));
+            let red = TALL_HEIGHTS.iter().any(|&height| {
+                soa_per_test(&c, &chains, &tests, &pairs, height, None, opts) != reference
+            });
+            arm(None);
+            assert!(
+                red,
+                "a lossy transpose must not survive the {name} tall matrix"
+            );
         }
     }
 
