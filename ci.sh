@@ -57,26 +57,28 @@ for seed in 11 1997 861551; do
 done
 
 echo "== fsim: thread matrix =="
-# A full table run must be byte-identical at every thread count: the
-# sequential engine and the pooled runner's test-block jobs run the same
-# tile walk (one kernel word, every tile's height from the live count
-# by one fill rule) and merge detections in the same order. s208's
-# fault list spans several kernel chunks; the ablations binary adds the
-# FreeRunning schedules, whose tiles are 1 tall. The kernel-shape axis
-# (fixed tile heights 1/2/3/4/8 x fault-chunk lengths on the one kernel
-# word) lives in the soa oracle below.
+# A full table run must be byte-identical at every thread count: a
+# window's first trial runs on the caller's engine, its other trials run
+# as whole-set pool jobs through the same tile walk (one kernel word,
+# every tile's height from the live count by one fill rule) against the
+# window-start live list, and their detections are applied in D1 order.
+# s208's fault list spans several kernel chunks; table4 (s420) runs the
+# 45-cell grid; the ablations binary adds the FreeRunning schedules,
+# whose tiles are 1 tall. The kernel-shape axis (fixed tile heights
+# 1/2/3/4/8 x fault-chunk lengths on the one kernel word) lives in the
+# soa oracle below. table4 and ablations are also the committed files.
 THREAD_DIR=$(mktemp -d)
 for t in 1 2 4; do
     RLS_THREADS=$t \
         cargo run -q --release --offline -p rls-bench --bin table6 -- s27 s208 \
         > "$THREAD_DIR/t$t.out" 2> /dev/null
-    RLS_THREADS=$t \
-        cargo run -q --release --offline -p rls-bench --bin ablations \
-        > "$THREAD_DIR/ablations-t$t.out" 2> /dev/null
+    for bin in table4 ablations; do
+        RLS_THREADS=$t ./target/release/$bin > "$THREAD_DIR/$bin-t$t.out" 2> /dev/null
+        cmp "$THREAD_DIR/$bin-t$t.out" "results/$bin.txt"
+    done
 done
 for t in 2 4; do
     cmp "$THREAD_DIR/t1.out" "$THREAD_DIR/t$t.out"
-    cmp "$THREAD_DIR/ablations-t1.out" "$THREAD_DIR/ablations-t$t.out"
 done
 # The campaign records themselves are compared across 1/2/4 threads by
 # tests/determinism.rs (campaign_records_are_identical_across_threads).
@@ -93,7 +95,8 @@ echo "== results: committed extension, Table 3 and Table 5 output =="
 # RLS_MAX_TRIES that is not a positive integer must exit 2 with an [exec]
 # message. table3 (default s208) pins the Table 3 grid path — TS0
 # generation, derived sets and the kernel's stimulus mixing — at 1 and 2
-# threads.
+# threads; table7 and baselines pin the decreasing-D1 ladder and the
+# baseline schemes.
 RESULTS_DIR=$(mktemp -d)
 for bin in partial_scan multichain table5 table1 at_speed; do
     cargo run -q --release --offline -p rls-bench --bin "$bin" \
@@ -104,6 +107,12 @@ for t in 1 2; do
     RLS_THREADS=$t ./target/release/table3 > "$RESULTS_DIR/table3-t$t.txt" 2> /dev/null
     cmp "$RESULTS_DIR/table3-t$t.txt" results/table3.txt
 done
+# The cheap multi-circuit files, with the argument lists
+# results/README.md records for them.
+./target/release/table7 s208 s298 s420 b03 > "$RESULTS_DIR/table7.txt" 2> /dev/null
+cmp "$RESULTS_DIR/table7.txt" results/table7.txt
+./target/release/baselines s208 s420 b09 b03 > "$RESULTS_DIR/baselines.txt" 2> /dev/null
+cmp "$RESULTS_DIR/baselines.txt" results/baselines.txt
 status=0
 ./target/release/table5 s27 > /dev/null 2> "$RESULTS_DIR/table5-usage.err" || status=$?
 [ "$status" -eq 2 ]
@@ -150,9 +159,11 @@ cargo run -q --release --offline -p rls-bench --bin rls-report -- --lanes BENCH_
 echo "== obs: smoke =="
 # A real table run with tracing on: the metrics JSONL must appear, parse,
 # and end with the summary line; the stderr sink must not disturb stdout.
+# s27's TS0 completes its target, so s208 supplies the trials whose
+# pooled sets must show up as dispatch.set spans.
 OBS_DIR=$(mktemp -d)
 RLS_OBS=1 RLS_OBS_SINK=jsonl RLS_THREADS=2 RLS_CAMPAIGN_DIR="$OBS_DIR" \
-    cargo run -q --release --offline -p rls-bench --bin table6 -- s27 > "$OBS_DIR/table6.out"
+    cargo run -q --release --offline -p rls-bench --bin table6 -- s27 s208 > "$OBS_DIR/table6.out"
 OBS_STREAM=$(ls "$OBS_DIR"/obs-*.jsonl)
 grep -q '"type":"obs"' "$OBS_STREAM"
 grep -q '"name":"procedure2.run"' "$OBS_STREAM"

@@ -13,7 +13,7 @@
 //!
 //! Usage: `ablations [circuit...]` (default: s298).
 //!
-//! Execution: `RLS_THREADS=n` shards fault simulation, `RLS_CAMPAIGN_DIR=dir`
+//! Execution: `RLS_THREADS=n` runs trials n at a time, `RLS_CAMPAIGN_DIR=dir`
 //! persists JSONL campaign records, and `--resume <file>` (or `RLS_RESUME`)
 //! restarts an interrupted campaign from its last checkpoint.
 

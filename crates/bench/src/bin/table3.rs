@@ -11,7 +11,7 @@
 //! Usage: `table3 [circuit...]` (default: s208; only the first name
 //! runs). An unknown name prints the usage line and exits with code 2.
 //!
-//! Execution: `RLS_THREADS=n` shards fault simulation, `RLS_CAMPAIGN_DIR=dir`
+//! Execution: `RLS_THREADS=n` runs trials n at a time, `RLS_CAMPAIGN_DIR=dir`
 //! persists JSONL campaign records, and `--resume <file>` (or `RLS_RESUME`)
 //! restarts an interrupted campaign from its last checkpoint.
 

@@ -1,7 +1,7 @@
 //! Reproduces the paper's Table 4: the `N_cyc` / `N_cyc0` grids of Table 3
 //! for s420 (see `table3.rs`; this binary simply defaults the circuit).
 //!
-//! Execution: `RLS_THREADS=n` shards fault simulation, `RLS_CAMPAIGN_DIR=dir`
+//! Execution: `RLS_THREADS=n` runs trials n at a time, `RLS_CAMPAIGN_DIR=dir`
 //! persists JSONL campaign records, and `--resume <file>` (or `RLS_RESUME`)
 //! restarts an interrupted campaign from its last checkpoint.
 

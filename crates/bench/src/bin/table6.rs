@@ -13,7 +13,7 @@
 //! Usage: `table6 [circuit...]` (default: the paper's 22 circuits; the
 //! largest stand-ins take a while — pass names to restrict).
 //!
-//! Execution: `RLS_THREADS=n` shards fault simulation, `RLS_CAMPAIGN_DIR=dir`
+//! Execution: `RLS_THREADS=n` runs trials n at a time, `RLS_CAMPAIGN_DIR=dir`
 //! persists JSONL campaign records, and `--resume <file>` (or `RLS_RESUME`)
 //! restarts an interrupted campaign from its last checkpoint.
 //! `RLS_MAX_TRIES=n` stops each circuit's ladder after `n` combinations

@@ -7,11 +7,11 @@
 //!
 //! Usage: `table7 [circuit...]`.
 //!
-//! Execution: `RLS_THREADS=n` shards fault simulation, `RLS_CAMPAIGN_DIR=dir`
+//! Execution: `RLS_THREADS=n` runs trials n at a time, `RLS_CAMPAIGN_DIR=dir`
 //! persists JSONL campaign records, and `--resume <file>` (or `RLS_RESUME`)
 //! restarts an interrupted campaign from its last checkpoint.
 
-use rls_bench::{combo_row, exec_profile, render_results, table6_row};
+use rls_bench::{exec_profile, ladder_row, render_results};
 use rls_core::D1Order;
 
 fn main() {
@@ -23,11 +23,13 @@ fn main() {
         eprintln!("[table7] running {name}…");
         let _circuit = rls_bench::circuit_span(name);
         // The paper uses the same (L_A, L_B, N) as Table 6: find it with
-        // the increasing-order run, then re-run decreasing on it.
-        let chosen = table6_row(name, D1Order::Increasing, 20, &exec);
+        // the increasing-order run, then re-run decreasing on it, both
+        // against one classification of the circuit.
         let c = rls_bench::circuit(name);
         let info = rls_bench::target_for(&c, name);
-        rows.push(combo_row(
+        let chosen = ladder_row(&c, name, D1Order::Increasing, &info.target, 20, &exec);
+        rows.push(rls_core::experiment::run_combo(
+            &c,
             name,
             chosen.combo,
             D1Order::Decreasing,

@@ -24,8 +24,9 @@ use rls_core::{CoverageTarget, D1Order};
 use rls_netlist::Circuit;
 
 /// Execution profile for the table binaries, from the environment:
-/// `RLS_THREADS=n` shards fault simulation across an `rls-dispatch`
-/// worker pool (results are bit-identical to `RLS_THREADS=1`),
+/// `RLS_THREADS=n` runs Procedure 2's trials `n` at a time, on the
+/// caller and an `rls-dispatch` worker pool (results are bit-identical
+/// to `RLS_THREADS=1`),
 /// `RLS_CAMPAIGN_DIR=dir` persists JSONL campaign records (typically
 /// `results/`), `RLS_OBS=1` turns on the `rls-obs` tracing/metrics layer
 /// (`RLS_OBS_SINK` picks `stderr`, `jsonl`, or `both`; the metrics
@@ -274,8 +275,22 @@ pub fn table6_row(
 ) -> CircuitResult {
     let c = circuit(name);
     let info = target_for(&c, name);
+    ladder_row(&c, name, order, &info.target, max_tries, exec)
+}
+
+/// [`table6_row`] on an already classified circuit: the ranked
+/// combinations against `target`, the first complete one reported (or
+/// the last tried).
+pub fn ladder_row(
+    c: &Circuit,
+    name: &str,
+    order: D1Order,
+    target: &CoverageTarget,
+    max_tries: usize,
+    exec: &ExecProfile,
+) -> CircuitResult {
     let outcome =
-        rls_core::experiment::first_complete_combo(&c, name, order, &info.target, max_tries, exec);
+        rls_core::experiment::first_complete_combo(c, name, order, target, max_tries, exec);
     outcome
         .chosen()
         .cloned()

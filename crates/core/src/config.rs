@@ -137,9 +137,10 @@ pub struct RlsConfig {
     pub fill_mode: FillMode,
     /// Which observation points count toward detection (ablation support).
     pub observe: SimOptions,
-    /// Worker threads for fault simulation. `1` (the default) runs the
-    /// sequential oracle path; `> 1` shards test sets across an
-    /// `rls-dispatch` worker pool with bit-identical results.
+    /// Threads for fault simulation. `1` (the default) runs the
+    /// sequential oracle path; `> 1` runs Procedure 2's trials in windows
+    /// of that many, all but the first on an `rls-dispatch` worker pool,
+    /// with bit-identical results.
     pub threads: usize,
     /// When set, a JSONL campaign record (per-trial lines plus per-worker
     /// counters) is written into this directory, e.g. `results/`.

@@ -15,25 +15,30 @@
 //!
 //! # Execution
 //!
-//! The greedy selection across trials is inherently sequential (each kept
-//! pair changes the fault list the next trial sees), but each trial's
-//! test-set simulation is embarrassingly parallel. The driver abstracts
-//! the per-set simulation behind a crate-private executor trait, and one
-//! executor implements it: a [`FaultSimulator`] owns the campaign's fault
-//! list, and an optional `rls-dispatch` [`SharedSetRunner`] computes a
-//! set's detections on a pool. With `threads = 1` there is no runner and
-//! every set runs through the simulator's own tile walk; `threads > 1`
-//! starts a private [`SharedPool`] for the campaign, and the simulator
-//! applies what the runner's deterministic reduction returns, so both
-//! produce bit-identical [`Procedure2Outcome`]s. With `campaign_dir`
-//! set, a JSONL campaign record (per-trial lines, per-worker counters)
-//! is persisted.
+//! The greedy selection across iterations is sequential, but the `D1`
+//! trials of one iteration all start from the same fault list, so whole
+//! trials are independent work. The driver runs them in *windows* of up
+//! to `threads` trials behind a crate-private executor trait, which one
+//! executor implements: a [`FaultSimulator`] owns the campaign's fault
+//! list, and with `threads > 1` a private [`SharedPool`] of `threads − 1`
+//! workers, through an `rls-dispatch` [`SharedSetRunner`], simulates
+//! every trial of a window but the first against the live list as it
+//! stood when the window started, while the caller simulates the first
+//! on its own simulator. Then, in `D1` order, each trial's detections are
+//! applied ([`FaultSimulator::apply_detections`] ignores faults an
+//! earlier trial already dropped), which gives every trial exactly the
+//! live list it sees when trials run one at a time. With `threads = 1`
+//! every window holds one trial and there is no pool; `TS0` is always a
+//! window of one. Both produce bit-identical [`Procedure2Outcome`]s.
+//! With `campaign_dir` set, a JSONL campaign record (per-trial lines,
+//! per-worker counters) is persisted.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use rls_dispatch::{
-    Campaign, CampaignSummary, PoolSnapshot, SharedPool, SharedSetRunner, TrialRecord,
+    Campaign, CampaignSummary, PoolSnapshot, SetFailure, SharedPool, SharedSetRunner, Submitted,
+    TrialRecord,
 };
 use rls_fsim::{ChainMap, CompiledCircuit, FaultId, FaultSimulator, ScanTest};
 use rls_netlist::Circuit;
@@ -143,10 +148,11 @@ impl<'c> Procedure2<'c> {
 
     /// Runs the procedure to completion.
     ///
-    /// `cfg.threads` selects the execution path: `1` runs every set on
-    /// the executor's own simulator, `> 1` shards every test-set
-    /// simulation across a private `rls-dispatch` [`SharedPool`] of that
-    /// many workers. Both produce bit-identical outcomes.
+    /// `cfg.threads` sets how many trials run at once: `1` runs every set
+    /// on the executor's own simulator, `> 1` runs windows of that many
+    /// trials, all but the first on a private `rls-dispatch`
+    /// [`SharedPool`] of `threads − 1` workers. Both produce bit-identical
+    /// outcomes.
     /// With `cfg.campaign_dir` set, a JSONL campaign record (including
     /// resume checkpoints) streams crash-safely into that directory
     /// (failures to persist are reported on stderr, never fatal).
@@ -188,9 +194,9 @@ impl<'c> Procedure2<'c> {
             // lint: panic-ok(FaultSimulator::new panics on the same cyclic input; one contract for every thread count)
             Err(e) => panic!("circuit cannot be simulated: {e}"),
         };
-        // One thread runs without a pool: a one-worker pool would cut
-        // every set into test blocks, and shorter runs fill fewer lanes.
-        let pool = (threads > 1).then(|| SharedPool::new(threads));
+        // The caller simulates the first trial of every window, so the
+        // pool holds one worker fewer than the run has threads.
+        let pool = (threads > 1).then(|| SharedPool::new(threads - 1));
         let mut exec = CampaignExecutor::new(&compiled, &self.chains, &self.cfg, pool);
         let outcome = self.drive(&mut exec, campaign.as_mut(), resume);
         if let Some(campaign) = campaign.as_mut() {
@@ -307,10 +313,10 @@ impl<'c> Procedure2<'c> {
                 entry = Some((state.iteration, state.d1_pos, state.improved));
             }
         } else {
-            base.target_faults = exec.live_count();
+            base.target_faults = exec.live().len();
             let ts0_span = rls_obs::span!("procedure2.ts0", tests = ts0.len());
             let ts0_start = Instant::now(); // lint: det-ok(wall time is campaign-record metadata; selection never reads it)
-            base.initial_detected = exec.apply_set(&ts0);
+            base.initial_detected = exec.apply_trial(0, &ts0);
             drop(ts0_span);
             if let Some(c) = campaign.as_deref_mut() {
                 c.record_initial(
@@ -321,7 +327,7 @@ impl<'c> Procedure2<'c> {
             }
             // First checkpoint: the post-TS0 state.
             record_checkpoint(campaign.as_deref_mut(), || ResumeState {
-                live: exec.undetected(),
+                live: exec.live().to_vec(),
                 ..base.clone()
             });
             pairs = Vec::new();
@@ -344,7 +350,7 @@ impl<'c> Procedure2<'c> {
                     (i, pos, improved)
                 }
                 None => {
-                    if exec.live_count() == 0
+                    if exec.live().is_empty()
                         || n_same_fc >= self.cfg.n_same_fc
                         || iterations >= u64::from(self.cfg.max_iterations)
                     {
@@ -354,83 +360,103 @@ impl<'c> Procedure2<'c> {
                     (iterations, 0, false)
                 }
             };
-            let _iter_span = rls_obs::span!("procedure2.iter", i = i, live = exec.live_count());
-            for (pos, &d1) in d1_values.iter().enumerate().skip(start_pos) {
-                if exec.live_count() == 0 {
+            let _iter_span = rls_obs::span!("procedure2.iter", i = i, live = exec.live().len());
+            let mut pos = start_pos;
+            while pos < d1_values.len() {
+                if exec.live().is_empty() {
                     break 'outer;
                 }
-                let derive_span = rls_obs::span!("procedure2.derive", i = i, d1 = u64::from(d1));
-                let derived = derive_test_set_on(&ts0, &self.cfg, fill_width, i, d1, d2);
-                drop(derive_span);
-                let trial_span = rls_obs::span!("procedure2.trial", i = i, d1 = u64::from(d1));
-                rls_obs::counter!("procedure2.trials", 1);
-                let trial_start = Instant::now(); // lint: det-ok(wall time is campaign-record metadata; selection never reads it)
-                let newly = exec.apply_set(&derived);
-                drop(trial_span);
-                // The trial's bookkeeping: coverage gauge, degrade check,
-                // campaign trial record, kept pair and its checkpoint.
-                let _record_span = rls_obs::span!("procedure2.record", i = i, d1 = u64::from(d1));
-                rls_obs::gauge!(
-                    "procedure2.coverage",
-                    (target_faults.saturating_sub(exec.live_count())) as u64,
-                    i = i,
-                    d1 = u64::from(d1)
-                );
-                if exec.degraded() && !degrade_logged {
-                    degrade_logged = true;
-                    rls_obs::counter!("procedure2.degrades", 1, i = i, d1 = u64::from(d1));
+                // The next window: as many trials as the executor runs at
+                // once, all simulated against the live list as it stands.
+                let end = (pos + exec.window()).min(d1_values.len());
+                let window = &d1_values[pos..end]; // lint: panic-ok(pos < end <= d1_values.len())
+                let sets: Vec<Vec<ScanTest>> = window
+                    .iter()
+                    .map(|&d1| {
+                        let _span = rls_obs::span!("procedure2.derive", i = i, d1 = u64::from(d1));
+                        derive_test_set_on(&ts0, &self.cfg, fill_width, i, d1, d2)
+                    })
+                    .collect();
+                exec.start_window(&sets);
+                for (k, (&d1, derived)) in window.iter().zip(&sets).enumerate() {
+                    // A trial that empties the live list ends the campaign:
+                    // the window's later trials leave no trace.
+                    if exec.live().is_empty() {
+                        break 'outer;
+                    }
+                    let trial_span = rls_obs::span!("procedure2.trial", i = i, d1 = u64::from(d1));
+                    rls_obs::counter!("procedure2.trials", 1);
+                    let trial_start = Instant::now(); // lint: det-ok(wall time is campaign-record metadata; selection never reads it)
+                    let newly = exec.apply_trial(k, derived);
+                    drop(trial_span);
+                    // The trial's bookkeeping: coverage gauge, degrade
+                    // check, campaign trial record, kept pair and its
+                    // checkpoint.
+                    let _record_span =
+                        rls_obs::span!("procedure2.record", i = i, d1 = u64::from(d1));
+                    rls_obs::gauge!(
+                        "procedure2.coverage",
+                        (target_faults.saturating_sub(exec.live().len())) as u64,
+                        i = i,
+                        d1 = u64::from(d1)
+                    );
+                    if exec.degraded() && !degrade_logged {
+                        degrade_logged = true;
+                        rls_obs::counter!("procedure2.degrades", 1, i = i, d1 = u64::from(d1));
+                        if let Some(c) = campaign.as_deref_mut() {
+                            c.record_raw(
+                                &rls_obs::jsonl::JsonObject::new()
+                                    .str("type", "degrade")
+                                    .num("i", i)
+                                    .num("d1", u64::from(d1))
+                                    .render(),
+                            );
+                        }
+                    }
                     if let Some(c) = campaign.as_deref_mut() {
-                        c.record_raw(
-                            &rls_obs::jsonl::JsonObject::new()
-                                .str("type", "degrade")
-                                .num("i", i)
-                                .num("d1", u64::from(d1))
-                                .render(),
-                        );
+                        c.record_trial(TrialRecord {
+                            i,
+                            d1,
+                            tests: derived.len(),
+                            newly_detected: newly,
+                            kept: newly > 0,
+                            live_after: exec.live().len(),
+                            wall_nanos: trial_start.elapsed().as_nanos() as u64,
+                        });
+                    }
+                    if newly > 0 {
+                        improved = true;
+                        let shift_cycles = nsh(derived);
+                        rls_obs::counter!("procedure2.pairs_kept", 1, i = i, d1 = u64::from(d1));
+                        rls_obs::histogram!("procedure2.trial_cycles", base_cycles + shift_cycles);
+                        total_cycles += base_cycles + shift_cycles;
+                        pairs.push(SelectedPair {
+                            i,
+                            d1,
+                            newly_detected: newly,
+                            shift_cycles,
+                            limited_scan_units: derived
+                                .iter()
+                                .map(|t| t.limited_scan_units() as u64)
+                                .sum(),
+                            vector_units,
+                        });
+                        // Checkpoint after every accepted pair: the next
+                        // trial to run is `(i, pos + k + 1)`.
+                        record_checkpoint(campaign.as_deref_mut(), || ResumeState {
+                            iteration: i,
+                            d1_pos: pos + k + 1,
+                            in_iteration: true,
+                            improved: true,
+                            n_same_fc,
+                            total_cycles,
+                            live: exec.live().to_vec(),
+                            pairs: pairs.clone(),
+                            ..base.clone()
+                        });
                     }
                 }
-                if let Some(c) = campaign.as_deref_mut() {
-                    c.record_trial(TrialRecord {
-                        i,
-                        d1,
-                        tests: derived.len(),
-                        newly_detected: newly,
-                        kept: newly > 0,
-                        live_after: exec.live_count(),
-                        wall_nanos: trial_start.elapsed().as_nanos() as u64,
-                    });
-                }
-                if newly > 0 {
-                    improved = true;
-                    let shift_cycles = nsh(&derived);
-                    rls_obs::counter!("procedure2.pairs_kept", 1, i = i, d1 = u64::from(d1));
-                    rls_obs::histogram!("procedure2.trial_cycles", base_cycles + shift_cycles);
-                    total_cycles += base_cycles + shift_cycles;
-                    pairs.push(SelectedPair {
-                        i,
-                        d1,
-                        newly_detected: newly,
-                        shift_cycles,
-                        limited_scan_units: derived
-                            .iter()
-                            .map(|t| t.limited_scan_units() as u64)
-                            .sum(),
-                        vector_units,
-                    });
-                    // Checkpoint after every accepted pair: the next
-                    // trial to run is `(i, pos + 1)`.
-                    record_checkpoint(campaign.as_deref_mut(), || ResumeState {
-                        iteration: i,
-                        d1_pos: pos + 1,
-                        in_iteration: true,
-                        improved: true,
-                        n_same_fc,
-                        total_cycles,
-                        live: exec.undetected(),
-                        pairs: pairs.clone(),
-                        ..base.clone()
-                    });
-                }
+                pos = end;
             }
             if improved {
                 n_same_fc = 0;
@@ -451,9 +477,9 @@ impl<'c> Procedure2<'c> {
             total_detected,
             target_faults,
             total_cycles,
-            complete: exec.live_count() == 0,
+            complete: exec.live().is_empty(),
             iterations,
-            undetected: exec.undetected(),
+            undetected: exec.live().to_vec(),
         }
     }
 }
@@ -468,59 +494,63 @@ fn record_checkpoint(campaign: Option<&mut Campaign>, state: impl FnOnce() -> Re
     rls_obs::counter!("procedure2.checkpoints", 1);
 }
 
-/// How the driver simulates one test set against the remaining faults.
+/// How the driver simulates its trials against the remaining faults.
 ///
-/// The contract that keeps all implementations bit-identical: `apply_set`
-/// returns the number of *unique* faults the set newly detects out of the
-/// current live list, and drops them. Which test within the set detects a
-/// fault is bookkeeping-irrelevant (the union is invariant), which is
-/// exactly what lets the pool-backed executor reorder work freely.
+/// The contract that keeps all implementations bit-identical: a trial
+/// drops and counts the *unique* faults its set detects out of the live
+/// list as the trials before it left it. Which test within the set
+/// detects a fault is bookkeeping-irrelevant (the union is invariant),
+/// and so is how early a trial is simulated, as long as it is applied in
+/// order — which is what lets the pool-backed executor run a window's
+/// trials at once.
 pub(crate) trait TrialExecutor {
-    /// Number of currently undetected target faults.
-    fn live_count(&self) -> usize;
-    /// Simulates one test set, drops and counts newly detected faults.
-    fn apply_set(&mut self, tests: &[ScanTest]) -> usize;
-    /// The undetected faults, in live-list order.
-    fn undetected(&self) -> Vec<FaultId>;
+    /// The undetected target faults, in live-list order.
+    fn live(&self) -> &[FaultId];
+    /// How many trials one window holds.
+    fn window(&self) -> usize;
+    /// Starts a window of trials: every set after the first may be
+    /// simulated from now on, against the live list as it stands.
+    fn start_window(&mut self, sets: &[Vec<ScanTest>]);
+    /// Settles trial `k` of the current window — or, with `k = 0`, runs a
+    /// lone set such as `TS0` — dropping and counting its newly detected
+    /// faults. Trials are settled in window order.
+    fn apply_trial(&mut self, k: usize, tests: &[ScanTest]) -> usize;
     /// Restricts the live list to exactly `live` (checkpoint resume).
     fn restrict(&mut self, live: &[FaultId]);
     /// Whether the executor has permanently fallen back to the
     /// sequential path after unrecoverable job failures.
-    fn degraded(&self) -> bool {
-        false
-    }
+    fn degraded(&self) -> bool;
 }
 
 /// The one trial executor: a [`FaultSimulator`] owns the campaign's
-/// fault list, and an optional [`SharedSetRunner`] computes each set's
-/// detections on a pool.
+/// fault list, and an optional [`SharedSetRunner`] simulates all but the
+/// first trial of every window on a pool.
 ///
 /// Built from the compiled circuit, the run configuration, and, for a
 /// pooled run, the campaign's [`SharedPool`], so `observe` and
 /// [`CoverageTarget::Faults`] are applied here for every thread count.
-/// Without a runner a set runs through [`FaultSimulator::run_tests`];
-/// with one, the runner simulates the set against the simulator's live
-/// list and the simulator applies the detections it returns.
+/// Without a runner every window holds one trial, which runs through
+/// [`FaultSimulator::run_tests`]. With one, a window holds one trial
+/// more than the pool has workers: the first runs on the simulator while
+/// the runner simulates the others against the window-start live list,
+/// and the simulator applies their detections at their turn.
 ///
-/// If a set keeps failing through the pool's retry budget (a poisoned
-/// job), the executor *degrades*: it drops the runner and runs the failed
-/// set — which the runner left unapplied — and every later set on the
-/// simulator. The sequential path is the oracle the pool is tested
-/// against, so the outcome is unchanged; only the wall clock suffers.
+/// If a pool trial's job keeps failing through the retry budget (a
+/// poisoned job), the executor *degrades*: it runs that trial — which
+/// the runner left unapplied — on the simulator at its turn, and every
+/// later set there too. The sequential path is the oracle the pool is
+/// tested against, so the outcome is unchanged; only the wall clock
+/// suffers.
 pub(crate) struct CampaignExecutor {
     sim: FaultSimulator,
+    /// The pool's runner, kept after a degrade for its worker counters.
     runner: Option<SharedSetRunner>,
-    /// A degraded campaign's pool, kept for its worker counters.
-    retired: Option<SharedPool>,
-}
-
-impl std::fmt::Debug for CampaignExecutor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CampaignExecutor")
-            .field("pooled", &self.runner.is_some())
-            .field("degraded", &self.retired.is_some())
-            .finish_non_exhaustive()
-    }
+    degraded: bool,
+    /// The current window's pool trials, until the first of them is
+    /// settled.
+    submitted: Option<Submitted>,
+    /// The current window's pool results, in trial order.
+    pooled: std::vec::IntoIter<Result<Vec<FaultId>, SetFailure>>,
 }
 
 impl CampaignExecutor {
@@ -550,64 +580,90 @@ impl CampaignExecutor {
         CampaignExecutor {
             sim,
             runner,
-            retired: None,
+            degraded: false,
+            submitted: None,
+            pooled: Vec::new().into_iter(),
         }
     }
 
     /// The campaign's worker counters — the payload of the `workers`
-    /// record — or `None` for a run without a pool. After a degrade, the
-    /// lanes of the sets the simulator ran are folded in, so
-    /// `lanes_used`/`capacity` stay exact.
+    /// record — or `None` for a run without a pool. The lanes of the
+    /// sets the simulator ran on the caller thread are folded in, so
+    /// `lanes_used`/`capacity` cover the whole campaign.
     pub fn snapshot(&self) -> Option<PoolSnapshot> {
-        match (&self.runner, &self.retired) {
-            (Some(runner), _) => Some(runner.pool().snapshot()),
-            (None, Some(pool)) => Some(pool.snapshot().with_fallback_lanes(self.sim.lane_stats())),
-            (None, None) => None,
-        }
+        let mut snapshot = self.runner.as_ref()?.pool().snapshot();
+        let lanes = self.sim.lane_stats();
+        snapshot.caller = (!lanes.is_empty()).then_some(lanes);
+        Some(snapshot)
     }
 
-    /// Drops the runner: this and every later set runs on the simulator.
-    /// Detections are bit-identical because the simulator owns the same
-    /// live list the runner would have simulated against.
+    /// The runner, while the campaign has not degraded.
+    fn active(&self) -> Option<&SharedSetRunner> {
+        self.runner.as_ref().filter(|_| !self.degraded)
+    }
+
+    /// Stops using the pool: this and every later trial runs on the
+    /// simulator. Detections are bit-identical because the simulator owns
+    /// the live list every trial is applied to.
     pub fn force_degrade(&mut self) {
-        if let Some(runner) = self.runner.take() {
-            self.retired = Some(runner.into_pool());
+        self.degraded = self.runner.is_some();
+    }
+
+    /// Trial `k`'s detections from the pool, collecting the window's pool
+    /// trials at the first one's turn; `None` when trial `k` runs on the
+    /// simulator (the window's first, no pool, or its job failed — which
+    /// degrades the campaign).
+    fn pooled_result(&mut self, k: usize) -> Option<Vec<FaultId>> {
+        if k == 0 {
+            return None;
+        }
+        let runner = self.runner.as_ref().filter(|_| !self.degraded)?;
+        if let Some(submitted) = self.submitted.take() {
+            self.pooled = runner.collect_sets(submitted).into_iter();
+        }
+        match self.pooled.next()? {
+            Ok(newly) => Some(newly),
+            Err(e) => {
+                eprintln!(
+                    "[procedure2] parallel trial failed ({e}); \
+                     degrading campaign to the sequential simulator"
+                );
+                // The moment worth a post-mortem: mark it and dump the
+                // flight recorder's window.
+                rls_obs::mark!("dispatch.degrade");
+                if let Some(path) = rls_obs::recorder::dump("degrade") {
+                    eprintln!("[procedure2] flight-recorder dump: {}", path.display());
+                }
+                self.force_degrade();
+                None
+            }
         }
     }
 }
 
 impl TrialExecutor for CampaignExecutor {
-    fn live_count(&self) -> usize {
-        self.sim.live_count()
+    fn live(&self) -> &[FaultId] {
+        self.sim.live()
     }
 
-    fn apply_set(&mut self, tests: &[ScanTest]) -> usize {
-        if let Some(runner) = &self.runner {
-            match runner.try_run_set(self.sim.live(), tests) {
-                Ok(newly) => {
-                    self.sim.apply_detections(&newly);
-                    return newly.len();
-                }
-                Err(e) => {
-                    eprintln!(
-                        "[procedure2] parallel set execution failed ({e}); \
-                         degrading campaign to the sequential simulator"
-                    );
-                    // The moment worth a post-mortem: mark it and dump the
-                    // flight recorder's window.
-                    rls_obs::mark!("dispatch.degrade");
-                    if let Some(path) = rls_obs::recorder::dump("degrade") {
-                        eprintln!("[procedure2] flight-recorder dump: {}", path.display());
-                    }
-                    self.force_degrade();
-                }
+    fn window(&self) -> usize {
+        self.active().map_or(1, |r| r.pool().threads() + 1)
+    }
+
+    fn start_window(&mut self, sets: &[Vec<ScanTest>]) {
+        self.submitted = match (self.active(), sets.get(1..)) {
+            (Some(runner), Some(rest)) if !rest.is_empty() => {
+                Some(runner.submit(self.sim.live(), rest.to_vec()))
             }
-        }
-        self.sim.run_tests(tests)
+            _ => None,
+        };
     }
 
-    fn undetected(&self) -> Vec<FaultId> {
-        self.sim.live().to_vec()
+    fn apply_trial(&mut self, k: usize, tests: &[ScanTest]) -> usize {
+        match self.pooled_result(k) {
+            Some(newly) => self.sim.apply_detections(&newly),
+            None => self.sim.run_tests(tests),
+        }
     }
 
     fn restrict(&mut self, live: &[FaultId]) {
@@ -615,7 +671,7 @@ impl TrialExecutor for CampaignExecutor {
     }
 
     fn degraded(&self) -> bool {
-        self.retired.is_some()
+        self.degraded
     }
 }
 
@@ -831,28 +887,36 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Runs every set through `inner`, dropping its runner before set
-    /// `k`, and records the lanes each set cost the executor's own
-    /// simulator.
+    /// Runs every trial through `inner`, dropping its runner before trial
+    /// `k` (`TS0` counts as the first), and records the lanes each trial
+    /// cost the executor's own simulator.
     struct DegradeAt {
         inner: CampaignExecutor,
         k: usize,
-        sets: usize,
+        trials: usize,
         lanes: Vec<rls_fsim::LaneStats>,
     }
 
     impl TrialExecutor for DegradeAt {
-        fn live_count(&self) -> usize {
-            self.inner.live_count()
+        fn live(&self) -> &[FaultId] {
+            self.inner.live()
         }
 
-        fn apply_set(&mut self, tests: &[ScanTest]) -> usize {
-            if self.sets == self.k {
+        fn window(&self) -> usize {
+            self.inner.window()
+        }
+
+        fn start_window(&mut self, sets: &[Vec<ScanTest>]) {
+            self.inner.start_window(sets);
+        }
+
+        fn apply_trial(&mut self, k: usize, tests: &[ScanTest]) -> usize {
+            if self.trials == self.k {
                 self.inner.force_degrade();
             }
-            self.sets += 1;
+            self.trials += 1;
             let before = self.inner.sim.lane_stats();
-            let newly = self.inner.apply_set(tests);
+            let newly = self.inner.apply_trial(k, tests);
             let after = self.inner.sim.lane_stats();
             self.lanes.push(rls_fsim::LaneStats {
                 batches: after.batches - before.batches,
@@ -860,10 +924,6 @@ mod tests {
                 lanes_capacity: after.lanes_capacity - before.lanes_capacity,
             });
             newly
-        }
-
-        fn undetected(&self) -> Vec<FaultId> {
-            self.inner.undetected()
         }
 
         fn restrict(&mut self, live: &[FaultId]) {
@@ -876,11 +936,13 @@ mod tests {
     }
 
     #[test]
-    fn degrading_at_any_set_boundary_keeps_the_outcome() {
-        // A pooled campaign handed to its simulator after any number of
-        // sets, from none to all of them, finishes exactly as the
-        // sequential run does, and its workers record accounts for the
-        // lanes of the sets the simulator ran.
+    fn degrading_at_any_trial_boundary_keeps_the_outcome() {
+        // A pooled campaign handed to its simulator before any trial,
+        // from the first to past the last, finishes exactly as the
+        // sequential run does. Every trial the caller simulated costs it
+        // exactly the sequential run's lanes for that trial (it sees the
+        // same live list), the pool's trials cost it none, and the
+        // workers record accounts for the caller's lanes.
         for name in ["s27", "s208"] {
             let c = rls_benchmarks::by_name(name).unwrap();
             let mut cfg = RlsConfig::new(2, 3, 2);
@@ -891,7 +953,7 @@ mod tests {
             let mut oracle = DegradeAt {
                 inner: CampaignExecutor::new(&compiled, chains, &cfg, None),
                 k: usize::MAX,
-                sets: 0,
+                trials: 0,
                 lanes: Vec::new(),
             };
             let expect = procedure.drive(&mut oracle, None, None);
@@ -901,28 +963,30 @@ mod tests {
                 "{name}: the wrapper is transparent"
             );
             for threads in [2, 4] {
-                for k in 0..=oracle.sets {
+                for k in 0..=oracle.trials {
                     let mut exec = DegradeAt {
                         inner: CampaignExecutor::new(
                             &compiled,
                             chains,
                             &cfg,
-                            Some(SharedPool::new(threads)),
+                            Some(SharedPool::new(threads - 1)),
                         ),
                         k,
-                        sets: 0,
+                        trials: 0,
                         lanes: Vec::new(),
                     };
                     let got = procedure.drive(&mut exec, None, None);
-                    let at = format!("{name} x {threads} threads, degraded after {k} sets");
+                    let at = format!("{name} x {threads} threads, degraded before trial {k}");
                     assert_eq!(got, expect, "{at}");
-                    assert_eq!(exec.degraded(), k < oracle.sets, "{at}");
-                    let mut after = rls_fsim::LaneStats::default();
-                    for &lanes in &oracle.lanes[k..] {
-                        after += lanes;
+                    assert_eq!(exec.degraded(), k < oracle.trials, "{at}");
+                    assert_eq!(exec.trials, oracle.trials, "{at}");
+                    let mut caller = rls_fsim::LaneStats::default();
+                    for (t, (&got, &want)) in exec.lanes.iter().zip(&oracle.lanes).enumerate() {
+                        assert!(got == want || (t < k && got.is_empty()), "{at}, trial {t}");
+                        caller += got;
                     }
                     let snap = exec.inner.snapshot().expect("a pooled run has a snapshot");
-                    assert_eq!(snap.fallback.unwrap_or_default(), after, "{at}");
+                    assert_eq!(snap.caller.unwrap_or_default(), caller, "{at}");
                 }
             }
         }

@@ -246,13 +246,13 @@ impl Campaign {
             .str("type", "workers")
             .num("threads", snap.threads as u64)
             .raw("workers", &workers);
-        if let Some(f) = snap.fallback {
-            let fallback = JsonObject::new()
+        if let Some(f) = snap.caller {
+            let caller = JsonObject::new()
                 .num("batches", f.batches)
                 .num("lanes_used", f.lanes_used)
                 .num("lanes_capacity", f.lanes_capacity)
                 .render();
-            line = line.raw("fallback", &fallback);
+            line = line.raw("caller", &caller);
         }
         line.render()
     }

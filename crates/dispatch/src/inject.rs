@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the resilience test suite.
 //!
 //! Behind the `fault-inject` feature this module lets tests inject worker
-//! panics, delayed jobs, and IO errors at seeded points: the pool calls
+//! panics, scheduling perturbations, and IO errors at seeded points: the pool calls
 //! [`on_job_start`] before running every job, and campaign persistence
 //! calls [`on_io`] before every file operation. Injection decisions are a
 //! pure function of a global call counter and the armed `InjectionPlan`,
@@ -25,8 +25,6 @@ pub struct InjectionPlan {
     /// Always panic jobs carrying this tag — a "poisoned job" that
     /// exhausts the retry budget and forces the degrade path.
     pub poison_tag: Option<u64>,
-    /// Sleep `millis` at every `n`-th job start: `(n, millis)`.
-    pub delay_every: Option<(u64, u64)>,
     /// Fail every `n`-th campaign IO operation with `ErrorKind::Other`.
     pub io_error_every: Option<u64>,
     /// Perturb thread scheduling at every [`on_sched_point`] call, with
@@ -85,9 +83,8 @@ mod armed {
         FIRED.load(Ordering::Relaxed) // lint: ordering-ok(test-only telemetry counter; asserted after the campaign joins, never read mid-run)
     }
 
-    /// Pool hook: runs before every job. May panic or sleep.
+    /// Pool hook: runs before every job. May panic.
     pub fn on_job_start(tag: u64) {
-        let mut delay = None;
         let mut boom: Option<String> = None;
         {
             let mut st = STATE.lock().unwrap_or_else(PoisonError::into_inner);
@@ -100,20 +97,12 @@ mod armed {
             } else if state.plan.panic_every.is_some_and(|k| n % k == 0) {
                 FIRED.fetch_add(1, Ordering::Relaxed); // lint: ordering-ok(test-only telemetry counter; asserted after the campaign joins)
                 boom = Some(format!("injected panic: job call #{n}"));
-            } else if let Some((k, millis)) = state.plan.delay_every {
-                if n % k == 0 {
-                    FIRED.fetch_add(1, Ordering::Relaxed); // lint: ordering-ok(test-only telemetry counter; asserted after the campaign joins)
-                    delay = Some(millis);
-                }
             }
-            // Lock dropped before panicking or sleeping: a panic while
-            // holding it would poison every later hook call.
+            // Lock dropped before panicking: a panic while holding it
+            // would poison every later hook call.
         }
         if let Some(message) = boom {
             panic!("{message}"); // lint: panic-ok(the injected fault IS the panic; the supervisor under test must catch it)
-        }
-        if let Some(millis) = delay {
-            std::thread::sleep(std::time::Duration::from_millis(millis));
         }
     }
 

@@ -1,30 +1,25 @@
 //! Multi-threaded campaign execution for random limited-scan testing.
 //!
 //! Procedure 2 fault-simulates one derived test set per `(I, D1)` trial;
-//! on large circuits that inner loop dominates the wall clock. This crate
-//! shards those simulations across one persistent pool of worker threads —
-//! std-only (`std::thread`, mutex/condvar, atomics), no external
-//! dependencies — while keeping the result *bit-identical* to the
-//! sequential oracle.
+//! on large circuits that inner loop dominates the wall clock. The `D1`
+//! trials of one iteration all simulate against the same fault list, so
+//! whole trials are independent work. This crate runs them on one
+//! persistent pool of worker threads — std-only (`std::thread`,
+//! mutex/condvar, atomics), no external dependencies — while keeping the
+//! result *bit-identical* to the sequential oracle.
 //!
 //! # Architecture
 //!
 //! - [`shared`]: the [`SharedPool`] — one campaign's owned, supervised
-//!   workers on one FIFO queue — plus [`SharedSetRunner`], which
-//!   computes one test set's detections against a live list its caller
-//!   owns: it fans the set out as contiguous test-block jobs, each
-//!   running `rls_fsim`'s one tile walk, and reduces detections in
-//!   live-list order at the set barrier. The runner keeps no fault list;
-//!   `rls_core`'s executor keeps it in a `FaultSimulator` and applies
-//!   what the runner returns;
-//! - [`executor`]: the wave protocol underneath the runner — the
-//!   thread-sized [`test_blocks`] whose indices tag the jobs, the retry
-//!   budget, and [`SetFailure`];
+//!   workers on one FIFO queue — plus [`SharedSetRunner`], which hands
+//!   whole test sets to the pool as one tagged job each, every job
+//!   running `rls_fsim`'s one tile walk against the live list its caller
+//!   passed in, and collects each set's detections (with the retry waves
+//!   and [`SetFailure`]). The runner keeps no fault list; `rls_core`'s
+//!   executor keeps it in a `FaultSimulator` and applies what the runner
+//!   returns;
 //! - [`pool`]: per-worker atomic counters ([`WorkerCounters`]), their
-//!   [`PoolSnapshot`], and classified [`JobFailure`]s;
-//! - [`bitset`]: the [`AtomicBitset`] fault-drop state of one set —
-//!   workers publish detections with `fetch_or`, so a fault detected
-//!   anywhere is dropped everywhere mid-test-set;
+//!   [`PoolSnapshot`], and [`JobFailure`]s;
 //! - [`campaign`]: [`Campaign`] JSONL records — header, per-trial lines,
 //!   checkpoints, per-worker counters, summary — appended crash-safely
 //!   under `results/` through `rls_obs::jsonl`'s durable file and read
@@ -36,22 +31,23 @@
 //! # Resilience
 //!
 //! Workers are supervised: a panicking job is caught, recorded as a
-//! classified [`JobFailure`] under the tag it was submitted with, and the
-//! worker carries on. [`SharedSetRunner`] retries failed jobs for a
-//! bounded number of waves; if a job keeps failing, the caller drops the
-//! runner and runs the set, and every later one, on its own sequential
-//! `FaultSimulator` — the bit-identical oracle — rather than aborting.
+//! [`JobFailure`] under the tag it was submitted with, and the worker
+//! carries on. [`SharedSetRunner`] retries failed jobs for a
+//! bounded number of waves; if a set's job keeps failing, the caller runs
+//! that set on its own sequential `FaultSimulator` — the bit-identical
+//! oracle — and every later set there too, rather than aborting.
 //!
 //! # Determinism guarantee
 //!
-//! Within a set, detection of a fault by a test is independent of batch
-//! composition and scheduling (kernel lanes are independent), and the
-//! set's bitset is monotone, so the detected *set* at a barrier is the
-//! same union a sequential run computes. Reductions merge in live-list
-//! order; across sets the campaign is driven sequentially (the paper's
-//! greedy selection is order-sensitive by design). Hence `threads = N`
-//! yields byte-for-byte the same outcome as `threads = 1` — the
-//! sequential path is preserved as the oracle and CI asserts equality.
+//! A set's detections against a given live list depend only on the set
+//! and the list: kernel lanes are independent, and a job walks its whole
+//! set exactly as the sequential engine does. The caller applies the
+//! detections of a window's trials in `D1` order, ignoring faults an
+//! earlier trial already dropped, which is exactly the live list each
+//! trial sees when trials run one at a time (the paper's greedy selection
+//! is order-sensitive by design). Hence `threads = N` yields byte-for-byte
+//! the same outcome as `threads = 1` — the sequential path is preserved
+//! as the oracle and CI asserts equality.
 //!
 //! # Example
 //!
@@ -72,17 +68,13 @@
 //! assert_eq!(sim.detected(), &newly[..]);
 //! ```
 
-pub mod bitset;
 pub mod campaign;
 pub mod error;
-pub mod executor;
 pub mod inject;
 pub mod pool;
 pub mod shared;
 
-pub use bitset::AtomicBitset;
 pub use campaign::{Campaign, CampaignLog, CampaignSummary, TrialRecord};
 pub use error::DispatchError;
-pub use executor::{test_blocks, SetFailure};
-pub use pool::{FailureClass, JobFailure, PoolSnapshot, WorkerCounters, WorkerSnapshot};
-pub use shared::{SharedPool, SharedSetRunner};
+pub use pool::{JobFailure, PoolSnapshot, WorkerCounters, WorkerSnapshot};
+pub use shared::{SetFailure, SharedPool, SharedSetRunner, Submitted};

@@ -9,32 +9,15 @@
 //!   without stopping the pool;
 //! - [`PoolSnapshot`] / [`WorkerSnapshot`]: point-in-time copies of those
 //!   counters, the payload of the campaign `workers` record;
-//! - [`JobFailure`] / [`FailureClass`]: a caught job panic, recorded under
+//! - [`JobFailure`]: a caught job panic, recorded under
 //!   the tag the job was submitted with so the caller can retry exactly
-//!   the failed work (see `executor`) or degrade.
+//!   the failed work (see `shared`) or degrade.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// A coarse classification of why a job failed, derived from the panic
-/// payload. Used for reporting and post-mortem triage; recovery treats
-/// every class the same (retry, then degrade).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailureClass {
-    /// A deliberately injected fault (`fault-inject` feature).
-    Injected,
-    /// An assertion or invariant violation.
-    Assertion,
-    /// An out-of-bounds access.
-    OutOfBounds,
-    /// An arithmetic failure (overflow, divide by zero).
-    Arithmetic,
-    /// Anything else (including non-string panic payloads).
-    Other,
-}
-
-/// One job that panicked: which worker it was on, the tag it carried, the
-/// panic message, and a coarse classification.
+/// One job that failed: which worker it was on, the tag it carried, and
+/// the panic message.
 #[derive(Debug, Clone)]
 pub struct JobFailure {
     /// Worker index the job ran on.
@@ -43,23 +26,6 @@ pub struct JobFailure {
     pub tag: u64,
     /// The panic message (or a placeholder for non-string payloads).
     pub message: String,
-    /// Coarse classification of the failure.
-    pub class: FailureClass,
-}
-
-/// Classifies a panic message.
-pub(crate) fn classify(message: &str) -> FailureClass {
-    if message.contains("injected") {
-        FailureClass::Injected
-    } else if message.contains("out of bounds") || message.contains("out of range") {
-        FailureClass::OutOfBounds
-    } else if message.contains("overflow") || message.contains("divide by zero") {
-        FailureClass::Arithmetic
-    } else if message.contains("assert") || message.contains("expect") {
-        FailureClass::Assertion
-    } else {
-        FailureClass::Other
-    }
 }
 
 /// Extracts a readable message from a panic payload.
@@ -103,10 +69,10 @@ impl WorkerCounters {
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed); // lint: ordering-ok(observability counter; snapshots read after the pool idles, never mid-reduction)
     }
 
-    /// Records `n` faults this worker newly dropped (first detection).
+    /// Records `n` faults one of this worker's sets detected.
     #[inline]
-    pub fn add_dropped(&self, n: u64) {
-        self.faults_dropped.fetch_add(n, Ordering::Relaxed); // lint: ordering-ok(observability counter; the authoritative drop set lives in the bitset with Release publishes)
+    pub(crate) fn add_dropped(&self, n: u64) {
+        self.faults_dropped.fetch_add(n, Ordering::Relaxed); // lint: ordering-ok(observability counter; snapshots read after the pool idles, never mid-reduction)
     }
 
     /// Records one completed job.
@@ -142,7 +108,8 @@ pub struct WorkerSnapshot {
     pub jobs: u64,
     /// Kernel fault batches simulated.
     pub batches: u64,
-    /// Faults this worker was first to detect (and hence drop).
+    /// Faults the sets this worker ran detected against their submitted
+    /// live list (the caller drops those no earlier trial dropped).
     pub faults_dropped: u64,
     /// Nanoseconds spent in simulation work.
     pub sim_nanos: u64,
@@ -166,26 +133,16 @@ pub struct PoolSnapshot {
     /// Per-worker counters.
     pub workers: Vec<WorkerSnapshot>,
     /// Lane accounting of the sets the campaign's own simulator ran on the
-    /// caller thread after the campaign degraded (a set that kept failing
-    /// on the pool, or a forced degrade). `None` when the campaign never
-    /// degraded.
-    pub fallback: Option<rls_fsim::LaneStats>,
+    /// caller thread: `TS0`, the first trial of every window, and every
+    /// set after a degrade (a set that kept failing on the pool, or a
+    /// forced degrade). `None` when the caller simulated nothing.
+    pub caller: Option<rls_fsim::LaneStats>,
 }
 
 impl PoolSnapshot {
-    /// Attaches the lane accounting of the sets run on the caller thread
-    /// after a degrade, so totals stay exact after a poisoned set.
-    pub fn with_fallback_lanes(mut self, stats: rls_fsim::LaneStats) -> Self {
-        if !stats.is_empty() {
-            self.fallback = Some(stats);
-        }
-        self
-    }
-
-    /// Total kernel batches simulated across workers, including any
-    /// degrade-path fallback batches.
+    /// Total kernel batches simulated across workers and the caller.
     pub fn total_batches(&self) -> u64 {
-        self.workers.iter().map(|w| w.batches).sum::<u64>() + self.fallback.map_or(0, |f| f.batches)
+        self.workers.iter().map(|w| w.batches).sum::<u64>() + self.caller.map_or(0, |f| f.batches)
     }
 
     /// Total faults dropped across workers.
@@ -198,40 +155,15 @@ impl PoolSnapshot {
         self.workers.iter().map(|w| w.respawns).sum()
     }
 
-    /// Total occupied kernel lanes across workers, including any
-    /// degrade-path fallback lanes.
+    /// Total occupied kernel lanes across workers and the caller.
     pub fn total_lanes_used(&self) -> u64 {
         self.workers.iter().map(|w| w.lanes_used).sum::<u64>()
-            + self.fallback.map_or(0, |f| f.lanes_used)
+            + self.caller.map_or(0, |f| f.lanes_used)
     }
 
-    /// Total available kernel lanes across workers, including any
-    /// degrade-path fallback lanes.
+    /// Total available kernel lanes across workers and the caller.
     pub fn total_lanes_capacity(&self) -> u64 {
         self.workers.iter().map(|w| w.lanes_capacity).sum::<u64>()
-            + self.fallback.map_or(0, |f| f.lanes_capacity)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn failure_classification() {
-        assert_eq!(
-            classify("injected panic: job call #3"),
-            FailureClass::Injected
-        );
-        assert_eq!(
-            classify("index out of bounds: the len is 4"),
-            FailureClass::OutOfBounds
-        );
-        assert_eq!(
-            classify("attempt to add with overflow"),
-            FailureClass::Arithmetic
-        );
-        assert_eq!(classify("assertion failed: x > 0"), FailureClass::Assertion);
-        assert_eq!(classify("something else"), FailureClass::Other);
+            + self.caller.map_or(0, |f| f.lanes_capacity)
     }
 }

@@ -23,9 +23,9 @@ use crate::word::KernelWord;
 ///
 /// Unlike the `fsim.lanes_*` obs counters (emitted only when the obs
 /// layer is enabled), these totals are kept unconditionally: the pool's
-/// worker counters add up the walks of their jobs, and a campaign that
-/// degraded reports its simulator's totals, the sets run after the
-/// degrade, beside them in the `workers` record.
+/// worker counters add up the walks of their jobs, and a pooled campaign
+/// reports its own simulator's totals, the sets run on the caller
+/// thread, beside them in the `workers` record.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneStats {
     /// Kernel invocations.
@@ -112,9 +112,8 @@ impl CompiledCircuit {
 /// every pool job.
 ///
 /// Before each tile the walk keeps the faults of `live` that it has not
-/// reported yet and that `still_live` accepts (a pool job's view of what
-/// the set's other jobs dropped), and picks the tile's height from that
-/// count: [`fill_height`] over the [`compatible_run`] at the next test.
+/// reported yet, and picks the tile's height from that count:
+/// [`fill_height`] over the [`compatible_run`] at the next test.
 /// Each detected fault is passed to `detect` once, walking the tile's
 /// patterns in test order and each in `live` order: the order sequential
 /// per-test dropping produces, since whether a test detects a fault does
@@ -129,7 +128,6 @@ pub fn simulate_block(
     options: SimOptions,
     tests: &[ScanTest],
     live: &[FaultId],
-    still_live: impl Fn(FaultId) -> bool,
     mut detect: impl FnMut(FaultId),
 ) -> LaneStats {
     let universe = compiled.universe();
@@ -139,7 +137,7 @@ pub fn simulate_block(
     while next < tests.len() {
         let candidates: Vec<(FaultId, Fault)> = live
             .iter()
-            .filter(|&&id| !reported[id.index()] && still_live(id)) // lint: panic-ok(fault ids index their own universe, which sized the vector)
+            .filter(|&&id| !reported[id.index()]) // lint: panic-ok(fault ids index their own universe, which sized the vector)
             .map(|&id| (id, universe.fault(id)))
             .collect();
         if candidates.is_empty() {
@@ -360,14 +358,17 @@ impl FaultSimulator {
 
     /// Applies externally computed detections: drops the given faults from
     /// the live list and appends them (in the given order, each once) to
-    /// the detected list. Ids not currently live are ignored.
+    /// the detected list, and returns how many it dropped. Ids not
+    /// currently live are ignored.
     ///
-    /// This is the hand-off point for a pooled set: the `rls-dispatch`
-    /// runner computes the set's detections across threads against this
-    /// simulator's live list and reduces them deterministically.
-    pub fn apply_detections(&mut self, newly: &[FaultId]) {
+    /// This is the hand-off point for a pooled trial: an `rls-dispatch`
+    /// pool job computes a whole set's detections against the live list
+    /// as it stood when the trial's window started, and the campaign
+    /// applies them here in trial order, so faults an earlier trial of
+    /// the window already dropped are ignored.
+    pub fn apply_detections(&mut self, newly: &[FaultId]) -> usize {
         if newly.is_empty() {
-            return;
+            return 0;
         }
         let mut unclaimed: std::collections::HashSet<FaultId> = self.live.iter().copied().collect();
         let accepted: Vec<FaultId> = newly
@@ -376,6 +377,7 @@ impl FaultSimulator {
             .filter(|id| unclaimed.remove(id))
             .collect();
         self.drop_detected(&accepted);
+        accepted.len()
     }
 
     /// Drops `newly` (already in detection order and duplicate-free) from
@@ -403,7 +405,6 @@ impl FaultSimulator {
             self.options,
             tests,
             &self.live,
-            |_| true,
             |id| newly.push(id),
         );
         self.lane_stats += stats;

@@ -19,7 +19,8 @@ pub const SPANS: &[&str] = &[
     "procedure2.trial",   // one (I, D1) trial: simulate the derived set
     "procedure2.record",  // one trial's bookkeeping: gauge, degrade check, records, checkpoint
     "fsim.test",          // sequential engine: one test set against live faults
-    "dispatch.set",       // parallel executor: one fanned-out test set
+    "dispatch.submit",    // parallel executor: one window's pool trials handed to the pool
+    "dispatch.set",       // parallel executor: waiting for one window's pool trials
     "bench.table",        // one table binary run
     "bench.circuit",      // one circuit within a table run
     "atpg.classify",      // PODEM classification of one fault list
@@ -41,8 +42,8 @@ pub const COUNTERS: &[&str] = &[
     "fsim.tiles",              // SoA tile passes (a single test is a 1-tall tile)
     "dispatch.retry_waves",    // re-submission waves after job failures
     "dispatch.respawns",       // supervised worker replacements
-    "dispatch.faults_dropped", // faults dropped via the shared bitset
-    "dispatch.batches",        // batch jobs completed by the pool
+    "dispatch.faults_dropped", // faults pool trials detected against their window-start list
+    "dispatch.batches",        // kernel batches the pool's trial jobs ran
     "pool.worker.jobs",        // jobs executed, per worker
     "lint.findings",           // findings reported by an rls-lint run
     "sched.permutations",      // adversarial interleavings explored by the soak

@@ -1,8 +1,9 @@
 //! Parallel-execution determinism: Procedure 2 driven through the
 //! `rls-dispatch` worker pool must be bit-identical to the sequential
-//! oracle (`threads = 1`), because the per-set detection union is
-//! invariant under scheduling and the reduction merges detections in
-//! live-list (fault-id) order at a set barrier.
+//! oracle (`threads = 1`), because a set's detections against a given
+//! live list are invariant under scheduling, and each window's trials
+//! are applied in `D1` order, every one to the live list the trials
+//! before it left.
 //!
 //! These tests are the contract behind the `RLS_THREADS` knob: any table
 //! row may be produced with any thread count. (The kernel's word × tile
@@ -21,8 +22,9 @@ fn run_with_threads(
 
 #[test]
 fn s27_parallel_is_bit_identical_to_sequential() {
+    // Short tests leave TS0 incomplete, so trials run on the pool.
     let c = random_limited_scan::benchmarks::s27();
-    let cfg = RlsConfig::new(4, 8, 8);
+    let cfg = RlsConfig::new(2, 3, 2);
     let sequential = run_with_threads(&c, cfg.clone(), 1);
     let parallel = run_with_threads(&c, cfg, 4);
     assert_eq!(sequential, parallel);
@@ -31,7 +33,7 @@ fn s27_parallel_is_bit_identical_to_sequential() {
 #[test]
 fn synthetic_circuit_parallel_is_bit_identical_to_sequential() {
     // s208 is a profile-matched synthetic stand-in — larger state and
-    // fault list than s27, so the parallel path actually shards work.
+    // fault list than s27, so the pool runs real trials.
     let c = random_limited_scan::benchmarks::by_name("s208").expect("s208 exists");
     let mut cfg = RlsConfig::new(8, 16, 16);
     cfg.max_iterations = 6; // bound the greedy loop; equality is the point
@@ -84,8 +86,10 @@ fn obs_enabled_parallel_is_bit_identical_to_sequential() {
     let path = obs::install_standard(obs::SinkMode::Jsonl, &dir, 0xdead)
         .unwrap()
         .expect("jsonl mode returns the metrics path");
+    // Short tests leave s27's TS0 incomplete, so the campaign runs
+    // trials and the parallel run hands them to its pool.
     let c = random_limited_scan::benchmarks::s27();
-    let cfg = RlsConfig::new(4, 8, 8);
+    let cfg = RlsConfig::new(2, 3, 2);
     let sequential = run_with_threads(&c, cfg.clone(), 1);
     let parallel = run_with_threads(&c, cfg.clone(), 4);
     assert_eq!(sequential, parallel, "tracing must not perturb the outcome");
@@ -186,4 +190,88 @@ fn campaign_records_are_identical_across_threads() {
     );
     assert_eq!(records[0], records[1], "2 threads");
     assert_eq!(records[0], records[2], "4 threads");
+}
+
+#[test]
+fn a_trial_that_empties_the_live_list_ends_its_window() {
+    // Target the faults TS0 detects plus one fault that trial `p` of the
+    // first iteration detects and no earlier trial does: that trial
+    // empties the live list. At 2–4 threads it is a window's first trial
+    // (simulated on the caller) or one of its pool trials, often with
+    // trials left in its window; those must leave no record and the
+    // outcome must not move.
+    use random_limited_scan::core::{derive_test_set, generate_ts0, CoverageTarget};
+    use rls_fsim::FaultSimulator;
+    let c = random_limited_scan::benchmarks::by_name("s208").expect("s208 exists");
+    let cfg = RlsConfig::new(4, 8, 8);
+    let ts0 = generate_ts0(&c, &cfg);
+    let mut sim = FaultSimulator::new(&c);
+    sim.run_tests(&ts0);
+    let mut seen = std::collections::HashSet::new();
+    let mut cases = Vec::new();
+    for (p, d1) in (1..=cfg.d1_max).enumerate() {
+        let mut trial = FaultSimulator::new(&c);
+        trial.set_targets(sim.live());
+        trial.run_tests(&derive_test_set(&ts0, &cfg, 1, d1, cfg.d2(c.num_dffs())));
+        let new: Vec<_> = trial
+            .detected()
+            .iter()
+            .filter(|f| seen.insert(**f))
+            .collect();
+        if let Some(&&fault) = new.first() {
+            let targets = sim.detected().iter().copied().chain([fault]).collect();
+            cases.push((p, cfg.clone().with_target(CoverageTarget::Faults(targets))));
+        }
+    }
+    // Each run's outcome and its trial records, wall time cut off.
+    let run = |cfg: &RlsConfig, threads: usize| {
+        let dir = std::env::temp_dir().join(format!("rls-det-empties-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let at = cfg.clone().with_threads(threads).with_campaign_dir(&dir);
+        let outcome = Procedure2::new(&c, at).run();
+        let file = std::fs::read_dir(&dir)
+            .unwrap()
+            .next()
+            .unwrap()
+            .unwrap()
+            .path();
+        let text = std::fs::read_to_string(file).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let trials: Vec<String> = text
+            .lines()
+            .filter(|l| l.contains("\"type\":\"trial\""))
+            .map(|l| l.split(",\"wall_nanos\"").next().unwrap().to_string())
+            .collect();
+        (outcome, trials)
+    };
+    let (mut mid_window, mut pool_mid_window) = ([false; 5], [false; 5]);
+    for (p, cfg) in &cases {
+        let (expect, trials) = run(cfg, 1);
+        assert!(expect.complete, "position {p}");
+        assert_eq!(
+            trials.len(),
+            p + 1,
+            "position {p}: the last trial empties the list"
+        );
+        for threads in 2..=4 {
+            assert_eq!(
+                run(cfg, threads),
+                (expect.clone(), trials.clone()),
+                "{p} x {threads}"
+            );
+            if p % threads != threads - 1 {
+                mid_window[threads] = true;
+                pool_mid_window[threads] |= p % threads != 0;
+            }
+        }
+    }
+    assert!(
+        mid_window[2..].iter().all(|&m| m),
+        "every thread count sees the list empty before its window ends: {cases:?}"
+    );
+    // A window of two has one pool trial, always its last.
+    assert!(
+        pool_mid_window[3..].iter().all(|&m| m),
+        "a pool trial empties the list before its window ends"
+    );
 }

@@ -1,21 +1,25 @@
 //! Observability integration: the `rls-obs` layer wired through the
 //! dispatch pool and Procedure 2.
 //!
-//! Covers the job shape (a set is one job per thread-sized test block,
-//! visible in the pool's job counters) and the metric contract:
-//! every name emitted during a real parallel campaign is a registered
-//! lowercase dot-separated literal from `rls_obs::names`.
+//! Covers the job shape (a set is one pool job, visible in the pool's job
+//! counters), the metric contract (every name emitted during a real
+//! parallel campaign is a registered lowercase dot-separated literal from
+//! `rls_obs::names`), and the determinism of the work counters.
 //!
 //! Tests that install a collector serialize on `OBS_LOCK` — the collector
 //! slot is process-global.
 
 use std::sync::{Arc, Mutex};
 
-use random_limited_scan::core::{generate_ts0, RlsConfig};
-use random_limited_scan::dispatch::{test_blocks, SharedPool, SharedSetRunner};
+use std::collections::BTreeMap;
+
+use random_limited_scan::core::{derive_test_set, generate_ts0, Procedure2, RlsConfig};
+use random_limited_scan::dispatch::{SharedPool, SharedSetRunner};
 use random_limited_scan::obs;
 use random_limited_scan::obs::record::Event;
-use rls_fsim::{ChainMap, CompiledCircuit, FaultId, KernelWord, ScanTest, SimOptions};
+use rls_fsim::{
+    ChainMap, CompiledCircuit, FaultId, FaultSimulator, KernelWord, ScanTest, SimOptions,
+};
 use rls_netlist::Circuit;
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
@@ -43,42 +47,99 @@ fn run_one_set(c: &Circuit, tests: &[ScanTest], threads: usize) {
 }
 
 #[test]
-fn test_block_jobs_cut_submit_overhead_on_large_circuits() {
+fn one_job_per_set_cuts_submit_overhead_on_large_circuits() {
     // Serialized with the collector tests: a retiring campaign emits pool
     // metrics into whatever collector is installed.
     let _guard = OBS_LOCK
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    // A set is one wave of contiguous test-block jobs sized by the
-    // pool's threads alone: on s953, whose live list spans many
-    // kernel chunks, the job count is the block count, not tiles x fault
-    // chunks.
+    // A window's pool trials are one job per whole set, whatever the
+    // pool's width: on s953, whose live list spans many kernel chunks,
+    // the job count is the set count, not tiles x fault chunks, and each
+    // job reports what the sequential engine detects from the same list.
     let c = random_limited_scan::benchmarks::by_name("s953").expect("s953 exists");
     let cfg = RlsConfig::new(8, 16, 8);
-    let tests = generate_ts0(&c, &cfg);
+    let ts0 = generate_ts0(&c, &cfg);
+    let sets: Vec<Vec<ScanTest>> = std::iter::once(ts0.clone())
+        .chain((1..=3).map(|d1| derive_test_set(&ts0, &cfg, 1, d1, 10)))
+        .collect();
     for threads in [1, 2] {
         let (runner, live) = runner(&c, threads);
-        runner.try_run_set(&live, &tests).expect("no job fails");
-        let live = live.len();
+        let results = runner.collect_sets(runner.submit(&live, sets.clone()));
+        for (set, result) in sets.iter().zip(results) {
+            let mut sim = FaultSimulator::new(&c);
+            sim.run_tests(set);
+            let newly = result.expect("no job fails");
+            assert_eq!(newly, sim.detected(), "{threads} threads");
+        }
         let snap = runner.pool().snapshot();
         let jobs: u64 = snap.workers.iter().map(|w| w.jobs).sum();
-        let blocks = test_blocks(tests.len(), threads).len() as u64;
-        assert_eq!(jobs, blocks, "one job per test block at {threads} threads");
+        assert_eq!(
+            jobs,
+            sets.len() as u64,
+            "one job per set at {threads} threads"
+        );
         // Fixed 64-fault chunks of 1-tall tiles would need one job per
         // (test, chunk).
-        let fixed = (tests.len() * live.div_ceil(64)) as u64;
-        assert!(jobs < fixed, "{jobs} block jobs vs {fixed} fixed chunks");
+        let tests: usize = sets.iter().map(Vec::len).sum();
+        let fixed = (tests * live.len().div_ceil(64)) as u64;
+        assert!(jobs < fixed, "{jobs} set jobs vs {fixed} fixed chunks");
         // Each job split the live list into tile-capacity sub-batches,
         // each accounted at the full kernel word.
         assert!(
             snap.total_batches() > jobs,
-            "blocks run several kernel passes"
+            "sets run several kernel passes"
         );
         assert_eq!(
             snap.total_lanes_capacity(),
             snap.total_batches() * KernelWord::LANES as u64
         );
         assert!(snap.total_lanes_used() <= snap.total_lanes_capacity());
+    }
+}
+
+/// The work totals of one traced s208 campaign at `threads`: every
+/// `fsim.*` metric but the wall-time `fsim.test_nanos`, summed by name
+/// (`fsim.tile_height` sums its heights), and `dispatch.batches`.
+fn work_totals(threads: usize) -> BTreeMap<&'static str, u64> {
+    let sink = Arc::new(obs::MemorySink::new());
+    assert!(
+        obs::install(sink.clone() as Arc<dyn obs::Sink>),
+        "no other collector may be installed"
+    );
+    let c = random_limited_scan::benchmarks::by_name("s208").expect("s208 exists");
+    let mut cfg = RlsConfig::new(8, 16, 16);
+    cfg.max_iterations = 4;
+    Procedure2::new(&c, cfg.with_threads(threads)).run();
+    obs::finish().expect("the collector installed above");
+    let mut totals = BTreeMap::new();
+    for e in sink.take() {
+        if let Event::Metric(m) = e {
+            let work = m.name.starts_with("fsim.") && m.name != "fsim.test_nanos";
+            if work || m.name == "dispatch.batches" {
+                *totals.entry(m.name).or_default() += m.value;
+            }
+        }
+    }
+    totals
+}
+
+#[test]
+fn work_counters_are_identical_across_reruns() {
+    // Every trial simulates its whole set against a live list that
+    // depends only on the window it belongs to, never on timing, so a
+    // rerun at the same thread count does exactly the same kernel work.
+    let _guard = OBS_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    for threads in [2, 4] {
+        let first = work_totals(threads);
+        assert!(
+            first.get("dispatch.batches").is_some_and(|&n| n > 0),
+            "the pool ran trials at {threads} threads: {first:?}"
+        );
+        assert!(first.get("fsim.lanes_used").is_some_and(|&n| n > 0));
+        assert_eq!(first, work_totals(threads), "{threads} threads");
     }
 }
 

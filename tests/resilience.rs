@@ -3,9 +3,9 @@
 //!
 //! * worker panics mid-campaign are supervised away — the outcome stays
 //!   bit-identical to the sequential oracle;
-//! * a persistently failing chunk exhausts the retry budget and degrades
-//!   the campaign to the sequential executor, again without changing the
-//!   outcome;
+//! * a persistently failing pool trial exhausts the retry budget, runs on
+//!   the caller at its turn and degrades the campaign to the sequential
+//!   executor, again without changing the outcome;
 //! * killing a campaign at *any* checkpoint boundary (simulating
 //!   `kill -9`, including a torn final line) and resuming from the
 //!   surviving JSONL prefix converges to the identical final test set;
@@ -117,14 +117,15 @@ fn worker_panics_do_not_change_the_outcome() {
 }
 
 #[test]
-fn poisoned_chunk_degrades_to_sequential_with_identical_outcome() {
+fn poisoned_trial_degrades_to_sequential_with_identical_outcome() {
     let (c, cfg) = s27_cfg();
     let expected = {
         let _quiet = Armed::quiescent();
         oracle(&c, &cfg)
     };
-    // Tag 0 is the first test block of every simulated set: it fails
-    // all retries, exhausting the budget and forcing the degrade path.
+    // Tag 0 is the first pool trial of every window (the window's second
+    // trial): it fails all retries, exhausting the budget and forcing the
+    // degrade path.
     let armed = Armed::new(InjectionPlan {
         poison_tag: Some(0),
         ..InjectionPlan::default()
@@ -165,6 +166,11 @@ fn resume_from_every_checkpoint_boundary_converges() {
             "{name}: need the post-TS0 checkpoint plus at least one pair"
         );
 
+        // At 4 threads an iteration's trials run in windows of four from
+        // its first `D1` position (or from the resumed position), so a
+        // checkpoint whose next trial is not a window's first makes the
+        // resumed run window the rest of the iteration differently.
+        let mut mid_window = 0;
         for (k, &end) in boundaries.iter().enumerate() {
             // The kill can land anywhere after the checkpoint: exactly at
             // it, or mid-write of the next record (torn tail).
@@ -173,6 +179,13 @@ fn resume_from_every_checkpoint_boundary_converges() {
                 std::fs::write(&copy, format!("{}{tail}", lines[..=end].join("\n"))).unwrap();
                 let state = load_checkpoint(&copy)
                     .unwrap_or_else(|e| panic!("{name} boundary {k} ({variant}): {e}"));
+                if variant == "clean"
+                    && state.in_iteration
+                    && state.d1_pos % threads != 0
+                    && state.d1_pos < cfg.d1_max as usize
+                {
+                    mid_window += 1;
+                }
                 let resumed = Procedure2::new(&c, cfg.clone())
                     .resume(state)
                     .unwrap_or_else(|e| panic!("{name} boundary {k} ({variant}): {e}"));
@@ -182,6 +195,10 @@ fn resume_from_every_checkpoint_boundary_converges() {
                 );
             }
         }
+        assert!(
+            threads == 1 || mid_window > 0,
+            "{name}: no checkpoint falls in the middle of a window"
+        );
     }
 }
 
@@ -212,17 +229,18 @@ fn campaign_io_errors_degrade_persistence_but_never_the_run() {
 }
 
 #[test]
-fn degraded_campaign_records_exact_fallback_lane_accounting() {
-    // The workers record of a degraded campaign carries a `fallback`
-    // object with the *sequential* simulator's lane accounting. Pin its
-    // exactness: capacity is batches x the kernel word, and every pattern
-    // of a batch spends one lane on its fault-free reference machine
-    // (however tall the fill rule packs s27's ~32 target faults), so
-    // `lanes_used` must sit strictly below capacity — a regression to
-    // "used == capacity" (counting allocated instead of occupied lanes)
-    // trips this.
+fn degraded_campaign_records_exact_caller_lane_accounting() {
+    // The workers record of a degraded campaign carries a `caller`
+    // object with the lane accounting of the sets the campaign's own
+    // *sequential* simulator ran: TS0, every window's first trial, and
+    // everything after the degrade. Pin its exactness: capacity is
+    // batches x the kernel word, and every pattern of a batch spends one
+    // lane on its fault-free reference machine (however tall the fill
+    // rule packs s27's ~32 target faults), so `lanes_used` must sit
+    // strictly below capacity — a regression to "used == capacity"
+    // (counting allocated instead of occupied lanes) trips this.
     let (c, cfg) = s27_cfg();
-    let dir = scratch_dir("fallback-lanes");
+    let dir = scratch_dir("caller-lanes");
     let armed = Armed::new(InjectionPlan {
         poison_tag: Some(0),
         ..InjectionPlan::default()
@@ -238,17 +256,21 @@ fn degraded_campaign_records_exact_fallback_lane_accounting() {
         .next()
         .expect("one campaign file");
     let text = std::fs::read_to_string(file).unwrap();
+    assert!(
+        text.contains("\"type\":\"degrade\""),
+        "the poisoned pool trial degrades the campaign"
+    );
     let workers = text
         .lines()
         .find(|l| l.contains("\"type\":\"workers\""))
         .expect("degraded parallel campaign still writes a workers record");
     let v = rls_obs::jsonl::parse(workers).unwrap();
-    let fallback = v
-        .get("fallback")
-        .expect("degraded run records fallback lane stats");
-    let batches = fallback.u64_field("batches").unwrap();
-    let used = fallback.u64_field("lanes_used").unwrap();
-    let capacity = fallback.u64_field("lanes_capacity").unwrap();
+    let caller = v
+        .get("caller")
+        .expect("degraded run records the caller's lane stats");
+    let batches = caller.u64_field("batches").unwrap();
+    let used = caller.u64_field("lanes_used").unwrap();
+    let capacity = caller.u64_field("lanes_capacity").unwrap();
     assert!(batches > 0, "{workers}");
     let lanes = rls_fsim::KernelWord::LANES as u64;
     assert_eq!(

@@ -689,31 +689,39 @@ fn engine_matrix_matches_the_serial_reference_under_dropping() {
 
 #[test]
 fn dispatch_thread_matrix_matches_the_engine() {
-    // The pooled runner splits each set into thread-sized test blocks
-    // across the pool's workers; after every set its count and
-    // surviving live list must equal the serial drop-as-you-go
-    // reference's (which the engine matrix above pins the sequential
-    // engine to) at every thread count.
+    // The pooled runner simulates whole sets, one job each, against the
+    // live list of the window they belong to. Run every case's sets as
+    // one window — the first on the caller's simulator, the rest on the
+    // pool — and apply each pool set's detections in order: after every
+    // set the count and surviving live list must equal the serial
+    // drop-as-you-go reference's (which the engine matrix above pins the
+    // sequential engine to) at every pool width.
     for (label, c, chains, sets) in dropping_cases() {
         let serial = serial_dropping(&c, &chains, &sets);
         let compiled = CompiledCircuit::compile(c).expect("benchmarks are acyclic");
         let compiled = std::sync::Arc::new(compiled);
-        for threads in [1, 2, 4] {
+        for workers in [1, 2, 3] {
             let runner = SharedSetRunner::new(
                 compiled.clone(),
                 chains.clone(),
                 SimOptions::default(),
-                SharedPool::new(threads),
+                SharedPool::new(workers),
             );
             let mut sim = FaultSimulator::on(compiled.clone());
             sim.set_chains(chains.clone());
-            for (k, (set, (detected, live))) in sets.iter().zip(&serial).enumerate() {
-                let newly = runner.try_run_set(sim.live(), set).expect("no job fails");
-                sim.apply_detections(&newly);
+            let (first, rest) = sets.split_first().expect("every case has sets");
+            let submitted = runner.submit(sim.live(), rest.to_vec());
+            let mut counts = vec![sim.run_tests(first)];
+            let mut lives = vec![sim.live().to_vec()];
+            for result in runner.collect_sets(submitted) {
+                counts.push(sim.apply_detections(&result.expect("no job fails")));
+                lives.push(sim.live().to_vec());
+            }
+            for (k, (detected, live)) in serial.iter().enumerate() {
                 assert_eq!(
-                    (newly.len(), sim.live()),
+                    (counts[k], &lives[k][..]),
                     (detected.len(), &live[..]),
-                    "{label} set {k} x {threads} threads"
+                    "{label} set {k} x {workers} workers"
                 );
             }
         }

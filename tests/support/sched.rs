@@ -16,7 +16,8 @@
 //! fingerprinting the verdict stream — no timing luck involved), and
 //! rotates three scenarios over them:
 //!
-//! 1. a plain campaign wave (`SharedSetRunner` over the s27 sets);
+//! 1. a plain campaign window (the s27 sets: the first on the caller's
+//!    simulator, the others as whole-set `SharedSetRunner` jobs);
 //! 2. a campaign with seeded worker panics riding the requeue protocol;
 //! 3. a shutdown drain with jobs still queued.
 //!
@@ -122,18 +123,18 @@ pub fn campaign_bytes(counts: &[usize], live: &[FaultId]) -> Vec<u8> {
     format!("{counts:?}|{live:?}").into_bytes()
 }
 
-/// Runs `sets` through `runner` against a fresh simulator's live list,
-/// applying each set's detections the way a campaign does.
+/// Runs `sets` as one window against a fresh simulator, the way a
+/// campaign does: the first set on the caller's simulator while the pool
+/// simulates the others against the same live list, then each pool set's
+/// detections applied in order.
 fn run_campaign(runner: &SharedSetRunner, sets: &[Vec<ScanTest>]) -> Vec<u8> {
     let mut sim = FaultSimulator::on(compiled_s27());
-    let counts: Vec<usize> = sets
-        .iter()
-        .map(|set| {
-            let newly = runner.try_run_set(sim.live(), set).expect("waves settle");
-            sim.apply_detections(&newly);
-            newly.len()
-        })
-        .collect();
+    let (first, rest) = sets.split_first().expect("a window holds a set");
+    let submitted = runner.submit(sim.live(), rest.to_vec());
+    let mut counts = vec![sim.run_tests(first)];
+    for result in runner.collect_sets(submitted) {
+        counts.push(sim.apply_detections(&result.expect("waves settle")));
+    }
     campaign_bytes(&counts, sim.live())
 }
 
@@ -150,8 +151,8 @@ fn s27_runner(threads: usize) -> SharedSetRunner {
     )
 }
 
-/// Scenario 1: one campaign, one pool, seeded schedule noise.
-fn plain_wave(seed: u64) {
+/// Scenario 1: one campaign window, one pool, seeded schedule noise.
+fn plain_window(seed: u64) {
     let _armed = Armed::new(InjectionPlan {
         sched_seed: Some(seed),
         ..InjectionPlan::default()
@@ -162,7 +163,7 @@ fn plain_wave(seed: u64) {
     assert_eq!(
         run_campaign(&runner, &sets),
         want,
-        "plain wave, seed {seed:#x}"
+        "plain window, seed {seed:#x}"
     );
     drop(runner);
     assert!(
@@ -173,8 +174,8 @@ fn plain_wave(seed: u64) {
 
 /// Scenario 2: schedule noise *plus* seeded worker panics — the requeue
 /// waves must re-run exactly the failed tags and still converge on the
-/// oracle bytes. The three s27 sets are four test-block jobs in all, so
-/// every second job panics.
+/// oracle bytes. The window's two pool sets are two jobs, so the second
+/// panics and its retry runs.
 fn requeue_under_noise(seed: u64) {
     let _armed = Armed::new(InjectionPlan {
         sched_seed: Some(seed),
@@ -258,7 +259,7 @@ pub fn soak(ci_seed: u64, runs: usize) -> usize {
     );
     for (i, &seed) in seeds.iter().enumerate() {
         match i % 3 {
-            0 => plain_wave(seed),
+            0 => plain_window(seed),
             1 => requeue_under_noise(seed),
             _ => shutdown_drain(seed),
         }
