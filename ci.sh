@@ -66,25 +66,39 @@ echo "== fsim: thread matrix =="
 # 45-cell grid; the ablations binary adds the FreeRunning schedules,
 # whose tiles are 1 tall. The kernel-shape axis (fixed tile heights
 # 1/2/3/4/8 x fault-chunk lengths on the one kernel word) lives in the
-# soa oracle below. table4 and ablations are also the committed files.
+# soa oracle below. table3 (default s208) pins the Table 3 grid path —
+# TS0 generation, derived sets and the kernel's stimulus mixing — and,
+# with table4 and ablations, is a committed file.
+#
+# table3 and table6 also write their campaign files: a record holds only
+# what code, circuit, configuration and seed decide, so the directories
+# of every thread count and of a rerun match in names and bytes.
 THREAD_DIR=$(mktemp -d)
-for t in 1 2 4; do
-    RLS_THREADS=$t \
+for run in t1 t2 t4 t1-again; do
+    t=${run:1:1}
+    mkdir -p "$THREAD_DIR/$run/table3" "$THREAD_DIR/$run/table6"
+    RLS_THREADS=$t RLS_CAMPAIGN_DIR="$THREAD_DIR/$run/table6" \
         cargo run -q --release --offline -p rls-bench --bin table6 -- s27 s208 \
-        > "$THREAD_DIR/t$t.out" 2> /dev/null
+        > "$THREAD_DIR/table6-$run.out" 2> /dev/null
+    cmp "$THREAD_DIR/table6-t1.out" "$THREAD_DIR/table6-$run.out"
+    RLS_THREADS=$t RLS_CAMPAIGN_DIR="$THREAD_DIR/$run/table3" ./target/release/table3 \
+        > "$THREAD_DIR/table3-$run.out" 2> /dev/null
+    cmp "$THREAD_DIR/table3-$run.out" results/table3.txt
+done
+for run in t2 t4 t1-again; do
+    diff -r "$THREAD_DIR/t1" "$THREAD_DIR/$run"
+done
+[ -n "$(ls "$THREAD_DIR/t1/table3")" ]
+[ -n "$(ls "$THREAD_DIR/t1/table6")" ]
+for t in 1 2 4; do
     for bin in table4 ablations; do
         RLS_THREADS=$t ./target/release/$bin > "$THREAD_DIR/$bin-t$t.out" 2> /dev/null
         cmp "$THREAD_DIR/$bin-t$t.out" "results/$bin.txt"
     done
 done
-for t in 2 4; do
-    cmp "$THREAD_DIR/t1.out" "$THREAD_DIR/t$t.out"
-done
-# The campaign records themselves are compared across 1/2/4 threads by
-# tests/determinism.rs (campaign_records_are_identical_across_threads).
 rm -rf "$THREAD_DIR"
 
-echo "== results: committed extension, Table 3 and Table 5 output =="
+echo "== results: committed extension and Table 5 output =="
 # partial_scan and multichain run Procedure 2 on a partial-scan chain and
 # on multiple short chains; their committed tables pin that one flow byte
 # for byte, beside table5's closed-form ranking. table1 pins the serial
@@ -93,19 +107,13 @@ echo "== results: committed extension, Table 3 and Table 5 output =="
 # table5 argument that is not an N_SV value, or a table6 argument that
 # names no circuit, must print the usage line and exit 2, not panic; an
 # RLS_MAX_TRIES that is not a positive integer must exit 2 with an [exec]
-# message. table3 (default s208) pins the Table 3 grid path — TS0
-# generation, derived sets and the kernel's stimulus mixing — at 1 and 2
-# threads; table7 and baselines pin the decreasing-D1 ladder and the
+# message. table7 and baselines pin the decreasing-D1 ladder and the
 # baseline schemes.
 RESULTS_DIR=$(mktemp -d)
 for bin in partial_scan multichain table5 table1 at_speed; do
     cargo run -q --release --offline -p rls-bench --bin "$bin" \
         > "$RESULTS_DIR/$bin.txt" 2> /dev/null
     cmp "$RESULTS_DIR/$bin.txt" "results/$bin.txt"
-done
-for t in 1 2; do
-    RLS_THREADS=$t ./target/release/table3 > "$RESULTS_DIR/table3-t$t.txt" 2> /dev/null
-    cmp "$RESULTS_DIR/table3-t$t.txt" results/table3.txt
 done
 # The cheap multi-circuit files, with the argument lists
 # results/README.md records for them.
@@ -173,7 +181,7 @@ grep -q 's27' "$OBS_DIR/table6.out"
 # Every durable file was published whole: no hidden temp file is left,
 # and the run's campaign record reads back through rls-report.
 [ -z "$(find "$OBS_DIR" -name '.*.tmp')" ]
-CAMPAIGN_FILES=("$OBS_DIR"/campaign-s27-2t-*.jsonl)
+CAMPAIGN_FILES=("$OBS_DIR"/campaign-s27-*.jsonl)
 CAMPAIGN_FILE=${CAMPAIGN_FILES[0]}
 [ -f "$CAMPAIGN_FILE" ]
 cargo run -q --release --offline -p rls-bench --bin rls-report -- \

@@ -11,8 +11,9 @@
 //!
 //! With two campaign records (written by the table binaries under
 //! `RLS_CAMPAIGN_DIR`), prints a side-by-side table of the headline
-//! metrics (fault coverage, accepted pairs, cycle and wall-clock cost,
-//! worker counters) and the coverage curve divergence point.
+//! metrics (fault coverage, accepted pairs, trials, cycle cost) and the
+//! coverage curve divergence point. Campaign records hold no wall time;
+//! compare two obs streams for that.
 //!
 //! With two obs metrics streams (written by `RLS_OBS=1`, named
 //! `obs-<run_id>.jsonl`), prints a per-phase wall-time breakdown — every
@@ -58,7 +59,6 @@ use rls_dispatch::CampaignLog;
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct CampaignStats {
     circuit: String,
-    threads: u64,
     ts0_detected: u64,
     detected: u64,
     target_faults: u64,
@@ -66,11 +66,8 @@ struct CampaignStats {
     total_cycles: u64,
     complete: bool,
     iterations: u64,
-    wall_nanos: u64,
     trials: u64,
     kept: u64,
-    respawns: u64,
-    faults_dropped: u64,
     /// Cumulative detected count after each *kept* trial (the coverage
     /// curve of Procedure 2, excluding TS0).
     curve: Vec<u64>,
@@ -98,19 +95,8 @@ fn stats_from(log: &CampaignLog) -> Result<CampaignStats, String> {
             curve.push(cumulative);
         }
     }
-    let mut respawns = 0;
-    let mut faults_dropped = 0;
-    for w in log.of_type("workers") {
-        if let Some(items) = w.get("workers").and_then(|v| v.as_array()) {
-            for worker in items {
-                respawns += worker.u64_field("respawns").unwrap_or(0);
-                faults_dropped += worker.u64_field("faults_dropped").unwrap_or(0);
-            }
-        }
-    }
     Ok(CampaignStats {
         circuit: header.str_field("circuit").unwrap_or("?").to_string(),
-        threads: header.u64_field("threads").unwrap_or(1),
         ts0_detected,
         detected: summary.u64_field("detected").unwrap_or(0),
         target_faults: summary.u64_field("target_faults").unwrap_or(0),
@@ -118,11 +104,8 @@ fn stats_from(log: &CampaignLog) -> Result<CampaignStats, String> {
         total_cycles: summary.u64_field("total_cycles").unwrap_or(0),
         complete: summary.bool_field("complete").unwrap_or(false),
         iterations: summary.u64_field("iterations").unwrap_or(0),
-        wall_nanos: summary.u64_field("wall_nanos").unwrap_or(0),
         trials,
         kept,
-        respawns,
-        faults_dropped,
         curve,
     })
 }
@@ -210,11 +193,6 @@ fn render(base: &CampaignStats, cand: &CampaignStats) -> String {
     let mut t = TextTable::new(vec!["metric", "baseline", "candidate"]);
     let mut row = |m: &str, a: String, b: String| t.row(vec![m.to_string(), a, b]);
     row("circuit", base.circuit.clone(), cand.circuit.clone());
-    row(
-        "threads",
-        base.threads.to_string(),
-        cand.threads.to_string(),
-    );
     let cov = |s: &CampaignStats| format!("{}/{}", s.detected, s.target_faults);
     row("detected/target", cov(base), cov(cand));
     row(
@@ -235,21 +213,6 @@ fn render(base: &CampaignStats, cand: &CampaignStats) -> String {
         "total cycles",
         base.total_cycles.to_string(),
         cand.total_cycles.to_string(),
-    );
-    row(
-        "wall time",
-        millis(base.wall_nanos),
-        millis(cand.wall_nanos),
-    );
-    row(
-        "worker respawns",
-        base.respawns.to_string(),
-        cand.respawns.to_string(),
-    );
-    row(
-        "faults dropped",
-        base.faults_dropped.to_string(),
-        cand.faults_dropped.to_string(),
     );
     let mut out = t.render();
     match curve_divergence(&base.curve, &cand.curve) {
@@ -749,16 +712,16 @@ mod tests {
 
     fn sample(detected: u64, complete: bool, kept_newly: &[u64]) -> Vec<String> {
         let mut lines = vec![
-            r#"{"type":"campaign","circuit":"s27","threads":4}"#.to_string(),
-            r#"{"type":"initial","ts0_tests":16,"ts0_detected":28,"ts0_wall_nanos":10}"#.into(),
+            r#"{"type":"campaign","circuit":"s27"}"#.to_string(),
+            r#"{"type":"initial","ts0_tests":16,"ts0_detected":28}"#.into(),
         ];
         for (i, n) in kept_newly.iter().enumerate() {
             lines.push(format!(
-                r#"{{"type":"trial","i":{i},"d1":4,"tests":32,"newly_detected":{n},"kept":true,"live_after":0,"wall_nanos":5}}"#
+                r#"{{"type":"trial","i":{i},"d1":4,"tests":32,"newly_detected":{n},"kept":true,"live_after":0}}"#
             ));
         }
         lines.push(format!(
-            r#"{{"type":"summary","detected":{detected},"target_faults":32,"pairs":{},"total_cycles":900,"complete":{complete},"iterations":3,"wall_nanos":123456789}}"#,
+            r#"{{"type":"summary","detected":{detected},"target_faults":32,"pairs":{},"total_cycles":900,"complete":{complete},"iterations":3}}"#,
             kept_newly.len(),
         ));
         lines
@@ -810,10 +773,7 @@ mod tests {
     #[test]
     fn unreadable_and_summaryless_files_are_errors() {
         assert!(load(Path::new("/nonexistent/x.jsonl")).is_err());
-        let path = write_log(
-            "nosummary",
-            &[r#"{"type":"campaign","circuit":"s27","threads":1}"#],
-        );
+        let path = write_log("nosummary", &[r#"{"type":"campaign","circuit":"s27"}"#]);
         let err = load(&path).unwrap_err();
         assert!(err.contains("summary"), "{err}");
     }

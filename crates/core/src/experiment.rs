@@ -80,7 +80,7 @@ impl ExecProfile {
                 return Err(ConfigError::InvalidEnv {
                     var: "RLS_RESUME",
                     value: v,
-                    expected: "a campaign record path such as `results/campaign-s27-4t-17.jsonl`",
+                    expected: "a campaign record path such as `results/campaign-s27-b6a30d270ab73b98-r0.jsonl`",
                 })
             }
             Some(v) => Some(PathBuf::from(v)),

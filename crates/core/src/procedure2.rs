@@ -30,15 +30,13 @@
 //! live list it sees when trials run one at a time. With `threads = 1`
 //! every window holds one trial and there is no pool; `TS0` is always a
 //! window of one. Both produce bit-identical [`Procedure2Outcome`]s.
-//! With `campaign_dir` set, a JSONL campaign record (per-trial lines,
-//! per-worker counters) is persisted.
+//! With `campaign_dir` set, a JSONL campaign record (per-trial lines and
+//! resume checkpoints, the same bytes at every thread count) is persisted.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use rls_dispatch::{
-    Campaign, CampaignSummary, PoolSnapshot, SetFailure, SharedPool, SharedSetRunner, Submitted,
-    TrialRecord,
+    Campaign, CampaignSummary, SetFailure, SharedPool, SharedSetRunner, Submitted, TrialRecord,
 };
 use rls_fsim::{ChainMap, CompiledCircuit, FaultId, FaultSimulator, ScanTest};
 use rls_netlist::Circuit;
@@ -188,7 +186,7 @@ impl<'c> Procedure2<'c> {
             threads = threads as u64,
             resumed = resume.is_some()
         );
-        let mut campaign = self.make_campaign(threads, resume.as_ref());
+        let mut campaign = self.make_campaign(resume.as_ref());
         let compiled = match CompiledCircuit::compile(self.circuit.clone()) {
             Ok(compiled) => Arc::new(compiled),
             // lint: panic-ok(FaultSimulator::new panics on the same cyclic input; one contract for every thread count)
@@ -199,11 +197,6 @@ impl<'c> Procedure2<'c> {
         let pool = (threads > 1).then(|| SharedPool::new(threads - 1));
         let mut exec = CampaignExecutor::new(&compiled, &self.chains, &self.cfg, pool);
         let outcome = self.drive(&mut exec, campaign.as_mut(), resume);
-        if let Some(campaign) = campaign.as_mut() {
-            if let Some(snapshot) = exec.snapshot() {
-                campaign.record_workers(snapshot);
-            }
-        }
         // Retire the pool: its workers join and it emits its metrics.
         drop(exec);
         if let Some(campaign) = campaign.as_mut() {
@@ -222,29 +215,25 @@ impl<'c> Procedure2<'c> {
         outcome
     }
 
-    /// Builds the campaign sink: append to the resume source if there is
-    /// one, else create a fresh file under `campaign_dir`, else record in
-    /// memory only. Persistence trouble degrades to in-memory recording.
-    fn make_campaign(&self, threads: usize, resume: Option<&ResumeState>) -> Option<Campaign> {
+    /// Opens the campaign file: append to the resume source if there is
+    /// one, else create a fresh file under `campaign_dir`. A file that
+    /// cannot be opened is reported, and the run records nothing.
+    fn make_campaign(&self, resume: Option<&ResumeState>) -> Option<Campaign> {
         let name = self.circuit.name();
-        if let Some(source) = resume.and_then(|s| s.source.as_deref()) {
-            return Some(match Campaign::append_to(source, name, threads) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("[procedure2] cannot append to campaign file: {e}");
-                    Campaign::new(name, threads)
-                }
-            });
-        }
-        let dir = self.cfg.campaign_dir.as_ref()?;
-        let print = self.fingerprint();
-        Some(match Campaign::create(dir, name, threads, print) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("[procedure2] cannot create campaign file: {e}");
-                Campaign::new(name, threads)
+        let opened = match resume.and_then(|s| s.source.as_deref()) {
+            Some(source) => Campaign::append_to(source, name).map_err(|e| ("append to", e)),
+            None => {
+                let dir = self.cfg.campaign_dir.as_ref()?;
+                Campaign::create(dir, name, self.fingerprint()).map_err(|e| ("create", e))
             }
-        })
+        };
+        match opened {
+            Ok(campaign) => Some(campaign),
+            Err((what, e)) => {
+                eprintln!("[procedure2] cannot {what} campaign file: {e}");
+                None
+            }
+        }
     }
 
     /// The greedy selection loop, generic over how a set is simulated.
@@ -315,15 +304,10 @@ impl<'c> Procedure2<'c> {
         } else {
             base.target_faults = exec.live().len();
             let ts0_span = rls_obs::span!("procedure2.ts0", tests = ts0.len());
-            let ts0_start = Instant::now(); // lint: det-ok(wall time is campaign-record metadata; selection never reads it)
             base.initial_detected = exec.apply_trial(0, &ts0);
             drop(ts0_span);
             if let Some(c) = campaign.as_deref_mut() {
-                c.record_initial(
-                    ts0.len(),
-                    base.initial_detected,
-                    ts0_start.elapsed().as_nanos() as u64,
-                );
+                c.record_initial(ts0.len(), base.initial_detected);
             }
             // First checkpoint: the post-TS0 state.
             record_checkpoint(campaign.as_deref_mut(), || ResumeState {
@@ -386,7 +370,6 @@ impl<'c> Procedure2<'c> {
                     }
                     let trial_span = rls_obs::span!("procedure2.trial", i = i, d1 = u64::from(d1));
                     rls_obs::counter!("procedure2.trials", 1);
-                    let trial_start = Instant::now(); // lint: det-ok(wall time is campaign-record metadata; selection never reads it)
                     let newly = exec.apply_trial(k, derived);
                     drop(trial_span);
                     // The trial's bookkeeping: coverage gauge, degrade
@@ -404,13 +387,7 @@ impl<'c> Procedure2<'c> {
                         degrade_logged = true;
                         rls_obs::counter!("procedure2.degrades", 1, i = i, d1 = u64::from(d1));
                         if let Some(c) = campaign.as_deref_mut() {
-                            c.record_raw(
-                                &rls_obs::jsonl::JsonObject::new()
-                                    .str("type", "degrade")
-                                    .num("i", i)
-                                    .num("d1", u64::from(d1))
-                                    .render(),
-                            );
+                            c.record_degrade(i, d1);
                         }
                     }
                     if let Some(c) = campaign.as_deref_mut() {
@@ -421,7 +398,6 @@ impl<'c> Procedure2<'c> {
                             newly_detected: newly,
                             kept: newly > 0,
                             live_after: exec.live().len(),
-                            wall_nanos: trial_start.elapsed().as_nanos() as u64,
                         });
                     }
                     if newly > 0 {
@@ -484,13 +460,14 @@ impl<'c> Procedure2<'c> {
     }
 }
 
-/// Appends the checkpoint `state` builds to the campaign file, when the
-/// run has one (the state is not built otherwise).
+/// Appends the checkpoint `state` builds, with the records before it, to
+/// the campaign file, when the run has one (the state is not built
+/// otherwise).
 fn record_checkpoint(campaign: Option<&mut Campaign>, state: impl FnOnce() -> ResumeState) {
     let Some(c) = campaign.filter(|c| c.has_sink()) else {
         return;
     };
-    c.record_raw(&state().render());
+    c.record_checkpoint(state().render());
     rls_obs::counter!("procedure2.checkpoints", 1);
 }
 
@@ -543,7 +520,8 @@ pub(crate) trait TrialExecutor {
 /// suffers.
 pub(crate) struct CampaignExecutor {
     sim: FaultSimulator,
-    /// The pool's runner, kept after a degrade for its worker counters.
+    /// The pool's runner, kept after a degrade so that the pool retires,
+    /// and emits its metrics, with the executor.
     runner: Option<SharedSetRunner>,
     degraded: bool,
     /// The current window's pool trials, until the first of them is
@@ -584,17 +562,6 @@ impl CampaignExecutor {
             submitted: None,
             pooled: Vec::new().into_iter(),
         }
-    }
-
-    /// The campaign's worker counters — the payload of the `workers`
-    /// record — or `None` for a run without a pool. The lanes of the
-    /// sets the simulator ran on the caller thread are folded in, so
-    /// `lanes_used`/`capacity` cover the whole campaign.
-    pub fn snapshot(&self) -> Option<PoolSnapshot> {
-        let mut snapshot = self.runner.as_ref()?.pool().snapshot();
-        let lanes = self.sim.lane_stats();
-        snapshot.caller = (!lanes.is_empty()).then_some(lanes);
-        Some(snapshot)
     }
 
     /// The runner, while the campaign has not degraded.
@@ -941,8 +908,10 @@ mod tests {
         // from the first to past the last, finishes exactly as the
         // sequential run does. Every trial the caller simulated costs it
         // exactly the sequential run's lanes for that trial (it sees the
-        // same live list), the pool's trials cost it none, and the
-        // workers record accounts for the caller's lanes.
+        // same live list), the pool's trials cost it none, and its
+        // simulator's lane accounting is exactly the sum of those trials:
+        // capacity is batches x the kernel word, and reference lanes keep
+        // the lanes used below it.
         for name in ["s27", "s208"] {
             let c = rls_benchmarks::by_name(name).unwrap();
             let mut cfg = RlsConfig::new(2, 3, 2);
@@ -985,8 +954,17 @@ mod tests {
                         assert!(got == want || (t < k && got.is_empty()), "{at}, trial {t}");
                         caller += got;
                     }
-                    let snap = exec.inner.snapshot().expect("a pooled run has a snapshot");
-                    assert_eq!(snap.caller.unwrap_or_default(), caller, "{at}");
+                    let lanes = exec.inner.sim.lane_stats();
+                    assert_eq!(lanes, caller, "{at}");
+                    assert_eq!(
+                        lanes.lanes_capacity,
+                        lanes.batches * rls_fsim::KernelWord::LANES as u64,
+                        "{at}"
+                    );
+                    assert!(
+                        0 < lanes.lanes_used && lanes.lanes_used < lanes.lanes_capacity,
+                        "{at}"
+                    );
                 }
             }
         }

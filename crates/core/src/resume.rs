@@ -16,8 +16,9 @@
 //! # Format
 //!
 //! Checkpoints are `{"type":"checkpoint",...}` lines appended to the
-//! campaign JSONL file itself (crash-safe, one fsynced line per record —
-//! see `rls_dispatch::campaign`), so `--resume <campaign.jsonl>` needs no
+//! campaign JSONL file itself (crash-safe: each checkpoint is written and
+//! fsynced together with the records before it — see
+//! `rls_dispatch::campaign`), so `--resume <campaign.jsonl>` needs no
 //! side file: [`load_checkpoint`] takes the *last* intact checkpoint line
 //! and ignores a torn tail. A [`fingerprint`] of the trajectory-relevant
 //! configuration (everything except `threads`/`campaign_dir`, which do
@@ -277,7 +278,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Loads the last intact checkpoint from a campaign JSONL file.
 ///
 /// Tolerates a torn final line (the crash-safety contract guarantees at
-/// most one); rejects files with no checkpoint at all. The returned
+/// most one); rejects files with no checkpoint at all. A resumed
+/// campaign cuts the file back to the end of this checkpoint before it
+/// appends (`rls_dispatch::Campaign::append_to`). The returned
 /// state's `source` is set to `path`, so a resumed campaign appends to
 /// the same file.
 pub fn load_checkpoint(path: &Path) -> Result<ResumeState, ResumeError> {
@@ -406,7 +409,7 @@ mod tests {
         early.iteration = 1;
         let late = sample_state();
         let mut text = String::new();
-        text.push_str("{\"type\":\"campaign\",\"circuit\":\"s27\",\"threads\":1}\n");
+        text.push_str("{\"type\":\"campaign\",\"circuit\":\"s27\"}\n");
         text.push_str(&early.render());
         text.push('\n');
         text.push_str(&late.render());

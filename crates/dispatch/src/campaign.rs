@@ -1,39 +1,45 @@
-//! Campaign records: what a multi-threaded Procedure 2 run did, persisted
-//! as JSONL.
+//! Campaign records: what a Procedure 2 run did, persisted as JSONL.
 //!
 //! A campaign is one Procedure 2 execution on one circuit. The record is a
 //! line-oriented log — a `campaign` header, an `initial` line for the
-//! `TS0` phase, one `trial` line per `(I, D1)` trial (kept or not),
-//! `checkpoint` lines for resume (rendered by `rls_core::resume`), a
-//! `workers` line with the pool's per-worker counters, and a `summary`
-//! line — written under `results/` (or any directory) so long runs are
-//! observable, diffable, and machine-readable after the fact.
+//! `TS0` phase, one `trial` line per `(I, D1)` trial (kept or not), a
+//! `degrade` line if the pool was given up, `checkpoint` lines for resume
+//! (rendered by `rls_core::resume`), and a `summary` line — written under
+//! `results/` (or any directory) so long runs are observable, diffable,
+//! and machine-readable after the fact.
+//!
+//! Every record is a function of the code, the circuit, the configuration
+//! and the seed: no thread count, wall time or worker counter appears in
+//! a record or in the file name, so runs at any `RLS_THREADS` write the
+//! same bytes. Wall time and pool counters live in the obs stream.
 //!
 //! # Crash safety
 //!
-//! Records stream to disk as the campaign runs, not at the end, through
+//! Records reach disk as the campaign runs, not at the end, through
 //! [`rls_obs::jsonl::JsonlFile`] — the workspace's one durable JSONL file:
 //!
 //! - the header is published atomically under a `create_new`-reserved
 //!   name (monotonic `-k` suffix on collisions), so a crash mid-create
 //!   leaves no half-written visible file;
-//! - each record is one `write_all` + `sync_data`, so after `kill -9` the
-//!   file holds every fully-appended record plus at most one torn tail
-//!   line, which [`CampaignLog::read`] (and the resume parser) ignore;
+//! - the other records are buffered, and each checkpoint is appended
+//!   together with the records before it in one `write_all` + `sync_data`;
+//!   so is the summary. After `kill -9` the file holds the records up to
+//!   its last checkpoint, followed by at most a prefix of the next
+//!   append, whose last line may be torn; [`CampaignLog::read`] (and the
+//!   resume parser) ignore a torn final line;
+//! - a resume reads only the last checkpoint and re-runs every trial
+//!   after it, and [`Campaign::append_to`] first cuts the file back to
+//!   the end of that checkpoint, so the resumed file minus its `resume`
+//!   line is the file an uninterrupted run writes;
 //! - an append error never aborts the campaign: the sink is disabled
-//!   with a single warning and the run continues in memory.
-//!
-//! Timing fields record wall-clock observations; they are deliberately
-//! excluded from anything the deterministic outcome depends on.
+//!   with a single warning, and the run continues without records.
 
-use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::path::Path;
 
-use rls_obs::jsonl::{self, array, JsonObject, JsonValue, JsonlFile, ReadError};
+use rls_obs::jsonl::{self, JsonObject, JsonValue, JsonlFile, ReadError};
 
 use crate::error::DispatchError;
 use crate::inject;
-use crate::pool::PoolSnapshot;
 
 /// One `(I, D1)` trial of Procedure 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,8 +56,6 @@ pub struct TrialRecord {
     pub kept: bool,
     /// Live faults remaining after the trial.
     pub live_after: usize,
-    /// Wall time of the trial in nanoseconds.
-    pub wall_nanos: u64,
 }
 
 /// The end-of-campaign summary line.
@@ -85,247 +89,170 @@ impl CampaignFile {
             .map_err(|e| DispatchError::io("create campaign file", dir, e))
     }
 
-    /// Opens an existing campaign file for appending (resume), repairing
-    /// a torn final line first.
+    /// Opens an existing campaign file for appending (resume) after
+    /// cutting it back to its last intact checkpoint, or to its header if
+    /// it has none.
     fn append_to(path: &Path) -> Result<Self, DispatchError> {
+        let resumable =
+            |r: &JsonValue| matches!(r.str_field("type"), Some("checkpoint" | "campaign"));
         inject::on_io("open campaign file for append")
-            .and_then(|()| JsonlFile::append_to(path))
+            .and_then(|()| JsonlFile::append_to(path, resumable))
             .map(CampaignFile)
             .map_err(|e| DispatchError::io("open campaign file for append", path, e))
     }
 
-    /// Appends one record line and syncs it to disk.
-    fn append(&mut self, line: &str) -> Result<(), DispatchError> {
-        inject::on_io("append campaign record")
-            .and_then(|()| self.0.append(line))
-            .map_err(|e| DispatchError::io("append campaign record", self.0.path(), e))
+    /// Appends record lines in one write and syncs them to disk.
+    fn append(&mut self, lines: &[String]) -> Result<(), DispatchError> {
+        inject::on_io("append campaign records")
+            .and_then(|()| self.0.append(lines))
+            .map_err(|e| DispatchError::io("append campaign records", self.0.path(), e))
     }
 }
 
-/// The file-name stem of a campaign: circuit, threads, and a stamp that
-/// is an `rls-obs` run id — config fingerprint plus a process-monotonic
-/// counter — so resumed or rapid-fire runs never collide; the `-k`
-/// suffix backstops names left by *other* processes.
-fn file_stem(circuit: &str, threads: usize, stamp: &str) -> String {
-    format!("campaign-{}-{threads}t-{stamp}", sanitize(circuit))
+/// The file-name stem of a campaign: the circuit and a stamp that is an
+/// `rls-obs` run id — config fingerprint plus a process-monotonic counter
+/// — so resumed or rapid-fire runs never collide; the `-k` suffix
+/// backstops names left by *other* processes.
+fn file_stem(circuit: &str, stamp: &str) -> String {
+    format!("campaign-{}-{stamp}", sanitize(circuit))
 }
 
-/// An in-progress campaign record.
+/// An in-progress campaign file.
 ///
-/// Always accumulates in memory (so [`Campaign::to_jsonl`] and
-/// [`Campaign::trials`] work); when built with [`Campaign::create`] or
-/// [`Campaign::append_to`] it *also* streams each record crash-safely to
-/// disk as it is recorded.
+/// Built with [`Campaign::create`] or [`Campaign::append_to`]; records
+/// other than checkpoints and the summary wait in memory until the next
+/// of those carries them to disk (see the module docs).
 #[derive(Debug)]
 pub struct Campaign {
-    circuit: String,
-    threads: usize,
-    started: Instant,
-    initial: Option<(usize, usize, u64)>, // (tests, detected, wall_nanos)
-    trials: Vec<TrialRecord>,
-    workers: Option<PoolSnapshot>,
-    summary: Option<CampaignSummary>,
     sink: Option<CampaignFile>,
+    /// Rendered records not yet on disk, in order.
+    pending: Vec<String>,
 }
 
 impl Campaign {
-    /// Starts an in-memory record for one circuit and thread count.
-    pub fn new(circuit: &str, threads: usize) -> Self {
-        Campaign {
-            circuit: circuit.to_string(),
-            threads,
-            started: Instant::now(), // lint: det-ok(wall-clock is observability metadata in records, never a campaign outcome)
-            initial: None,
-            trials: Vec::new(),
-            workers: None,
-            summary: None,
-            sink: None,
-        }
+    /// Starts a campaign file under `dir`; the header is on disk when
+    /// this returns. `fingerprint` is the campaign's config fingerprint —
+    /// it stamps the file name (via the `rls-obs` run id) so distinct
+    /// configurations are tellable apart on disk and repeated runs never
+    /// collide.
+    pub fn create(dir: &Path, circuit: &str, fingerprint: u64) -> Result<Self, DispatchError> {
+        let stem = file_stem(circuit, &rls_obs::run_id(fingerprint));
+        let file = CampaignFile::create(dir, &stem, &seam_line("campaign", circuit))?;
+        Ok(Campaign {
+            sink: Some(file),
+            pending: Vec::new(),
+        })
     }
 
-    /// Starts a record that streams crash-safely to a fresh file under
-    /// `dir`; the header is on disk when this returns. `fingerprint` is
-    /// the campaign's config fingerprint — it stamps the file name (via
-    /// the `rls-obs` run id) so distinct configurations are tellable
-    /// apart on disk and repeated runs never collide.
-    pub fn create(
-        dir: &Path,
-        circuit: &str,
-        threads: usize,
-        fingerprint: u64,
-    ) -> Result<Self, DispatchError> {
-        let mut c = Campaign::new(circuit, threads);
-        let stem = file_stem(circuit, threads, &rls_obs::run_id(fingerprint));
-        c.sink = Some(CampaignFile::create(dir, &stem, &c.seam_line("campaign"))?);
-        Ok(c)
+    /// Resumes recording onto an existing campaign file: cuts it back to
+    /// the end of its last checkpoint — the one `rls_core::resume` loads —
+    /// dropping the records a killed run wrote after it, and marks the
+    /// seam with a `resume` record, written with the next checkpoint.
+    pub fn append_to(path: &Path, circuit: &str) -> Result<Self, DispatchError> {
+        Ok(Campaign {
+            sink: Some(CampaignFile::append_to(path)?),
+            pending: vec![seam_line("resume", circuit)],
+        })
     }
 
-    /// Resumes recording onto an existing campaign file: opens it for
-    /// appending and marks the seam with a `resume` record.
-    pub fn append_to(path: &Path, circuit: &str, threads: usize) -> Result<Self, DispatchError> {
-        let mut c = Campaign::new(circuit, threads);
-        let mut sink = CampaignFile::append_to(path)?;
-        sink.append(&c.seam_line("resume"))?;
-        c.sink = Some(sink);
-        Ok(c)
-    }
-
-    /// Whether records are being streamed to disk (and appends are still
-    /// healthy).
+    /// Whether records still reach disk (no append has failed).
     pub fn has_sink(&self) -> bool {
         self.sink.is_some()
     }
 
-    /// The file records stream to, if any.
+    /// The file records go to, while they still reach it.
     pub fn path(&self) -> Option<&Path> {
         self.sink.as_ref().map(|s| s.0.path())
     }
 
-    /// Appends a line to the sink; on failure warns once and disables the
-    /// sink — persistence trouble must never abort a campaign.
-    fn stream(&mut self, line: &str) {
+    /// Buffers a record until the next checkpoint or the summary.
+    fn buffer(&mut self, line: String) {
+        if self.sink.is_some() {
+            self.pending.push(line);
+        }
+    }
+
+    /// Writes a rendered checkpoint (from `rls_core::resume`) together
+    /// with every record buffered before it, in one synced append; on
+    /// failure warns once and disables the sink — persistence trouble
+    /// must never abort a campaign.
+    pub fn record_checkpoint(&mut self, line: String) {
         let Some(sink) = self.sink.as_mut() else {
             return;
         };
-        if let Err(e) = sink.append(line) {
+        self.pending.push(line);
+        let records = std::mem::take(&mut self.pending);
+        if let Err(e) = sink.append(&records) {
             eprintln!("warning: campaign persistence disabled: {e}");
             self.sink = None;
             rls_obs::counter!("campaign.sink_errors", 1);
         } else {
-            rls_obs::counter!("campaign.records", 1);
+            rls_obs::counter!("campaign.records", records.len() as u64);
         }
-    }
-
-    /// The `campaign` header ([`Campaign::create`]'s first line) or the
-    /// `resume` seam ([`Campaign::append_to`]'s first append): the
-    /// record `kind`, the circuit and the thread count.
-    fn seam_line(&self, kind: &str) -> String {
-        JsonObject::new()
-            .str("type", kind)
-            .str("circuit", &self.circuit)
-            .num("threads", self.threads as u64)
-            .render()
-    }
-
-    fn initial_line(tests: usize, detected: usize, wall_nanos: u64) -> String {
-        JsonObject::new()
-            .str("type", "initial")
-            .num("ts0_tests", tests as u64)
-            .num("ts0_detected", detected as u64)
-            .num("ts0_wall_nanos", wall_nanos)
-            .render()
-    }
-
-    fn trial_line(t: &TrialRecord) -> String {
-        JsonObject::new()
-            .str("type", "trial")
-            .num("i", t.i)
-            .num("d1", u64::from(t.d1))
-            .num("tests", t.tests as u64)
-            .num("newly_detected", t.newly_detected as u64)
-            .bool("kept", t.kept)
-            .num("live_after", t.live_after as u64)
-            .num("wall_nanos", t.wall_nanos)
-            .render()
-    }
-
-    fn workers_line(snap: &PoolSnapshot) -> String {
-        let workers = array(snap.workers.iter().map(|w| {
-            JsonObject::new()
-                .num("worker", w.worker as u64)
-                .num("jobs", w.jobs)
-                .num("batches", w.batches)
-                .num("faults_dropped", w.faults_dropped)
-                .num("sim_nanos", w.sim_nanos)
-                .num("respawns", w.respawns)
-                .num("lanes_used", w.lanes_used)
-                .num("lanes_capacity", w.lanes_capacity)
-                .render()
-        }));
-        let mut line = JsonObject::new()
-            .str("type", "workers")
-            .num("threads", snap.threads as u64)
-            .raw("workers", &workers);
-        if let Some(f) = snap.caller {
-            let caller = JsonObject::new()
-                .num("batches", f.batches)
-                .num("lanes_used", f.lanes_used)
-                .num("lanes_capacity", f.lanes_capacity)
-                .render();
-            line = line.raw("caller", &caller);
-        }
-        line.render()
-    }
-
-    fn summary_line(&self, s: &CampaignSummary) -> String {
-        JsonObject::new()
-            .str("type", "summary")
-            .num("detected", s.detected as u64)
-            .num("target_faults", s.target_faults as u64)
-            .num("pairs", s.pairs as u64)
-            .num("total_cycles", s.total_cycles)
-            .bool("complete", s.complete)
-            .num("iterations", s.iterations)
-            .num("wall_nanos", self.started.elapsed().as_nanos() as u64)
-            .render()
     }
 
     /// Records the `TS0` phase.
-    pub fn record_initial(&mut self, tests: usize, detected: usize, wall_nanos: u64) {
-        self.initial = Some((tests, detected, wall_nanos));
-        self.stream(&Self::initial_line(tests, detected, wall_nanos));
+    pub fn record_initial(&mut self, tests: usize, detected: usize) {
+        self.buffer(
+            JsonObject::new()
+                .str("type", "initial")
+                .num("ts0_tests", tests as u64)
+                .num("ts0_detected", detected as u64)
+                .render(),
+        );
     }
 
     /// Records one `(I, D1)` trial.
-    pub fn record_trial(&mut self, trial: TrialRecord) {
-        self.trials.push(trial);
-        self.stream(&Self::trial_line(&trial));
+    pub fn record_trial(&mut self, t: TrialRecord) {
+        self.buffer(
+            JsonObject::new()
+                .str("type", "trial")
+                .num("i", t.i)
+                .num("d1", u64::from(t.d1))
+                .num("tests", t.tests as u64)
+                .num("newly_detected", t.newly_detected as u64)
+                .bool("kept", t.kept)
+                .num("live_after", t.live_after as u64)
+                .render(),
+        );
     }
 
-    /// Appends a pre-rendered record line (e.g. a resume checkpoint from
-    /// `rls_core::resume`) to the sink. In-memory rendering does not
-    /// include these lines.
-    pub fn record_raw(&mut self, line: &str) {
-        self.stream(line);
+    /// Records that the campaign gave up its pool at trial `(i, d1)`.
+    pub fn record_degrade(&mut self, i: u64, d1: u32) {
+        self.buffer(
+            JsonObject::new()
+                .str("type", "degrade")
+                .num("i", i)
+                .num("d1", u64::from(d1))
+                .render(),
+        );
     }
 
-    /// Trials recorded so far.
-    pub fn trials(&self) -> &[TrialRecord] {
-        &self.trials
+    /// Writes the outcome summary the way [`Campaign::record_checkpoint`]
+    /// writes a checkpoint.
+    pub fn record_summary(&mut self, s: CampaignSummary) {
+        self.record_checkpoint(
+            JsonObject::new()
+                .str("type", "summary")
+                .num("detected", s.detected as u64)
+                .num("target_faults", s.target_faults as u64)
+                .num("pairs", s.pairs as u64)
+                .num("total_cycles", s.total_cycles)
+                .bool("complete", s.complete)
+                .num("iterations", s.iterations)
+                .render(),
+        );
     }
+}
 
-    /// Attaches the pool's final per-worker counters.
-    pub fn record_workers(&mut self, snapshot: PoolSnapshot) {
-        self.stream(&Self::workers_line(&snapshot));
-        self.workers = Some(snapshot);
-    }
-
-    /// Attaches the outcome summary.
-    pub fn record_summary(&mut self, summary: CampaignSummary) {
-        self.summary = Some(summary);
-        self.stream(&self.summary_line(&summary));
-    }
-
-    /// Renders the whole in-memory record as JSONL (the same shape the
-    /// streaming sink writes, minus raw checkpoint lines).
-    pub fn to_jsonl(&self) -> String {
-        let mut lines = vec![self.seam_line("campaign")];
-        if let Some((tests, detected, wall)) = self.initial {
-            lines.push(Self::initial_line(tests, detected, wall));
-        }
-        for t in &self.trials {
-            lines.push(Self::trial_line(t));
-        }
-        if let Some(snap) = &self.workers {
-            lines.push(Self::workers_line(snap));
-        }
-        if let Some(s) = &self.summary {
-            lines.push(self.summary_line(s));
-        }
-        let mut out = lines.join("\n");
-        out.push('\n');
-        out
-    }
+/// The `campaign` header ([`Campaign::create`]'s first line) or the
+/// `resume` seam ([`Campaign::append_to`]'s first record): the record
+/// `kind` and the circuit.
+fn seam_line(kind: &str, circuit: &str) -> String {
+    JsonObject::new()
+        .str("type", kind)
+        .str("circuit", circuit)
+        .render()
 }
 
 /// Keeps file names tame for arbitrary circuit names.
@@ -346,7 +273,6 @@ fn sanitize(name: &str) -> String {
 /// guarantees at most one).
 #[derive(Debug)]
 pub struct CampaignLog {
-    path: PathBuf,
     records: Vec<JsonValue>,
 }
 
@@ -364,15 +290,7 @@ impl CampaignLog {
                 message,
             },
         })?;
-        Ok(CampaignLog {
-            path: path.to_path_buf(),
-            records,
-        })
-    }
-
-    /// The file the log was read from.
-    pub fn path(&self) -> &Path {
-        &self.path
+        Ok(CampaignLog { records })
     }
 
     /// All intact records, in file order.
@@ -402,58 +320,67 @@ impl CampaignLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shared::SharedPool;
+    use std::path::PathBuf;
 
-    fn sample() -> Campaign {
-        let mut c = Campaign::new("s27", 4);
-        c.record_initial(16, 28, 1234);
-        c.record_trial(TrialRecord {
-            i: 1,
+    fn scratch_dir(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("rls-dispatch-test-{tag}-{}", std::process::id()))
+    }
+
+    fn trial(i: u64, kept: bool) -> TrialRecord {
+        TrialRecord {
+            i,
             d1: 2,
             tests: 16,
-            newly_detected: 3,
-            kept: true,
+            newly_detected: usize::from(kept) * 3,
+            kept,
             live_after: 1,
-            wall_nanos: 99,
-        });
+        }
+    }
+
+    #[test]
+    fn records_reach_disk_with_the_next_checkpoint() {
+        // The header is on disk at once; every other record waits for the
+        // next checkpoint or the summary, which carries it in one append,
+        // so a file killed between appends ends at its last checkpoint.
+        let dir = scratch_dir("stream");
+        let mut c = Campaign::create(&dir, "s27", 0xfeed).unwrap();
+        let path = c.path().unwrap().to_path_buf();
+        let on_disk = || std::fs::read_to_string(&path).unwrap();
+        let header = "{\"type\":\"campaign\",\"circuit\":\"s27\"}\n";
+        assert_eq!(on_disk(), header);
+        c.record_initial(16, 28);
+        c.record_trial(trial(1, true));
+        assert_eq!(on_disk(), header, "trials wait for their checkpoint");
+        c.record_checkpoint(r#"{"type":"checkpoint","iteration":1}"#.to_string());
+        let checkpointed = format!(
+            "{header}{}\n{}\n{}\n",
+            r#"{"type":"initial","ts0_tests":16,"ts0_detected":28}"#,
+            r#"{"type":"trial","i":1,"d1":2,"tests":16,"newly_detected":3,"kept":true,"live_after":1}"#,
+            r#"{"type":"checkpoint","iteration":1}"#,
+        );
+        assert_eq!(on_disk(), checkpointed);
+        c.record_trial(trial(2, false));
+        c.record_degrade(2, 3);
+        assert_eq!(on_disk(), checkpointed);
         c.record_summary(CampaignSummary {
             detected: 31,
             target_faults: 32,
             pairs: 1,
             total_cycles: 420,
             complete: false,
-            iterations: 1,
+            iterations: 2,
         });
-        c
-    }
-
-    fn scratch_dir(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("rls-dispatch-test-{tag}-{}", std::process::id()))
-    }
-
-    #[test]
-    fn jsonl_has_one_record_per_line() {
-        let mut c = sample();
-        let pool = SharedPool::new(2);
-        pool.submit_tagged(0, |w| w.add_dropped(1));
-        pool.wait_idle();
-        let snap = pool.snapshot();
-        c.record_workers(snap);
-        let text = c.to_jsonl();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 5);
-        assert!(lines[0].contains(r#""type":"campaign""#));
-        assert!(lines[0].contains(r#""circuit":"s27""#));
-        assert!(lines[1].contains(r#""type":"initial""#));
-        assert!(lines[1].contains(r#""ts0_detected":28"#));
-        assert!(lines[2].contains(r#""type":"trial""#));
-        assert!(lines[3].contains(r#""type":"workers""#));
-        assert!(lines[3].contains(r#""faults_dropped":1"#));
-        assert!(lines[3].contains(r#""respawns":0"#));
-        assert!(lines[4].contains(r#""type":"summary""#));
-        for line in lines {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-        }
+        assert_eq!(
+            on_disk(),
+            format!(
+                "{checkpointed}{}\n{}\n{}\n",
+                r#"{"type":"trial","i":2,"d1":2,"tests":16,"newly_detected":0,"kept":false,"live_after":1}"#,
+                r#"{"type":"degrade","i":2,"d1":3}"#,
+                r#"{"type":"summary","detected":31,"target_faults":32,"pairs":1,"total_cycles":420,"complete":false,"iterations":2}"#,
+            )
+        );
+        drop(c);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -462,7 +389,7 @@ mod tests {
         // another process, mocked here) must get distinct files, not
         // overwrite.
         let dir = scratch_dir("collide");
-        let stem = file_stem("s27", 4, "12345");
+        let stem = file_stem("s27", "12345");
         let names: Vec<String> = (0..3)
             .map(|_| {
                 let f = CampaignFile::create(&dir, &stem, "{}").unwrap();
@@ -477,9 +404,9 @@ mod tests {
         assert_eq!(
             names,
             [
-                "campaign-s27-4t-12345.jsonl",
-                "campaign-s27-4t-12345-1.jsonl",
-                "campaign-s27-4t-12345-2.jsonl"
+                "campaign-s27-12345.jsonl",
+                "campaign-s27-12345-1.jsonl",
+                "campaign-s27-12345-2.jsonl"
             ]
         );
         std::fs::remove_dir_all(&dir).unwrap();
@@ -491,9 +418,9 @@ mod tests {
         // fail after the final name was reserved: the reservation goes too.
         let dir = scratch_dir("create-fails");
         let _ = std::fs::remove_dir_all(&dir);
-        let tmp = ".campaign-s27-1t-12345.jsonl.tmp";
+        let tmp = ".campaign-s27-12345.jsonl.tmp";
         std::fs::create_dir_all(dir.join(tmp)).unwrap();
-        let err = CampaignFile::create(&dir, &file_stem("s27", 1, "12345"), "{}").unwrap_err();
+        let err = CampaignFile::create(&dir, &file_stem("s27", "12345"), "{}").unwrap_err();
         assert!(err.to_string().contains("create campaign file"), "{err}");
         let names: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
@@ -509,8 +436,8 @@ mod tests {
         // counter), not the wall clock: same-config runs in the same
         // process get distinct names by construction, not by luck.
         let dir = scratch_dir("runid");
-        let a = Campaign::create(&dir, "s27", 4, 0xabcd).unwrap();
-        let b = Campaign::create(&dir, "s27", 4, 0xabcd).unwrap();
+        let a = Campaign::create(&dir, "s27", 0xabcd).unwrap();
+        let b = Campaign::create(&dir, "s27", 0xabcd).unwrap();
         let name = |c: &Campaign| {
             c.path()
                 .unwrap()
@@ -521,7 +448,7 @@ mod tests {
                 .to_string()
         };
         assert!(
-            name(&a).starts_with("campaign-s27-4t-000000000000abcd-r"),
+            name(&a).starts_with("campaign-s27-000000000000abcd-r"),
             "{}",
             name(&a)
         );
@@ -537,38 +464,10 @@ mod tests {
     }
 
     #[test]
-    fn streaming_campaign_is_readable_at_every_point() {
-        let dir = scratch_dir("stream");
-        let mut c = Campaign::create(&dir, "s27", 2, 0xfeed).unwrap();
-        let path = c.path().unwrap().to_path_buf();
-        // Header is on disk before anything else happens.
-        let log = CampaignLog::read(&path).unwrap();
-        assert_eq!(log.header().unwrap().str_field("circuit"), Some("s27"));
-        c.record_initial(16, 28, 10);
-        c.record_trial(TrialRecord {
-            i: 1,
-            d1: 1,
-            tests: 16,
-            newly_detected: 2,
-            kept: true,
-            live_after: 2,
-            wall_nanos: 5,
-        });
-        c.record_raw(r#"{"type":"checkpoint","iteration":1}"#);
-        let log = CampaignLog::read(&path).unwrap();
-        assert_eq!(log.records().len(), 4);
-        assert_eq!(log.of_type("trial").count(), 1);
-        assert_eq!(log.of_type("checkpoint").count(), 1);
-        drop(c);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
-    }
-
-    #[test]
     fn append_to_repairs_a_torn_tail() {
         use std::io::Write as _;
         let dir = scratch_dir("torn-tail");
-        let c = Campaign::create(&dir, "s27", 1, 0xfeed).unwrap();
+        let c = Campaign::create(&dir, "s27", 0xfeed).unwrap();
         let path = c.path().unwrap().to_path_buf();
         drop(c);
         // A crash mid-append leaves half a record with no newline.
@@ -581,8 +480,8 @@ mod tests {
         }
         // Without the repair, the resume seam would be glued onto the
         // torn bytes — one garbled line mid-file that no reader accepts.
-        let mut r = Campaign::append_to(&path, "s27", 1).unwrap();
-        r.record_raw(r#"{"type":"checkpoint","iteration":1}"#);
+        let mut r = Campaign::append_to(&path, "s27").unwrap();
+        r.record_checkpoint(r#"{"type":"checkpoint","iteration":1}"#.to_string());
         drop(r);
         let log = CampaignLog::read(&path).unwrap();
         let kinds: Vec<&str> = log
@@ -604,18 +503,19 @@ mod tests {
     #[test]
     fn append_to_marks_resume_seam() {
         let dir = scratch_dir("resume");
-        let c = Campaign::create(&dir, "s27", 1, 0xfeed).unwrap();
+        let c = Campaign::create(&dir, "s27", 0xfeed).unwrap();
         let path = c.path().unwrap().to_path_buf();
         drop(c);
-        let mut r = Campaign::append_to(&path, "s27", 4).unwrap();
-        r.record_initial(16, 28, 10);
+        let mut r = Campaign::append_to(&path, "s27").unwrap();
+        r.record_trial(trial(1, true));
+        r.record_checkpoint(r#"{"type":"checkpoint","iteration":1}"#.to_string());
         let log = CampaignLog::read(&path).unwrap();
         let kinds: Vec<&str> = log
             .records()
             .iter()
             .filter_map(|r| r.str_field("type"))
             .collect();
-        assert_eq!(kinds, ["campaign", "resume", "initial"]);
+        assert_eq!(kinds, ["campaign", "resume", "trial", "checkpoint"]);
         drop(r);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
@@ -628,7 +528,7 @@ mod tests {
         let path = dir.join("campaign-x.jsonl");
         std::fs::write(
             &path,
-            "{\"type\":\"campaign\",\"circuit\":\"s27\",\"threads\":1}\n{\"type\":\"tri",
+            "{\"type\":\"campaign\",\"circuit\":\"s27\"}\n{\"type\":\"tri",
         )
         .unwrap();
         let log = CampaignLog::read(&path).unwrap();

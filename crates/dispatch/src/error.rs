@@ -25,20 +25,11 @@ pub enum DispatchError {
     },
     /// A JSONL line failed to parse. `line` is 1-based within the file.
     Parse {
-        /// The file being read (empty for in-memory parsing).
+        /// The file being read.
         path: PathBuf,
         /// 1-based line number.
         line: usize,
         /// What went wrong.
-        message: String,
-    },
-    /// A record parsed as JSON but is missing or mistypes a field.
-    Malformed {
-        /// The file being read (empty for in-memory parsing).
-        path: PathBuf,
-        /// 1-based line number.
-        line: usize,
-        /// What is missing or wrong.
         message: String,
     },
 }
@@ -73,15 +64,6 @@ impl fmt::Display for DispatchError {
             } => write!(
                 f,
                 "invalid JSON at `{}` line {line}: {message}",
-                path.display()
-            ),
-            DispatchError::Malformed {
-                path,
-                line,
-                message,
-            } => write!(
-                f,
-                "malformed record at `{}` line {line}: {message}",
                 path.display()
             ),
         }

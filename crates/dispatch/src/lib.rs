@@ -21,9 +21,10 @@
 //! - [`pool`]: per-worker atomic counters ([`WorkerCounters`]), their
 //!   [`PoolSnapshot`], and [`JobFailure`]s;
 //! - [`campaign`]: [`Campaign`] JSONL records — header, per-trial lines,
-//!   checkpoints, per-worker counters, summary — appended crash-safely
-//!   under `results/` through `rls_obs::jsonl`'s durable file and read
-//!   back by [`CampaignLog`];
+//!   checkpoints, summary, each a function of code, circuit,
+//!   configuration and seed — appended crash-safely under `results/`
+//!   through `rls_obs::jsonl`'s durable file and read back by
+//!   [`CampaignLog`];
 //! - [`error`]: structured [`DispatchError`] for persistence and parsing;
 //! - [`inject`]: deterministic fault injection behind the `fault-inject`
 //!   feature (no-op inlines otherwise), driving `tests/resilience.rs`.

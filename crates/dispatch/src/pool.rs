@@ -8,7 +8,8 @@
 //!   respawns, lane occupancy), bumped by the jobs themselves and read
 //!   without stopping the pool;
 //! - [`PoolSnapshot`] / [`WorkerSnapshot`]: point-in-time copies of those
-//!   counters, the payload of the campaign `workers` record;
+//!   counters, the source of the pool's `pool.worker.*`, `dispatch.*` and
+//!   `fsim.lanes_*` obs metrics;
 //! - [`JobFailure`]: a caught job panic, recorded under
 //!   the tag the job was submitted with so the caller can retry exactly
 //!   the failed work (see `shared`) or degrade.
@@ -132,17 +133,12 @@ pub struct PoolSnapshot {
     pub pending: usize,
     /// Per-worker counters.
     pub workers: Vec<WorkerSnapshot>,
-    /// Lane accounting of the sets the campaign's own simulator ran on the
-    /// caller thread: `TS0`, the first trial of every window, and every
-    /// set after a degrade (a set that kept failing on the pool, or a
-    /// forced degrade). `None` when the caller simulated nothing.
-    pub caller: Option<rls_fsim::LaneStats>,
 }
 
 impl PoolSnapshot {
-    /// Total kernel batches simulated across workers and the caller.
+    /// Total kernel batches simulated across workers.
     pub fn total_batches(&self) -> u64 {
-        self.workers.iter().map(|w| w.batches).sum::<u64>() + self.caller.map_or(0, |f| f.batches)
+        self.workers.iter().map(|w| w.batches).sum()
     }
 
     /// Total faults dropped across workers.
@@ -155,15 +151,13 @@ impl PoolSnapshot {
         self.workers.iter().map(|w| w.respawns).sum()
     }
 
-    /// Total occupied kernel lanes across workers and the caller.
+    /// Total occupied kernel lanes across workers.
     pub fn total_lanes_used(&self) -> u64 {
-        self.workers.iter().map(|w| w.lanes_used).sum::<u64>()
-            + self.caller.map_or(0, |f| f.lanes_used)
+        self.workers.iter().map(|w| w.lanes_used).sum()
     }
 
-    /// Total available kernel lanes across workers and the caller.
+    /// Total available kernel lanes across workers.
     pub fn total_lanes_capacity(&self) -> u64 {
-        self.workers.iter().map(|w| w.lanes_capacity).sum::<u64>()
-            + self.caller.map_or(0, |f| f.lanes_capacity)
+        self.workers.iter().map(|w| w.lanes_capacity).sum()
     }
 }

@@ -276,7 +276,6 @@ impl SharedPool {
                 .enumerate()
                 .map(|(w, c)| c.snapshot(w))
                 .collect(),
-            caller: None,
         }
     }
 

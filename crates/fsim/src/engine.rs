@@ -23,9 +23,9 @@ use crate::word::KernelWord;
 ///
 /// Unlike the `fsim.lanes_*` obs counters (emitted only when the obs
 /// layer is enabled), these totals are kept unconditionally: the pool's
-/// worker counters add up the walks of their jobs, and a pooled campaign
-/// reports its own simulator's totals, the sets run on the caller
-/// thread, beside them in the `workers` record.
+/// worker counters add up the walks of their jobs, and a
+/// [`FaultSimulator`] adds up its own (in a pooled campaign, the sets run
+/// on the caller thread).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneStats {
     /// Kernel invocations.

@@ -27,7 +27,8 @@
 //!   a split-off part of a field, so its broken pairing stays blessable.
 //! - **`persist-protocol`** — within a fn, a `rename` of a path previously
 //!   given to `File::create` must have a `sync_all`/`sync_data` between
-//!   create and rename (directly or via one call hop). Blessable with
+//!   create and rename, and a `write_all` must be followed by one before
+//!   the fn returns (directly or via one call hop). Blessable with
 //!   `persist-ok`, never baselineable.
 //!
 //! # Soundness model (see DESIGN.md §11)
@@ -204,6 +205,7 @@ enum Ev {
 #[derive(Debug, Clone)]
 enum PersistEv {
     Create { path: String, line: u32 },
+    Write { line: u32 },
     Sync,
     Rename { path: String, line: u32 },
     Call { targets: Vec<usize> },
@@ -788,6 +790,8 @@ fn collect_facts(u: &Universe, idx: usize, sites: &mut Vec<AtomicSite>) -> FnFac
                             if m == "sync_all" || m == "sync_data" {
                                 facts.has_sync = true;
                                 facts.persist.push(PersistEv::Sync);
+                            } else if m == "write_all" {
+                                facts.persist.push(PersistEv::Write { line: ln });
                             }
                         }
                     }
@@ -1391,7 +1395,8 @@ fn atomic_pairing_pass(u: &Universe, sites: &[AtomicSite], out: &mut FlowOutput)
     }
 }
 
-/// Per-fn create → fsync → rename protocol verification.
+/// Per-fn create → fsync → rename and write → fsync protocol
+/// verification.
 fn persist_protocol_pass(u: &Universe, facts: &[FnFacts], out: &mut FlowOutput) {
     for (idx, (fi, def)) in u.fns.iter().enumerate() {
         let Some(fd) = u.files.get(*fi) else {
@@ -1403,6 +1408,34 @@ fn persist_protocol_pass(u: &Universe, facts: &[FnFacts], out: &mut FlowOutput) 
         let Some(f) = facts.get(idx) else {
             continue;
         };
+        let is_sync = |e: &PersistEv| match e {
+            PersistEv::Sync => true,
+            PersistEv::Call { targets, .. } => targets
+                .iter()
+                .any(|&t| facts.get(t).is_some_and(|tf| tf.has_sync)),
+            _ => false,
+        };
+        for (wp, ev) in f.persist.iter().enumerate() {
+            let PersistEv::Write { line } = ev else {
+                continue;
+            };
+            if !f.persist.iter().skip(wp + 1).any(is_sync) {
+                out.findings.push(Finding {
+                    rule: "persist-protocol".to_string(),
+                    file: fd.label.clone(),
+                    line: *line,
+                    snippet: fd.snippet(*line),
+                    message: format!(
+                        "`{}` writes with `write_all` and never reaches a `sync_all`/`sync_data` after it — a crash can lose a record its caller counts as durable",
+                        def.name
+                    ),
+                    witness: vec![format!(
+                        "{}:{line} write_all → end of `{}` without fsync",
+                        fd.label, def.name
+                    )],
+                });
+            }
+        }
         for (rp, ev) in f.persist.iter().enumerate() {
             let PersistEv::Rename { path, line } = ev else {
                 continue;
@@ -1419,13 +1452,7 @@ fn persist_protocol_pass(u: &Universe, facts: &[FnFacts], out: &mut FlowOutput) 
                 Some(PersistEv::Create { line, .. }) => *line,
                 _ => 0,
             };
-            let synced = f.persist.iter().take(rp).skip(cp + 1).any(|e| match e {
-                PersistEv::Sync => true,
-                PersistEv::Call { targets, .. } => targets
-                    .iter()
-                    .any(|&t| facts.get(t).is_some_and(|tf| tf.has_sync)),
-                _ => false,
-            });
+            let synced = f.persist.iter().take(rp).skip(cp + 1).any(is_sync);
             if !synced {
                 out.findings.push(Finding {
                     rule: "persist-protocol".to_string(),
@@ -1890,6 +1917,34 @@ mod tests {
                 f.sync_all()?;
                 fs::rename(&tmp, &path)?;
                 Ok(())
+            }
+        "#;
+        let out = run(&[("journal.rs", good)]);
+        assert!(
+            !rules_found(&out).contains(&"persist-protocol"),
+            "{:?}",
+            out.findings
+        );
+    }
+
+    #[test]
+    fn append_without_fsync_is_flagged_and_with_fsync_is_clean() {
+        let bad = r#"
+            fn append(f: &mut File, bytes: &[u8]) -> io::Result<()> {
+                f.write_all(bytes)?;
+                Ok(())
+            }
+        "#;
+        let out = run(&[("journal.rs", bad)]);
+        assert!(
+            rules_found(&out).contains(&"persist-protocol"),
+            "{:?}",
+            out.findings
+        );
+        let good = r#"
+            fn append(f: &mut File, bytes: &[u8]) -> io::Result<()> {
+                f.write_all(bytes)?;
+                f.sync_data()
             }
         "#;
         let out = run(&[("journal.rs", good)]);

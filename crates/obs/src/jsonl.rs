@@ -23,12 +23,14 @@
 //!   `sync_all`, rename over the reservation, best-effort directory
 //!   fsync. On any error both files are removed, so a failed create
 //!   leaves nothing visible;
-//! - [`JsonlFile::append`] writes one record as a single `write_all`
-//!   plus `sync_data`, so after `kill -9` the file holds every appended
-//!   record and at most one torn final line;
+//! - [`JsonlFile::append`] writes one or more records as a single
+//!   `write_all` plus `sync_data`, so after `kill -9` the file holds every
+//!   completed append followed by a prefix of the one in flight, whose
+//!   last line may be torn;
 //! - [`JsonlFile::append_to`] reopens a file for appending after
-//!   truncating such a torn line, so the next record never glues onto
-//!   the torn bytes;
+//!   cutting it back to the last intact record a caller-given test
+//!   accepts (a campaign's last checkpoint), so the next record never
+//!   glues onto torn bytes;
 //! - [`read`] returns the parsed records, skipping blank lines and
 //!   dropping exactly one unparsable final line; unparsable content
 //!   before it is a [`ReadError::Parse`] carrying its 1-based line.
@@ -449,26 +451,40 @@ impl JsonlFile {
         }
     }
 
-    /// Opens an existing file for appending. A torn final line — a crash
-    /// mid-append left bytes without a trailing newline — is truncated
-    /// away first; appending straight after it would glue the next record
-    /// onto the torn bytes and turn one tolerated torn tail into
-    /// intolerable mid-file garbage.
-    pub fn append_to(path: &Path) -> io::Result<JsonlFile> {
-        truncate_torn_tail(path)?;
-        let file = OpenOptions::new().append(true).open(path)?;
+    /// Opens an existing file for appending after cutting it back to the
+    /// end of the last intact record that `keep` accepts (to nothing if
+    /// none does). Whatever followed that record — a torn final line, or
+    /// the whole lines of an append that a crash cut short — is gone,
+    /// and the record ends in a newline, so the next one never glues onto
+    /// torn bytes (which would turn one tolerated torn tail into
+    /// intolerable mid-file garbage).
+    pub fn append_to(path: &Path, keep: impl Fn(&JsonValue) -> bool) -> io::Result<JsonlFile> {
+        let bytes = std::fs::read(path)?;
+        let mut cut = None;
+        let mut start = 0;
+        for line in bytes.split_inclusive(|&b| b == b'\n') {
+            let record = line.strip_suffix(b"\n").unwrap_or(line);
+            let intact = std::str::from_utf8(record).ok().map(parse);
+            if intact.is_some_and(|v| v.is_ok_and(|v| keep(&v))) {
+                cut = Some(start + record.len());
+            }
+            start += line.len();
+        }
+        let mut file = OpenOptions::new().append(true).open(path)?;
+        file.set_len(cut.unwrap_or(0) as u64)?;
+        if cut.is_some() {
+            file.write_all(b"\n")?;
+        }
+        file.sync_data()?;
         Ok(JsonlFile {
             file,
             path: path.to_path_buf(),
         })
     }
 
-    /// Appends one record line and syncs it to disk.
-    pub fn append(&mut self, record: &str) -> io::Result<()> {
-        let mut bytes = Vec::with_capacity(record.len() + 1);
-        bytes.extend_from_slice(record.as_bytes());
-        bytes.push(b'\n');
-        self.file.write_all(&bytes)?;
+    /// Appends `records` as lines in one write and syncs them to disk.
+    pub fn append<S: AsRef<str>>(&mut self, records: &[S]) -> io::Result<()> {
+        self.file.write_all(&lines(records))?;
         self.file.sync_data()
     }
 
@@ -538,42 +554,6 @@ fn publish(path: &Path, bytes: &[u8]) -> io::Result<File> {
         let _ = d.sync_all();
     }
     Ok(file)
-}
-
-/// Truncates a torn final line (bytes after the last newline) so later
-/// appends start on a fresh line. A file ending in a newline — or an
-/// empty one — is left untouched. Scans backwards in chunks, so only the
-/// tail is read regardless of size.
-fn truncate_torn_tail(path: &Path) -> io::Result<()> {
-    use std::io::{Read as _, Seek, SeekFrom};
-    let mut f = OpenOptions::new().read(true).write(true).open(path)?;
-    let len = f.metadata()?.len();
-    if len == 0 {
-        return Ok(());
-    }
-    let mut buf = [0u8; 4096];
-    let mut end = len;
-    loop {
-        let start = end.saturating_sub(buf.len() as u64);
-        let n = (end - start) as usize;
-        f.seek(SeekFrom::Start(start))?;
-        f.read_exact(&mut buf[..n])?; // lint: panic-ok(n = end - start <= buf.len() by the saturating_sub above)
-                                      // lint: panic-ok(n >= 1: len > 0 and start < end on every pass)
-        if end == len && buf[n - 1] == b'\n' {
-            return Ok(()); // intact tail, nothing to repair
-        }
-        // lint: panic-ok(n <= buf.len(), as above)
-        let keep = match buf[..n].iter().rposition(|&b| b == b'\n') {
-            Some(pos) => start + pos as u64 + 1,
-            None if start == 0 => 0, // one torn line is the whole file
-            None => {
-                end = start;
-                continue;
-            }
-        };
-        f.set_len(keep)?;
-        return f.sync_data();
-    }
 }
 
 /// Why a JSONL file could not be read back.
@@ -773,7 +753,7 @@ mod tests {
         assert_eq!(read(f.path()).unwrap().len(), 1);
         // A torn tail at this instant is dropped, and picked up once the
         // line completes.
-        f.append(METRIC).unwrap();
+        f.append(&[METRIC]).unwrap();
         f.file.write_all(br#"{"type":"m"#).unwrap();
         assert_eq!(read(f.path()).unwrap().len(), 2);
         f.file.write_all(b"etric\",\"value\":2}\n").unwrap();
@@ -790,17 +770,51 @@ mod tests {
             .to_path_buf();
         let torn = format!("{{\"pad\":\"{}", "x".repeat(10_000));
         std::fs::write(&path, format!("{HEADER}\n{torn}")).unwrap();
-        JsonlFile::append_to(&path).unwrap().append(METRIC).unwrap();
+        JsonlFile::append_to(&path, |_| true)
+            .unwrap()
+            .append(&[METRIC])
+            .unwrap();
         assert_eq!(
             std::fs::read_to_string(&path).unwrap(),
             format!("{HEADER}\n{METRIC}\n")
         );
         // A file that is one torn line is emptied, then appended to.
         std::fs::write(&path, "{\"type\":\"obs\"").unwrap();
-        JsonlFile::append_to(&path).unwrap().append(METRIC).unwrap();
+        JsonlFile::append_to(&path, |_| true)
+            .unwrap()
+            .append(&[METRIC])
+            .unwrap();
         assert_eq!(
             std::fs::read_to_string(&path).unwrap(),
             format!("{METRIC}\n")
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn append_to_cuts_back_to_the_last_kept_record() {
+        let dir = scratch("cut-back");
+        let path = dir.join("c.jsonl");
+        let is_header = |r: &JsonValue| r.str_field("type") == Some("obs");
+        // The whole lines of an append cut short go with its torn tail.
+        std::fs::write(&path, format!("{HEADER}\n{METRIC}\n{METRIC}\n{{\"ty")).unwrap();
+        JsonlFile::append_to(&path, is_header)
+            .unwrap()
+            .append(&[METRIC])
+            .unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            format!("{HEADER}\n{METRIC}\n")
+        );
+        // A kept record with no newline stays, and gains its newline.
+        std::fs::write(&path, format!("{METRIC}\n{HEADER}")).unwrap();
+        JsonlFile::append_to(&path, is_header)
+            .unwrap()
+            .append(&[METRIC])
+            .unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            format!("{METRIC}\n{HEADER}\n{METRIC}\n")
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -33,7 +33,7 @@ pub const COUNTERS: &[&str] = &[
     "procedure2.checkpoints",  // checkpoint records written
     "procedure2.resumes",      // campaigns continued from a checkpoint
     "procedure2.degrades",     // pool executor fell back to sequential
-    "campaign.records",        // JSONL campaign lines streamed
+    "campaign.records",        // JSONL campaign lines written
     "campaign.sink_errors",    // campaign persistence disabled by IO error
     "fsim.faults_simulated",   // candidate faults pushed through the kernel
     "fsim.batches",            // wide-word kernel invocations

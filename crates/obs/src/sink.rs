@@ -206,7 +206,7 @@ impl JsonlSink {
             return false;
         };
         // lint: block-ok(the mutex serializes stream appends; each record is durable before the next)
-        if let Err(e) = f.append(line) {
+        if let Err(e) = f.append(&[line]) {
             *guard = None;
             // lint: ordering-ok(monotone latch; set under the file mutex that every writer takes)
             self.dead.store(true, Ordering::Relaxed);

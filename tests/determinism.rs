@@ -43,38 +43,37 @@ fn synthetic_circuit_parallel_is_bit_identical_to_sequential() {
 }
 
 #[test]
-fn campaign_jsonl_records_worker_counters() {
+fn campaign_jsonl_records_only_what_decides_the_run() {
+    // The header names the circuit and the file name its fingerprint;
+    // neither the thread count nor a wall time nor a worker counter
+    // appears anywhere in the file.
     let c = random_limited_scan::benchmarks::s27();
     let dir = std::env::temp_dir().join(format!("rls-det-campaign-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = RlsConfig::new(4, 8, 8)
         .with_threads(4)
         .with_campaign_dir(&dir);
-    let outcome = Procedure2::new(&c, cfg).run();
+    let procedure = Procedure2::new(&c, cfg);
+    let outcome = procedure.run();
     assert!(outcome.final_coverage().detected > 0);
-    let files = campaign_files(&dir);
+    let stem = format!("campaign-s27-{:016x}-r", procedure.fingerprint());
+    let files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
     assert_eq!(files.len(), 1, "exactly one campaign record per run");
+    let name = files[0].file_name().unwrap().to_str().unwrap();
+    assert!(
+        name.starts_with(&stem) && name.ends_with(".jsonl"),
+        "{name}"
+    );
     let text = std::fs::read_to_string(&files[0]).unwrap();
-    assert!(text.contains("\"type\":\"campaign\""));
-    assert!(text.contains("\"type\":\"workers\""));
+    assert!(text.starts_with("{\"type\":\"campaign\",\"circuit\":\"s27\"}\n"));
     assert!(text.contains("\"type\":\"summary\""));
-    assert!(text.contains("\"threads\":4"));
+    for absent in ["threads", "wall", "nanos", "workers"] {
+        assert!(!text.contains(absent), "`{absent}` in:\n{text}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Campaign records for s27/4-thread runs under `dir`.
-fn campaign_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
-    std::fs::read_dir(dir)
-        .map(|dir| {
-            dir.filter_map(|e| e.ok().map(|e| e.path()))
-                .filter(|p| {
-                    p.file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| n.starts_with("campaign-s27-4t-") && n.ends_with(".jsonl"))
-                })
-                .collect()
-        })
-        .unwrap_or_default()
 }
 
 #[test]
@@ -144,15 +143,13 @@ fn scan_variant_runs_are_bit_identical_across_threads() {
 
 #[test]
 fn campaign_records_are_identical_across_threads() {
-    // Every thread count runs the one executor, so the campaign records
-    // (TS0, trials, checkpoints, summary) match record for record once
-    // the header (which records `threads`), the per-worker counters and
-    // the wall-clock fields are set aside.
-    use random_limited_scan::obs::jsonl::{self, JsonValue};
+    // Every thread count runs the one executor and records only what
+    // the code, circuit, configuration and seed decide, so the campaign
+    // files (TS0, trials, checkpoints, summary) match byte for byte.
     let c = random_limited_scan::benchmarks::by_name("s208").expect("s208 exists");
     let mut cfg = RlsConfig::new(2, 3, 2);
     cfg.max_iterations = 2;
-    let records: Vec<Vec<JsonValue>> = [1, 2, 4]
+    let files: Vec<Vec<u8>> = [1, 2, 4]
         .into_iter()
         .map(|threads| {
             let dir = std::env::temp_dir()
@@ -165,31 +162,18 @@ fn campaign_records_are_identical_across_threads() {
                 .map(|e| e.unwrap().path())
                 .collect();
             assert_eq!(files.len(), 1, "one campaign record per run");
-            let records = jsonl::read(&files[0]).unwrap();
+            let bytes = std::fs::read(&files[0]).unwrap();
             let _ = std::fs::remove_dir_all(&dir);
-            records
-                .into_iter()
-                .filter(|r| !matches!(r.str_field("type"), Some("campaign" | "workers")))
-                .map(|r| match r {
-                    JsonValue::Object(fields) => JsonValue::Object(
-                        fields
-                            .into_iter()
-                            .filter(|(k, _)| k != "wall_nanos" && k != "ts0_wall_nanos")
-                            .collect(),
-                    ),
-                    other => other,
-                })
-                .collect()
+            bytes
         })
         .collect();
+    let text = String::from_utf8_lossy(&files[0]);
     assert!(
-        records[0]
-            .iter()
-            .any(|r| r.str_field("type") == Some("checkpoint")),
+        text.contains("\"type\":\"checkpoint\""),
         "the s208 run keeps pairs and checkpoints them"
     );
-    assert_eq!(records[0], records[1], "2 threads");
-    assert_eq!(records[0], records[2], "4 threads");
+    assert!(files[0] == files[1], "2 threads");
+    assert!(files[0] == files[2], "4 threads");
 }
 
 #[test]
@@ -223,7 +207,7 @@ fn a_trial_that_empties_the_live_list_ends_its_window() {
             cases.push((p, cfg.clone().with_target(CoverageTarget::Faults(targets))));
         }
     }
-    // Each run's outcome and its trial records, wall time cut off.
+    // Each run's outcome and its campaign file.
     let run = |cfg: &RlsConfig, threads: usize| {
         let dir = std::env::temp_dir().join(format!("rls-det-empties-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -237,17 +221,16 @@ fn a_trial_that_empties_the_live_list_ends_its_window() {
             .path();
         let text = std::fs::read_to_string(file).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
-        let trials: Vec<String> = text
-            .lines()
-            .filter(|l| l.contains("\"type\":\"trial\""))
-            .map(|l| l.split(",\"wall_nanos\"").next().unwrap().to_string())
-            .collect();
-        (outcome, trials)
+        (outcome, text)
     };
     let (mut mid_window, mut pool_mid_window) = ([false; 5], [false; 5]);
     for (p, cfg) in &cases {
-        let (expect, trials) = run(cfg, 1);
+        let (expect, text) = run(cfg, 1);
         assert!(expect.complete, "position {p}");
+        let trials: Vec<&str> = text
+            .lines()
+            .filter(|l| l.contains("\"type\":\"trial\""))
+            .collect();
         assert_eq!(
             trials.len(),
             p + 1,
@@ -256,7 +239,7 @@ fn a_trial_that_empties_the_live_list_ends_its_window() {
         for threads in 2..=4 {
             assert_eq!(
                 run(cfg, threads),
-                (expect.clone(), trials.clone()),
+                (expect.clone(), text.clone()),
                 "{p} x {threads}"
             );
             if p % threads != threads - 1 {

@@ -46,15 +46,15 @@ fn campaign_log(path: &Path) -> Result<Vec<JsonValue>, usize> {
 }
 
 fn reopen_any(path: &Path) {
-    JsonlFile::append_to(path)
+    JsonlFile::append_to(path, |_| true)
         .unwrap()
-        .append(REOPENED)
+        .append(&[REOPENED])
         .unwrap();
 }
 
 fn write_campaign(dir: &Path) -> PathBuf {
-    let mut c = Campaign::create(dir, "s27", 1, 0xc0ffee).unwrap();
-    c.record_initial(16, 28, 10);
+    let mut c = Campaign::create(dir, "s27", 0xc0ffee).unwrap();
+    c.record_initial(16, 28);
     c.record_trial(TrialRecord {
         i: 1,
         d1: 1,
@@ -62,14 +62,14 @@ fn write_campaign(dir: &Path) -> PathBuf {
         newly_detected: 2,
         kept: true,
         live_after: 2,
-        wall_nanos: 5,
     });
+    c.record_checkpoint(r#"{"type":"checkpoint","iteration":1}"#.to_string());
     c.path().unwrap().to_path_buf()
 }
 
 fn reopen_campaign(path: &Path) {
-    let mut c = Campaign::append_to(path, "s27", 1).unwrap();
-    c.record_raw(REOPENED);
+    let mut c = Campaign::append_to(path, "s27").unwrap();
+    c.record_checkpoint(REOPENED.to_string());
 }
 
 fn write_obs_stream(dir: &Path) -> PathBuf {

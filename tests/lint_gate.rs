@@ -256,6 +256,30 @@ fn mutation_dropped_sync_all_in_jsonl_publish_is_caught() {
 }
 
 #[test]
+fn mutation_dropped_sync_data_in_checkpoint_append_is_caught() {
+    // A campaign checkpoint reaches disk, with the trial records buffered
+    // before it, through `JsonlFile::append`; resume trusts every
+    // checkpoint it reads, so dropping that append's fsync must be
+    // caught.
+    let rel = "crates/obs/src/jsonl.rs";
+    let clean = read_source(rel);
+    let sync_line = "        self.file.sync_data()\n";
+    assert!(
+        clean.contains(sync_line),
+        "the JSONL append must fsync what it wrote (mutation anchor moved?)"
+    );
+    let mutated = clean.replacen(sync_line, "        Ok(())\n", 1);
+    let found = lint_crate_with("obs", rel, &mutated);
+    assert!(
+        rules_hit(&found, "persist-protocol") > 0,
+        "an append without fsync must be flagged:\n{}",
+        render(&found.iter().collect::<Vec<_>>())
+    );
+    let unmutated = lint_crate_with("obs", rel, &clean);
+    assert_eq!(rules_hit(&unmutated, "persist-protocol"), 0);
+}
+
+#[test]
 fn mutation_relaxed_downgraded_store_is_caught() {
     let rel = "crates/obs/src/recorder.rs";
     let clean = read_source(rel);

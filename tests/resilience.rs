@@ -142,11 +142,16 @@ fn poisoned_trial_degrades_to_sequential_with_identical_outcome() {
 
 #[test]
 fn resume_from_every_checkpoint_boundary_converges() {
-    for (name, threads, (c, cfg)) in [("s27", 1, s27_cfg()), ("s208", 4, s208_cfg())] {
+    // `(circuit, threads that write the file, threads that resume it)`.
+    for (name, threads, resume_threads, (c, cfg)) in [
+        ("s27", 1, 1, s27_cfg()),
+        ("s208", 4, 4, s208_cfg()),
+        ("s208", 4, 2, s208_cfg()),
+    ] {
         let _quiet = Armed::quiescent();
-        let dir = scratch_dir(&format!("resume-{name}"));
-        let cfg = cfg.with_threads(threads).with_campaign_dir(&dir);
-        let expected = Procedure2::new(&c, cfg.clone()).run();
+        let dir = scratch_dir(&format!("resume-{name}-{threads}-{resume_threads}"));
+        let cfg = cfg.with_campaign_dir(&dir);
+        let expected = Procedure2::new(&c, cfg.clone().with_threads(threads)).run();
 
         let record = std::fs::read_dir(&dir)
             .unwrap()
@@ -166,37 +171,60 @@ fn resume_from_every_checkpoint_boundary_converges() {
             "{name}: need the post-TS0 checkpoint plus at least one pair"
         );
 
-        // At 4 threads an iteration's trials run in windows of four from
+        // An iteration's trials run in windows of `resume_threads` from
         // its first `D1` position (or from the resumed position), so a
         // checkpoint whose next trial is not a window's first makes the
         // resumed run window the rest of the iteration differently.
         let mut mid_window = 0;
+        let resume_cfg = cfg.clone().with_threads(resume_threads);
         for (k, &end) in boundaries.iter().enumerate() {
             // The kill can land anywhere after the checkpoint: exactly at
-            // it, or mid-write of the next record (torn tail).
-            for (variant, tail) in [("clean", ""), ("torn", "\n{\"type\":\"trial\",\"i\":9")] {
+            // it, before its newline, mid-write of the next append's first
+            // line (torn), or after some whole lines of that append
+            // (partial: its trial lines, then a torn prefix of its last).
+            let kept = lines[..=end].join("\n");
+            let next = boundaries.get(k + 1).copied().unwrap_or(lines.len() - 1);
+            let whole: String = lines[end + 1..next]
+                .iter()
+                .map(|l| format!("{l}\n"))
+                .collect();
+            let partial = format!("{kept}\n{whole}{}", &lines[next][..lines[next].len() / 2]);
+            for (variant, killed) in [
+                ("clean", format!("{kept}\n")),
+                ("unterminated", kept.clone()),
+                ("torn", format!("{kept}\n{{\"type\":\"trial\",\"i\":9")),
+                ("partial", partial),
+            ] {
+                let at = format!(
+                    "{name} boundary {k} ({variant}, {threads} -> {resume_threads} threads)"
+                );
                 let copy = dir.join(format!("killed-at-{k}-{variant}.jsonl"));
-                std::fs::write(&copy, format!("{}{tail}", lines[..=end].join("\n"))).unwrap();
-                let state = load_checkpoint(&copy)
-                    .unwrap_or_else(|e| panic!("{name} boundary {k} ({variant}): {e}"));
+                std::fs::write(&copy, killed).unwrap();
+                let state = load_checkpoint(&copy).unwrap_or_else(|e| panic!("{at}: {e}"));
                 if variant == "clean"
                     && state.in_iteration
-                    && state.d1_pos % threads != 0
+                    && !state.d1_pos.is_multiple_of(resume_threads)
                     && state.d1_pos < cfg.d1_max as usize
                 {
                     mid_window += 1;
                 }
-                let resumed = Procedure2::new(&c, cfg.clone())
+                let resumed = Procedure2::new(&c, resume_cfg.clone())
                     .resume(state)
-                    .unwrap_or_else(|e| panic!("{name} boundary {k} ({variant}): {e}"));
+                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+                assert_eq!(resumed, expected, "{at}: resume must converge");
+                // The resumed file is the uninterrupted one with the seam
+                // after the checkpoint it resumed from.
+                let cut: usize = lines[..=end].iter().map(|l| l.len() + 1).sum();
+                let seam = format!("{{\"type\":\"resume\",\"circuit\":\"{name}\"}}\n");
                 assert_eq!(
-                    resumed, expected,
-                    "{name}: resume from boundary {k} ({variant}) must converge"
+                    std::fs::read_to_string(&copy).unwrap(),
+                    format!("{}{seam}{}", &text[..cut], &text[cut..]),
+                    "{at}: the resumed file minus its seam"
                 );
             }
         }
         assert!(
-            threads == 1 || mid_window > 0,
+            resume_threads == 1 || mid_window > 0,
             "{name}: no checkpoint falls in the middle of a window"
         );
     }
@@ -230,22 +258,32 @@ fn campaign_io_errors_degrade_persistence_but_never_the_run() {
 
 #[test]
 fn degraded_campaign_records_exact_caller_lane_accounting() {
-    // The workers record of a degraded campaign carries a `caller`
-    // object with the lane accounting of the sets the campaign's own
-    // *sequential* simulator ran: TS0, every window's first trial, and
-    // everything after the degrade. Pin its exactness: capacity is
-    // batches x the kernel word, and every pattern of a batch spends one
-    // lane on its fault-free reference machine (however tall the fill
-    // rule packs s27's ~32 target faults), so `lanes_used` must sit
-    // strictly below capacity — a regression to "used == capacity"
-    // (counting allocated instead of occupied lanes) trips this.
+    // A degraded campaign's own *sequential* simulator runs TS0, every
+    // window's first trial, and everything after the degrade; it alone
+    // emits `fsim.batches` and `fsim.faults_simulated` (its lanes used),
+    // while `fsim.lanes_*` sum its kernel work and the pool's. Pin their
+    // exactness: capacity is batches x the kernel word, and every
+    // pattern of a batch spends one lane on its fault-free reference
+    // machine (however tall the fill rule packs s27's ~32 target
+    // faults), so the caller's lanes used must sit strictly below its
+    // capacity — a regression to "used == capacity" (counting allocated
+    // instead of occupied lanes) trips this.
+    use random_limited_scan::obs::{self, record::Event};
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
     let (c, cfg) = s27_cfg();
     let dir = scratch_dir("caller-lanes");
     let armed = Armed::new(InjectionPlan {
         poison_tag: Some(0),
         ..InjectionPlan::default()
     });
+    let sink = Arc::new(obs::MemorySink::new());
+    assert!(
+        obs::install(sink.clone() as Arc<dyn obs::Sink>),
+        "no other collector may be installed"
+    );
     let outcome = Procedure2::new(&c, cfg.with_threads(4).with_campaign_dir(&dir)).run();
+    obs::finish().expect("the collector installed above");
     let fired = inject::fired();
     drop(armed);
     assert!(fired > 0, "the poisoned tag must be hit");
@@ -260,28 +298,26 @@ fn degraded_campaign_records_exact_caller_lane_accounting() {
         text.contains("\"type\":\"degrade\""),
         "the poisoned pool trial degrades the campaign"
     );
-    let workers = text
-        .lines()
-        .find(|l| l.contains("\"type\":\"workers\""))
-        .expect("degraded parallel campaign still writes a workers record");
-    let v = rls_obs::jsonl::parse(workers).unwrap();
-    let caller = v
-        .get("caller")
-        .expect("degraded run records the caller's lane stats");
-    let batches = caller.u64_field("batches").unwrap();
-    let used = caller.u64_field("lanes_used").unwrap();
-    let capacity = caller.u64_field("lanes_capacity").unwrap();
-    assert!(batches > 0, "{workers}");
+    let mut totals: BTreeMap<&str, u64> = BTreeMap::new();
+    for e in sink.take() {
+        if let Event::Metric(m) = e {
+            *totals.entry(m.name).or_default() += m.value;
+        }
+    }
+    let total = |name: &str| totals.get(name).copied().unwrap_or(0);
     let lanes = rls_fsim::KernelWord::LANES as u64;
+    let batches = total("fsim.batches");
+    let used = total("fsim.faults_simulated");
+    assert!(batches > 0, "{totals:?}");
     assert_eq!(
-        capacity,
-        batches * lanes,
-        "capacity is exactly batches x the kernel word"
+        total("fsim.lanes_capacity"),
+        (batches + total("dispatch.batches")) * lanes,
+        "capacity is exactly batches x the kernel word: {totals:?}"
     );
-    assert!(used > 0, "{workers}");
+    assert!(used > 0, "{totals:?}");
     assert!(
-        used < capacity,
+        used < batches * lanes,
         "reference lanes keep every batch below 512 fault lanes; used == \
-         capacity means the accounting regressed to allocated lanes: {workers}"
+         capacity means the accounting regressed to allocated lanes: {totals:?}"
     );
 }
